@@ -1,19 +1,21 @@
 """Bench-regression gate: compare bench JSON against committed baselines.
 
-What CI runs after the ``bench_datapath --quick`` and
-``bench_session_reuse --quick`` smokes: each throughput metric in the
-fresh JSON is compared against the committed baseline in ``results/``,
-and the job **fails if any metric regressed by more than the threshold**
-(default 30%, the acceptance bar).  Improvements and noise above the
-floor pass silently; ratio metrics (zero-copy speedup, session speedup)
-are machine-portable, absolute metrics (GB/s, jobs/s) gate against the
-machine class that wrote the baseline.
+What CI runs after the ``bench_* --quick`` smokes (``bench_datapath``,
+``bench_merge_kernels``, ...): each throughput metric in the fresh JSON
+is compared against the committed baseline in ``results/``, and the job
+**fails if any metric regressed by more than the threshold** (default
+30%, the acceptance bar).  Improvements and noise above the floor pass
+silently; ratio metrics (zero-copy speedup, overlap speedup) are
+machine-portable, absolute metrics (GB/s, jobs/s) gate against the
+machine class that wrote the baseline.  The pool / session layer is not
+gated here: the perf ledger's ``small-jobs`` workload
+(``benchmarks/ledger/run.py``) is its one perf surface.
 
 Usage::
 
     python benchmarks/check_regression.py --kind datapath --current datapath.json
-    python benchmarks/check_regression.py --kind session_reuse \
-        --current session_reuse.json --threshold 0.30
+    python benchmarks/check_regression.py --kind merge_kernels \
+        --current merge_kernels.json --threshold 0.30
 
 Refreshing baselines (after an intentional perf change, or to re-anchor
 to a new runner class)::
@@ -41,11 +43,6 @@ MANIFEST: Dict[str, List[Tuple[str, str]]] = {
         ("roundtrip.zerocopy.gbps", "pack->send->recv->unpack throughput"),
         ("roundtrip.speedup", "zero-copy speedup over copy semantics"),
         ("coded.zerocopy.decoded_gbps", "encode->multicast->decode throughput"),
-    ],
-    "session_reuse": [
-        ("process.session_jobs_per_s", "jobs/sec on one process pool"),
-        ("process.speedup", "session speedup over one-shot runs"),
-        ("thread.session_jobs_per_s", "jobs/sec on one thread pool"),
     ],
     "out_of_core": [
         ("process.parallel.mbps",

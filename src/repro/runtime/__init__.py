@@ -15,6 +15,10 @@ communication layer for the reproduction:
 * :mod:`repro.runtime.tcp` — a multi-host backend: ``repro worker`` agents
   dial a rendezvous coordinator over TCP and form the same K×K mesh across
   real machines (the paper's actual EC2 deployment shape);
+* :mod:`repro.runtime.pool` — the one driver-side worker pool: a reactor
+  (dispatch, heartbeats, failure classification) over the process and
+  TCP backends' worker *transports*, shared by ``Session``, the sort
+  service and the one-shot ``cluster.run``;
 * :mod:`repro.runtime.traffic` — traffic accounting that counts each
   multicast payload once (the paper's communication-load convention) while
   also tracking raw wire bytes.

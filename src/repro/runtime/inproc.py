@@ -30,14 +30,12 @@ from repro.runtime.api import (
 from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.program import (
     ClusterResult,
-    NodeProgram,
     PreparedJob,
     ProgramFactory,
     assemble_cluster_result,
 )
 from repro.runtime.traffic import TrafficLog
 from repro.utils import copytrack
-from repro.utils.timer import StageTimes
 
 
 class _ThreadComm(Comm):
@@ -144,67 +142,22 @@ class ThreadCluster:
         self.record_relays = record_relays
 
     def run(self, factory: ProgramFactory) -> ClusterResult:
-        """Run one program instance per node; gather results and timings.
+        """Run one program instance per node; gather results and timings
+        — a one-job :class:`_ThreadPool` (threads share memory, so the
+        factory closure is handed over as-is).
 
         Any exception in any node thread is re-raised in the caller (the
         first one chronologically), after closing all mailboxes so the
         remaining threads unblock and exit.
         """
-        mailboxes = [Mailbox() for _ in range(self.size)]
-        barrier = threading.Barrier(self.size)
-        traffic = TrafficLog()
-
-        results: List[Any] = [None] * self.size
-        times: List[Dict[str, float]] = [dict() for _ in range(self.size)]
-        errors: List[Tuple[int, BaseException]] = []
-        errors_lock = threading.Lock()
-        programs: List[Optional[NodeProgram]] = [None] * self.size
-
-        def worker(rank: int) -> None:
-            comm: Optional[_ThreadComm] = None
-            try:
-                comm = _ThreadComm(
-                    rank,
-                    self.size,
-                    mailboxes,
-                    barrier,
-                    traffic,
-                    self.multicast_mode,
-                    self.recv_timeout,
-                    self.chunk_bytes,
-                    self.record_relays,
+        with self.create_pool() as pool:
+            return pool.run_job(
+                PreparedJob(
+                    builder=lambda comm, _payload: factory(comm),
+                    payloads=[None] * self.size,
+                    finalize=lambda result: result,
                 )
-                program = factory(comm)
-                programs[rank] = program
-                results[rank] = program.run()
-                times[rank] = program.stopwatch.times()
-            except BaseException as exc:  # noqa: BLE001 - propagated below
-                with errors_lock:
-                    errors.append((rank, exc))
-                barrier.abort()
-                for mb in mailboxes:
-                    mb.close()
-            finally:
-                if comm is not None:
-                    comm._close_async()
-
-        threads = [
-            threading.Thread(target=worker, args=(rank,), name=f"node-{rank}")
-            for rank in range(self.size)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-
-        if errors:
-            rank, exc = errors[0]
-            raise RuntimeError(f"node {rank} failed: {exc!r}") from exc
-
-        return assemble_cluster_result(
-            results, times, traffic, _collect_stages(programs)
-        )
-
+            )
 
     def create_pool(self) -> "_ThreadPool":
         """A persistent worker pool over this cluster configuration.
@@ -223,8 +176,12 @@ class _ThreadPool:
     — mailboxes are cheap in-process objects, and a failed job's closed
     mailboxes / broken barrier must never leak into the next job.  A job
     failure therefore unblocks every peer (barrier abort + mailbox
-    closure, exactly like :meth:`ThreadCluster.run`) while the pool
-    itself survives to run the session's next job.
+    closure) while the pool itself survives to run the session's next
+    job.  :meth:`ThreadCluster.run` is this pool running one job.
+
+    Deliberately *not* a :class:`~repro.runtime.pool.WorkerPool`
+    transport: no sockets, no liveness, no pickling, exceptions handed
+    over by reference — the shared reactor would branch on its caller.
     """
 
     _STOP = ("stop",)
@@ -300,8 +257,8 @@ class _ThreadPool:
 
         Raises:
             RuntimeError: if any node program fails (first failure
-                chronologically, like :meth:`ThreadCluster.run`); the pool
-                survives and the next job runs on fresh mailboxes.
+                chronologically); the pool survives and the next job
+                runs on fresh mailboxes.
         """
         k = self.size
         prepared.check_size(k)
@@ -378,18 +335,3 @@ class _ThreadPool:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def _collect_stages(programs: List[Optional[NodeProgram]]) -> List[str]:
-    for p in programs:
-        if p is not None and p.STAGES:
-            return list(p.STAGES)
-    # Fall back to union of observed stage names in rank order.
-    seen: List[str] = []
-    for p in programs:
-        if p is None:
-            continue
-        for s in p.stopwatch.times():
-            if s not in seen:
-                seen.append(s)
-    return seen

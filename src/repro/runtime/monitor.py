@@ -1,9 +1,9 @@
 """Driver-side job liveness tracking and speculation policy.
 
-Shared by the process and TCP pool collection loops: both feed worker
+The :class:`~repro.runtime.pool.WorkerPool` reactor feeds worker
 heartbeats (``("hb", rank, job_seq, stage)`` frames emitted by
-``serve_pool_jobs``) and final results into one :class:`JobMonitor`,
-then poll it for two decisions —
+``serve_pool_jobs``) and final results into one :class:`JobMonitor` per
+job, then polls it for two decisions —
 
 * **liveness**: a worker whose last heartbeat is older than
   ``failure_timeout`` is declared dead with a typed

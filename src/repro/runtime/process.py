@@ -2,9 +2,11 @@
 
 Architecture (the paper's Fig. 8, coordinator + K workers):
 
-* the parent process is the coordinator: it creates a full mesh of
-  ``socketpair`` channels, forks K worker processes, and collects results,
-  stage timings, and traffic logs over per-worker pipes;
+* the parent process is the coordinator: :class:`ForkMesh` creates a full
+  mesh of ``socketpair`` channels and forks K worker processes, and the
+  shared :class:`~repro.runtime.pool.WorkerPool` reactor dispatches jobs
+  and collects results, stage timings, and traffic logs over per-worker
+  control pipes (``ProcessCluster.run`` is that pool running one job);
 * each worker runs the same :class:`~repro.runtime.program.NodeProgram` the
   threaded backend runs, over a :class:`Comm` whose point-to-point primitive
   is framed socket I/O;
@@ -30,22 +32,21 @@ per-channel FIFO order); a per-destination lock keeps frames from
 interleaving when the program thread (barriers, blocking broadcasts) sends
 concurrently with the sender thread.
 
-Workers inherit the program factory through ``fork``, so factories may close
-over arbitrary in-memory state (e.g. pre-generated input files) without
-pickling.
+``ProcessCluster.run`` workers inherit the program factory through ``fork``,
+so factories may close over arbitrary in-memory state (e.g. pre-generated
+input files) without pickling.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import os
 import queue
 import socket
-import struct
 import threading
 import time
 import traceback
-from multiprocessing.connection import wait as _conn_wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.api import (
@@ -64,25 +65,24 @@ from repro.runtime.api import (
     _JOB_TAG_WINDOWS,
     barrier_tag,
 )
-from repro.runtime.errors import (
-    RuntimeTimeoutError,
-    WorkerFailure,
-    job_failure as _job_failure,
-)
+from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.runtime.mailbox import Mailbox, MailboxClosed
-from repro.runtime.monitor import JobMonitor
+from repro.runtime.pool import WorkerPool
 from repro.runtime.program import (
     ClusterResult,
     JobControl,
     NodeProgram,
     PreparedJob,
     ProgramFactory,
-    assemble_cluster_result,
 )
 from repro.runtime.ratelimit import TokenBucket
 from repro.runtime.traffic import TrafficLog
-from repro.runtime.transport import TransportError, recv_frame, send_frame
-from repro.utils.timer import StageTimes
+from repro.runtime.transport import (
+    TransportError,
+    bound_sends,
+    recv_frame,
+    send_frame,
+)
 
 
 class _SocketComm(Comm):
@@ -174,12 +174,7 @@ class _SocketComm(Comm):
         at construction and never includes a dead rank.
         """
         if self._recv_timeout is not None:
-            sndtimeo = struct.pack(
-                "ll",
-                int(self._recv_timeout),
-                int((self._recv_timeout % 1) * 1e6),
-            )
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, sndtimeo)
+            bound_sends(sock, self._recv_timeout)
         old = self._conns.get(peer)
         self._conns[peer] = sock
         self._send_locks.setdefault(peer, threading.Lock())
@@ -552,16 +547,10 @@ def make_socket_comm(
     :mod:`repro.runtime.tcp` — the mesh transport differs, the endpoint
     machinery (send bounds, pacing, reader threads) is identical.
     """
-    # Bound sends at the kernel (SO_SNDTIMEO) so a wedged peer — full
-    # buffer, nothing draining — raises in the blocked worker with a
-    # traceback naming the stuck send.  SO_SNDTIMEO (unlike settimeout)
-    # leaves the reader threads' blocking recv untouched: an idle receive
-    # direction is normal; a send that cannot drain for this long is not.
-    sndtimeo = struct.pack(
-        "ll", int(socket_timeout), int((socket_timeout % 1) * 1e6)
-    )
+    # A wedged peer must raise in the blocked worker, with a traceback
+    # naming the stuck send, while the reader threads keep blocking.
     for s in conns.values():
-        s.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, sndtimeo)
+        bound_sends(s, socket_timeout)
     pacer = (
         TokenBucket(rate_bytes_per_s) if rate_bytes_per_s is not None else None
     )
@@ -577,95 +566,6 @@ def make_socket_comm(
     )
     comm._start_readers()
     return comm
-
-
-def _setup_worker_comm(
-    rank: int,
-    size: int,
-    conns: Dict[int, socket.socket],
-    extra_close: List,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-) -> _SocketComm:
-    """Forked-child comm setup shared by the one-shot and pool workers."""
-    # Drop inherited duplicates of other endpoints' fds.  Without this a
-    # dead peer's channel never reaches EOF (our own inherited copy of its
-    # socket end keeps it open), so failures would only surface via the
-    # receive timeout instead of an immediate reader-thread EOF.
-    for obj in extra_close:
-        try:
-            obj.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-    return make_socket_comm(
-        rank,
-        size,
-        conns,
-        multicast_mode,
-        rate_bytes_per_s,
-        socket_timeout,
-        chunk_bytes,
-        record_relays,
-    )
-
-
-def _worker_main(
-    rank: int,
-    size: int,
-    conns: Dict[int, socket.socket],
-    extra_close: List,
-    factory: ProgramFactory,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    result_conn,
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-) -> None:
-    """One-shot worker entry point (runs in the forked child)."""
-    from repro.kvpairs.spill import install_spill_cleanup_handler
-
-    install_spill_cleanup_handler()
-    comm: Optional[_SocketComm] = None
-    try:
-        comm = _setup_worker_comm(
-            rank,
-            size,
-            conns,
-            extra_close,
-            multicast_mode,
-            rate_bytes_per_s,
-            socket_timeout,
-            chunk_bytes,
-            record_relays,
-        )
-        program = factory(comm)
-        result = program.run()
-        assert comm.traffic is not None
-        result_conn.send(
-            (
-                "ok",
-                rank,
-                result,
-                program.stopwatch.times(),
-                comm.traffic.records,
-                list(program.STAGES),
-            )
-        )
-    except BaseException:  # noqa: BLE001 - reported to the parent
-        result_conn.send(("error", rank, traceback.format_exc(), None, None, None))
-    finally:
-        if comm is not None:
-            comm._close_async()
-        result_conn.close()
-        for s in conns.values():
-            try:
-                s.close()
-            except OSError:
-                pass
 
 
 class _CtrlReader:
@@ -802,16 +702,18 @@ def serve_pool_jobs(
 ) -> None:
     """The pool worker control loop, over any coordinator transport.
 
-    Each ``("job", seq, builder, payload[, members[, epoch]])`` message rebinds
-    the comm to the job's tag window and traffic log
+    Each ``("job", seq, builder, payload, members, epoch)`` message
+    rebinds the comm to the job's tag window and traffic log
     (:meth:`Comm.begin_job`), builds the node program from the shipped
     ``(builder, payload)``, runs it, and reports the per-job result /
-    stage times / traffic back through ``send_msg``.  When the optional
-    fifth element ``members`` is present (the sort service's per-job
-    worker subsets), the job runs on a :class:`SubsetComm` view over
-    ``comm`` instead — logical ranks ``0..len(members)-1`` over the
-    listed global ranks — leaving the other workers of the mesh free to
-    run a different job concurrently.
+    stage times / traffic back through ``send_msg``.  ``members`` lists
+    the job's global ranks; the job runs on a :class:`SubsetComm` view
+    over ``comm`` — logical ranks ``0..len(members)-1`` — leaving the
+    other workers of the mesh free to run a different job concurrently.
+    The one exception is the full-mesh job (``members`` == all ranks) on
+    a non-resilient worker, which runs on ``comm`` itself: the mesh is
+    torn down after any failure anyway, so the subset view's abort
+    polling and frame reclamation would buy nothing.
 
     Failure policy is selected by ``resilient``:
 
@@ -872,15 +774,13 @@ def serve_pool_jobs(
         msg = reader.inbox.get()
         if msg[0] != "job":
             return  # "stop", drain sentinel, or coordinator EOF
-        job_seq, builder, payload = msg[1], msg[2], msg[3]
-        members: Optional[List[int]] = msg[4] if len(msg) > 4 else None
-        epoch: Optional[int] = msg[5] if len(msg) > 5 else None
+        _, job_seq, builder, payload, members, epoch = msg
         traffic = TrafficLog()
         heartbeater: Optional[_Heartbeater] = None
         job_comm: Comm = comm
         failed = False
         try:
-            if members is not None:
+            if resilient or list(members) != list(range(comm.size)):
                 # A malformed subset raises CommError straight into the
                 # typed handlers below — reported, never fatal here.  A
                 # member that rejoined an instant ago may still be mid-
@@ -959,15 +859,11 @@ def _pool_worker_main(
     conns: Dict[int, socket.socket],
     extra_close: List,
     ctrl_conn,
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-    heartbeat_interval: Optional[float] = None,
+    cluster: "ProcessCluster",
 ) -> None:
     """Pool worker entry point (forked child): :func:`serve_pool_jobs`
-    over the duplex control pipe, after the one-time mesh/comm setup."""
+    over the duplex control pipe, after the one-time mesh/comm setup
+    from the ``cluster`` configuration inherited through the fork."""
     from repro.kvpairs.spill import SpillDir, install_spill_cleanup_handler
 
     # Spill hygiene: a terminated pool worker must still remove its
@@ -976,25 +872,33 @@ def _pool_worker_main(
     # spill dirs a crashed predecessor left behind.
     install_spill_cleanup_handler()
     SpillDir.sweep_stale()
+    # Drop inherited duplicates of other endpoints' fds.  Without this a
+    # dead peer's channel never reaches EOF (our own inherited copy of its
+    # socket end keeps it open), so failures would only surface via the
+    # receive timeout instead of an immediate reader-thread EOF.
+    for obj in extra_close:
+        try:
+            obj.close()
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
     comm: Optional[_SocketComm] = None
     try:
-        comm = _setup_worker_comm(
+        comm = make_socket_comm(
             rank,
             size,
             conns,
-            extra_close,
-            multicast_mode,
-            rate_bytes_per_s,
-            socket_timeout,
-            chunk_bytes,
-            record_relays,
+            cluster.multicast_mode,
+            cluster.rate_bytes_per_s,
+            cluster.timeout,
+            cluster.chunk_bytes,
+            cluster.record_relays,
         )
         serve_pool_jobs(
             comm,
             rank,
             ctrl_conn.recv,
             ctrl_conn.send,
-            heartbeat_interval=heartbeat_interval,
+            heartbeat_interval=cluster.heartbeat_interval,
         )
     finally:
         if comm is not None:
@@ -1057,134 +961,82 @@ class ProcessCluster:
         self.failure_timeout = failure_timeout
 
     def run(self, factory: ProgramFactory) -> ClusterResult:
-        """Fork workers, run the program, gather results and traffic.
+        """Fork workers, run the program once, gather results and traffic
+        — a one-job :class:`~repro.runtime.pool.WorkerPool`.
+
+        Workers inherit ``factory`` through ``fork`` (it is parked in a
+        module-level registry the children see a copy of; only its token
+        crosses the control pipe), so it may close over arbitrary
+        in-memory state without pickling.
 
         Raises:
             RuntimeError: if any worker fails or the run times out; the
                 worker's traceback text is included.
         """
-        ctx = multiprocessing.get_context("fork")
-        k = self.size
-
-        pairs = _build_mesh(k)
-        parent_conns = []
-        processes = []
+        token = next(_factory_tokens)
+        _FORK_FACTORIES[token] = factory
         try:
-            for rank in range(k):
-                conns, extra_close = _mesh_endpoints(pairs, rank)
-                # Result-pipe read ends (earlier workers' and this one's
-                # own) are inherited too; the child drops those copies.
-                extra_close.extend(parent_conns)
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                extra_close.append(recv_conn)
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(
-                        rank,
-                        k,
-                        conns,
-                        extra_close,
-                        factory,
-                        self.multicast_mode,
-                        self.rate_bytes_per_s,
-                        send_conn,
-                        self.timeout,
-                        self.chunk_bytes,
-                        self.record_relays,
+            with self.create_pool() as pool:
+                return pool.run_job(
+                    PreparedJob(
+                        builder=_build_inherited,
+                        payloads=[token] * self.size,
+                        finalize=lambda result: result,
                     ),
-                    name=f"worker-{rank}",
+                    last=True,
                 )
-                proc.start()
-                send_conn.close()
-                parent_conns.append(recv_conn)
-                processes.append(proc)
-            # Parent no longer needs the mesh fds.
-            for si, sj in pairs.values():
-                si.close()
-                sj.close()
-
-            results: List[Any] = [None] * k
-            times: List[Dict[str, float]] = [dict() for _ in range(k)]
-            traffic = TrafficLog()
-            stages: List[str] = []
-            failures: List[str] = []
-            for conn in parent_conns:
-                if not conn.poll(self.timeout):
-                    failures.append("worker result timeout")
-                    continue
-                status, rank, payload, sw_times, records, prog_stages = conn.recv()
-                if status != "ok":
-                    failures.append(f"worker {rank}:\n{payload}")
-                    continue
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-            for proc in processes:
-                proc.join(timeout=10.0)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join()
-            if failures:
-                raise RuntimeError(
-                    "ProcessCluster run failed:\n" + "\n".join(failures)
-                )
-            return assemble_cluster_result(results, times, traffic, stages)
         finally:
-            for proc in processes:
-                if proc.is_alive():
-                    proc.terminate()
-            for conn in parent_conns:
-                conn.close()
+            del _FORK_FACTORIES[token]
 
-    def create_pool(self) -> "_ProcessPool":
+    def create_pool(self) -> WorkerPool:
         """A persistent worker pool over this cluster configuration.
 
-        The pool forks the K-worker socket mesh once and runs many jobs on
-        it (see :class:`_ProcessPool`); :class:`repro.session.Session` is
-        the driver-facing API over it.
+        The pool forks the K-worker socket mesh once (lazily, on the
+        first job) and runs many jobs on it: the per-job cost drops to
+        one (builder, payload) pickle per worker plus the job itself.
+        Any worker error, worker death, or job timeout fails that job
+        and tears the workers down; the next job transparently re-forks
+        a clean mesh.  :class:`repro.session.Session` is the
+        driver-facing API over it.
         """
-        return _ProcessPool(self)
+        return WorkerPool(ForkMesh(self), self)
 
 
-class _ProcessPool:
-    """K persistent worker processes over one long-lived socket mesh.
+#: Program factories of in-flight :meth:`ProcessCluster.run` calls, by
+#: token; forked workers inherit the entry present at fork time.
+_FORK_FACTORIES: Dict[int, ProgramFactory] = {}
+_factory_tokens = itertools.count()
 
-    Workers are forked lazily on the first job and then run
-    :func:`_pool_worker_main`'s control loop: the per-job cost drops to
-    one (builder, payload) pickle per worker plus the job itself — the
-    fork + socketpair-mesh + reader-thread setup is paid once per pool,
-    not once per job.  Job dispatch and collection are strictly
-    sequential (the mesh runs one job at a time).
 
-    Failure policy: any worker error, worker death, or job timeout fails
-    that job with :class:`RuntimeError` and tears the workers down; the
-    next job transparently re-forks a clean mesh.  A half-failed mesh may
-    hold arbitrary in-flight frames, so a fresh fork is both simpler and
-    strictly more robust than in-place resynchronization — and keeps the
-    "session survives a failed job" contract cheap.
+def _build_inherited(comm: Comm, token: int) -> NodeProgram:
+    return _FORK_FACTORIES[token](comm)
+
+
+class ForkMesh:
+    """The fork transport: K worker processes over one ``socketpair``
+    mesh, each behind a duplex pipe as its control channel.
+
+    Only answers how the workers come to exist (:meth:`form`) and go
+    away (:meth:`teardown`); everything after is
+    :class:`~repro.runtime.pool.WorkerPool`.  There is no listener —
+    a dead forked worker is replaced by re-forming the whole mesh.
     """
+
+    listener = None
 
     def __init__(self, cluster: ProcessCluster) -> None:
         self._cluster = cluster
-        self.size = cluster.size
         self._ctx = multiprocessing.get_context("fork")
-        self._procs: List = []
-        self._ctrl: List = []
-        self._job_seq = 0
+        self.procs: List = []
 
-    @property
-    def running(self) -> bool:
-        return bool(self._procs) and all(p.is_alive() for p in self._procs)
-
-    def _start(self) -> None:
-        k = self.size
-        pairs = _build_mesh(k)
+    def form(self, size: int) -> Dict[int, Any]:
+        """Fork ``size`` workers running :func:`_pool_worker_main`;
+        returns the parent ends of their control pipes by rank."""
+        pairs = _build_mesh(size)
         ctrl_conns: List = []
         procs: List = []
         try:
-            for rank in range(k):
+            for rank in range(size):
                 conns, extra_close = _mesh_endpoints(pairs, rank)
                 # Earlier workers' parent-side control ends are inherited
                 # too; the child drops those copies.
@@ -1195,16 +1047,11 @@ class _ProcessPool:
                     target=_pool_worker_main,
                     args=(
                         rank,
-                        k,
+                        size,
                         conns,
                         extra_close,
                         child_conn,
-                        self._cluster.multicast_mode,
-                        self._cluster.rate_bytes_per_s,
-                        self._cluster.timeout,
-                        self._cluster.chunk_bytes,
-                        self._cluster.record_relays,
-                        self._cluster.heartbeat_interval,
+                        self._cluster,
                     ),
                     name=f"pool-worker-{rank}",
                     daemon=True,
@@ -1218,170 +1065,24 @@ class _ProcessPool:
             for si, sj in pairs.values():
                 si.close()
                 sj.close()
-        self._procs = procs
-        self._ctrl = ctrl_conns
+        self.procs = procs
+        return dict(enumerate(ctrl_conns))
 
-    def _broadcast_ctl(self, seq: int, payload: Any) -> None:
-        """Best-effort mid-job control frame to every worker."""
-        for conn in self._ctrl:
-            try:
-                conn.send(("ctl", seq, payload))
-            except (OSError, ValueError):  # pragma: no cover - dying pool
-                pass
-
-    def run_job(self, prepared: PreparedJob) -> ClusterResult:
-        """Dispatch one prepared job to every worker and gather the result.
-
-        While collecting, worker heartbeats feed a :class:`JobMonitor`:
-        a worker silent past the cluster's ``failure_timeout`` is
-        declared dead immediately, and (for jobs prepared with a
-        speculation config) straggling map shards get a backup launched
-        on an already-finished worker via a ``("ctl", ...)`` broadcast.
-
-        Raises:
-            WorkerFailure: a worker died or went silent mid-job
-                (infrastructure — the session layer may retry); the pool
-                is torn down and the next job restarts it.
-            RuntimeError: a worker's program raised (a genuine job bug,
-                never retried) or the job timed out; the worker's
-                traceback text is included.
+    def teardown(self) -> None:
+        """Reap the workers (the pool already sent ``stop`` and closed
+        their control pipes); must never hang.  Each escalation step
+        gives the whole mesh one shared window, not one per worker:
+        after a failed job every survivor may be wedged on a dead peer.
         """
-        k = self.size
-        prepared.check_size(k)
-        if not self.running:
-            self.close()
-            self._start()
-        seq = self._job_seq
-        self._job_seq += 1
-        try:
-            for rank, conn in enumerate(self._ctrl):
-                conn.send(
-                    ("job", seq, prepared.builder, prepared.payloads[rank])
-                )
-        except (OSError, ValueError) as exc:
-            self.close()
-            raise WorkerFailure(
-                -1, "dispatch", f"worker pool died while dispatching job: {exc}"
-            ) from exc
-
-        results: List[Any] = [None] * k
-        times: List[Dict[str, float]] = [dict() for _ in range(k)]
-        traffic = TrafficLog()
-        stages: List[str] = []
-        program_errors: List[str] = []
-        infra_failures: List[Tuple[int, str, str]] = []  # (rank, stage, cause)
-        pending: Dict[Any, int] = {
-            conn: rank for rank, conn in enumerate(self._ctrl)
-        }
-        monitor = JobMonitor(
-            k, self._cluster.failure_timeout, prepared.speculation
-        )
-        deadline = time.monotonic() + self._cluster.timeout
-        # After the first failure, keep draining reports for a short grace
-        # window: the survivors' cascade (comm_error / EOF) and — crucially
-        # — any root-cause program error must be classified before raising.
-        grace_deadline: Optional[float] = None
-        while pending:
-            now = time.monotonic()
-            if now >= deadline:
-                if not (program_errors or infra_failures):
-                    infra_failures.append((
-                        -1,
-                        "unknown",
-                        f"job timed out after {self._cluster.timeout}s "
-                        f"(ranks {sorted(pending.values())} pending)",
-                    ))
+        for escalate in ("terminate", "kill", None):
+            deadline = time.monotonic() + 5.0
+            for proc in self.procs:
+                proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            alive = [proc for proc in self.procs if proc.is_alive()]
+            if not alive or escalate is None:
                 break
-            if grace_deadline is not None and now >= grace_deadline:
-                break
-            if self._cluster.heartbeat_interval:
-                try:
-                    monitor.check_liveness(pending.values())
-                except WorkerFailure as failure:
-                    infra_failures.append(
-                        (failure.rank, failure.stage, failure.cause)
-                    )
-                    for conn, rank in list(pending.items()):
-                        if rank == failure.rank:
-                            del pending[conn]
-            for straggler, backup in monitor.speculation_directives():
-                self._broadcast_ctl(seq, ("speculate", straggler, backup))
-            if (program_errors or infra_failures) and grace_deadline is None:
-                grace_deadline = time.monotonic() + min(
-                    1.0, self._cluster.timeout
-                )
-            wait_for = monitor.poll_timeout(
-                min(deadline, grace_deadline or deadline) - time.monotonic()
-            )
-            for conn in _conn_wait(list(pending), wait_for):
-                rank = pending[conn]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    del pending[conn]
-                    infra_failures.append((
-                        rank,
-                        monitor.stage_of(rank),
-                        "worker process died mid-job (control channel EOF)",
-                    ))
-                    continue
-                if msg[0] == "hb":
-                    if msg[2] == seq:
-                        monitor.heartbeat(msg[1], msg[3])
-                    continue
-                del pending[conn]
-                monitor.result(rank)
-                if msg[0] == "comm_error":
-                    infra_failures.append((
-                        msg[1],
-                        monitor.stage_of(msg[1]),
-                        f"comm failure:\n{msg[3]}",
-                    ))
-                    continue
-                if msg[0] != "ok":
-                    program_errors.append(f"worker {msg[1]}:\n{msg[3]}")
-                    continue
-                _, _, wseq, payload, sw_times, records, prog_stages = msg
-                assert wseq == seq, f"job sequence mismatch: {wseq} != {seq}"
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-        if program_errors or infra_failures:
-            self.close()
-            raise _job_failure(
-                "ProcessCluster", program_errors, infra_failures
-            )
-        return assemble_cluster_result(results, times, traffic, stages)
-
-    def close(self) -> None:
-        """Stop the workers (idempotent); a later job restarts the pool."""
-        for conn in self._ctrl:
-            try:
-                conn.send(("stop",))
-            except (OSError, ValueError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                # SIGTERM stays pending on a stopped (SIGSTOP) worker; only
-                # SIGKILL reaps it, and close() must never hang.
-                proc.kill()
-                proc.join()
-        for conn in self._ctrl:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-        self._procs = []
-        self._ctrl = []
-
-    def __enter__(self) -> "_ProcessPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+            for proc in alive:
+                # SIGTERM stays pending on a stopped (SIGSTOP) worker;
+                # only SIGKILL reaps it.
+                getattr(proc, escalate)()
+        self.procs = []

@@ -1,16 +1,17 @@
 """Multi-host TCP cluster backend: real workers on real machines.
 
 The paper's numbers were measured on a standing EC2 cluster, not forked
-processes on one box.  This module is the third ``Cluster`` backend,
-closing that gap: ``K`` independent *worker agents* (``repro worker
---join HOST:PORT``, typically one per machine) dial a rendezvous
-coordinator over TCP, complete a versioned rank-assignment handshake, and
-form the full K×K peer mesh over plain TCP sockets.  From there
-everything is shared with the multiprocessing backend:
-:func:`~repro.runtime.transport.send_frame` framing, the zero-copy
-``sendmsg`` / ``recv_into`` data plane of
-:class:`~repro.runtime.process._SocketComm`, and the
-:func:`~repro.runtime.process.serve_pool_jobs` control loop — so
+processes on one box.  This module is the TCP *transport*, closing that
+gap: ``K`` independent *worker agents* (``repro worker --join
+HOST:PORT``, typically one per machine) dial a rendezvous coordinator
+over TCP, complete a versioned rank-assignment handshake
+(:class:`Rendezvous`), and form the full K×K peer mesh over plain TCP
+sockets.  From there everything is shared with the multiprocessing
+backend: :func:`~repro.runtime.transport.send_frame` framing, the
+zero-copy ``sendmsg`` / ``recv_into`` data plane of
+:class:`~repro.runtime.process._SocketComm`, the
+:func:`~repro.runtime.process.serve_pool_jobs` worker loop, and the
+driver-side :class:`~repro.runtime.pool.WorkerPool` reactor — so
 ``Session.submit()`` works unchanged and outputs are byte-identical with
 :class:`~repro.runtime.process.ProcessCluster`.
 
@@ -26,7 +27,8 @@ messages that must parse across versions, pickled tuples after that)::
     (workers dial every lower rank, accept every higher; each peer link
      starts with a PEER_HELLO frame carrying the mesh nonce + dialer rank)
     worker -> coord   READY
-    coord  -> worker  ("job", seq, builder, payload) ...  |  ("stop",)
+    coord  -> worker  ("job", seq, builder, payload, members, epoch) ...
+                      |  ("stop",)
 
 Elastic rejoin (resilient pools, i.e. the sort service): the rendezvous
 listener keeps accepting after the mesh forms.  A replacement worker runs
@@ -46,12 +48,13 @@ sockets EOF every peer's reader thread, the survivors' jobs fail fast,
 report, and exit, and the job's :class:`~repro.session.JobHandle` carries
 the error while the session object survives.
 
-Failure policy parity with ``_ProcessPool``: any worker error or death
-tears the whole pool down (a mid-shuffle mesh holds arbitrary
-half-delivered frames).  The coordinator cannot re-fork remote workers,
-so the *next* job re-opens the rendezvous and waits ``connect_timeout``
-for K fresh (or supervisor-restarted) workers to join; run workers under
-a restart loop to get the process backend's transparent-restart behavior.
+Failure policy is the pool's, not the transport's: under a ``Session``
+any worker error or death tears the whole mesh down (a mid-shuffle mesh
+holds arbitrary half-delivered frames).  The coordinator cannot re-fork
+remote workers, so the *next* job re-opens the rendezvous and waits
+``connect_timeout`` for K fresh (or supervisor-restarted) workers to
+join; run workers under a restart loop to get the process backend's
+transparent-restart behavior.
 
 Trust model: job dispatch pickles ``(builder, payload)`` to workers and
 results back — run this only between mutually trusted hosts on a private
@@ -64,7 +67,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import selectors
 import signal
 import socket
 import struct
@@ -73,24 +75,24 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
-from repro.runtime.errors import WorkerFailure, job_failure
-from repro.runtime.monitor import JobMonitor
+from repro.runtime.pool import WorkerPool
 from repro.runtime.process import (
     WorkerDrain,
     _SocketComm,
     make_socket_comm,
     serve_pool_jobs,
 )
-from repro.runtime.program import (
-    ClusterResult,
-    PreparedJob,
-    assemble_cluster_result,
+from repro.runtime.transport import (
+    TransportError,
+    bound_sends,
+    recv_frame,
+    send_frame,
 )
-from repro.runtime.traffic import TrafficLog
-from repro.runtime.transport import TransportError, recv_frame, send_frame
 
 __all__ = [
     "PROTOCOL_VERSION",
+    "Channel",
+    "Rendezvous",
     "TcpCluster",
     "TcpClusterError",
     "TcpHandshakeError",
@@ -105,8 +107,11 @@ __all__ = [
 #: fail to unpack them, so the sort service requires v2 agents.  v3:
 #: PEER_HELLO grew a membership-epoch field and the rendezvous accepts
 #: mid-flight rejoins (elastic service pools) — a v2 worker would
-#: mis-unpack the peer handshake, so the mesh requires v3 agents.
-PROTOCOL_VERSION = 3
+#: mis-unpack the peer handshake, so the mesh requires v3 agents.  v4:
+#: every job frame carries ``members`` and ``epoch`` (the one pool sends
+#: one frame shape) and workers no longer accept the bare four-element
+#: frame a v3 Session coordinator sends.
+PROTOCOL_VERSION = 4
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).
@@ -179,16 +184,15 @@ def _recv_ctrl(sock: socket.socket, step: str) -> Any:
         raise TcpClusterError(f"{step}: {exc}") from exc
 
 
-def _bound_sends(sock: socket.socket, timeout: float) -> None:
-    """Bound blocking sends at the kernel (SO_SNDTIMEO), like the mesh
-    sockets in :func:`~repro.runtime.process.make_socket_comm`: a wedged
-    peer (connection up, nothing draining) raises instead of hanging a
-    job dispatch or a result report forever."""
-    sock.setsockopt(
-        socket.SOL_SOCKET,
-        socket.SO_SNDTIMEO,
-        struct.pack("ll", int(timeout), int((timeout % 1) * 1e6)),
-    )
+def _expect(sock: socket.socket, kind: str, step: str) -> Tuple:
+    """Receive the handshake message ``kind``, naming ``step`` (what the
+    other side must have died doing) in any failure."""
+    msg = _recv_ctrl(sock, step)
+    if msg[0] != kind:
+        raise TcpClusterError(
+            f"{step}: unexpected message {msg[0]!r}, expected {kind!r}"
+        )
+    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +225,29 @@ def _dial(
             time.sleep(min(0.2, max(0.0, deadline - time.monotonic())))
 
 
+def _accept_peer(
+    listener: socket.socket, nonce: int, handshake_timeout: float
+) -> Optional[Tuple[socket.socket, int, int]]:
+    """Accept one mesh dialer and validate its nonce-guarded PEER_HELLO.
+
+    Returns ``(sock, dialer rank, dialer's membership epoch)``, or
+    ``None`` after closing a stray/stale connection.  Errors of the
+    ``accept`` itself (timeout, closed listener) propagate.
+    """
+    sock, _ = listener.accept()
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(handshake_timeout)
+        tag, payload = recv_frame(sock)
+        magic, got_nonce, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
+        if tag != _TAG_PEER or magic != _MAGIC or got_nonce != nonce:
+            raise TransportError("peer hello mismatch")
+    except (OSError, TransportError, struct.error):
+        sock.close()
+        return None
+    return sock, peer, epoch
+
+
 def _form_mesh(
     rank: int,
     size: int,
@@ -249,23 +276,16 @@ def _form_mesh(
     listener.settimeout(handshake_timeout)
     while len(peers) < size - 1:
         try:
-            sock, _ = listener.accept()
+            accepted = _accept_peer(listener, nonce, handshake_timeout)
         except socket.timeout:
             missing = sorted(set(range(size)) - set(peers) - {rank})
             raise TcpClusterError(
                 f"rank {rank}: peers {missing} did not dial in within "
                 f"{handshake_timeout:.1f}s"
             ) from None
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(handshake_timeout)
-        try:
-            tag, payload = recv_frame(sock)
-            magic, got_nonce, peer, _epoch = _PEER_HELLO.unpack(bytes(payload))
-            if tag != _TAG_PEER or magic != _MAGIC or got_nonce != nonce:
-                raise TransportError("peer hello mismatch")
-        except (OSError, TransportError, struct.error):
-            sock.close()  # stray/stale connection; keep waiting for peers
-            continue
+        if accepted is None:
+            continue  # stray/stale connection; keep waiting for peers
+        sock, peer, _epoch = accepted
         if peer in peers or not rank < peer < size:
             sock.close()
             continue
@@ -331,22 +351,12 @@ def _serve_mesh_joins(
     """
     while True:
         try:
-            sock, _ = listener.accept()
+            accepted = _accept_peer(listener, nonce, handshake_timeout)
         except OSError:
             return  # listener closed: worker shutting down
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(handshake_timeout)
-            tag, payload = recv_frame(sock)
-            magic, got_nonce, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
-            if tag != _TAG_PEER or magic != _MAGIC or got_nonce != nonce:
-                raise TransportError("peer hello mismatch")
-        except (OSError, TransportError, struct.error):
-            try:
-                sock.close()  # stray/stale dialer; keep accepting
-            except OSError:  # pragma: no cover
-                pass
-            continue
+        if accepted is None:
+            continue  # stray/stale dialer; keep accepting
+        sock, peer, epoch = accepted
         if peer == comm.rank:
             sock.close()
             continue
@@ -444,10 +454,7 @@ def run_worker(
         _send_msg(
             ctrl, ("listening", (adv_host, listener.getsockname()[1]))
         )
-        msg = _recv_ctrl(ctrl, "waiting for the peer roster")
-        if msg[0] != "roster":
-            raise TcpClusterError(f"unexpected rendezvous message {msg[0]!r}")
-        roster = msg[1]
+        roster = _expect(ctrl, "roster", "waiting for the peer roster")[1]
         my_epoch = int(cfg.get("epoch", 0))
         resilient = bool(cfg.get("resilient", False))
         if isinstance(roster, dict):
@@ -492,7 +499,7 @@ def run_worker(
             ).start()
         _send_msg(ctrl, ("ready",))
         ctrl.settimeout(None)
-        _bound_sends(ctrl, cfg["timeout"])
+        bound_sends(ctrl, cfg["timeout"])
         say("mesh up, serving jobs")
         serve_pool_jobs(
             comm,
@@ -615,11 +622,18 @@ class TcpCluster:
         """The bound rendezvous address workers should ``--join``."""
         return f"tcp://{self.host}:{self.port}"
 
-    def create_pool(self) -> "_TcpPool":
-        """A persistent worker pool over this rendezvous (see
-        :class:`_TcpPool`); :class:`repro.session.Session` is the
-        driver-facing API over it."""
-        return _TcpPool(self)
+    def create_pool(self) -> WorkerPool:
+        """A persistent worker pool over this rendezvous.
+
+        The first job admits K workers (handshake, roster, mesh, ready);
+        every job then ships one pickled ``(builder, payload)`` per
+        worker.  Any worker error or death fails the job and tears the
+        pool down; the coordinator cannot re-fork remote workers, so the
+        *next* job re-opens the rendezvous and waits ``connect_timeout``
+        for K fresh (or supervisor-restarted) workers to join.
+        :class:`repro.session.Session` is the driver-facing API over it.
+        """
+        return WorkerPool(Rendezvous(self, self.resilient_workers), self)
 
     def close(self) -> None:
         """Close the rendezvous listener (idempotent).  Pools already
@@ -640,170 +654,118 @@ class TcpCluster:
         return f"TcpCluster(size={self.size}, address={self.address!r})"
 
 
-class _TcpPool:
-    """K rendezvoused TCP workers serving jobs over control connections.
+class Channel:
+    """A worker's control connection as a pool control channel
+    (``send`` / ``recv`` / ``fileno`` / ``close``): pickled tuples in
+    ``_TAG_CTRL`` frames.  Sends are bounded at the kernel
+    (:func:`~repro.runtime.transport.bound_sends`); a receive, entered
+    only once the socket is readable, is bounded too, so a worker that
+    wedges mid-frame cannot hang the reactor."""
 
-    The driver-side twin of
-    :class:`~repro.runtime.process._ProcessPool`, with the fork replaced
-    by the rendezvous: ``_start`` admits K workers (handshake, roster,
-    mesh, ready), then ``run_job`` ships one pickled ``(builder,
-    payload)`` per worker and gathers per-rank results/times/traffic.
-    Failure policy matches the process pool — any worker error/death
-    fails the job and tears the pool down — except that the next job
-    *waits for workers to rejoin* instead of re-forking them.
+    def __init__(self, sock: socket.socket, timeout: float) -> None:
+        sock.settimeout(None)
+        bound_sends(sock, timeout)
+        self._sock = sock
+        self._recv_timeout = min(30.0, timeout)
+
+    def send(self, obj: Any) -> None:
+        _send_msg(self._sock, obj)
+
+    def recv(self) -> Any:
+        self._sock.settimeout(self._recv_timeout)
+        try:
+            return _recv_msg(self._sock)
+        finally:
+            try:
+                self._sock.settimeout(None)
+            except OSError:
+                pass  # closed under us; the caller sees the recv error
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def close(self) -> None:
+        self._sock.close()
+
+
+class Rendezvous:
+    """The TCP transport: how K worker agents — and later their
+    replacements — come to stand behind control channels.
+
+    :meth:`form` admits K workers through the rendezvous listener
+    (handshake, roster, mesh, ready); :meth:`admit_join` runs the same
+    handshake for one mid-flight rejoiner, which dials the live peers'
+    standing mesh listeners instead of a fresh roster.  Both go through
+    the one HELLO routine, :meth:`_hello`.  Everything after belongs to
+    :class:`~repro.runtime.pool.WorkerPool`.
+
+    ``resilient`` is shipped to workers in the welcome config (survive a
+    failed job, keep the mesh listener open for joiners); the sort
+    service turns it on for its own pool without touching the cluster.
     """
 
-    def __init__(self, cluster: TcpCluster) -> None:
+    def __init__(self, cluster: TcpCluster, resilient: bool) -> None:
         self._cluster = cluster
-        self.size = cluster.size
-        self._ctrl: List[socket.socket] = []
-        self._job_seq = 0
-        self._nonce = 0
-        #: Advertised mesh-listener addresses, by rank, of the current
-        #: generation — kept so an elastic ServicePool can hand a
-        #: rejoining worker the live peers' addresses (see
-        #: :meth:`repro.service.pool.ServicePool._admit_join`).
-        self._roster: List[Tuple[str, int]] = []
+        self.resilient = resilient
+        #: Minted per mesh generation: keeps a stale worker of an
+        #: earlier, torn-down mesh from splicing into this one.
+        self.nonce = 0
+        #: Advertised mesh-listener address per rank, handed to joiners
+        #: so they can dial the standing mesh.
+        self.addrs: Dict[int, Tuple[str, int]] = {}
+        #: Readable when a worker is dialing the rendezvous.
+        self.listener = cluster._listener
 
-    @property
-    def running(self) -> bool:
-        """True while K workers hold quiet control connections.
+    def teardown(self) -> None:
+        """Nothing to reap: remote workers exit when their control
+        connection closes, and their exits cascade through the mesh."""
 
-        Between jobs a healthy control socket has nothing to say, so any
-        readable one means EOF (worker died idle) or protocol garbage —
-        either way the mesh is unusable and the next job re-rendezvouses.
+    # -- the handshake ------------------------------------------------------
+
+    def _hello(self, conn: socket.socket, assign) -> Any:
+        """The one HELLO / rank-assignment routine.
+
+        Validates the dialer's hello frame, then lets ``assign(want)``
+        pick its rank: whatever ``assign`` returns is handed back, except
+        a ``str``, which is a rejection reason.  Rejections (bad
+        magic/version, duplicate or out-of-range rank) answer with the
+        reason so the worker can exit with a clean error, and return
+        ``None``; a dialer that dies mid-hello is dropped silently
+        (stale backlog entry).
         """
-        if len(self._ctrl) != self.size:
-            return False
-        readable, _, _ = _select(self._ctrl, 0.0)
-        return not readable
-
-    # -- rendezvous ---------------------------------------------------------
-
-    def _start(self) -> None:
-        """Admit K workers: handshake each, publish the roster, await
-        readiness.  Raises :class:`TcpClusterError` naming the stuck or
-        dead rank on any timeout/EOF."""
-        k = self.size
-        cluster = self._cluster
-        self._nonce = int.from_bytes(os.urandom(8), "little")
-        deadline = time.monotonic() + cluster.connect_timeout
-        ranks: Dict[int, socket.socket] = {}
         try:
-            while len(ranks) < k:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TcpClusterError(
-                        f"timed out waiting for workers: {len(ranks)}/{k} "
-                        f"joined within {cluster.connect_timeout:.1f}s "
-                        f"(start the rest with `repro worker --join "
-                        f"{cluster.address}`)"
-                    )
-                cluster._listener.settimeout(remaining)
-                try:
-                    conn, _ = cluster._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError as exc:
-                    raise TcpClusterError(
-                        f"rendezvous listener failed: {exc}"
-                    ) from exc
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                conn.settimeout(cluster.handshake_timeout)
-                rank = self._admit(conn, ranks)
-                if rank is not None:
-                    ranks[rank] = conn
-            ctrl = [ranks[rank] for rank in range(k)]
-            roster: List[Tuple[str, int]] = []
-            for rank, conn in enumerate(ctrl):
-                msg = _recv_ctrl(
-                    conn, f"worker {rank} died before announcing its "
-                    f"peer listener"
-                )
-                if msg[0] != "listening":
-                    raise TcpClusterError(
-                        f"worker {rank}: unexpected message {msg[0]!r}"
-                    )
-                roster.append(tuple(msg[1]))
-            self._roster = roster
-            for conn in ctrl:
-                _send_msg(conn, ("roster", roster))
-            for rank, conn in enumerate(ctrl):
-                msg = _recv_ctrl(
-                    conn, f"worker {rank} died during mesh formation"
-                )
-                if msg[0] != "ready":
-                    raise TcpClusterError(
-                        f"worker {rank}: unexpected message {msg[0]!r}"
-                    )
-                conn.settimeout(None)
-                _bound_sends(conn, cluster.timeout)
-        except BaseException:
-            for conn in ranks.values():
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-            raise
-        self._ctrl = ctrl
-
-    def _admit(
-        self, conn: socket.socket, ranks: Dict[int, socket.socket]
-    ) -> Optional[int]:
-        """Handshake one dialer; assign its rank or reject-and-drop.
-
-        Rejections (bad magic/version, duplicate or out-of-range rank)
-        answer with the reason so the worker can exit with a clean error;
-        the rendezvous itself keeps waiting for valid workers.  A dialer
-        that dies mid-hello is dropped silently (stale backlog entry).
-        """
-        cluster = self._cluster
-        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(self._cluster.handshake_timeout)
             tag, payload = recv_frame(conn)
         except (OSError, TransportError):
             conn.close()
             return None
-
-        def reject(reason: str) -> None:
-            try:
-                _send_msg(conn, ("reject", reason))
-            except (OSError, TransportError):  # pragma: no cover
-                pass
-            conn.close()
-
         try:
             magic, version, want = _HELLO.unpack(bytes(payload))
         except struct.error:
-            reject("malformed hello frame")
-            return None
-        if tag != _TAG_HELLO or magic != _MAGIC:
-            reject("not a codedterasort worker hello")
-            return None
-        if version != PROTOCOL_VERSION:
-            reject(
-                f"protocol version mismatch: worker speaks {version}, "
-                f"coordinator speaks {PROTOCOL_VERSION}"
-            )
-            return None
-        if want < 0:
-            rank = min(set(range(self.size)) - set(ranks))
-        elif want >= self.size:
-            reject(f"rank {want} out of range for a size-{self.size} cluster")
-            return None
-        elif want in ranks:
-            reject(f"duplicate rank: {want} is already taken")
-            return None
+            reason = "malformed hello frame"
         else:
-            rank = want
+            if tag != _TAG_HELLO or magic != _MAGIC:
+                reason = "not a codedterasort worker hello"
+            elif version != PROTOCOL_VERSION:
+                reason = (
+                    f"protocol version mismatch: worker speaks {version}, "
+                    f"coordinator speaks {PROTOCOL_VERSION}"
+                )
+            else:
+                assigned = assign(want)
+                if not isinstance(assigned, str):
+                    return assigned
+                reason = assigned
         try:
-            _send_msg(conn, ("welcome", self.welcome_config(rank)))
-        except (OSError, TransportError):
-            conn.close()
-            return None
-        return rank
+            _send_msg(conn, ("reject", reason))
+        except (OSError, TransportError):  # pragma: no cover
+            pass
+        conn.close()
+        return None
 
-    def welcome_config(self, rank: int, **extra: Any) -> Dict[str, Any]:
-        """The WELCOME config dict for ``rank`` (plus ``extra`` keys).
+    def _welcome(self, rank: int, size: int, **extra: Any) -> Tuple:
+        """The WELCOME message for ``rank`` (plus ``extra`` config keys).
 
         New keys ride the config dict, so older workers (which ``.get``
         with defaults) stay compatible — no PROTOCOL_VERSION bump is
@@ -812,195 +774,115 @@ class _TcpPool:
         cluster = self._cluster
         cfg: Dict[str, Any] = {
             "rank": rank,
-            "size": self.size,
-            "nonce": self._nonce,
+            "size": size,
+            "nonce": self.nonce,
             "multicast_mode": cluster.multicast_mode.value,
             "rate_bytes_per_s": cluster.rate_bytes_per_s,
             "timeout": cluster.timeout,
             "chunk_bytes": cluster.chunk_bytes,
             "record_relays": cluster.record_relays,
             "heartbeat_interval": cluster.heartbeat_interval,
-            "resilient": cluster.resilient_workers,
+            "resilient": self.resilient,
         }
         cfg.update(extra)
-        return cfg
+        return ("welcome", cfg)
 
-    # -- jobs ---------------------------------------------------------------
+    # -- initial rendezvous -------------------------------------------------
 
-    def _broadcast_ctl(self, seq: int, payload: Any) -> None:
-        """Best-effort mid-job control frame to every worker."""
-        for conn in self._ctrl:
-            try:
-                _send_msg(conn, ("ctl", seq, payload))
-            except (OSError, TransportError):  # pragma: no cover - dying pool
-                pass
+    def form(self, size: int) -> Dict[int, Channel]:
+        """Admit ``size`` workers: handshake each, publish the roster,
+        await readiness.  Raises :class:`TcpClusterError` naming the
+        stuck or dead rank on any timeout/EOF."""
+        cluster = self._cluster
+        listener = self.listener
+        self.nonce = int.from_bytes(os.urandom(8), "little")
+        deadline = time.monotonic() + cluster.connect_timeout
+        ranks: Dict[int, socket.socket] = {}
 
-    def run_job(self, prepared: PreparedJob) -> ClusterResult:
-        """Dispatch one prepared job to every worker and gather the result.
+        def assign(want: int):
+            if want < 0:
+                return min(set(range(size)) - set(ranks))
+            if want >= size:
+                return f"rank {want} out of range for a size-{size} cluster"
+            if want in ranks:
+                return f"duplicate rank: {want} is already taken"
+            return want
 
-        While collecting, worker heartbeats feed a :class:`JobMonitor`
-        (exactly like the process pool): a worker silent past the
-        cluster's ``failure_timeout`` is declared dead immediately, and
-        jobs prepared with a speculation config get straggling map
-        shards backed up on finished workers via ``("ctl", ...)``
-        broadcasts.
-
-        Raises:
-            WorkerFailure: a worker died or went silent mid-job
-                (infrastructure — the session layer may retry); the pool
-                is torn down and the next job waits for workers to
-                rejoin the standing rendezvous.
-            RuntimeError: a worker's program raised (a genuine job bug,
-                never retried) or the job timed out; the worker's
-                traceback text is included.
-        """
-        k = self.size
-        prepared.check_size(k)
-        if not self.running:
-            self.close()
-            self._start()
-        seq = self._job_seq
-        self._job_seq += 1
         try:
-            for rank, conn in enumerate(self._ctrl):
-                _send_msg(
-                    conn, ("job", seq, prepared.builder, prepared.payloads[rank])
-                )
-        except (OSError, TransportError) as exc:
-            self.close()
-            raise WorkerFailure(
-                -1, "dispatch", f"worker pool died while dispatching job: {exc}"
-            ) from exc
-
-        results: List[Any] = [None] * k
-        times: List[Dict[str, float]] = [dict() for _ in range(k)]
-        traffic = TrafficLog()
-        stages: List[str] = []
-        program_errors: List[str] = []
-        infra_failures: List[Tuple[int, str, str]] = []  # (rank, stage, cause)
-        pending: Dict[socket.socket, int] = {
-            conn: rank for rank, conn in enumerate(self._ctrl)
-        }
-        monitor = JobMonitor(
-            k, self._cluster.failure_timeout, prepared.speculation
-        )
-        deadline = time.monotonic() + self._cluster.timeout
-        # After the first failure, drain reports for a short grace window
-        # so a root-cause program error is classified before raising (see
-        # repro.runtime.errors.job_failure).
-        grace_deadline: Optional[float] = None
-        while pending:
-            now = time.monotonic()
-            if now >= deadline:
-                if not (program_errors or infra_failures):
-                    infra_failures.append((
-                        -1,
-                        "unknown",
-                        f"job timed out after {self._cluster.timeout}s "
-                        f"(ranks {sorted(pending.values())} pending)",
-                    ))
-                break
-            if grace_deadline is not None and now >= grace_deadline:
-                break
-            if self._cluster.heartbeat_interval:
-                try:
-                    monitor.check_liveness(pending.values())
-                except WorkerFailure as failure:
-                    infra_failures.append(
-                        (failure.rank, failure.stage, failure.cause)
+            while len(ranks) < size:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TcpClusterError(
+                        f"timed out waiting for workers: {len(ranks)}/{size} "
+                        f"joined within {cluster.connect_timeout:.1f}s "
+                        f"(start the rest with `repro worker --join "
+                        f"{cluster.address}`)"
                     )
-                    for conn, rank in list(pending.items()):
-                        if rank == failure.rank:
-                            del pending[conn]
-            for straggler, backup in monitor.speculation_directives():
-                self._broadcast_ctl(seq, ("speculate", straggler, backup))
-            if (program_errors or infra_failures) and grace_deadline is None:
-                grace_deadline = time.monotonic() + min(
-                    1.0, self._cluster.timeout
-                )
-            wait_for = monitor.poll_timeout(
-                min(deadline, grace_deadline or deadline) - time.monotonic()
-            )
-            for conn in _select(list(pending), wait_for)[0]:
-                rank = pending[conn]
-                conn.settimeout(max(1.0, deadline - time.monotonic()))
+                listener.settimeout(remaining)
                 try:
-                    msg = _recv_msg(conn)
-                except (OSError, TransportError) as exc:
-                    del pending[conn]
-                    infra_failures.append((
-                        rank,
-                        monitor.stage_of(rank),
-                        f"worker died mid-job: {exc}",
-                    ))
+                    conn, _ = listener.accept()
+                except socket.timeout:
                     continue
-                finally:
-                    conn.settimeout(None)
-                if msg[0] == "hb":
-                    if msg[2] == seq:
-                        monitor.heartbeat(msg[1], msg[3])
+                except OSError as exc:
+                    raise TcpClusterError(
+                        f"rendezvous listener failed: {exc}"
+                    ) from exc
+                rank = self._hello(conn, assign)
+                if rank is None:
                     continue
-                del pending[conn]
-                monitor.result(rank)
-                if msg[0] == "comm_error":
-                    infra_failures.append((
-                        msg[1],
-                        monitor.stage_of(msg[1]),
-                        f"comm failure:\n{msg[3]}",
-                    ))
+                try:
+                    _send_msg(conn, self._welcome(rank, size))
+                except (OSError, TransportError):
+                    conn.close()
                     continue
-                if msg[0] != "ok":
-                    program_errors.append(f"worker {msg[1]}:\n{msg[3]}")
-                    continue
-                _, _, wseq, payload, sw_times, records, prog_stages = msg
-                assert wseq == seq, f"job sequence mismatch: {wseq} != {seq}"
-                results[rank] = payload
-                times[rank] = sw_times
-                traffic.extend(records)
-                if prog_stages and not stages:
-                    stages = prog_stages
-        if program_errors or infra_failures:
-            self.close()
-            raise job_failure("TcpCluster", program_errors, infra_failures)
-        return assemble_cluster_result(results, times, traffic, stages)
+                ranks[rank] = conn
+            self.addrs = {
+                rank: tuple(_expect(
+                    ranks[rank], "listening",
+                    f"worker {rank} died before announcing its peer listener",
+                )[1])
+                for rank in range(size)
+            }
+            roster = [self.addrs[rank] for rank in range(size)]
+            for conn in ranks.values():
+                _send_msg(conn, ("roster", roster))
+            for rank in range(size):
+                _expect(
+                    ranks[rank], "ready",
+                    f"worker {rank} died during mesh formation",
+                )
+        except BaseException:
+            for conn in ranks.values():
+                try:
+                    conn.close()
+                except OSError:  # pragma: no cover
+                    pass
+            raise
+        return {
+            rank: Channel(conn, cluster.timeout) for rank, conn in ranks.items()
+        }
 
-    def close(self) -> None:
-        """Stop the workers (idempotent); a later job re-rendezvouses.
+    # -- mid-flight rejoin --------------------------------------------------
 
-        Closing the control connections also EOFs workers blocked on
-        their job loop; their exits cascade through the mesh, so no
-        remote process lingers past its receive timeout.
-        """
-        for conn in self._ctrl:
-            try:
-                _send_msg(conn, ("stop",))
-            except (OSError, TransportError):
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
-        self._ctrl = []
-
-    def __enter__(self) -> "_TcpPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _select(
-    socks: List[socket.socket], timeout: float
-) -> Tuple[List[socket.socket], List, List]:
-    """``select.select`` on sockets via :mod:`selectors` (no fd limit)."""
-    sel = selectors.DefaultSelector()
-    try:
-        for sock in socks:
-            sel.register(sock, selectors.EVENT_READ)
-        return (
-            [key.fileobj for key, _ in sel.select(timeout)],  # type: ignore[misc]
-            [],
-            [],
+    def admit_join(self, conn: socket.socket, reserve):
+        """Run one replacement worker's handshake against the standing
+        mesh.  ``reserve(want)`` is the pool's rank policy: it returns
+        ``(rank, epoch, size, live ranks)`` or a rejection reason.
+        Returns ``(rank, epoch, channel)``, or ``None`` when the dialer
+        was rejected; handshake failures raise."""
+        reserved = self._hello(conn, reserve)
+        if reserved is None:
+            return None
+        rank, epoch, size, live = reserved
+        _send_msg(conn, self._welcome(rank, size, epoch=epoch))
+        step = f"joiner for rank {rank} died mid-handshake"
+        addr = tuple(_expect(conn, "listening", step)[1])
+        # The joiner now dials every live peer's standing mesh listener;
+        # worker-side join-acceptor threads splice the links in.
+        peers = {g: self.addrs[g] for g in live}
+        _send_msg(
+            conn, ("roster", {"peers": peers, "epoch": epoch, "size": size})
         )
-    finally:
-        sel.close()
+        _expect(conn, "ready", step)
+        self.addrs[rank] = addr
+        return rank, epoch, Channel(conn, self._cluster.timeout)

@@ -41,6 +41,19 @@ class TransportError(ConnectionError):
     """Raised when a peer closes mid-frame or a read times out."""
 
 
+def bound_sends(sock: socket.socket, timeout: float) -> None:
+    """Bound blocking sends at the kernel (``SO_SNDTIMEO``): a wedged
+    peer — connection up, nothing draining — raises in the blocked
+    sender instead of hanging it forever.  Unlike ``settimeout`` this
+    leaves blocking receives untouched: an idle receive direction is
+    normal; a send that cannot drain for this long is not."""
+    sock.setsockopt(
+        socket.SOL_SOCKET,
+        socket.SO_SNDTIMEO,
+        struct.pack("ll", int(timeout), int((timeout % 1) * 1e6)),
+    )
+
+
 def send_frame(
     sock: socket.socket,
     tag: int,

@@ -9,9 +9,10 @@ the ROADMAP's "heavy traffic" north star asks for:
 * :mod:`repro.service.scheduler` — admission control (typed
   rejections, per-tenant quotas) and priority/fair-share dispatch,
   as pure unit-testable logic;
-* :mod:`repro.service.pool` — :class:`ServicePool`, which runs each
-  job on a per-job *subset* of the worker mesh so jobs overlap, with
-  subset-scoped failure handling;
+* :mod:`repro.service.pool` — :class:`ServicePool`, the shared
+  :class:`~repro.runtime.pool.WorkerPool` reactor owned resiliently: each
+  job runs on a per-job *subset* of the worker mesh so jobs overlap,
+  with subset-scoped failure handling and elastic membership;
 * :mod:`repro.service.client` — :class:`ServiceClient` /
   :class:`ServiceJobHandle`, the ``repro submit`` / ``repro status``
   side;

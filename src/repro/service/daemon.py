@@ -147,7 +147,6 @@ class SortService:
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self._cluster = cluster
         self._kick = threading.Event()
         self._pool = ServicePool(
             cluster,
@@ -218,9 +217,12 @@ class SortService:
                 q.payload for q in self._scheduler.queued
             ]
         try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
+            # A closed listener does not wake a thread blocked in
+            # accept() on Linux; shutting it down first does.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
             pass
+        self._listener.close()
         self._kick.set()
         for record in queued:
             with self._lock:
@@ -279,7 +281,7 @@ class SortService:
         """Admit one job (or raise a typed
         :class:`~repro.service.scheduler.AdmissionError`).  Shared by
         the control port and in-process callers (tests, benchmarks)."""
-        k = self._cluster.size if workers is None else int(workers)
+        k = self._pool.size if workers is None else int(workers)
         try:
             spec.validate(k)
         except ValueError:

@@ -41,8 +41,9 @@ jobs run strictly in submission order on a background driver thread.
 Each job gets its own :class:`~repro.runtime.program.ClusterResult` —
 stage times and traffic are isolated per job id, never merged across
 jobs.  A failing job reports its error on *its* handle and the session
-survives: subsequent jobs run normally (the process pool transparently
-re-forks its mesh; the thread pool rebuilds its per-job mailboxes).
+survives: subsequent jobs run normally (the worker pool re-forms its
+mesh through its transport — re-fork, or TCP re-join; the thread pool
+rebuilds its per-job mailboxes).
 
 The legacy ``run_terasort`` / ``run_coded_terasort`` / ``run_mapreduce``
 functions remain as thin one-shot-session shims with unchanged
@@ -616,8 +617,8 @@ class Session:
                 raise ValueError(
                     f"failure_timeout must be > 0, got {failure_timeout}"
                 )
-            cluster.failure_timeout = failure_timeout
         self._cluster = cluster
+        self._failure_timeout = failure_timeout
         self._max_retries = max_retries
         self._retry_backoff = retry_backoff
         self._pool = None
@@ -684,6 +685,10 @@ class Session:
                 prepared = handle.spec.prepare(self.size)
                 if self._pool is None:
                     self._pool = self._cluster.create_pool()
+                    if self._failure_timeout is not None:
+                        # The override is the pool's state, never written
+                        # back to the (possibly shared) cluster object.
+                        self._pool.failure_timeout = self._failure_timeout
                 attempt = 0
                 while True:
                     started = time.monotonic()

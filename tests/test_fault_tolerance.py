@@ -1,15 +1,9 @@
 """Fault tolerance on the process backend (forked workers, real sockets).
 
-End-to-end chaos coverage driven by ``$REPRO_FAULT_PLAN``:
+End-to-end chaos coverage driven by ``$REPRO_FAULT_PLAN`` (worker crash
+→ typed retry, retry storms and SIGSTOPped workers are the pool
+contract, checked once for every backend in ``test_pool_contract.py``):
 
-* a worker crash (hard ``os._exit(137)``, simulating SIGKILL) mid-job is
-  detected, typed as :class:`WorkerFailure`, and — with
-  ``Session(max_retries=...)`` — transparently retried on a re-forked
-  pool with **byte-identical** output and a full per-attempt record;
-* a retry storm (worker dies every attempt) exhausts ``max_retries``,
-  fails only that handle, and leaves the session serving the next job;
-* a worker silenced with SIGSTOP misses heartbeats and is declared dead
-  after ``failure_timeout`` instead of stalling the job forever;
 * speculative map re-execution backs up an injected 5x map straggler on
   a finished worker, keeps the output byte-identical either way the race
   resolves, and reports who backed up / who abandoned in ``run.meta``;
@@ -21,9 +15,7 @@ End-to-end chaos coverage driven by ``$REPRO_FAULT_PLAN``:
 from __future__ import annotations
 
 import os
-import signal
 import threading
-import time
 
 import pytest
 
@@ -31,7 +23,6 @@ from repro.kvpairs.datasource import TeragenSource
 from repro.kvpairs.spill import SPILL_DIR_PREFIX, SpillDir
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.errors import WorkerFailure
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.process import ProcessCluster
 from repro.session import Session, TeraSortSpec
@@ -48,79 +39,6 @@ def _bytes(run):
 def no_plan(monkeypatch):
     monkeypatch.delenv(ENV_VAR, raising=False)
     return monkeypatch
-
-
-def test_crash_mid_shuffle_retried_byte_identical(no_plan):
-    """One injected crash, one automatic retry, identical bytes, full
-    attempt history with the typed infrastructure cause."""
-    data = teragen(2000, seed=41)
-    with Session(ProcessCluster(K, timeout=60)) as s:
-        reference = _bytes(s.submit(TeraSortSpec(data=data)).result())
-
-    no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=shuffle,job_lt=1")
-    with Session(
-        ProcessCluster(K, timeout=60), max_retries=2, retry_backoff=0.05
-    ) as s:
-        handle = s.submit(TeraSortSpec(data=data))
-        run = handle.result(timeout=60)
-    assert _bytes(run) == reference
-    assert len(handle.attempts) == 2
-    first, second = handle.attempts
-    assert isinstance(first.error, WorkerFailure)
-    assert first.error.rank == 1
-    assert "ProcessCluster" in str(first.error)
-    assert second.error is None
-
-
-def test_retry_storm_exhausts_and_session_survives(no_plan):
-    """A worker that dies on every attempt: the handle fails with the
-    whole attempt history, the next submit on the same session works."""
-    data = teragen(1500, seed=42)
-    no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=map,times=100")
-    with Session(
-        ProcessCluster(K, timeout=60), max_retries=1, retry_backoff=0.05
-    ) as s:
-        doomed = s.submit(TeraSortSpec(data=data))
-        err = doomed.exception(timeout=60)
-        assert isinstance(err, WorkerFailure)
-        assert len(doomed.attempts) == 2  # initial + 1 retry, all fatal
-        assert all(
-            isinstance(a.error, WorkerFailure) for a in doomed.attempts
-        )
-        # Lift the fault: the same session serves the next job.
-        no_plan.setenv(ENV_VAR, "")
-        ok = s.submit(TeraSortSpec(data=data))
-        validate_sorted_permutation(data, ok.result(timeout=60).partitions)
-        assert ok.exception() is None
-
-
-def test_sigstopped_worker_times_out_as_worker_failure(no_plan):
-    """A silent (not dead) worker misses heartbeats past failure_timeout
-    and the job fails typed instead of hanging to the job timeout."""
-    data = teragen(1500, seed=43)
-    cluster = ProcessCluster(
-        K, timeout=120, heartbeat_interval=0.1, failure_timeout=1.5
-    )
-    with Session(cluster) as s:
-        # First job forks the pool and proves it healthy.
-        validate_sorted_permutation(
-            data, s.submit(TeraSortSpec(data=data)).result().partitions
-        )
-        victim = s._pool._procs[2]
-        os.kill(victim.pid, signal.SIGSTOP)
-        try:
-            t0 = time.monotonic()
-            err = s.submit(TeraSortSpec(data=data)).exception(timeout=60)
-            elapsed = time.monotonic() - t0
-        finally:
-            try:
-                os.kill(victim.pid, signal.SIGCONT)
-            except ProcessLookupError:
-                pass  # the pool teardown already SIGKILLed it
-        assert isinstance(err, WorkerFailure)
-        assert err.rank == 2
-        assert "heartbeat" in str(err) or "silent" in str(err)
-        assert elapsed < 30.0  # failure_timeout, not the 120s job timeout
 
 
 def test_speculation_backs_up_straggler_byte_identical(no_plan):

@@ -17,6 +17,7 @@ The acceptance criteria for the service PR, verified against genuine
 from __future__ import annotations
 
 import multiprocessing
+import threading
 import time
 
 import pytest
@@ -229,5 +230,42 @@ def test_quota_rejection_stats_and_shutdown(no_plan):
                 while not service.closed and time.monotonic() < deadline:
                     time.sleep(0.05)
                 assert service.closed
+        finally:
+            _reap(procs)
+
+
+def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
+    """``close()`` must not sit out a join on a thread stuck in
+    ``accept()`` (a closed listener does not wake it; a shut-down one
+    does): an idle service with live workers closes in well under a
+    second and none of its threads — accept loop, dispatcher, pool
+    reactor — survives it."""
+    data = teragen(800, seed=96)
+    with TcpCluster(
+        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    ) as cluster:
+        procs = _spawn_workers(cluster.address, 2)
+        try:
+            service = SortService(cluster)
+            service.start()
+            client = ServiceClient(service.control_address)
+            assert client.submit(
+                TeraSortSpec(data=data), workers=2
+            ).result(timeout=60) is not None
+
+            started = time.monotonic()
+            service.close()
+            elapsed = time.monotonic() - started
+            assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+            assert service.closed
+            lingering = [
+                t.name for t in threading.enumerate()
+                if t.name.startswith(("service-", "pool-")) and t.is_alive()
+            ]
+            assert lingering == []
+            # The cluster spec came through untouched: resilience and
+            # mesh growth are the service pool's own state.
+            assert cluster.resilient_workers is False
+            assert cluster.size == 2
         finally:
             _reap(procs)

@@ -146,6 +146,10 @@ def test_worker_joins_mid_flight_and_grows_the_mesh(no_plan):
                 row_b = client.status(handle_b.job_id)[0]
                 # The joined rank (3) really took part.
                 assert sorted(row_b["workers_used"]) == [0, 1, 2, 3]
+                # The mesh grew in the pool, not in the caller's spec.
+                assert service._pool.size == 4
+                assert cluster.size == 3
+                assert cluster.resilient_workers is False
         finally:
             _reap(procs)
 
@@ -234,8 +238,8 @@ def test_duplicate_rank_and_stale_nonce_rejected(no_plan):
                 # nonce.  The worker's join acceptor closes it without
                 # touching the live links.
                 pool = service._pool
-                stale_nonce = (pool._pool._nonce ^ 1) & (2 ** 64 - 1)
-                host, port = pool._addrs[0]
+                stale_nonce = (pool._transport.nonce ^ 1) & (2 ** 64 - 1)
+                host, port = pool._transport.addrs[0]
                 sock = socket.create_connection((host, port), timeout=10)
                 try:
                     sock.settimeout(10.0)

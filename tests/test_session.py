@@ -3,8 +3,8 @@
 The acceptance bar for the redesign: every JobSpec kind, submitted to a
 multi-job session on either backend, must return *byte-identical*
 results and matching per-job traffic to its legacy one-shot ``run_*``
-counterpart — and a failing job must fail only its own handle while the
-session keeps serving subsequent jobs.
+counterpart.  (That a failing job fails only its own handle while the
+pool keeps serving is the pool contract, ``test_pool_contract.py``.)
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 import repro
-from repro.core.cmr import MapReduceJob, run_mapreduce
+from repro.core.cmr import run_mapreduce
 from repro.core.coded_terasort import run_coded_terasort
 from repro.core.jobs import WordCountJob
 from repro.core.terasort import run_terasort
@@ -43,20 +43,6 @@ def _make_cluster(backend: str, k: int = K):
 def _corpus(k: int, r: int):
     n = 2 * binomial(k, r)
     return [f"alpha beta gamma file{i % 3} beta" for i in range(n)]
-
-
-class FailingJob(MapReduceJob):
-    """Module-level (picklable) job whose map raises on one file."""
-
-    name = "failing"
-
-    def map_file(self, file_id, payload):
-        if file_id == 0:
-            raise RuntimeError("intentional map failure")
-        return {0: 1}
-
-    def reduce(self, q, values):
-        return len(values)
 
 
 def _traffic_summary(traffic):
@@ -139,35 +125,6 @@ class TestMultiJobSession:
             tuple(map(tuple, _traffic_summary(run.traffic))) for run in runs
         }
         assert len(summaries) == 1  # every job logged exactly its own bytes
-
-    def test_failing_job_fails_its_handle_only(self, backend):
-        """A raising job reports on its handle; the session survives."""
-        data = teragen(1500, seed=6)
-        files = ["x"] * binomial(K, R)
-        with Session(_make_cluster(backend)) as session:
-            ok_before = session.submit(TeraSortSpec(data=data))
-            bad = session.submit(
-                MapReduceSpec(
-                    job=FailingJob(),
-                    files=files,
-                    redundancy=R,
-                    scheme="coded",
-                )
-            )
-            ok_after = session.submit(
-                CodedTeraSortSpec(data=data, redundancy=R)
-            )
-
-            err = bad.exception()
-            assert isinstance(err, RuntimeError)
-            assert "intentional map failure" in str(err)
-            with pytest.raises(RuntimeError, match="intentional"):
-                bad.result()
-            assert bad.done()
-
-            validate_sorted_permutation(data, ok_before.result().partitions)
-            validate_sorted_permutation(data, ok_after.result().partitions)
-            assert ok_after.exception() is None
 
     def test_cluster_result_isolated_per_job(self, backend):
         """JobHandle.cluster_result carries only that job's stages/bytes."""
@@ -317,26 +274,27 @@ class TestProcessPoolReuse:
         with Session(cluster) as session:
             session.submit(TeraSortSpec(data=data)).result()
             pool = session._pool
-            pids1 = [p.pid for p in pool._procs]
+            pids1 = [p.pid for p in pool._transport.procs]
             session.submit(TeraSortSpec(data=data)).result()
-            pids2 = [p.pid for p in pool._procs]
+            pids2 = [p.pid for p in pool._transport.procs]
         assert pids1 == pids2
 
-    def test_pool_restarts_after_failure(self):
-        """A failed job re-forks the mesh; the next job runs clean."""
-        data = teragen(1200, seed=10)
-        files = ["x"] * binomial(3, 1)
-        cluster = ProcessCluster(3, timeout=60)
-        with Session(cluster) as session:
-            bad = session.submit(
-                MapReduceSpec(
-                    job=FailingJob(), files=files, redundancy=1,
-                    scheme="uncoded",
-                )
-            )
-            assert bad.exception() is not None
-            run = session.submit(TeraSortSpec(data=data)).result()
-        validate_sorted_permutation(data, run.partitions)
+    def test_sessions_do_not_write_to_a_shared_cluster(self):
+        """``Session(failure_timeout=...)`` is the pool's state: one
+        cluster spec reused by two sessions keeps its configured value
+        and each pool gets its own."""
+        data = teragen(600, seed=12)
+        cluster = ProcessCluster(2, timeout=60, failure_timeout=17.0)
+        with Session(cluster, failure_timeout=3.0) as fast:
+            with Session(cluster, failure_timeout=9.0) as slow:
+                fast.submit(TeraSortSpec(data=data)).result(timeout=60)
+                slow.submit(TeraSortSpec(data=data)).result(timeout=60)
+                assert fast._pool.failure_timeout == 3.0
+                assert slow._pool.failure_timeout == 9.0
+        assert cluster.failure_timeout == 17.0
+        with Session(cluster) as plain:
+            plain.submit(TeraSortSpec(data=data)).result(timeout=60)
+            assert plain._pool.failure_timeout == 17.0
 
 
 class TestSpecWithAndShrink:

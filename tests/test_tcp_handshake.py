@@ -55,16 +55,21 @@ class TestParseAddress:
 
 
 class TestCoordinatorRejections:
-    def test_wrong_version_rejected_with_reason(self):
+    @pytest.mark.parametrize(
+        "version", [PROTOCOL_VERSION + 7, PROTOCOL_VERSION - 1]
+    )
+    def test_wrong_version_rejected_with_reason(self, version):
         """A mismatched protocol version gets a reject frame, and the
-        rendezvous keeps serving valid workers afterwards."""
+        rendezvous keeps serving valid workers afterwards.  The previous
+        version matters by name: its Session coordinators send a job
+        frame without ``members, epoch`` that today's workers refuse."""
         with TcpCluster(
             1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
-                starting = pool_exec.submit(pool._start)
-                bad = _raw_client(cluster.address, PROTOCOL_VERSION + 7, -1)
+                starting = pool_exec.submit(pool._form)
+                bad = _raw_client(cluster.address, version, -1)
                 msg = tcp._recv_msg(bad)
                 bad.close()
                 assert msg[0] == "reject"
@@ -78,7 +83,7 @@ class TestCoordinatorRejections:
                 )
                 worker.start()
                 starting.result(timeout=30)
-                worker_sockets = pool._ctrl
+                worker_sockets = pool._chans
                 assert len(worker_sockets) == 1
                 pool.close()
                 worker.join(timeout=15)
@@ -92,7 +97,7 @@ class TestCoordinatorRejections:
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
-                starting = pool_exec.submit(pool._start)
+                starting = pool_exec.submit(pool._form)
                 first = _raw_client(cluster.address, PROTOCOL_VERSION, 0)
                 assert tcp._recv_msg(first)[0] == "welcome"
 
@@ -121,7 +126,7 @@ class TestCoordinatorRejections:
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
-                starting = pool_exec.submit(pool._start)
+                starting = pool_exec.submit(pool._form)
                 client = _raw_client(cluster.address, PROTOCOL_VERSION, 9)
                 msg = tcp._recv_msg(client)
                 client.close()
