@@ -90,7 +90,7 @@ from repro.core.terasort import SortRun, _build_partitioner_from_source
 from repro.kvpairs import kernels
 from repro.kvpairs.datasource import DataSource, FileSource, as_source
 from repro.kvpairs.records import RecordBatch
-from repro.kvpairs.sorting import sort_batch
+from repro.kvpairs.sorting import sort_batch, sort_batches
 from repro.kvpairs.spill import (
     ExternalSorter,
     IncrementalMerger,
@@ -245,7 +245,7 @@ class CodedTeraSortProgram(NodeProgram):
                 if target == rank and rank in subset
             ]
             decoded = [decoded_batches[gidx] for gidx in my_groups]
-            result = sort_batch(RecordBatch.concat(own + decoded))
+            result = sort_batches(own + decoded)
         return result
 
     def _recover_group(

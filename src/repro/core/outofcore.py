@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Union
 
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.records import RECORD_BYTES, RecordBatch
-from repro.kvpairs.sorting import sort_batch
+from repro.kvpairs.sorting import sort_batches
 from repro.kvpairs.spill import Run, SpillDir, write_sorted_run
 from repro.runtime.program import NodeProgram
 from repro.utils.residency import ResidencyMeter
@@ -127,7 +127,7 @@ class PartitionSpiller:
         for dst, batches in enumerate(self._pending):
             if not batches:
                 continue
-            chunk = sort_batch(RecordBatch.concat(batches))
+            chunk = sort_batches(batches)
             path = self._spill.new_path(f"part-{dst}")
             write_sorted_run(path, chunk)
             run = Run.from_file(path, len(chunk))

@@ -65,7 +65,7 @@ from repro.kvpairs.serialization import (
     unpack_batches,
 )
 from repro.kvpairs import kernels
-from repro.kvpairs.sorting import sort_batch
+from repro.kvpairs.sorting import sort_batch, sort_batches
 from repro.kvpairs.spill import (
     IncrementalMerger,
     Run,
@@ -222,7 +222,7 @@ class TeraSortProgram(NodeProgram):
                 incoming.append(batch)
 
         with self.stage("reduce"):
-            result = sort_batch(RecordBatch.concat([own] + incoming))
+            result = sort_batches([own] + incoming)
         return result
 
     # -- streaming overlap ---------------------------------------------------
@@ -397,7 +397,7 @@ class TeraSortProgram(NodeProgram):
                 incoming.append(batch)
 
         with self.stage("reduce"):
-            result = sort_batch(RecordBatch.concat([own] + incoming))
+            result = sort_batches([own] + incoming)
         return result
 
     def _speculative_map(

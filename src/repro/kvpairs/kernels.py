@@ -63,7 +63,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.kvpairs.records import KEY_BYTES, RECORD_DTYPE, RecordBatch
+from repro.kvpairs.records import KEY_BYTES, RecordBatch
 
 #: Environment variable selecting the kernel implementation.
 KERNELS_ENV = "REPRO_KERNELS"
@@ -194,16 +194,6 @@ def key_matrix(batch: RecordBatch) -> np.ndarray:
     return keys.view(np.uint8).reshape(n, KEY_BYTES)
 
 
-def prefix_words(batch: RecordBatch) -> np.ndarray:
-    """First 8 key bytes as order-preserving native ``uint64`` words."""
-    n = len(batch)
-    if n == 0:
-        return np.empty(0, dtype=np.uint64)
-    km = key_matrix(batch)
-    hi = np.ascontiguousarray(km[:, :8]).view(">u8").reshape(n)
-    return hi.astype(np.uint64, copy=False)
-
-
 def _codes_from_matrix(
     km: np.ndarray, base_key: Optional[bytes], check: bool, what: str
 ) -> np.ndarray:
@@ -301,17 +291,9 @@ class RunColumns:
         check: bool = True,
         what: str = "run",
     ) -> "RunColumns":
-        km = key_matrix(batch)
-        n = len(batch)
-        hi = (
-            np.ascontiguousarray(km[:, :8]).view(">u8").reshape(n)
-            .astype(np.uint64, copy=False)
-            if n
-            else np.empty(0, dtype=np.uint64)
-        )
         if codes is None:
-            codes = _codes_from_matrix(km, base_key, check, what)
-        return cls(batch=batch, hi=hi, codes=codes)
+            codes = ovc_codes(batch, base_key, check, what)
+        return cls(batch=batch, hi=batch.key_prefix_u64(), codes=codes)
 
     def __len__(self) -> int:
         return len(self.batch)
@@ -449,11 +431,10 @@ def merge_two(
     from_b = np.ones(na + nb, dtype=bool)
     from_b[pos_a] = False
     pos_b = np.flatnonzero(from_b)
-    out = np.empty(na + nb, dtype=RECORD_DTYPE)
-    out[pos_a] = a.batch.array
-    out[pos_b] = b.batch.array
+    merged = RecordBatch._scattered(
+        na + nb, ((pos_a, a.batch), (pos_b, b.batch))
+    )
     stats.merge_records += na + nb
-    merged = RecordBatch(out)
     if want_hi or want_codes:
         hi = np.empty(na + nb, dtype=np.uint64)
         hi[pos_a] = a.hi

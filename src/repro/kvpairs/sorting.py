@@ -2,8 +2,15 @@
 
 Both TeraSort and CodedTeraSort end with each node sorting its partition
 locally (the paper uses ``std::sort``).  We realize the exact 10-byte key
-order with a two-column ``np.lexsort`` on the ``(hi, lo)`` key decomposition
-— a stable, vectorized radix-style sort with no per-record Python work.
+order as a *one-word* sort plus a tie repair (:func:`sort_key_order`): the
+top bits of the ``hi`` prefix word are packed with the record's index into
+one ``uint64`` per record and sorted with ``np.sort`` — NumPy's vectorised
+unstable sort, the fastest the host offers — and only the records whose
+packed prefixes tie (≈0 on TeraGen keys) are re-ordered on the full
+``(hi, lo, index)``, which makes the result stable and exact.  It is the
+prefix-word idea of arXiv:2209.08420 that :mod:`repro.kvpairs.kernels` uses
+for rank queries, applied to the sort itself.  The sorted records are then
+gathered once, as whole 100-byte items (see :mod:`repro.kvpairs.records`).
 
 ``merge_sorted`` is the k-way merge variant of Reduce (merging per-source
 already-sorted runs), which is how Hadoop's reducer actually consumes
@@ -30,25 +37,89 @@ the default ``check=True`` contract that unsorted runs raise.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.kvpairs import kernels
-from repro.kvpairs.records import RECORD_DTYPE, RecordBatch
+from repro.kvpairs.records import RecordBatch
+
+
+def _stable_order(
+    hi: np.ndarray, lo: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """Stable sorting permutation of the keys ``(hi, lo)``; the ``lo``
+    column is built (``lo()``) only if some prefix words tie.
+
+    Packs ``hi``'s top ``64 - b`` bits over the ``b``-bit record index,
+    sorts that one word, and repairs the groups whose packed prefixes tie
+    on the full ``(hi, lo)``; when most records tie (keys differing only
+    below the packed prefix) the two-column ``np.lexsort`` does the whole
+    job instead.
+    """
+    n = len(hi)
+    index_bits = max(n - 1, 0).bit_length()
+    index_mask = np.uint64((1 << index_bits) - 1)
+    packed = hi & ~index_mask
+    packed |= np.arange(n, dtype=np.uint64)
+    packed.sort()
+    order = (packed & index_mask).view(np.int64)
+    packed >>= np.uint64(index_bits)  # now the sorted prefixes alone
+    tied = np.flatnonzero(packed[1:] == packed[:-1])
+    if len(tied) == 0:
+        return order
+    if 2 * len(tied) > n:
+        return np.lexsort((lo(), hi))
+    members = np.union1d(tied, tied + 1)
+    # Tie groups are contiguous, ordered by prefix, and index-ordered
+    # inside (the packed word's low bits), so one stable lexsort over all
+    # members re-orders each group in place on (hi, lo, index).
+    idx = order[members]
+    order[members] = idx[np.lexsort((lo()[idx], hi[idx]))]
+    return order
 
 
 def sort_key_order(batch: RecordBatch) -> np.ndarray:
-    """Indices that sort ``batch`` by full 10-byte key (stable)."""
-    hi, lo = batch.key_words()
-    return np.lexsort((lo, hi))
+    """Indices that sort ``batch`` by full 10-byte key (stable).
+
+    Element for element what a stable two-column sort on
+    :meth:`RecordBatch.key_words` returns, at one-word-sort cost.
+    """
+    return _stable_order(
+        batch.key_prefix_u64(), lambda: batch.key_words()[1]
+    )
 
 
 def sort_batch(batch: RecordBatch) -> RecordBatch:
-    """Return a new batch sorted by key (stable; ties keep input order)."""
+    """Return a new batch sorted by key (stable; ties keep input order).
+
+    A prefix-word sort with tie repair (:func:`sort_key_order`) and one
+    whole-item gather.  The result never aliases its input — at any
+    length — so sorting a ``from_buffer`` batch releases the receive
+    buffer it viewed.
+    """
     if len(batch) <= 1:
-        return batch
+        return batch.copy()
     return batch.take(sort_key_order(batch))
+
+
+def sort_batches(parts: Sequence[RecordBatch]) -> RecordBatch:
+    """``sort_batch(RecordBatch.concat(parts))`` without the concatenation.
+
+    Prefix words are read per part (8 B/record), ordered once, and each
+    part's records are scattered straight to their output positions.
+    """
+    parts = [p for p in parts if len(p)]
+    if len(parts) <= 1:
+        return sort_batch(parts[0]) if parts else RecordBatch.empty()
+    order = _stable_order(
+        np.concatenate([p.key_prefix_u64() for p in parts]),
+        lambda: np.concatenate([p.key_words()[1] for p in parts]),
+    )
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ends = np.cumsum([len(p) for p in parts])[:-1]
+    return RecordBatch._scattered(len(order), zip(np.split(rank, ends), parts))
 
 
 def is_sorted(batch: RecordBatch) -> bool:
@@ -77,10 +148,7 @@ def _merge_two(a: RecordBatch, b: RecordBatch) -> RecordBatch:
     ka, kb = a.keys, b.keys
     pos_a = np.arange(len(a)) + np.searchsorted(kb, ka, side="left")
     pos_b = np.arange(len(b)) + np.searchsorted(ka, kb, side="right")
-    out = np.empty(len(a) + len(b), dtype=RECORD_DTYPE)
-    out[pos_a] = a.array
-    out[pos_b] = b.array
-    return RecordBatch(out)
+    return RecordBatch._scattered(len(a) + len(b), ((pos_a, a), (pos_b, b)))
 
 
 def _merge_sorted_classic(

@@ -68,7 +68,7 @@ import numpy as np
 from repro.kvpairs import kernels
 from repro.kvpairs.kernels import OVC_BYTES, OVC_DTYPE, RunColumns
 from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, RecordBatch
-from repro.kvpairs.sorting import is_sorted, merge_sorted, sort_batch
+from repro.kvpairs.sorting import is_sorted, merge_sorted, sort_batches
 from repro.utils.residency import ResidencyMeter
 
 #: Default merge window per run and output chunk, in records.
@@ -644,7 +644,7 @@ class ExternalSorter:
     def _flush(self) -> None:
         if not self._pending:
             return
-        chunk = sort_batch(RecordBatch.concat(self._pending))
+        chunk = sort_batches(self._pending)
         path = self._spill.new_path(self._tag)
         write_sorted_run(path, chunk)
         self._runs.append(Run.from_file(path, len(chunk)))

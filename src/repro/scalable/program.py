@@ -24,7 +24,7 @@ from repro.core.mapper import hash_file
 from repro.core.partitioner import RangePartitioner
 from repro.core.terasort import SortRun, _build_partitioner
 from repro.kvpairs.records import RecordBatch
-from repro.kvpairs.sorting import sort_batch
+from repro.kvpairs.sorting import sort_batches
 from repro.runtime.api import Comm
 from repro.runtime.program import ClusterResult, NodeProgram
 from repro.scalable.grouping import NodeGrouping
@@ -171,7 +171,7 @@ class GroupedCodedTeraSortProgram(NodeProgram):
                 for (subset, target), batch in store.items()
                 if target == rank
             ]
-            result = sort_batch(RecordBatch.concat(own + decoded))
+            result = sort_batches(own + decoded)
         return result
 
 

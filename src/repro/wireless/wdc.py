@@ -35,7 +35,7 @@ from repro.core.mapper import hash_file, map_node_coded
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
 from repro.kvpairs.records import RecordBatch
-from repro.kvpairs.sorting import sort_batch
+from repro.kvpairs.sorting import sort_batches
 from repro.scalable.grouping import NodeGrouping
 from repro.scalable.placement import GroupedCodedPlacement
 from repro.utils.subsets import Subset
@@ -152,7 +152,7 @@ def _plain_session(
             if target == u and u in subset
         ]
         decoded = [RecordBatch.from_bytes(buf) for buf in received[u]]
-        out.append(sort_batch(RecordBatch.concat(own + decoded)))
+        out.append(sort_batches(own + decoded))
     return out
 
 
@@ -237,7 +237,7 @@ def _grouped_session(
                 for (subset, target), buf in stores[u].items()
                 if target == u
             ]
-            out[u] = sort_batch(RecordBatch.concat(own + decoded))
+            out[u] = sort_batches(own + decoded)
     return [p for p in out if p is not None]
 
 

@@ -209,6 +209,26 @@ class TestMergeByteIdentity:
         vals = [bytes(v[:2]) for v in merged.values]
         assert vals == [b"a0", b"a1", b"b0"]
 
+    @pytest.mark.parametrize("mode", ["ovc", "classic"])
+    def test_read_only_and_strided_runs(self, mode, monkeypatch):
+        """The merge scatter reads received (read-only) buffers and
+        strided slices in place and owns what it returns."""
+        monkeypatch.setenv(KERNELS_ENV, mode)
+        rng = np.random.default_rng(21)
+        stream = RecordBatch.concat(
+            [teragen(700, seed=3), duplicate_heavy_batch(rng, 300)]
+        )
+        a, b, c = split_sorted_runs(stream, rng, 3)
+        runs = [
+            RecordBatch.from_buffer(a.to_bytes()),
+            RecordBatch(np.repeat(b.array, 2)[::2]),
+            c,
+        ]
+        out = merge_sorted(runs)
+        assert_batches_equal(out, sort_batch(stream))
+        assert out.array.flags.writeable
+        assert not any(np.shares_memory(out.array, r.array) for r in runs)
+
     def test_merge_rejects_unsorted(self):
         bad = batch_from_keys([b"BBBBBBBBBB", b"AAAAAAAAAA"])
         with pytest.raises(ValueError, match="not sorted"):

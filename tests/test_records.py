@@ -111,6 +111,53 @@ class TestTransforms:
         assert len(taken) == 3
         assert taken.keys[0] == tiny_batch.keys[5]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: RecordBatch.from_buffer(b.to_bytes()),
+            lambda b: RecordBatch(b.array[::2]),
+            lambda b: RecordBatch.from_buffer(
+                memoryview(b"\0" + b.to_bytes())[1:]
+            ),
+        ],
+        ids=["read-only", "strided", "unaligned"],
+    )
+    def test_take_and_scatter_on_views(self, tiny_batch, make):
+        """Whole-item moves read any source layout and own their result."""
+        src = make(tiny_batch)
+        idx = np.random.default_rng(0).permutation(len(src))
+        taken = src.take(idx)
+        assert taken.array.tobytes() == src.array[idx].tobytes()
+        assert taken.array.flags.writeable
+        assert not np.shares_memory(taken.array, src.array)
+        assert np.array_equal(src.key_prefix_u64(), src.copy().key_words()[0])
+        back = RecordBatch._scattered(len(src), [(idx, taken)])
+        assert back == src
+        halves = RecordBatch._scattered(
+            len(src),
+            [(idx[:100], src.slice(0, 100)),
+             (idx[100:], src.slice(100, len(src)))],
+        )
+        assert halves.take(idx) == src
+
+    def test_take_index_edge_cases(self, tiny_batch):
+        n = len(tiny_batch)
+        assert len(tiny_batch.take(np.array([], dtype=np.int64))) == 0
+        assert len(RecordBatch.empty().take(np.array([], dtype=np.int64))) == 0
+        neg = tiny_batch.take(np.array([-1, -n]))
+        assert neg == tiny_batch.take(np.array([n - 1, 0]))
+        assert tiny_batch.take([2, 1]) == tiny_batch.take(np.array([2, 1]))
+        for bad in ([n], [-n - 1], [0, n + 5]):
+            with pytest.raises(IndexError):
+                tiny_batch.take(np.array(bad))
+
+    def test_take_rejects_boolean_mask(self, tiny_batch):
+        mask = np.zeros(len(tiny_batch), dtype=bool)
+        mask[3] = True
+        with pytest.raises(TypeError, match="boolean mask"):
+            tiny_batch.take(mask)
+        assert tiny_batch.take(np.flatnonzero(mask)) == tiny_batch.slice(3, 4)
+
     def test_equality(self, tiny_batch):
         assert tiny_batch == tiny_batch.copy()
         assert tiny_batch != tiny_batch.slice(0, 10)
