@@ -49,6 +49,7 @@ def _build_cluster(args: argparse.Namespace):
 
 
 def _sort_spec(args: argparse.Namespace, data, source):
+    from repro.core.terasort import check_terasort_options
     from repro.session import CodedTeraSortSpec, TeraSortSpec
 
     fields = dict(
@@ -57,27 +58,32 @@ def _sort_spec(args: argparse.Namespace, data, source):
         memory_budget=args.memory_budget,
         output_dir=args.output,
     )
-    if args.overlap and args.speculation:
-        raise SystemExit(
-            "--overlap and --speculation are mutually exclusive: both "
-            "replace the shuffle with their own event loop (hide "
-            "communication with --overlap, or run stragglers with "
-            "--speculation)"
-        )
-    if args.algorithm == "coded":
-        if args.speculation:
-            raise SystemExit(
-                "--speculation applies to --algorithm terasort only "
-                "(the coded shuffle has no independent map shards to "
-                "re-execute)"
+    try:
+        # Unsupported option combinations are the spec's to name; say so
+        # before a cluster is built.
+        if args.algorithm == "coded":
+            if args.speculation:
+                # An uncoded-sort option: its own matrix speaks first.
+                check_terasort_options(
+                    source, args.memory_budget, True, args.overlap
+                )
+                raise ValueError(
+                    "--speculation applies to --algorithm terasort only "
+                    "(the coded shuffle has no independent map shards to "
+                    "re-execute)"
+                )
+            spec = CodedTeraSortSpec(
+                redundancy=args.redundancy, schedule=args.schedule,
+                overlap=args.overlap, **fields
             )
-        return CodedTeraSortSpec(
-            redundancy=args.redundancy, schedule=args.schedule,
-            overlap=args.overlap, **fields
-        )
-    return TeraSortSpec(
-        speculation=args.speculation, overlap=args.overlap, **fields
-    )
+        else:
+            spec = TeraSortSpec(
+                speculation=args.speculation, overlap=args.overlap, **fields
+            )
+        spec.validate(args.nodes)
+    except ValueError as err:
+        raise SystemExit(str(err))
+    return spec
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -110,6 +116,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         data = teragen(args.records, seed=args.seed)
         source = None
         n_records = args.records
+    spec = _sort_spec(args, data, source)
     cluster = _build_cluster(args)
     backend = args.backend
     if getattr(args, "cluster", None):
@@ -122,7 +129,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         retry_backoff=args.retry_backoff,
         failure_timeout=args.failure_timeout,
     ) as session:
-        spec = _sort_spec(args, data, source)
         if args.repeat > 1:
             # Back-to-back jobs on one standing worker pool: the cluster
             # setup is paid once, so per-job wall time is the job itself.

@@ -14,60 +14,60 @@ Six stages per node (§V-A):
    received packets (Algorithm 2) and deserialize;
 6. **Reduce** — locally sort partition ``P_rank``.
 
-Two shuffle schedules are supported (the ``schedule`` knob):
+:class:`CodedTeraSortProgram` walks them in **one pipeline** — sources →
+windowed map → keyed store → shuffle engine → merge frontier → sink —
+and the spec fields pick three policies rather than a different program:
 
-* ``"serial"`` — the paper's Fig. 9(b) execution: one ``(group, sender)``
-  turn at a time, enforced by a cluster barrier between turns, with
-  Encode fully preceding Shuffle preceding Decode.  This is the faithful
-  baseline the paper measures.
-* ``"parallel"`` — the §VI "asynchronous execution" future work: the
-  turns are greedily colored into rounds of node-disjoint groups
-  (:meth:`~repro.core.groups.CodingPlan.rounds_for`, fixing the posting
-  order; no inter-round barrier at runtime) and executed by the
-  non-blocking pipeline engine
-  (:func:`~repro.runtime.program.pipelined_multicast_shuffle`): all
-  receives are posted up front, packets are encoded lazily right before
-  their round, and each group decodes as soon as its packets arrive —
-  Encode / Shuffle / Decode overlap instead of barrier-separating.
+* **map window** — each file whole (one ``hash_file`` call, and one map
+  step of the overlapped loop), or ``OutOfCorePlan.input_window_records``
+  under a ``memory_budget``.  Retained values are
+  appended per ``(subset, target)`` to one
+  :class:`~repro.kvpairs.spill.StreamStore` (spilling under a budget,
+  resident without) whose append order — files ascending, windows
+  ascending, sized from the spec alone — is identical on every replica
+  of a subset, which is what XOR coding requires of ``I^t_S``.
+* **send gate** (:func:`~repro.runtime.program.execute_multicast_shuffle`)
+  — staged ``"serial"`` is the paper's Fig. 9(b) execution: one
+  ``(group, sender)`` turn at a time behind a cluster barrier, Encode
+  fully preceding Shuffle preceding Decode; this is the faithful
+  baseline the paper measures.  Everything else runs the one
+  non-blocking event loop
+  (:func:`~repro.runtime.program.streaming_multicast_shuffle`): staged
+  ``"parallel"`` — the §VI "asynchronous execution" future work — posts
+  every packet in the greedily colored round order
+  (:meth:`~repro.core.groups.CodingPlan.rounds_for`; no inter-round
+  barrier) once Map is done; ``overlap`` lets the loop drive the map
+  itself and opens a group the moment every subset it draws on is
+  mapped, under either schedule's posting order.
+* **merge frontier** (:class:`~repro.core.outofcore.MergeFrontier`) —
+  own values and decoded groups are collected and sorted once (staged in
+  memory), become sorted runs for one external merge (staged under a
+  budget), or feed the eager incremental merge (``overlap``).
 
-Stage-time attribution under the parallel schedule stays *exclusive*:
-encode and decode work done inside the shuffle loop is charged to the
-``encode`` / ``decode`` stages and only the remaining span (communication
-plus waiting) to ``shuffle``, so the six stage times still sum to
-wall-clock; ``SortRun.meta["shuffle_span_seconds"]`` preserves the full
-overlapped span.  Both schedules produce byte-identical sorted output.
+Stage-time attribution under the event loop stays *exclusive*: encode
+and decode work done inside the loop is charged to the ``encode`` /
+``decode`` stages and only the remaining span (communication plus
+waiting) to ``shuffle``, so the six stage times still sum to wall-clock;
+``SortRun.meta["shuffle_span_seconds"]`` preserves the full span.  Every
+combination of the policies produces byte-identical sorted output.
 
-The intermediate-value store is keyed by file *subset* (with
-``batches_per_subset > 1``, the files of a subset are concatenated before
-encoding, as in the batched CMR scheme of [9]).
-
-Out-of-core execution: placed files arrive as
-:class:`~repro.kvpairs.datasource.DataSource` descriptors (workers
-stream their own splits; the control plane carries no record bytes for
-file/teragen inputs), and a ``memory_budget`` switches the node program
-to the bounded pipeline — Map streams each file in windows and retains
-intermediates in a disk-spilling :class:`~repro.kvpairs.spill.StreamStore`
-(append order is window order, deterministic from the budget alone, so
-every replica of a subset lays out byte-identical ``I^t_S`` — the XOR
-coding requirement holds on disk exactly as it did in RAM); Encode/Decode
-read the store through zero-copy mmap views; and Reduce externally sorts
-own + decoded records (spilled sorted runs, streaming k-way merge)
-instead of one in-RAM sort.  Output stays byte-identical to the
-in-memory path under both schedules.
+Placed files arrive as :class:`~repro.kvpairs.datasource.DataSource`
+descriptors (workers stream their own splits; the control plane carries
+no record bytes for file/teragen inputs).  The store is keyed by file
+*subset*: with ``batches_per_subset > 1`` the files of a subset are
+concatenated before encoding, as in the batched CMR scheme of [9].
 
 The compute hot path (Map's partition pass, Reduce's merge) runs on the
 kernels of :mod:`repro.kvpairs.kernels` — MSB radix partition and the
 offset-value-coded merge, with ``.ovc`` code sidecars persisted next to
 spilled runs; ``REPRO_KERNELS=classic`` selects the plain
-``searchsorted`` implementations.  Both are byte-identical, on either
-schedule.
+``searchsorted`` implementations.  Both are byte-identical.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.coded_common import group_store_by_subset
 from repro.core.decoding import recover_intermediate
 from repro.core.encoding import CodedPacket, encode_packet
 from repro.core.groups import (
@@ -76,12 +76,11 @@ from repro.core.groups import (
     check_schedule,
     parallel_schedule_meta,
 )
-from repro.core.mapper import hash_file, map_node_coded
+from repro.core.mapper import hash_file
 from repro.core.outofcore import (
-    OutOfCorePlan,
-    emit_output,
-    export_residency,
-    keep_or_spill,
+    MergeFrontier,
+    OutOfCore,
+    out_of_core,
     residency_meta,
 )
 from repro.core.partitioner import RangePartitioner
@@ -90,15 +89,7 @@ from repro.core.terasort import SortRun, _build_partitioner_from_source
 from repro.kvpairs import kernels
 from repro.kvpairs.datasource import DataSource, FileSource, as_source
 from repro.kvpairs.records import RecordBatch
-from repro.kvpairs.sorting import sort_batch, sort_batches
-from repro.kvpairs.spill import (
-    ExternalSorter,
-    IncrementalMerger,
-    Run,
-    SpillDir,
-    StreamStore,
-    merge_runs,
-)
+from repro.kvpairs.spill import StreamStore
 from repro.runtime.api import Comm
 from repro.runtime.program import (
     ClusterResult,
@@ -106,9 +97,7 @@ from repro.runtime.program import (
     PreparedJob,
     execute_multicast_shuffle,
     overlap_meta,
-    overlapped_multicast_shuffle,
 )
-from repro.utils.residency import ResidencyMeter
 from repro.utils.subsets import Subset, without
 
 #: Tag base for multicast shuffle; group index is added per packet.
@@ -129,10 +118,12 @@ class CodedTeraSortProgram(NodeProgram):
         partitioner: shared ``K``-way range partitioner.
         redundancy: the computation-load parameter ``r``.
         schedule: ``"serial"`` (Fig. 9(b) turns) or ``"parallel"``
-            (pipelined conflict-free rounds); see the module docstring.
+            (conflict-free round order, no barriers); see the module
+            docstring.
         memory_budget: cap (bytes) on resident record buffers; ``None``
-            is the seed in-memory path, a value runs the out-of-core
-            pipeline (byte-identical output, both schedules).
+            keeps everything in memory, a value bounds the map window,
+            spills the store and merges externally (byte-identical
+            output, both schedules).
         output_dir: with a budget, stream the sorted partition to
             ``<output_dir>/part-<rank>`` and return a ``FileSource``.
         overlap: streaming phase overlap — interleave Map with the coded
@@ -165,139 +156,16 @@ class CodedTeraSortProgram(NodeProgram):
         self.memory_budget = memory_budget
         self.output_dir = output_dir
         self.overlap = overlap
-        #: Telemetry from the pipelined engine (parallel schedule only).
+        #: Telemetry from the event-loop engine (empty for the serial walk).
         self.shuffle_telemetry: Dict[str, float] = {}
-        #: Residency accounting for the out-of-core path (None otherwise).
-        self.meter: Optional[ResidencyMeter] = None
 
     def run(self) -> Union[RecordBatch, FileSource]:
         before_ks = kernels.stats.snapshot()
         try:
-            return self._execute()
+            with out_of_core(self, self.memory_budget, "cts") as oc:
+                return self._run_pipeline(oc)
         finally:
             kernels.export_stats(self.stopwatch, before_ks)
-
-    def _execute(self) -> Union[RecordBatch, FileSource]:
-        if self.memory_budget is not None:
-            return self._run_out_of_core()
-        if self.overlap:
-            return self._run_overlap()
-        rank = self.rank
-
-        with self.stage("codegen"):
-            plan: CodingPlan = build_coding_plan(self.size, self.redundancy)
-            my_groups = plan.groups_of_node[rank]
-            rounds = (
-                plan.rounds_for("parallel")
-                if self.schedule == "parallel"
-                else None
-            )
-
-        with self.stage("map"):
-            resident_files = {
-                fid: as_source(data).load() for fid, data in self.files.items()
-            }
-            kept = map_node_coded(
-                rank, resident_files, self.subsets, self.partitioner
-            )
-            # Store keyed by (subset, target); batches of a subset concatenated.
-            store: Dict[Tuple[Subset, int], RecordBatch] = group_store_by_subset(
-                kept, self.subsets
-            )
-
-        serialized: Dict[Tuple[Subset, int], bytes] = {}
-
-        def lookup(subset: Subset, target: int) -> bytes:
-            return serialized[(subset, target)]
-
-        # Serialize the intermediate store once (local compute, charged to
-        # encode); packet XOR encoding is driven by the schedule executor —
-        # eagerly for serial, lazily per round for parallel.
-        with self.stage("encode"):
-            serialized.update(
-                (key, batch.to_bytes()) for key, batch in store.items()
-            )
-
-        def encode_for(gidx: int):
-            # Gather-list wire form: the XOR arena travels as a payload
-            # part next to the header, never joined into one buffer.
-            return encode_packet(rank, plan.groups[gidx], lookup).to_parts()
-
-        def recover(gidx: int, payloads: Dict[int, bytes]) -> RecordBatch:
-            return self._recover_group(plan, gidx, payloads, lookup)
-
-        decoded_batches, self.shuffle_telemetry = execute_multicast_shuffle(
-            self,
-            plan.groups,
-            my_groups,
-            self.schedule,
-            plan.schedule,
-            rounds,
-            MULTICAST_TAG_BASE,
-            encode_for,
-            recover,
-        )
-
-        with self.stage("reduce"):
-            own = [
-                batch
-                for (subset, target), batch in store.items()
-                if target == rank and rank in subset
-            ]
-            decoded = [decoded_batches[gidx] for gidx in my_groups]
-            result = sort_batches(own + decoded)
-        return result
-
-    def _recover_group(
-        self,
-        plan: CodingPlan,
-        gidx: int,
-        raw_packets: Dict[int, bytes],
-        lookup,
-    ) -> RecordBatch:
-        """Algorithm 2 for one group: raw packets -> recovered record batch.
-
-        Zero-copy end to end: parsed packets keep their payloads as views
-        into the receive arenas, ``recover_intermediate`` decodes every
-        segment into one preallocated output buffer, and the batch wraps
-        that buffer read-only without copying (the Reduce-stage sort copies
-        into its own output anyway).
-        """
-        packets = {
-            sender: CodedPacket.from_bytes(raw)
-            for sender, raw in raw_packets.items()
-        }
-        raw_value = recover_intermediate(
-            self.rank, plan.groups[gidx], packets, lookup
-        )
-        return RecordBatch.from_buffer(raw_value)
-
-    # -- streaming overlap ---------------------------------------------------
-
-    def _codegen_overlap(self):
-        """CodeGen for the overlapped run: plan, rounds, readiness sets.
-
-        ``needed[gidx]`` lists the local file subsets group ``gidx``'s
-        traffic draws on: this rank's packet for group ``M`` XORs
-        ``{I^t_{M\\{t}} : t ∈ M\\{rank}}`` (every such subset contains
-        this rank), and decoding the group's inbound packets XORs local
-        copies of the *same* subsets back out — so one monotone predicate
-        ("all of ``needed[gidx]`` fully mapped") gates both the send and
-        the decode of a group.
-        """
-        with self.stage("codegen"):
-            plan: CodingPlan = build_coding_plan(self.size, self.redundancy)
-            my_groups = plan.groups_of_node[self.rank]
-            rounds = plan.rounds_for(self.schedule)
-            needed: Dict[int, List[Subset]] = {
-                gidx: [
-                    without(plan.groups[gidx], t)
-                    for t in plan.groups[gidx]
-                    if t != self.rank
-                ]
-                for gidx in my_groups
-            }
-        return plan, my_groups, rounds, needed
 
     def _subset_plan(self):
         """Per-subset map bookkeeping, deterministic from the placement.
@@ -331,407 +199,192 @@ class CodedTeraSortProgram(NodeProgram):
             remaining[subset] += 1
         return fids, subset_order, remaining, targets
 
-    def _run_overlap(self) -> RecordBatch:
-        """Streaming overlap, in-memory: Map / Encode / Shuffle / Decode /
-        Reduce as one event loop.
+    def _run_pipeline(
+        self, oc: Optional[OutOfCore]
+    ) -> Union[RecordBatch, FileSource]:
+        """Sources → windowed map → store → shuffle engine → frontier → sink.
 
-        Files are mapped one at a time; the moment a subset's last file
-        is hashed, its intermediate values are serialized and every group
-        whose ``needed`` subsets are now complete multicasts (posting
-        priority = the schedule's round order; no barriers).  Decoded
-        groups and own partition values feed an
-        :class:`~repro.kvpairs.spill.IncrementalMerger` whose slot order
-        replays the staged reduce concatenation — own store entries in
-        store order, then decoded groups in ``my_groups`` order — so the
-        final merge is byte-identical to the staged
-        ``sort_batch(concat(...))``.
+        Determinism note: the store's append order is (file id ascending,
+        window ascending) with windows sized from the spec alone, so
+        every replica of subset ``S`` lays out byte-identical ``I^t_S``
+        streams — XOR encode/decode work on mmap views of spilled
+        streams exactly as on resident buffers.  Byte-identity of the
+        final output follows from the frontier's slot order: own store
+        entries in store order, then decoded groups in ``my_groups``
+        order — the concatenation the plain staged run stably sorts.
         """
         rank = self.rank
-        plan, my_groups, rounds, needed = self._codegen_overlap()
+        with self.stage("codegen"):
+            plan: CodingPlan = build_coding_plan(self.size, self.redundancy)
+            my_groups = plan.groups_of_node[rank]
+            rounds = (
+                plan.rounds_for(self.schedule)
+                if self.overlap or self.schedule == "parallel"
+                else None
+            )
+            # This rank's packet for group ``M`` XORs ``{I^t_{M\{t}} :
+            # t ∈ M\{rank}}`` (every such subset contains this rank), and
+            # decoding the group's inbound packets XORs local copies of
+            # the *same* subsets back out — so one monotone predicate
+            # ("all of ``needed[gidx]`` fully mapped") gates both the
+            # send and the decode of a group.
+            needed: Dict[int, List[Subset]] = {
+                gidx: [
+                    without(plan.groups[gidx], t)
+                    for t in plan.groups[gidx]
+                    if t != rank
+                ]
+                for gidx in (my_groups if self.overlap else ())
+            }
         fids, subset_order, remaining, targets = self._subset_plan()
-
-        slot_of_own = {subset: i for i, subset in enumerate(subset_order)}
+        sources = {fid: as_source(self.files[fid]) for fid in fids}
+        # Map window: the budget's, else each file whole (one map step
+        # per file is also the overlapped loop's granularity).
+        window = oc.plan.input_window_records if oc is not None else None
+        store = (
+            StreamStore(oc.spill, oc.plan.flush_bytes, oc.meter)
+            if oc is not None
+            else StreamStore(None, 0)
+        )
         slot_of_group = {
             gidx: len(subset_order) + i for i, gidx in enumerate(my_groups)
         }
-        merger = IncrementalMerger(len(subset_order) + len(my_groups))
-
-        acc: Dict[Tuple[Subset, int], List[RecordBatch]] = {}
+        frontier = MergeFrontier(
+            len(subset_order) + len(my_groups), eager=self.overlap, oc=oc
+        )
         completed: set = set()
-        serialized: Dict[Tuple[Subset, int], bytes] = {}
+        own_fed = 0  # subsets whose own value has entered the frontier
 
-        def lookup(subset: Subset, target: int) -> bytes:
-            return serialized[(subset, target)]
+        def advance_own() -> None:
+            # Own values enter in store (= subset first-appearance)
+            # order, never skipping ahead of an unfinished subset: under
+            # a budget the external sort's chunk stream spans subsets
+            # and must replay the staged reduce's key walk exactly.
+            nonlocal own_fed
+            while (
+                own_fed < len(subset_order)
+                and subset_order[own_fed] in completed
+            ):
+                frontier.feed_stream(
+                    own_fed, store.take((subset_order[own_fed], rank), window)
+                )
+                own_fed += 1
 
         def complete_subset(subset: Subset) -> None:
-            """Seal a fully-mapped subset: serialize its outbound values
-            (encode) and feed its own partition into the merge (reduce)."""
+            """A subset's last file is mapped: serialize what the coder
+            will look up — never the own-target value, which only Reduce
+            reads — and, when overlapped, start on that one right away."""
             completed.add(subset)
-            for target in targets[subset]:
-                value = RecordBatch.concat(acc.pop((subset, target), []))
-                if target == rank:
-                    with self.stage("reduce"):
-                        merger.feed(slot_of_own[subset], sort_batch(value))
-                else:
-                    with self.stage("encode"):
-                        serialized[(subset, target)] = value.to_bytes()
+            with self.stage("encode"):
+                for target in targets[subset][1:]:
+                    store.seal((subset, target))
+            if self.overlap:
+                with self.stage("reduce"):
+                    advance_own()
 
-        fid_iter = iter(fids)
+        def map_steps() -> Iterator[bool]:
+            for fid in fids:
+                subset = self.subsets[fid]
+                source = sources[fid]
+                for batch in (
+                    source.iter_batches(window) if window else [source.load()]
+                ):
+                    if oc is not None:
+                        oc.meter.charge(batch.nbytes, "map.window")
+                    parts = hash_file(batch, self.partitioner)
+                    # Retention rule: I^rank_S plus I^j_S for j outside
+                    # S, appended in window order.  hash_file's
+                    # partitions are views into one whole-window array;
+                    # under a budget the retained minority is copied out
+                    # so the discarded majority really frees when the
+                    # window ends (retaining views would pin the full
+                    # window while the meter only charges the kept
+                    # fraction).
+                    for target in targets[subset]:
+                        part = parts[target]
+                        store.append(
+                            (subset, target), part.copy() if oc else part
+                        )
+                    if oc is not None:
+                        oc.meter.discharge(batch.nbytes)
+                    self.fault_checkpoint()
+                    yield True
+                remaining[subset] -= 1
+                if remaining[subset] == 0:
+                    complete_subset(subset)
 
-        def map_step() -> bool:
-            fid = next(fid_iter, None)
-            if fid is None:
-                return False
-            subset = self.subsets[fid]
-            parts = hash_file(
-                as_source(self.files[fid]).load(), self.partitioner
-            )
-            for target in targets[subset]:
-                acc.setdefault((subset, target), []).append(parts[target])
-            remaining[subset] -= 1
-            if remaining[subset] == 0:
-                complete_subset(subset)
-            self.fault_checkpoint()
-            return True
+        steps = map_steps()
+
+        views: Dict[Tuple[Subset, int], memoryview] = {}
+
+        def lookup(subset: Subset, target: int) -> memoryview:
+            # Zero-copy view of the sealed I^t_S stream (mmap if spilled);
+            # every value is looked up once to encode and again to decode.
+            view = views.get((subset, target))
+            if view is None:
+                view = views[subset, target] = store.get_bytes((subset, target))
+            return view
 
         def encode_for(gidx: int):
+            # Gather-list wire form: the XOR arena travels as a payload
+            # part next to the header, never joined into one buffer.
             return encode_packet(rank, plan.groups[gidx], lookup).to_parts()
 
-        def consume(gidx: int, payloads: Dict[int, bytes]) -> None:
-            batch = self._recover_group(plan, gidx, payloads, lookup)
-            # sort_batch copies out of the receive arena, so no payload
-            # view survives this call.
-            with self.stage("reduce"):
-                merger.feed(slot_of_group[gidx], sort_batch(batch))
+        def recover(gidx: int, raw_packets: Dict[int, bytes]) -> None:
+            """Algorithm 2 for one group, straight into the frontier.
 
-        def group_ready(gidx: int) -> bool:
-            return all(s in completed for s in needed[gidx])
+            Zero-copy end to end: parsed packets keep their payloads as
+            views into the receive arenas, ``recover_intermediate``
+            decodes every segment into one preallocated output buffer,
+            and the batch wraps that buffer read-only without copying
+            (the frontier's sort copies into its own output anyway).
+            """
+            packets = {
+                sender: CodedPacket.from_bytes(raw)
+                for sender, raw in raw_packets.items()
+            }
+            batch = RecordBatch.from_buffer(
+                recover_intermediate(rank, plan.groups[gidx], packets, lookup)
+            )
+            tag = f"grp-{gidx}"
+            # Reduce work when the frontier sorts and merges (overlapped);
+            # staged it only collects — or sorts one run under a budget —
+            # inside the Decode scope.
+            if self.overlap:
+                with self.stage("reduce"):
+                    frontier.feed(slot_of_group[gidx], batch, tag=tag)
+            else:
+                frontier.feed(slot_of_group[gidx], batch, tag=tag)
 
-        self.shuffle_telemetry = overlapped_multicast_shuffle(
+        if not self.overlap:
+            with self.stage("map"):
+                for _ in steps:
+                    pass
+        _, self.shuffle_telemetry = execute_multicast_shuffle(
             self,
             plan.groups,
             my_groups,
+            self.schedule,
+            plan.schedule,
             rounds,
             MULTICAST_TAG_BASE,
             encode_for,
-            consume,
-            map_step,
-            group_ready,
+            recover,
+            map_step=(lambda: next(steps, False)) if self.overlap else None,
+            ready=(
+                (lambda gidx: all(s in completed for s in needed[gidx]))
+                if self.overlap
+                else None
+            ),
         )
-
         with self.stage("reduce"):
-            chunks = list(merger.finish())
-            return (
-                RecordBatch.concat(chunks) if chunks else RecordBatch.empty()
-            )
-
-    # -- bounded-memory pipeline --------------------------------------------
-
-    def _run_out_of_core(self) -> Union[RecordBatch, FileSource]:
-        """Chunked Map into a spillable store, mmap-fed coding, external
-        sort at Reduce.
-
-        Determinism note: the store's append order is (file id ascending,
-        window ascending) with windows sized from the budget alone, so
-        every replica of subset ``S`` writes byte-identical ``I^t_S``
-        streams — XOR encode/decode work on mmap views of those files
-        exactly as they worked on resident ``to_bytes()`` buffers.
-        Byte-identity of the final output follows from the reduce merge
-        ordering: own store entries in store order, then decoded groups in
-        ``my_groups`` order — the same concatenation the in-memory path
-        stably sorts.
-        """
-        if self.overlap:
-            return self._run_out_of_core_overlap()
-        rank = self.rank
-        assert self.memory_budget is not None
-        plan_oc = OutOfCorePlan.for_budget(self.memory_budget)
-        meter = self.meter = ResidencyMeter()
-        spill = SpillDir(tag=f"cts-r{rank}")
-        try:
-            with self.stage("codegen"):
-                plan: CodingPlan = build_coding_plan(
-                    self.size, self.redundancy
-                )
-                my_groups = plan.groups_of_node[rank]
-                rounds = (
-                    plan.rounds_for("parallel")
-                    if self.schedule == "parallel"
-                    else None
-                )
-
-            with self.stage("map"):
-                store = StreamStore(
-                    spill, plan_oc.flush_bytes, meter, tag="store"
-                )
-                for fid in sorted(self.files):
-                    subset = self.subsets[fid]
-                    if rank not in subset:
-                        raise ValueError(
-                            f"node {rank} asked to map file {fid} "
-                            f"of subset {subset}"
-                        )
-                    in_subset = set(subset)
-                    source = as_source(self.files[fid])
-                    for window in source.iter_batches(
-                        plan_oc.input_window_records
-                    ):
-                        meter.charge(window.nbytes, "map.window")
-                        parts = hash_file(window, self.partitioner)
-                        # Retention rule, chunked: I^rank_S plus I^j_S
-                        # for j outside S, appended in window order.
-                        # hash_file's partitions are views into one
-                        # whole-window array; the retained minority is
-                        # copied out so the discarded majority really
-                        # frees when the window ends (retaining views
-                        # would pin the full window while the meter only
-                        # charges the kept fraction).
-                        store.append((subset, rank), parts[rank].copy())
-                        for j in range(self.size):
-                            if j != rank and j not in in_subset:
-                                store.append((subset, j), parts[j].copy())
-                        meter.discharge(window.nbytes)
-                store.finalize()
-
-            def lookup(subset: Subset, target: int) -> memoryview:
-                # Zero-copy mmap view of the on-disk I^t_S stream.
-                return store.get_bytes((subset, target))
-
-            def encode_for(gidx: int):
-                return encode_packet(
-                    rank, plan.groups[gidx], lookup
-                ).to_parts()
-
-            decoded_runs: Dict[int, List[Run]] = {}
-
-            def recover(gidx: int, payloads: Dict[int, bytes]) -> None:
-                packets = {
-                    sender: CodedPacket.from_bytes(raw)
-                    for sender, raw in payloads.items()
-                }
-                raw_value = recover_intermediate(
-                    rank, plan.groups[gidx], packets, lookup
-                )
-                batch = RecordBatch.from_buffer(raw_value)
-                meter.charge(batch.nbytes, "decode.recovered")
-                # One stably-sorted chunk per group; kept or spilled, it
-                # enters the reduce merge at its my_groups position.
-                chunk = sort_batch(batch)
-                meter.discharge(batch.nbytes)
-                decoded_runs[gidx] = [
-                    keep_or_spill(
-                        chunk, spill, plan_oc, meter, f"grp-{gidx}",
-                        owned=True,
-                    )
-                ]
-
-            _, self.shuffle_telemetry = execute_multicast_shuffle(
-                self,
-                plan.groups,
-                my_groups,
-                self.schedule,
-                plan.schedule,
-                rounds,
-                MULTICAST_TAG_BASE,
-                encode_for,
-                recover,
-            )
-
-            with self.stage("reduce"):
-                own_sorter = ExternalSorter(
-                    spill, plan_oc.sort_chunk_bytes, meter, tag="own"
-                )
-                for key in store.keys():
-                    subset, target = key
-                    if target != rank:
-                        continue
-                    for window in store.iter_batches(
-                        key, plan_oc.input_window_records
-                    ):
-                        own_sorter.add(window)
-                ordered: List[Run] = own_sorter.finish()
-                for gidx in my_groups:
-                    ordered.extend(decoded_runs.get(gidx, []))
-                merged = merge_runs(
-                    ordered,
-                    window_records=plan_oc.merge_window_records(len(ordered)),
-                    out_records=plan_oc.out_records,
-                    meter=meter,
-                )
-                result = emit_output(merged, rank, self.output_dir, meter)
-            return result
-        finally:
-            spill.cleanup()
-            export_residency(self, meter, self.memory_budget)
-
-    def _run_out_of_core_overlap(self) -> Union[RecordBatch, FileSource]:
-        """Streaming overlap under a memory budget.
-
-        Map streams file windows into the :class:`StreamStore`; the
-        moment a subset's last window lands its keys are ``seal``-ed
-        (flushed + readable while other keys still append), unlocking
-        that subset's multicasts and its own-partition external sort.
-        Decoded groups become kept-or-spilled sorted runs feeding the
-        incremental merge during the loop; the own stream's sorted runs
-        enter slot 0 after Map, preserving the staged reduce's leaf
-        order (own runs in store order, then groups in ``my_groups``
-        order) — so the merge is byte-identical to the staged path.
-        """
-        rank = self.rank
-        assert self.memory_budget is not None
-        plan_oc = OutOfCorePlan.for_budget(self.memory_budget)
-        meter = self.meter = ResidencyMeter()
-        spill = SpillDir(tag=f"cts-ov-r{rank}")
-        try:
-            plan, my_groups, rounds, needed = self._codegen_overlap()
-            fids, subset_order, remaining, targets = self._subset_plan()
-            slot_of_group = {
-                gidx: 1 + i for i, gidx in enumerate(my_groups)
-            }
-
-            store = StreamStore(
-                spill, plan_oc.flush_bytes, meter, tag="store"
-            )
-            merger = IncrementalMerger(
-                1 + len(my_groups),
-                spill=spill,
-                resident_limit=plan_oc.memory_budget // 8,
-                window_records=plan_oc.merge_window_records(8),
-                out_records=plan_oc.out_records,
-                meter=meter,
-                tag="ov-merge",
-            )
-            own_sorter = ExternalSorter(
-                spill, plan_oc.sort_chunk_bytes, meter, tag="own"
-            )
-            completed: set = set()
-            own_fed = 0  # subsets whose own stream has entered the sorter
-
-            def lookup(subset: Subset, target: int) -> memoryview:
-                # Zero-copy mmap view of the sealed on-disk I^t_S stream.
-                return store.get_bytes((subset, target))
-
-            def advance_own() -> None:
-                # Feed own streams in store (= subset first-appearance)
-                # order, never skipping ahead of an unfinished subset —
-                # the external sort's chunk stream must replay the staged
-                # reduce's key walk exactly.
-                nonlocal own_fed
-                while (
-                    own_fed < len(subset_order)
-                    and subset_order[own_fed] in completed
-                ):
-                    key = (subset_order[own_fed], rank)
-                    with self.stage("reduce"):
-                        for window in store.iter_batches(
-                            key, plan_oc.input_window_records
-                        ):
-                            own_sorter.add(window)
-                    own_fed += 1
-
-            def complete_subset(subset: Subset) -> None:
-                completed.add(subset)
-                for target in targets[subset]:
-                    store.seal((subset, target))
-                advance_own()
-
-            def window_stream():
-                for fid in fids:
-                    subset = self.subsets[fid]
-                    in_subset = set(subset)
-                    source = as_source(self.files[fid])
-                    for window in source.iter_batches(
-                        plan_oc.input_window_records
-                    ):
-                        meter.charge(window.nbytes, "map.window")
-                        parts = hash_file(window, self.partitioner)
-                        # Retained minority copied out, as in the staged
-                        # path: keeping views would pin the full window.
-                        store.append((subset, rank), parts[rank].copy())
-                        for j in range(self.size):
-                            if j != rank and j not in in_subset:
-                                store.append((subset, j), parts[j].copy())
-                        meter.discharge(window.nbytes)
-                        self.fault_checkpoint()
-                        yield True
-                    remaining[subset] -= 1
-                    if remaining[subset] == 0:
-                        complete_subset(subset)
-
-            stream = window_stream()
-
-            def map_step() -> bool:
-                return next(stream, False)
-
-            def encode_for(gidx: int):
-                return encode_packet(
-                    rank, plan.groups[gidx], lookup
-                ).to_parts()
-
-            def consume(gidx: int, payloads: Dict[int, bytes]) -> None:
-                packets = {
-                    sender: CodedPacket.from_bytes(raw)
-                    for sender, raw in payloads.items()
-                }
-                raw_value = recover_intermediate(
-                    rank, plan.groups[gidx], packets, lookup
-                )
-                batch = RecordBatch.from_buffer(raw_value)
-                meter.charge(batch.nbytes, "decode.recovered")
-                chunk = sort_batch(batch)
-                meter.discharge(batch.nbytes)
-                run = keep_or_spill(
-                    chunk, spill, plan_oc, meter, f"grp-{gidx}", owned=True
-                )
-                with self.stage("reduce"):
-                    merger.feed(slot_of_group[gidx], run)
-
-            def group_ready(gidx: int) -> bool:
-                return all(s in completed for s in needed[gidx])
-
-            self.shuffle_telemetry = overlapped_multicast_shuffle(
-                self,
-                plan.groups,
-                my_groups,
-                rounds,
-                MULTICAST_TAG_BASE,
-                encode_for,
-                consume,
-                map_step,
-                group_ready,
-            )
-
-            store.finalize()
-            with self.stage("reduce"):
-                advance_own()
-                for run in own_sorter.finish():
-                    merger.feed(0, run)
-                merged = merger.finish(
-                    window_records=plan_oc.merge_window_records(
-                        max(2, merger.pending_runs)
-                    )
-                )
-                result = emit_output(merged, rank, self.output_dir, meter)
-            return result
-        finally:
-            spill.cleanup()
-            export_residency(self, meter, self.memory_budget)
+            advance_own()
+            return frontier.finish(rank, self.output_dir)
 
 
 def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
     """Pool builder (module-level for pickling): payload -> node program."""
-    files, subsets, partitioner, redundancy, schedule, budget, outdir, overlap = payload
-    return CodedTeraSortProgram(
-        comm,
-        files,
-        subsets,
-        partitioner,
-        redundancy,
-        schedule=schedule,
-        memory_budget=budget,
-        output_dir=outdir,
-        overlap=overlap,
-    )
+    return CodedTeraSortProgram(comm, *payload)
 
 
 def check_coded_params(size: int, redundancy: int, schedule: str) -> None:
@@ -790,6 +443,7 @@ def prepare_coded_terasort(
             per_node_files[node][file_id] = file_source
             per_node_subsets[node][file_id] = subset
 
+    # CodedTeraSortProgram's arguments after ``comm``, in order.
     payloads: List[Any] = [
         (
             per_node_files[rank],

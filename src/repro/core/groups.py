@@ -44,7 +44,7 @@ def parallel_schedule_meta(
     Shared by the CodedTeraSort and CMR drivers so both report the same
     telemetry: turn/round counts, the theoretical turn-level speedup, and
     the slowest node's overlapped shuffle span (the ``shuffle_span``
-    pseudo-stage emitted by the pipelined engine's callers).
+    pseudo-stage the event-loop engine stamps).
     """
     spans = [t.get("shuffle_span", 0.0) for t in per_node_times]
     return {

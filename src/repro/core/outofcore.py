@@ -14,12 +14,16 @@ a ``memory_budget`` is set:
    replaces the one-shot in-RAM sort, emitting output either to a part
    file (``output_dir``) or as a materialized batch.
 
-This module holds the budget arithmetic, the map-side
-:class:`PartitionSpiller`, the keep-or-spill policy for received runs,
-output emission, and the stopwatch pseudo-stage export of the
-:class:`~repro.utils.residency.ResidencyMeter` readouts (how peak
-residency and spill volume reach the driver with zero extra plumbing —
-the same channel ``shuffle_span`` telemetry already rides).
+This module holds the budget arithmetic, the per-run :func:`out_of_core`
+resources, the map-side :class:`PartitionSpiller`, the keep-or-spill
+policy for received runs, output emission, and the stopwatch
+pseudo-stage export of the :class:`~repro.utils.residency.ResidencyMeter`
+readouts (how peak residency and spill volume reach the driver with zero
+extra plumbing — the same channel ``shuffle_span`` telemetry already
+rides).  It also holds :class:`MergeFrontier`, the reduce end of both
+sort pipelines with or without a budget: what happens to an arriving
+chunk is the pipeline's third policy, picked by ``overlap`` and
+``memory_budget``.
 
 Budget split rationale (fractions of ``memory_budget``):
 
@@ -37,13 +41,20 @@ encoding.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.records import RECORD_BYTES, RecordBatch
-from repro.kvpairs.sorting import sort_batches
-from repro.kvpairs.spill import Run, SpillDir, write_sorted_run
+from repro.kvpairs.sorting import sort_batch, sort_batches
+from repro.kvpairs.spill import (
+    ExternalSorter,
+    IncrementalMerger,
+    Run,
+    SpillDir,
+    write_sorted_run,
+)
 from repro.runtime.program import NodeProgram
 from repro.utils.residency import ResidencyMeter
 
@@ -80,6 +91,39 @@ class OutOfCorePlan:
         """Per-run merge window: 1/4 of budget split across the runs."""
         per_run = self.memory_budget // 4 // max(1, num_runs)
         return max(64, per_run // RECORD_BYTES)
+
+
+@dataclass(frozen=True)
+class OutOfCore:
+    """What one rank's run under a ``memory_budget`` works with."""
+
+    plan: OutOfCorePlan
+    spill: SpillDir
+    meter: ResidencyMeter
+
+
+@contextmanager
+def out_of_core(
+    program: NodeProgram, memory_budget: Optional[int], tag: str
+) -> Iterator[Optional[OutOfCore]]:
+    """The run's bounded-memory resources, or ``None`` without a budget.
+
+    On exit — success or failure — the spill dir is removed and the
+    meter's readouts are shipped home (:func:`export_residency`).
+    """
+    if memory_budget is None:
+        yield None
+        return
+    oc = OutOfCore(
+        OutOfCorePlan.for_budget(memory_budget),
+        SpillDir(tag=f"{tag}-r{program.rank}"),
+        ResidencyMeter(),
+    )
+    try:
+        yield oc
+    finally:
+        oc.spill.cleanup()
+        export_residency(program, oc.meter, memory_budget)
 
 
 class PartitionSpiller:
@@ -148,12 +192,7 @@ class PartitionSpiller:
 
 
 def keep_or_spill(
-    batch: RecordBatch,
-    spill: SpillDir,
-    plan: OutOfCorePlan,
-    meter: ResidencyMeter,
-    tag: str,
-    owned: bool = False,
+    batch: RecordBatch, oc: OutOfCore, tag: str, owned: bool = False
 ) -> Run:
     """One sorted chunk -> a resident run if it fits, else a spilled run.
 
@@ -162,14 +201,131 @@ def keep_or_spill(
     arena, decode output) it currently views — unless the caller marks it
     ``owned`` — so keeping it never pins a larger allocation.
     """
-    if meter.resident_bytes + batch.nbytes <= plan.memory_budget // 2:
+    if oc.meter.resident_bytes + batch.nbytes <= oc.plan.memory_budget // 2:
         kept = batch if owned else batch.copy()
-        meter.charge(kept.nbytes, f"{tag}.resident")
+        oc.meter.charge(kept.nbytes, f"{tag}.resident")
         return Run.resident(kept)
-    path = spill.new_path(tag)
+    path = oc.spill.new_path(tag)
     write_sorted_run(path, batch)
-    meter.spilled(batch.nbytes)
+    oc.meter.spilled(batch.nbytes)
     return Run.from_file(path, len(batch))
+
+
+class MergeFrontier:
+    """The reduce end of a sort pipeline: ``feed(slot, chunk)`` / ``finish()``.
+
+    Slots are the priority order of the final stable merge — own values
+    first, then senders (TeraSort) or multicast groups (CodedTeraSort) in
+    order — and chunks within a slot arrive in stream order, so every
+    mode yields the bytes of one stable sort over the slot-major
+    concatenation of everything fed:
+
+    * **staged, in memory** — chunks are collected *unsorted* and
+      :meth:`finish` is one ``sort_batches`` call.  No merge structure
+      exists on this path (an :class:`IncrementalMerger` would re-merge
+      every record several times over for nothing);
+    * **staged under a budget** — every chunk becomes a sorted run, kept
+      resident or spilled (:func:`keep_or_spill`), and :meth:`finish` is
+      one external ``merge_runs``: an :class:`IncrementalMerger` with the
+      eager merging off;
+    * **overlapped** (``eager``) — chunks are sorted on arrival and
+      pre-merged while the shuffle is still in flight, in memory or
+      spill-backed: the :class:`IncrementalMerger` as it is.
+    """
+
+    def __init__(
+        self, num_slots: int, eager: bool, oc: Optional[OutOfCore] = None
+    ) -> None:
+        self._oc = oc
+        self._chunks: Optional[List[List[RecordBatch]]] = None
+        self._sorter: Optional[ExternalSorter] = None
+        self._sorter_slot = 0
+        if oc is None and not eager:
+            self._chunks = [[] for _ in range(num_slots)]
+        elif oc is None:
+            self._merger = IncrementalMerger(num_slots)
+        else:
+            self._merger = IncrementalMerger(
+                num_slots,
+                spill=oc.spill,
+                resident_limit=oc.plan.memory_budget // 8,
+                window_records=oc.plan.merge_window_records(8),
+                out_records=oc.plan.out_records,
+                meter=oc.meter,
+                eager_factor=2.0 if eager else 0,
+                tag="ov-merge",
+            )
+
+    def feed(
+        self,
+        slot: int,
+        chunk: Union[RecordBatch, Run],
+        presorted: bool = False,
+        tag: str = "recv",
+    ) -> None:
+        """The next chunk of ``slot``: a sealed sorted :class:`Run`, or a
+        batch — unsorted unless ``presorted`` (under a budget senders
+        ship sorted runs).  A batch may view a receive arena: it is
+        copied out of it before this returns, except on the staged
+        in-memory path, which holds the view until :meth:`finish`."""
+        if self._chunks is not None:
+            self._chunks[slot].append(chunk)
+            return
+        oc = self._oc
+        if isinstance(chunk, RecordBatch):
+            if oc is None:
+                chunk = sort_batch(chunk)
+            elif presorted:
+                chunk = keep_or_spill(chunk, oc, tag)
+            else:
+                oc.meter.charge(chunk.nbytes, f"{tag}.unsorted")
+                ordered = sort_batch(chunk)
+                oc.meter.discharge(chunk.nbytes)
+                chunk = keep_or_spill(ordered, oc, tag, owned=True)
+        self._merger.feed(slot, chunk)
+
+    def feed_stream(self, slot: int, windows: Iterable[RecordBatch]) -> None:
+        """All of ``slot`` as one ordered stream of unsorted windows.
+
+        Streams must be fed in ascending slot order: under a budget one
+        external sort runs across them (its chunks may span slots — the
+        stable merge only needs their order) and its runs enter at the
+        first stream's slot.
+        """
+        if self._chunks is not None:
+            self._chunks[slot].extend(windows)
+        elif self._oc is None:
+            self._merger.feed(slot, sort_batches(list(windows)))
+        else:
+            if self._sorter is None:
+                self._sorter = ExternalSorter(
+                    self._oc.spill,
+                    self._oc.plan.sort_chunk_bytes,
+                    self._oc.meter,
+                    tag="own",
+                )
+                self._sorter_slot = slot
+            for window in windows:
+                self._sorter.add(window)
+
+    def finish(
+        self, rank: int, output_dir: Optional[str] = None
+    ) -> Union[RecordBatch, FileSource]:
+        """The sorted partition (a part file under ``output_dir``)."""
+        if self._chunks is not None:
+            return sort_batches([c for slot in self._chunks for c in slot])
+        if self._sorter is not None:
+            for run in self._sorter.finish():
+                self._merger.feed(self._sorter_slot, run)
+        oc = self._oc
+        if oc is None:
+            return RecordBatch.concat(list(self._merger.finish()))
+        merged = self._merger.finish(
+            window_records=oc.plan.merge_window_records(
+                max(2, self._merger.pending_runs)
+            )
+        )
+        return emit_output(merged, rank, output_dir, oc.meter)
 
 
 def emit_output(

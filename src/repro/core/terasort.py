@@ -12,24 +12,56 @@ Five stages per node, exactly as the paper's implementation (§V-A):
 4. **Unpack** — deserialize the ``K-1`` received buffers;
 5. **Reduce** — locally sort partition ``P_k``.
 
+:class:`TeraSortProgram` walks them in **one pipeline** — source →
+windowed map → channel loop → merge frontier → sink — and the spec
+fields pick three policies rather than a different program:
+
+========================  ==========================================
+policy                    picked by
+========================  ==========================================
+**map window**            whole file at once (no ``memory_budget``,
+                          not ``overlap``: one ``hash_file`` call);
+                          ``OutOfCorePlan.input_window_records``
+                          under a budget; ~32 windows per shard
+                          (:func:`shard_window`) for in-memory
+                          ``overlap`` and speculation.
+**send gate**             staged: Map finishes, then the Fig. 9(a)
+(the channel loop)        turn walk with blocking ``send``/``recv``,
+                          one message per channel; ``overlap``: every
+                          chunk is posted (``isend``) the moment the
+                          map produces it and arrivals are consumed
+                          between windows (chunk frames, then END).
+**merge frontier**        what Reduce does with an arriving chunk —
+(:class:`~repro.core.     collect and sort once (staged in memory),
+outofcore.MergeFrontier`) sorted runs + one external merge (staged
+                          under a budget), eager incremental merge
+                          (``overlap``).
+========================  ==========================================
+
+A chunk is one map window's partition in memory (unsorted; the receiver
+sorts) or one sealed sorted run of the budget-shared
+:class:`~repro.core.outofcore.PartitionSpiller` (shipped as an mmap
+view, spilled again on arrival if it does not fit).  Output is
+byte-identical across all of it: one stable grouping per window makes
+the windowed map equal the whole-shard map per partition, and the
+frontier's slot order — own chunks, then each sender's chunks in rank
+order — replays the stable ``sort_batches([own] + incoming)`` of the
+plain staged run.
+
+Speculative map re-execution (``speculation``; staged, in memory) is
+the same pipeline with an abandon predicate on the windowed map and one
+branch in the shuffle: frames carry either the data or a redirect to
+the backup rank that re-mapped the shard.
+
 The program runs on any :class:`~repro.runtime.api.Comm` backend.
 :func:`prepare_terasort` compiles one sort into a pool-runnable
 :class:`~repro.runtime.program.PreparedJob` (placement, the shared
 partitioner, result assembly); the declarative driver API is
 :class:`repro.session.TeraSortSpec` submitted to a
 :class:`repro.session.Session`, and :func:`run_terasort` is its one-shot
-shim.
-
-Out-of-core execution: inputs are
-:class:`~repro.kvpairs.datasource.DataSource` descriptors (each rank
-materializes or streams its split locally — the control plane never
-carries record bytes for file/teragen sources), and with a
-``memory_budget`` the node program switches from materialize-everything
-to the bounded-memory pipeline: chunked Map (windows hashed and spilled
-as sorted per-partition runs), a shuffle that ships runs as mmap views
-and spills what it receives, and a streaming Reduce (external k-way merge
-instead of one in-RAM sort).  Output is byte-identical to the in-memory
-path — the merge's run ordering reproduces the stable sort exactly.
+shim.  Inputs are :class:`~repro.kvpairs.datasource.DataSource`
+descriptors (each rank materializes or streams its split locally — the
+control plane never carries record bytes for file/teragen sources).
 
 The compute hot path (Map's partition pass, Reduce's k-way merge) runs
 on the kernels of :mod:`repro.kvpairs.kernels` — MSB radix partition
@@ -43,36 +75,24 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.mapper import hash_file
 from repro.core.outofcore import (
-    OutOfCorePlan,
+    MergeFrontier,
+    OutOfCore,
     PartitionSpiller,
-    emit_output,
-    export_residency,
-    keep_or_spill,
+    out_of_core,
     residency_meta,
 )
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import UncodedPlacement
 from repro.kvpairs.datasource import DataSource, FileSource, InlineSource, as_source
-from repro.kvpairs.records import RecordBatch
-from repro.kvpairs.serialization import (
-    pack_batch_parts,
-    pack_batches_parts,
-    unpack_batch,
-    unpack_batches,
-)
+from repro.kvpairs.records import BufferLike, RecordBatch
+from repro.kvpairs.serialization import pack_batches_parts, unpack_batches
 from repro.kvpairs import kernels
-from repro.kvpairs.sorting import sort_batch, sort_batches
-from repro.kvpairs.spill import (
-    IncrementalMerger,
-    Run,
-    SpillDir,
-    merge_runs,
-)
-from repro.runtime.api import Comm
+from repro.kvpairs.spill import Run
+from repro.runtime.api import Comm, Request, wait_all
 from repro.runtime.program import (
     ClusterResult,
     NodeProgram,
@@ -80,7 +100,6 @@ from repro.runtime.program import (
     export_overlap,
     overlap_meta,
 )
-from repro.utils.residency import ResidencyMeter
 from repro.utils.timer import StageTimes
 
 from repro.runtime.traffic import TrafficLog
@@ -95,30 +114,47 @@ SPEC_READY_TAG = 1100
 #: ``SPEC_DATA_TAG + shard``: the backup ships that shard's partition.
 SPEC_DATA_TAG = 1200
 
-#: Bounds on the per-window record count in speculative mode.  The map
-#: runs windowed so abandon-polls (and injected-slowdown pacing) happen
-#: at window boundaries: ~SPEC_WINDOWS_PER_SHARD windows per shard,
-#: clamped so tiny shards still poll and huge ones don't poll too often.
+#: Bounds on the per-window record count of a windowed in-memory map.
+#: Arrival polls, abandon-polls and injected-slowdown pacing happen at
+#: window boundaries: ~SPEC_WINDOWS_PER_SHARD windows per shard, clamped
+#: so tiny shards still poll and huge ones don't poll too often.
 SPEC_MAP_WINDOW = 32768
 SPEC_MIN_WINDOW = 512
 SPEC_WINDOWS_PER_SHARD = 32
 
 
-def _spec_window(num_records: int) -> int:
-    """Map-window size giving ~SPEC_WINDOWS_PER_SHARD polls per shard."""
+def shard_window(num_records: int) -> int:
+    """Map-window size giving ~SPEC_WINDOWS_PER_SHARD windows per shard."""
     per = -(-num_records // SPEC_WINDOWS_PER_SHARD)
     return max(SPEC_MIN_WINDOW, min(SPEC_MAP_WINDOW, per))
 
+
 #: First byte of a speculative primary shuffle frame.
-_FRAME_DATA = 1  # packed partition bytes follow
+_FRAME_DATA = 1  # the shard's packed partition chunks follow
 _FRAME_YIELD = 0  # uint32 backup rank follows: fetch the shard from there
 
 #: First byte of a streaming-overlap shuffle frame (same marker protocol,
 #: different meaning: many frames per channel instead of one).
-_FRAME_CHUNK = 1  # one map window's packed partition chunk follows
+_FRAME_CHUNK = 1  # one packed partition chunk follows
 _FRAME_END = 0  # sender's map is complete; no more chunks on this channel
 
 STAGES_TERASORT = ["map", "pack", "shuffle", "unpack", "reduce"]
+
+#: One unit of map output bound for one destination.
+Chunk = Union[RecordBatch, Run]
+
+
+def _pack_chunks(chunks: List[Chunk], first: int = 0) -> List[BufferLike]:
+    """A channel's chunks as one gather list, tagged with their index.
+
+    A 20-byte frame header per chunk, then its records as a view — the
+    mapper's partition bytes (or a spilled run's mmap pages) are never
+    copied between Map and the socket.
+    """
+    return pack_batches_parts(
+        (first + i, chunk.load() if isinstance(chunk, Run) else chunk)
+        for i, chunk in enumerate(chunks)
+    )
 
 
 class TeraSortProgram(NodeProgram):
@@ -132,18 +168,19 @@ class TeraSortProgram(NodeProgram):
             node materializes/streams locally.
         partitioner: the shared ``K``-way range partitioner.
         memory_budget: cap (bytes) on resident record buffers; ``None``
-            runs the seed in-memory path, a value runs the out-of-core
-            pipeline (byte-identical output).
+            keeps everything in memory, a value bounds the map window,
+            spills chunks as sorted runs and merges externally
+            (byte-identical output).
         output_dir: with a budget, stream the sorted partition to
             ``<output_dir>/part-<rank>`` and return a ``FileSource``
             instead of materializing it.
         spec_splits: all ranks' shard descriptors — enables speculative
             map re-execution (any rank can re-map a straggler's shard).
             Requires a live pool backend (a driver control channel);
-            without one the program degrades to the plain path.
-        overlap: streaming-overlap execution — ship each map window's
-            partition chunks as they complete and merge arriving chunks
-            incrementally (byte-identical to the serial schedule).
+            without one the program degrades to the plain staged run.
+        overlap: streaming overlap — ship each chunk as the map produces
+            it and merge arriving chunks incrementally (byte-identical
+            to the staged schedule).
     """
 
     STAGES = STAGES_TERASORT
@@ -165,388 +202,369 @@ class TeraSortProgram(NodeProgram):
         self.output_dir = output_dir
         self.spec_splits = spec_splits
         self.overlap = overlap
-        #: Residency accounting for the out-of-core path (None otherwise).
-        self.meter: Optional[ResidencyMeter] = None
 
     def run(self) -> Union[RecordBatch, FileSource]:
         before_ks = kernels.stats.snapshot()
         try:
-            return self._execute()
+            with out_of_core(self, self.memory_budget, "ts") as oc:
+                return self._run_pipeline(oc)
         finally:
             kernels.export_stats(self.stopwatch, before_ks)
 
-    def _execute(self) -> Union[RecordBatch, FileSource]:
-        if self.memory_budget is not None:
-            return self._run_out_of_core()
-        if self.overlap:
-            return self._run_overlap()
-        if self.spec_splits is not None and self.comm.job_control is not None:
-            return self._run_speculative()
-        k = self.size
-        rank = self.rank
+    def _map_windows(
+        self,
+        source: DataSource,
+        window_records: Optional[int],
+        retain: Callable[[int, RecordBatch], None],
+        abandon: Optional[Callable[[], bool]] = None,
+        oc: Optional[OutOfCore] = None,
+    ) -> Iterator[bool]:
+        """The windowed map: window → ``hash_file`` → ``retain`` → checkpoint.
 
-        with self.stage("map"):
-            parts = hash_file(self.source.load(), self.partitioner)
-
-        with self.stage("pack"):
-            # Gather lists [frame header, records-view]: the mapper's
-            # partition bytes are never copied between Map and the socket.
-            outgoing = {
-                dst: pack_batch_parts(parts[dst], tag=rank)
-                for dst in range(k)
-                if dst != rank
-            }
-            own = parts[rank]
-
-        with self.stage("shuffle"):
-            received: Dict[int, bytes] = {}
-            # Fig. 9(a): one sender at a time, in rank order.
-            for sender in range(k):
-                if sender == rank:
-                    for dst in range(k):
-                        if dst != rank:
-                            self.comm.send(dst, SHUFFLE_TAG, outgoing[dst])
-                else:
-                    received[sender] = self.comm.recv(
-                        sender, SHUFFLE_TAG, copy=False
-                    )
-
-        with self.stage("unpack"):
-            incoming: List[RecordBatch] = []
-            for sender in sorted(received):
-                tag, batch = unpack_batch(received[sender], copy=False)
-                if tag != sender:
-                    raise RuntimeError(
-                        f"shuffle frame tag {tag} does not match sender {sender}"
-                    )
-                incoming.append(batch)
-
-        with self.stage("reduce"):
-            result = sort_batches([own] + incoming)
-        return result
-
-    # -- streaming overlap ---------------------------------------------------
-
-    def _run_overlap(self) -> RecordBatch:
-        """In-memory TeraSort with map↔shuffle↔reduce streaming overlap.
-
-        One single-threaded event loop: each map window's partition
-        chunks are posted as non-blocking sends the moment the window
-        completes, and arriving chunks are sorted and fed into the
-        incremental merge frontier between windows — so communication
-        rides behind map compute on the send side and behind merge
-        compute on the receive side, and the final merge only has the
-        leftovers.  Byte-identity with the plain path: one stable argsort
-        per window makes the windowed map equal the whole-shard map per
-        partition (the speculation path's invariant), and the stable
-        merge over [own windows, then each sender's windows in rank
-        order] reproduces the plain path's stable
-        ``sort_batch(concat([own] + incoming))`` exactly.
+        A generator that yields after every window, so the caller decides
+        what happens between windows (nothing when staged; arrival polls
+        when overlapped).  ``abandon`` makes the map preemptible: it is
+        polled before every window and throughout an injected slowdown,
+        and the generator just ends when it fires — callers re-evaluate
+        it after exhaustion to tell abandonment from completion.
         """
-        k = self.size
-        rank = self.rank
-        comm = self.comm
-        senders = [s for s in range(k) if s != rank]
-        slot_of = {s: 1 + i for i, s in enumerate(senders)}
-        merger = IncrementalMerger(k)
-        send_reqs: List[Tuple[Any, Any]] = []
-        end_frame = bytes([_FRAME_END])
+        for window in (
+            source.iter_batches(window_records)
+            if window_records
+            else [source.load()]
+        ):
+            if abandon is not None and abandon():
+                return
+            if oc is not None:
+                oc.meter.charge(window.nbytes, "map.window")
+            for dst, part in enumerate(hash_file(window, self.partitioner)):
+                retain(dst, part)
+            if oc is not None:
+                oc.meter.discharge(window.nbytes)
+            if self.fault_checkpoint(abandon):
+                return
+            yield True
 
-        with self.stage("shuffle") as scope:
-            recvs = {
-                s: comm.irecv(s, SHUFFLE_TAG, copy=False) for s in senders
-            }
+    def _run_pipeline(
+        self, oc: Optional[OutOfCore]
+    ) -> Union[RecordBatch, FileSource]:
+        """Source → windowed map → channel loop → merge frontier → sink.
 
-            def poll_arrivals() -> bool:
-                progressed = False
-                for s in list(recvs):
-                    req = recvs[s]
-                    if not req.test():
-                        continue
-                    payload = req.wait()
-                    progressed = True
-                    if payload[0] == _FRAME_END:
-                        del recvs[s]
-                        continue
-                    with self.stage("unpack"):
-                        tag, batch = unpack_batch(
-                            memoryview(payload)[1:], copy=False
-                        )
-                        if tag != s:
-                            raise RuntimeError(
-                                f"overlap chunk tag {tag} does not match "
-                                f"sender {s}"
-                            )
-                    with self.stage("reduce"):
-                        # sort_batch copies out of the receive arena, so
-                        # the payload view is not retained past the call.
-                        merger.feed(slot_of[s], sort_batch(batch))
-                    recvs[s] = comm.irecv(s, SHUFFLE_TAG, copy=False)
-                # Drop completed sends (their frame buffers with them).
-                send_reqs[:] = [
-                    pair for pair in send_reqs if not pair[0].test()
-                ]
-                return progressed
+        Byte-identity across the policies rests on one invariant,
+        maintained at every step: each per-destination stream travels as
+        chunks *in stream order* (sorted chunks are stably sorted), and
+        the frontier breaks ties toward the earlier slot and the earlier
+        chunk — which reproduces exactly the stable
+        ``sort_batches([own] + incoming)`` of the plain staged run.
+        """
+        k, rank, comm = self.size, self.rank, self.comm
+        peers = [p for p in range(k) if p != rank]
+        slot_of = {rank: 0, **{s: 1 + i for i, s in enumerate(peers)}}
+        streaming = self.overlap
+        speculative = (
+            self.spec_splits is not None and comm.job_control is not None
+        )
+        frontier = MergeFrontier(k, eager=streaming, oc=oc)
+        #: Staged: every destination's chunks, held for its one message.
+        held: List[List[Chunk]] = [[] for _ in range(k)]
+        #: Overlapped: in-flight (request, frame) pairs of the chunk stream.
+        sends: List[Tuple[Request, Any]] = []
+        sent = [0] * k
+        received = [0] * k
 
-            window_records = _spec_window(self.source.num_records)
-            for window in self.source.iter_batches(window_records):
-                with self.stage("map"):
-                    wparts = hash_file(window, self.partitioner)
-                with self.stage("pack"):
-                    frames = {
-                        dst: [bytes([_FRAME_CHUNK]),
-                              *pack_batch_parts(wparts[dst], tag=rank)]
-                        for dst in senders
-                        if len(wparts[dst])
-                    }
-                for dst, frame in frames.items():
-                    send_reqs.append(
-                        (comm.isend(dst, SHUFFLE_TAG, frame), frame)
-                    )
-                with self.stage("reduce"):
-                    merger.feed(0, sort_batch(wparts[rank]))
-                self.fault_checkpoint()
-                poll_arrivals()
-            for dst in senders:
-                send_reqs.append(
-                    (comm.isend(dst, SHUFFLE_TAG, end_frame), end_frame)
+        def feed(shard: int, chunks: List[Chunk]) -> None:
+            for chunk in chunks:
+                frontier.feed(
+                    slot_of[shard], chunk,
+                    presorted=oc is not None, tag=f"recv-{shard}",
                 )
-            while recvs or send_reqs:
-                if not poll_arrivals():
-                    time.sleep(0.0005)
-        export_overlap(self, scope)
+
+        def emit(dst: int, chunk: Chunk) -> None:
+            """One chunk of map output for ``dst`` is complete."""
+            if not streaming:
+                held[dst].append(chunk)
+            elif dst == rank:
+                with self.stage("reduce"):
+                    feed(rank, [chunk])
+            elif isinstance(chunk, Run) or len(chunk):
+                with self.stage("pack"):
+                    frame = [
+                        bytes([_FRAME_CHUNK]),
+                        *_pack_chunks([chunk], first=sent[dst]),
+                    ]
+                sent[dst] += 1
+                # Posted under the shuffle stage (the map scope is open
+                # around us) so the frame's traffic is attributed like
+                # the staged schedule's.
+                with self.stage("shuffle"):
+                    sends.append((comm.isend(dst, SHUFFLE_TAG, frame), frame))
+
+        def consume(sender: int, raw: BufferLike) -> None:
+            """One message of ``sender``'s channel: unpack, feed Reduce."""
+            with self.stage("unpack"):
+                chunks = []
+                for tag, batch in unpack_batches(raw, copy=False):
+                    if tag != received[sender]:
+                        raise RuntimeError(
+                            f"chunk {received[sender]} from sender "
+                            f"{sender} tagged {tag}"
+                        )
+                    received[sender] += 1
+                    chunks.append(batch)
+            # The frontier copies (or spills) each chunk out of the
+            # receive arena — except staged in memory, where the views
+            # wait for the one sort — so no arena outlives this call.
+            # That is Reduce work when it sorts and merges (overlapped);
+            # staged it only collects or spills, inside the caller's scope.
+            if streaming:
+                with self.stage("reduce"):
+                    feed(sender, chunks)
+            else:
+                feed(sender, chunks)
+
+        backup: Optional[int] = None
+        ready_req: Optional[Request] = None
+
+        def backup_finished() -> bool:
+            """Speculation's abandon predicate: the backup signalled READY."""
+            nonlocal backup, ready_req
+            if backup is None:
+                backup = comm.job_control.backup_for(rank)
+                if backup is not None:
+                    ready_req = comm.irecv(backup, SPEC_READY_TAG)
+            return ready_req is not None and ready_req.test()
+
+        abandon = backup_finished if speculative else None
+        if oc is not None:
+            spiller = PartitionSpiller(
+                k, oc.spill, oc.plan.flush_bytes, oc.meter, on_run=emit
+            )
+
+        # The map-window policy: the budget's window; ~32 per shard when
+        # an in-memory run must act between windows; else the whole file.
+        if oc is not None:
+            window: Optional[int] = oc.plan.input_window_records
+        elif streaming or speculative:
+            window = shard_window(len(self.source))
+        else:
+            window = None
+
+        def map_steps() -> Iterator[bool]:
+            yield from self._map_windows(
+                self.source,
+                window,
+                spiller.add if oc is not None else emit,
+                abandon,
+                oc,
+            )
+            if oc is not None:
+                spiller.finish()  # the tails: every stream's last run
+
+        steps = map_steps()
+
+        if streaming:
+            # The chunk/END stream: sends are posted from inside the map
+            # (``emit``), arrivals are consumed between windows.
+            with self.stage("shuffle") as scope:
+                recvs = {
+                    s: comm.irecv(s, SHUFFLE_TAG, copy=False) for s in peers
+                }
+
+                def poll() -> bool:
+                    progressed = False
+                    for s in list(recvs):
+                        if not recvs[s].test():
+                            continue
+                        payload = recvs[s].wait()
+                        progressed = True
+                        if payload[0] == _FRAME_END:
+                            del recvs[s]
+                            continue
+                        consume(s, memoryview(payload)[1:])
+                        del payload  # release the receive arena
+                        recvs[s] = comm.irecv(s, SHUFFLE_TAG, copy=False)
+                    # Drop completed sends (their frame buffers with them).
+                    sends[:] = [p for p in sends if not p[0].test()]
+                    return progressed
+
+                mapping = True
+                while mapping:
+                    with self.stage("map"):
+                        mapping = next(steps, False)
+                    poll()
+                end = bytes([_FRAME_END])
+                for dst in peers:
+                    sends.append((comm.isend(dst, SHUFFLE_TAG, end), end))
+                while recvs:
+                    if not poll():
+                        # Every send is posted: block on the first open
+                        # channel instead of polling.
+                        next(iter(recvs.values())).wait()
+                wait_all([req for req, _ in sends])
+            export_overlap(self, scope)
+        else:
+            with self.stage("map"):
+                map_t0 = time.perf_counter()
+                for _ in steps:
+                    pass
+                if speculative and backup_finished():
+                    # The backup's copy is complete (even if it only beat
+                    # us to the finish line): yield, so exactly one copy
+                    # of the shard enters the shuffle.  Pseudo-stage (not
+                    # in STAGES): flags the abandoned map, its sunk time.
+                    self.stopwatch.add(
+                        "spec_map_abandoned", time.perf_counter() - map_t0
+                    )
+                    held = None
+            if speculative:
+                arrived = self._speculative_exchange(held, backup)
+                for shard in range(k):
+                    got = arrived[shard]
+                    if isinstance(got, list):
+                        feed(shard, got)
+                    else:
+                        consume(shard, got)
+            else:
+                feed(rank, held[rank])
+                with self.stage("pack"):
+                    outgoing = {dst: _pack_chunks(held[dst]) for dst in peers}
+                # Fig. 9(a): one sender at a time, in rank order.  Each
+                # inbound message is consumed (a nested Unpack scope)
+                # before the next receive, so under a budget at most one
+                # receive arena is ever resident.
+                with self.stage("shuffle"):
+                    for sender in range(k):
+                        if sender == rank:
+                            for dst in peers:
+                                comm.send(dst, SHUFFLE_TAG, outgoing[dst])
+                        else:
+                            raw = comm.recv(sender, SHUFFLE_TAG, copy=False)
+                            consume(sender, raw)
+                            del raw
 
         with self.stage("reduce"):
-            chunks = list(merger.finish())
-            return (
-                RecordBatch.concat(chunks) if chunks else RecordBatch.empty()
-            )
+            return frontier.finish(rank, self.output_dir)
 
     # -- speculative map re-execution ---------------------------------------
 
-    def _run_speculative(self) -> RecordBatch:
-        """In-memory TeraSort with driver-directed speculative execution.
+    def _speculative_exchange(
+        self, held: Optional[List[List[Chunk]]], backup: Optional[int]
+    ) -> Dict[int, Any]:
+        """The staged shuffle with driver-directed speculative execution.
 
-        Map runs windowed so a rank can abandon its shard the moment a
-        backup copy (launched by the driver on an already-finished
-        worker) signals completion.  The shuffle becomes an event loop:
-        every rank sends its frames up front, each either a *data* frame
-        (marker byte + packed partition) or a *yield* frame naming the
-        backup rank to fetch that shard's partition from instead.  A
-        shard's partitions are a deterministic function of its
-        descriptor, so whichever copy wins the race the output is
-        byte-identical to the plain path.
-        """
-        k = self.size
-        rank = self.rank
+        The map ran windowed so this rank could abandon its shard the
+        moment a backup copy (launched by the driver on an
+        already-finished worker) signalled completion.  The shuffle is
+        an event loop: every rank sends its frames up front, each either
+        a *data* frame (marker byte + packed partition chunks) or a
+        *yield* frame naming the backup rank to fetch that shard's
+        partition from instead.  A shard's partitions are a
+        deterministic function of its descriptor, so whichever copy wins
+        the race the output is byte-identical to the plain run.
 
-        with self.stage("map"):
-            map_t0 = time.perf_counter()
-            parts, my_backup = self._speculative_map()
-            if parts is None:
-                # Pseudo-stage (not in STAGES): flags the abandoned map
-                # and its sunk time in this node's raw stage dict.
-                self.stopwatch.add(
-                    "spec_map_abandoned", time.perf_counter() - map_t0
-                )
-
-        with self.stage("pack"):
-            if parts is not None:
-                outgoing: Dict[int, Any] = {
-                    dst: [bytes([_FRAME_DATA]),
-                          *pack_batch_parts(parts[dst], tag=rank)]
-                    for dst in range(k)
-                    if dst != rank
-                }
-                own: Optional[RecordBatch] = parts[rank]
-            else:
-                redirect = bytes([_FRAME_YIELD]) + struct.pack(
-                    "<I", my_backup
-                )
-                outgoing = {dst: redirect for dst in range(k) if dst != rank}
-                own = None
-
-        with self.stage("shuffle"):
-            for dst in range(k):
-                if dst != rank:
-                    self.comm.send(dst, SHUFFLE_TAG, outgoing[dst])
-            raw_frames, local_batches, own_raw = (
-                self._speculative_shuffle_loop(my_backup if own is None else None)
-            )
-
-        with self.stage("unpack"):
-            if own is None:
-                tag, own = unpack_batch(own_raw, copy=False)
-                if tag != rank:
-                    raise RuntimeError(
-                        f"backup frame tag {tag} does not match shard {rank}"
-                    )
-            incoming: List[RecordBatch] = []
-            for sender in range(k):
-                if sender == rank:
-                    continue
-                if sender in local_batches:
-                    incoming.append(local_batches[sender])
-                    continue
-                tag, batch = unpack_batch(raw_frames[sender], copy=False)
-                if tag != sender:
-                    raise RuntimeError(
-                        f"shuffle frame tag {tag} does not match "
-                        f"shard {sender}"
-                    )
-                incoming.append(batch)
-
-        with self.stage("reduce"):
-            result = sort_batches([own] + incoming)
-        return result
-
-    def _speculative_map(
-        self,
-    ) -> Tuple[Optional[List[RecordBatch]], Optional[int]]:
-        """Windowed map, preemptible by a backup's READY signal.
-
-        Returns ``(parts, backup)``: the ``K`` partitions, or ``None``
-        if this rank abandoned its shard because the backup's copy
-        finished first; ``backup`` is the rank holding that copy
-        (``None`` when no backup was ever assigned).
-        """
-        k = self.size
-        control = self.comm.job_control
-        acc: List[List[RecordBatch]] = [[] for _ in range(k)]
-        backup: Optional[int] = None
-        ready_req = None
-
-        def backup_finished() -> bool:
-            nonlocal backup, ready_req
-            if backup is None:
-                backup = control.backup_for(self.rank)
-                if backup is not None:
-                    ready_req = self.comm.irecv(backup, SPEC_READY_TAG)
-            return ready_req is not None and ready_req.test()
-
-        window_records = _spec_window(self.source.num_records)
-        for window in self.source.iter_batches(window_records):
-            wparts = hash_file(window, self.partitioner)
-            for dst in range(k):
-                acc[dst].append(wparts[dst])
-            if self.fault_checkpoint(backup_finished) or backup_finished():
-                return None, backup
-        if backup_finished():
-            # The backup beat us even to the finish line: still yield,
-            # so exactly one copy of the shard enters the shuffle.
-            return None, backup
-        return [RecordBatch.concat(pieces) for pieces in acc], backup
-
-    def _speculative_shuffle_loop(
-        self, fetch_own_from: Optional[int]
-    ) -> Tuple[Dict[int, Any], Dict[int, RecordBatch], Optional[Any]]:
-        """Collect one partition frame per shard, re-routing yielded ones.
-
-        Runs inside the ``shuffle`` stage after this rank's own frames
-        went out.  Also services this rank's backup duty: when the
-        driver names this rank as backup for a straggling shard, the
-        duty map runs synchronously here (all receives are polled, so
+        Also services this rank's backup duty: when the driver names
+        this rank as backup for a straggling shard, the duty map runs
+        synchronously inside the loop (all receives are polled, so
         nothing blocks on this rank meanwhile).
 
         Args:
-            fetch_own_from: set when this rank abandoned its own map —
-                the backup rank shipping our partition of our shard.
+            held: this rank's map output per destination, or ``None``
+                when it abandoned its own map (``backup`` then ships our
+                partition of our own shard like any redirected shard).
 
         Returns:
-            ``(raw_frames, local_batches, own_raw)``: packed-partition
-            frames by shard, partitions kept locally from backup duty,
-            and the raw frame holding our own partition (``None`` unless
-            ``fetch_own_from``).
+            ``shard -> `` this rank's partition of it: the packed chunks
+            as received, or the chunk list itself where it never left
+            this rank (own map, backup duty).
         """
-        k = self.size
-        rank = self.rank
-        comm = self.comm
+        k, rank, comm = self.size, self.rank, self.comm
         control = comm.job_control
+        peers = [p for p in range(k) if p != rank]
+        arrived: Dict[int, Any] = {}
+        redirected: Dict[int, Request] = {}
+        with self.stage("pack"):
+            if held is not None:
+                frames: Dict[int, Any] = {
+                    dst: [bytes([_FRAME_DATA]), *_pack_chunks(held[dst])]
+                    for dst in peers
+                }
+                arrived[rank] = held[rank]
+            else:
+                frames = dict.fromkeys(
+                    peers, bytes([_FRAME_YIELD]) + struct.pack("<I", backup)
+                )
+        with self.stage("shuffle"):
+            for dst in peers:
+                comm.send(dst, SHUFFLE_TAG, frames[dst])
+            if held is None:
+                redirected[rank] = comm.irecv(
+                    backup, SPEC_DATA_TAG + rank, copy=False
+                )
+            primary = {
+                s: comm.irecv(s, SHUFFLE_TAG, copy=False) for s in peers
+            }
+            pending = set(primary)
+            duty_parts: Dict[int, Optional[List[List[Chunk]]]] = {}
+            while pending or redirected:
+                progressed = False
 
-        primary = {
-            s: comm.irecv(s, SHUFFLE_TAG, copy=False)
-            for s in range(k)
-            if s != rank
-        }
-        pending = set(primary)
-        spec_reqs: Dict[int, Any] = {}
-        raw_frames: Dict[int, Any] = {}
-        local_batches: Dict[int, RecordBatch] = {}
-        duty_parts: Dict[int, Optional[List[RecordBatch]]] = {}
-        own_req = None
-        own_raw: Optional[Any] = None
-        if fetch_own_from is not None:
-            own_req = comm.irecv(
-                fetch_own_from, SPEC_DATA_TAG + rank, copy=False
-            )
-
-        while pending or spec_reqs or own_req is not None:
-            progressed = False
-
-            duty = control.backup_duty(rank)
-            if duty is not None and duty != rank and duty not in duty_parts:
-                if duty in pending:
-                    duty_parts[duty] = self._run_backup_duty(
-                        duty, primary[duty]
+                duty = control.backup_duty(rank)
+                if duty is not None and duty != rank and duty not in duty_parts:
+                    # None: the shard was already delivered.
+                    duty_parts[duty] = (
+                        self._run_backup_duty(duty, primary[duty])
+                        if duty in pending
+                        else None
                     )
-                else:
-                    duty_parts[duty] = None  # shard already delivered
-                progressed = True
-
-            for s in list(pending):
-                if not primary[s].test():
-                    continue
-                payload = primary[s].wait()
-                pending.discard(s)
-                progressed = True
-                if payload[0] == _FRAME_DATA:
-                    raw_frames[s] = memoryview(payload)[1:]
-                    continue
-                (backup,) = struct.unpack_from("<I", payload, 1)
-                if backup != rank:
-                    spec_reqs[s] = comm.irecv(
-                        backup, SPEC_DATA_TAG + s, copy=False
-                    )
-                    continue
-                # We are the backup: a straggler yields only after our
-                # READY, so the duty copy is guaranteed complete — ship
-                # it to everyone else, keep our own partition locally.
-                parts = duty_parts.get(s)
-                if parts is None:
-                    raise RuntimeError(
-                        f"shard {s} yielded to rank {rank} before its "
-                        f"backup copy completed"
-                    )
-                for dst in range(k):
-                    if dst != rank:
-                        comm.send(
-                            dst,
-                            SPEC_DATA_TAG + s,
-                            pack_batch_parts(parts[dst], tag=s),
-                        )
-                local_batches[s] = parts[rank]
-
-            for s in list(spec_reqs):
-                if spec_reqs[s].test():
-                    raw_frames[s] = spec_reqs.pop(s).wait()
                     progressed = True
 
-            if own_req is not None and own_req.test():
-                own_raw = own_req.wait()
-                own_req = None
-                progressed = True
+                for s in list(pending):
+                    if not primary[s].test():
+                        continue
+                    payload = primary[s].wait()
+                    pending.discard(s)
+                    progressed = True
+                    if payload[0] == _FRAME_DATA:
+                        arrived[s] = memoryview(payload)[1:]
+                        continue
+                    (holder,) = struct.unpack_from("<I", payload, 1)
+                    if holder != rank:
+                        redirected[s] = comm.irecv(
+                            holder, SPEC_DATA_TAG + s, copy=False
+                        )
+                        continue
+                    # We are the backup: a straggler yields only after our
+                    # READY, so the duty copy is guaranteed complete — ship
+                    # it to everyone else, keep our own partition locally.
+                    parts = duty_parts.get(s)
+                    if parts is None:
+                        raise RuntimeError(
+                            f"shard {s} yielded to rank {rank} before its "
+                            f"backup copy completed"
+                        )
+                    for dst in peers:
+                        comm.send(
+                            dst, SPEC_DATA_TAG + s, _pack_chunks(parts[dst])
+                        )
+                    arrived[s] = parts[rank]
 
-            if not progressed:
-                time.sleep(0.0005)
+                for s in list(redirected):
+                    if redirected[s].test():
+                        arrived[s] = redirected.pop(s).wait()
+                        progressed = True
 
-        return raw_frames, local_batches, own_raw
+                if not progressed:
+                    # Not a wait(): the loop also watches the driver's
+                    # control mailbox, which no request completes.
+                    time.sleep(0.0005)
+        return arrived
 
     def _run_backup_duty(
-        self, shard: int, straggler_req: Any
-    ) -> Optional[List[RecordBatch]]:
+        self, shard: int, straggler_req: Request
+    ) -> Optional[List[List[Chunk]]]:
         """Map the straggler's shard; abort if its own frame lands first.
 
-        Returns the shard's ``K`` partitions, or ``None`` when the
+        Returns the shard's chunks per destination, or ``None`` when the
         straggler finished while we were still duplicating (its primary
         frame then carries the real bytes).  On completion, READY is
         signalled to the straggler — its next window-boundary poll will
@@ -555,251 +573,21 @@ class TeraSortProgram(NodeProgram):
         """
         assert self.spec_splits is not None
         t0 = time.perf_counter()
-        k = self.size
         split = self.spec_splits[shard]
-        acc: List[List[RecordBatch]] = [[] for _ in range(k)]
-        for window in split.iter_batches(_spec_window(split.num_records)):
-            if straggler_req.test():
-                return None
-            wparts = hash_file(window, self.partitioner)
-            for dst in range(k):
-                acc[dst].append(wparts[dst])
-            if self.fault_checkpoint(straggler_req.test):
-                return None
+        parts: List[List[Chunk]] = [[] for _ in range(self.size)]
+        for _ in self._map_windows(
+            split,
+            shard_window(len(split)),
+            lambda dst, part: parts[dst].append(part),
+            straggler_req.test,
+        ):
+            pass
         if straggler_req.test():
             return None
-        parts = [RecordBatch.concat(pieces) for pieces in acc]
         self.comm.send(shard, SPEC_READY_TAG, b"")
         # Pseudo-stage: duty time, visible in this node's raw stage dict.
         self.stopwatch.add("spec_backup", time.perf_counter() - t0)
         return parts
-
-    # -- bounded-memory pipeline --------------------------------------------
-
-    def _run_out_of_core(self) -> Union[RecordBatch, FileSource]:
-        """Chunked Map, run-streaming shuffle, external-merge Reduce.
-
-        Byte-identity with :meth:`run`'s in-memory path rests on one
-        invariant, maintained at every step: each per-destination stream
-        travels as stably-sorted chunks *in stream order*, and every merge
-        breaks ties toward the earlier run — which reproduces exactly the
-        stable ``sort_batch(concat([own] + incoming))`` of the seed path.
-        """
-        if self.overlap:
-            return self._run_out_of_core_overlap()
-        k = self.size
-        rank = self.rank
-        assert self.memory_budget is not None
-        plan = OutOfCorePlan.for_budget(self.memory_budget)
-        meter = self.meter = ResidencyMeter()
-        spill = SpillDir(tag=f"ts-r{rank}")
-        try:
-            with self.stage("map"):
-                spiller = PartitionSpiller(
-                    k, spill, plan.flush_bytes, meter
-                )
-                for window in self.source.iter_batches(
-                    plan.input_window_records
-                ):
-                    meter.charge(window.nbytes, "map.window")
-                    parts = hash_file(window, self.partitioner)
-                    for dst in range(k):
-                        spiller.add(dst, parts[dst])
-                    meter.discharge(window.nbytes)
-                runs_by_dst = spiller.finish()
-
-            with self.stage("pack"):
-                # Per destination: one frame whose sub-frames are the
-                # sorted runs in chunk order.  Spilled runs enter the
-                # gather list as mmap views — record bytes go from disk
-                # pages to the socket without a resident copy.
-                outgoing = {
-                    dst: pack_batches_parts(
-                        (i, run.load())
-                        for i, run in enumerate(runs_by_dst[dst])
-                    )
-                    for dst in range(k)
-                    if dst != rank
-                }
-
-            received_runs: Dict[int, List[Run]] = {}
-            # Fig. 9(a) turn order, but each inbound frame is unpacked and
-            # spilled immediately so at most one receive arena is ever
-            # resident.
-            for sender in range(k):
-                if sender == rank:
-                    with self.stage("shuffle"):
-                        for dst in range(k):
-                            if dst != rank:
-                                self.comm.send(dst, SHUFFLE_TAG, outgoing[dst])
-                else:
-                    with self.stage("shuffle"):
-                        raw = self.comm.recv(sender, SHUFFLE_TAG, copy=False)
-                    with self.stage("unpack"):
-                        runs = []
-                        for i, (tag, batch) in enumerate(
-                            unpack_batches(raw, copy=False)
-                        ):
-                            if tag != i:
-                                raise RuntimeError(
-                                    f"run {i} from sender {sender} "
-                                    f"tagged {tag}"
-                                )
-                            runs.append(
-                                keep_or_spill(
-                                    batch, spill, plan, meter,
-                                    f"recv-{sender}",
-                                )
-                            )
-                        received_runs[sender] = runs
-                        del raw  # release the receive arena
-
-            with self.stage("reduce"):
-                ordered: List[Run] = list(runs_by_dst[rank])
-                for sender in sorted(received_runs):
-                    ordered.extend(received_runs[sender])
-                merged = merge_runs(
-                    ordered,
-                    window_records=plan.merge_window_records(len(ordered)),
-                    out_records=plan.out_records,
-                    meter=meter,
-                )
-                result = emit_output(merged, rank, self.output_dir, meter)
-            return result
-        finally:
-            spill.cleanup()
-            export_residency(self, meter, self.memory_budget)
-
-    def _run_out_of_core_overlap(self) -> Union[RecordBatch, FileSource]:
-        """Bounded-memory TeraSort with streaming overlap.
-
-        Same stability discipline as :meth:`_run_out_of_core`, but each
-        per-destination run ships the moment the spiller seals it (one
-        frame per run, tagged with its chunk index) and received runs
-        feed the incremental merge frontier as they land.  The merge
-        frontier adds at most ~1/8 budget of transient residency on top
-        of the serial pipeline's peak (its pair merges stream through
-        bounded windows).
-        """
-        k = self.size
-        rank = self.rank
-        comm = self.comm
-        assert self.memory_budget is not None
-        plan = OutOfCorePlan.for_budget(self.memory_budget)
-        meter = self.meter = ResidencyMeter()
-        spill = SpillDir(tag=f"ts-ov-r{rank}")
-        senders = [s for s in range(k) if s != rank]
-        slot_of = {s: 1 + i for i, s in enumerate(senders)}
-        merger = IncrementalMerger(
-            k,
-            spill=spill,
-            resident_limit=plan.memory_budget // 8,
-            window_records=plan.merge_window_records(8),
-            out_records=plan.out_records,
-            meter=meter,
-            tag="ov-merge",
-        )
-        send_reqs: List[Tuple[Any, Any]] = []
-        sent_counts = [0] * k
-        end_frame = bytes([_FRAME_END])
-        try:
-            with self.stage("shuffle") as scope:
-                recvs = {
-                    s: comm.irecv(s, SHUFFLE_TAG, copy=False) for s in senders
-                }
-                recv_counts = {s: 0 for s in senders}
-
-                def poll_arrivals() -> bool:
-                    progressed = False
-                    for s in list(recvs):
-                        req = recvs[s]
-                        if not req.test():
-                            continue
-                        payload = req.wait()
-                        progressed = True
-                        if payload[0] == _FRAME_END:
-                            del recvs[s]
-                            continue
-                        with self.stage("unpack"):
-                            tag, batch = unpack_batch(
-                                memoryview(payload)[1:], copy=False
-                            )
-                            if tag != recv_counts[s]:
-                                raise RuntimeError(
-                                    f"run {recv_counts[s]} from sender {s} "
-                                    f"tagged {tag}"
-                                )
-                            recv_counts[s] += 1
-                            run = keep_or_spill(
-                                batch, spill, plan, meter, f"recv-{s}"
-                            )
-                        del payload, batch  # release the receive arena
-                        with self.stage("reduce"):
-                            merger.feed(slot_of[s], run)
-                        recvs[s] = comm.irecv(s, SHUFFLE_TAG, copy=False)
-                    send_reqs[:] = [
-                        pair for pair in send_reqs if not pair[0].test()
-                    ]
-                    return progressed
-
-                def on_run(dst: int, run: Run) -> None:
-                    if dst == rank:
-                        with self.stage("reduce"):
-                            merger.feed(0, run)
-                        return
-                    with self.stage("pack"):
-                        # The frame holds the run's mmap view: disk pages
-                        # flow to the socket without a resident copy.
-                        frame = [
-                            bytes([_FRAME_CHUNK]),
-                            *pack_batch_parts(
-                                run.load(), tag=sent_counts[dst]
-                            ),
-                        ]
-                    sent_counts[dst] += 1
-                    with self.stage("shuffle"):
-                        # Posted under the shuffle stage so the frame's
-                        # traffic is attributed like the serial schedule.
-                        send_reqs.append(
-                            (comm.isend(dst, SHUFFLE_TAG, frame), frame)
-                        )
-
-                with self.stage("map"):
-                    spiller = PartitionSpiller(
-                        k, spill, plan.flush_bytes, meter, on_run=on_run
-                    )
-                    for window in self.source.iter_batches(
-                        plan.input_window_records
-                    ):
-                        meter.charge(window.nbytes, "map.window")
-                        parts = hash_file(window, self.partitioner)
-                        for dst in range(k):
-                            spiller.add(dst, parts[dst])
-                        meter.discharge(window.nbytes)
-                        self.fault_checkpoint()
-                        poll_arrivals()
-                    spiller.finish()
-
-                for dst in senders:
-                    send_reqs.append(
-                        (comm.isend(dst, SHUFFLE_TAG, end_frame), end_frame)
-                    )
-                while recvs or send_reqs:
-                    if not poll_arrivals():
-                        time.sleep(0.0005)
-            export_overlap(self, scope)
-
-            with self.stage("reduce"):
-                merged = merger.finish(
-                    window_records=plan.merge_window_records(
-                        max(2, merger.pending_runs)
-                    )
-                )
-                result = emit_output(merged, rank, self.output_dir, meter)
-            return result
-        finally:
-            spill.cleanup()
-            export_residency(self, meter, self.memory_budget)
 
 
 @dataclass
@@ -833,16 +621,41 @@ class SortRun:
 
 def _terasort_program(comm: Comm, payload: Tuple) -> TeraSortProgram:
     """Pool builder (module-level for pickling): payload -> node program."""
-    source, partitioner, memory_budget, output_dir, *rest = payload
-    return TeraSortProgram(
-        comm,
-        source,
-        partitioner,
-        memory_budget=memory_budget,
-        output_dir=output_dir,
-        spec_splits=rest[0] if rest else None,
-        overlap=bool(rest[1]) if len(rest) > 1 else False,
-    )
+    return TeraSortProgram(comm, *payload)
+
+
+def check_terasort_options(
+    data: Optional[Union[RecordBatch, DataSource]],
+    memory_budget: Optional[int],
+    speculation: bool,
+    overlap: bool,
+) -> None:
+    """The uncoded option matrix: reject its unsupported cells by name.
+
+    The one validator behind :class:`repro.session.TeraSortSpec`,
+    :func:`prepare_terasort` and (through the spec) the CLI.
+    ``speculation`` is staged and in-memory, and its backup must be able
+    to re-read the straggler's split.
+    """
+    if not speculation:
+        return
+    if overlap:
+        raise ValueError(
+            "overlap x speculation: mutually exclusive — speculation runs "
+            "on the staged shuffle only (hide communication with overlap, "
+            "or run stragglers with speculation)"
+        )
+    if not isinstance(data, DataSource) or isinstance(data, InlineSource):
+        raise ValueError(
+            "speculation x inline data: speculation requires input= (a "
+            "re-readable DataSource descriptor: a backup worker must be "
+            f"able to read the straggler's split); got {type(data).__name__}"
+        )
+    if memory_budget is not None:
+        raise ValueError(
+            "speculation x memory_budget: speculation is only supported "
+            "on the in-memory path (no memory_budget)"
+        )
 
 
 def prepare_terasort(
@@ -874,32 +687,17 @@ def prepare_terasort(
     driver loop to watch per-stage heartbeats and launch a backup copy
     of a straggling map shard on an already-finished worker (first
     finisher wins; output stays byte-identical).  Requires a re-readable
-    input descriptor (not an :class:`InlineSource`) and the in-memory
-    path.
+    input descriptor (not an :class:`InlineSource`), no ``memory_budget``
+    and no ``overlap`` (:func:`check_terasort_options`).
     """
+    check_terasort_options(data, memory_budget, speculation, overlap)
     source = as_source(data)
-    if speculation:
-        if overlap:
-            raise ValueError(
-                "overlap and speculation are mutually exclusive: both "
-                "replace the shuffle with their own event loop"
-            )
-        if isinstance(source, InlineSource):
-            raise ValueError(
-                "speculation requires a re-readable DataSource input "
-                "(a backup worker must be able to read the straggler's "
-                "split); got an InlineSource"
-            )
-        if memory_budget is not None:
-            raise ValueError(
-                "speculation is only supported on the in-memory path "
-                "(no memory_budget)"
-            )
     partitioner = _build_partitioner_from_source(
         source, size, sampled_partitioner, sample_size, sample_seed
     )
     splits = UncodedPlacement(size).split_source(source)
     spec_splits = list(splits) if speculation else None
+    # TeraSortProgram's arguments after ``comm``, in order.
     payloads: List[Any] = [
         (splits[rank], partitioner, memory_budget, output_dir, spec_splits,
          overlap)

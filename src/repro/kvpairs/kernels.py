@@ -58,8 +58,8 @@ call time, so a single process can run both paths back to back.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 

@@ -69,6 +69,7 @@ from repro.kvpairs import kernels
 from repro.kvpairs.kernels import OVC_BYTES, OVC_DTYPE, RunColumns
 from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, RecordBatch
 from repro.kvpairs.sorting import is_sorted, merge_sorted, sort_batches
+from repro.utils import copytrack
 from repro.utils.residency import ResidencyMeter
 
 #: Default merge window per run and output chunk, in records.
@@ -742,7 +743,8 @@ class IncrementalMerger:
     :class:`SortedRunWriter`) whenever either side is file-backed or the
     pair exceeds ``resident_limit``; merged source files are unlinked
     (fed file runs are owned by the merger).  Without one, everything
-    stays resident.
+    stays resident.  ``eager_factor=0`` turns the eager merging off: the
+    fed runs wait untouched and :meth:`finish` is one :func:`merge_runs`.
     """
 
     def __init__(
@@ -764,7 +766,7 @@ class IncrementalMerger:
         self._window = window_records
         self._out = out_records
         self._meter = meter
-        self._factor = max(1.0, eager_factor)
+        self._factor = max(1.0, eager_factor) if eager_factor else 0.0
         self._tag = tag
         #: Eager pre-merge accounting (overlap telemetry).
         self.eager_merges = 0
@@ -854,13 +856,19 @@ class StreamStore:
     sort.  The store accumulates per-key batches and, when the shared
     resident total passes ``flush_bytes``, appends everything to one file
     per key (order preserved: a flush only moves the resident prefix to
-    disk).  :meth:`finalize` flushes the tails and returns zero-copy mmap
-    views of the complete per-key byte streams for the encoder.
+    disk).  :meth:`finalize` flushes the tails; sealed or finalized keys
+    read back as zero-copy mmap views of the complete per-key byte
+    streams for the encoder.
+
+    With ``spill=None`` nothing is ever flushed (the in-memory sort's
+    store): :meth:`seal` serializes the key's appended pieces into one
+    owned buffer — the single copy an encoder input costs — and
+    :meth:`take` hands a stream's pieces on without serializing them.
     """
 
     def __init__(
         self,
-        spill: SpillDir,
+        spill: Optional[SpillDir],
         flush_bytes: int,
         meter: Optional[ResidencyMeter] = None,
         tag: str = "store",
@@ -874,11 +882,12 @@ class StreamStore:
         self._counts: Dict[Hashable, int] = {}
         self._resident = 0
         self._order: List[Hashable] = []
+        #: Sealed keys -> their read-back batch (``None`` until first read).
         self._sealed: Dict[Hashable, Optional[RecordBatch]] = {}
-        self._final: Optional[Dict[Hashable, RecordBatch]] = None
+        self._final = False
 
     def append(self, key: Hashable, batch: RecordBatch) -> None:
-        if self._final is not None:
+        if self._final:
             raise RuntimeError("store already finalized")
         if key in self._sealed:
             raise RuntimeError(f"key {key!r} already sealed")
@@ -892,19 +901,21 @@ class StreamStore:
         self._pending.setdefault(key, []).append(batch)
         self._counts[key] += len(batch)
         self._resident += batch.nbytes
-        if self._resident >= self._flush_bytes:
+        if self._spill is not None and self._resident >= self._flush_bytes:
             self._flush()
+
+    def _write(self, key: Hashable, batches: List[RecordBatch]) -> None:
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = self._spill.new_path(self._tag)
+        written = write_run_file(path, batches)
+        if self._meter is not None:
+            self._meter.spilled(written)
 
     def _flush(self) -> None:
         for key, batches in self._pending.items():
-            if not batches:
-                continue
-            path = self._paths.get(key)
-            if path is None:
-                path = self._paths[key] = self._spill.new_path(self._tag)
-            written = write_run_file(path, batches)
-            if self._meter is not None:
-                self._meter.spilled(written)
+            if batches:
+                self._write(key, batches)
         if self._meter is not None:
             self._meter.discharge(self._resident)
         self._pending = {}
@@ -926,56 +937,53 @@ class StreamStore:
         The per-key file receives exactly the bytes the eventual global
         flush would have written (append order is preserved; flush timing
         never reorders within a key), so sealed reads are byte-identical
-        to post-:meth:`finalize` reads.
+        to post-:meth:`finalize` reads.  Without a spill dir the pieces
+        are joined here instead (same bytes, one owned buffer), which
+        also lets go of the map windows they were views into.
         """
-        if self._final is not None or key in self._sealed:
+        if self._final or key in self._sealed:
             return
-        batches = self._pending.pop(key, None)
+        batches = self._pending.pop(key, [])
+        if self._spill is None:
+            joined = self._sealed[key] = RecordBatch.concat(batches)
+            copytrack.count_copy(joined.nbytes, "spill.store_seal")
+            return
         if batches:
             nbytes = sum(b.nbytes for b in batches)
-            path = self._paths.get(key)
-            if path is None:
-                path = self._paths[key] = self._spill.new_path(self._tag)
-            written = write_run_file(path, batches)
+            self._write(key, batches)
             self._resident -= nbytes
             if self._meter is not None:
-                self._meter.spilled(written)
                 self._meter.discharge(nbytes)
         self._sealed[key] = None
 
     def finalize(self) -> None:
-        """Flush every tail; afterwards keys read back as mmap views."""
-        if self._final is None:
+        """Seal every key; afterwards each reads back as one view."""
+        if self._final:
+            return
+        if self._spill is None:
+            for key in list(self._pending):
+                self.seal(key)
+        else:
             self._flush()
-            self._final = {}
+        self._final = True
 
     def get(self, key: Hashable) -> RecordBatch:
-        """The complete stream for ``key`` as one zero-copy mmap view.
+        """The complete stream for ``key`` as one zero-copy view.
 
         Readable after :meth:`finalize`, or early for a :meth:`seal`-ed
         key (the streaming-overlap path reads completed subsets while
         the map tail is still appending other keys).
         """
-        if self._final is None:
-            if key not in self._sealed:
-                raise RuntimeError(
-                    "finalize() the store (or seal() the key) before "
-                    "reading it back"
-                )
-            batch = self._sealed[key]
-            if batch is None:
-                path = self._paths.get(key)
-                batch = (
-                    RecordBatch.empty() if path is None
-                    else read_run_file(path)
-                )
-                self._sealed[key] = batch
-            return batch
-        batch = self._final.get(key)
+        if not self._final and key not in self._sealed:
+            raise RuntimeError(
+                "finalize() the store (or seal() the key) before "
+                "reading it back"
+            )
+        batch = self._sealed.get(key)
         if batch is None:
             path = self._paths.get(key)
             batch = RecordBatch.empty() if path is None else read_run_file(path)
-            self._final[key] = batch
+            self._sealed[key] = batch
         return batch
 
     def get_bytes(self, key: Hashable) -> memoryview:
@@ -987,3 +995,20 @@ class StreamStore:
     ) -> Iterator[RecordBatch]:
         """The stream as bounded windows (reduce-side consumption)."""
         return iter(self.get(key).iter_slices(window_records))
+
+    def take(
+        self, key: Hashable, window_records: Optional[int] = None
+    ) -> Iterable[RecordBatch]:
+        """Read a complete stream once and drop it from the store.
+
+        How a value that never meets the encoder (the node's own
+        partition) leaves the store for Reduce: under a spill dir the
+        key is sealed and streamed off its file in windows of
+        ``window_records``; without one the appended pieces themselves
+        are handed on — no serialization, and the store stops holding
+        them.
+        """
+        if self._spill is None and key not in self._sealed:
+            return self._pending.pop(key, [])
+        self.seal(key)
+        return self.iter_batches(key, window_records)

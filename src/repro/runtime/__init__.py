@@ -29,7 +29,7 @@ from repro.runtime.traffic import TrafficLog, TrafficRecord
 from repro.runtime.program import (
     ClusterResult,
     NodeProgram,
-    pipelined_multicast_shuffle,
+    streaming_multicast_shuffle,
 )
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.process import ProcessCluster
@@ -45,7 +45,7 @@ __all__ = [
     "TrafficRecord",
     "NodeProgram",
     "ClusterResult",
-    "pipelined_multicast_shuffle",
+    "streaming_multicast_shuffle",
     "ThreadCluster",
     "ProcessCluster",
     "TcpCluster",

@@ -1,4 +1,4 @@
-"""Node programs, the cluster-result container, and the pipelined shuffle.
+"""Node programs, the cluster-result container, and the shuffle engines.
 
 A :class:`NodeProgram` is the unit both sort algorithms are written as: a
 class instantiated once per node with a :class:`~repro.runtime.api.Comm`
@@ -7,35 +7,47 @@ program runs unmodified on the threaded backend (functional tests, byte
 accounting) and the multiprocessing backend (real parallel execution) —
 mirroring how the paper's single MPI program runs on any cluster size.
 
-:func:`pipelined_multicast_shuffle` is the shared non-blocking shuffle
-engine (the §VI "asynchronous execution" future work made concrete): it
-posts every receive up front via ``ibcast``, walks a round schedule posting
-sends (encoding each packet lazily, right before its first send), and
-decodes every multicast group as soon as its packets arrive — overlapping
-the Encode / Shuffle / Decode stages instead of barrier-separating them.
-The rounds *order* transmissions (node-disjoint groups are posted
+The coded programs' Encode / Shuffle / Decode block has two engines, and
+:func:`execute_multicast_shuffle` picks between them (the pipeline's
+*send gate* policy):
+
+* :func:`serial_multicast_shuffle` — the paper's Fig. 9(b) execution, kept
+  as the named reproduction the tables measure: one ``(group, sender)``
+  turn at a time behind a cluster barrier, Encode fully preceding Shuffle
+  preceding Decode.
+* :func:`streaming_multicast_shuffle` — one non-blocking event loop (the
+  §VI "asynchronous execution" future work made concrete): it posts every
+  receive up front via ``ibcast``, encodes and multicasts each group as
+  soon as the send gate opens it, and decodes every group as soon as its
+  packets have arrived.  With the map already done the gate is open from
+  the start and the loop is the barrier-free ``schedule="parallel"``
+  execution; handed a ``map_step`` and a ``ready`` predicate it also
+  drives the caller's map, one window per pass, and a group opens the
+  moment the map has produced what its packets draw on (streaming
+  overlap).
+
+The round schedule *orders* transmissions (node-disjoint groups are posted
 adjacently, which keeps concurrent transfers largely conflict-free) but
-are deliberately not synchronized at runtime: there is no inter-round
-barrier, so a fast node may run ahead — that asynchrony is the point.
-The strictly round-synchronized execution model (a barrier after every
-round) lives in the simulator (``schedule="rounds"``) and in
+rounds are deliberately not synchronized at runtime: there is no
+inter-round barrier, so a fast node may run ahead — that asynchrony is the
+point.  The strictly round-synchronized execution model (a barrier after
+every round) lives in the simulator (``schedule="rounds"``) and in
 :meth:`~repro.sim.costmodel.EC2CostModel.parallel_multicast_shuffle_time`,
 which serve as its idealized upper- and lower-envelope predictions.
 
-Stage attribution under overlap: encode and decode work performed inside
-the shuffle loop is still charged to the ``encode`` / ``decode`` stages
-(compute attribution), and the ``shuffle`` stage is charged the *remaining*
-span — communication plus waiting.  The per-stage numbers therefore stay
-exclusive (they sum to wall-clock time, like the serial tables), while the
-engine additionally reports the full overlapped shuffle span so the
-pipelining gain stays visible (``span`` = exclusive shuffle time plus the
-encode/decode work performed inside the loop).
+Stage attribution inside the event loop: map, encode and decode work
+performed in the loop is still charged to the ``map`` / ``encode`` /
+``decode`` stages (compute attribution), and the ``shuffle`` stage is
+charged the *remaining* span — communication plus waiting.  The per-stage
+numbers therefore stay exclusive (they sum to wall-clock time, like the
+serial tables), while the engine additionally reports the full loop span
+so the gain stays visible (``span`` = exclusive shuffle time plus the
+work performed inside the loop).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -263,34 +275,40 @@ def execute_multicast_shuffle(
     tag_base: int,
     encode: Callable[[int], BufferParts],
     recover: Callable[[int, Dict[int, bytes]], Any],
+    map_step: Optional[Callable[[], bool]] = None,
+    ready: Optional[Callable[[int], bool]] = None,
 ) -> Tuple[Dict[int, Any], Dict[str, float]]:
-    """Run the Encode / Shuffle / Decode block under either schedule.
+    """Run the Encode / Shuffle / Decode block under the send-gate policy.
 
-    The one place both coded programs (CodedTeraSort, Coded MapReduce)
-    share their schedule plumbing: ``"serial"`` encodes every packet up
-    front, walks :func:`serial_multicast_shuffle`, then decodes; while
-    ``"parallel"`` hands the same ``encode`` / ``recover`` callbacks to
-    :func:`pipelined_multicast_shuffle` (which overlaps the three stages)
-    and records the overlapped span as the ``shuffle_span`` pseudo-stage.
+    The one place the coded programs (CodedTeraSort, Coded MapReduce)
+    pick their shuffle engine: ``"serial"`` with the map already done
+    encodes every packet up front, walks :func:`serial_multicast_shuffle`,
+    then decodes — the paper's stage-separated Fig. 9(b) reproduction;
+    everything else hands the same ``encode`` / ``recover`` callbacks to
+    :func:`streaming_multicast_shuffle`, the one event loop.
 
     Args:
         schedule: ``"serial"`` or ``"parallel"`` (validated by callers).
         turns: the serial Fig. 9(b) turn list (``CodingPlan.schedule``).
-        rounds: the parallel round schedule; required iff ``schedule ==
-            "parallel"``.
+        rounds: the event loop's posting order
+            (``CodingPlan.rounds_for(schedule)``); required unless the
+            serial walk runs.
         encode / recover: packet producer / group consumer, charged to the
             ``encode`` / ``decode`` stages by both paths.  ``encode`` may
             return one buffer or a gather list of buffer parts (sent
             zero-copy); ``recover`` receives raw packets as zero-copy
             arena views and must not retain them past the call.
+        map_step / ready: streaming overlap — the caller's map still has
+            work, see :func:`streaming_multicast_shuffle`.  Absent: the
+            map is done and every group may be sent.
 
     Returns:
         ``(decoded, telemetry)``: ``group_idx -> recover(...)`` result for
-        every group of this rank, plus the pipelined engine's span
-        telemetry (empty dict for the serial path).
+        every group of this rank, plus the event loop's span telemetry
+        (empty dict for the serial walk).
     """
     decoded: Dict[int, Any] = {}
-    if schedule == "serial":
+    if schedule == "serial" and map_step is None:
         with program.stage("encode"):
             packets_out = {gidx: encode(gidx) for gidx in my_groups}
         with program.stage("shuffle"):
@@ -306,12 +324,10 @@ def execute_multicast_shuffle(
     def consume(gidx: int, payloads: Dict[int, bytes]) -> None:
         decoded[gidx] = recover(gidx, payloads)
 
-    telemetry = pipelined_multicast_shuffle(
-        program, groups, my_groups, rounds, tag_base, encode, consume
+    telemetry = streaming_multicast_shuffle(
+        program, groups, my_groups, rounds, tag_base, encode, consume,
+        map_step, ready,
     )
-    # Pseudo-stage (not in STAGES): carries the overlapped span to the
-    # driver without touching the merged stage table.
-    program.stopwatch.add("shuffle_span", telemetry["span"])
     return decoded, telemetry
 
 
@@ -351,7 +367,7 @@ def serial_multicast_shuffle(
     return received
 
 
-def pipelined_multicast_shuffle(
+def streaming_multicast_shuffle(
     program: NodeProgram,
     groups: Sequence[Sequence[int]],
     my_groups: Sequence[int],
@@ -359,149 +375,58 @@ def pipelined_multicast_shuffle(
     tag_base: int,
     encode: Callable[[int], BufferParts],
     decode: Callable[[int, Dict[int, bytes]], None],
+    map_step: Optional[Callable[[], bool]] = None,
+    ready: Optional[Callable[[int], bool]] = None,
 ) -> Dict[str, float]:
-    """Run the multicast shuffle as a non-blocking pipeline.
+    """Run (Map /) Encode / Shuffle / Decode as one non-blocking event loop.
+
+    Every receive is posted up front (one ``ibcast`` per inbound packet).
+    Each pass of the loop then performs one map step if the caller's map
+    still has work, encodes and multicasts every group the send gate has
+    opened, and decodes every group whose packets have all landed — so
+    transfers ride behind the remaining Map (and the Reduce work nested
+    inside ``decode``) instead of extending the critical path.  With no
+    ``map_step`` this is the §VI "asynchronous execution" of an already
+    mapped job: everything is posted in round order on the first pass and
+    the loop only decodes.
 
     Args:
         program: the calling node program (supplies comm + stopwatch).
         groups: all multicast groups (``CodingPlan.groups``).
         my_groups: group indices this rank belongs to.
-        rounds: the transmission schedule as rounds of ``(group_idx,
-            sender)`` turns (``CodingPlan.rounds_for(...)``); each turn must
-            appear exactly once across all rounds.  Rounds fix the posting
-            order only — no barrier separates them at runtime.
-        tag_base: user tag base; each ``(group, sender)`` turn gets the
-            distinct tag ``tag_base + group_idx * size + sender`` (all
-            turns are in flight concurrently, and concurrent broadcasts
-            must not share a ``(group, tag)`` pair).
+        rounds: posting-priority schedule as rounds of ``(group_idx,
+            sender)`` turns (``CodingPlan.rounds_for(...)``; singleton
+            rounds for ``schedule="serial"``); each turn must appear
+            exactly once.  The engine never barriers between rounds — the
+            order only decides which open packet is posted first.
+        tag_base: user tag base; each turn gets the distinct tag
+            ``tag_base + group_idx * size + sender`` (all turns are in
+            flight concurrently, and concurrent broadcasts must not share
+            a ``(group, tag)`` pair).
         encode: ``group_idx -> wire payload`` for packets this rank sends;
-            invoked lazily, right before the packet's send is posted, and
-            charged to the ``encode`` stage.
-        decode: ``(group_idx, {sender: payload})`` consumer; invoked as
-            soon as all of a group's packets have arrived (eagerly between
-            rounds, deterministically ordered during the final drain) and
-            charged to the ``decode`` stage.
-
-    Returns:
-        Span telemetry: ``{"span": full shuffle-loop wall seconds,
-        "encode_overlapped": .., "decode_overlapped": ..}``.  The
-        stopwatch's ``shuffle`` entry receives ``span`` minus the nested
-        encode/decode work, keeping per-stage times exclusive.
-    """
-    comm = program.comm
-    rank = program.rank
-    before = program.stopwatch.times()
-
-    def turn_tag(gidx: int, sender: int) -> int:
-        return tag_base + gidx * comm.size + sender
-
-    with program.stage("shuffle") as scope:
-        # Post every receive up front (one ibcast per inbound packet).
-        recv_reqs: Dict[int, Dict[int, Request]] = {g: {} for g in my_groups}
-        for rnd in rounds:
-            for gidx, sender in rnd:
-                group = groups[gidx]
-                if sender == rank or rank not in group:
-                    continue
-                recv_reqs[gidx][sender] = comm.ibcast(
-                    group, sender, turn_tag(gidx, sender), copy=False
-                )
-
-        send_reqs: List[Request] = []
-        undecoded = set(g for g in my_groups if recv_reqs[g])
-
-        def sweep() -> None:
-            """Decode every group whose packets have all arrived."""
-            for gidx in sorted(undecoded):
-                reqs = recv_reqs[gidx]
-                if not all(req.test() for req in reqs.values()):
-                    continue
-                payloads = {s: req.wait() for s, req in reqs.items()}
-                with program.stage("decode"):
-                    decode(gidx, payloads)
-                undecoded.discard(gidx)
-
-        # Walk the rounds: lazy-encode, post sends, decode what has landed.
-        for rnd in rounds:
-            for gidx, sender in rnd:
-                if sender != rank:
-                    continue
-                with program.stage("encode"):
-                    packet = encode(gidx)
-                send_reqs.append(
-                    comm.ibcast(
-                        groups[gidx], rank, turn_tag(gidx, rank), packet
-                    )
-                )
-            sweep()
-
-        # Drain: complete the stragglers in deterministic group order.
-        for gidx in sorted(undecoded):
-            payloads = {
-                s: req.wait() for s, req in recv_reqs[gidx].items()
-            }
-            with program.stage("decode"):
-                decode(gidx, payloads)
-        undecoded.clear()
-        wait_all(send_reqs)
-    # The shuffle scope's exclusive accounting already subtracted the
-    # nested encode/decode work, so the stage table stays exclusive while
-    # the scope's full span carries the overlapped telemetry.
-    span = scope.elapsed
-    times = program.stopwatch.times()
-    encode_in_loop = times.get("encode", 0.0) - before.get("encode", 0.0)
-    decode_in_loop = times.get("decode", 0.0) - before.get("decode", 0.0)
-    return {
-        "span": span,
-        "encode_overlapped": encode_in_loop,
-        "decode_overlapped": decode_in_loop,
-    }
-
-
-def overlapped_multicast_shuffle(
-    program: NodeProgram,
-    groups: Sequence[Sequence[int]],
-    my_groups: Sequence[int],
-    rounds: Sequence[Sequence[Tuple[int, int]]],
-    tag_base: int,
-    encode: Callable[[int], BufferParts],
-    decode: Callable[[int, Dict[int, bytes]], None],
-    map_step: Callable[[], bool],
-    ready: Callable[[int], bool],
-) -> Dict[str, float]:
-    """Run Map / Encode / Shuffle / Decode as one overlapped event loop.
-
-    The streaming-overlap extension of :func:`pipelined_multicast_shuffle`:
-    instead of requiring the Map stage to finish before the first packet is
-    posted, the engine interleaves single map steps (one file / window,
-    supplied by ``map_step``) with a map-progress-aware round walk.  A
-    group's packet is encoded and multicast the moment every file subset
-    it draws on has been fully mapped locally — while later files are
-    still being hashed — so the multicast transfers ride behind the
-    remaining Map (and the Reduce work nested inside ``decode``) instead
-    of extending the critical path.
-
-    Args:
-        rounds: posting-priority schedule (``CodingPlan.rounds_for``);
-            for ``schedule="serial"`` pass the singleton rounds — the
-            engine never barriers between rounds, the order only decides
-            which ready packet is posted first.
+            invoked right before the packet's send is posted and charged
+            to the ``encode`` stage.
+        decode: ``(group_idx, {sender: payload})`` consumer, charged to
+            the ``decode`` stage; groups decode in ascending index order
+            within a pass.
         map_step: performs one unit of map work, returns ``False`` once
             the input is exhausted.  Charged to the ``map`` stage; any
             encode/reduce work it triggers internally should open its own
             nested stage scopes.
-        ready: ``group_idx -> True`` once every local file subset the
-            group's packets draw on is fully mapped.  Gates both send
-            (this rank's packet is a function of those subsets) and
-            decode (recovering a segment XORs the local copies of the
-            other senders' subsets back out).  Must be monotone and
-            all-``True`` after ``map_step`` is exhausted.
+        ready: the send gate — ``group_idx -> True`` once every local
+            file subset the group's packets draw on is fully mapped.
+            Gates both send (this rank's packet is a function of those
+            subsets) and decode (recovering a segment XORs the local
+            copies of the other senders' subsets back out).  Must be
+            monotone and all-``True`` after ``map_step`` is exhausted.
 
     Returns:
-        Span telemetry: ``{"span", "map_overlapped", "encode_overlapped",
-        "decode_overlapped"}`` — ``span`` covers the entire overlapped
-        loop (map included); the ``*_overlapped`` entries are the nested
-        stage seconds spent inside it.
+        Span telemetry ``{"span", "encode_overlapped",
+        "decode_overlapped"}`` plus ``"map_overlapped"`` when there was a
+        ``map_step``: ``span`` covers the whole loop (map included), the
+        ``*_overlapped`` entries are the nested stage seconds spent
+        inside it.  The stopwatch's ``shuffle`` entry receives ``span``
+        minus that nested work, so per-stage times stay exclusive.
     """
     comm = program.comm
     rank = program.rank
@@ -511,7 +436,6 @@ def overlapped_multicast_shuffle(
         return tag_base + gidx * comm.size + sender
 
     with program.stage("shuffle") as scope:
-        # Post every receive up front (one ibcast per inbound packet).
         recv_reqs: Dict[int, Dict[int, Request]] = {g: {} for g in my_groups}
         for rnd in rounds:
             for gidx, sender in rnd:
@@ -524,12 +448,12 @@ def overlapped_multicast_shuffle(
 
         unsent = [g for rnd in rounds for g, sender in rnd if sender == rank]
         send_reqs: List[Request] = []
-        undecoded = set(g for g in my_groups if recv_reqs[g])
+        undecoded = sorted(g for g in my_groups if recv_reqs[g])
 
-        def post_ready() -> None:
-            """Encode + multicast every group whose subsets are mapped."""
+        def post_open() -> None:
+            """Encode + multicast every group the send gate has opened."""
             for gidx in list(unsent):
-                if not ready(gidx):
+                if ready is not None and not ready(gidx):
                     continue
                 unsent.remove(gidx)
                 with program.stage("encode"):
@@ -543,35 +467,38 @@ def overlapped_multicast_shuffle(
         def sweep() -> bool:
             """Decode every decodable group; report whether any was."""
             progressed = False
-            for gidx in sorted(undecoded):
-                if not ready(gidx):
+            for gidx in list(undecoded):
+                if ready is not None and not ready(gidx):
                     continue
                 reqs = recv_reqs[gidx]
                 if not all(req.test() for req in reqs.values()):
                     continue
-                payloads = {s: req.wait() for s, req in reqs.items()}
+                undecoded.remove(gidx)
                 with program.stage("decode"):
-                    decode(gidx, payloads)
-                undecoded.discard(gidx)
+                    decode(gidx, {s: req.wait() for s, req in reqs.items()})
                 progressed = True
             return progressed
 
-        mapping = True
-        while mapping:
-            with program.stage("map"):
-                mapping = bool(map_step())
-            post_ready()
-            sweep()
-
-        post_ready()
-        if unsent:
-            raise RuntimeError(
-                f"rank {rank}: groups {sorted(unsent)} still not encodable "
-                "after map exhausted (ready() must be all-true by then)"
-            )
-        while undecoded:
-            if not sweep():
-                time.sleep(0.0005)
+        mapping = map_step is not None
+        while mapping or unsent or undecoded:
+            if mapping:
+                with program.stage("map"):
+                    mapping = bool(map_step())
+            post_open()
+            if unsent and not mapping:
+                raise RuntimeError(
+                    f"rank {rank}: groups {sorted(unsent)} still not "
+                    "encodable after map exhausted (ready() must be "
+                    "all-true by then)"
+                )
+            # A completed send holds its encoded packet: let both go.
+            send_reqs[:] = [req for req in send_reqs if not req.test()]
+            if not sweep() and not mapping and undecoded:
+                # Nothing left to map or post and nothing has landed:
+                # block on the lowest undecoded group's packets (every
+                # rank posts all its sends before it blocks here, and
+                # sends ride the async sender, so this cannot deadlock).
+                wait_all(list(recv_reqs[undecoded[0]].values()))
         wait_all(send_reqs)
 
     span = scope.elapsed
@@ -580,19 +507,19 @@ def overlapped_multicast_shuffle(
     def in_loop(stage: str) -> float:
         return times.get(stage, 0.0) - before.get(stage, 0.0)
 
-    # shuffle_span approximates the Encode/Shuffle/Decode span (what the
-    # parallel-schedule telemetry reports) by peeling the map work off the
-    # whole-loop span; the loop span itself travels via export_overlap.
-    program.stopwatch.add(
-        "shuffle_span", max(0.0, span - in_loop("map"))
-    )
-    export_overlap(program, scope)
-    return {
+    # Pseudo-stage (not in STAGES): the Encode/Shuffle/Decode span — the
+    # loop span with any map work peeled off — reaches the driver without
+    # touching the merged stage table.
+    program.stopwatch.add("shuffle_span", max(0.0, span - in_loop("map")))
+    telemetry = {
         "span": span,
-        "map_overlapped": in_loop("map"),
         "encode_overlapped": in_loop("encode"),
         "decode_overlapped": in_loop("decode"),
     }
+    if map_step is not None:
+        export_overlap(program, scope)
+        telemetry["map_overlapped"] = in_loop("map")
+    return telemetry
 
 
 # ---------------------------------------------------------------------------

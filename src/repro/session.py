@@ -65,7 +65,11 @@ from repro.core.coded_terasort import (
 )
 from repro.core.groups import check_schedule
 from repro.core.outofcore import MIN_MEMORY_BUDGET
-from repro.core.terasort import SortRun, prepare_terasort
+from repro.core.terasort import (
+    SortRun,
+    check_terasort_options,
+    prepare_terasort,
+)
 from repro.kvpairs.datasource import DataSource
 from repro.kvpairs.records import RecordBatch
 from repro.runtime.errors import WorkerFailure
@@ -204,20 +208,22 @@ class TeraSortSpec(JobSpec):
             heartbeats and launches a backup copy of a slow shard's map
             on an already-finished worker — first finisher wins, output
             stays byte-identical (map output per shard is deterministic).
-            Requires ``input=`` (shards must be re-readable descriptors)
-            and the in-memory path (no ``memory_budget``).
+            Requires ``input=`` (shards must be re-readable descriptors),
+            no ``memory_budget`` and no ``overlap`` — the unsupported
+            cells are named by
+            :func:`~repro.core.terasort.check_terasort_options`.
         speculation_wait_factor / speculation_min_wait: a shard is
             declared straggling once the job has run
             ``max(min_wait, wait_factor x median map completion time)``
             seconds and at least half the workers finished their map.
-        overlap: enable the streaming-overlap execution mode: each map
-            window's partition chunks are shipped the moment the window
-            completes (map ↔ shuffle overlap) and arriving runs feed an
-            incremental merge frontier (shuffle ↔ reduce overlap), so
+        overlap: open the pipeline's send gate as the map goes: each
+            map window's partition chunks are shipped the moment the
+            window completes (map ↔ shuffle overlap) and arriving chunks
+            feed an eager merge frontier (shuffle ↔ reduce overlap), so
             makespan approaches ``max(compute, comm)`` instead of their
-            sum.  Output stays byte-identical to the serial schedule.
-            Mutually exclusive with ``speculation`` (both rewire the
-            shuffle event loop); composes with ``memory_budget``.
+            sum.  Output stays byte-identical to the staged schedule.
+            Composes with ``memory_budget``; not with ``speculation``,
+            which runs on the staged shuffle only.
     """
 
     data: Optional[RecordBatch] = None
@@ -240,18 +246,13 @@ class TeraSortSpec(JobSpec):
                 f"sample_size must be >= 1, got {self.sample_size}"
             )
         _check_input_fields(self)
+        check_terasort_options(
+            self.input if self.input is not None else self.data,
+            self.memory_budget,
+            self.speculation,
+            self.overlap,
+        )
         if self.speculation:
-            if self.input is None:
-                raise ValueError(
-                    "speculation requires input= (a re-readable DataSource "
-                    "descriptor: a backup worker must be able to read the "
-                    "straggler's split)"
-                )
-            if self.memory_budget is not None:
-                raise ValueError(
-                    "speculation is only supported on the in-memory path "
-                    "(no memory_budget)"
-                )
             if self.speculation_wait_factor < 1.0:
                 raise ValueError(
                     f"speculation_wait_factor must be >= 1.0, "
@@ -262,13 +263,6 @@ class TeraSortSpec(JobSpec):
                     f"speculation_min_wait must be >= 0, "
                     f"got {self.speculation_min_wait}"
                 )
-        if self.overlap and self.speculation:
-            raise ValueError(
-                "overlap and speculation are mutually exclusive: both "
-                "replace the shuffle with their own event loop (run "
-                "stragglers with speculation, hide communication with "
-                "overlap)"
-            )
 
     def shrink_to(self, free: int) -> Optional[int]:
         # The uncoded sort re-splits at the descriptor level: any K' >= 2
@@ -304,13 +298,14 @@ class CodedTeraSortSpec(JobSpec):
         batches_per_subset: input files per node subset
             (``N = b * C(K, r)``).
         schedule: ``"serial"`` (paper, Fig. 9(b) turns) or ``"parallel"``
-            (pipelined conflict-free rounds); byte-identical output.
+            (the barrier-free event loop, packets posted in conflict-free
+            round order); byte-identical output.
         sampled_partitioner / sample_size / sample_seed: see
             :class:`TeraSortSpec`.
-        overlap: streaming-overlap execution — each multicast group is
-            encoded and sent as soon as all of its contributing file
-            segments are mapped (map ↔ shuffle), and decoded groups feed
-            an incremental merge frontier (shuffle ↔ reduce).  Composes
+        overlap: the event loop also drives the map: each multicast
+            group is encoded and sent as soon as all of its contributing
+            file subsets are mapped (map ↔ shuffle), and decoded groups
+            feed an eager merge frontier (shuffle ↔ reduce).  Composes
             with either ``schedule`` (the schedule fixes the posting
             priority) and with ``memory_budget``; output stays
             byte-identical.

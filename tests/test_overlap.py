@@ -5,8 +5,8 @@ shuffle communication behind Map and Reduce compute — the acceptance
 contract is that it never changes a single output byte:
 
 * uncoded and coded (both schedules), in-memory and out-of-core, on the
-  thread, process, and TCP backends, the overlapped output equals the
-  staged output byte for byte;
+  thread, process, and TCP backends (every backend runs both memory
+  planes), the overlapped output equals the staged output byte for byte;
 * an injected map crash under ``$REPRO_FAULT_PLAN`` retries an
   overlapped job byte-identically;
 * overlap and speculation are mutually exclusive and rejected
@@ -107,38 +107,42 @@ class TestByteIdentityInproc:
 class TestByteIdentityProcess:
     """Real multiprocessing workers: one (K, r), all three lanes."""
 
-    def test_overlap_matches_staged(self):
+    def test_overlap_matches_staged(self, memory_budget=None):
         k, r = 4, 1
         data = teragen(4000, seed=300)
         for lane in ["uncoded", "coded-serial", "coded-parallel"]:
             with Session(ProcessCluster(k, timeout=120)) as s:
-                staged = s.submit(_specs(data, k, r, False)[lane]).result()
-            with Session(ProcessCluster(k, timeout=120)) as s:
-                overlapped = s.submit(_specs(data, k, r, True)[lane]).result()
+                staged, overlapped = [
+                    s.submit(
+                        _specs(data, k, r, overlap, memory_budget)[lane]
+                    ).result()
+                    for overlap in (False, True)
+                ]
             assert _bytes(overlapped) == _bytes(staged), lane
             assert overlapped.meta["overlap"]["span_seconds"] > 0.0
+            if memory_budget is not None:
+                assert (
+                    overlapped.meta["oc_peak_resident_bytes"] <= memory_budget
+                ), lane
+
+    def test_out_of_core_overlap_under_8mib(self):
+        self.test_overlap_matches_staged(memory_budget=8 * 1024 * 1024)
 
 
 class TestByteIdentityTcp:
     """Localhost TCP mesh: overlapped == staged for uncoded + coded."""
 
-    def test_overlap_matches_staged(self):
+    def test_overlap_matches_staged(self, memory_budget=None):
         from repro.runtime.tcp import TcpCluster, run_worker
 
         k, r = 4, 1
         data = teragen(3000, seed=400)
 
         def submit_all(session, overlap):
+            specs = _specs(data, k, r, overlap, memory_budget)
             handles = [
-                session.submit(TeraSortSpec(data=data, overlap=overlap)),
-                session.submit(
-                    CodedTeraSortSpec(
-                        data=data,
-                        redundancy=r,
-                        schedule="parallel",
-                        overlap=overlap,
-                    )
-                ),
+                session.submit(specs[lane])
+                for lane in ("uncoded", "coded-parallel")
             ]
             return [h.result() for h in handles]
 
@@ -173,6 +177,11 @@ class TestByteIdentityTcp:
         for st, ov in zip(staged, overlapped):
             assert _bytes(ov) == _bytes(st)
             assert ov.meta["overlap"]["span_seconds"] > 0.0
+            if memory_budget is not None:
+                assert ov.meta["oc_peak_resident_bytes"] <= memory_budget
+
+    def test_out_of_core_overlap_under_8mib(self):
+        self.test_overlap_matches_staged(memory_budget=8 * 1024 * 1024)
 
 
 class TestOverlapWithFaults:

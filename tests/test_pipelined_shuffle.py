@@ -8,15 +8,19 @@ backends.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.core.cmr import run_mapreduce
 from repro.core.coded_terasort import run_coded_terasort
+from repro.core.groups import build_coding_plan
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.process import ProcessCluster
+from repro.runtime.program import NodeProgram, execute_multicast_shuffle
 from repro.utils.subsets import binomial
 
 GRID = [(4, 1), (6, 2), (8, 3)]
@@ -140,3 +144,123 @@ class TestParallelRunMetadata:
                 ThreadCluster(4), WordCountJob(), ["a"] * 4,
                 redundancy=1, coded=True, schedule="warp",
             )
+
+
+class _Frame(bytearray):
+    """A packet body the test can hold a weak reference to."""
+
+
+class _ToyShuffle(NodeProgram):
+    """Drives the event-loop engine directly: packets are tiny buffers,
+    ``decode`` only records.  ``gates[g]`` is the number of map steps
+    after which group ``g`` opens (``map_steps=0``: no map, no gate)."""
+
+    STAGES = ["map", "encode", "shuffle", "decode"]
+
+    def __init__(self, comm, redundancy=1, map_steps=0, gates=None):
+        super().__init__(comm)
+        self.plan = build_coding_plan(comm.size, redundancy)
+        self.map_steps = map_steps
+        self.gates = gates or {}
+
+    def run(self):
+        events, frames, released = [], [], {}
+        mapped = 0
+
+        def map_step():
+            nonlocal mapped
+            if mapped == self.map_steps:
+                return False
+            mapped += 1
+            events.append(("map", mapped))
+            return True
+
+        def encode(gidx):
+            events.append(("encode", gidx))
+            body = _Frame([self.rank] * 64)
+            frames.append(weakref.ref(body))
+            return [bytes([gidx]), body]  # two parts: never shared by ref
+
+        def recover(gidx, payloads):
+            events.append(("decode", gidx))
+            for sender, raw in payloads.items():
+                assert bytes(raw) == bytes([gidx]) + bytes([sender]) * 64
+            # Which of the frames posted so far have been let go of?
+            released[gidx] = [ref() is None for ref in frames]
+
+        streaming = self.map_steps > 0
+        decoded, telemetry = execute_multicast_shuffle(
+            self,
+            self.plan.groups,
+            self.plan.groups_of_node[self.rank],
+            "parallel",
+            self.plan.schedule,
+            self.plan.rounds_for("parallel"),
+            30_000,
+            encode,
+            recover,
+            map_step=map_step if streaming else None,
+            ready=(
+                (lambda g: mapped >= self.gates.get(g, 0))
+                if streaming
+                else None
+            ),
+        )
+        return {
+            "events": events,
+            "decoded": sorted(decoded),
+            "telemetry": telemetry,
+            "released": released,
+            "times": self.stopwatch.times(),
+        }
+
+
+class TestEventLoopEngine:
+    """``streaming_multicast_shuffle`` on a toy program (thread backend)."""
+
+    def test_no_group_is_encoded_or_decoded_before_its_gate(self):
+        k, steps = 4, 5
+        plan = build_coding_plan(k, 2)
+        gates = {g: 1 + g % steps for g in range(len(plan.groups))}
+        result = ThreadCluster(k, recv_timeout=60).run(
+            lambda comm: _ToyShuffle(comm, 2, steps, gates)
+        )
+        for rank, out in enumerate(result.results):
+            mapped = 0
+            for kind, what in out["events"]:
+                if kind == "map":
+                    mapped = what
+                else:
+                    assert mapped >= gates[what], (rank, kind, what)
+            assert mapped == steps
+            assert out["decoded"] == sorted(plan.groups_of_node[rank])
+            assert set(out["telemetry"]) == {
+                "span", "map_overlapped", "encode_overlapped",
+                "decode_overlapped",
+            }
+
+    def test_without_a_map_everything_decodes_and_span_is_stamped_once(self):
+        k = 4
+        plan = build_coding_plan(k, 1)
+        result = ThreadCluster(k, recv_timeout=60).run(_ToyShuffle)
+        for rank, out in enumerate(result.results):
+            assert out["decoded"] == sorted(plan.groups_of_node[rank])
+            assert not [e for e in out["events"] if e[0] == "map"]
+            assert set(out["telemetry"]) == {
+                "span", "encode_overlapped", "decode_overlapped",
+            }
+            # Stamped by the engine alone: not once more by its caller.
+            assert out["times"]["shuffle_span"] == pytest.approx(
+                out["telemetry"]["span"]
+            )
+            assert "overlap_span" not in out["times"]
+
+    def test_completed_sends_release_their_frames_inside_the_loop(self):
+        # Thread-backend sends complete at post time, so by the time any
+        # group decodes, every frame this rank has posted is gone — the
+        # engine must not hold packets until its final wait_all.
+        result = ThreadCluster(3, recv_timeout=60).run(_ToyShuffle)
+        for out in result.results:
+            assert out["released"]
+            for flags in out["released"].values():
+                assert flags and all(flags)

@@ -346,6 +346,19 @@ class TestIncrementalMerger:
         assert merger.eager_merges > 0
         assert merger.pending_runs < 8
 
+    def test_eager_factor_zero_only_merges_at_finish(self):
+        from repro.kvpairs.spill import IncrementalMerger
+
+        runs = [sort_batch(_dup_batch(500, 4, seed=i)) for i in range(8)]
+        eager, lazy = IncrementalMerger(1), IncrementalMerger(1, eager_factor=0)
+        for run in runs:
+            eager.feed(0, run)
+            lazy.feed(0, run)
+        assert lazy.eager_merges == 0 and lazy.pending_runs == 8
+        assert b"".join(c.to_bytes() for c in lazy.finish()) == b"".join(
+            c.to_bytes() for c in eager.finish()
+        )
+
     def test_spilled_pair_merge_matches_resident(self, tmp_path):
         from repro.kvpairs.spill import IncrementalMerger
 
@@ -442,3 +455,53 @@ class TestStreamStoreSeal:
             assert len(store.get("ghost")) == 0
         finally:
             spill.cleanup()
+
+
+class TestStreamStoreNoSpill:
+    """``StreamStore(None, ...)``: the in-memory sort's store."""
+
+    def test_sealed_bytes_match_the_spilled_store(self):
+        pieces = [teragen(120, seed=70 + i) for i in range(3)]
+        with SpillDir(tag="nospill-eq") as spill:
+            spilled = StreamStore(spill, flush_bytes=150 * RECORD_BYTES)
+            resident = StreamStore(None, 0)
+            for store in (spilled, resident):
+                for piece in pieces:
+                    store.append("k", piece)
+                    store.append("other", piece.slice(0, 10))
+                store.seal("k")
+                store.seal("ghost")
+            assert bytes(resident.get_bytes("k")) == bytes(
+                spilled.get_bytes("k")
+            )
+            assert len(resident.get("ghost")) == 0
+            with pytest.raises(RuntimeError):
+                resident.get("other")  # neither sealed nor finalized
+            resident.finalize()
+            assert resident.num_records("other") == 30
+            assert len(resident.get("other")) == 30
+
+    def test_take_hands_pieces_on_unserialized_and_drops_them(self):
+        from repro.utils import copytrack
+
+        pieces = [teragen(50, seed=80 + i) for i in range(2)]
+        store = StreamStore(None, 0)
+        for piece in pieces:
+            store.append("own", piece)
+        with copytrack.track() as copied:
+            taken = list(store.take("own"))
+        assert copied == {}
+        assert [t.array is p.array for t, p in zip(taken, pieces)] == [
+            True, True,
+        ]
+        assert list(store.take("own")) == []
+
+    def test_take_under_a_spill_dir_streams_the_sealed_file(self):
+        data = teragen(300, seed=90)
+        with SpillDir(tag="take-spill") as spill:
+            store = StreamStore(spill, flush_bytes=100 * RECORD_BYTES)
+            for window in data.iter_slices(70):
+                store.append("own", window)
+            windows = list(store.take("own", 64))
+            assert max(len(w) for w in windows) == 64
+            assert RecordBatch.concat(windows).to_bytes() == data.to_bytes()
