@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.scalable.sim import simulate_grouped_coded_terasort
 from repro.scalable.theory import grouped_vs_full
 from repro.sim.runner import simulate_coded_terasort, simulate_terasort
 from repro.utils.tables import format_table
@@ -23,7 +22,7 @@ def bench_grouped_vs_full_k20(benchmark, sink):
     def run():
         base = simulate_terasort(20, granularity="turn")
         full = simulate_coded_terasort(20, 5, granularity="turn")
-        grouped = simulate_grouped_coded_terasort(20, 10, 5)
+        grouped = simulate_coded_terasort(20, 5, group_size=10)
         return base, full, grouped
 
     base, full, grouped = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -88,7 +87,9 @@ def bench_grouped_group_size_sweep(benchmark, sink):
         base = simulate_terasort(24, granularity="turn")
         points = []
         for g, r in configs:
-            rep = simulate_grouped_coded_terasort(24, g, r, granularity="turn")
+            rep = simulate_coded_terasort(
+                24, r, granularity="turn", group_size=g
+            )
             points.append((g, r, rep))
         return base, points
 

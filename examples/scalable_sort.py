@@ -3,9 +3,9 @@
 
 The paper's §VI flags CodeGen's C(K, r+1) growth as the obstacle to
 scaling coded sorting (140.91 s of the 441.10 s total at K=20, r=5).
-This example runs the grouped construction of ``repro.scalable`` —
-coding inside groups of g nodes, dataset replicated across groups so all
-shuffles stay intra-group — both functionally (real sort on the thread
+This example runs the group-based construction — ``group_size=g`` on the
+one coded pipeline: coding inside groups of g nodes, dataset replicated
+across groups so all shuffles stay intra-group — both functionally (real sort on the thread
 backend, byte-accounted) and at paper scale on the simulator.
 
 Usage::
@@ -21,8 +21,6 @@ from repro.core.coded_terasort import run_coded_terasort
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.scalable.program import run_grouped_coded_terasort
-from repro.scalable.sim import simulate_grouped_coded_terasort
 from repro.scalable.theory import grouped_comm_load, grouped_vs_full
 from repro.sim.runner import simulate_coded_terasort, simulate_terasort
 from repro.utils.tables import format_table
@@ -45,7 +43,7 @@ def main() -> int:
     print(f"Grouped CodedTeraSort: K={k} nodes, {k // g} groups of g={g}, "
           f"r={r} (storage r/g = {r / g:.2f} of input per node)")
     data = teragen(args.records, seed=0)
-    grouped = run_grouped_coded_terasort(
+    grouped = run_coded_terasort(
         ThreadCluster(k), data, redundancy=r, group_size=g
     )
     validate_sorted_permutation(data, grouped.partitions)
@@ -53,7 +51,7 @@ def main() -> int:
     load = grouped.traffic.load_bytes("shuffle") / (args.records * 100)
     print(f"  measured shuffle load {load:.4f} vs closed form "
           f"(1/r)(1-r/g) = {grouped_comm_load(r, g):.4f}")
-    print(f"  CodeGen per group: {grouped.meta['codegen_groups_per_group']} "
+    print(f"  CodeGen per group: {grouped.meta['num_groups']} "
           f"multicast groups (plain coded on K={k} would need "
           f"{run_coded_terasort(ThreadCluster(k), data, redundancy=r).meta['num_groups']})")
 
@@ -69,7 +67,9 @@ def main() -> int:
     print("\nAt the paper's Table III configuration (12 GB, K=20, 100 Mbps):")
     base = simulate_terasort(20, granularity="turn")
     full = simulate_coded_terasort(20, 5, granularity="turn")
-    scaled = simulate_grouped_coded_terasort(20, 10, 5, granularity="turn")
+    scaled = simulate_coded_terasort(
+        20, 5, granularity="turn", group_size=10
+    )
     rows = []
     for label, rep in (
         ("TeraSort", base),

@@ -2,12 +2,13 @@
 
 What CI's ``tcp-smoke`` job runs.  Launches 6 worker subprocesses through
 the real CLI entry point (``python -m repro worker --join ...``), runs
-both an uncoded and a coded TeraSort through one ``Session`` over
-``tcp://127.0.0.1`` (the coded one on the pipelined parallel schedule,
-so the non-blocking engine crosses real TCP too), and asserts the
-outputs are byte-identical with the in-process thread backend.  Workers
-must then exit 0 on session close — a worker that lingers or dies
-mid-run fails the smoke.
+an uncoded, a coded and a group-coded TeraSort through one ``Session``
+over ``tcp://127.0.0.1`` (the coded ones on the pipelined parallel
+schedule, so the non-blocking engine crosses real TCP too; the grouped
+one with ``group_size=3``, so the per-group plan does as well), and
+asserts the outputs are byte-identical with the in-process thread
+backend.  Workers must then exit 0 on session close — a worker that
+lingers or dies mid-run fails the smoke.
 
 Usage::
 
@@ -78,7 +79,16 @@ def main(argv=None) -> int:
                         data=data, redundancy=r, schedule="parallel"
                     )
                 )
+                grouped = session.submit(
+                    CodedTeraSortSpec(
+                        data=data,
+                        redundancy=2,
+                        group_size=3,
+                        schedule="parallel",
+                    )
+                )
                 tcp_uncoded, tcp_coded = uncoded.result(), coded.result()
+                tcp_grouped = grouped.result()
         finally:
             rcs = []
             for proc in workers:
@@ -102,6 +112,9 @@ def main(argv=None) -> int:
     for label, run, ref in (
         ("TeraSort", tcp_uncoded, ref_uncoded),
         ("CodedTeraSort", tcp_coded, ref_coded),
+        # Every sort of one input is the same bytes: the grouped job is
+        # held against the uncoded reference.
+        ("CodedTeraSort g=3", tcp_grouped, ref_uncoded),
     ):
         validate_sorted_permutation(data, run.partitions)
         if _partitions_bytes(run) != _partitions_bytes(ref):

@@ -88,8 +88,6 @@ from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.process import ProcessCluster
 from repro.runtime.tcp import TcpCluster
-from repro.scalable.program import run_grouped_coded_terasort
-from repro.scalable.sim import simulate_grouped_coded_terasort
 from repro.service import (
     AdmissionError,
     QueueFull,
@@ -168,8 +166,6 @@ __all__ = [
     "EC2CostModel",
     "simulate_terasort",
     "simulate_coded_terasort",
-    "run_grouped_coded_terasort",
-    "simulate_grouped_coded_terasort",
     "straggler_comparison",
     "run_wireless_sort",
     "__version__",

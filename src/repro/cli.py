@@ -490,7 +490,6 @@ def _cmd_stragglers(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalable(args: argparse.Namespace) -> int:
-    from repro.scalable.sim import simulate_grouped_coded_terasort
     from repro.scalable.theory import grouped_vs_full
     from repro.sim.runner import simulate_coded_terasort, simulate_terasort
     from repro.utils.tables import format_table
@@ -504,7 +503,9 @@ def _cmd_scalable(args: argparse.Namespace) -> int:
           f"({cmp.codegen_ratio:.0f}x fewer)\n")
     base = simulate_terasort(k, granularity="turn")
     full = simulate_coded_terasort(k, r, granularity="turn")
-    grouped = simulate_grouped_coded_terasort(k, g, r, granularity="turn")
+    grouped = simulate_coded_terasort(
+        k, r, granularity="turn", group_size=g
+    )
     rows = []
     for label, rep in (
         ("TeraSort", base),

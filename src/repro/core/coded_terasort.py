@@ -73,6 +73,7 @@ from repro.core.encoding import CodedPacket, encode_packet
 from repro.core.groups import (
     CodingPlan,
     build_coding_plan,
+    check_coded_params,
     check_schedule,
     parallel_schedule_meta,
 )
@@ -98,7 +99,7 @@ from repro.runtime.program import (
     execute_multicast_shuffle,
     overlap_meta,
 )
-from repro.utils.subsets import Subset, without
+from repro.utils.subsets import Subset, binomial, without
 
 #: Tag base for multicast shuffle; group index is added per packet.
 MULTICAST_TAG_BASE = 10_000
@@ -130,6 +131,8 @@ class CodedTeraSortProgram(NodeProgram):
             shuffle (a group multicasts as soon as every subset it draws
             on is fully mapped) and feed Reduce incrementally; output
             stays byte-identical to the staged execution.
+        group_size: ``g`` — code only inside this rank's group of ``g``
+            consecutive ranks (``None``: one group of all ``K``).
     """
 
     STAGES = STAGES_CODED
@@ -145,6 +148,7 @@ class CodedTeraSortProgram(NodeProgram):
         memory_budget: Optional[int] = None,
         output_dir: Optional[str] = None,
         overlap: bool = False,
+        group_size: Optional[int] = None,
     ) -> None:
         super().__init__(comm)
         check_schedule(schedule)
@@ -156,6 +160,10 @@ class CodedTeraSortProgram(NodeProgram):
         self.memory_budget = memory_budget
         self.output_dir = output_dir
         self.overlap = overlap
+        g = group_size or self.size
+        first = self.rank - self.rank % g
+        #: The ``g`` ranks of this rank's coding group (all ``K`` ungrouped).
+        self.peers: Tuple[int, ...] = tuple(range(first, first + g))
         #: Telemetry from the event-loop engine (empty for the serial walk).
         self.shuffle_telemetry: Dict[str, float] = {}
 
@@ -173,7 +181,7 @@ class CodedTeraSortProgram(NodeProgram):
         Returns ``(fids, subset_order, remaining, targets)``: file ids in
         map order, subsets in first-appearance order (== the store's own-
         entry order), files left per subset, and each subset's retained
-        targets (this rank first, then ascending ``j ∉ S`` — the
+        targets (this rank first, then ascending peers ``j ∉ S`` — the
         retention rule's insertion order).
         """
         rank = self.rank
@@ -193,7 +201,7 @@ class CodedTeraSortProgram(NodeProgram):
                 in_subset = set(subset)
                 targets[subset] = [rank] + [
                     j
-                    for j in range(self.size)
+                    for j in self.peers
                     if j != rank and j not in in_subset
                 ]
             remaining[subset] += 1
@@ -215,7 +223,9 @@ class CodedTeraSortProgram(NodeProgram):
         """
         rank = self.rank
         with self.stage("codegen"):
-            plan: CodingPlan = build_coding_plan(self.size, self.redundancy)
+            plan: CodingPlan = build_coding_plan(
+                len(self.peers), self.redundancy
+            ).on(self.peers)
             my_groups = plan.groups_of_node[rank]
             rounds = (
                 plan.rounds_for(self.schedule)
@@ -387,21 +397,6 @@ def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
     return CodedTeraSortProgram(comm, *payload)
 
 
-def check_coded_params(size: int, redundancy: int, schedule: str) -> None:
-    """Validate ``(K, r, schedule)``; raises :class:`ValueError` early.
-
-    CodedPlacement itself allows r = K (one file everywhere), but the
-    coded shuffle needs multicast groups of r+1 <= K nodes; rejecting
-    before any cluster work keeps the error free of job-failure wrapping.
-    """
-    if not 1 <= redundancy <= size - 1:
-        raise ValueError(
-            f"redundancy must be in [1, K-1] = [1, {size - 1}], "
-            f"got {redundancy}"
-        )
-    check_schedule(schedule)
-
-
 def prepare_coded_terasort(
     size: int,
     data: Optional[Union[RecordBatch, DataSource]] = None,
@@ -414,6 +409,7 @@ def prepare_coded_terasort(
     memory_budget: Optional[int] = None,
     output_dir: Optional[str] = None,
     overlap: bool = False,
+    group_size: Optional[int] = None,
 ) -> PreparedJob:
     """Compile one CodedTeraSort over ``size`` nodes into a pool job.
 
@@ -423,25 +419,32 @@ def prepare_coded_terasort(
     (:meth:`~repro.core.placement.CodedPlacement.split_source`), so for
     file/teragen inputs every worker streams its own splits and the
     control plane ships only descriptors (inline batches keep the seed's
-    ship-by-value behavior).  The coding plan itself is rebuilt by every
-    node during CodeGen (that cost is part of the measured stage, as in
-    the paper) and once more in ``finalize`` for the run metadata.
+    ship-by-value behavior).  With ``group_size = g`` the placement is
+    built on ``g`` members and replicated: coding group ``j`` holds file
+    ``F_S`` on ranks ``{j·g + m : m ∈ S}``, so every group stores the
+    whole input (``r/g`` of it per node).  The coding plan itself is
+    built by every node during CodeGen (that cost is part of the measured
+    stage, as in the paper); ``finalize`` takes its counts from closed
+    forms and rebuilds it only for the parallel schedule's round count.
     """
-    check_coded_params(size, redundancy, schedule)
+    check_coded_params(size, redundancy, schedule, group_size)
+    g = group_size or size
     source = as_source(data)
     partitioner = _build_partitioner_from_source(
         source, size, sampled_partitioner, sample_size, sample_seed
     )
-    placement = CodedPlacement(size, redundancy, batches_per_subset)
+    placement = CodedPlacement(g, redundancy, batches_per_subset)
     file_sources = placement.split_source(source)
 
     per_node_files: List[Dict[int, DataSource]] = [dict() for _ in range(size)]
     per_node_subsets: List[Dict[int, Subset]] = [dict() for _ in range(size)]
     for file_id, file_source in enumerate(file_sources):
-        subset = placement.subset_of_file(file_id)
-        for node in subset:
-            per_node_files[node][file_id] = file_source
-            per_node_subsets[node][file_id] = subset
+        members = placement.subset_of_file(file_id)
+        for first in range(0, size, g):
+            subset = tuple(first + m for m in members)
+            for node in subset:
+                per_node_files[node][file_id] = file_source
+                per_node_subsets[node][file_id] = subset
 
     # CodedTeraSortProgram's arguments after ``comm``, in order.
     payloads: List[Any] = [
@@ -454,13 +457,17 @@ def prepare_coded_terasort(
             memory_budget,
             output_dir,
             overlap,
+            group_size,
         )
         for rank in range(size)
     ]
     input_records = source.num_records
 
     def finalize(result: ClusterResult) -> SortRun:
-        plan = build_coding_plan(size, redundancy)
+        # ``num_groups``: the multicast groups one node's CodeGen
+        # enumerates; ``total_multicasts`` / ``node_groups`` are
+        # cluster-wide; ``schedule_turns``: one coding group's serial walk.
+        num_groups = binomial(g, redundancy + 1)
         meta = {
             "algorithm": "coded_terasort",
             "num_nodes": size,
@@ -469,17 +476,23 @@ def prepare_coded_terasort(
             "input_records": input_records,
             "num_files": placement.num_files,
             "files_per_node": placement.files_per_node(),
-            "num_groups": plan.num_groups,
-            "total_multicasts": plan.total_multicasts,
+            "group_size": g,
+            "node_groups": size // g,
+            "num_groups": num_groups,
+            "total_multicasts": size // g * num_groups * (redundancy + 1),
             "schedule": schedule,
-            "schedule_turns": len(plan.schedule),
+            "schedule_turns": num_groups * (redundancy + 1),
             "input_kind": type(source).__name__,
         }
         if memory_budget is not None:
             meta["memory_budget"] = memory_budget
             meta.update(residency_meta(result.per_node_times))
         if schedule == "parallel":
-            meta.update(parallel_schedule_meta(plan, result.per_node_times))
+            meta.update(
+                parallel_schedule_meta(
+                    build_coding_plan(g, redundancy), result.per_node_times
+                )
+            )
         meta["kernel_stats"] = kernels.stats_meta(result.per_node_times)
         if overlap:
             meta["overlap"] = overlap_meta(result.per_node_times)
@@ -505,6 +518,7 @@ def run_coded_terasort(
     sample_size: int = 10000,
     sample_seed: int = 7,
     schedule: str = "serial",
+    group_size: Optional[int] = None,
 ) -> SortRun:
     """Sort ``data`` with CodedTeraSort on ``cluster`` (one-shot shim).
 
@@ -516,12 +530,15 @@ def run_coded_terasort(
         cluster: a :class:`~repro.runtime.inproc.ThreadCluster` or
             :class:`~repro.runtime.process.ProcessCluster`.
         data: the full input batch.
-        redundancy: ``r ∈ [1, K-1]`` — each file is mapped on ``r`` nodes.
-        batches_per_subset: input files per node subset (``N = b * C(K, r)``).
+        redundancy: ``r ∈ [1, g-1]`` — each file is mapped on ``r`` nodes
+            (of every coding group).
+        batches_per_subset: input files per node subset (``N = b * C(g, r)``).
         sampled_partitioner / sample_size / sample_seed: see
             :func:`repro.core.terasort.run_terasort`.
         schedule: ``"serial"`` (paper, Fig. 9(b)) or ``"parallel"``
             (pipelined conflict-free rounds); output is byte-identical.
+        group_size: ``g`` — group-based coding (§VI): code inside groups
+            of ``g`` ranks, ``g`` dividing ``K``; ``None`` is ``g = K``.
 
     Returns:
         A :class:`~repro.core.terasort.SortRun` whose ``meta`` carries the
@@ -539,5 +556,6 @@ def run_coded_terasort(
                 sample_size=sample_size,
                 sample_seed=sample_seed,
                 schedule=schedule,
+                group_size=group_size,
             )
         ).result()

@@ -36,6 +36,30 @@ def check_schedule(schedule: str) -> None:
         )
 
 
+def check_coded_params(
+    size: int, redundancy: int, schedule: str, group_size: Optional[int] = None
+) -> None:
+    """Validate ``(K, r, schedule, g)``; raises :class:`ValueError` early.
+
+    CodedPlacement itself allows r = K (one file everywhere), but the
+    coded shuffle needs multicast groups of r+1 <= g nodes (``g = K``
+    ungrouped) and coding groups that tile the cluster; rejecting before
+    any cluster work keeps the error free of job-failure wrapping.
+    """
+    g = size if group_size is None else group_size
+    if group_size is not None and (g < 2 or size % g != 0):
+        raise ValueError(
+            f"group_size: must be >= 2 and divide K = {size}, got {g}"
+        )
+    if not 1 <= redundancy <= g - 1:
+        bound = "K-1" if group_size is None else "g-1"
+        raise ValueError(
+            f"redundancy must be in [1, {bound}] = [1, {g - 1}], "
+            f"got {redundancy}"
+        )
+    check_schedule(schedule)
+
+
 def parallel_schedule_meta(
     plan: "CodingPlan", per_node_times: Sequence[Dict[str, float]]
 ) -> Dict[str, object]:
@@ -94,6 +118,27 @@ class CodingPlan:
     def file_subset_for(self, group_idx: int, receiver: int) -> Subset:
         """The file subset ``M\\{receiver}`` a receiver decodes in a group."""
         return without(self.groups[group_idx], receiver)
+
+    def on(self, nodes: Sequence[int]) -> "CodingPlan":
+        """This plan with member ``m`` relabelled ``nodes[m]`` (ascending).
+
+        Group-based coding (§VI) runs one plan over ``g`` members inside
+        every coding group; relabelling puts ``groups``,
+        ``groups_of_node``, the turn list and the rounds in that group's
+        cluster ranks.  The identity relabelling returns ``self`` — the
+        ungrouped job pays nothing.
+        """
+        if tuple(nodes) == tuple(range(self.num_nodes)):
+            return self
+        return CodingPlan(
+            num_nodes=self.num_nodes,
+            redundancy=self.redundancy,
+            groups=[tuple(nodes[m] for m in grp) for grp in self.groups],
+            groups_of_node={
+                nodes[m]: idxs for m, idxs in self.groups_of_node.items()
+            },
+            schedule=[(idx, nodes[s]) for idx, s in self.schedule],
+        )
 
     # -- parallel (round) scheduling ------------------------------------------
 

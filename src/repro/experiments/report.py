@@ -151,7 +151,6 @@ def render_all(fast: bool = False, markdown: bool = False) -> str:
 def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
     """The §VI future-direction reproductions (extension pillars)."""
     from repro.kvpairs.teragen import teragen
-    from repro.scalable.sim import simulate_grouped_coded_terasort
     from repro.sim.runner import simulate_coded_terasort, simulate_terasort
     from repro.stragglers.runner import (
         render_straggler_table,
@@ -183,7 +182,9 @@ def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
     out.write("## Extension: scalable (grouped) coding (§VI, ref [24])\n\n")
     base = simulate_terasort(20, granularity="turn")
     full = simulate_coded_terasort(20, 5, granularity="turn")
-    grouped = simulate_grouped_coded_terasort(20, 10, 5, granularity="turn")
+    grouped = simulate_coded_terasort(
+        20, 5, granularity="turn", group_size=10
+    )
     rows = []
     for label, rep in (
         ("TeraSort", base),

@@ -18,17 +18,17 @@ bounded amount of communication load for an exponential CodeGen saving:
   e.g. 38,760 -> 210 per group at K=20, g=10, r=5.
 
 The communication load rises from ``(1/r)(1 - r/K)`` to ``(1/r)(1 - r/g)``
-(Eq. (2) with K -> g); the package's theory module quantifies the whole
-trade and the benchmarks locate the crossovers.
+(Eq. (2) with K -> g).
+
+This package holds only the closed forms (:mod:`repro.scalable.theory`).
+The construction itself is not a separate program: it is the
+``group_size`` field of :class:`repro.session.CodedTeraSortSpec` (and of
+``run_coded_terasort`` / ``prepare_coded_terasort``) on the one coded
+pipeline in :mod:`repro.core.coded_terasort`, and the ``group_size``
+argument of :func:`repro.sim.runner.simulate_coded_terasort` /
+:class:`repro.sim.workload.CodedWorkload` in the simulator.
 """
 
-from repro.scalable.grouping import NodeGrouping
-from repro.scalable.placement import GroupedCodedPlacement
-from repro.scalable.program import (
-    GroupedCodedTeraSortProgram,
-    run_grouped_coded_terasort,
-)
-from repro.scalable.sim import simulate_grouped_coded_terasort
 from repro.scalable.theory import (
     grouped_codegen_groups,
     grouped_comm_load,
@@ -36,11 +36,6 @@ from repro.scalable.theory import (
 )
 
 __all__ = [
-    "NodeGrouping",
-    "GroupedCodedPlacement",
-    "GroupedCodedTeraSortProgram",
-    "run_grouped_coded_terasort",
-    "simulate_grouped_coded_terasort",
     "grouped_comm_load",
     "grouped_codegen_groups",
     "grouped_vs_full",

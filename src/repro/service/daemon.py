@@ -213,9 +213,6 @@ class SortService:
             if self._closed:
                 return
             self._closed = True
-            queued = [
-                q.payload for q in self._scheduler.queued
-            ]
         try:
             # A closed listener does not wake a thread blocked in
             # accept() on Linux; shutting it down first does.
@@ -224,15 +221,21 @@ class SortService:
             pass
         self._listener.close()
         self._kick.set()
-        for record in queued:
-            with self._lock:
-                if record.state == "queued":
+        self._pool.close()
+        # Settle every record that is not terminal: still in the
+        # scheduler's queue, running (the pool fails its in-flight jobs
+        # without a completion callback), or waiting out a retry backoff
+        # (``_requeue`` drops it once closed) — so no client's ``result``
+        # poll outlives the service.
+        with self._lock:
+            self._inflight.clear()
+            for record in self._jobs.values():
+                if record.state in ("queued", "running"):
                     record.state = "failed"
                     record.error = ("shutdown", "service shut down")
                     record.finished_at = time.time()
                     self._stats.finished(record.tenant, ok=False)
                     record.done.set()
-        self._pool.close()
         for t in self._threads:
             if t is not threading.current_thread():
                 t.join(timeout=10.0)

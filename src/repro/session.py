@@ -59,11 +59,8 @@ from dataclasses import dataclass, replace
 from typing import Any, List, Optional, Sequence
 
 from repro.core.cmr import CMRRun, MapReduceJob, prepare_mapreduce
-from repro.core.coded_terasort import (
-    check_coded_params,
-    prepare_coded_terasort,
-)
-from repro.core.groups import check_schedule
+from repro.core.coded_terasort import prepare_coded_terasort
+from repro.core.groups import check_coded_params, check_schedule
 from repro.core.outofcore import MIN_MEMORY_BUDGET
 from repro.core.terasort import (
     SortRun,
@@ -291,12 +288,12 @@ class CodedTeraSortSpec(JobSpec):
 
     Attributes:
         data: the full input batch; mutually exclusive with ``input``.
-        redundancy: the computation load ``r ∈ [1, K-1]``.
+        redundancy: the computation load ``r ∈ [1, g-1]``.
         input / memory_budget / output_dir: out-of-core input descriptor,
             per-worker residency cap, and streamed-output directory — see
             :class:`TeraSortSpec`.
         batches_per_subset: input files per node subset
-            (``N = b * C(K, r)``).
+            (``N = b * C(g, r)``).
         schedule: ``"serial"`` (paper, Fig. 9(b) turns) or ``"parallel"``
             (the barrier-free event loop, packets posted in conflict-free
             round order); byte-identical output.
@@ -309,6 +306,13 @@ class CodedTeraSortSpec(JobSpec):
             with either ``schedule`` (the schedule fixes the posting
             priority) and with ``memory_budget``; output stays
             byte-identical.
+        group_size: group-based coding (§VI "Scalable Coding"): the ``K``
+            workers code inside ``K/g`` groups of ``g``, each holding the
+            whole input — CodeGen falls from ``C(K, r+1)`` to
+            ``C(g, r+1)`` groups, the load rises to ``(1/r)(1 - r/g)`` and
+            each node maps ``r/g`` of the input.  Must divide ``K``;
+            ``None`` (default) is ``g = K``.  Picks the coding plan only:
+            composes with every other field.
     """
 
     data: Optional[RecordBatch] = None
@@ -322,9 +326,12 @@ class CodedTeraSortSpec(JobSpec):
     sample_size: int = 10000
     sample_seed: int = 7
     overlap: bool = False
+    group_size: Optional[int] = None
 
     def validate(self, size: int) -> None:
-        check_coded_params(size, self.redundancy, self.schedule)
+        check_coded_params(
+            size, self.redundancy, self.schedule, self.group_size
+        )
         if self.batches_per_subset < 1:
             raise ValueError(
                 f"batches_per_subset must be >= 1, "
@@ -335,7 +342,8 @@ class CodedTeraSortSpec(JobSpec):
     def shrink_to(self, free: int) -> Optional[int]:
         # Coded geometry: (K', r) stays valid only while r <= K'-1, so
         # the smallest shrink target is r+1 workers (1604.07086's
-        # tradeoff constraint); validate() enforces the rest.
+        # tradeoff constraint); validate() enforces the rest — with a
+        # group_size, only its multiples.
         return self._shrink_by_validate(free, floor=self.redundancy + 1)
 
     def prepare(self, size: int) -> PreparedJob:
@@ -351,6 +359,7 @@ class CodedTeraSortSpec(JobSpec):
             memory_budget=self.memory_budget,
             output_dir=self.output_dir,
             overlap=self.overlap,
+            group_size=self.group_size,
         )
 
 

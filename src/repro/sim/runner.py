@@ -9,7 +9,7 @@ paper's tables), totals, and fabric telemetry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.groups import (
     build_coding_plan,
@@ -154,6 +154,7 @@ def simulate_coded_terasort(
     serial: bool = True,
     granularity: str = "transfer",
     schedule: Optional[str] = None,
+    group_size: Optional[int] = None,
 ) -> SimReport:
     """Simulate CodedTeraSort (the coded rows of Tables II-III).
 
@@ -163,6 +164,12 @@ def simulate_coded_terasort(
         n_records / cost / serial / granularity / schedule: as
             :func:`simulate_terasort` (rounds mode packs node-disjoint
             multicast groups via :func:`repro.core.groups.round_schedule`).
+        group_size: ``g`` — group-based coding (§VI): ``K/g`` coding
+            groups each run the ``(g, r)`` plan on the whole dataset.
+            Stages still synchronize cluster-wide; the serial schedule's
+            turns are per coding group, and since coding groups share no
+            NIC the fabric admits them together (it is the one serial
+            token only when there is a single group).  ``None``: ``g = K``.
 
     Returns:
         The simulated :class:`SimReport`; ``meta`` includes the group count
@@ -172,34 +179,42 @@ def simulate_coded_terasort(
     schedule = _resolve_schedule(schedule, serial, granularity)
     cost = cost or EC2CostModel.paper_calibrated()
     work = CodedWorkload(
-        num_nodes=num_nodes, redundancy=redundancy, n_records=n_records
+        num_nodes=num_nodes,
+        redundancy=redundancy,
+        n_records=n_records,
+        group_size=group_size,
     )
-    plan = build_coding_plan(num_nodes, redundancy)
-    groups_of_node: Dict[int, List[Sequence[int]]] = {
-        k: [plan.groups[g] for g in plan.groups_of_node[k]]
-        for k in range(num_nodes)
-    }
-    rounds = round_schedule(plan) if schedule == "rounds" else None
+    g = work.coding_nodes
+    member_plan = build_coding_plan(g, redundancy)
     env = Environment()
-    net = NetworkModel(env, num_nodes, cost, serial=schedule == "serial")
+    net = NetworkModel(
+        env,
+        num_nodes,
+        cost,
+        serial=schedule == "serial" and work.node_groups == 1,
+    )
     barrier = Barrier(env, num_nodes)
     table = _StageTable(num_nodes)
-    for rank in range(num_nodes):
-        env.process(
-            coded_terasort_node(
-                env,
-                rank,
-                work,
-                cost,
-                net,
-                barrier,
-                table,
-                granularity,
-                groups_of_node,
-                rounds=rounds,
-                all_groups=plan.groups,
+    for first in range(0, num_nodes, g):
+        plan = member_plan.on(range(first, first + g))
+        rounds = round_schedule(plan) if schedule == "rounds" else None
+        turn_barrier = Barrier(env, g) if schedule == "serial" else None
+        for rank in range(first, first + g):
+            env.process(
+                coded_terasort_node(
+                    env,
+                    rank,
+                    work,
+                    cost,
+                    net,
+                    barrier,
+                    table,
+                    granularity,
+                    plan,
+                    rounds=rounds,
+                    turn_barrier=turn_barrier,
+                )
             )
-        )
     env.run()
     stage_times = StageTimes.merge_max(STAGE_ORDER_CODED, table.per_node)
     return SimReport(
@@ -214,6 +229,8 @@ def simulate_coded_terasort(
             "serial": schedule == "serial",
             "schedule": schedule,
             "granularity": granularity,
+            "group_size": g,
+            "node_groups": work.node_groups,
             "num_groups": work.num_groups,
             "packet_bytes": work.packet_bytes,
             "total_multicasts": work.total_multicasts,

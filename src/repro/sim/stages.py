@@ -19,8 +19,9 @@ matching how the paper's tables report the breakdowns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.core.groups import CodingPlan
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.des import Barrier, Environment, SimGenerator
 from repro.sim.network import NetworkModel
@@ -135,17 +136,21 @@ def coded_terasort_node(
     barrier: Barrier,
     table: _StageTable,
     granularity: Granularity,
-    groups_of_node: Dict[int, List[Sequence[int]]],
+    plan: CodingPlan,
     rounds: Optional[Rounds] = None,
-    all_groups: Optional[List[Sequence[int]]] = None,
+    turn_barrier: Optional[Barrier] = None,
 ) -> SimGenerator:
     """One CodedTeraSort node: the six-stage pipeline of §V-A.
 
-    With ``rounds`` given (items are ``(group_idx, sender)``; requires
-    ``all_groups`` for the index -> members mapping), the shuffle follows
-    the conflict-free round schedule instead of the Fig. 9(b) turns.
+    ``plan`` is the coding plan of this node's coding group, in cluster
+    ranks (the whole cluster's when ungrouped); ``barrier`` synchronizes
+    stages cluster-wide, ``turn_barrier`` — the serial schedule's — hands
+    the wire from sender to sender among the plan's members only, so
+    node-disjoint coding groups shuffle concurrently (§VI group-based
+    coding).  With ``rounds`` given (items are ``(group_idx, sender)``),
+    the shuffle follows the conflict-free round schedule instead of the
+    Fig. 9(b) turns.
     """
-    k = work.num_nodes
     r = work.redundancy
 
     # CodeGen — every node builds the plan (cost ∝ number of groups).
@@ -172,21 +177,21 @@ def coded_terasort_node(
     yield barrier.wait()
 
     # Multicast shuffle — Fig. 9(b): sender turns in rank order; within a
-    # turn the sender multicasts one packet per group it belongs to.  In
-    # rounds mode, node-disjoint multicasts of a round run concurrently
-    # with a barrier between rounds.
+    # turn the sender multicasts one packet per group it belongs to; the
+    # parallel ablation drops the turn barrier.  In rounds mode,
+    # node-disjoint multicasts of a round run concurrently with a barrier
+    # between rounds.
     start = env.now
-    my_groups = groups_of_node[rank]
+    my_groups = [plan.groups[gidx] for gidx in plan.groups_of_node[rank]]
     if rounds is not None:
-        assert all_groups is not None
         for rnd in rounds:
             for gidx, sender in rnd:
                 if sender == rank:
-                    dsts = [m for m in all_groups[gidx] if m != rank]
+                    dsts = [m for m in plan.groups[gidx] if m != rank]
                     yield from net.multicast(rank, dsts, work.packet_bytes)
             yield barrier.wait()
     else:
-        for sender in range(k):
+        for sender in plan.groups_of_node:  # the members, ascending
             if sender == rank:
                 if granularity == "turn":
                     duration = len(my_groups) * cost.multicast_time(
@@ -202,8 +207,8 @@ def coded_terasort_node(
                     for group in my_groups:
                         dsts = [m for m in group if m != rank]
                         yield from net.multicast(rank, dsts, work.packet_bytes)
-            if net.serial:
-                yield barrier.wait()
+            if turn_barrier is not None:
+                yield turn_barrier.wait()
     table.record(rank, "shuffle", env.now - start)
     yield barrier.wait()
 

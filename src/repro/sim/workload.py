@@ -13,7 +13,9 @@ All byte quantities use the 100-byte record size; fractional bytes are kept
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
+from repro.core.groups import check_coded_params
 from repro.kvpairs.records import RECORD_BYTES
 from repro.utils.subsets import binomial
 
@@ -63,19 +65,36 @@ class UncodedWorkload:
 
 @dataclass(frozen=True)
 class CodedWorkload:
-    """Per-node / per-transfer quantities for CodedTeraSort at ``(K, r)``."""
+    """Per-node / per-transfer quantities for CodedTeraSort at ``(K, r)``.
+
+    With ``group_size = g`` (group-based coding, §VI) the *structure*
+    counts — files, multicast groups, packets per node — are those of a
+    coded job on ``g`` nodes, while *sizes* still divide by the ``K``
+    partitions: every coding group holds the whole dataset but reduces
+    only its own ``g`` partitions.  ``None`` is ``g = K``.
+    """
 
     num_nodes: int
     redundancy: int
     n_records: int
+    group_size: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not 1 <= self.redundancy < self.num_nodes:
-            raise ValueError(
-                f"redundancy must be in [1, K-1], got {self.redundancy}"
-            )
+        check_coded_params(
+            self.num_nodes, self.redundancy, "serial", self.group_size
+        )
 
     # -- structure -------------------------------------------------------------
+
+    @property
+    def coding_nodes(self) -> int:
+        """``g``: the nodes one coding plan spans (``K`` ungrouped)."""
+        return self.group_size or self.num_nodes
+
+    @property
+    def node_groups(self) -> int:
+        """``G = K / g`` coding groups, shuffling concurrently."""
+        return self.num_nodes // self.coding_nodes
 
     @property
     def total_bytes(self) -> float:
@@ -83,20 +102,21 @@ class CodedWorkload:
 
     @property
     def num_files(self) -> int:
-        return binomial(self.num_nodes, self.redundancy)
+        return binomial(self.coding_nodes, self.redundancy)
 
     @property
     def files_per_node(self) -> int:
-        return binomial(self.num_nodes - 1, self.redundancy - 1)
+        return binomial(self.coding_nodes - 1, self.redundancy - 1)
 
     @property
     def num_groups(self) -> int:
-        return binomial(self.num_nodes, self.redundancy + 1)
+        """Multicast groups one node's CodeGen sets up: ``C(g, r+1)``."""
+        return binomial(self.coding_nodes, self.redundancy + 1)
 
     @property
     def groups_per_node(self) -> int:
         """= packets encoded per node = files not containing the node."""
-        return binomial(self.num_nodes - 1, self.redundancy)
+        return binomial(self.coding_nodes - 1, self.redundancy)
 
     # -- sizes ---------------------------------------------------------------------
 
@@ -118,26 +138,27 @@ class CodedWorkload:
 
     @property
     def map_pairs_per_node(self) -> float:
-        """Each node hashes ``r/K`` of all records."""
-        return self.n_records * self.redundancy / self.num_nodes
+        """Each node hashes ``r/g`` of all records."""
+        return self.n_records * self.redundancy / self.coding_nodes
 
     @property
     def encode_serialize_bytes_per_node(self) -> float:
-        """Retained-for-others intermediates: ``C(K-1,r-1) (K-r)`` values."""
+        """Retained-for-others intermediates: ``C(g-1,r-1) (g-r)`` values."""
         return (
             self.files_per_node
-            * (self.num_nodes - self.redundancy)
+            * (self.coding_nodes - self.redundancy)
             * self.intermediate_bytes
         )
 
     @property
     def encode_xor_bytes_per_node(self) -> float:
-        """Segment bytes XORed: ``C(K-1,r)`` packets x r segments each."""
+        """Segment bytes XORed: ``C(g-1,r)`` packets x r segments each."""
         return self.groups_per_node * self.intermediate_bytes
 
     @property
     def total_multicasts(self) -> int:
-        return self.num_groups * (self.redundancy + 1)
+        """Cluster-wide: ``G C(g, r+1) (r+1)``."""
+        return self.node_groups * self.num_groups * (self.redundancy + 1)
 
     @property
     def multicasts_per_node(self) -> int:
@@ -145,7 +166,7 @@ class CodedWorkload:
 
     @property
     def shuffle_payload_total(self) -> float:
-        """Total multicast payload = ``D (K-r)/(K r)`` = Eq. (2) load x D."""
+        """Total multicast payload = ``D (g-r)/(g r)`` = Eq. (2) load x D."""
         return self.total_multicasts * self.packet_bytes
 
     @property

@@ -14,7 +14,7 @@ by where they spend air.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 
 @dataclass
@@ -99,11 +99,13 @@ class WirelessChannel:
             )
 
     def transmit(
-        self, src: int, receivers: Sequence[int], payload: bytes
+        self, src: int, receivers: Sequence[int], payload: Union[bytes, int]
     ) -> float:
         """One TDMA transmission; returns the airtime spent.
 
-        The direction is inferred: to the AP = ``uplink``, from the AP =
+        ``payload`` is the bytes on the air or just their count (only the
+        size is charged — replayed traffic has no bytes to show).  The
+        direction is inferred: to the AP = ``uplink``, from the AP =
         ``downlink``, user to users = ``d2d``.  Airtime is charged once
         no matter how many receivers are addressed (broadcast).
         """
@@ -121,7 +123,8 @@ class WirelessChannel:
             direction = "uplink"
         else:
             direction = "d2d"
-        seconds = self.per_tx_overhead + len(payload) / self.rate
-        self.log.add(direction, len(payload), seconds)
-        self.trace.append((src, recv, direction, len(payload)))
+        nbytes = payload if isinstance(payload, int) else len(payload)
+        seconds = self.per_tx_overhead + nbytes / self.rate
+        self.log.add(direction, nbytes, seconds)
+        self.trace.append((src, recv, direction, nbytes))
         return seconds

@@ -86,10 +86,12 @@ class TestCodedCorrectness:
 
 
 class TestCodedAccounting:
-    def test_multicast_count_matches_plan(self, thread_cluster_factory):
-        k, r = 5, 2
+    @pytest.mark.parametrize("k,r,g", [(5, 2, None), (6, 2, 3), (8, 1, 2)])
+    def test_multicast_count_matches_plan(self, k, r, g, thread_cluster_factory):
         data = teragen(3000, seed=5)
-        run = run_coded_terasort(thread_cluster_factory(k), data, redundancy=r)
+        run = run_coded_terasort(
+            thread_cluster_factory(k), data, redundancy=r, group_size=g
+        )
         assert (
             run.traffic.message_count("shuffle") == run.meta["total_multicasts"]
         )
@@ -119,15 +121,53 @@ class TestCodedAccounting:
         expected_ratio = (1 - 1 / k) / ((1 / r) * (1 - r / k))
         assert u / c == pytest.approx(expected_ratio, rel=0.10)
 
-    def test_meta_plan_statistics(self, thread_cluster_factory):
+    @pytest.mark.parametrize("schedule", ["serial", "parallel"])
+    @pytest.mark.parametrize("k,r,g", [(5, 2, None), (8, 2, 4)])
+    def test_meta_plan_statistics(self, k, r, g, schedule, thread_cluster_factory):
+        """One meaning per key in both shapes: ``num_groups`` is what one
+        node's CodeGen enumerates, ``total_multicasts`` is cluster-wide."""
         from repro.utils.subsets import binomial
 
-        k, r = 5, 2
         run = run_coded_terasort(
-            thread_cluster_factory(k), teragen(500, seed=8), redundancy=r
+            thread_cluster_factory(k), teragen(500, seed=8), redundancy=r,
+            schedule=schedule, group_size=g,
         )
-        assert run.meta["num_groups"] == binomial(k, r + 1)
-        assert run.meta["files_per_node"] == binomial(k - 1, r - 1)
+        g = g or k
+        assert (run.meta["group_size"], run.meta["node_groups"]) == (g, k // g)
+        assert run.meta["num_groups"] == binomial(g, r + 1)
+        assert run.meta["num_files"] == binomial(g, r)
+        assert run.meta["files_per_node"] == binomial(g - 1, r - 1)
+        assert run.meta["schedule_turns"] == binomial(g, r + 1) * (r + 1)
+        assert run.meta["total_multicasts"] == (
+            (k // g) * binomial(g, r + 1) * (r + 1)
+        )
+        assert ("schedule_rounds" in run.meta) == (schedule == "parallel")
+
+    @pytest.mark.parametrize("schedule", ["serial", "parallel"])
+    def test_group_size_k_is_the_ungrouped_job(
+        self, schedule, thread_cluster_factory
+    ):
+        """``g = K`` is bit for bit ``group_size=None``: same partitions,
+        same frames on the wire."""
+        k, r = 6, 2
+        data = teragen(3000, seed=10)
+        plain, whole = [
+            run_coded_terasort(
+                thread_cluster_factory(k), data, redundancy=r,
+                schedule=schedule, group_size=g,
+            )
+            for g in (None, k)
+        ]
+        assert [p.to_bytes() for p in whole.partitions] == [
+            p.to_bytes() for p in plain.partitions
+        ]
+        assert sorted(whole.traffic.records, key=repr) == sorted(
+            plain.traffic.records, key=repr
+        )
+        drop = ("kernel_stats", "shuffle_span_seconds")
+        assert {k_: v for k_, v in whole.meta.items() if k_ not in drop} == {
+            k_: v for k_, v in plain.meta.items() if k_ not in drop
+        }
 
     def test_stage_breakdown_has_six_stages(self, thread_cluster_factory):
         run = run_coded_terasort(

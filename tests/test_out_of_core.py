@@ -73,8 +73,11 @@ def source():
 @pytest.fixture(scope="module")
 def reference(source):
     """In-memory runs to compare against (per algorithm/schedule)."""
+    with Session(ThreadCluster(6)) as session:
+        wide = session.run(TeraSortSpec(input=source))
     with Session(ThreadCluster(4)) as session:
         return {
+            "terasort-k6": wide,  # the grouped cells run (K, g) = (6, 3)
             "terasort": session.run(TeraSortSpec(input=source)),
             "serial": session.run(
                 CodedTeraSortSpec(input=source, redundancy=2)
@@ -109,22 +112,26 @@ class TestBoundedMemorySorts:
         )
         assert n == N_RECORDS
 
+    @pytest.mark.parametrize("k,group_size", [(4, None), (6, 3)])
     @pytest.mark.parametrize("schedule", ["serial", "parallel"])
     def test_coded_8x_budget_both_schedules(
-        self, source, reference, schedule, tmp_path
+        self, source, reference, schedule, k, group_size, tmp_path
     ):
         before = _spill_dirs()
-        with Session(ThreadCluster(4)) as session:
+        with Session(ThreadCluster(k)) as session:
             run = session.run(
                 CodedTeraSortSpec(
                     input=source,
                     redundancy=2,
+                    group_size=group_size,
                     schedule=schedule,
                     memory_budget=BUDGET,
                     output_dir=str(tmp_path / "out"),
                 )
             )
-        _assert_identical(reference[schedule], run)
+        _assert_identical(
+            reference[schedule if group_size is None else "terasort-k6"], run
+        )
         assert 0 < run.meta["oc_peak_resident_bytes"] <= BUDGET
         assert run.meta["oc_spill_runs"] > 0
         assert _spill_dirs() == before

@@ -9,6 +9,10 @@ contract is that it never changes a single output byte:
   planes), the overlapped output equals the staged output byte for byte;
 * an injected map crash under ``$REPRO_FAULT_PLAN`` retries an
   overlapped job byte-identically;
+* the same cells with group-based coding (``group_size``): schedule ×
+  overlap × memory plane on inproc and proc, one TCP cell, one retried
+  map crash — equal to the uncoded sort and, on the wire, to what the
+  deleted ``run_grouped_coded_terasort`` sent;
 * overlap and speculation are mutually exclusive and rejected
   synchronously (spec validation and the CLI);
 * the run meta reports the overlap span and the hidden-communication
@@ -18,6 +22,7 @@ contract is that it never changes a single output byte:
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 
 import pytest
@@ -42,7 +47,7 @@ def no_plan(monkeypatch):
     return monkeypatch
 
 
-def _specs(data, k, r, overlap, memory_budget=None):
+def _specs(data, k, r, overlap, memory_budget=None, group_size=None):
     """One spec per lane: uncoded, coded serial, coded parallel."""
     return {
         "uncoded": TeraSortSpec(
@@ -54,6 +59,7 @@ def _specs(data, k, r, overlap, memory_budget=None):
             schedule="serial",
             overlap=overlap,
             memory_budget=memory_budget,
+            group_size=group_size,
         ),
         "coded-parallel": CodedTeraSortSpec(
             data=data,
@@ -61,8 +67,50 @@ def _specs(data, k, r, overlap, memory_budget=None):
             schedule="parallel",
             overlap=overlap,
             memory_budget=memory_budget,
+            group_size=group_size,
         ),
     }
+
+
+#: The grouped shape every backend runs: (K, g, r), its input, and the
+#: shuffle (messages, load bytes) the deleted ``scalable/program.py`` put
+#: on the wire for it — G * C(g, r+1) * (r+1) = 2 * 4 * 3 packets.
+GROUPED_K, GROUPED_G, GROUPED_R = 8, 4, 2
+GROUPED_WIRE = (24, 107_596)
+
+
+def _grouped_data():
+    return teragen(4000, seed=19)
+
+
+def _run_grouped_cells(session):
+    """Every grouped cell of one backend against the uncoded sort."""
+    data = _grouped_data()
+    reference = _bytes(session.submit(TeraSortSpec(data=data)).result())
+    for memory_budget in (None, 8 * 1024 * 1024):
+        for overlap in (False, True):
+            specs = _specs(
+                data, GROUPED_K, GROUPED_R, overlap, memory_budget, GROUPED_G
+            )
+            for lane in ("coded-serial", "coded-parallel"):
+                run = session.submit(specs[lane]).result()
+                cell = (lane, overlap, memory_budget)
+                assert _bytes(run) == reference, cell
+                _assert_grouped_wire(run, cell)
+                if memory_budget is not None:
+                    assert (
+                        run.meta["oc_peak_resident_bytes"] <= memory_budget
+                    ), cell
+
+
+def _assert_grouped_wire(run, cell=None):
+    traffic = run.traffic
+    assert (
+        traffic.message_count("shuffle"),
+        traffic.load_bytes("shuffle"),
+    ) == GROUPED_WIRE, cell
+    assert run.meta["total_multicasts"] == GROUPED_WIRE[0]
+    assert (run.meta["group_size"], run.meta["node_groups"]) == (GROUPED_G, 2)
 
 
 class TestByteIdentityInproc:
@@ -103,6 +151,10 @@ class TestByteIdentityInproc:
             assert overlapped.meta["oc_peak_resident_bytes"] <= budget, lane
             assert overlapped.meta["overlap"]["span_seconds"] > 0.0
 
+    def test_grouped_cells(self, thread_cluster_factory):
+        with Session(thread_cluster_factory(GROUPED_K)) as s:
+            _run_grouped_cells(s)
+
 
 class TestByteIdentityProcess:
     """Real multiprocessing workers: one (K, r), all three lanes."""
@@ -128,13 +180,49 @@ class TestByteIdentityProcess:
     def test_out_of_core_overlap_under_8mib(self):
         self.test_overlap_matches_staged(memory_budget=8 * 1024 * 1024)
 
+    def test_grouped_cells(self):
+        with Session(ProcessCluster(GROUPED_K, timeout=120)) as s:
+            _run_grouped_cells(s)
+
+
+@contextlib.contextmanager
+def _tcp_session(k):
+    """A Session over a localhost TCP mesh of ``k`` worker processes."""
+    from repro.runtime.tcp import TcpCluster, run_worker
+
+    with TcpCluster(
+        k, "tcp://127.0.0.1:0", timeout=120, connect_timeout=60
+    ) as cluster:
+        procs = [
+            _CTX.Process(
+                target=run_worker,
+                kwargs=dict(
+                    join=cluster.address,
+                    quiet=True,
+                    connect_timeout=30.0,
+                    handshake_timeout=30.0,
+                ),
+                daemon=True,
+            )
+            for _ in range(k)
+        ]
+        for p in procs:
+            p.start()
+        try:
+            with Session(cluster) as session:
+                yield session
+        finally:
+            for p in procs:
+                p.join(15.0)
+                if p.is_alive():  # pragma: no cover - defensive
+                    p.terminate()
+                    p.join()
+
 
 class TestByteIdentityTcp:
     """Localhost TCP mesh: overlapped == staged for uncoded + coded."""
 
     def test_overlap_matches_staged(self, memory_budget=None):
-        from repro.runtime.tcp import TcpCluster, run_worker
-
         k, r = 4, 1
         data = teragen(3000, seed=400)
 
@@ -146,34 +234,9 @@ class TestByteIdentityTcp:
             ]
             return [h.result() for h in handles]
 
-        with TcpCluster(
-            k, "tcp://127.0.0.1:0", timeout=120, connect_timeout=60
-        ) as cluster:
-            procs = [
-                _CTX.Process(
-                    target=run_worker,
-                    kwargs=dict(
-                        join=cluster.address,
-                        quiet=True,
-                        connect_timeout=30.0,
-                        handshake_timeout=30.0,
-                    ),
-                    daemon=True,
-                )
-                for _ in range(k)
-            ]
-            for p in procs:
-                p.start()
-            try:
-                with Session(cluster) as session:
-                    staged = submit_all(session, False)
-                    overlapped = submit_all(session, True)
-            finally:
-                for p in procs:
-                    p.join(15.0)
-                    if p.is_alive():  # pragma: no cover - defensive
-                        p.terminate()
-                        p.join()
+        with _tcp_session(k) as session:
+            staged = submit_all(session, False)
+            overlapped = submit_all(session, True)
         for st, ov in zip(staged, overlapped):
             assert _bytes(ov) == _bytes(st)
             assert ov.meta["overlap"]["span_seconds"] > 0.0
@@ -182,6 +245,17 @@ class TestByteIdentityTcp:
 
     def test_out_of_core_overlap_under_8mib(self):
         self.test_overlap_matches_staged(memory_budget=8 * 1024 * 1024)
+
+    def test_grouped_cell(self):
+        data = _grouped_data()
+        specs = _specs(data, GROUPED_K, GROUPED_R, True, None, GROUPED_G)
+        with _tcp_session(GROUPED_K) as session:
+            reference, run = [
+                session.submit(specs[lane]).result()
+                for lane in ("uncoded", "coded-parallel")
+            ]
+        assert _bytes(run) == _bytes(reference)
+        _assert_grouped_wire(run)
 
 
 class TestOverlapWithFaults:
@@ -204,6 +278,29 @@ class TestOverlapWithFaults:
         assert len(handle.attempts) == 2
         assert handle.attempts[0].error is not None
         assert handle.attempts[1].error is None
+
+    def test_grouped_map_crash_retried_byte_identical(self, no_plan):
+        data = _grouped_data()
+        with Session(ProcessCluster(GROUPED_K, timeout=60)) as s:
+            reference = _bytes(
+                s.submit(TeraSortSpec(data=data)).result(timeout=60)
+            )
+        # Rank 5 = member 1 of the second coding group.
+        no_plan.setenv(ENV_VAR, "stage.crash,rank=5,stage=map,job_lt=1")
+        with Session(
+            ProcessCluster(GROUPED_K, timeout=60),
+            max_retries=1,
+            retry_backoff=0.05,
+        ) as s:
+            handle = s.submit(
+                _specs(data, GROUPED_K, GROUPED_R, False, None, GROUPED_G)[
+                    "coded-parallel"
+                ]
+            )
+            run = handle.result(timeout=60)
+        assert _bytes(run) == reference
+        _assert_grouped_wire(run)
+        assert [a.error is None for a in handle.attempts] == [False, True]
 
 
 class TestValidation:

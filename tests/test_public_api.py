@@ -67,7 +67,7 @@ def test_session_surface_names():
 
 def test_extension_entry_points():
     data = repro.teragen(2000, seed=2)
-    grouped = repro.run_grouped_coded_terasort(
+    grouped = repro.run_coded_terasort(
         repro.ThreadCluster(4), data, redundancy=1, group_size=2
     )
     repro.validate_sorted_permutation(data, grouped.partitions)

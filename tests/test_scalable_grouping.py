@@ -1,125 +1,96 @@
-"""Tests for node grouping and grouped placement."""
+"""Group-based coding as a parameter: placement replication, plan
+relabelling, validation by name, shrink-to-fit targets."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from repro.core.coded_terasort import prepare_coded_terasort
+from repro.core.groups import build_coding_plan, check_coded_params
 from repro.kvpairs.teragen import teragen
-from repro.scalable.grouping import NodeGrouping
-from repro.scalable.placement import GroupedCodedPlacement
+from repro.session import CodedTeraSortSpec
 from repro.utils.subsets import binomial
 
 
-class TestNodeGrouping:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NodeGrouping(num_nodes=8, group_size=1)
-        with pytest.raises(ValueError):
-            NodeGrouping(num_nodes=2, group_size=4)
-        with pytest.raises(ValueError):
-            NodeGrouping(num_nodes=10, group_size=4)  # 4 does not divide 10
-
-    def test_basic_structure(self):
-        grouping = NodeGrouping(num_nodes=12, group_size=4)
-        assert grouping.num_groups == 3
-        assert grouping.members(0) == (0, 1, 2, 3)
-        assert grouping.members(2) == (8, 9, 10, 11)
-        assert grouping.group_of(5) == 1
-        assert grouping.member_index(5) == 1
-        assert grouping.groupmates(5) == [4, 5, 6, 7]
-
-    def test_to_global(self):
-        grouping = NodeGrouping(num_nodes=8, group_size=4)
-        assert grouping.to_global(1, (0, 2)) == (4, 6)
-        with pytest.raises(ValueError):
-            grouping.to_global(1, (0, 4))  # member index out of range
-        with pytest.raises(ValueError):
-            grouping.members(2)
-
-    def test_node_range_checks(self):
-        grouping = NodeGrouping(num_nodes=6, group_size=3)
-        with pytest.raises(ValueError):
-            grouping.group_of(6)
-        with pytest.raises(ValueError):
-            grouping.member_index(-1)
-
-    @settings(max_examples=40)
-    @given(g=st.integers(2, 8), num_groups=st.integers(1, 6))
-    def test_partition_property(self, g, num_groups):
-        """Groups tile the rank space exactly."""
-        grouping = NodeGrouping(num_nodes=g * num_groups, group_size=g)
-        seen = []
-        for j in range(grouping.num_groups):
-            seen.extend(grouping.members(j))
-        assert seen == list(range(g * num_groups))
-        for node in range(g * num_groups):
-            assert node in grouping.members(grouping.group_of(node))
-            m = grouping.member_index(node)
-            assert grouping.members(grouping.group_of(node))[m] == node
+def test_placement_replicated_per_group():
+    """Rank ``j*g + m`` holds what rank ``m`` holds, subsets translated."""
+    k, g, r = 8, 4, 2
+    data = teragen(600, seed=0)
+    job = prepare_coded_terasort(k, data, r, group_size=g)
+    files = [payload[0] for payload in job.payloads]
+    subsets = [payload[1] for payload in job.payloads]
+    assert all(payload[-1] == g for payload in job.payloads)
+    for m in range(g):
+        # C(g-1, r-1) files per node: r/g of the input, not r/K.
+        assert len(files[m]) == binomial(g - 1, r - 1)
+        for j in range(k // g):
+            rank = j * g + m
+            assert list(files[rank]) == list(files[m])
+            for fid in files[m]:
+                assert files[rank][fid] is files[m][fid]
+                assert subsets[rank][fid] == tuple(
+                    j * g + x for x in subsets[m][fid]
+                )
+                assert rank in subsets[rank][fid]
+    # Every coding group stores every file, on r of its members.
+    num_files = binomial(g, r)
+    for j in range(k // g):
+        members = range(j * g, (j + 1) * g)
+        for fid in range(num_files):
+            assert sum(fid in files[n] for n in members) == r
+    distinct = {fid: src for n in range(g) for fid, src in files[n].items()}
+    assert sum(src.num_records for src in distinct.values()) == len(data)
 
 
-class TestGroupedPlacement:
-    def test_validation(self):
-        grouping = NodeGrouping(num_nodes=8, group_size=4)
-        with pytest.raises(ValueError):
-            GroupedCodedPlacement(grouping, redundancy=0)
-        with pytest.raises(ValueError):
-            GroupedCodedPlacement(grouping, redundancy=4)  # r = g invalid
+def test_plan_relabelling():
+    plan = build_coding_plan(4, 2)
+    assert plan.on(range(4)) is plan  # identity: no per-job copy
+    moved = plan.on((4, 5, 6, 7))
+    assert moved.groups == [tuple(4 + m for m in grp) for grp in plan.groups]
+    assert moved.groups_of_node == {
+        4 + m: idxs for m, idxs in plan.groups_of_node.items()
+    }
+    assert moved.schedule == [(i, 4 + s) for i, s in plan.schedule]
+    assert [
+        [(i, s - 4) for i, s in rnd] for rnd in moved.rounds_for("parallel")
+    ] == plan.rounds_for("parallel")
 
-    def test_file_count_and_storage(self):
-        grouping = NodeGrouping(num_nodes=12, group_size=4)
-        placement = GroupedCodedPlacement(grouping, redundancy=2)
-        assert placement.num_files == binomial(4, 2)
-        assert placement.files_per_node() == binomial(3, 1)
-        assert placement.node_storage_bytes(1000) == pytest.approx(500.0)
 
-    def test_every_group_stores_every_file(self):
-        grouping = NodeGrouping(num_nodes=8, group_size=4)
-        placement = GroupedCodedPlacement(grouping, redundancy=2)
-        data = teragen(600, seed=0)
-        assignments = placement.place(data)
-        for fa in assignments:
-            assert len(fa.global_subsets) == 2
-            for j, subset in enumerate(fa.global_subsets):
-                assert all(grouping.group_of(n) == j for n in subset)
-                assert len(subset) == 2
-
-    def test_views_cover_input_once_per_group(self):
-        grouping = NodeGrouping(num_nodes=8, group_size=4)
-        placement = GroupedCodedPlacement(grouping, redundancy=2)
-        data = teragen(600, seed=1)
-        assignments = placement.place(data)
-        views = placement.per_node_views(assignments)
-        # Within one group, each file appears on exactly r nodes.
-        for fa in assignments:
-            holders = [n for n in range(8) if fa.file_id in views[n]]
-            assert len(holders) == 2 * 2  # r per group x G groups
-        # Every node stores files_per_node files.
-        for node in range(8):
-            assert len(views[node]) == placement.files_per_node()
-
-    def test_placement_covers_all_records(self):
-        grouping = NodeGrouping(num_nodes=6, group_size=3)
-        placement = GroupedCodedPlacement(grouping, redundancy=2)
-        data = teragen(100, seed=2)
-        assignments = placement.place(data)
-        total = sum(len(fa.data) for fa in assignments)
-        assert total == 100
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        g=st.integers(2, 6),
-        num_groups=st.integers(1, 3),
-        data_obj=st.data(),
+class TestValidationByName:
+    @pytest.mark.parametrize(
+        "k,g", [(6, 4), (8, 1), (4, 8), (6, 0)]
     )
-    def test_subset_structure_property(self, g, num_groups, data_obj):
-        r = data_obj.draw(st.integers(1, g - 1))
-        grouping = NodeGrouping(num_nodes=g * num_groups, group_size=g)
-        placement = GroupedCodedPlacement(grouping, redundancy=r)
-        assert placement.num_files == binomial(g, r)
-        for f in range(placement.num_files):
-            subset = placement.member_subset_of_file(f)
-            assert len(subset) == r
-            assert all(0 <= m < g for m in subset)
+    def test_bad_group_size(self, k, g):
+        spec = CodedTeraSortSpec(data=teragen(10), redundancy=1, group_size=g)
+        for call in (
+            lambda: spec.validate(k),
+            lambda: prepare_coded_terasort(k, teragen(10), 1, group_size=g),
+            lambda: check_coded_params(k, 1, "serial", g),
+        ):
+            with pytest.raises(ValueError, match=r"^group_size: "):
+                call()
+
+    @pytest.mark.parametrize("r", [0, 3, 4])
+    def test_redundancy_bounded_by_group(self, r):
+        spec = CodedTeraSortSpec(data=teragen(10), redundancy=r, group_size=3)
+        for call in (
+            lambda: spec.validate(6),
+            lambda: prepare_coded_terasort(6, teragen(10), r, group_size=3),
+        ):
+            with pytest.raises(
+                ValueError, match=r"redundancy must be in \[1, g-1\] = \[1, 2\]"
+            ):
+                call()
+
+    def test_ungrouped_text_unchanged(self):
+        with pytest.raises(
+            ValueError, match=r"redundancy must be in \[1, K-1\] = \[1, 3\]"
+        ):
+            CodedTeraSortSpec(data=teragen(10), redundancy=4).validate(4)
+
+
+def test_shrink_lands_on_multiples_of_group_size():
+    spec = CodedTeraSortSpec(data=teragen(10), redundancy=2, group_size=3)
+    assert [spec.shrink_to(f) for f in range(1, 10)] == [
+        None, None, 3, 3, 3, 6, 6, 6, 9,
+    ]

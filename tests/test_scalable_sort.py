@@ -10,8 +10,7 @@ from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.scalable.program import run_grouped_coded_terasort
-from repro.scalable.sim import GroupedWorkload, simulate_grouped_coded_terasort
+from repro.core.coded_terasort import run_coded_terasort
 from repro.scalable.theory import (
     grouped_codegen_groups,
     grouped_comm_load,
@@ -19,6 +18,7 @@ from repro.scalable.theory import (
     grouped_vs_full,
 )
 from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.workload import CodedWorkload
 
 
 def cluster(k):
@@ -32,21 +32,21 @@ class TestFunctionalCorrectness:
     )
     def test_sorts_correctly(self, k, g, r):
         data = teragen(4000, seed=k * 10 + r)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(k), data, redundancy=r, group_size=g
         )
         validate_sorted_permutation(data, run.partitions)
 
     def test_skewed_keys(self):
         data = teragen_skewed(5000, seed=1)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(6), data, redundancy=2, group_size=3
         )
         validate_sorted_permutation(data, run.partitions)
 
     def test_empty_input(self):
         data = teragen(0)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(4), data, redundancy=1, group_size=2
         )
         assert sum(len(p) for p in run.partitions) == 0
@@ -54,26 +54,26 @@ class TestFunctionalCorrectness:
     def test_single_group_equals_plain_coded_load(self):
         """G=1 degenerates to plain CodedTeraSort structure."""
         data = teragen(6000, seed=4)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(5), data, redundancy=2, group_size=5
         )
         validate_sorted_permutation(data, run.partitions)
-        assert run.meta["num_groups"] == 1
+        assert run.meta["node_groups"] == 1
 
     def test_invalid_params(self):
         data = teragen(100)
         with pytest.raises(ValueError):
-            run_grouped_coded_terasort(
+            run_coded_terasort(
                 cluster(6), data, redundancy=2, group_size=4
             )  # 4 does not divide 6
         with pytest.raises(ValueError):
-            run_grouped_coded_terasort(
+            run_coded_terasort(
                 cluster(6), data, redundancy=3, group_size=3
             )  # r = g
 
     def test_batched_subsets(self):
         data = teragen(4800, seed=5)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(6), data, redundancy=2, group_size=3,
             batches_per_subset=2,
         )
@@ -95,7 +95,7 @@ class TestFunctionalCorrectness:
     def test_sort_property(self, num_groups, g, seed, n, data_obj):
         r = data_obj.draw(st.integers(1, g - 1))
         data = teragen(n, seed=seed)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(num_groups * g), data, redundancy=r, group_size=g
         )
         validate_sorted_permutation(data, run.partitions)
@@ -105,7 +105,7 @@ class TestLoadAccounting:
     def test_load_matches_grouped_theory(self):
         k, g, r, n = 8, 4, 2, 40_000
         data = teragen(n, seed=6)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(k), data, redundancy=r, group_size=g
         )
         payload = run.traffic.load_bytes("shuffle")
@@ -121,11 +121,9 @@ class TestLoadAccounting:
         0.125 — grouping trades exactly a K/g = 2x load factor for its
         CodeGen/concurrency wins.
         """
-        from repro.core.coded_terasort import run_coded_terasort
-
         n = 30_000
         data = teragen(n, seed=7)
-        grouped = run_grouped_coded_terasort(
+        grouped = run_coded_terasort(
             cluster(8), data, redundancy=2, group_size=4
         )
         full = run_coded_terasort(cluster(8), data, redundancy=4)
@@ -136,7 +134,7 @@ class TestLoadAccounting:
 
     def test_multicast_count(self):
         data = teragen(3000, seed=8)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(8), data, redundancy=2, group_size=4
         )
         assert (
@@ -178,37 +176,37 @@ class TestTheory:
 class TestSimulator:
     def test_workload_validation(self):
         with pytest.raises(ValueError):
-            GroupedWorkload(10, 4, 2, 1000)  # 4 does not divide 10
+            CodedWorkload(10, 2, 1000, 4)  # 4 does not divide 10
         with pytest.raises(ValueError):
-            GroupedWorkload(8, 4, 4, 1000)  # r = g
+            CodedWorkload(8, 4, 1000, 4)  # r = g
 
     def test_workload_payload_matches_theory(self):
-        work = GroupedWorkload(20, 10, 5, 120_000_000)
+        work = CodedWorkload(20, 5, 120_000_000, 10)
         assert work.shuffle_payload_total == pytest.approx(
             grouped_comm_load(5, 10) * work.total_bytes
         )
 
     def test_sim_payload_equals_workload(self):
-        rep = simulate_grouped_coded_terasort(8, 4, 2, n_records=1_000_000)
-        work = GroupedWorkload(8, 4, 2, 1_000_000)
+        rep = simulate_coded_terasort(8, 2, n_records=1_000_000, group_size=4)
+        work = CodedWorkload(8, 2, 1_000_000, 4)
         assert rep.shuffle_payload_bytes == pytest.approx(
             work.shuffle_payload_total
         )
 
     def test_groups_shuffle_concurrently(self):
         """Doubling the group count must not slow the shuffle stage."""
-        one = simulate_grouped_coded_terasort(8, 8, 3, n_records=4_000_000)
+        one = simulate_coded_terasort(8, 3, n_records=4_000_000, group_size=8)
         # Same total data, two concurrent groups, same g is impossible;
         # compare per-group payloads instead: 2 groups of 8 on 16 nodes
         # move half the data each, concurrently -> shuffle halves.
-        two = simulate_grouped_coded_terasort(16, 8, 3, n_records=4_000_000)
+        two = simulate_coded_terasort(16, 3, n_records=4_000_000, group_size=8)
         assert two.stage_times["shuffle"] == pytest.approx(
             one.stage_times["shuffle"] / 2, rel=0.05
         )
 
     def test_beats_full_coded_at_k20_r5(self):
         """The §VI scalability claim, quantified at the paper's config."""
-        grouped = simulate_grouped_coded_terasort(20, 10, 5)
+        grouped = simulate_coded_terasort(20, 5, group_size=10)
         full = simulate_coded_terasort(20, 5, granularity="turn")
         base = simulate_terasort(20, granularity="turn")
         assert grouped.total_time < full.total_time
@@ -218,9 +216,55 @@ class TestSimulator:
         # End-to-end speedup over TeraSort well above the paper's 2.2x.
         assert base.total_time / grouped.total_time > 4.0
 
+    def test_pinned_against_the_deleted_grouped_simulator(self):
+        rep = simulate_coded_terasort(
+            20, 5, group_size=10, granularity="turn"
+        )
+        assert rep.total_time == 123.07586523953452
+        assert (rep.meta["group_size"], rep.meta["node_groups"]) == (10, 2)
+        assert rep.meta["num_groups"] == 210  # C(10, 6), per coding group
+        assert rep.meta["total_multicasts"] == 2 * 210 * 6
+        # ... and the ungrouped row it is compared with has not moved.
+        full = simulate_coded_terasort(20, 5, granularity="turn")
+        assert full.total_time == 441.6119185989754
+
+    @pytest.mark.parametrize("granularity", ["transfer", "turn"])
+    @pytest.mark.parametrize("k,r", [(6, 2), (8, 3)])
+    def test_group_size_k_is_the_ungrouped_simulation(self, k, r, granularity):
+        plain, whole = [
+            simulate_coded_terasort(
+                k, r, n_records=4_000_000, granularity=granularity,
+                group_size=g,
+            )
+            for g in (None, k)
+        ]
+        assert whole.row() == plain.row()  # exact, not approx
+        assert whole.transfers == plain.transfers
+        assert whole.meta == plain.meta
+
+    @pytest.mark.parametrize("schedule", ["parallel", "rounds"])
+    def test_grouped_other_schedules(self, schedule):
+        """Every schedule mode takes ``group_size``: same transfers, same
+        payload; conflict-free rounds are never slower than serial turns
+        (the contended ``parallel`` fabric may be: arrivals never overtake
+        waiters in ``MultiLock``, across coding groups too)."""
+        serial = simulate_coded_terasort(8, 2, n_records=1_000_000, group_size=4)
+        other = simulate_coded_terasort(
+            8, 2, n_records=1_000_000, group_size=4, schedule=schedule
+        )
+        assert other.shuffle_payload_bytes == pytest.approx(
+            serial.shuffle_payload_bytes
+        )
+        assert other.transfers == serial.transfers == 24
+        if schedule == "rounds":
+            assert (
+                other.stage_times["shuffle"]
+                <= serial.stage_times["shuffle"] * (1 + 1e-9)
+            )
+
     def test_map_cost_is_the_price(self):
         """Grouped Map does K/g times more hashing per node."""
-        grouped = simulate_grouped_coded_terasort(20, 10, 5)
+        grouped = simulate_coded_terasort(20, 5, group_size=10)
         full = simulate_coded_terasort(20, 5, granularity="turn")
         assert grouped.stage_times["map"] == pytest.approx(
             2 * full.stage_times["map"], rel=0.01
@@ -233,10 +277,10 @@ class TestFunctionalSimCrossCheck:
     def test_measured_payload_matches_workload_model(self):
         k, g, r, n = 8, 4, 2, 40_000
         data = teragen(n, seed=11)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(k), data, redundancy=r, group_size=g
         )
-        work = GroupedWorkload(k, g, r, n)
+        work = CodedWorkload(k, r, n, g)
         measured = run.traffic.load_bytes("shuffle")
         # Functional payload sits within header overhead of the model.
         assert measured >= work.shuffle_payload_total
@@ -245,10 +289,10 @@ class TestFunctionalSimCrossCheck:
     def test_multicast_counts_agree(self):
         k, g, r = 9, 3, 2
         data = teragen(9000, seed=12)
-        run = run_grouped_coded_terasort(
+        run = run_coded_terasort(
             cluster(k), data, redundancy=r, group_size=g
         )
-        work = GroupedWorkload(k, g, r, 9000)
+        work = CodedWorkload(k, r, 9000, g)
         assert run.traffic.message_count("shuffle") == work.total_multicasts
-        sim = simulate_grouped_coded_terasort(k, g, r, n_records=9000)
+        sim = simulate_coded_terasort(k, r, n_records=9000, group_size=g)
         assert sim.transfers >= work.total_multicasts  # + barrier-free holds

@@ -234,6 +234,52 @@ def test_quota_rejection_stats_and_shutdown(no_plan):
             _reap(procs)
 
 
+def test_close_settles_a_running_job_for_its_long_polling_client(no_plan):
+    """A closing service completes its running jobs' records: the pool
+    fails them without a completion callback, so ``close()`` itself must
+    — otherwise a client blocked in ``result`` waits out its whole poll
+    on a record that stays ``running`` forever."""
+    no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=20,job_lt=1")
+    data = teragen(800, seed=97)
+    with TcpCluster(
+        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    ) as cluster:
+        procs = _spawn_workers(cluster.address, 2)
+        try:
+            service = SortService(cluster)
+            service.start()
+            client = ServiceClient(service.control_address)
+            handle = client.submit(TeraSortSpec(data=data), workers=2)
+            _wait_state(client, handle.job_id, "running")
+            outcome = []
+
+            def poll():
+                try:
+                    outcome.append(handle.result(timeout=2))
+                except BaseException as exc:  # noqa: BLE001
+                    outcome.append(exc)
+
+            poller = threading.Thread(target=poll)
+            poller.start()
+            time.sleep(0.2)  # the long poll is parked on the record
+            started = time.monotonic()
+            service.close()
+            elapsed = time.monotonic() - started
+            poller.join(5.0)
+            assert elapsed < 1.0, f"close() took {elapsed:.2f}s"
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], RuntimeError)
+            assert not isinstance(outcome[0], TimeoutError)
+            assert "shut down" in str(outcome[0])
+            row = service.describe_jobs(handle.job_id)[0]
+            assert (row["state"], row["error"][0]) == ("failed", "shutdown")
+            assert service.stats().jobs_failed == 1  # counted once
+        finally:
+            for p in procs:  # held in a 20 s map delay: do not wait it out
+                p.terminate()
+            _reap(procs)
+
+
 def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
     """``close()`` must not sit out a join on a thread stuck in
     ``accept()`` (a closed listener does not wake it; a shut-down one

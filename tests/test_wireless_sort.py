@@ -85,6 +85,46 @@ class TestCorrectness:
 
 
 class TestAirtimeLoads:
+    @pytest.mark.parametrize(
+        "k,protocol,g,nbytes,transmissions",
+        [
+            (6, "d2d", None, 688_140, {"d2d": 60}),
+            (6, "edge", None, 1_376_280, {"uplink": 60, "downlink": 60}),
+            (6, "uncoded", None, 2_658_600, {"uplink": 60, "downlink": 60}),
+            (8, "d2d", 4, 511_696, {"d2d": 24}),
+        ],
+    )
+    def test_airtime_pinned_from_the_sequential_bodies(
+        self, k, protocol, g, nbytes, transmissions
+    ):
+        """The live run replayed on the channel spends exactly the air
+        the deleted in-process sessions did, in a thread-race-free order."""
+        data = teragen(20_000, seed=5)
+        first, again = [
+            run_wireless_sort(
+                data, k, 2, protocol=protocol, group_size=g,
+                channel=WirelessChannel(k),
+            )
+            for _ in range(2)
+        ]
+        validate_sorted_permutation(data, first.partitions)
+        assert first.airtime.total_bytes == nbytes
+        assert first.airtime.transmissions == transmissions
+        assert again.airtime.airtime_s == first.airtime.airtime_s
+
+    def test_replay_is_in_schedule_order(self):
+        """Turn by turn (sender member index, then multicast group), the
+        node-disjoint coding groups interleaved within a turn."""
+        channel = WirelessChannel(8)
+        run_wireless_sort(teragen(2000, seed=1), 8, 2, group_size=4, channel=channel)
+        senders = [src for src, _, _, _ in channel.trace]
+        assert senders == [
+            4 * j + m for m in range(4) for _ in range(3) for j in range(2)
+        ]
+        for src, receivers, direction, _ in channel.trace:
+            assert direction == "d2d" and len(receivers) == 2
+            assert {n // 4 for n in (src, *receivers)} == {src // 4}
+
     def test_d2d_matches_theory(self):
         n = 30_000
         data = teragen(n, seed=4)
