@@ -1,7 +1,7 @@
 """Bench-regression gate: compare bench JSON against committed baselines.
 
 What CI runs after the ``bench_* --quick`` smokes (``bench_datapath``,
-``bench_merge_kernels``, ...): each throughput metric in the fresh JSON
+``bench_overlap``, ...): each throughput metric in the fresh JSON
 is compared against the committed baseline in ``results/``, and the job
 **fails if any metric regressed by more than the threshold** (default
 30%, the acceptance bar).  Improvements and noise above the floor pass
@@ -14,8 +14,8 @@ gated here: the perf ledger's ``small-jobs`` workload
 Usage::
 
     python benchmarks/check_regression.py --kind datapath --current datapath.json
-    python benchmarks/check_regression.py --kind merge_kernels \
-        --current merge_kernels.json --threshold 0.30
+    python benchmarks/check_regression.py --kind overlap \
+        --current overlap.json --threshold 0.30
 
 Refreshing baselines (after an intentional perf change, or to re-anchor
 to a new runner class)::
@@ -71,14 +71,6 @@ MANIFEST: Dict[str, List[Tuple[str, str]]] = {
          "(100 Mbps-paced mesh)"),
         ("coded.speedup",
          "streaming-overlap speedup over the staged coded sort"),
-    ],
-    "merge_kernels": [
-        ("merge.speedup", "OVC k-way merge speedup over classic kernels"),
-        ("merge.ovc_mbps", "k-way OVC merge throughput"),
-        ("external.speedup",
-         "external merge speedup (spilled runs + OVC sidecars)"),
-        ("partition.index_speedup",
-         "radix partition index-pass speedup over searchsorted+argsort"),
     ],
 }
 

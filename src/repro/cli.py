@@ -635,8 +635,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "stays byte-identical)")
     p.add_argument("--overlap", action="store_true",
                    help="streaming phase overlap: ship shuffle traffic "
-                        "while Map is still running and merge it while "
-                        "it arrives, hiding communication behind compute "
+                        "while Map is still running (and, under "
+                        "--memory-budget, merge it while it arrives), "
+                        "hiding communication behind compute "
                         "(both algorithms; output stays byte-identical; "
                         "mutually exclusive with --speculation)")
     p.set_defaults(func=_cmd_sort)

@@ -40,9 +40,10 @@ and the spec fields pick three policies rather than a different program:
   itself and opens a group the moment every subset it draws on is
   mapped, under either schedule's posting order.
 * **merge frontier** (:class:`~repro.core.outofcore.MergeFrontier`) —
-  own values and decoded groups are collected and sorted once (staged in
-  memory), become sorted runs for one external merge (staged under a
-  budget), or feed the eager incremental merge (``overlap``).
+  in memory, own values and decoded groups are collected and sorted once
+  at the end, staged or overlapped; under a budget they become sorted
+  runs for one external merge, pre-merged eagerly as they arrive when
+  ``overlap``.
 
 Stage-time attribution under the event loop stays *exclusive*: encode
 and decode work done inside the loop is charged to the ``encode`` /
@@ -57,11 +58,10 @@ no record bytes for file/teragen inputs).  The store is keyed by file
 *subset*: with ``batches_per_subset > 1`` the files of a subset are
 concatenated before encoding, as in the batched CMR scheme of [9].
 
-The compute hot path (Map's partition pass, Reduce's merge) runs on the
-kernels of :mod:`repro.kvpairs.kernels` — MSB radix partition and the
-offset-value-coded merge, with ``.ovc`` code sidecars persisted next to
-spilled runs; ``REPRO_KERNELS=classic`` selects the plain
-``searchsorted`` implementations.  Both are byte-identical.
+The compute hot path is Map's partition pass (the MSB radix kernel of
+:mod:`repro.kvpairs.kernels`) and Reduce's one-word stable sort
+(:mod:`repro.kvpairs.sorting`), which is also every merge, in memory and
+over spilled run files.
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ from repro.core.outofcore import (
     OutOfCore,
     out_of_core,
     residency_meta,
+    stats_meta,
 )
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
 from repro.core.terasort import SortRun, _build_partitioner_from_source
-from repro.kvpairs import kernels
 from repro.kvpairs.datasource import DataSource, FileSource, as_source
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import StreamStore
@@ -129,8 +129,9 @@ class CodedTeraSortProgram(NodeProgram):
             ``<output_dir>/part-<rank>`` and return a ``FileSource``.
         overlap: streaming phase overlap — interleave Map with the coded
             shuffle (a group multicasts as soon as every subset it draws
-            on is fully mapped) and feed Reduce incrementally; output
-            stays byte-identical to the staged execution.
+            on is fully mapped); under a budget decoded groups are also
+            pre-merged as they arrive.  Output stays byte-identical to
+            the staged execution.
         group_size: ``g`` — code only inside this rank's group of ``g``
             consecutive ranks (``None``: one group of all ``K``).
     """
@@ -168,12 +169,8 @@ class CodedTeraSortProgram(NodeProgram):
         self.shuffle_telemetry: Dict[str, float] = {}
 
     def run(self) -> Union[RecordBatch, FileSource]:
-        before_ks = kernels.stats.snapshot()
-        try:
-            with out_of_core(self, self.memory_budget, "cts") as oc:
-                return self._run_pipeline(oc)
-        finally:
-            kernels.export_stats(self.stopwatch, before_ks)
+        with out_of_core(self, self.memory_budget, "cts") as oc:
+            return self._run_pipeline(oc)
 
     def _subset_plan(self):
         """Per-subset map bookkeeping, deterministic from the placement.
@@ -357,9 +354,10 @@ class CodedTeraSortProgram(NodeProgram):
                 recover_intermediate(rank, plan.groups[gidx], packets, lookup)
             )
             tag = f"grp-{gidx}"
-            # Reduce work when the frontier sorts and merges (overlapped);
-            # staged it only collects — or sorts one run under a budget —
-            # inside the Decode scope.
+            # Overlapped, feeding is charged to Reduce (under a budget
+            # the frontier sorts and merges here); staged it only
+            # collects — or sorts one run under a budget — inside the
+            # Decode scope.
             if self.overlap:
                 with self.stage("reduce"):
                     frontier.feed(slot_of_group[gidx], batch, tag=tag)
@@ -389,7 +387,7 @@ class CodedTeraSortProgram(NodeProgram):
         )
         with self.stage("reduce"):
             advance_own()
-            return frontier.finish(rank, self.output_dir)
+            return frontier.finish(self, self.output_dir)
 
 
 def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
@@ -493,7 +491,7 @@ def prepare_coded_terasort(
                     build_coding_plan(g, redundancy), result.per_node_times
                 )
             )
-        meta["kernel_stats"] = kernels.stats_meta(result.per_node_times)
+        meta["kernel_stats"] = stats_meta(result.per_node_times)
         if overlap:
             meta["overlap"] = overlap_meta(result.per_node_times)
         return SortRun(

@@ -40,11 +40,7 @@ def hash_file(
     if n == 0:
         return [RecordBatch.empty() for _ in range(k)]
     idx = partitioner.partition_indices(data)
-    if kernels.use_ovc():
-        order, counts = kernels.group_by_partition(idx, k)
-    else:
-        order = np.argsort(idx, kind="stable")
-        counts = np.bincount(idx, minlength=k)
+    order, counts = kernels.group_by_partition(idx, k)
     grouped = data.take(order)
     offsets = np.cumsum(counts)[:-1]
     return grouped.split_at([int(o) for o in offsets])

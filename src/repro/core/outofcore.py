@@ -22,8 +22,8 @@ readouts (how peak residency and spill volume reach the driver with zero
 extra plumbing — the same channel ``shuffle_span`` telemetry already
 rides).  It also holds :class:`MergeFrontier`, the reduce end of both
 sort pipelines with or without a budget: what happens to an arriving
-chunk is the pipeline's third policy, picked by ``overlap`` and
-``memory_budget``.
+chunk is the pipeline's third policy, picked by ``memory_budget`` (and,
+under one, by ``overlap``).
 
 Budget split rationale (fractions of ``memory_budget``):
 
@@ -216,21 +216,22 @@ class MergeFrontier:
 
     Slots are the priority order of the final stable merge — own values
     first, then senders (TeraSort) or multicast groups (CodedTeraSort) in
-    order — and chunks within a slot arrive in stream order, so every
-    mode yields the bytes of one stable sort over the slot-major
+    order — and chunks within a slot arrive in stream order, so both
+    modes yield the bytes of one stable sort over the slot-major
     concatenation of everything fed:
 
-    * **staged, in memory** — chunks are collected *unsorted* and
-      :meth:`finish` is one ``sort_batches`` call.  No merge structure
-      exists on this path (an :class:`IncrementalMerger` would re-merge
-      every record several times over for nothing);
-    * **staged under a budget** — every chunk becomes a sorted run, kept
-      resident or spilled (:func:`keep_or_spill`), and :meth:`finish` is
-      one external ``merge_runs``: an :class:`IncrementalMerger` with the
-      eager merging off;
-    * **overlapped** (``eager``) — chunks are sorted on arrival and
-      pre-merged while the shuffle is still in flight, in memory or
-      spill-backed: the :class:`IncrementalMerger` as it is.
+    * **in memory** — chunks are collected *unsorted* and :meth:`finish`
+      is one ``sort_batches`` call, staged or overlapped alike: Reduce
+      is one sort at the end (the paper's ``std::sort``), and sorting
+      chunks on arrival would not make it cheaper.  No merge structure
+      exists on this path;
+    * **under a budget** — every chunk becomes a sorted run, kept
+      resident or spilled (:func:`keep_or_spill`), on an
+      :class:`IncrementalMerger`, and :meth:`finish` is one external
+      ``merge_runs``.  Staged, the runs wait untouched; overlapped
+      (``eager``), the merger pre-merges them while the shuffle is still
+      in flight, which bounds how many runs split the final merge's
+      window budget.
     """
 
     def __init__(
@@ -240,10 +241,8 @@ class MergeFrontier:
         self._chunks: Optional[List[List[RecordBatch]]] = None
         self._sorter: Optional[ExternalSorter] = None
         self._sorter_slot = 0
-        if oc is None and not eager:
+        if oc is None:
             self._chunks = [[] for _ in range(num_slots)]
-        elif oc is None:
-            self._merger = IncrementalMerger(num_slots)
         else:
             self._merger = IncrementalMerger(
                 num_slots,
@@ -265,17 +264,15 @@ class MergeFrontier:
     ) -> None:
         """The next chunk of ``slot``: a sealed sorted :class:`Run`, or a
         batch — unsorted unless ``presorted`` (under a budget senders
-        ship sorted runs).  A batch may view a receive arena: it is
-        copied out of it before this returns, except on the staged
-        in-memory path, which holds the view until :meth:`finish`."""
+        ship sorted runs).  A batch may view a receive arena: under a
+        budget it is copied out of it (or spilled) before this returns;
+        in memory the view is held until :meth:`finish`."""
         if self._chunks is not None:
             self._chunks[slot].append(chunk)
             return
         oc = self._oc
         if isinstance(chunk, RecordBatch):
-            if oc is None:
-                chunk = sort_batch(chunk)
-            elif presorted:
+            if presorted:
                 chunk = keep_or_spill(chunk, oc, tag)
             else:
                 oc.meter.charge(chunk.nbytes, f"{tag}.unsorted")
@@ -294,38 +291,41 @@ class MergeFrontier:
         """
         if self._chunks is not None:
             self._chunks[slot].extend(windows)
-        elif self._oc is None:
-            self._merger.feed(slot, sort_batches(list(windows)))
-        else:
-            if self._sorter is None:
-                self._sorter = ExternalSorter(
-                    self._oc.spill,
-                    self._oc.plan.sort_chunk_bytes,
-                    self._oc.meter,
-                    tag="own",
-                )
-                self._sorter_slot = slot
-            for window in windows:
-                self._sorter.add(window)
+            return
+        if self._sorter is None:
+            self._sorter = ExternalSorter(
+                self._oc.spill,
+                self._oc.plan.sort_chunk_bytes,
+                self._oc.meter,
+                tag="own",
+            )
+            self._sorter_slot = slot
+        for window in windows:
+            self._sorter.add(window)
 
     def finish(
-        self, rank: int, output_dir: Optional[str] = None
+        self, program: NodeProgram, output_dir: Optional[str] = None
     ) -> Union[RecordBatch, FileSource]:
-        """The sorted partition (a part file under ``output_dir``)."""
+        """``program``'s sorted partition (a part file under
+        ``output_dir``); what the merger pushed through merges on the
+        way is stamped on its stopwatch (:data:`KS_MERGE_KEY`)."""
         if self._chunks is not None:
             return sort_batches([c for slot in self._chunks for c in slot])
         if self._sorter is not None:
             for run in self._sorter.finish():
                 self._merger.feed(self._sorter_slot, run)
         oc = self._oc
-        if oc is None:
-            return RecordBatch.concat(list(self._merger.finish()))
         merged = self._merger.finish(
             window_records=oc.plan.merge_window_records(
                 max(2, self._merger.pending_runs)
             )
         )
-        return emit_output(merged, rank, output_dir, oc.meter)
+        output = emit_output(merged, program.rank, output_dir, oc.meter)
+        if self._merger.merged_records:
+            program.stopwatch.add(
+                KS_MERGE_KEY, float(self._merger.merged_records)
+            )
+        return output
 
 
 def emit_output(
@@ -367,6 +367,10 @@ OC_RUNS_KEY = "oc_spill_runs"
 OC_BUDGET_KEY = "oc_memory_budget_bytes"
 
 
+#: Pseudo-stage carrying a rank's merged-record count to the driver.
+KS_MERGE_KEY = "ks_merge_records"
+
+
 def export_residency(
     program: NodeProgram, meter: ResidencyMeter, memory_budget: int
 ) -> None:
@@ -389,4 +393,17 @@ def residency_meta(per_node_times: List[Dict[str, float]]) -> Dict[str, object]:
         "oc_spill_runs": int(
             sum(t.get(OC_RUNS_KEY, 0.0) for t in per_node_times)
         ),
+    }
+
+
+def stats_meta(per_node_times: List[Dict[str, float]]) -> Dict[str, int]:
+    """The ``SortRun.meta["kernel_stats"]`` payload: records that went
+    through a merge, summed over the ranks' :data:`KS_MERGE_KEY` stamps
+    (0 for an in-memory job, whose Reduce is one sort).  Counted per
+    program, so concurrent rank threads never see each other's merges.
+    """
+    return {
+        "merge_records": int(
+            sum(t.get(KS_MERGE_KEY, 0.0) for t in per_node_times)
+        )
     }

@@ -16,12 +16,12 @@ Two splitter constructions are provided:
   quantiles of a key sample, the way Hadoop TeraSort's partitioner samples
   input splits; necessary for skewed inputs.
 
-With the default kernels (``$REPRO_KERNELS`` unset or ``ovc``),
-:meth:`RangePartitioner.partition_indices` routes large batches through
-the MSB radix table of :mod:`repro.kvpairs.kernels` — a lazily built,
-per-process 2^16-entry lookup on the top 16 key bits whose output is
-exactly equal to the ``searchsorted`` walk.  The table is a local cache:
-it is dropped on pickling, so shipping a partitioner inside a job
+:meth:`RangePartitioner.partition_indices` routes batches of at least
+``kernels.RADIX_MIN_BATCH`` records through the MSB radix table of
+:mod:`repro.kvpairs.kernels` — a lazily built, per-process 2^16-entry
+lookup on the top 16 key bits whose output is exactly equal to the
+``searchsorted`` walk that smaller batches take.  The table is a local
+cache: it is dropped on pickling, so shipping a partitioner inside a job
 descriptor stays as small as the boundary list itself.
 """
 
@@ -101,15 +101,10 @@ class RangePartitioner:
         """Partition index in ``[0, K)`` for every record (vectorized).
 
         Large batches use the radix lookup table (identical output);
-        small ones and ``REPRO_KERNELS=classic`` keep the direct
-        ``searchsorted`` walk.
+        small ones keep the direct ``searchsorted`` walk.
         """
         hi = batch.key_prefix_u64()
-        if (
-            self.num_partitions >= 2
-            and len(batch) >= kernels.RADIX_MIN_BATCH
-            and kernels.use_ovc()
-        ):
+        if self.num_partitions >= 2 and len(batch) >= kernels.RADIX_MIN_BATCH:
             if self._radix is None:
                 self._radix = kernels.RadixTable.build(self.boundaries)
             return self._radix.partition(hi, self.boundaries)

@@ -32,10 +32,10 @@ policy                    picked by
                           map produces it and arrivals are consumed
                           between windows (chunk frames, then END).
 **merge frontier**        what Reduce does with an arriving chunk —
-(:class:`~repro.core.     collect and sort once (staged in memory),
-outofcore.MergeFrontier`) sorted runs + one external merge (staged
-                          under a budget), eager incremental merge
-                          (``overlap``).
+(:class:`~repro.core.     collect and sort once at the end (in memory,
+outofcore.MergeFrontier`) staged or overlapped); under a budget sorted
+                          runs + one external merge, pre-merged
+                          eagerly as they arrive when ``overlap``.
 ========================  ==========================================
 
 A chunk is one map window's partition in memory (unsorted; the receiver
@@ -63,11 +63,12 @@ shim.  Inputs are :class:`~repro.kvpairs.datasource.DataSource`
 descriptors (each rank materializes or streams its split locally — the
 control plane never carries record bytes for file/teragen sources).
 
-The compute hot path (Map's partition pass, Reduce's k-way merge) runs
-on the kernels of :mod:`repro.kvpairs.kernels` — MSB radix partition
-and the offset-value-coded merge (spilled runs carry persisted ``.ovc``
-code sidecars) — with ``REPRO_KERNELS=classic`` selecting the plain
-``searchsorted`` implementations; both are byte-identical.
+The compute hot path is Map's partition pass (the MSB radix kernel of
+:mod:`repro.kvpairs.kernels`) and Reduce's one-word stable sort
+(:mod:`repro.kvpairs.sorting`) — which is also every merge: in memory
+``overlap`` hides Map behind the shuffle and Reduce stays one sort at
+the end; the incremental merge exists only under a budget, over plain
+run files.
 """
 
 from __future__ import annotations
@@ -84,13 +85,13 @@ from repro.core.outofcore import (
     PartitionSpiller,
     out_of_core,
     residency_meta,
+    stats_meta,
 )
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import UncodedPlacement
 from repro.kvpairs.datasource import DataSource, FileSource, InlineSource, as_source
 from repro.kvpairs.records import BufferLike, RecordBatch
 from repro.kvpairs.serialization import pack_batches_parts, unpack_batches
-from repro.kvpairs import kernels
 from repro.kvpairs.spill import Run
 from repro.runtime.api import Comm, Request, wait_all
 from repro.runtime.program import (
@@ -179,8 +180,9 @@ class TeraSortProgram(NodeProgram):
             Requires a live pool backend (a driver control channel);
             without one the program degrades to the plain staged run.
         overlap: streaming overlap — ship each chunk as the map produces
-            it and merge arriving chunks incrementally (byte-identical
-            to the staged schedule).
+            it and consume arrivals between map windows; under a budget
+            arriving chunks are also merged incrementally
+            (byte-identical to the staged schedule).
     """
 
     STAGES = STAGES_TERASORT
@@ -204,12 +206,8 @@ class TeraSortProgram(NodeProgram):
         self.overlap = overlap
 
     def run(self) -> Union[RecordBatch, FileSource]:
-        before_ks = kernels.stats.snapshot()
-        try:
-            with out_of_core(self, self.memory_budget, "ts") as oc:
-                return self._run_pipeline(oc)
-        finally:
-            kernels.export_stats(self.stopwatch, before_ks)
+        with out_of_core(self, self.memory_budget, "ts") as oc:
+            return self._run_pipeline(oc)
 
     def _map_windows(
         self,
@@ -311,11 +309,12 @@ class TeraSortProgram(NodeProgram):
                         )
                     received[sender] += 1
                     chunks.append(batch)
-            # The frontier copies (or spills) each chunk out of the
-            # receive arena — except staged in memory, where the views
-            # wait for the one sort — so no arena outlives this call.
-            # That is Reduce work when it sorts and merges (overlapped);
-            # staged it only collects or spills, inside the caller's scope.
+            # Under a budget the frontier copies (or spills) each chunk
+            # out of the receive arena, so no arena outlives this call;
+            # in memory the views wait for the one sort.  Overlapped,
+            # that is charged to Reduce (under a budget it sorts and
+            # merges); staged it only collects or spills, inside the
+            # caller's scope.
             if streaming:
                 with self.stage("reduce"):
                     feed(sender, chunks)
@@ -443,7 +442,7 @@ class TeraSortProgram(NodeProgram):
                             del raw
 
         with self.stage("reduce"):
-            return frontier.finish(rank, self.output_dir)
+            return frontier.finish(self, self.output_dir)
 
     # -- speculative map re-execution ---------------------------------------
 
@@ -712,7 +711,7 @@ def prepare_terasort(
             "input_records": input_records,
             "input_kind": type(source).__name__,
         }
-        meta["kernel_stats"] = kernels.stats_meta(result.per_node_times)
+        meta["kernel_stats"] = stats_meta(result.per_node_times)
         if overlap:
             meta["overlap"] = overlap_meta(result.per_node_times)
         if memory_budget is not None:

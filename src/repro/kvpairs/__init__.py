@@ -5,11 +5,10 @@ Hadoop TeraGen records the paper sorts.  Records are held in NumPy structured
 arrays and all bulk operations (partitioning, sorting, serialization) are
 vectorized per the HPC guide — no per-record Python loops on the data path.
 
-The sort/merge/partition hot path runs on the compute kernels of
-:mod:`repro.kvpairs.kernels` (offset-value-coded merge, MSB radix
-partition) by default; ``REPRO_KERNELS=classic`` selects the plain
-``searchsorted`` implementations for A/B benchmarking.  Both produce
-byte-identical output.
+Map's partition pass runs on the MSB radix kernel of
+:mod:`repro.kvpairs.kernels`; Reduce — sorting a partition or merging
+sorted runs, in memory or over spilled run files — is the one-word
+stable sort of :mod:`repro.kvpairs.sorting` throughout.
 """
 
 from repro.kvpairs.records import (
@@ -27,13 +26,6 @@ from repro.kvpairs.serialization import (
     pack_batches,
     pack_batches_parts,
     unpack_batches,
-)
-from repro.kvpairs.kernels import (
-    KERNELS_ENV,
-    KernelStats,
-    kernel_mode,
-    ovc_codes,
-    use_ovc,
 )
 from repro.kvpairs.sorting import sort_batch, merge_sorted, is_sorted
 from repro.kvpairs.validation import (
@@ -56,11 +48,6 @@ __all__ = [
     "pack_batches",
     "pack_batches_parts",
     "unpack_batches",
-    "KERNELS_ENV",
-    "KernelStats",
-    "kernel_mode",
-    "ovc_codes",
-    "use_ovc",
     "sort_batch",
     "merge_sorted",
     "is_sorted",

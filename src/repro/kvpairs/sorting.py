@@ -7,32 +7,23 @@ top bits of the ``hi`` prefix word are packed with the record's index into
 one ``uint64`` per record and sorted with ``np.sort`` — NumPy's vectorised
 unstable sort, the fastest the host offers — and only the records whose
 packed prefixes tie (≈0 on TeraGen keys) are re-ordered on the full
-``(hi, lo, index)``, which makes the result stable and exact.  It is the
-prefix-word idea of arXiv:2209.08420 that :mod:`repro.kvpairs.kernels` uses
-for rank queries, applied to the sort itself.  The sorted records are then
-gathered once, as whole 100-byte items (see :mod:`repro.kvpairs.records`).
+``(hi, lo, index)``, which makes the result stable and exact — the
+prefix-word idea of arXiv:2209.08420 applied to the sort itself.  The
+sorted records are then gathered once, as whole 100-byte items (see
+:mod:`repro.kvpairs.records`).
 
 ``merge_sorted`` is the k-way merge variant of Reduce (merging per-source
-already-sorted runs), which is how Hadoop's reducer actually consumes
-shuffled spills.  It is a *real* vectorized merge — a tournament of stable
-pairwise merges — not a concatenate-and-resort.  Two kernel
-implementations back it, selected by ``$REPRO_KERNELS`` (see
-:mod:`repro.kvpairs.kernels`):
-
-* ``ovc`` (default) — the offset-value-coded merge: per-run ``uint16``
-  OVC columns (offset of the first key byte differing from the
-  predecessor, packed with the byte value at that offset) provide the
-  duplicate-group structure and sortedness validation; rank queries
-  between runs resolve on cached ``uint64`` prefix words and touch full
-  ``S10`` keys only on prefix-word ties.
-* ``classic`` — the seed implementation: pairwise ``np.searchsorted``
-  over full ``S10`` keys.
-
-Both produce byte-identical output (same records, same stable tie
-order).  ``check=False`` skips the per-run sortedness validation for
-trusted internal call sites (e.g. :func:`repro.kvpairs.spill.merge_runs`,
-which validates each window once as it loads it); public callers keep
-the default ``check=True`` contract that unsorted runs raise.
+already-sorted runs), which is how Hadoop's reducer consumes shuffled
+spills.  It **is** that same sort: :func:`sort_batches` is stable in
+concatenation order, so sorting the concatenation of sorted runs yields
+the stable k-way merge byte for byte (ties go to the earlier run, and
+within a run to the earlier record), and one ``uint64`` ``np.sort`` pass
+plus one scatter costs less than the ``log2 k`` whole-record scatter
+rounds of a vectorised pairwise tournament.  What ``merge_sorted`` adds
+is the contract: public callers keep ``check=True`` and unsorted runs
+raise; ``check=False`` skips the per-run validation for trusted internal
+call sites (e.g. :func:`repro.kvpairs.spill.merge_runs`, which validates
+each window once as it loads it).
 """
 
 from __future__ import annotations
@@ -41,7 +32,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.kvpairs import kernels
 from repro.kvpairs.records import RecordBatch
 
 
@@ -134,71 +124,29 @@ def is_sorted(batch: RecordBatch) -> bool:
     return bool(ok.all())
 
 
-def _merge_two(a: RecordBatch, b: RecordBatch) -> RecordBatch:
-    """Classic stable vectorized merge of two sorted runs (``a`` wins ties).
-
-    Each record's output position is its own index plus the count of
-    other-run records that precede it: ``searchsorted(left)`` for ``a``'s
-    records (equal keys of ``b`` go after) and ``searchsorted(right)`` for
-    ``b``'s (equal keys of ``a`` go before).  NumPy compares ``S10`` keys
-    bytewise over the full fixed width, which is exactly the 10-byte
-    lexicographic order (trailing NULs are the minimal byte, so padded
-    comparison and true byte order agree).
-    """
-    ka, kb = a.keys, b.keys
-    pos_a = np.arange(len(a)) + np.searchsorted(kb, ka, side="left")
-    pos_b = np.arange(len(b)) + np.searchsorted(ka, kb, side="right")
-    return RecordBatch._scattered(len(a) + len(b), ((pos_a, a), (pos_b, b)))
-
-
-def _merge_sorted_classic(
-    runs: Sequence[RecordBatch], check: bool
-) -> RecordBatch:
-    if check:
-        for i, run in enumerate(runs):
-            if not is_sorted(run):
-                raise ValueError(f"run {i} is not sorted")
-    live = [run for run in runs if len(run)]
-    if not live:
-        return RecordBatch.empty()
-    while len(live) > 1:
-        merged = [
-            _merge_two(live[i], live[i + 1])
-            for i in range(0, len(live) - 1, 2)
-        ]
-        if len(live) % 2:
-            merged.append(live[-1])
-        live = merged
-    return live[0]
-
-
-def _merge_sorted_ovc(runs: Sequence[RecordBatch], check: bool) -> RecordBatch:
-    cols = [
-        kernels.RunColumns.from_batch(run, check=check, what=f"run {i}")
-        for i, run in enumerate(runs)
-        if len(run) or check
-    ]
-    return kernels.merge_sorted_columns(cols).batch
-
-
 def merge_sorted(
     runs: Sequence[RecordBatch], check: bool = True
 ) -> RecordBatch:
     """Merge already-sorted runs into one sorted batch (stable k-way merge).
 
-    A tournament of pairwise vectorized merges — ``ceil(log2 k)`` rounds
-    over the data instead of a full re-sort of the concatenation.  Ties
-    preserve run order (records from earlier runs first), matching what a
-    stable sort of the concatenation would yield.  Output is
-    byte-identical across both kernel modes (``$REPRO_KERNELS``).
+    One stable sort of the runs' concatenation (:func:`sort_batches`),
+    which on sorted runs is exactly the stable merge: ties preserve run
+    order (records from earlier runs first).  A single non-empty run is
+    returned as it is, not copied.
 
     Args:
         runs: the sorted runs, in priority order (earlier wins ties).
         check: validate every run and raise ``ValueError`` if one is not
-            sorted (silent misuse would produce subtly unsorted output).
-            Trusted internal call sites that just produced/validated the
-            runs pass ``False`` and skip the re-scan.
+            sorted (the output would be sorted regardless, so misuse
+            would otherwise pass silently).  Trusted internal call sites
+            that just produced/validated the runs pass ``False`` and
+            skip the re-scan.
     """
-    if kernels.use_ovc():
-        return _merge_sorted_ovc(runs, check)
-    return _merge_sorted_classic(runs, check)
+    if check:
+        for i, run in enumerate(runs):
+            if not is_sorted(run):
+                raise ValueError(f"run {i} is not sorted")
+    live = [run for run in runs if len(run)]
+    if len(live) == 1:
+        return live[0]
+    return sort_batches(live)

@@ -10,31 +10,20 @@ closed and even after the run file is unlinked).
 
 :func:`merge_runs` is the streaming external k-way merge: it walks every
 run in bounded windows and repeatedly emits the records at or below the
-smallest loaded *window-end* key, merging each round with the existing
-vectorized :func:`~repro.kvpairs.sorting.merge_sorted` tournament.  The
-merge is **stable across runs** — ties go to the earlier run, and within
+smallest loaded *window-end* key, merging each round with one
+:func:`~repro.kvpairs.sorting.merge_sorted` call (the one-word stable
+sort of the round's heads).  The merge is **stable across runs** — ties go to the earlier run, and within
 a run to the earlier record — so merging the stably-sorted chunks of a
 stream, in chunk order, reproduces byte-for-byte what one stable in-RAM
 sort of the whole stream would produce.  That equivalence is what lets
 the out-of-core sort programs promise output byte-identical to the
 in-memory path.
 
-**OVC sidecars.**  With the offset-value-coded kernels active (the
-default — see :mod:`repro.kvpairs.kernels`), every *sorted* run file is
-written together with a ``<run>.ovc`` sidecar: the run's offset-value
-code column as packed little-endian ``uint16``, one code per record, in
-record order (code ``i`` is record ``i``'s code relative to record
-``i-1``; code 0 is relative to the virtual minus-infinity key).  Readers
-mmap the sidecar and slice it in lockstep with the record windows, so
-re-merging a spilled run never recomputes codes — and because the
-column was computed over the whole run at write time, a window's first
-code is automatically relative to the previous window's last record,
-which is exactly the cross-window carry the merge needs.  Runs without
-a sidecar (resident runs, foreign files) get their codes computed per
-window as they are loaded, with the same predecessor carry; that
-computation doubles as the per-window sortedness validation, so
-:func:`merge_runs` calls the merge with ``check=False`` and still keeps
-the "unsorted runs raise" contract.
+Run files are the only on-disk format: a run carries no side data, and
+every window is validated once as it is loaded (an ``is_sorted`` scan
+plus the window-boundary key check), so :func:`merge_runs` calls the
+merge with ``check=False`` and still keeps the "unsorted runs raise"
+contract.
 
 :class:`ExternalSorter` packages the write side of that contract: feed it
 batches in stream order, it accumulates up to a chunk budget, stable-sorts
@@ -65,9 +54,7 @@ from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence,
 
 import numpy as np
 
-from repro.kvpairs import kernels
-from repro.kvpairs.kernels import OVC_BYTES, OVC_DTYPE, RunColumns
-from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, RecordBatch
+from repro.kvpairs.records import RECORD_BYTES, RecordBatch
 from repro.kvpairs.sorting import is_sorted, merge_sorted, sort_batches
 from repro.utils import copytrack
 from repro.utils.residency import ResidencyMeter
@@ -255,46 +242,13 @@ def read_run_file(path: str) -> RecordBatch:
     return RecordBatch.from_buffer(mm)
 
 
-def ovc_sidecar_path(path: str) -> str:
-    """Where a run file's OVC column lives (``<run>.ovc``)."""
-    return path + ".ovc"
-
-
-def write_ovc_file(path: str, codes) -> None:
-    """Persist an OVC column as packed little-endian ``uint16``."""
-    with open(ovc_sidecar_path(path), "wb") as f:
-        f.write(np.ascontiguousarray(codes, dtype=OVC_DTYPE).tobytes())
-
-
-def read_ovc_file(path: str, num_records: int):
-    """The run's OVC column as a zero-copy mmap view, or ``None``.
-
-    Returns ``None`` when no sidecar exists or its length does not match
-    ``num_records`` (a mismatched sidecar is ignored, never trusted).
-    """
-    sidecar = ovc_sidecar_path(path)
-    try:
-        size = os.path.getsize(sidecar)
-    except OSError:
-        return None
-    if size != num_records * OVC_BYTES or size == 0:
-        return None
-    with open(sidecar, "rb") as f:
-        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return np.frombuffer(mm, dtype=OVC_DTYPE)
-
-
 def write_sorted_run(path: str, chunk: RecordBatch) -> None:
-    """Write one sorted chunk as a run file (+ OVC sidecar in ovc mode).
+    """Write one sorted chunk as a run file.
 
     The one write path every sorted-run producer (``ExternalSorter``,
-    ``PartitionSpiller``, ``keep_or_spill``) shares: the chunk was just
-    stable-sorted by the caller, so its OVC column is computed without
-    the validation pass and persisted alongside the records.
+    ``PartitionSpiller``, ``keep_or_spill``) shares.
     """
     write_run_file(path, [chunk])
-    if kernels.use_ovc() and len(chunk):
-        write_ovc_file(path, kernels.ovc_codes(chunk, check=False))
 
 
 @dataclass
@@ -303,8 +257,6 @@ class Run:
 
     ``num_records`` is tracked so sizing decisions never need an extra
     ``stat`` (and so empty runs short-circuit without touching disk).
-    File runs written through :func:`write_sorted_run` carry an OVC
-    sidecar; :meth:`load_codes` finds it by path.
     """
 
     path: Optional[str] = None
@@ -332,12 +284,6 @@ class Run:
         if self.path is None or self.num_records == 0:
             return RecordBatch.empty()
         return read_run_file(self.path)
-
-    def load_codes(self):
-        """The run's persisted OVC column (mmap view), or ``None``."""
-        if self.path is None or self.num_records == 0:
-            return None
-        return read_ovc_file(self.path, self.num_records)
 
     def iter_batches(self, window_records: int) -> Iterator[RecordBatch]:
         """The run as consecutive windows of at most ``window_records``."""
@@ -382,26 +328,18 @@ def read_blob(path: str) -> memoryview:
 # ---------------------------------------------------------------------------
 
 
-def _part_nbytes(part: Union[RecordBatch, RunColumns]) -> int:
-    if isinstance(part, RunColumns):
-        return part.batch.nbytes + part.hi.nbytes + part.codes.nbytes
-    return part.nbytes
-
-
 class _Cursor:
     """Bounded, validating read position into one sorted run.
 
     Pulls the run in windows and validates each window exactly once as
-    it loads (classic: an ``is_sorted`` scan plus the window-boundary
-    key check; ovc: OVC code computation, whose inversion check *is* the
-    validation — or a trusted persisted sidecar, sliced in lockstep).
+    it loads (an ``is_sorted`` scan plus the window-boundary key check).
     Downstream merges therefore run with ``check=False`` while the
     documented "unsorted runs raise ``ValueError``" contract holds.
     """
 
     __slots__ = (
-        "_source", "_codes_src", "_window", "_pos", "_n", "_meter",
-        "_what", "_ovc", "_last_key", "head",
+        "_source", "_window", "_pos", "_n", "_meter", "_what",
+        "_last_key", "head",
     )
 
     def __init__(
@@ -413,65 +351,40 @@ class _Cursor:
     ) -> None:
         if window_records <= 0:
             window_records = DEFAULT_WINDOW_RECORDS
-        self._ovc = kernels.use_ovc()
         self._source = run.load()
-        self._codes_src = run.load_codes() if self._ovc else None
         self._n = run.num_records
         self._window = window_records
         self._pos = 0
         self._meter = meter
         self._what = f"run {index}"
         self._last_key: Optional[np.bytes_] = None
-        #: The loaded-but-unconsumed records (with columns in ovc mode).
-        self.head: Optional[Union[RecordBatch, RunColumns]] = None
+        #: The loaded-but-unconsumed records.
+        self.head: Optional[RecordBatch] = None
 
     @property
     def done(self) -> bool:
         return self._pos >= self._n
 
-    def _head_batch(self) -> RecordBatch:
-        return self.head.batch if self._ovc else self.head
-
-    def _pull(self) -> Optional[Union[RecordBatch, RunColumns]]:
-        """Load, validate, and meter the next window (None if exhausted)."""
-        if self.done:
-            return None
+    def pull(self) -> RecordBatch:
+        """Load, validate, and meter the next window (call only while
+        not :attr:`done`)."""
         start = self._pos
         stop = min(start + self._window, self._n)
         self._pos = stop
         window = self._source.slice(start, stop)
-        if self._ovc:
-            if self._codes_src is not None:
-                part: Union[RecordBatch, RunColumns] = RunColumns.from_batch(
-                    window, codes=self._codes_src[start:stop]
-                )
-            else:
-                base = (
-                    None
-                    if self._last_key is None
-                    else bytes(self._last_key).ljust(KEY_BYTES, b"\x00")
-                )
-                part = RunColumns.from_batch(
-                    window, base_key=base, check=True, what=self._what
-                )
-        else:
-            if not is_sorted(window) or (
-                self._last_key is not None
-                and window.keys[0] < self._last_key
-            ):
-                raise ValueError(f"{self._what} is not sorted")
-            part = window
+        if not is_sorted(window) or (
+            self._last_key is not None and window.keys[0] < self._last_key
+        ):
+            raise ValueError(f"{self._what} is not sorted")
         self._last_key = window.keys[-1]
         if self._meter is not None:
-            self._meter.charge(_part_nbytes(part), "merge.window")
-        return part
+            self._meter.charge(window.nbytes, "merge.window")
+        return window
 
     def refill(self) -> None:
         """Ensure at least one unconsumed record is loaded (or exhausted)."""
-        while not self.done and (
-            self.head is None or len(self._head_batch()) == 0
-        ):
-            self.head = self._pull()
+        while not self.done and not self.live:
+            self.head = self.pull()
 
     def extend_past(self, bound: np.bytes_) -> None:
         """Load more windows until the last loaded key exceeds ``bound``.
@@ -483,42 +396,28 @@ class _Cursor:
         """
         assert self.head is not None
         parts = [self.head]
-        while not self.done and self._tail_key(parts) <= bound:
-            nxt = self._pull()
-            if nxt is None:
-                break
-            parts.append(nxt)
+        while not self.done and parts[-1].keys[-1] <= bound:
+            parts.append(self.pull())
         if len(parts) > 1:
-            self.head = (
-                RunColumns.concat(parts)
-                if self._ovc
-                else RecordBatch.concat(parts)
-            )
+            self.head = RecordBatch.concat(parts)
 
-    def _tail_key(self, parts) -> np.bytes_:
-        last = parts[-1]
-        return (last.batch if self._ovc else last).keys[-1]
-
-    def take_upto(
-        self, bound: np.bytes_
-    ) -> Union[RecordBatch, RunColumns]:
+    def take_upto(self, bound: np.bytes_) -> RecordBatch:
         """Split off (and return) every loaded record with key <= ``bound``."""
         assert self.head is not None
-        batch = self._head_batch()
-        cut = int(np.searchsorted(batch.keys, bound, side="right"))
+        cut = int(np.searchsorted(self.head.keys, bound, side="right"))
         head = self.head.slice(0, cut)
-        self.head = self.head.slice(cut, len(batch))
+        self.head = self.head.slice(cut, len(self.head))
         if self._meter is not None:
-            self._meter.discharge(_part_nbytes(head))
+            self._meter.discharge(head.nbytes)
         return head
 
     @property
     def live(self) -> bool:
-        return self.head is not None and len(self._head_batch()) > 0
+        return self.head is not None and len(self.head) > 0
 
     @property
     def head_last_key(self) -> np.bytes_:
-        return self._head_batch().keys[-1]
+        return self.head.keys[-1]
 
 
 def merge_runs(
@@ -544,8 +443,8 @@ def merge_runs(
         a re-chunking fast path with no merge work.
 
     Raises:
-        ValueError: if any run's records are found out of order (surfaced
-            by :func:`~repro.kvpairs.sorting.merge_sorted`).
+        ValueError: if any run's records are found out of order (every
+            window is checked as it loads, on both paths).
     """
     runs = [_as_run(r) for r in runs]
     live_runs = [r for r in runs if r.num_records > 0]
@@ -554,19 +453,12 @@ def merge_runs(
     if out_records <= 0:
         out_records = DEFAULT_WINDOW_RECORDS
     if len(live_runs) == 1:
-        # Single-run fast path: no merge work, just bounded re-chunking —
-        # but the documented "unsorted runs raise" contract still holds
-        # (window sortedness + boundary keys, same check is_sorted does).
-        prev_last: Optional[np.bytes_] = None
-        for chunk in live_runs[0].iter_batches(out_records):
-            if len(chunk) == 0:
-                continue
-            if not is_sorted(chunk) or (
-                prev_last is not None and chunk.keys[0] < prev_last
-            ):
-                raise ValueError("run 0 is not sorted")
-            prev_last = chunk.keys[-1]
-            yield chunk
+        # Single-run fast path: no merge work, just bounded re-chunking
+        # through the validating cursor (the "unsorted runs raise"
+        # contract still holds); nothing is held, so nothing is metered.
+        cursor = _Cursor(live_runs[0], out_records, None, 0)
+        while not cursor.done:
+            yield cursor.pull()
         return
     cursors = [
         _Cursor(r, window_records, meter, i) for i, r in enumerate(live_runs)
@@ -584,13 +476,10 @@ def merge_runs(
         bound = min(c.head_last_key for c in active)
         for c in active:
             c.extend_past(bound)
-        heads = [h for h in (c.take_upto(bound) for c in active) if len(h)]
-        if heads and isinstance(heads[0], RunColumns):
-            # Windows were validated (or sidecar-trusted) at load time and
-            # carry their columns — merge directly, no re-validation.
-            merged = kernels.merge_sorted_columns(heads).batch
-        else:
-            merged = merge_sorted(heads, check=False)
+        # Windows were validated at load time — no re-validation.
+        merged = merge_sorted(
+            [c.take_upto(bound) for c in active], check=False
+        )
         yield from merged.iter_slices(out_records)
         for c in cursors:
             c.refill()
@@ -675,76 +564,39 @@ class ExternalSorter:
 
 
 # ---------------------------------------------------------------------------
-# Incremental merge frontier (streaming-overlap reduce side).
+# Incremental merge frontier (the budgeted reduce side).
 # ---------------------------------------------------------------------------
 
 
-class SortedRunWriter:
-    """Stream sorted chunks into one run file (+ OVC sidecar with carry).
-
-    The incremental cousin of :func:`write_sorted_run`: chunks arrive one
-    at a time (each sorted, each starting at or after the previous
-    chunk's last key), records append to the run file and — in ovc mode —
-    each chunk's code column is computed **relative to the previous
-    chunk's last key** and appended to the sidecar, so the finished file
-    is indistinguishable from one written whole.
-    """
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._f = open(path, "ab")
-        self._fovc = (
-            open(ovc_sidecar_path(path), "ab") if kernels.use_ovc() else None
-        )
-        self._last_key: Optional[np.bytes_] = None
-        self._num = 0
-
-    def write(self, chunk: RecordBatch) -> None:
-        if len(chunk) == 0:
-            return
-        self._f.write(chunk.as_memoryview())
-        if self._fovc is not None:
-            base = (
-                None
-                if self._last_key is None
-                else bytes(self._last_key).ljust(KEY_BYTES, b"\x00")
-            )
-            codes = kernels.ovc_codes(chunk, base_key=base, check=False)
-            self._fovc.write(
-                np.ascontiguousarray(codes, dtype=OVC_DTYPE).tobytes()
-            )
-        self._last_key = chunk.keys[-1]
-        self._num += len(chunk)
-
-    def close(self) -> Run:
-        self._f.close()
-        if self._fovc is not None:
-            self._fovc.close()
-        return Run.from_file(self._path, self._num)
-
-
 class IncrementalMerger:
-    """Merge frontier that starts merge work at first arrival.
+    """The budgeted merge frontier: bounds how many runs wait for Reduce.
 
-    The shuffle ↔ reduce overlap primitive: sorted runs are fed into
-    priority **slots** as they arrive (slot index = the run's position in
-    the serial reduce's priority order; runs within a slot arrive in
-    stream order), and the merger eagerly pre-merges *adjacent* runs
-    within a slot whenever the stack top grows to within ``eager_factor``
-    of its neighbor — a size-ladder that keeps eager work amortized
-    ``O(n log n)`` while the shuffle is still in flight.  Because the
-    stable merge is associative and ties break toward the earlier run,
-    pre-merging adjacent runs never changes the final byte stream:
-    :meth:`finish` yields exactly what :func:`merge_runs` over all fed
-    runs in slot-major, feed order would.
+    Sorted runs are fed into priority **slots** as they arrive (slot
+    index = the run's position in the serial reduce's priority order;
+    runs within a slot arrive in stream order), and the merger eagerly
+    pre-merges *adjacent* runs within a slot whenever the stack top
+    grows to within ``eager_factor`` of its neighbor — a size-ladder
+    that keeps the run count logarithmic in what was fed, at amortized
+    ``O(n log n)`` eager work.  Because the stable merge is associative
+    and ties break toward the earlier run, pre-merging adjacent runs
+    never changes the final byte stream: :meth:`finish` yields exactly
+    what :func:`merge_runs` over all fed runs in slot-major, feed order
+    would.
+
+    The sort pipelines construct one only under a ``memory_budget``
+    (:class:`~repro.core.outofcore.MergeFrontier`): there the final
+    merge splits a fixed window budget across the runs left, so fewer
+    runs mean wider windows.  In memory a merge costs one sort of
+    everything however the chunks arrived, so pre-merging buys nothing
+    and the frontier just collects.
 
     With a ``spill`` dir the pair-merge streams through
-    :func:`merge_runs` into a new run file (OVC sidecar carried by
-    :class:`SortedRunWriter`) whenever either side is file-backed or the
-    pair exceeds ``resident_limit``; merged source files are unlinked
-    (fed file runs are owned by the merger).  Without one, everything
-    stays resident.  ``eager_factor=0`` turns the eager merging off: the
-    fed runs wait untouched and :meth:`finish` is one :func:`merge_runs`.
+    :func:`merge_runs` into a new run file whenever either side is
+    file-backed or the pair exceeds ``resident_limit``; merged source
+    files are unlinked (fed file runs are owned by the merger).  Without
+    one, everything stays resident.  ``eager_factor=0`` turns the eager
+    merging off: the fed runs wait untouched and :meth:`finish` is one
+    :func:`merge_runs`.
     """
 
     def __init__(
@@ -768,9 +620,11 @@ class IncrementalMerger:
         self._meter = meter
         self._factor = max(1.0, eager_factor) if eager_factor else 0.0
         self._tag = tag
-        #: Eager pre-merge accounting (overlap telemetry).
+        #: Eager pair merges done so far (overlap telemetry).
         self.eager_merges = 0
-        self.eager_records = 0
+        #: Records pushed through a merge: every pair merge's inputs plus
+        #: what :meth:`finish` emits when more than one run is left.
+        self.merged_records = 0
 
     @property
     def pending_runs(self) -> int:
@@ -793,7 +647,7 @@ class IncrementalMerger:
 
     def _merge_pair(self, lo: Run, hi: Run) -> Run:
         self.eager_merges += 1
-        self.eager_records += lo.num_records + hi.num_records
+        self.merged_records += lo.num_records + hi.num_records
         resident = lo.batch is not None and hi.batch is not None
         if self._spill is None or (
             resident and lo.nbytes + hi.nbytes <= self._limit
@@ -801,24 +655,25 @@ class IncrementalMerger:
             return Run.resident(
                 merge_sorted([lo.load(), hi.load()], check=False)
             )
-        writer = SortedRunWriter(self._spill.new_path(self._tag))
-        for chunk in merge_runs(
-            [lo, hi],
-            window_records=self._window,
-            out_records=self._out,
-            meter=self._meter,
-        ):
-            writer.write(chunk)
-        merged = writer.close()
+        path = self._spill.new_path(self._tag)
+        write_run_file(
+            path,
+            merge_runs(
+                [lo, hi],
+                window_records=self._window,
+                out_records=self._out,
+                meter=self._meter,
+            ),
+        )
+        merged = Run.from_file(path, lo.num_records + hi.num_records)
         if self._meter is not None:
             self._meter.spilled(merged.nbytes)
         for old in (lo, hi):
             if old.path is not None:
-                for stale in (old.path, ovc_sidecar_path(old.path)):
-                    try:
-                        os.unlink(stale)
-                    except OSError:
-                        pass
+                try:
+                    os.unlink(old.path)
+                except OSError:
+                    pass
         return merged
 
     def finish(
@@ -831,14 +686,18 @@ class IncrementalMerger:
         actually remain on the frontier).
         """
         runs = [run for stack in self._slots for run in stack]
-        return merge_runs(
+        merging = len(runs) > 1  # a lone run re-chunks, it does not merge
+        for batch in merge_runs(
             runs,
             window_records=(
                 self._window if window_records is None else window_records
             ),
             out_records=self._out,
             meter=self._meter,
-        )
+        ):
+            if merging:
+                self.merged_records += len(batch)
+            yield batch
 
 
 # ---------------------------------------------------------------------------

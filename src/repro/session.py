@@ -215,10 +215,13 @@ class TeraSortSpec(JobSpec):
             seconds and at least half the workers finished their map.
         overlap: open the pipeline's send gate as the map goes: each
             map window's partition chunks are shipped the moment the
-            window completes (map ↔ shuffle overlap) and arriving chunks
-            feed an eager merge frontier (shuffle ↔ reduce overlap), so
-            makespan approaches ``max(compute, comm)`` instead of their
-            sum.  Output stays byte-identical to the staged schedule.
+            window completes and arrivals are consumed between windows
+            (map ↔ shuffle overlap), so makespan approaches
+            ``max(compute, comm)`` instead of their sum.  In memory
+            Reduce is still one sort at the end; under a
+            ``memory_budget`` arriving runs are also pre-merged while
+            the shuffle is in flight (shuffle ↔ reduce overlap).
+            Output stays byte-identical to the staged schedule.
             Composes with ``memory_budget``; not with ``speculation``,
             which runs on the staged shuffle only.
     """
@@ -301,11 +304,12 @@ class CodedTeraSortSpec(JobSpec):
             :class:`TeraSortSpec`.
         overlap: the event loop also drives the map: each multicast
             group is encoded and sent as soon as all of its contributing
-            file subsets are mapped (map ↔ shuffle), and decoded groups
-            feed an eager merge frontier (shuffle ↔ reduce).  Composes
-            with either ``schedule`` (the schedule fixes the posting
-            priority) and with ``memory_budget``; output stays
-            byte-identical.
+            file subsets are mapped (map ↔ shuffle).  In memory Reduce
+            is still one sort at the end; under a ``memory_budget``
+            decoded groups are also pre-merged as they arrive (shuffle
+            ↔ reduce).  Composes with either ``schedule`` (the schedule
+            fixes the posting priority) and with ``memory_budget``;
+            output stays byte-identical.
         group_size: group-based coding (§VI "Scalable Coding"): the ``K``
             workers code inside ``K/g`` groups of ``g``, each holding the
             whole input — CodeGen falls from ``C(K, r+1)`` to

@@ -164,7 +164,7 @@ class TestCodedAccounting:
         assert sorted(whole.traffic.records, key=repr) == sorted(
             plain.traffic.records, key=repr
         )
-        drop = ("kernel_stats", "shuffle_span_seconds")
+        drop = ("shuffle_span_seconds",)  # a wall-clock reading
         assert {k_: v for k_, v in whole.meta.items() if k_ not in drop} == {
             k_: v for k_, v in plain.meta.items() if k_ not in drop
         }

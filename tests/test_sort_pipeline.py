@@ -1,9 +1,12 @@
 """Invariants of the one sort pipeline that byte-identity cannot see.
 
-* **Perf invariant.**  A staged in-memory job — uncoded, coded serial,
-  coded parallel — sorts exactly once per rank (the ``sort_batches`` call
-  of Reduce) and builds no ``IncrementalMerger``: the merge frontier of
-  that path only collects.
+* **Perf invariant.**  An in-memory job — uncoded, coded serial, coded
+  parallel, staged or overlapped — sorts exactly once per rank (the
+  ``sort_batches`` call of Reduce) and builds no ``IncrementalMerger``:
+  without a budget the merge frontier only collects.  Under a budget it
+  builds one, whose merge count reaches ``meta["kernel_stats"]`` per
+  program (the same on every backend) and whose spill dir holds run
+  files and nothing else.
 * **Wire invariants.**  Staged jobs put the frames on the wire that they
   always did: message count and load bytes at (K=4, r=2, 4 000 records),
   in memory and under an 8 MiB budget, pinned from the commit before the
@@ -15,6 +18,7 @@
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import Counter
 
@@ -25,50 +29,125 @@ from repro.core.placement import CodedPlacement
 from repro.kvpairs import sorting, spill
 from repro.kvpairs.datasource import InlineSource
 from repro.kvpairs.teragen import teragen
+from repro.runtime.process import ProcessCluster
 from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
 from repro.utils import copytrack
 
 K, R = 4, 2
 
 
-def _staged_specs(data, memory_budget=None):
+def _staged_specs(data, memory_budget=None, overlap=False):
     return {
-        "uncoded": TeraSortSpec(data=data, memory_budget=memory_budget),
+        "uncoded": TeraSortSpec(
+            data=data, memory_budget=memory_budget, overlap=overlap
+        ),
         "coded-serial": CodedTeraSortSpec(
             data=data, redundancy=R, schedule="serial",
-            memory_budget=memory_budget,
+            memory_budget=memory_budget, overlap=overlap,
         ),
         "coded-parallel": CodedTeraSortSpec(
             data=data, redundancy=R, schedule="parallel",
-            memory_budget=memory_budget,
+            memory_budget=memory_budget, overlap=overlap,
         ),
     }
 
 
-@pytest.mark.parametrize("lane", ["uncoded", "coded-serial", "coded-parallel"])
-def test_staged_in_memory_sorts_once_and_never_merges(
-    lane, monkeypatch, thread_cluster_factory
-):
-    sorts, mergers = Counter(), []
-    stable_order = sorting._stable_order
+@pytest.fixture
+def mergers(monkeypatch):
+    """Every ``IncrementalMerger`` constructed while the test runs."""
+    built = []
     merger_init = spill.IncrementalMerger.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        merger_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spill.IncrementalMerger, "__init__", counting_init)
+    return built
+
+
+@pytest.mark.parametrize("overlap", [False, True])
+@pytest.mark.parametrize("lane", ["uncoded", "coded-serial", "coded-parallel"])
+def test_in_memory_sorts_once_and_never_merges(
+    lane, overlap, mergers, monkeypatch, thread_cluster_factory
+):
+    sorts = Counter()
+    stable_order = sorting._stable_order
 
     def counting_order(hi, lo):
         sorts[threading.get_ident()] += 1  # one rank = one thread
         return stable_order(hi, lo)
 
-    def counting_init(self, *args, **kwargs):
-        mergers.append(self)
-        merger_init(self, *args, **kwargs)
-
     monkeypatch.setattr(sorting, "_stable_order", counting_order)
-    monkeypatch.setattr(spill.IncrementalMerger, "__init__", counting_init)
     data = teragen(4000, seed=19)
     with Session(thread_cluster_factory(K)) as s:
-        run = s.submit(_staged_specs(data)[lane]).result()
+        run = s.submit(_staged_specs(data, overlap=overlap)[lane]).result()
     assert run.total_records == len(data)
     assert sorted(sorts.values()) == [1] * K
     assert mergers == []
+    assert run.meta["kernel_stats"] == {"merge_records": 0}
+
+
+@pytest.mark.parametrize("lane", ["uncoded", "coded-parallel"])
+def test_overlapped_budgeted_job_merges_on_run_files_only(
+    lane, mergers, monkeypatch, thread_cluster_factory
+):
+    """Under a budget the overlapped frontier is one merger per rank, and
+    every file its spill dir ever holds is a ``.bin`` run file."""
+    seen = set()
+    new_path, cleanup = spill.SpillDir.new_path, spill.SpillDir.cleanup
+
+    def walking_new_path(self, prefix="run"):
+        seen.update(os.listdir(self.path))
+        return new_path(self, prefix)
+
+    def walking_cleanup(self):
+        if self.exists:
+            seen.update(os.listdir(self.path))
+        cleanup(self)
+
+    monkeypatch.setattr(spill.SpillDir, "new_path", walking_new_path)
+    monkeypatch.setattr(spill.SpillDir, "cleanup", walking_cleanup)
+    data = teragen(20_000, seed=23)
+    spec = _staged_specs(data, memory_budget=256 * 1024, overlap=True)[lane]
+    with Session(thread_cluster_factory(K)) as s:
+        run = s.submit(spec).result()
+    assert run.total_records == len(data)
+    assert len(mergers) == K
+    assert sum(m.eager_merges for m in mergers) > 0
+    assert run.meta["oc_spill_runs"] > 0 and seen
+    assert {os.path.splitext(name)[1] for name in seen} == {".bin"}
+    assert run.meta["kernel_stats"]["merge_records"] == sum(
+        m.merged_records for m in mergers
+    )
+
+
+def test_merge_records_are_counted_per_program():
+    """The same job reports the same ``merge_records`` on rank threads
+    and rank processes, run after run: the count belongs to the program
+    that merged, not to the process it shares with its peers."""
+    from repro.runtime.inproc import ThreadCluster
+
+    data = teragen(60_000, seed=31)
+    for memory_budget in (None, 8 * 1024 * 1024):
+        spec = CodedTeraSortSpec(
+            data=data, redundancy=2, schedule="parallel", overlap=True,
+            memory_budget=memory_budget,
+        )
+        counts = []
+        for cluster in (
+            ThreadCluster(6, recv_timeout=60.0),
+            ProcessCluster(6, timeout=60.0),
+        ):
+            with Session(cluster) as s:
+                for _ in range(2):
+                    run = s.submit(spec).result()
+                    assert run.total_records == len(data)
+                    counts.append(run.meta["kernel_stats"]["merge_records"])
+        # In memory nothing merges; under this budget every rank's runs
+        # (one per slot, so no pair merges) meet once, in ``finish``.
+        expected = 0 if memory_budget is None else len(data)
+        assert counts == [expected] * 4
 
 
 @pytest.mark.parametrize("memory_budget", [None, 8 * 1024 * 1024])

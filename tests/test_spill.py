@@ -247,45 +247,6 @@ class TestSpillHygiene:
         live.cleanup()
 
 
-class TestSortedRunWriter:
-    """Incremental run writing must match whole-run writing, sidecar too."""
-
-    def test_chunked_write_equals_whole_write(self, tmp_path):
-        from repro.kvpairs.spill import SortedRunWriter, write_sorted_run
-
-        whole = sort_batch(teragen(5000, seed=60))
-        ref_path = str(tmp_path / "whole.run")
-        write_sorted_run(ref_path, whole)
-
-        inc_path = str(tmp_path / "inc.run")
-        writer = SortedRunWriter(inc_path)
-        for chunk in whole.iter_slices(700):
-            writer.write(chunk)
-        run = writer.close()
-        assert run.num_records == len(whole)
-        assert read_run_file(inc_path).to_bytes() == whole.to_bytes()
-        with open(ref_path, "rb") as a, open(inc_path, "rb") as b:
-            assert a.read() == b.read()
-        from repro.kvpairs.spill import ovc_sidecar_path
-
-        ref_ovc, inc_ovc = ovc_sidecar_path(ref_path), ovc_sidecar_path(inc_path)
-        assert os.path.exists(ref_ovc) == os.path.exists(inc_ovc)
-        if os.path.exists(ref_ovc):
-            with open(ref_ovc, "rb") as a, open(inc_ovc, "rb") as b:
-                assert a.read() == b.read()
-
-    def test_empty_chunks_skipped(self, tmp_path):
-        from repro.kvpairs.spill import SortedRunWriter
-
-        writer = SortedRunWriter(str(tmp_path / "e.run"))
-        writer.write(RecordBatch.empty())
-        batch = sort_batch(teragen(100, seed=61))
-        writer.write(batch)
-        writer.write(RecordBatch.empty())
-        run = writer.close()
-        assert run.num_records == 100
-
-
 class TestIncrementalMerger:
     """Eager pre-merging never changes the final byte stream."""
 
@@ -345,6 +306,33 @@ class TestIncrementalMerger:
             merger.feed(0, sort_batch(_dup_batch(500, 4, seed=i)))
         assert merger.eager_merges > 0
         assert merger.pending_runs < 8
+
+    def test_merged_records_counts_pair_merges_and_finish(self):
+        from repro.kvpairs.spill import IncrementalMerger
+
+        runs = [sort_batch(_dup_batch(500, 4, seed=i)) for i in range(4)]
+        # Equal-sized runs in one slot (factor 2): (0,1) -> 1000, then
+        # (01,2) -> 1500; run 3 is too small to pull that down, so two
+        # runs are left for finish to merge.
+        ladder = IncrementalMerger(1)
+        for run in runs:
+            ladder.feed(0, run)
+        assert (ladder.eager_merges, ladder.pending_runs) == (2, 2)
+        assert ladder.merged_records == 1000 + 1500
+        assert sum(len(b) for b in ladder.finish()) == 2000
+        assert ladder.merged_records == 2500 + 2000
+        # A lone run re-chunks through finish without merging.
+        lone = IncrementalMerger(1)
+        lone.feed(0, runs[0])
+        assert sum(len(b) for b in lone.finish()) == 500
+        assert lone.merged_records == 0
+        # One run per slot never pair-merges; finish merges all four.
+        flat = IncrementalMerger(4)
+        for slot, run in enumerate(runs):
+            flat.feed(slot, run)
+        assert flat.merged_records == 0
+        assert sum(len(b) for b in flat.finish()) == 2000
+        assert flat.merged_records == 2000
 
     def test_eager_factor_zero_only_merges_at_finish(self):
         from repro.kvpairs.spill import IncrementalMerger
