@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coded_terasort import run_coded_terasort
+import repro
+from repro import CodedTeraSortSpec
 from repro.experiments.figures import multicast_penalty_ablation
 from repro.experiments.report import render_ablation
 from repro.kvpairs.teragen import teragen
@@ -57,13 +58,12 @@ def bench_multicast_tree_vs_linear_real(benchmark, sink):
     k, r, rate = 4, 2, 4e6
 
     def run(mode):
-        return run_coded_terasort(
+        return repro.run(
             connect(
                 f"proc://{k}",
                 rate_bytes_per_s=rate, timeout=120, multicast_mode=mode,
             ),
-            data,
-            redundancy=r,
+            CodedTeraSortSpec(data, redundancy=r),
         )
 
     def both():

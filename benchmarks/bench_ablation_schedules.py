@@ -73,7 +73,8 @@ def bench_schedule_ablation_k16_r3(benchmark, sink):
 
 def _measure_engine_point(k, r, n_records, cost):
     """One (K, r) point: serial vs parallel on the process backend."""
-    from repro.core.coded_terasort import run_coded_terasort
+    import repro
+    from repro import CodedTeraSortSpec
     from repro.core.groups import build_coding_plan
     from repro.core.theory import coded_shuffle_bytes
     from repro.kvpairs.teragen import teragen
@@ -99,11 +100,9 @@ def _measure_engine_point(k, r, n_records, cost):
         ),
     }
     for schedule in ("serial", "parallel"):
-        run = run_coded_terasort(
+        run = repro.run(
             connect(f"proc://{k}", timeout=240, rate_bytes_per_s=PAPER_RATE),
-            data,
-            redundancy=r,
-            schedule=schedule,
+            CodedTeraSortSpec(data, redundancy=r, schedule=schedule),
         )
         validate_sorted_permutation(data, run.partitions)
         entry = {

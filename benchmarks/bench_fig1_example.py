@@ -7,7 +7,8 @@ real engine runs with the fixed-size-value probe job.
 
 from __future__ import annotations
 
-from repro.core.cmr import run_mapreduce
+import repro
+from repro import MapReduceSpec
 from repro.core.jobs import PROBE_UNIT, FixedSizeProbeJob
 from repro.cluster import connect
 from repro.utils.tables import format_table
@@ -21,9 +22,14 @@ def _loads():
         ("uncoded r=2", False, 2),
         ("coded r=2 (Fig. 1b)", True, 2),
     ):
-        run = run_mapreduce(
-            connect("inproc://3", recv_timeout=30), FixedSizeProbeJob(), files,
-            redundancy=r, coded=coded,
+        run = repro.run(
+            connect("inproc://3", recv_timeout=30),
+            MapReduceSpec(
+                FixedSizeProbeJob(),
+                files,
+                redundancy=r,
+                scheme="coded" if coded else "uncoded",
+            ),
         )
         records = [x for x in run.traffic.records if x.stage == "shuffle"]
         if coded:

@@ -18,8 +18,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core.coded_terasort import run_coded_terasort
-from repro.core.terasort import run_terasort
+import repro
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.api import MulticastMode
@@ -37,8 +36,9 @@ RATE = 4e6  # 4 MB/s per-node egress -> shuffle-bound like the paper
 def bench_real_terasort_rate_limited(benchmark):
     data = teragen(RECORDS, seed=3)
     run = benchmark.pedantic(
-        lambda: run_terasort(
-            connect(f"proc://{K}", rate_bytes_per_s=RATE, timeout=120), data
+        lambda: repro.run(
+            connect(f"proc://{K}", rate_bytes_per_s=RATE, timeout=120),
+            TeraSortSpec(data),
         ),
         rounds=1,
         iterations=1,
@@ -51,15 +51,14 @@ def bench_real_terasort_rate_limited(benchmark):
 def bench_real_coded_terasort_rate_limited(benchmark):
     data = teragen(RECORDS, seed=3)
     run = benchmark.pedantic(
-        lambda: run_coded_terasort(
+        lambda: repro.run(
             connect(
                 f"proc://{K}",
                 rate_bytes_per_s=RATE,
                 timeout=120,
                 multicast_mode=MulticastMode.TREE,
             ),
-            data,
-            redundancy=R,
+            CodedTeraSortSpec(data, redundancy=R),
         ),
         rounds=1,
         iterations=1,
@@ -79,18 +78,18 @@ def bench_real_speedup_comparison(benchmark, sink):
     data = teragen(100_000, seed=4)  # 10 MB -> ~2.5 s of paced shuffle
 
     def both():
-        plain = run_terasort(
-            connect(f"proc://{K}", rate_bytes_per_s=RATE, timeout=240), data
+        plain = repro.run(
+            connect(f"proc://{K}", rate_bytes_per_s=RATE, timeout=240),
+            TeraSortSpec(data),
         )
-        coded = run_coded_terasort(
+        coded = repro.run(
             connect(
                 f"proc://{K}",
                 rate_bytes_per_s=RATE,
                 timeout=240,
                 multicast_mode=MulticastMode.TREE,
             ),
-            data,
-            redundancy=R,
+            CodedTeraSortSpec(data, redundancy=R),
         )
         return plain, coded
 

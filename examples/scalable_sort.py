@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.coded_terasort import run_coded_terasort
+import repro
+from repro import CodedTeraSortSpec
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
@@ -43,17 +44,19 @@ def main() -> int:
     print(f"Grouped CodedTeraSort: K={k} nodes, {k // g} groups of g={g}, "
           f"r={r} (storage r/g = {r / g:.2f} of input per node)")
     data = teragen(args.records, seed=0)
-    grouped = run_coded_terasort(
-        ThreadCluster(k), data, redundancy=r, group_size=g
+    grouped = repro.run(
+        ThreadCluster(k),
+        CodedTeraSortSpec(data, redundancy=r, group_size=g),
     )
     validate_sorted_permutation(data, grouped.partitions)
     print("  output valid: sorted and a permutation of the input")
     load = grouped.traffic.load_bytes("shuffle") / (args.records * 100)
     print(f"  measured shuffle load {load:.4f} vs closed form "
           f"(1/r)(1-r/g) = {grouped_comm_load(r, g):.4f}")
+    full = repro.run(ThreadCluster(k), CodedTeraSortSpec(data, redundancy=r))
     print(f"  CodeGen per group: {grouped.meta['num_groups']} "
           f"multicast groups (plain coded on K={k} would need "
-          f"{run_coded_terasort(ThreadCluster(k), data, redundancy=r).meta['num_groups']})")
+          f"{full.meta['num_groups']})")
 
     # -- the trade, in closed form ----------------------------------------
     cmp = grouped_vs_full(k, g, r)

@@ -53,18 +53,19 @@ Quickstart (:func:`connect` picks the backend from a URL —
         ratio = (base.result().traffic.load_bytes("shuffle")
                  / coded.result().traffic.load_bytes("shuffle"))
 
-The legacy one-shot entry points (:func:`run_terasort`,
-:func:`run_coded_terasort`, :func:`run_mapreduce`) remain as thin
-single-job session shims.  See README.md for the architecture overview
-and EXPERIMENTS.md for the reproduction results.
+A single job needs no session of its own: ``repro.run(cluster, spec)``
+opens one, submits, waits and closes.  Every job option is declared once,
+on its spec class (the docstrings there are the option reference).  See
+README.md for the architecture overview and EXPERIMENTS.md for the
+reproduction results.
 """
 
 from repro.cluster import connect
-from repro.core.coded_terasort import CodedTeraSortProgram, run_coded_terasort
-from repro.core.cmr import MapReduceJob, run_mapreduce
+from repro.core.coded_terasort import CodedTeraSortProgram
+from repro.core.cmr import MapReduceJob
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement, UncodedPlacement
-from repro.core.terasort import SortRun, TeraSortProgram, run_terasort
+from repro.core.terasort import SortRun, TeraSortProgram
 from repro.core.theory import (
     coded_comm_load,
     optimal_r,
@@ -107,6 +108,7 @@ from repro.session import (
     MapReduceSpec,
     Session,
     TeraSortSpec,
+    run,
 )
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.runner import simulate_coded_terasort, simulate_terasort
@@ -126,16 +128,14 @@ __all__ = [
     "TeraSortSpec",
     "CodedTeraSortSpec",
     "MapReduceSpec",
+    "run",
     "CodedTeraSortProgram",
-    "run_coded_terasort",
     "MapReduceJob",
-    "run_mapreduce",
     "RangePartitioner",
     "CodedPlacement",
     "UncodedPlacement",
     "SortRun",
     "TeraSortProgram",
-    "run_terasort",
     "coded_comm_load",
     "uncoded_comm_load",
     "optimal_r",

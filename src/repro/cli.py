@@ -48,39 +48,86 @@ def _build_cluster(args: argparse.Namespace):
     return connect(f"inproc://{args.nodes}")
 
 
-def _sort_spec(args: argparse.Namespace, data, source):
-    from repro.core.terasort import check_terasort_options
+def _add_job_options(p: argparse.ArgumentParser) -> None:
+    """The job options of ``sort`` and ``submit`` — one list, each flag one
+    field of the sort specs (their docstrings are the full reference)."""
+    p.add_argument("--algorithm", choices=["terasort", "coded"], default="coded")
+    p.add_argument("--redundancy", "-r", type=int, default=2,
+                   help="coded: map each file on r nodes")
+    p.add_argument("--records", "-n", type=int, default=60_000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--input", default=None, metavar="FILE",
+                   help="sort this teragen-format file instead of "
+                        "generating records (workers read their own "
+                        "ranges; the path must resolve on every worker's "
+                        "host)")
+    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
+                   help="per-worker cap on resident record buffers; "
+                        "enables the out-of-core pipeline (spill files + "
+                        "external merge), output byte-identical")
+    p.add_argument("--output", default=None, metavar="DIR",
+                   help="with --memory-budget: stream each sorted "
+                        "partition to DIR/part-<rank> instead of "
+                        "returning it in RAM")
+    p.add_argument("--schedule", choices=["serial", "parallel"], default="serial",
+                   help="coded shuffle schedule: serial Fig. 9(b) turns "
+                        "(paper) or pipelined conflict-free rounds")
+    p.add_argument("--group-size", type=int, default=None, metavar="G",
+                   help="coded: group-based coding (§VI) — code inside "
+                        "K/G groups of G workers, each holding the whole "
+                        "input (G must divide K; default: one group)")
+    p.add_argument("--speculation", action="store_true",
+                   help="with --algorithm terasort and --input: launch "
+                        "backup copies of straggling map shards on "
+                        "finished workers (first finisher wins; output "
+                        "stays byte-identical)")
+    p.add_argument("--overlap", action="store_true",
+                   help="streaming phase overlap: ship shuffle traffic "
+                        "while Map is still running (and, under "
+                        "--memory-budget, merge it while it arrives), "
+                        "hiding communication behind compute "
+                        "(both algorithms; output stays byte-identical; "
+                        "mutually exclusive with --speculation)")
+
+
+def _job_spec(args: argparse.Namespace, size: Optional[int]):
+    """The spec the :func:`_add_job_options` flags describe, validated for
+    ``size`` workers where the caller knows it (``submit`` without
+    ``--workers`` leaves K to the daemon) before a cluster is built or a
+    job shipped.  Unsupported combinations are the spec's ``validate`` to
+    name; the one rule here is about a flag the coded spec has no field for."""
+    from repro.kvpairs.datasource import FileSource
+    from repro.kvpairs.teragen import teragen
     from repro.session import CodedTeraSortSpec, TeraSortSpec
 
+    # On-disk input: the control plane ships per-rank FileSource
+    # descriptors; workers mmap their own ranges.
     fields = dict(
-        data=data,
-        input=source,
         memory_budget=args.memory_budget,
         output_dir=args.output,
+        overlap=args.overlap,
+        **({"input": FileSource(args.input)} if args.input is not None
+           else {"data": teragen(args.records, seed=args.seed)}),
     )
     try:
-        # Unsupported option combinations are the spec's to name; say so
-        # before a cluster is built.
-        if args.algorithm == "coded":
-            if args.speculation:
-                # An uncoded-sort option: its own matrix speaks first.
-                check_terasort_options(
-                    source, args.memory_budget, True, args.overlap
-                )
-                raise ValueError(
-                    "--speculation applies to --algorithm terasort only "
-                    "(the coded shuffle has no independent map shards to "
-                    "re-execute)"
-                )
-            spec = CodedTeraSortSpec(
-                redundancy=args.redundancy, schedule=args.schedule,
-                overlap=args.overlap, **fields
+        if args.algorithm == "terasort":
+            spec = TeraSortSpec(speculation=args.speculation, **fields)
+        elif args.speculation:
+            # An uncoded-sort option: its own matrix (which does not
+            # depend on K) speaks first.
+            TeraSortSpec(speculation=True, **fields).validate(1)
+            raise ValueError(
+                "--speculation applies to --algorithm terasort only "
+                "(the coded shuffle has no independent map shards to "
+                "re-execute)"
             )
         else:
-            spec = TeraSortSpec(
-                speculation=args.speculation, overlap=args.overlap, **fields
+            spec = CodedTeraSortSpec(
+                redundancy=args.redundancy, schedule=args.schedule,
+                group_size=args.group_size, **fields
             )
-        spec.validate(args.nodes)
+        if size is not None:
+            spec.validate(size)
     except ValueError as err:
         raise SystemExit(str(err))
     return spec
@@ -99,24 +146,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.kvpairs.datasource import FileSource
-    from repro.kvpairs.teragen import teragen
     from repro.kvpairs.validation import validate_sorted_permutation
     from repro.session import Session
     from repro.utils.tables import format_table
 
-    if args.input is not None:
-        # On-disk input: the control plane ships per-rank FileSource
-        # descriptors; workers mmap their own ranges (the path must
-        # resolve on every worker's host).
-        data = None
-        source = FileSource(args.input)
-        n_records = source.num_records
-    else:
-        data = teragen(args.records, seed=args.seed)
-        source = None
-        n_records = args.records
-    spec = _sort_spec(args, data, source)
+    spec = _job_spec(args, args.nodes)
+    data, source = spec.data, spec.input
+    n_records = spec.source.num_records
     cluster = _build_cluster(args)
     backend = args.backend
     if getattr(args, "cluster", None):
@@ -289,30 +325,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _submit_spec(args: argparse.Namespace):
-    from repro.kvpairs.datasource import FileSource
-    from repro.kvpairs.teragen import teragen
-    from repro.session import CodedTeraSortSpec, TeraSortSpec
-
-    if args.input is not None:
-        data, source = None, FileSource(args.input)
-    else:
-        data, source = teragen(args.records, seed=args.seed), None
-    if args.algorithm == "coded":
-        return CodedTeraSortSpec(
-            data=data,
-            input=source,
-            redundancy=args.redundancy,
-            schedule=args.schedule,
-        )
-    return TeraSortSpec(data=data, input=source)
-
-
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient, ServiceRejected
 
     client = ServiceClient(args.connect)
-    spec = _submit_spec(args)
+    spec = _job_spec(args, args.workers)
     try:
         handle = client.submit(
             spec,
@@ -323,6 +340,10 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     except ServiceRejected as exc:
         print(f"rejected ({exc.kind}): {exc}", file=sys.stderr)
         return 3
+    except RuntimeError as exc:
+        # The daemon validates against its mesh (or --workers) and
+        # answers with the spec's own message.
+        raise SystemExit(str(exc))
     workers = args.workers if args.workers else "all"
     print(f"submitted job {handle.job_id} "
           f"(tenant={args.tenant}, priority={args.priority}, "
@@ -579,24 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("sort", help="sort synthetic or on-disk data")
-    p.add_argument("--algorithm", choices=["terasort", "coded"], default="coded")
+    _add_job_options(p)
     p.add_argument("--nodes", "-K", type=int, default=6)
-    p.add_argument("--redundancy", "-r", type=int, default=2)
-    p.add_argument("--records", "-n", type=int, default=60_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", default=None, metavar="FILE",
-                   help="sort this teragen-format file instead of "
-                        "generating records (workers read their own "
-                        "ranges; the path must resolve on every worker's "
-                        "host)")
-    p.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                   help="per-worker cap on resident record buffers; "
-                        "enables the out-of-core pipeline (spill files + "
-                        "external merge), output byte-identical")
-    p.add_argument("--output", default=None, metavar="DIR",
-                   help="with --memory-budget: stream each sorted "
-                        "partition to DIR/part-<rank> instead of "
-                        "returning it in RAM")
     p.add_argument("--backend", choices=["thread", "process"], default="thread")
     p.add_argument("--cluster", default=None, metavar="tcp://HOST:PORT",
                    help="run on a multi-host TCP cluster: listen here as "
@@ -610,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--handshake-timeout", type=float, default=30.0,
                    help="with --cluster: per-step bound for each worker's "
                         "rendezvous handshake")
-    p.add_argument("--schedule", choices=["serial", "parallel"],
-                   default="serial",
-                   help="coded shuffle schedule: serial Fig. 9(b) turns "
-                        "(paper) or pipelined conflict-free rounds")
     p.add_argument("--repeat", type=int, default=1,
                    help="run the sort N times on one session (persistent "
                         "worker pool) and report jobs/sec")
@@ -628,18 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="declare a worker dead after this many seconds "
                         "without a heartbeat (default: the backend's "
                         "setting; process/tcp backends only)")
-    p.add_argument("--speculation", action="store_true",
-                   help="with --algorithm terasort and --input: launch "
-                        "backup copies of straggling map shards on "
-                        "finished workers (first finisher wins; output "
-                        "stays byte-identical)")
-    p.add_argument("--overlap", action="store_true",
-                   help="streaming phase overlap: ship shuffle traffic "
-                        "while Map is still running (and, under "
-                        "--memory-budget, merge it while it arrives), "
-                        "hiding communication behind compute "
-                        "(both algorithms; output stays byte-identical; "
-                        "mutually exclusive with --speculation)")
     p.set_defaults(func=_cmd_sort)
 
     p = sub.add_parser(
@@ -711,16 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="run on this many workers (a subset of the mesh); "
                         "default: the whole mesh")
-    p.add_argument("--algorithm", choices=["terasort", "coded"],
-                   default="coded")
-    p.add_argument("--redundancy", "-r", type=int, default=2)
-    p.add_argument("--schedule", choices=["serial", "parallel"],
-                   default="serial")
-    p.add_argument("--records", "-n", type=int, default=60_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", default=None, metavar="FILE",
-                   help="sort this teragen-format file (path must resolve "
-                        "on every worker host)")
+    _add_job_options(p)
     p.add_argument("--no-wait", action="store_true",
                    help="print the job id and return without waiting")
     p.add_argument("--wait-timeout", type=float, default=600.0)

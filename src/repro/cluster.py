@@ -23,7 +23,7 @@ constructors accept, ``connect`` accepts::
 
 The old constructors remain importable aliases — ``connect`` is sugar,
 not a new layer: it returns the exact backend instance, with ``Session``
-/ ``SortService`` / the ``run_*`` shims taking it unchanged.
+/ ``SortService`` / ``repro.run`` taking it unchanged.
 """
 
 from __future__ import annotations

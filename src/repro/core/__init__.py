@@ -11,7 +11,9 @@ Layering (bottom-up):
 * :mod:`repro.core.encoding` / :mod:`repro.core.decoding` — Algorithms 1
   and 2 (§IV-C, §IV-E);
 * :mod:`repro.core.terasort` / :mod:`repro.core.coded_terasort` — the two
-  distributed sort node programs (§III, §IV) plus driver helpers;
+  distributed sort node programs (§III, §IV), each with its job spec
+  (the one declaration of every option, and the coordinator-side
+  compile);
 * :mod:`repro.core.cmr` — the general Coded MapReduce engine of §II, with
   ready-made jobs (WordCount, Grep, SelfJoin, InvertedIndex) in
   :mod:`repro.core.jobs`;
@@ -21,8 +23,8 @@ Layering (bottom-up):
 
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement, UncodedPlacement
-from repro.core.terasort import TeraSortProgram, run_terasort
-from repro.core.coded_terasort import CodedTeraSortProgram, run_coded_terasort
+from repro.core.terasort import TeraSortProgram
+from repro.core.coded_terasort import CodedTeraSortProgram
 from repro.core.theory import (
     coded_comm_load,
     uncoded_comm_load,
@@ -35,9 +37,7 @@ __all__ = [
     "CodedPlacement",
     "UncodedPlacement",
     "TeraSortProgram",
-    "run_terasort",
     "CodedTeraSortProgram",
-    "run_coded_terasort",
     "coded_comm_load",
     "uncoded_comm_load",
     "optimal_r",

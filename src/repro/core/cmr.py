@@ -59,12 +59,13 @@ from repro.kvpairs.spill import SpillDir, spill_blob
 from repro.runtime.api import Comm
 from repro.runtime.program import (
     ClusterResult,
+    JobSpec,
     NodeProgram,
     PreparedJob,
     execute_multicast_shuffle,
 )
 from repro.runtime.traffic import TrafficLog
-from repro.utils.subsets import Subset, k_subsets, without
+from repro.utils.subsets import Subset, binomial, k_subsets, without
 from repro.utils.timer import StageTimes
 
 UNICAST_TAG = 2000
@@ -158,24 +159,30 @@ def _build_intermediate(
 
 
 class _CMRProgramBase(NodeProgram):
-    """Shared map/reduce plumbing for the three shuffle schemes."""
+    """Shared map/reduce plumbing for the three shuffle schemes.
+
+    Args:
+        comm: communication endpoint.
+        spec: the job's :class:`MapReduceSpec`, files stripped — the
+            programs read ``job``, ``redundancy``, ``schedule`` and
+            ``memory_budget`` from it.
+        files: file id -> payload for every file placed on this node.
+        subsets: file id -> node subset ``S`` (``rank ∈ S``).
+    """
 
     def __init__(
         self,
         comm: Comm,
-        job: MapReduceJob,
+        spec: "MapReduceSpec",
         files: Dict[int, Any],
         subsets: Dict[int, Subset],
-        redundancy: int,
-        memory_budget: Optional[int] = None,
     ) -> None:
         super().__init__(comm)
-        self.job = job
+        self.spec = spec
+        self.job = spec.job
         self.files = files
         self.subsets = subsets
-        self.redundancy = redundancy
-        self.memory_budget = memory_budget
-        self.num_functions = job.num_functions(comm.size)
+        self.num_functions = self.job.num_functions(comm.size)
         self._spill: Optional[SpillDir] = None
 
     # -- spill lifecycle ----------------------------------------------------
@@ -239,9 +246,9 @@ class _CMRProgramBase(NodeProgram):
                     self.job, target, self.size, self.num_functions, outputs
                 )
                 blob = self.job.serialize(value)
-                if self.memory_budget is not None and not spilling:
+                if self.spec.memory_budget is not None and not spilling:
                     resident += len(blob)
-                    spilling = resident > self.memory_budget
+                    spilling = resident > self.spec.memory_budget
                 if spilling:
                     blob = spill_blob(self._spill_dir(), blob, "ival")
                 store[(subset, target)] = blob
@@ -291,7 +298,7 @@ class UncodedCMRProgram(_CMRProgramBase):
             store = self._serialized_store(by_subset)
             # The serial schedule is global: every node walks the full
             # subset list (derivable from K and r), not just its own files.
-            all_subsets = list(k_subsets(self.size, self.redundancy))
+            all_subsets = list(k_subsets(self.size, self.spec.redundancy))
 
         with self.stage("shuffle"):
             received_raw: List[bytes] = []
@@ -333,34 +340,15 @@ class CodedCMRProgram(_CMRProgramBase):
 
     STAGES = ["codegen", "map", "encode", "shuffle", "decode", "reduce"]
 
-    def __init__(
-        self,
-        comm: Comm,
-        job: MapReduceJob,
-        files: Dict[int, Any],
-        subsets: Dict[int, Subset],
-        redundancy: int,
-        schedule: str = "serial",
-        memory_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(
-            comm, job, files, subsets, redundancy, memory_budget=memory_budget
-        )
-        check_schedule(schedule)
-        self.schedule = schedule
-        #: Telemetry from the pipelined engine (parallel schedule only).
-        self.shuffle_telemetry: Dict[str, float] = {}
-
     def _run(self) -> Dict[int, Any]:
         rank = self.rank
+        schedule = self.spec.schedule
 
         with self.stage("codegen"):
-            plan = build_coding_plan(self.size, self.redundancy)
+            plan = build_coding_plan(self.size, self.spec.redundancy)
             my_groups = plan.groups_of_node[rank]
             rounds = (
-                plan.rounds_for("parallel")
-                if self.schedule == "parallel"
-                else None
+                plan.rounds_for("parallel") if schedule == "parallel" else None
             )
 
         with self.stage("map"):
@@ -383,11 +371,11 @@ class CodedCMRProgram(_CMRProgramBase):
                 rank, plan.groups[gidx], packets, lookup
             )
 
-        recovered, self.shuffle_telemetry = execute_multicast_shuffle(
+        recovered, _ = execute_multicast_shuffle(
             self,
             plan.groups,
             my_groups,
-            self.schedule,
+            schedule,
             plan.schedule,
             rounds,
             MULTICAST_TAG_BASE,
@@ -402,150 +390,135 @@ class CodedCMRProgram(_CMRProgramBase):
 
 def _cmr_program(comm: Comm, payload: Tuple) -> NodeProgram:
     """Pool builder (module-level for pickling): payload -> node program."""
-    job, files, subsets, redundancy, coded, schedule, memory_budget = payload
-    if coded:
-        return CodedCMRProgram(
-            comm,
-            job,
-            files,
-            subsets,
-            redundancy,
-            schedule=schedule,
-            memory_budget=memory_budget,
-        )
-    return UncodedCMRProgram(
-        comm, job, files, subsets, redundancy, memory_budget=memory_budget
-    )
+    program = CodedCMRProgram if payload[0].scheme == "coded" else UncodedCMRProgram
+    return program(comm, *payload)
 
 
-def prepare_mapreduce(
-    size: int,
-    job: MapReduceJob,
-    file_payloads: Sequence[Any],
-    redundancy: int = 1,
-    coded: bool = False,
-    schedule: str = "serial",
-    memory_budget: Optional[int] = None,
-) -> PreparedJob:
-    """Compile one MapReduce run over ``size`` nodes into a pool job.
+@dataclass(frozen=True)
+class MapReduceSpec(JobSpec):
+    """A general (Coded) MapReduce job (§II) over arbitrary file payloads.
 
-    Each rank's payload carries the job object plus its placed files and
-    their subsets; on the process backend these are pickled to the
-    workers, so ``job`` must be a module-level class (the bundled jobs in
-    :mod:`repro.core.jobs` all are).  File payloads that are
-    :class:`~repro.kvpairs.datasource.DataSource` descriptors are shipped
-    as descriptors and materialized worker-side; ``memory_budget`` bounds
-    each worker's resident serialized store (overflow spills to per-job
-    temp files).  ``finalize`` merges the per-node function outputs into
-    one :class:`CMRRun`.
+    Attributes:
+        job: the map/reduce law; must be a module-level class so the
+            process backend can pickle it to pool workers (the bundled
+            jobs in :mod:`repro.core.jobs` all qualify).
+        files: the ``N`` input file payloads; ``N`` must be a positive
+            multiple of ``C(K, r)`` (the batched placement).  Payloads
+            that are :class:`~repro.kvpairs.datasource.DataSource`
+            descriptors ship as descriptors and are materialized
+            worker-side, budget or not.
+        redundancy: ``r``; each file is mapped on ``r`` nodes.  With
+            ``scheme="uncoded"`` and ``r = 1`` this is plain MapReduce.
+        scheme: ``"uncoded"`` (designated-sender unicast shuffle; only
+            needs the placement, so ``r = K`` is legal) or ``"coded"``
+            (Algorithm 1/2 XOR multicast within groups of ``r + 1 <= K``
+            nodes; at ``r = 1`` groups have two members and coding
+            degenerates to unicast).
+        schedule: coded-shuffle schedule, ``"serial"`` (Fig. 9(b) turns)
+            or ``"parallel"`` (pipelined conflict-free rounds); identical
+            outputs.  Only meaningful with ``scheme="coded"``.
+        memory_budget: per-worker cap (bytes, ``>= 1``) on the resident
+            serialized intermediate store; overflow spills to per-job
+            temp files.
     """
-    check_schedule(schedule)
-    n = len(file_payloads)
-    placement = _make_placement(size, redundancy, n)
-    per_node_files: List[Dict[int, Any]] = [dict() for _ in range(size)]
-    per_node_subsets: List[Dict[int, Subset]] = [dict() for _ in range(size)]
-    for file_id in range(n):
-        subset = placement.subset_of_file(file_id)
-        for node in subset:
-            per_node_files[node][file_id] = file_payloads[file_id]
-            per_node_subsets[node][file_id] = subset
 
-    payloads: List[Any] = [
-        (
-            job,
-            per_node_files[rank],
-            per_node_subsets[rank],
-            redundancy,
-            coded,
-            schedule,
-            memory_budget,
-        )
-        for rank in range(size)
-    ]
+    job: MapReduceJob
+    files: Sequence[Any]
+    redundancy: int = 1
+    scheme: str = "uncoded"
+    schedule: str = "serial"
+    memory_budget: Optional[int] = None
 
-    def finalize(result: ClusterResult) -> CMRRun:
-        outputs: Dict[int, Any] = {}
-        for node_outputs in result.results:
-            overlap = set(outputs) & set(node_outputs)
-            if overlap:
-                raise RuntimeError(
-                    f"functions reduced twice: {sorted(overlap)}"
-                )
-            outputs.update(node_outputs)
-        meta: Dict[str, object] = {
-            "job": job.name,
-            "num_nodes": size,
-            "num_files": n,
-            "redundancy": redundancy,
-            "coded": coded,
-            "schedule": schedule if coded else "serial",
-        }
-        if coded and schedule == "parallel":
-            plan = build_coding_plan(size, redundancy)
-            meta.update(parallel_schedule_meta(plan, result.per_node_times))
-        return CMRRun(
-            outputs=outputs,
-            stage_times=result.stage_times,
-            traffic=result.traffic,
-            meta=meta,
-        )
+    @property
+    def input_bytes(self) -> int:
+        total = 0
+        for payload in self.files:
+            nbytes = getattr(payload, "nbytes", None)
+            if isinstance(nbytes, int):
+                total += nbytes
+            elif isinstance(payload, (bytes, bytearray, memoryview)):
+                total += len(payload)
+        return total
 
-    return PreparedJob(
-        builder=_cmr_program, payloads=payloads, finalize=finalize
-    )
-
-
-def run_mapreduce(
-    cluster,
-    job: MapReduceJob,
-    file_payloads: Sequence[Any],
-    redundancy: int = 1,
-    coded: bool = False,
-    schedule: str = "serial",
-) -> CMRRun:
-    """Run ``job`` over ``file_payloads`` on ``cluster`` (one-shot shim).
-
-    Equivalent to submitting a :class:`repro.session.MapReduceSpec` to a
-    fresh one-job :class:`repro.session.Session`; amortize the cluster
-    setup across many jobs by holding a session open instead.
-
-    Args:
-        cluster: a :class:`~repro.runtime.inproc.ThreadCluster` or
-            :class:`~repro.runtime.process.ProcessCluster`.
-        job: the map/reduce job.
-        file_payloads: the ``N`` input files; for redundancy ``r``, ``N``
-            must be a multiple of ``C(K, r)`` (the batched placement).
-        redundancy: ``r``; with ``coded=False`` and ``r = 1`` this is plain
-            MapReduce.
-        coded: use the coded shuffle (requires ``r >= 1``; at ``r = 1``
-            groups have two members and coding degenerates to unicast).
-        schedule: coded-shuffle schedule, ``"serial"`` (Fig. 9(b) turns) or
-            ``"parallel"`` (pipelined conflict-free rounds); identical
-            outputs.  Only meaningful with ``coded=True``.
-
-    Returns:
-        A :class:`CMRRun` with the merged ``{q -> result}`` outputs.
-    """
-    from repro.session import MapReduceSpec, Session
-
-    with Session(cluster) as session:
-        return session.submit(
-            MapReduceSpec(
-                job=job,
-                files=list(file_payloads),
-                redundancy=redundancy,
-                scheme="coded" if coded else "uncoded",
-                schedule=schedule,
+    def validate(self, size: int) -> None:
+        if self.memory_budget is not None and self.memory_budget < 1:
+            raise ValueError(
+                f"memory_budget must be >= 1, got {self.memory_budget}"
             )
-        ).result()
+        if self.scheme not in ("coded", "uncoded"):
+            raise ValueError(
+                f'scheme must be "coded" or "uncoded", got {self.scheme!r}'
+            )
+        check_schedule(self.schedule)
+        max_r = size - 1 if self.scheme == "coded" else size
+        if not 1 <= self.redundancy <= max_r:
+            raise ValueError(
+                f"redundancy must be in [1, {max_r}] for "
+                f"scheme={self.scheme!r} on K={size} nodes, "
+                f"got {self.redundancy}"
+            )
+        base = binomial(size, self.redundancy)
+        n = len(self.files)
+        if n == 0 or n % base != 0:
+            raise ValueError(
+                f"number of files ({n}) must be a positive multiple of "
+                f"C(K={size}, r={self.redundancy}) = {base}"
+            )
 
+    def prepare(self, size: int) -> PreparedJob:
+        """Compile one MapReduce run over ``size`` nodes into a pool job.
 
-def _make_placement(k: int, redundancy: int, n_files: int) -> CodedPlacement:
-    """Placement for ``n_files`` at redundancy ``r`` (batched subsets)."""
-    base = CodedPlacement(k, redundancy, 1).num_subsets
-    if n_files % base != 0 or n_files == 0:
-        raise ValueError(
-            f"number of files ({n_files}) must be a positive multiple of "
-            f"C(K={k}, r={redundancy}) = {base}"
+        Each rank's payload carries the file-less spec (hence the job
+        object) plus its placed files and their subsets.  ``finalize``
+        merges the per-node function outputs into one :class:`CMRRun`.
+        """
+        self.validate(size)
+        n = len(self.files)
+        coded = self.scheme == "coded"
+        placement = CodedPlacement(
+            size, self.redundancy, n // binomial(size, self.redundancy)
         )
-    return CodedPlacement(k, redundancy, n_files // base)
+        per_node_files: List[Dict[int, Any]] = [{} for _ in range(size)]
+        per_node_subsets: List[Dict[int, Subset]] = [{} for _ in range(size)]
+        for file_id in range(n):
+            subset = placement.subset_of_file(file_id)
+            for node in subset:
+                per_node_files[node][file_id] = self.files[file_id]
+                per_node_subsets[node][file_id] = subset
+
+        spec = self.with_(files=())
+        payloads: List[Any] = [
+            (spec, per_node_files[rank], per_node_subsets[rank])
+            for rank in range(size)
+        ]
+
+        def finalize(result: ClusterResult) -> CMRRun:
+            outputs: Dict[int, Any] = {}
+            for node_outputs in result.results:
+                overlap = set(outputs) & set(node_outputs)
+                if overlap:
+                    raise RuntimeError(
+                        f"functions reduced twice: {sorted(overlap)}"
+                    )
+                outputs.update(node_outputs)
+            meta: Dict[str, object] = {
+                "job": self.job.name,
+                "num_nodes": size,
+                "num_files": n,
+                "redundancy": self.redundancy,
+                "coded": coded,
+                "schedule": self.schedule if coded else "serial",
+            }
+            if coded and self.schedule == "parallel":
+                plan = build_coding_plan(size, self.redundancy)
+                meta.update(parallel_schedule_meta(plan, result.per_node_times))
+            return CMRRun(
+                outputs=outputs,
+                stage_times=result.stage_times,
+                traffic=result.traffic,
+                meta=meta,
+            )
+
+        return PreparedJob(
+            builder=_cmr_program, payloads=payloads, finalize=finalize
+        )

@@ -66,6 +66,7 @@ over spilled run files.
 
 from __future__ import annotations
 
+from dataclasses import KW_ONLY, dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.decoding import recover_intermediate
@@ -74,20 +75,13 @@ from repro.core.groups import (
     CodingPlan,
     build_coding_plan,
     check_coded_params,
-    check_schedule,
     parallel_schedule_meta,
 )
 from repro.core.mapper import hash_file
-from repro.core.outofcore import (
-    MergeFrontier,
-    OutOfCore,
-    out_of_core,
-    residency_meta,
-    stats_meta,
-)
+from repro.core.outofcore import MergeFrontier, OutOfCore, out_of_core
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
-from repro.core.terasort import SortRun, _build_partitioner_from_source
+from repro.core.terasort import SortRun, SortSpec
 from repro.kvpairs.datasource import DataSource, FileSource, as_source
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import StreamStore
@@ -97,7 +91,6 @@ from repro.runtime.program import (
     NodeProgram,
     PreparedJob,
     execute_multicast_shuffle,
-    overlap_meta,
 )
 from repro.utils.subsets import Subset, binomial, without
 
@@ -112,28 +105,15 @@ class CodedTeraSortProgram(NodeProgram):
 
     Args:
         comm: communication endpoint.
+        spec: the job's :class:`CodedTeraSortSpec`, input stripped — the
+            program reads ``redundancy``, ``schedule``, ``overlap``,
+            ``group_size``, ``memory_budget`` and ``output_dir`` from it
+            (their meaning is documented there).
         files: file id -> data for every file placed on this node
             (resident batches or :class:`DataSource` descriptors the node
             reads locally).
         subsets: file id -> node subset ``S`` (``rank ∈ S``).
         partitioner: shared ``K``-way range partitioner.
-        redundancy: the computation-load parameter ``r``.
-        schedule: ``"serial"`` (Fig. 9(b) turns) or ``"parallel"``
-            (conflict-free round order, no barriers); see the module
-            docstring.
-        memory_budget: cap (bytes) on resident record buffers; ``None``
-            keeps everything in memory, a value bounds the map window,
-            spills the store and merges externally (byte-identical
-            output, both schedules).
-        output_dir: with a budget, stream the sorted partition to
-            ``<output_dir>/part-<rank>`` and return a ``FileSource``.
-        overlap: streaming phase overlap — interleave Map with the coded
-            shuffle (a group multicasts as soon as every subset it draws
-            on is fully mapped); under a budget decoded groups are also
-            pre-merged as they arrive.  Output stays byte-identical to
-            the staged execution.
-        group_size: ``g`` — code only inside this rank's group of ``g``
-            consecutive ranks (``None``: one group of all ``K``).
     """
 
     STAGES = STAGES_CODED
@@ -141,27 +121,17 @@ class CodedTeraSortProgram(NodeProgram):
     def __init__(
         self,
         comm: Comm,
+        spec: "CodedTeraSortSpec",
         files: Dict[int, Union[RecordBatch, DataSource]],
         subsets: Dict[int, Subset],
         partitioner: RangePartitioner,
-        redundancy: int,
-        schedule: str = "serial",
-        memory_budget: Optional[int] = None,
-        output_dir: Optional[str] = None,
-        overlap: bool = False,
-        group_size: Optional[int] = None,
     ) -> None:
         super().__init__(comm)
-        check_schedule(schedule)
+        self.spec = spec
         self.files = files
         self.subsets = subsets
         self.partitioner = partitioner
-        self.redundancy = redundancy
-        self.schedule = schedule
-        self.memory_budget = memory_budget
-        self.output_dir = output_dir
-        self.overlap = overlap
-        g = group_size or self.size
+        g = spec.group_size or self.size
         first = self.rank - self.rank % g
         #: The ``g`` ranks of this rank's coding group (all ``K`` ungrouped).
         self.peers: Tuple[int, ...] = tuple(range(first, first + g))
@@ -169,7 +139,7 @@ class CodedTeraSortProgram(NodeProgram):
         self.shuffle_telemetry: Dict[str, float] = {}
 
     def run(self) -> Union[RecordBatch, FileSource]:
-        with out_of_core(self, self.memory_budget, "cts") as oc:
+        with out_of_core(self, self.spec.memory_budget, "cts") as oc:
             return self._run_pipeline(oc)
 
     def _subset_plan(self):
@@ -219,14 +189,15 @@ class CodedTeraSortProgram(NodeProgram):
         order — the concatenation the plain staged run stably sorts.
         """
         rank = self.rank
+        overlap, schedule = self.spec.overlap, self.spec.schedule
         with self.stage("codegen"):
             plan: CodingPlan = build_coding_plan(
-                len(self.peers), self.redundancy
+                len(self.peers), self.spec.redundancy
             ).on(self.peers)
             my_groups = plan.groups_of_node[rank]
             rounds = (
-                plan.rounds_for(self.schedule)
-                if self.overlap or self.schedule == "parallel"
+                plan.rounds_for(schedule)
+                if overlap or schedule == "parallel"
                 else None
             )
             # This rank's packet for group ``M`` XORs ``{I^t_{M\{t}} :
@@ -241,7 +212,7 @@ class CodedTeraSortProgram(NodeProgram):
                     for t in plan.groups[gidx]
                     if t != rank
                 ]
-                for gidx in (my_groups if self.overlap else ())
+                for gidx in (my_groups if overlap else ())
             }
         fids, subset_order, remaining, targets = self._subset_plan()
         sources = {fid: as_source(self.files[fid]) for fid in fids}
@@ -257,7 +228,7 @@ class CodedTeraSortProgram(NodeProgram):
             gidx: len(subset_order) + i for i, gidx in enumerate(my_groups)
         }
         frontier = MergeFrontier(
-            len(subset_order) + len(my_groups), eager=self.overlap, oc=oc
+            len(subset_order) + len(my_groups), eager=overlap, oc=oc
         )
         completed: set = set()
         own_fed = 0  # subsets whose own value has entered the frontier
@@ -285,7 +256,7 @@ class CodedTeraSortProgram(NodeProgram):
             with self.stage("encode"):
                 for target in targets[subset][1:]:
                     store.seal((subset, target))
-            if self.overlap:
+            if overlap:
                 with self.stage("reduce"):
                     advance_own()
 
@@ -358,13 +329,13 @@ class CodedTeraSortProgram(NodeProgram):
             # the frontier sorts and merges here); staged it only
             # collects — or sorts one run under a budget — inside the
             # Decode scope.
-            if self.overlap:
+            if overlap:
                 with self.stage("reduce"):
                     frontier.feed(slot_of_group[gidx], batch, tag=tag)
             else:
                 frontier.feed(slot_of_group[gidx], batch, tag=tag)
 
-        if not self.overlap:
+        if not overlap:
             with self.stage("map"):
                 for _ in steps:
                     pass
@@ -372,22 +343,22 @@ class CodedTeraSortProgram(NodeProgram):
             self,
             plan.groups,
             my_groups,
-            self.schedule,
+            schedule,
             plan.schedule,
             rounds,
             MULTICAST_TAG_BASE,
             encode_for,
             recover,
-            map_step=(lambda: next(steps, False)) if self.overlap else None,
+            map_step=(lambda: next(steps, False)) if overlap else None,
             ready=(
                 (lambda gidx: all(s in completed for s in needed[gidx]))
-                if self.overlap
+                if overlap
                 else None
             ),
         )
         with self.stage("reduce"):
             advance_own()
-            return frontier.finish(self, self.output_dir)
+            return frontier.finish(self, self.spec.output_dir)
 
 
 def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
@@ -395,165 +366,134 @@ def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
     return CodedTeraSortProgram(comm, *payload)
 
 
-def prepare_coded_terasort(
-    size: int,
-    data: Optional[Union[RecordBatch, DataSource]] = None,
-    redundancy: int = 1,
-    batches_per_subset: int = 1,
-    sampled_partitioner: bool = False,
-    sample_size: int = 10000,
-    sample_seed: int = 7,
-    schedule: str = "serial",
-    memory_budget: Optional[int] = None,
-    output_dir: Optional[str] = None,
-    overlap: bool = False,
-    group_size: Optional[int] = None,
-) -> PreparedJob:
-    """Compile one CodedTeraSort over ``size`` nodes into a pool job.
+@dataclass(frozen=True)
+class CodedTeraSortSpec(SortSpec):
+    """CodedTeraSort (§IV): coded placement + XOR multicast shuffle.
 
-    Coordinator-side: the shared partitioner, the coded placement, and
-    each rank's ``{file_id: source}`` / ``{file_id: subset}`` maps —
-    files are cut at the *descriptor* level
-    (:meth:`~repro.core.placement.CodedPlacement.split_source`), so for
-    file/teragen inputs every worker streams its own splits and the
-    control plane ships only descriptors (inline batches keep the seed's
-    ship-by-value behavior).  With ``group_size = g`` the placement is
-    built on ``g`` members and replicated: coding group ``j`` holds file
-    ``F_S`` on ranks ``{j·g + m : m ∈ S}``, so every group stores the
-    whole input (``r/g`` of it per node).  The coding plan itself is
-    built by every node during CodeGen (that cost is part of the measured
-    stage, as in the paper); ``finalize`` takes its counts from closed
-    forms and rebuilds it only for the parallel schedule's round count.
+    Input, memory plane and partitioner fields: see
+    :class:`~repro.core.terasort.SortSpec` (``data`` and ``redundancy``
+    are the positional fields; everything else is keyword-only).
+
+    Attributes:
+        redundancy: the computation load ``r ∈ [1, g-1]`` — each file is
+            mapped on ``r`` nodes (of every coding group).
+        batches_per_subset: input files per node subset
+            (``N = b * C(g, r)``, ``b >= 1``); the files of a subset are
+            concatenated before encoding, as in the batched CMR scheme
+            of [9].
+        schedule: ``"serial"`` (paper, Fig. 9(b) turns behind cluster
+            barriers) or ``"parallel"`` (the barrier-free event loop,
+            packets posted in conflict-free round order); byte-identical
+            output.
+        overlap: as on :class:`~repro.core.terasort.SortSpec`; here the
+            event loop also drives the map, and a multicast group is
+            encoded and sent as soon as all of its contributing file
+            subsets are mapped (the unit pre-merged under a budget is a
+            decoded group).  Composes with either ``schedule``, which
+            then only fixes the posting priority.
+        group_size: group-based coding (§VI "Scalable Coding"): the ``K``
+            workers code inside ``K/g`` groups of ``g`` consecutive
+            ranks, each holding the whole input — CodeGen falls from
+            ``C(K, r+1)`` to ``C(g, r+1)`` groups, the load rises to
+            ``(1/r)(1 - r/g)`` and each node maps ``r/g`` of the input.
+            Must divide ``K``; ``None`` (default) is ``g = K``.  Picks
+            the coding plan only: composes with every other field.
     """
-    check_coded_params(size, redundancy, schedule, group_size)
-    g = group_size or size
-    source = as_source(data)
-    partitioner = _build_partitioner_from_source(
-        source, size, sampled_partitioner, sample_size, sample_seed
-    )
-    placement = CodedPlacement(g, redundancy, batches_per_subset)
-    file_sources = placement.split_source(source)
 
-    per_node_files: List[Dict[int, DataSource]] = [dict() for _ in range(size)]
-    per_node_subsets: List[Dict[int, Subset]] = [dict() for _ in range(size)]
-    for file_id, file_source in enumerate(file_sources):
-        members = placement.subset_of_file(file_id)
-        for first in range(0, size, g):
-            subset = tuple(first + m for m in members)
-            for node in subset:
-                per_node_files[node][file_id] = file_source
-                per_node_subsets[node][file_id] = subset
+    redundancy: int = 1
+    _: KW_ONLY
+    batches_per_subset: int = 1
+    schedule: str = "serial"
+    group_size: Optional[int] = None
 
-    # CodedTeraSortProgram's arguments after ``comm``, in order.
-    payloads: List[Any] = [
-        (
-            per_node_files[rank],
-            per_node_subsets[rank],
-            partitioner,
-            redundancy,
-            schedule,
-            memory_budget,
-            output_dir,
-            overlap,
-            group_size,
+    def validate(self, size: int) -> None:
+        check_coded_params(
+            size, self.redundancy, self.schedule, self.group_size
         )
-        for rank in range(size)
-    ]
-    input_records = source.num_records
+        if self.batches_per_subset < 1:
+            raise ValueError(
+                f"batches_per_subset must be >= 1, "
+                f"got {self.batches_per_subset}"
+            )
+        super().validate(size)
 
-    def finalize(result: ClusterResult) -> SortRun:
-        # ``num_groups``: the multicast groups one node's CodeGen
-        # enumerates; ``total_multicasts`` / ``node_groups`` are
-        # cluster-wide; ``schedule_turns``: one coding group's serial walk.
-        num_groups = binomial(g, redundancy + 1)
-        meta = {
-            "algorithm": "coded_terasort",
-            "num_nodes": size,
-            "redundancy": redundancy,
-            "batches_per_subset": batches_per_subset,
-            "input_records": input_records,
-            "num_files": placement.num_files,
-            "files_per_node": placement.files_per_node(),
-            "group_size": g,
-            "node_groups": size // g,
-            "num_groups": num_groups,
-            "total_multicasts": size // g * num_groups * (redundancy + 1),
-            "schedule": schedule,
-            "schedule_turns": num_groups * (redundancy + 1),
-            "input_kind": type(source).__name__,
-        }
-        if memory_budget is not None:
-            meta["memory_budget"] = memory_budget
-            meta.update(residency_meta(result.per_node_times))
-        if schedule == "parallel":
-            meta.update(
-                parallel_schedule_meta(
-                    build_coding_plan(g, redundancy), result.per_node_times
+    def shrink_to(self, free: int) -> Optional[int]:
+        # Coded geometry: (K', r) stays valid only while r <= K'-1, so
+        # the smallest shrink target is r+1 workers (1604.07086's
+        # tradeoff constraint); validate() enforces the rest — with a
+        # group_size, only its multiples.
+        return self._shrink_by_validate(free, floor=self.redundancy + 1)
+
+    def prepare(self, size: int) -> PreparedJob:
+        """Compile one CodedTeraSort over ``size`` nodes into a pool job.
+
+        Coordinator-side: the shared partitioner, the coded placement,
+        and each rank's ``{file_id: source}`` / ``{file_id: subset}``
+        maps next to the input-less spec — files are cut at the
+        *descriptor* level
+        (:meth:`~repro.core.placement.CodedPlacement.split_source`), so
+        for file/teragen inputs every worker streams its own splits and
+        the control plane ships only descriptors (inline batches keep
+        the seed's ship-by-value behavior).  With ``group_size = g`` the
+        placement is built on ``g`` members and replicated: coding group
+        ``j`` holds file ``F_S`` on ranks ``{j·g + m : m ∈ S}``, so every
+        group stores the whole input (``r/g`` of it per node).  The
+        coding plan itself is built by every node during CodeGen (that
+        cost is part of the measured stage, as in the paper);
+        ``finalize`` takes its counts from closed forms and rebuilds it
+        only for the parallel schedule's round count.
+        """
+        self.validate(size)
+        g = self.group_size or size
+        r = self.redundancy
+        partitioner = self._partitioner(size)
+        placement = CodedPlacement(g, r, self.batches_per_subset)
+        file_sources = placement.split_source(self.source)
+
+        per_node_files: List[Dict[int, DataSource]] = [{} for _ in range(size)]
+        per_node_subsets: List[Dict[int, Subset]] = [{} for _ in range(size)]
+        for file_id, file_source in enumerate(file_sources):
+            members = placement.subset_of_file(file_id)
+            for first in range(0, size, g):
+                subset = tuple(first + m for m in members)
+                for node in subset:
+                    per_node_files[node][file_id] = file_source
+                    per_node_subsets[node][file_id] = subset
+
+        spec = self._for_workers()
+        payloads: List[Any] = [
+            (spec, per_node_files[rank], per_node_subsets[rank], partitioner)
+            for rank in range(size)
+        ]
+
+        def finalize(result: ClusterResult) -> SortRun:
+            # ``num_groups``: the multicast groups one node's CodeGen
+            # enumerates; ``total_multicasts`` / ``node_groups`` are
+            # cluster-wide; ``schedule_turns``: one coding group's serial
+            # walk.
+            num_groups = binomial(g, r + 1)
+            meta: Dict[str, object] = {
+                "algorithm": "coded_terasort",
+                "num_nodes": size,
+                "redundancy": r,
+                "batches_per_subset": self.batches_per_subset,
+                "num_files": placement.num_files,
+                "files_per_node": placement.files_per_node(),
+                "group_size": g,
+                "node_groups": size // g,
+                "num_groups": num_groups,
+                "total_multicasts": size // g * num_groups * (r + 1),
+                "schedule": self.schedule,
+                "schedule_turns": num_groups * (r + 1),
+            }
+            if self.schedule == "parallel":
+                meta.update(
+                    parallel_schedule_meta(
+                        build_coding_plan(g, r), result.per_node_times
+                    )
                 )
-            )
-        meta["kernel_stats"] = stats_meta(result.per_node_times)
-        if overlap:
-            meta["overlap"] = overlap_meta(result.per_node_times)
-        return SortRun(
-            partitions=list(result.results),
-            stage_times=result.stage_times,
-            traffic=result.traffic,
-            partitioner=partitioner,
-            meta=meta,
+            return self._sort_run(result, partitioner, meta)
+
+        return PreparedJob(
+            builder=_coded_terasort_program, payloads=payloads, finalize=finalize
         )
-
-    return PreparedJob(
-        builder=_coded_terasort_program, payloads=payloads, finalize=finalize
-    )
-
-
-def run_coded_terasort(
-    cluster,
-    data: RecordBatch,
-    redundancy: int,
-    batches_per_subset: int = 1,
-    sampled_partitioner: bool = False,
-    sample_size: int = 10000,
-    sample_seed: int = 7,
-    schedule: str = "serial",
-    group_size: Optional[int] = None,
-) -> SortRun:
-    """Sort ``data`` with CodedTeraSort on ``cluster`` (one-shot shim).
-
-    Equivalent to submitting a :class:`repro.session.CodedTeraSortSpec`
-    to a fresh one-job :class:`repro.session.Session`; amortize the
-    cluster setup across many sorts by holding a session open instead.
-
-    Args:
-        cluster: a :class:`~repro.runtime.inproc.ThreadCluster` or
-            :class:`~repro.runtime.process.ProcessCluster`.
-        data: the full input batch.
-        redundancy: ``r ∈ [1, g-1]`` — each file is mapped on ``r`` nodes
-            (of every coding group).
-        batches_per_subset: input files per node subset (``N = b * C(g, r)``).
-        sampled_partitioner / sample_size / sample_seed: see
-            :func:`repro.core.terasort.run_terasort`.
-        schedule: ``"serial"`` (paper, Fig. 9(b)) or ``"parallel"``
-            (pipelined conflict-free rounds); output is byte-identical.
-        group_size: ``g`` — group-based coding (§VI): code inside groups
-            of ``g`` ranks, ``g`` dividing ``K``; ``None`` is ``g = K``.
-
-    Returns:
-        A :class:`~repro.core.terasort.SortRun` whose ``meta`` carries the
-        coding-plan statistics (groups, packets, schedule turns/rounds).
-    """
-    from repro.session import CodedTeraSortSpec, Session
-
-    with Session(cluster) as session:
-        return session.submit(
-            CodedTeraSortSpec(
-                data=data,
-                redundancy=redundancy,
-                batches_per_subset=batches_per_subset,
-                sampled_partitioner=sampled_partitioner,
-                sample_size=sample_size,
-                sample_seed=sample_seed,
-                schedule=schedule,
-                group_size=group_size,
-            )
-        ).result()

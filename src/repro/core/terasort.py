@@ -54,14 +54,16 @@ branch in the shuffle: frames carry either the data or a redirect to
 the backup rank that re-mapped the shard.
 
 The program runs on any :class:`~repro.runtime.api.Comm` backend.
-:func:`prepare_terasort` compiles one sort into a pool-runnable
+:class:`TeraSortSpec` *is* the job: it declares every option once
+(name, default, meaning, validity), its
+:meth:`~TeraSortSpec.prepare` compiles one sort into a pool-runnable
 :class:`~repro.runtime.program.PreparedJob` (placement, the shared
-partitioner, result assembly); the declarative driver API is
-:class:`repro.session.TeraSortSpec` submitted to a
-:class:`repro.session.Session`, and :func:`run_terasort` is its one-shot
-shim.  Inputs are :class:`~repro.kvpairs.datasource.DataSource`
-descriptors (each rank materializes or streams its split locally — the
-control plane never carries record bytes for file/teragen sources).
+partitioner, result assembly) and the ranks read their options from the
+spec they are handed.  Submit it to a :class:`repro.session.Session`, or
+run it once with :func:`repro.run`.  Inputs are
+:class:`~repro.kvpairs.datasource.DataSource` descriptors (each rank
+materializes or streams its split locally — the control plane never
+carries record bytes for file/teragen sources).
 
 The compute hot path is Map's partition pass (the MSB radix kernel of
 :mod:`repro.kvpairs.kernels`) and Reduce's one-word stable sort
@@ -75,11 +77,12 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.mapper import hash_file
 from repro.core.outofcore import (
+    MIN_MEMORY_BUDGET,
     MergeFrontier,
     OutOfCore,
     PartitionSpiller,
@@ -96,6 +99,7 @@ from repro.kvpairs.spill import Run
 from repro.runtime.api import Comm, Request, wait_all
 from repro.runtime.program import (
     ClusterResult,
+    JobSpec,
     NodeProgram,
     PreparedJob,
     export_overlap,
@@ -163,26 +167,18 @@ class TeraSortProgram(NodeProgram):
 
     Args:
         comm: communication endpoint.
+        spec: the job's :class:`TeraSortSpec`, input stripped — the
+            program reads ``memory_budget``, ``output_dir`` and
+            ``overlap`` from it (their meaning is documented there).
         file_data: this node's input file ``F_{k}`` — a resident
             :class:`~repro.kvpairs.records.RecordBatch` or a
             :class:`~repro.kvpairs.datasource.DataSource` descriptor the
             node materializes/streams locally.
         partitioner: the shared ``K``-way range partitioner.
-        memory_budget: cap (bytes) on resident record buffers; ``None``
-            keeps everything in memory, a value bounds the map window,
-            spills chunks as sorted runs and merges externally
-            (byte-identical output).
-        output_dir: with a budget, stream the sorted partition to
-            ``<output_dir>/part-<rank>`` and return a ``FileSource``
-            instead of materializing it.
         spec_splits: all ranks' shard descriptors — enables speculative
             map re-execution (any rank can re-map a straggler's shard).
             Requires a live pool backend (a driver control channel);
             without one the program degrades to the plain staged run.
-        overlap: streaming overlap — ship each chunk as the map produces
-            it and consume arrivals between map windows; under a budget
-            arriving chunks are also merged incrementally
-            (byte-identical to the staged schedule).
     """
 
     STAGES = STAGES_TERASORT
@@ -190,23 +186,19 @@ class TeraSortProgram(NodeProgram):
     def __init__(
         self,
         comm: Comm,
+        spec: "TeraSortSpec",
         file_data: Union[RecordBatch, DataSource],
         partitioner: RangePartitioner,
-        memory_budget: Optional[int] = None,
-        output_dir: Optional[str] = None,
         spec_splits: Optional[List[DataSource]] = None,
-        overlap: bool = False,
     ) -> None:
         super().__init__(comm)
+        self.spec = spec
         self.source = as_source(file_data)
         self.partitioner = partitioner
-        self.memory_budget = memory_budget
-        self.output_dir = output_dir
         self.spec_splits = spec_splits
-        self.overlap = overlap
 
     def run(self) -> Union[RecordBatch, FileSource]:
-        with out_of_core(self, self.memory_budget, "ts") as oc:
+        with out_of_core(self, self.spec.memory_budget, "ts") as oc:
             return self._run_pipeline(oc)
 
     def _map_windows(
@@ -258,7 +250,7 @@ class TeraSortProgram(NodeProgram):
         k, rank, comm = self.size, self.rank, self.comm
         peers = [p for p in range(k) if p != rank]
         slot_of = {rank: 0, **{s: 1 + i for i, s in enumerate(peers)}}
-        streaming = self.overlap
+        streaming = self.spec.overlap
         speculative = (
             self.spec_splits is not None and comm.job_control is not None
         )
@@ -442,7 +434,7 @@ class TeraSortProgram(NodeProgram):
                             del raw
 
         with self.stage("reduce"):
-            return frontier.finish(self, self.output_dir)
+            return frontier.finish(self, self.spec.output_dir)
 
     # -- speculative map re-execution ---------------------------------------
 
@@ -623,115 +615,125 @@ def _terasort_program(comm: Comm, payload: Tuple) -> TeraSortProgram:
     return TeraSortProgram(comm, *payload)
 
 
-def check_terasort_options(
-    data: Optional[Union[RecordBatch, DataSource]],
-    memory_budget: Optional[int],
-    speculation: bool,
-    overlap: bool,
-) -> None:
-    """The uncoded option matrix: reject its unsupported cells by name.
+@dataclass(frozen=True)
+class SortSpec(JobSpec):
+    """What the two sort specs share: the input, the memory plane, the
+    partitioner and the overlap switch (``data`` is the one positional
+    field; everything else is keyword-only).
 
-    The one validator behind :class:`repro.session.TeraSortSpec`,
-    :func:`prepare_terasort` and (through the spec) the CLI.
-    ``speculation`` is staged and in-memory, and its backup must be able
-    to re-read the straggler's split.
+    Attributes:
+        data: the full input batch (the coordinator's view); mutually
+            exclusive with ``input``.  Ships to the workers by value.
+        input: a :class:`~repro.kvpairs.datasource.DataSource` descriptor
+            (``FileSource`` / ``TeragenSource`` / ``InlineSource``) —
+            workers read their own splits, the control plane ships only
+            ~100-byte descriptors for file/teragen kinds.
+        memory_budget: per-worker cap (bytes) on resident record buffers,
+            at least :data:`~repro.core.outofcore.MIN_MEMORY_BUDGET`;
+            ``None`` keeps everything in memory, a value bounds the map
+            window, spills chunks as sorted runs and merges externally
+            (byte-identical output).
+        output_dir: with a budget (required), workers stream their sorted
+            partition to ``<output_dir>/part-<rank>`` (a worker-local or
+            shared path) and the run's partitions are ``FileSource``
+            results instead of resident batches.
+        sampled_partitioner: use sampled quantile splitters instead of
+            uniform ones (needed for skewed keys).
+        sample_size / sample_seed: splitter sample parameters
+            (``sample_size >= 1``).  Inline data is sampled uniformly at
+            random under ``sample_seed``; other kinds draw through the
+            source's own :meth:`~repro.kvpairs.datasource.DataSource.sample`,
+            which never materializes the dataset.
+        overlap: open the pipeline's send gate as the map goes (map ↔
+            shuffle overlap), so makespan approaches ``max(compute,
+            comm)`` instead of their sum.  In memory Reduce is still one
+            sort at the end; under a ``memory_budget`` arrivals are also
+            pre-merged while the shuffle is in flight (shuffle ↔ reduce
+            overlap).  Output stays byte-identical to the staged
+            schedule; composes with ``memory_budget``.
     """
-    if not speculation:
-        return
-    if overlap:
-        raise ValueError(
-            "overlap x speculation: mutually exclusive — speculation runs "
-            "on the staged shuffle only (hide communication with overlap, "
-            "or run stragglers with speculation)"
-        )
-    if not isinstance(data, DataSource) or isinstance(data, InlineSource):
-        raise ValueError(
-            "speculation x inline data: speculation requires input= (a "
-            "re-readable DataSource descriptor: a backup worker must be "
-            f"able to read the straggler's split); got {type(data).__name__}"
-        )
-    if memory_budget is not None:
-        raise ValueError(
-            "speculation x memory_budget: speculation is only supported "
-            "on the in-memory path (no memory_budget)"
-        )
 
+    data: Optional[RecordBatch] = None
+    _: KW_ONLY
+    input: Optional[DataSource] = None
+    memory_budget: Optional[int] = None
+    output_dir: Optional[str] = None
+    sampled_partitioner: bool = False
+    sample_size: int = 10000
+    sample_seed: int = 7
+    overlap: bool = False
 
-def prepare_terasort(
-    size: int,
-    data: Optional[Union[RecordBatch, DataSource]] = None,
-    sampled_partitioner: bool = False,
-    sample_size: int = 10000,
-    sample_seed: int = 7,
-    memory_budget: Optional[int] = None,
-    output_dir: Optional[str] = None,
-    speculation: bool = False,
-    speculation_wait_factor: float = 1.5,
-    speculation_min_wait: float = 0.2,
-    overlap: bool = False,
-) -> PreparedJob:
-    """Compile one TeraSort over ``size`` nodes into a pool-runnable job.
+    @property
+    def source(self) -> DataSource:
+        """The job's input as a descriptor, whichever field carried it."""
+        return as_source(self.input if self.input is not None else self.data)
 
-    Builds the shared range partitioner once on the coordinator and cuts
-    the input into per-rank splits *at the descriptor level*: each rank's
-    payload is a :class:`~repro.kvpairs.datasource.DataSource` subrange
-    plus the partitioner, so for file/teragen inputs the control plane
-    ships ~100-byte descriptors, never record bytes (an
-    :class:`~repro.kvpairs.datasource.InlineSource` — the plain
-    ``RecordBatch`` call style — still ships its records by value, the
-    seed behavior).  ``finalize`` assembles the pool's
-    :class:`~repro.runtime.program.ClusterResult` into a :class:`SortRun`.
+    @property
+    def input_bytes(self) -> int:
+        return self.source.nbytes
 
-    With ``speculation`` the compiled job additionally asks the pool's
-    driver loop to watch per-stage heartbeats and launch a backup copy
-    of a straggling map shard on an already-finished worker (first
-    finisher wins; output stays byte-identical).  Requires a re-readable
-    input descriptor (not an :class:`InlineSource`), no ``memory_budget``
-    and no ``overlap`` (:func:`check_terasort_options`).
-    """
-    check_terasort_options(data, memory_budget, speculation, overlap)
-    source = as_source(data)
-    partitioner = _build_partitioner_from_source(
-        source, size, sampled_partitioner, sample_size, sample_seed
-    )
-    splits = UncodedPlacement(size).split_source(source)
-    spec_splits = list(splits) if speculation else None
-    # TeraSortProgram's arguments after ``comm``, in order.
-    payloads: List[Any] = [
-        (splits[rank], partitioner, memory_budget, output_dir, spec_splits,
-         overlap)
-        for rank in range(size)
-    ]
-    input_records = source.num_records
+    def validate(self, size: int) -> None:
+        if self.sample_size < 1:
+            raise ValueError(
+                f"sample_size must be >= 1, got {self.sample_size}"
+            )
+        if (self.data is None) == (self.input is None):
+            raise ValueError(
+                "exactly one of data= (a RecordBatch) or input= (a "
+                "DataSource) must be given"
+            )
+        if self.data is not None and not isinstance(self.data, RecordBatch):
+            raise ValueError(
+                f"data must be a RecordBatch, got {type(self.data).__name__} "
+                "(pass sources via input=)"
+            )
+        if self.input is not None and not isinstance(self.input, DataSource):
+            raise ValueError(
+                f"input must be a DataSource, got {type(self.input).__name__}"
+            )
+        if (
+            self.memory_budget is not None
+            and self.memory_budget < MIN_MEMORY_BUDGET
+        ):
+            raise ValueError(
+                f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes, "
+                f"got {self.memory_budget}"
+            )
+        if self.output_dir is not None and self.memory_budget is None:
+            raise ValueError(
+                "output_dir requires memory_budget (the in-memory path "
+                "returns resident partitions)"
+            )
 
-    def finalize(result: ClusterResult) -> SortRun:
-        meta: Dict[str, object] = {
-            "algorithm": "terasort",
-            "num_nodes": size,
-            "input_records": input_records,
-            "input_kind": type(source).__name__,
-        }
+    def _for_workers(self) -> "SortSpec":
+        """The spec as the ranks get it: every option, none of the input
+        (a payload carries its rank's split, never the job's dataset)."""
+        return self.with_(data=None, input=None)
+
+    def _partitioner(self, size: int) -> RangePartitioner:
+        """The shared ``size``-way partitioner, built once on the coordinator."""
+        if self.sampled_partitioner:
+            sample = self.source.sample(self.sample_size, seed=self.sample_seed)
+            if len(sample):
+                return RangePartitioner.from_sample(sample, size)
+        return RangePartitioner.uniform(size)
+
+    def _sort_run(
+        self,
+        result: ClusterResult,
+        partitioner: RangePartitioner,
+        meta: Dict[str, object],
+    ) -> SortRun:
+        """``finalize``'s shared half: the option-derived meta + the run."""
+        source = self.source
+        meta["input_records"] = source.num_records
+        meta["input_kind"] = type(source).__name__
         meta["kernel_stats"] = stats_meta(result.per_node_times)
-        if overlap:
+        if self.overlap:
             meta["overlap"] = overlap_meta(result.per_node_times)
-        if memory_budget is not None:
-            meta["memory_budget"] = memory_budget
+        if self.memory_budget is not None:
+            meta["memory_budget"] = self.memory_budget
             meta.update(residency_meta(result.per_node_times))
-        if speculation:
-            # Which ranks ran a backup copy / abandoned their own map
-            # (from the pseudo-stage stamps in the raw per-node times).
-            meta["speculation"] = {
-                "backups": [
-                    r
-                    for r, t in enumerate(result.per_node_times)
-                    if "spec_backup" in t
-                ],
-                "abandoned": [
-                    r
-                    for r, t in enumerate(result.per_node_times)
-                    if "spec_map_abandoned" in t
-                ],
-            }
         return SortRun(
             partitions=list(result.results),
             stage_times=result.stage_times,
@@ -740,102 +742,137 @@ def prepare_terasort(
             meta=meta,
         )
 
-    return PreparedJob(
-        builder=_terasort_program,
-        payloads=payloads,
-        finalize=finalize,
-        speculation=(
-            {
-                "stage": "map",
-                "wait_factor": speculation_wait_factor,
-                "min_wait": speculation_min_wait,
-            }
-            if speculation
-            else None
-        ),
-    )
 
+@dataclass(frozen=True, kw_only=True)
+class TeraSortSpec(SortSpec):
+    """The uncoded baseline sort (§III): serial unicast shuffle.
 
-def run_terasort(
-    cluster,
-    data: RecordBatch,
-    sampled_partitioner: bool = False,
-    sample_size: int = 10000,
-    sample_seed: int = 7,
-) -> SortRun:
-    """Sort ``data`` with TeraSort on ``cluster`` (one-shot session shim).
+    Input, memory plane, partitioner and ``overlap`` fields: see
+    :class:`SortSpec`.
 
-    Equivalent to submitting a :class:`repro.session.TeraSortSpec` to a
-    fresh one-job :class:`repro.session.Session`; amortize the cluster
-    setup across many sorts by holding a session open instead.
-
-    Args:
-        cluster: a :class:`~repro.runtime.inproc.ThreadCluster` or
-            :class:`~repro.runtime.process.ProcessCluster`.
-        data: the full input batch (the coordinator's view).
-        sampled_partitioner: use sampled quantile splitters instead of the
-            uniform ones (needed for skewed keys).
-        sample_size: number of records sampled for the splitter.
-        sample_seed: RNG seed for the sample.
-
-    Returns:
-        A :class:`SortRun`; ``partitions[k]`` is node ``k``'s sorted output.
+    Attributes:
+        speculation: enable speculative re-execution of straggling map
+            shards (live pool backends only): the driver watches stage
+            heartbeats and launches a backup copy of a slow shard's map
+            on an already-finished worker — first finisher wins, output
+            stays byte-identical (map output per shard is deterministic).
+            Staged and in-memory, and the backup must be able to re-read
+            the straggler's split: requires ``input=`` (a re-readable
+            descriptor, not an ``InlineSource``), no ``memory_budget``
+            and no ``overlap`` — :meth:`validate` names each rejected
+            cell (``"overlap x speculation"``, …).
+        speculation_wait_factor / speculation_min_wait: a shard is
+            declared straggling once the job has run
+            ``max(min_wait, wait_factor x median map completion time)``
+            seconds and at least half the workers finished their map
+            (``wait_factor >= 1``, ``min_wait >= 0``).
     """
-    from repro.session import Session, TeraSortSpec
 
-    with Session(cluster) as session:
-        return session.submit(
-            TeraSortSpec(
-                data=data,
-                sampled_partitioner=sampled_partitioner,
-                sample_size=sample_size,
-                sample_seed=sample_seed,
+    speculation: bool = False
+    speculation_wait_factor: float = 1.5
+    speculation_min_wait: float = 0.2
+
+    def validate(self, size: int) -> None:
+        if size < 1:
+            raise ValueError(f"cluster size must be >= 1, got {size}")
+        super().validate(size)
+        if not self.speculation:
+            return
+        if self.overlap:
+            raise ValueError(
+                "overlap x speculation: mutually exclusive — speculation runs "
+                "on the staged shuffle only (hide communication with overlap, "
+                "or run stragglers with speculation)"
             )
-        ).result()
+        if isinstance(self.source, InlineSource):
+            given = self.data if self.input is None else self.input
+            raise ValueError(
+                "speculation x inline data: speculation requires input= (a "
+                "re-readable DataSource descriptor: a backup worker must be "
+                "able to read the straggler's split); got "
+                f"{type(given).__name__}"
+            )
+        if self.memory_budget is not None:
+            raise ValueError(
+                "speculation x memory_budget: speculation is only supported "
+                "on the in-memory path (no memory_budget)"
+            )
+        if self.speculation_wait_factor < 1.0:
+            raise ValueError(
+                f"speculation_wait_factor must be >= 1.0, "
+                f"got {self.speculation_wait_factor}"
+            )
+        if self.speculation_min_wait < 0.0:
+            raise ValueError(
+                f"speculation_min_wait must be >= 0, "
+                f"got {self.speculation_min_wait}"
+            )
 
+    def shrink_to(self, free: int) -> Optional[int]:
+        # The uncoded sort re-splits at the descriptor level: any K' >= 2
+        # is a valid (smaller) re-plan of the same spec.
+        return self._shrink_by_validate(free, floor=2)
 
-def _build_partitioner(
-    data: RecordBatch,
-    k: int,
-    sampled: bool,
-    sample_size: int,
-    sample_seed: int,
-) -> RangePartitioner:
-    """Coordinator-side partitioner construction shared by both drivers."""
-    if not sampled:
-        return RangePartitioner.uniform(k)
-    import numpy as np
+    def prepare(self, size: int) -> PreparedJob:
+        """Compile one TeraSort over ``size`` nodes into a pool-runnable job.
 
-    rng = np.random.default_rng(sample_seed)
-    n = len(data)
-    take = min(sample_size, n)
-    if take == 0:
-        return RangePartitioner.uniform(k)
-    idx = rng.choice(n, size=take, replace=False)
-    return RangePartitioner.from_sample(data.take(idx), k)
+        Builds the shared range partitioner once on the coordinator and
+        cuts the input into per-rank splits *at the descriptor level*:
+        each rank's payload is the input-less spec, a
+        :class:`~repro.kvpairs.datasource.DataSource` subrange and the
+        partitioner, so for file/teragen inputs the control plane ships
+        ~100-byte descriptors, never record bytes (an
+        :class:`~repro.kvpairs.datasource.InlineSource` — the plain
+        ``data=`` call style — still ships its records by value, the
+        seed behavior).  ``finalize`` assembles the pool's
+        :class:`~repro.runtime.program.ClusterResult` into a
+        :class:`SortRun`.  With ``speculation`` every rank also gets all
+        the splits, and the job asks the pool's driver loop to watch the
+        map stage's heartbeats.
+        """
+        self.validate(size)
+        partitioner = self._partitioner(size)
+        splits = UncodedPlacement(size).split_source(self.source)
+        spec = self._for_workers()
+        spec_splits = list(splits) if self.speculation else None
+        payloads: List[Any] = [
+            (spec, splits[rank], partitioner, spec_splits)
+            for rank in range(size)
+        ]
 
+        def finalize(result: ClusterResult) -> SortRun:
+            meta: Dict[str, object] = {
+                "algorithm": "terasort",
+                "num_nodes": size,
+            }
+            if self.speculation:
+                # Which ranks ran a backup copy / abandoned their own map
+                # (from the pseudo-stage stamps in the raw per-node times).
+                meta["speculation"] = {
+                    "backups": [
+                        r
+                        for r, t in enumerate(result.per_node_times)
+                        if "spec_backup" in t
+                    ],
+                    "abandoned": [
+                        r
+                        for r, t in enumerate(result.per_node_times)
+                        if "spec_map_abandoned" in t
+                    ],
+                }
+            return self._sort_run(result, partitioner, meta)
 
-def _build_partitioner_from_source(
-    source: DataSource,
-    k: int,
-    sampled: bool,
-    sample_size: int,
-    sample_seed: int,
-) -> RangePartitioner:
-    """Partitioner from any source kind.
-
-    Inline sources keep the seed's exact RNG sampling (byte-identical
-    splitters for existing callers); other kinds draw through the
-    source's own :meth:`~repro.kvpairs.datasource.DataSource.sample`,
-    which never materializes the dataset.
-    """
-    if isinstance(source, InlineSource):
-        return _build_partitioner(
-            source.batch, k, sampled, sample_size, sample_seed
+        return PreparedJob(
+            builder=_terasort_program,
+            payloads=payloads,
+            finalize=finalize,
+            speculation=(
+                {
+                    "stage": "map",
+                    "wait_factor": self.speculation_wait_factor,
+                    "min_wait": self.speculation_min_wait,
+                }
+                if self.speculation
+                else None
+            ),
         )
-    if not sampled:
-        return RangePartitioner.uniform(k)
-    sample = source.sample(sample_size, seed=sample_seed)
-    if len(sample) == 0:
-        return RangePartitioner.uniform(k)
-    return RangePartitioner.from_sample(sample, k)

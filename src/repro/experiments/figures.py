@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.coded_terasort import run_coded_terasort
-from repro.core.terasort import run_terasort
 from repro.core.theory import (
     coded_comm_load,
     coded_shuffle_bytes,
@@ -37,6 +35,7 @@ from repro.experiments.configs import (
 from repro.kvpairs.records import RECORD_BYTES
 from repro.kvpairs.teragen import teragen
 from repro.runtime.inproc import ThreadCluster
+from repro.session import CodedTeraSortSpec, TeraSortSpec, run
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.runner import simulate_coded_terasort, simulate_terasort
 
@@ -83,17 +82,17 @@ def fig2_series(
         )
         cap = max_measured_r if max_measured_r is not None else num_nodes - 1
         if measure and r <= cap:
-            run = run_coded_terasort(
+            coded = run(
                 ThreadCluster(num_nodes, recv_timeout=120.0),
-                data,
-                redundancy=r,
+                CodedTeraSortSpec(data=data, redundancy=r),
             )
             point.coded_measured = (
-                run.traffic.load_bytes("shuffle") / total_bytes
+                coded.traffic.load_bytes("shuffle") / total_bytes
             )
             if r == 1:
-                base = run_terasort(
-                    ThreadCluster(num_nodes, recv_timeout=120.0), data
+                base = run(
+                    ThreadCluster(num_nodes, recv_timeout=120.0),
+                    TeraSortSpec(data=data),
                 )
                 point.uncoded_measured = (
                     base.traffic.load_bytes("shuffle") / total_bytes

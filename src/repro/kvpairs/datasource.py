@@ -118,7 +118,7 @@ class InlineSource(DataSource):
 
     def sample(self, max_records: int, seed: int = 7) -> RecordBatch:
         # Preserves the seed partitioner exactly: a uniform random sample
-        # of the resident batch, same RNG law as `_build_partitioner`.
+        # of the resident batch under the spec's ``sample_seed``.
         n = len(self.batch)
         take = min(max_records, n)
         if take <= 0:

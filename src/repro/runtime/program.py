@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.api import BufferParts, Comm, Request, wait_all
@@ -228,13 +228,92 @@ class JobControl:
         return None
 
 
+@dataclass(frozen=True)
+class JobSpec(ABC):
+    """A declarative description of one job — the job's single source of
+    truth for every option's name, default, meaning and validity.
+
+    Subclasses are frozen dataclasses living next to the program they
+    describe (:class:`~repro.core.terasort.TeraSortSpec`,
+    :class:`~repro.core.coded_terasort.CodedTeraSortSpec`,
+    :class:`~repro.core.cmr.MapReduceSpec`).  :meth:`validate` raises
+    :class:`ValueError` for parameters that cannot run on a ``size``-node
+    cluster — called synchronously at submission
+    (:meth:`repro.session.Session.submit`, ``SortService.submit``) and
+    again at the top of :meth:`prepare`, nowhere else — and
+    :meth:`prepare` is the coordinator-side compile into a pool-runnable
+    :class:`PreparedJob`.  Node programs receive the spec itself (with
+    its input stripped) and read their options from it.
+    """
+
+    @abstractmethod
+    def validate(self, size: int) -> None:
+        """Raise :class:`ValueError` if the spec cannot run on ``size`` nodes."""
+
+    @abstractmethod
+    def prepare(self, size: int) -> "PreparedJob":
+        """Validate, then compile the spec for a ``size``-node worker pool."""
+
+    @property
+    def input_bytes(self) -> int:
+        """Best-effort input size, for the service's byte quotas.
+
+        Advisory capacity planning, not a security boundary (the depth
+        quotas are the hard gate): shapes a spec cannot size count 0.
+        """
+        return 0
+
+    def with_(self, **overrides: Any) -> "JobSpec":
+        """A copy of this spec with the given fields replaced.
+
+        A checked :func:`dataclasses.replace` wrapper: unknown field
+        names raise :class:`TypeError` — so the elastic re-planner and
+        user code stop hand-copying ten-field specs::
+
+            wider = CodedTeraSortSpec(data=data, redundancy=3).with_(
+                schedule="parallel"
+            )
+        """
+        bad = set(overrides) - set(type(self).__dataclass_fields__)
+        if bad:
+            raise TypeError(
+                f"{type(self).__name__}.with_() got unknown field(s) "
+                f"{sorted(bad)}; valid fields: "
+                f"{sorted(type(self).__dataclass_fields__)}"
+            )
+        return replace(self, **overrides)
+
+    def shrink_to(self, free: int) -> Optional[int]:
+        """The largest worker count ``K' <= free`` this spec can re-plan
+        to, or ``None`` when it cannot shrink.
+
+        Powers the scheduler's ``shrink_to_fit`` policy: a queued K-wide
+        job may run now on fewer free workers instead of waiting for the
+        mesh to regrow.  The base spec is not shrinkable; the sort specs
+        override this (uncoded: any ``K' >= 2``; coded: the largest
+        ``K'`` with a valid ``(K', r)`` per the tradeoff constraints).
+        """
+        return None
+
+    def _shrink_by_validate(self, free: int, floor: int) -> Optional[int]:
+        """Largest ``K' in [floor, free]`` accepted by :meth:`validate`."""
+        for k in range(free, floor - 1, -1):
+            try:
+                self.validate(k)
+            except ValueError:
+                continue
+            return k
+        return None
+
+
 @dataclass
 class PreparedJob:
     """One job compiled for a session worker pool.
 
-    The coordinator-side half of a :class:`~repro.session.JobSpec`: the
-    driver does all global preparation (partitioner, placement) once, then
-    the pool ships ``builder`` + ``payloads[rank]`` to each worker.
+    The coordinator-side half of a :class:`JobSpec`
+    (:meth:`JobSpec.prepare` builds it): the driver does all global
+    preparation (partitioner, placement) once, then the pool ships
+    ``builder`` + ``payloads[rank]`` to each worker.
 
     Attributes:
         builder: ``(comm, payload) -> NodeProgram`` constructing rank's

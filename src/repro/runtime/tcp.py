@@ -544,9 +544,8 @@ class TcpCluster:
 
     Drop-in third backend: anything that takes a
     :class:`~repro.runtime.process.ProcessCluster` /
-    :class:`~repro.runtime.inproc.ThreadCluster` — ``Session``, the
-    ``run_*`` one-shot shims, the CLI — accepts a ``TcpCluster``
-    unchanged, and outputs are byte-identical across the three.
+    :class:`~repro.runtime.inproc.ThreadCluster` — ``Session``,
+    ``repro.run``, the CLI — accepts a ``TcpCluster`` unchanged, and outputs are byte-identical across the three.
 
     Args:
         size: number of workers (the paper's ``K``).

@@ -22,9 +22,8 @@ The communication load rises from ``(1/r)(1 - r/K)`` to ``(1/r)(1 - r/g)``
 
 This package holds only the closed forms (:mod:`repro.scalable.theory`).
 The construction itself is not a separate program: it is the
-``group_size`` field of :class:`repro.session.CodedTeraSortSpec` (and of
-``run_coded_terasort`` / ``prepare_coded_terasort``) on the one coded
-pipeline in :mod:`repro.core.coded_terasort`, and the ``group_size``
+``group_size`` field of :class:`repro.session.CodedTeraSortSpec` on the
+one coded pipeline in :mod:`repro.core.coded_terasort`, and the ``group_size``
 argument of :func:`repro.sim.runner.simulate_coded_terasort` /
 :class:`repro.sim.workload.CodedWorkload` in the simulator.
 """

@@ -39,7 +39,7 @@ from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.runtime.program import PreparedJob
 from repro.runtime.tcp import TcpCluster, parse_address
 from repro.service.pool import ServicePool, SubsetJob
-from repro.service.protocol import estimate_spec_bytes, recv_obj, send_obj
+from repro.service.protocol import recv_obj, send_obj
 from repro.service.scheduler import (
     AdmissionError,
     FairShareScheduler,
@@ -291,7 +291,7 @@ class SortService:
             with self._lock:
                 self._stats.rejected(tenant)
             raise
-        est_bytes = estimate_spec_bytes(spec)
+        est_bytes = spec.input_bytes
         with self._lock:
             if self._closed:
                 raise RuntimeError("service is shut down")

@@ -36,7 +36,6 @@ from repro.runtime.transport import TransportError, recv_frame, send_frame
 __all__ = [
     "SERVICE_PROTOCOL_VERSION",
     "ServiceProtocolError",
-    "estimate_spec_bytes",
     "recv_obj",
     "request",
     "send_obj",
@@ -85,28 +84,3 @@ def request(sock: socket.socket, obj: Any) -> Any:
     """One round-trip: send ``obj``, receive the response."""
     send_obj(sock, obj)
     return recv_obj(sock)
-
-
-def estimate_spec_bytes(spec: Any) -> int:
-    """Best-effort input size of a job spec, for quota accounting.
-
-    The sort specs expose their input as either a resident
-    ``RecordBatch`` (``data``) or a ``DataSource`` descriptor
-    (``input``), both with ``nbytes``; MapReduce files are sized when
-    they are bytes-like or descriptors.  Unknown shapes count as 0 —
-    quotas on bytes are advisory capacity planning, not a security
-    boundary (the depth quotas are the hard gate).
-    """
-    total = 0
-    for attr in ("data", "input"):
-        value = getattr(spec, attr, None)
-        nbytes = getattr(value, "nbytes", None)
-        if isinstance(nbytes, int):
-            total += nbytes
-    for payload in getattr(spec, "files", None) or ():
-        nbytes = getattr(payload, "nbytes", None)
-        if isinstance(nbytes, int):
-            total += nbytes
-        elif isinstance(payload, (bytes, bytearray, memoryview)):
-            total += len(payload)
-    return total

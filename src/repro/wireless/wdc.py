@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster import connect
-from repro.core.groups import check_coded_params
 from repro.core.mapper import hash_file
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
@@ -139,13 +138,14 @@ def run_wireless_sort(
         )
     if group_size is not None and protocol != "d2d":
         raise ValueError("grouped sessions use the d2d protocol")
-    check_coded_params(num_users, redundancy, "serial", group_size)
+    spec = CodedTeraSortSpec(
+        data=data, redundancy=redundancy, group_size=group_size, schedule="serial"
+    )
     if protocol == "uncoded":
+        # No session submits on this path: same (K, r) domain, same message.
+        spec.validate(num_users)
         partitions = _uncoded_relay(data, num_users, redundancy, channel)
     else:
-        spec = CodedTeraSortSpec(
-            data=data, redundancy=redundancy, group_size=group_size, schedule="serial"
-        )
         partitions = _coded_session(spec, num_users, protocol == "edge", channel)
     return WirelessSortOutcome(
         partitions=partitions,

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cmr import run_mapreduce
+import repro
+from repro import MapReduceSpec
 from repro.core.jobs import PROBE_UNIT as UNIT
 from repro.core.jobs import FixedSizeProbeJob
 from repro.runtime.inproc import ThreadCluster
@@ -30,12 +31,14 @@ def expected_outputs():
 
 def run(scheme_coded: bool, r: int):
     files = [f"file-{i}" for i in range(6)]
-    return run_mapreduce(
+    return repro.run(
         ThreadCluster(3, recv_timeout=30),
-        FixedSizeProbeJob(),
-        files,
-        redundancy=r,
-        coded=scheme_coded,
+        MapReduceSpec(
+            FixedSizeProbeJob(),
+            files,
+            redundancy=r,
+            scheme="coded" if scheme_coded else "uncoded",
+        ),
     )
 
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.cmr import run_mapreduce
+import repro
+from repro import MapReduceSpec
 from repro.core.jobs import (
     GrepJob,
     InvertedIndexJob,
@@ -64,16 +65,26 @@ class TestWordCount:
 
     @pytest.mark.parametrize("coded,r", [(False, 1), (False, 2), (True, 2), (True, 1)])
     def test_schemes_agree(self, coded, r):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), WordCountJob(), TEXTS,
-            redundancy=r, coded=coded,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                WordCountJob(),
+                TEXTS,
+                redundancy=r,
+                scheme="coded" if coded else "uncoded",
+            ),
         )
         assert merged_outputs(run) == self.expected()
 
     def test_multiple_buckets_per_node(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), WordCountJob(buckets_per_node=2),
-            TEXTS, redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                WordCountJob(buckets_per_node=2),
+                TEXTS,
+                redundancy=2,
+                scheme="coded",
+            ),
         )
         assert len(run.outputs) == 6  # Q = 3 * 2 functions
         assert merged_outputs(run) == self.expected()
@@ -87,13 +98,13 @@ class TestWordCount:
         texts = [
             " ".join(f"file{i}word{j}" for j in range(400)) for i in range(6)
         ]
-        base = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), WordCountJob(), texts,
-            redundancy=2, coded=False,
+        base = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(WordCountJob(), texts, redundancy=2),
         )
-        coded = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), WordCountJob(), texts,
-            redundancy=2, coded=True,
+        coded = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(WordCountJob(), texts, redundancy=2, scheme="coded"),
         )
         assert (
             coded.traffic.load_bytes("shuffle")
@@ -103,9 +114,9 @@ class TestWordCount:
     def test_tiny_payload_overhead_documented(self):
         """At byte-scale payloads headers + padding can exceed the saving —
         the engine must still deliver correct outputs in that regime."""
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), WordCountJob(), TEXTS,
-            redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(WordCountJob(), TEXTS, redundancy=2, scheme="coded"),
         )
         assert merged_outputs(run) == self.expected()
 
@@ -116,9 +127,9 @@ class TestWordCount:
 
 class TestGrep:
     def test_finds_all_matches(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), GrepJob(r"qu"), TEXTS,
-            redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(GrepJob(r"qu"), TEXTS, redundancy=2, scheme="coded"),
         )
         matches = [m for v in run.outputs.values() for m in v]
         expected = [
@@ -127,16 +138,21 @@ class TestGrep:
         assert sorted(matches) == sorted(expected)
 
     def test_no_matches(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), GrepJob(r"zzzzzz"), TEXTS,
-            redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                GrepJob(r"zzzzzz"),
+                TEXTS,
+                redundancy=2,
+                scheme="coded",
+            ),
         )
         assert all(v == [] for v in run.outputs.values())
 
     def test_regex_anchors(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), GrepJob(r"^the"), TEXTS,
-            redundancy=1, coded=False,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(GrepJob(r"^the"), TEXTS, redundancy=1),
         )
         matches = [m for v in run.outputs.values() for m in v]
         assert {m[0] for m in matches} == {0, 2}
@@ -149,9 +165,9 @@ class TestSelfJoin:
             [("k1", 2), ("k3", 30)],
             [("k1", 3), ("k2", 20)],
         ]
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), SelfJoinJob(), files,
-            redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(SelfJoinJob(), files, redundancy=2, scheme="coded"),
         )
         joined = merged_outputs(run)
         assert joined["k1"] == [(1, 2), (1, 3), (2, 3)]
@@ -161,8 +177,15 @@ class TestSelfJoin:
     def test_schemes_agree(self):
         files = [[(f"k{i % 4}", i)] for i in range(6)]
         runs = [
-            run_mapreduce(ThreadCluster(3, recv_timeout=30), SelfJoinJob(),
-                          files, redundancy=r, coded=c)
+            repro.run(
+                ThreadCluster(3, recv_timeout=30),
+                MapReduceSpec(
+                    SelfJoinJob(),
+                    files,
+                    redundancy=r,
+                    scheme="coded" if c else "uncoded",
+                ),
+            )
             for c, r in [(False, 1), (True, 2)]
         ]
         assert merged_outputs(runs[0]) == merged_outputs(runs[1])
@@ -170,19 +193,27 @@ class TestSelfJoin:
 
 class TestInvertedIndex:
     def test_postings(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), InvertedIndexJob(), TEXTS,
-            redundancy=2, coded=True,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                InvertedIndexJob(),
+                TEXTS,
+                redundancy=2,
+                scheme="coded",
+            ),
         )
         idx = merged_outputs(run)
         assert idx["five"] == [1, 2, 3, 4]
         assert idx["the"] == [0, 2, 3, 5]
 
     def test_each_word_once_per_file(self):
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), InvertedIndexJob(),
-            ["dup dup dup", "dup other", "x y"],
-            redundancy=1, coded=False,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                InvertedIndexJob(),
+                ["dup dup dup", "dup other", "x y"],
+                redundancy=1,
+            ),
         )
         idx = merged_outputs(run)
         assert idx["dup"] == [0, 1]
@@ -191,16 +222,21 @@ class TestInvertedIndex:
 class TestEngineValidation:
     def test_file_count_must_divide(self):
         with pytest.raises(ValueError, match="multiple"):
-            run_mapreduce(
-                ThreadCluster(3, recv_timeout=30), WordCountJob(),
-                TEXTS[:4], redundancy=2, coded=True,
+            repro.run(
+                ThreadCluster(3, recv_timeout=30),
+                MapReduceSpec(
+                    WordCountJob(),
+                    TEXTS[:4],
+                    redundancy=2,
+                    scheme="coded",
+                ),
             )
 
     def test_zero_files_rejected(self):
         with pytest.raises(ValueError):
-            run_mapreduce(
-                ThreadCluster(3, recv_timeout=30), WordCountJob(), [],
-                redundancy=1,
+            repro.run(
+                ThreadCluster(3, recv_timeout=30),
+                MapReduceSpec(WordCountJob(), [], redundancy=1),
             )
 
 
@@ -221,9 +257,14 @@ class TestRankedInvertedIndex:
     def test_schemes_agree(self, coded, r):
         from repro.core.jobs import RankedInvertedIndexJob
 
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), RankedInvertedIndexJob(),
-            TEXTS, redundancy=r, coded=coded,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(
+                RankedInvertedIndexJob(),
+                TEXTS,
+                redundancy=r,
+                scheme="coded" if coded else "uncoded",
+            ),
         )
         assert merged_outputs(run) == self.expected()
 
@@ -235,9 +276,9 @@ class TestRankedInvertedIndex:
             "apple banana banana",        # file 1: apple x1, banana x2
             "apple apple cherry",         # file 2: apple x2
         ]
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), RankedInvertedIndexJob(),
-            texts, redundancy=1, coded=False,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(RankedInvertedIndexJob(), texts, redundancy=1),
         )
         merged = merged_outputs(run)
         # apple ranked by term frequency: file 0 (3) > file 2 (2) > file 1.
@@ -249,9 +290,9 @@ class TestRankedInvertedIndex:
         from repro.core.jobs import RankedInvertedIndexJob
 
         texts = ["tie word", "tie word", "other text"]
-        run = run_mapreduce(
-            ThreadCluster(3, recv_timeout=30), RankedInvertedIndexJob(),
-            texts, redundancy=1, coded=False,
+        run = repro.run(
+            ThreadCluster(3, recv_timeout=30),
+            MapReduceSpec(RankedInvertedIndexJob(), texts, redundancy=1),
         )
         merged = merged_outputs(run)
         assert merged["tie"] == [(0, 1), (1, 1)]

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.coded_terasort import run_coded_terasort
-from repro.core.terasort import run_terasort
+import repro
+from repro import CodedTeraSortSpec, TeraSortSpec
 from repro.core.theory import coded_shuffle_bytes
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
@@ -20,50 +20,62 @@ class TestCodedCorrectness:
     )
     def test_sorts_across_k_r_grid(self, k, r, thread_cluster_factory):
         data = teragen(3000 + 97 * k + r, seed=k * 10 + r)
-        run = run_coded_terasort(thread_cluster_factory(k), data, redundancy=r)
+        run = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(data, redundancy=r),
+        )
         validate_sorted_permutation(data, run.partitions)
 
     def test_output_identical_to_terasort(self, thread_cluster_factory):
         """Both algorithms must produce the exact same partitions."""
         data = teragen(5000, seed=1)
-        plain = run_terasort(thread_cluster_factory(5), data)
-        coded = run_coded_terasort(thread_cluster_factory(5), data, redundancy=2)
+        plain = repro.run(thread_cluster_factory(5), TeraSortSpec(data))
+        coded = repro.run(
+            thread_cluster_factory(5),
+            CodedTeraSortSpec(data, redundancy=2),
+        )
         assert len(plain.partitions) == len(coded.partitions)
         for p, c in zip(plain.partitions, coded.partitions):
             assert p == c
 
     def test_batched_placement(self, thread_cluster_factory):
         data = teragen(4000, seed=2)
-        run = run_coded_terasort(
-            thread_cluster_factory(4), data, redundancy=2, batches_per_subset=3
+        run = repro.run(
+            thread_cluster_factory(4),
+            CodedTeraSortSpec(data, redundancy=2, batches_per_subset=3),
         )
         validate_sorted_permutation(data, run.partitions)
         assert run.meta["num_files"] == 18  # 3 * C(4,2)
 
     def test_empty_input(self, thread_cluster_factory):
-        run = run_coded_terasort(
-            thread_cluster_factory(4), teragen(0), redundancy=2
+        run = repro.run(
+            thread_cluster_factory(4),
+            CodedTeraSortSpec(teragen(0), redundancy=2),
         )
         assert run.total_records == 0
 
     def test_tiny_input_many_files(self, thread_cluster_factory):
         """More files than records: most files empty, still correct."""
         data = teragen(5, seed=3)
-        run = run_coded_terasort(thread_cluster_factory(5), data, redundancy=3)
+        run = repro.run(
+            thread_cluster_factory(5),
+            CodedTeraSortSpec(data, redundancy=3),
+        )
         validate_sorted_permutation(data, run.partitions)
 
     def test_skewed_keys(self, thread_cluster_factory):
         data = teragen_skewed(6000, seed=4, zipf_a=1.4)
-        run = run_coded_terasort(
-            thread_cluster_factory(4), data, redundancy=2,
-            sampled_partitioner=True,
+        run = repro.run(
+            thread_cluster_factory(4),
+            CodedTeraSortSpec(data, redundancy=2, sampled_partitioner=True),
         )
         validate_sorted_permutation(data, run.partitions)
 
     def test_invalid_redundancy(self, thread_cluster_factory):
         with pytest.raises(ValueError):
-            run_coded_terasort(
-                thread_cluster_factory(4), teragen(100), redundancy=4
+            repro.run(
+                thread_cluster_factory(4),
+                CodedTeraSortSpec(teragen(100), redundancy=4),
             )
 
     # The factory fixture builds a fresh cluster per call, so reusing it
@@ -81,7 +93,10 @@ class TestCodedCorrectness:
     def test_sort_property(self, k, seed, n, data_obj, thread_cluster_factory):
         r = data_obj.draw(st.integers(1, k - 1))
         data = teragen(n, seed=seed)
-        run = run_coded_terasort(thread_cluster_factory(k), data, redundancy=r)
+        run = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(data, redundancy=r),
+        )
         validate_sorted_permutation(data, run.partitions)
 
 
@@ -89,8 +104,9 @@ class TestCodedAccounting:
     @pytest.mark.parametrize("k,r,g", [(5, 2, None), (6, 2, 3), (8, 1, 2)])
     def test_multicast_count_matches_plan(self, k, r, g, thread_cluster_factory):
         data = teragen(3000, seed=5)
-        run = run_coded_terasort(
-            thread_cluster_factory(k), data, redundancy=r, group_size=g
+        run = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         assert (
             run.traffic.message_count("shuffle") == run.meta["total_multicasts"]
@@ -101,7 +117,10 @@ class TestCodedAccounting:
         k, r = 6, 2
         n = 30000
         data = teragen(n, seed=6)
-        run = run_coded_terasort(thread_cluster_factory(k), data, redundancy=r)
+        run = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(data, redundancy=r),
+        )
         payload = run.traffic.load_bytes("shuffle")
         ideal = coded_shuffle_bytes(n * 100, r, k)
         # Headers + size imbalance put measured a few % above the ideal.
@@ -113,8 +132,11 @@ class TestCodedAccounting:
         k, r = 6, 3
         n = 30000
         data = teragen(n, seed=7)
-        uncoded = run_terasort(thread_cluster_factory(k), data)
-        coded = run_coded_terasort(thread_cluster_factory(k), data, redundancy=r)
+        uncoded = repro.run(thread_cluster_factory(k), TeraSortSpec(data))
+        coded = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(data, redundancy=r),
+        )
         u = uncoded.traffic.load_bytes("shuffle")
         c = coded.traffic.load_bytes("shuffle")
         # Theoretical ratio is 2r/... precisely r vs (1-1/k)/((1/r)(1-r/k)).
@@ -128,9 +150,14 @@ class TestCodedAccounting:
         node's CodeGen enumerates, ``total_multicasts`` is cluster-wide."""
         from repro.utils.subsets import binomial
 
-        run = run_coded_terasort(
-            thread_cluster_factory(k), teragen(500, seed=8), redundancy=r,
-            schedule=schedule, group_size=g,
+        run = repro.run(
+            thread_cluster_factory(k),
+            CodedTeraSortSpec(
+                teragen(500, seed=8),
+                redundancy=r,
+                schedule=schedule,
+                group_size=g,
+            ),
         )
         g = g or k
         assert (run.meta["group_size"], run.meta["node_groups"]) == (g, k // g)
@@ -152,9 +179,14 @@ class TestCodedAccounting:
         k, r = 6, 2
         data = teragen(3000, seed=10)
         plain, whole = [
-            run_coded_terasort(
-                thread_cluster_factory(k), data, redundancy=r,
-                schedule=schedule, group_size=g,
+            repro.run(
+                thread_cluster_factory(k),
+                CodedTeraSortSpec(
+                    data,
+                    redundancy=r,
+                    schedule=schedule,
+                    group_size=g,
+                ),
             )
             for g in (None, k)
         ]
@@ -170,8 +202,9 @@ class TestCodedAccounting:
         }
 
     def test_stage_breakdown_has_six_stages(self, thread_cluster_factory):
-        run = run_coded_terasort(
-            thread_cluster_factory(4), teragen(500, seed=9), redundancy=2
+        run = repro.run(
+            thread_cluster_factory(4),
+            CodedTeraSortSpec(teragen(500, seed=9), redundancy=2),
         )
         assert run.stage_times.stages == [
             "codegen", "map", "encode", "shuffle", "decode", "reduce",

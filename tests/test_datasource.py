@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from repro.core.placement import CodedPlacement, UncodedPlacement, split_even_ranges
-from repro.core.terasort import prepare_terasort
-from repro.core.coded_terasort import prepare_coded_terasort
+from repro.core.terasort import TeraSortSpec
+from repro.core.coded_terasort import CodedTeraSortSpec
 from repro.kvpairs.datasource import (
     DEFAULT_BATCH_RECORDS,
     FileSource,
@@ -140,18 +140,52 @@ class TestControlPlanePayloads:
         path = str(tmp_path / "data.bin")
         teragen_to_file(path, n, seed=1)
         for source in (TeragenSource(n, seed=1), FileSource(path)):
-            job = prepare_terasort(4, source)
+            job = TeraSortSpec(input=source).prepare(4)
             sizes = self._payload_sizes(job)
             assert max(sizes) < 2_000, sizes  # descriptors only
-        inline = prepare_terasort(4, teragen(n, seed=1))
+        inline = TeraSortSpec(teragen(n, seed=1)).prepare(4)
         assert max(self._payload_sizes(inline)) > n * RECORD_BYTES // 8
 
     def test_coded_descriptor_payloads(self):
         n = 50_000
-        job = prepare_coded_terasort(4, TeragenSource(n, seed=1), 2)
+        job = CodedTeraSortSpec(
+            input=TeragenSource(n, seed=1), redundancy=2
+        ).prepare(4)
         sizes = self._payload_sizes(job)
         # C(3,1)=3 files per node, each a ~100-byte descriptor.
         assert max(sizes) < 4_000, sizes
+
+    @pytest.mark.parametrize("n", [10_000, 1_000_000])
+    def test_payloads_never_carry_the_input(self, n, tmp_path):
+        """Each rank's payload holds the spec *with its input stripped*:
+        descriptor jobs stay under 4 KiB however large the dataset (the
+        file source is sized, never read), and an inline job ships each
+        rank its own shard once — not the spec's whole batch beside it."""
+        path = str(tmp_path / "data.bin")
+        with open(path, "wb") as fh:
+            fh.truncate(n * RECORD_BYTES)
+        options = dict(
+            memory_budget=1 << 20, sampled_partitioner=False, overlap=True
+        )
+        for source in (TeragenSource(n, seed=1), FileSource(path)):
+            for spec in (
+                TeraSortSpec(input=source, **options),
+                TeraSortSpec(input=source, speculation=True),
+                CodedTeraSortSpec(input=source, redundancy=2, **options),
+                CodedTeraSortSpec(input=source, redundancy=1, group_size=2),
+            ):
+                sizes = self._payload_sizes(spec.prepare(4))
+                assert max(sizes) < 4096, (type(spec).__name__, sizes)
+        data = teragen(10_000, seed=2)
+        for spec, shard_records in (
+            (TeraSortSpec(data), 10_000 // 4),
+            (CodedTeraSortSpec(data, 2), 10_000 // 2),  # r/K of the input
+        ):
+            job = spec.prepare(4)
+            assert all(p[0].data is None and p[0].input is None
+                       for p in job.payloads)
+            bound = shard_records * RECORD_BYTES + 4096
+            assert max(self._payload_sizes(job)) <= bound
 
     def test_file_source_sort_matches_inline(self, tmp_path):
         # Same bytes through both input paths -> identical SortRun output.
@@ -169,8 +203,8 @@ class TestControlPlanePayloads:
             )
             return job.finalize(cr)
 
-        by_file = run(prepare_terasort(3, FileSource(path)))
-        by_value = run(prepare_terasort(3, data))
+        by_file = run(TeraSortSpec(input=FileSource(path)).prepare(3))
+        by_value = run(TeraSortSpec(data).prepare(3))
         for a, b in zip(by_file.partitions, by_value.partitions):
             assert np.array_equal(a.array, b.array)
         validate_sorted_iter(by_file.partitions)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.coded_terasort import run_coded_terasort
+import repro
+from repro import CodedTeraSortSpec, TeraSortSpec
 from repro.core.groups import build_coding_plan
-from repro.core.terasort import run_terasort
 from repro.core.theory import (
     coded_multicast_count,
     uncoded_shuffle_messages,
@@ -56,7 +56,7 @@ class TestUncodedExact:
     def test_load_exact(self):
         k, per_cell = 4, 6
         data = balanced_batch(k, k, per_cell)
-        run = run_terasort(ThreadCluster(k, recv_timeout=30), data)
+        run = repro.run(ThreadCluster(k, recv_timeout=30), TeraSortSpec(data))
         validate_sorted_permutation(data, run.partitions)
         messages = uncoded_shuffle_messages(k)
         expected = (
@@ -67,7 +67,7 @@ class TestUncodedExact:
     def test_per_sender_balance_exact(self):
         k, per_cell = 5, 4
         data = balanced_batch(k, k, per_cell)
-        run = run_terasort(ThreadCluster(k, recv_timeout=30), data)
+        run = repro.run(ThreadCluster(k, recv_timeout=30), TeraSortSpec(data))
         per_sender = run.traffic.by_sender("shuffle")
         values = set(per_sender.values())
         assert len(values) == 1  # perfectly balanced senders
@@ -80,8 +80,9 @@ class TestCodedExact:
         n_files = binomial(k, r)
         per_cell = 2 * r  # divisible by r so segments are equal
         data = balanced_batch(n_files, k, per_cell)
-        run = run_coded_terasort(
-            ThreadCluster(k, recv_timeout=60), data, redundancy=r
+        run = repro.run(
+            ThreadCluster(k, recv_timeout=60),
+            CodedTeraSortSpec(data, redundancy=r),
         )
         validate_sorted_permutation(data, run.partitions)
 
@@ -114,8 +115,9 @@ class TestCodedExact:
         n_files = binomial(k, r)
         per_cell = 4
         data = balanced_batch(n_files, k, per_cell)
-        run = run_coded_terasort(
-            ThreadCluster(k, recv_timeout=60), data, redundancy=r
+        run = repro.run(
+            ThreadCluster(k, recv_timeout=60),
+            CodedTeraSortSpec(data, redundancy=r),
         )
         iv_bytes = per_cell * RECORD_BYTES
         segment = iv_bytes // r
@@ -128,8 +130,9 @@ class TestCodedExact:
     def test_every_node_sends_equal_packets(self):
         k, r = 5, 2
         data = balanced_batch(binomial(k, r), k, 2 * r)
-        run = run_coded_terasort(
-            ThreadCluster(k, recv_timeout=60), data, redundancy=r
+        run = repro.run(
+            ThreadCluster(k, recv_timeout=60),
+            CodedTeraSortSpec(data, redundancy=r),
         )
         per_sender = run.traffic.by_sender("shuffle")
         assert len(set(per_sender.values())) == 1

@@ -13,8 +13,8 @@ contract is that it never changes a single output byte:
   overlap × memory plane on inproc and proc, one TCP cell, one retried
   map crash — equal to the uncoded sort and, on the wire, to what the
   deleted ``run_grouped_coded_terasort`` sent;
-* overlap and speculation are mutually exclusive and rejected
-  synchronously (spec validation and the CLI);
+* (overlap x speculation is rejected by name on every surface: that
+  cell lives in the generated matrix, ``tests/test_option_matrix.py``);
 * the run meta reports the overlap span and the hidden-communication
   seconds, and the ``Comm`` stage listener observes Map genuinely
   re-entered inside the shuffle span (the stages really interleave).
@@ -27,7 +27,7 @@ import multiprocessing
 
 import pytest
 
-from repro.core.terasort import _terasort_program, prepare_terasort
+from repro.core.terasort import _terasort_program
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.process import ProcessCluster
@@ -303,80 +303,13 @@ class TestOverlapWithFaults:
         assert [a.error is None for a in handle.attempts] == [False, True]
 
 
-class TestValidation:
-    """overlap + speculation is rejected synchronously, everywhere."""
-
-    def test_spec_rejects_overlap_with_speculation(self, tmp_path):
-        from repro.kvpairs.datasource import FileSource
-        from repro.kvpairs.teragen import teragen_to_file
-
-        path = str(tmp_path / "in.bin")
-        teragen_to_file(path, 1000, seed=1)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            TeraSortSpec(
-                input=FileSource(path), overlap=True, speculation=True
-            ).validate(4)
-
-    def test_prepare_rejects_overlap_with_speculation(self, tmp_path):
-        from repro.kvpairs.datasource import FileSource
-        from repro.kvpairs.teragen import teragen_to_file
-
-        path = str(tmp_path / "in.bin")
-        teragen_to_file(path, 1000, seed=2)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            prepare_terasort(
-                4, FileSource(path), speculation=True, overlap=True
-            )
-
-    def test_cli_rejects_overlap_with_speculation(self, tmp_path):
-        from repro.cli import main
-        from repro.kvpairs.teragen import teragen_to_file
-
-        path = str(tmp_path / "in.bin")
-        teragen_to_file(path, 1000, seed=3)
-        with pytest.raises(SystemExit, match="mutually exclusive"):
-            main(
-                [
-                    "sort",
-                    "-K",
-                    "4",
-                    "--input",
-                    path,
-                    "--overlap",
-                    "--speculation",
-                ]
-            )
-
-    def test_cli_overlap_runs(self):
-        from repro.cli import main
-
-        assert main(["sort", "-K", "4", "-n", "2000", "--overlap"]) == 0
-        assert (
-            main(
-                [
-                    "sort",
-                    "-K",
-                    "4",
-                    "-r",
-                    "2",
-                    "-n",
-                    "2000",
-                    "--schedule",
-                    "parallel",
-                    "--overlap",
-                ]
-            )
-            == 0
-        )
-
-
 class TestStageInterleaving:
     """The Comm stage listener proves the phases really overlap."""
 
     def test_listener_sees_map_inside_shuffle(self, thread_cluster_factory):
         k = 4
         data = teragen(4000, seed=600)
-        job = prepare_terasort(k, data=data, overlap=True)
+        job = TeraSortSpec(data=data, overlap=True).prepare(k)
         events = {rank: [] for rank in range(k)}
 
         def factory(comm):
@@ -397,7 +330,7 @@ class TestStageInterleaving:
     def test_listener_removal(self, thread_cluster_factory):
         k = 2
         data = teragen(1000, seed=601)
-        job = prepare_terasort(k, data=data)
+        job = TeraSortSpec(data=data).prepare(k)
         seen = []
 
         def factory(comm):

@@ -12,8 +12,8 @@ import weakref
 
 import pytest
 
-from repro.core.cmr import run_mapreduce
-from repro.core.coded_terasort import run_coded_terasort
+import repro
+from repro import CodedTeraSortSpec, MapReduceSpec
 from repro.core.groups import build_coding_plan
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
@@ -54,9 +54,9 @@ class TestByteIdenticalOutputs:
         data = teragen(2500 + 131 * k, seed=100 * k + r)
         runs = {}
         for schedule in ("serial", "parallel"):
-            run = run_coded_terasort(
-                _make_cluster(backend, k), data, redundancy=r,
-                schedule=schedule,
+            run = repro.run(
+                _make_cluster(backend, k),
+                CodedTeraSortSpec(data, redundancy=r, schedule=schedule),
             )
             validate_sorted_permutation(data, run.partitions)
             runs[schedule] = run
@@ -69,13 +69,15 @@ class TestByteIdenticalOutputs:
         files = _cmr_files(k, r)
         outputs = {}
         for schedule in ("serial", "parallel"):
-            run = run_mapreduce(
+            run = repro.run(
                 _make_cluster(backend, k),
-                WordCountJob(),
-                files,
-                redundancy=r,
-                coded=True,
-                schedule=schedule,
+                MapReduceSpec(
+                    WordCountJob(),
+                    files,
+                    redundancy=r,
+                    scheme="coded",
+                    schedule=schedule,
+                ),
             )
             outputs[schedule] = run.outputs
         assert outputs["serial"] == outputs["parallel"]
@@ -85,9 +87,9 @@ class TestByteIdenticalOutputs:
         data = teragen(4000, seed=9)
         loads = {}
         for schedule in ("serial", "parallel"):
-            run = run_coded_terasort(
-                ThreadCluster(6, recv_timeout=60), data, redundancy=2,
-                schedule=schedule,
+            run = repro.run(
+                ThreadCluster(6, recv_timeout=60),
+                CodedTeraSortSpec(data, redundancy=2, schedule=schedule),
             )
             loads[schedule] = run.traffic.load_bytes("shuffle")
         assert loads["serial"] == loads["parallel"] > 0
@@ -96,9 +98,9 @@ class TestByteIdenticalOutputs:
 class TestParallelRunMetadata:
     def test_meta_reports_rounds_and_speedup(self):
         data = teragen(2000, seed=4)
-        run = run_coded_terasort(
-            ThreadCluster(6, recv_timeout=60), data, redundancy=2,
-            schedule="parallel",
+        run = repro.run(
+            ThreadCluster(6, recv_timeout=60),
+            CodedTeraSortSpec(data, redundancy=2, schedule="parallel"),
         )
         assert run.meta["schedule"] == "parallel"
         assert run.meta["schedule_rounds"] <= run.meta["schedule_turns"]
@@ -107,9 +109,9 @@ class TestParallelRunMetadata:
 
     def test_stage_breakdown_stays_six_stage_and_exclusive(self):
         data = teragen(3000, seed=5)
-        run = run_coded_terasort(
-            ThreadCluster(4, recv_timeout=60), data, redundancy=2,
-            schedule="parallel",
+        run = repro.run(
+            ThreadCluster(4, recv_timeout=60),
+            CodedTeraSortSpec(data, redundancy=2, schedule="parallel"),
         )
         assert run.stage_times.stages == [
             "codegen", "map", "encode", "shuffle", "decode", "reduce",
@@ -123,9 +125,15 @@ class TestParallelRunMetadata:
 
     def test_cmr_meta_reports_schedule(self):
         files = _cmr_files(4, 1)
-        run = run_mapreduce(
-            ThreadCluster(4, recv_timeout=60), WordCountJob(), files,
-            redundancy=1, coded=True, schedule="parallel",
+        run = repro.run(
+            ThreadCluster(4, recv_timeout=60),
+            MapReduceSpec(
+                WordCountJob(),
+                files,
+                redundancy=1,
+                scheme="coded",
+                schedule="parallel",
+            ),
         )
         assert run.meta["schedule"] == "parallel"
         # Same telemetry surface as CodedTeraSort's parallel runs.
@@ -136,13 +144,20 @@ class TestParallelRunMetadata:
     def test_unknown_schedule_rejected(self):
         data = teragen(100, seed=1)
         with pytest.raises(ValueError, match="schedule"):
-            run_coded_terasort(
-                ThreadCluster(4), data, redundancy=2, schedule="warp"
+            repro.run(
+                ThreadCluster(4),
+                CodedTeraSortSpec(data, redundancy=2, schedule="warp"),
             )
         with pytest.raises(ValueError, match="schedule"):
-            run_mapreduce(
-                ThreadCluster(4), WordCountJob(), ["a"] * 4,
-                redundancy=1, coded=True, schedule="warp",
+            repro.run(
+                ThreadCluster(4),
+                MapReduceSpec(
+                    WordCountJob(),
+                    ["a"] * 4,
+                    redundancy=1,
+                    scheme="coded",
+                    schedule="warp",
+                ),
             )
 
 

@@ -37,12 +37,17 @@ def test_quickstart_surface():
     assert base.done() and coded.done() and fast.done()
 
 
-def test_legacy_shim_surface():
-    """The one-shot entry points survive as single-job session shims."""
+def test_one_shot_run_surface():
+    """``repro.run(cluster, spec)`` is the one-shot entry point; the three
+    per-algorithm shims it replaced are gone from the surface."""
+    for algorithm in ("terasort", "coded_terasort", "mapreduce"):
+        gone = f"run_{algorithm}"
+        assert gone not in repro.__all__ and not hasattr(repro, gone)
     data = repro.teragen(2000, seed=3)
-    base = repro.run_terasort(repro.ThreadCluster(4), data)
-    coded = repro.run_coded_terasort(
-        repro.ThreadCluster(4), data, redundancy=2
+    base = repro.run(repro.ThreadCluster(4), repro.TeraSortSpec(data))
+    coded = repro.run(
+        repro.ThreadCluster(4),
+        repro.CodedTeraSortSpec(data, redundancy=2),
     )
     repro.validate_sorted_permutation(data, base.partitions)
     repro.validate_sorted_permutation(data, coded.partitions)
@@ -60,6 +65,7 @@ def test_session_surface_names():
         "TeraSortSpec",
         "CodedTeraSortSpec",
         "MapReduceSpec",
+        "run",
     ):
         assert hasattr(repro, name)
         assert name in repro.__all__
@@ -67,8 +73,9 @@ def test_session_surface_names():
 
 def test_extension_entry_points():
     data = repro.teragen(2000, seed=2)
-    grouped = repro.run_coded_terasort(
-        repro.ThreadCluster(4), data, redundancy=1, group_size=2
+    grouped = repro.run(
+        repro.ThreadCluster(4),
+        repro.CodedTeraSortSpec(data, redundancy=1, group_size=2),
     )
     repro.validate_sorted_permutation(data, grouped.partitions)
     wireless = repro.run_wireless_sort(data, 4, 2, protocol="d2d")

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.coded_terasort import prepare_coded_terasort
 from repro.core.groups import build_coding_plan, check_coded_params
 from repro.kvpairs.teragen import teragen
 from repro.session import CodedTeraSortSpec
@@ -16,10 +15,10 @@ def test_placement_replicated_per_group():
     """Rank ``j*g + m`` holds what rank ``m`` holds, subsets translated."""
     k, g, r = 8, 4, 2
     data = teragen(600, seed=0)
-    job = prepare_coded_terasort(k, data, r, group_size=g)
-    files = [payload[0] for payload in job.payloads]
-    subsets = [payload[1] for payload in job.payloads]
-    assert all(payload[-1] == g for payload in job.payloads)
+    job = CodedTeraSortSpec(data, r, group_size=g).prepare(k)
+    files = [payload[1] for payload in job.payloads]
+    subsets = [payload[2] for payload in job.payloads]
+    assert all(payload[0].group_size == g for payload in job.payloads)
     for m in range(g):
         # C(g-1, r-1) files per node: r/g of the input, not r/K.
         assert len(files[m]) == binomial(g - 1, r - 1)
@@ -64,7 +63,7 @@ class TestValidationByName:
         spec = CodedTeraSortSpec(data=teragen(10), redundancy=1, group_size=g)
         for call in (
             lambda: spec.validate(k),
-            lambda: prepare_coded_terasort(k, teragen(10), 1, group_size=g),
+            lambda: spec.prepare(k),
             lambda: check_coded_params(k, 1, "serial", g),
         ):
             with pytest.raises(ValueError, match=r"^group_size: "):
@@ -75,7 +74,7 @@ class TestValidationByName:
         spec = CodedTeraSortSpec(data=teragen(10), redundancy=r, group_size=3)
         for call in (
             lambda: spec.validate(6),
-            lambda: prepare_coded_terasort(6, teragen(10), r, group_size=3),
+            lambda: spec.prepare(6),
         ):
             with pytest.raises(
                 ValueError, match=r"redundancy must be in \[1, g-1\] = \[1, 2\]"

@@ -10,7 +10,8 @@ from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.core.coded_terasort import run_coded_terasort
+import repro
+from repro import CodedTeraSortSpec
 from repro.scalable.theory import (
     grouped_codegen_groups,
     grouped_comm_load,
@@ -32,30 +33,34 @@ class TestFunctionalCorrectness:
     )
     def test_sorts_correctly(self, k, g, r):
         data = teragen(4000, seed=k * 10 + r)
-        run = run_coded_terasort(
-            cluster(k), data, redundancy=r, group_size=g
+        run = repro.run(
+            cluster(k),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         validate_sorted_permutation(data, run.partitions)
 
     def test_skewed_keys(self):
         data = teragen_skewed(5000, seed=1)
-        run = run_coded_terasort(
-            cluster(6), data, redundancy=2, group_size=3
+        run = repro.run(
+            cluster(6),
+            CodedTeraSortSpec(data, redundancy=2, group_size=3),
         )
         validate_sorted_permutation(data, run.partitions)
 
     def test_empty_input(self):
         data = teragen(0)
-        run = run_coded_terasort(
-            cluster(4), data, redundancy=1, group_size=2
+        run = repro.run(
+            cluster(4),
+            CodedTeraSortSpec(data, redundancy=1, group_size=2),
         )
         assert sum(len(p) for p in run.partitions) == 0
 
     def test_single_group_equals_plain_coded_load(self):
         """G=1 degenerates to plain CodedTeraSort structure."""
         data = teragen(6000, seed=4)
-        run = run_coded_terasort(
-            cluster(5), data, redundancy=2, group_size=5
+        run = repro.run(
+            cluster(5),
+            CodedTeraSortSpec(data, redundancy=2, group_size=5),
         )
         validate_sorted_permutation(data, run.partitions)
         assert run.meta["node_groups"] == 1
@@ -63,19 +68,26 @@ class TestFunctionalCorrectness:
     def test_invalid_params(self):
         data = teragen(100)
         with pytest.raises(ValueError):
-            run_coded_terasort(
-                cluster(6), data, redundancy=2, group_size=4
+            repro.run(
+                cluster(6),
+                CodedTeraSortSpec(data, redundancy=2, group_size=4),
             )  # 4 does not divide 6
         with pytest.raises(ValueError):
-            run_coded_terasort(
-                cluster(6), data, redundancy=3, group_size=3
+            repro.run(
+                cluster(6),
+                CodedTeraSortSpec(data, redundancy=3, group_size=3),
             )  # r = g
 
     def test_batched_subsets(self):
         data = teragen(4800, seed=5)
-        run = run_coded_terasort(
-            cluster(6), data, redundancy=2, group_size=3,
-            batches_per_subset=2,
+        run = repro.run(
+            cluster(6),
+            CodedTeraSortSpec(
+                data,
+                redundancy=2,
+                group_size=3,
+                batches_per_subset=2,
+            ),
         )
         validate_sorted_permutation(data, run.partitions)
         assert run.meta["num_files"] == 6  # 2 * C(3,2)
@@ -95,8 +107,9 @@ class TestFunctionalCorrectness:
     def test_sort_property(self, num_groups, g, seed, n, data_obj):
         r = data_obj.draw(st.integers(1, g - 1))
         data = teragen(n, seed=seed)
-        run = run_coded_terasort(
-            cluster(num_groups * g), data, redundancy=r, group_size=g
+        run = repro.run(
+            cluster(num_groups * g),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         validate_sorted_permutation(data, run.partitions)
 
@@ -105,8 +118,9 @@ class TestLoadAccounting:
     def test_load_matches_grouped_theory(self):
         k, g, r, n = 8, 4, 2, 40_000
         data = teragen(n, seed=6)
-        run = run_coded_terasort(
-            cluster(k), data, redundancy=r, group_size=g
+        run = repro.run(
+            cluster(k),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         payload = run.traffic.load_bytes("shuffle")
         ideal = grouped_comm_load(r, g) * n * 100
@@ -123,10 +137,11 @@ class TestLoadAccounting:
         """
         n = 30_000
         data = teragen(n, seed=7)
-        grouped = run_coded_terasort(
-            cluster(8), data, redundancy=2, group_size=4
+        grouped = repro.run(
+            cluster(8),
+            CodedTeraSortSpec(data, redundancy=2, group_size=4),
         )
-        full = run_coded_terasort(cluster(8), data, redundancy=4)
+        full = repro.run(cluster(8), CodedTeraSortSpec(data, redundancy=4))
         ratio = grouped.traffic.load_bytes("shuffle") / full.traffic.load_bytes(
             "shuffle"
         )
@@ -134,8 +149,9 @@ class TestLoadAccounting:
 
     def test_multicast_count(self):
         data = teragen(3000, seed=8)
-        run = run_coded_terasort(
-            cluster(8), data, redundancy=2, group_size=4
+        run = repro.run(
+            cluster(8),
+            CodedTeraSortSpec(data, redundancy=2, group_size=4),
         )
         assert (
             run.traffic.message_count("shuffle")
@@ -277,8 +293,9 @@ class TestFunctionalSimCrossCheck:
     def test_measured_payload_matches_workload_model(self):
         k, g, r, n = 8, 4, 2, 40_000
         data = teragen(n, seed=11)
-        run = run_coded_terasort(
-            cluster(k), data, redundancy=r, group_size=g
+        run = repro.run(
+            cluster(k),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         work = CodedWorkload(k, r, n, g)
         measured = run.traffic.load_bytes("shuffle")
@@ -289,8 +306,9 @@ class TestFunctionalSimCrossCheck:
     def test_multicast_counts_agree(self):
         k, g, r = 9, 3, 2
         data = teragen(9000, seed=12)
-        run = run_coded_terasort(
-            cluster(k), data, redundancy=r, group_size=g
+        run = repro.run(
+            cluster(k),
+            CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         work = CodedWorkload(k, r, 9000, g)
         assert run.traffic.message_count("shuffle") == work.total_multicasts

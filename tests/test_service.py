@@ -315,3 +315,63 @@ def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
             assert cluster.size == 2
         finally:
             _reap(procs)
+
+
+def test_input_bytes_is_the_advisory_quota_estimate(tmp_path):
+    """``spec.input_bytes`` (what the daemon charges byte quotas with):
+    the sort specs size their source, MapReduce sizes bytes-like and
+    descriptor files, and shapes nobody can size count 0."""
+    from repro.core.jobs import WordCountJob
+    from repro.kvpairs.datasource import FileSource, TeragenSource
+    from repro.kvpairs.records import RECORD_BYTES
+    from repro.kvpairs.teragen import teragen_to_file
+    from repro.session import CodedTeraSortSpec, MapReduceSpec
+
+    data = teragen(700, seed=5)
+    assert TeraSortSpec(data=data).input_bytes == 700 * RECORD_BYTES
+    path = str(tmp_path / "in.bin")
+    teragen_to_file(path, 300, seed=5)
+    assert (
+        CodedTeraSortSpec(input=FileSource(path), redundancy=2).input_bytes
+        == 300 * RECORD_BYTES
+    )
+    files = [b"abc", bytearray(b"defgh"), memoryview(b"ij"),
+             TeragenSource(40), data, "opaque text", {"opaque": 1}, None]
+    assert (
+        MapReduceSpec(job=WordCountJob(), files=files).input_bytes
+        == 3 + 5 + 2 + 40 * RECORD_BYTES + data.nbytes
+    )
+    assert MapReduceSpec(job=WordCountJob(), files=["a", "b"]).input_bytes == 0
+
+
+def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
+    """`repro submit` without ``--workers`` cannot know K: the daemon
+    validates against its mesh and the client exits with the spec's own
+    message (the wire half of ``tests/test_option_matrix.py``); the same
+    shared flags then run a job with options `submit` could not set."""
+    from repro.cli import main
+    from repro.session import CodedTeraSortSpec
+
+    with pytest.raises(ValueError) as expected:
+        CodedTeraSortSpec(data=teragen(100), redundancy=2).validate(2)
+    with TcpCluster(
+        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    ) as cluster:
+        procs = _spawn_workers(cluster.address, 2)
+        try:
+            with SortService(cluster) as service:
+                service.start()
+                connect = ["submit", "--connect", service.control_address]
+                with pytest.raises(SystemExit) as rejected:
+                    main(connect + ["-n", "100", "-r", "2"])
+                assert str(rejected.value) == str(expected.value)
+                rc = main(connect + [
+                    "-n", "600", "--algorithm", "terasort", "--overlap",
+                    "--memory-budget", "32768",
+                ])
+                assert rc == 0
+                assert "600 records" in capsys.readouterr().out
+                stats = ServiceClient(service.control_address).stats()
+                assert (stats.jobs_rejected, stats.jobs_done) == (1, 1)
+        finally:
+            _reap(procs)

@@ -9,13 +9,14 @@ pool keeps serving is the pool contract, ``test_pool_contract.py``.)
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+
 import pytest
 
 import repro
-from repro.core.cmr import run_mapreduce
-from repro.core.coded_terasort import run_coded_terasort
 from repro.core.jobs import WordCountJob
-from repro.core.terasort import run_terasort
+from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
@@ -80,16 +81,19 @@ class TestMultiJobSession:
             )
         assert [h_base.job_id, h_coded.job_id, h_wc.job_id] == [0, 1, 2]
 
-        ref_base = run_terasort(_make_cluster(backend), data)
-        ref_coded = run_coded_terasort(
-            _make_cluster(backend), data, redundancy=R
-        )
-        ref_wc = run_mapreduce(
+        ref_base = repro.run(_make_cluster(backend), TeraSortSpec(data))
+        ref_coded = repro.run(
             _make_cluster(backend),
-            WordCountJob(),
-            corpus,
-            redundancy=R,
-            coded=True,
+            CodedTeraSortSpec(data, redundancy=R),
+        )
+        ref_wc = repro.run(
+            _make_cluster(backend),
+            MapReduceSpec(
+                WordCountJob(),
+                corpus,
+                redundancy=R,
+                scheme="coded",
+            ),
         )
 
         for run, ref in ((base, ref_base), (coded, ref_coded)):
@@ -174,6 +178,28 @@ class TestSessionLifecycle:
             # a failed validation must not poison the session
             run = session.submit(TeraSortSpec(data=data)).result()
             validate_sorted_permutation(data, run.partitions)
+
+    @pytest.mark.parametrize("sample_size", [0, -5])
+    def test_sample_size_rejected_by_both_sort_specs(self, sample_size):
+        """Regression: the coded spec used to accept a bad ``sample_size``
+        (-5 failed later on the handle inside NumPy, 0 silently sorted
+        with uniform splitters); both specs now reject it from ``submit``
+        with one message, before anything reaches the pool."""
+        data = teragen(600, seed=6)
+        options = dict(
+            data=data, sampled_partitioner=True, sample_size=sample_size
+        )
+        with Session(ThreadCluster(4, recv_timeout=30)) as session:
+            for spec in (
+                TeraSortSpec(**options),
+                CodedTeraSortSpec(redundancy=2, **options),
+            ):
+                with pytest.raises(ValueError) as exc_info:
+                    session.submit(spec)
+                assert str(exc_info.value) == (
+                    f"sample_size must be >= 1, got {sample_size}"
+                )
+            assert session._pool is None and session._driver is None
 
     def test_submit_after_close_raises(self):
         data = teragen(400, seed=2)
@@ -334,3 +360,36 @@ class TestSpecWithAndShrink:
     def test_base_spec_is_not_shrinkable(self):
         spec = MapReduceSpec(job=WordCountJob(), files=_corpus(K, R))
         assert spec.shrink_to(3) is None
+
+
+def _failing_spec():
+    # Validates (the count is given, so nothing stats the path) and then
+    # fails on every rank's first read.
+    return TeraSortSpec(input=FileSource("/nonexistent/in.bin", 0, 400))
+
+
+class TestOneShotRun:
+    """``repro.run(cluster, spec)``: a one-job session that always closes."""
+
+    def test_inproc_leaves_no_pool_threads(self):
+        data = teragen(800, seed=30)
+        before = set(threading.enumerate())
+        run = repro.run(repro.connect("inproc://3"), TeraSortSpec(data))
+        validate_sorted_permutation(data, run.partitions)
+        with pytest.raises(RuntimeError, match="No such file"):
+            repro.run(
+                repro.connect("inproc://3", recv_timeout=5), _failing_spec()
+            )
+        leaked = [t for t in set(threading.enumerate()) - before if t.is_alive()]
+        for t in leaked:
+            t.join(5.0)
+        assert not [t for t in leaked if t.is_alive()], leaked
+
+    def test_proc_leaves_no_worker_processes(self):
+        data = teragen(800, seed=31)
+        run = repro.run(repro.connect("proc://3", timeout=60), TeraSortSpec(data))
+        validate_sorted_permutation(data, run.partitions)
+        assert multiprocessing.active_children() == []
+        with pytest.raises(RuntimeError, match="No such file"):
+            repro.run(repro.connect("proc://3", timeout=60), _failing_spec())
+        assert multiprocessing.active_children() == []

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.terasort import prepare_terasort
+from repro.core.terasort import TeraSortSpec
 from repro.kvpairs.teragen import teragen
 from repro.runtime import tcp
 from repro.runtime.tcp import (
@@ -186,4 +186,4 @@ def test_coordinator_times_out_waiting_for_workers():
         with pytest.raises(
             TcpClusterError, match=r"0/2 joined.*repro worker --join"
         ):
-            pool.run_job(prepare_terasort(2, data))
+            pool.run_job(TeraSortSpec(data).prepare(2))

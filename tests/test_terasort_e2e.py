@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.terasort import run_terasort
+import repro
+from repro import TeraSortSpec
 from repro.core.theory import uncoded_shuffle_messages
 from repro.kvpairs.serialization import HEADER_BYTES
 from repro.kvpairs.teragen import teragen, teragen_skewed
@@ -19,24 +20,25 @@ class TestTeraSortCorrectness:
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_sorts_any_cluster_size(self, k, thread_cluster_factory):
         data = teragen(4000, seed=k)
-        run = run_terasort(thread_cluster_factory(k), data)
+        run = repro.run(thread_cluster_factory(k), TeraSortSpec(data))
         validate_sorted_permutation(data, run.partitions)
         assert len(run.partitions) == k
 
     def test_empty_input(self, thread_cluster_factory):
         data = teragen(0)
-        run = run_terasort(thread_cluster_factory(3), data)
+        run = repro.run(thread_cluster_factory(3), TeraSortSpec(data))
         assert run.total_records == 0
 
     def test_fewer_records_than_nodes(self, thread_cluster_factory):
         data = teragen(3, seed=1)
-        run = run_terasort(thread_cluster_factory(6), data)
+        run = repro.run(thread_cluster_factory(6), TeraSortSpec(data))
         validate_sorted_permutation(data, run.partitions)
 
     def test_skewed_keys_with_sampled_partitioner(self, thread_cluster_factory):
         data = teragen_skewed(8000, seed=2, zipf_a=1.3)
-        run = run_terasort(
-            thread_cluster_factory(4), data, sampled_partitioner=True
+        run = repro.run(
+            thread_cluster_factory(4),
+            TeraSortSpec(data, sampled_partitioner=True),
         )
         validate_sorted_permutation(data, run.partitions)
         # Sampling should keep the biggest partition under ~2x fair share.
@@ -47,12 +49,12 @@ class TestTeraSortCorrectness:
         self, thread_cluster_factory
     ):
         data = teragen_skewed(5000, seed=3)
-        run = run_terasort(thread_cluster_factory(4), data)
+        run = repro.run(thread_cluster_factory(4), TeraSortSpec(data))
         validate_sorted_permutation(data, run.partitions)
 
     def test_partitions_follow_partitioner(self, thread_cluster_factory):
         data = teragen(3000, seed=4)
-        run = run_terasort(thread_cluster_factory(5), data)
+        run = repro.run(thread_cluster_factory(5), TeraSortSpec(data))
         for k, part in enumerate(run.partitions):
             if len(part):
                 assert (run.partitioner.partition_indices(part) == k).all()
@@ -61,30 +63,42 @@ class TestTeraSortCorrectness:
 class TestTeraSortAccounting:
     def test_shuffle_message_count(self, thread_cluster_factory):
         k = 6
-        run = run_terasort(thread_cluster_factory(k), teragen(1200, seed=5))
+        run = repro.run(
+            thread_cluster_factory(k),
+            TeraSortSpec(teragen(1200, seed=5)),
+        )
         assert run.traffic.message_count("shuffle") == uncoded_shuffle_messages(k)
 
     def test_shuffle_load_near_theory(self, thread_cluster_factory):
         k = 6
         n = 12000
         data = teragen(n, seed=6)
-        run = run_terasort(thread_cluster_factory(k), data)
+        run = repro.run(thread_cluster_factory(k), TeraSortSpec(data))
         payload = run.traffic.load_bytes("shuffle")
         headers = uncoded_shuffle_messages(k) * HEADER_BYTES
         ideal = n * 100 * (k - 1) / k
         assert abs(payload - headers - ideal) / ideal < 0.02
 
     def test_stage_breakdown_populated(self, thread_cluster_factory):
-        run = run_terasort(thread_cluster_factory(3), teragen(1000, seed=7))
+        run = repro.run(
+            thread_cluster_factory(3),
+            TeraSortSpec(teragen(1000, seed=7)),
+        )
         assert run.stage_times.stages == ["map", "pack", "shuffle", "unpack", "reduce"]
         assert run.stage_times.total > 0
 
     def test_no_traffic_outside_shuffle(self, thread_cluster_factory):
-        run = run_terasort(thread_cluster_factory(4), teragen(1000, seed=8))
+        run = repro.run(
+            thread_cluster_factory(4),
+            TeraSortSpec(teragen(1000, seed=8)),
+        )
         assert set(run.traffic.by_stage()) == {"shuffle"}
 
     def test_meta_fields(self, thread_cluster_factory):
-        run = run_terasort(thread_cluster_factory(4), teragen(100, seed=9))
+        run = repro.run(
+            thread_cluster_factory(4),
+            TeraSortSpec(teragen(100, seed=9)),
+        )
         assert run.meta["algorithm"] == "terasort"
         assert run.meta["num_nodes"] == 4
         assert run.meta["input_records"] == 100
