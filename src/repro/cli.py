@@ -340,10 +340,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     except ServiceRejected as exc:
         print(f"rejected ({exc.kind}): {exc}", file=sys.stderr)
         return 3
-    except RuntimeError as exc:
-        # The daemon validates against its mesh (or --workers) and
-        # answers with the spec's own message.
-        raise SystemExit(str(exc))
     workers = args.workers if args.workers else "all"
     print(f"submitted job {handle.job_id} "
           f"(tenant={args.tenant}, priority={args.priority}, "

@@ -461,6 +461,7 @@ class CodedTeraSortSpec(SortSpec):
                     per_node_subsets[node][file_id] = subset
 
         spec = self._for_workers()
+        input_meta = self._input_meta()
         payloads: List[Any] = [
             (spec, per_node_files[rank], per_node_subsets[rank], partitioner)
             for rank in range(size)
@@ -485,6 +486,7 @@ class CodedTeraSortSpec(SortSpec):
                 "total_multicasts": size // g * num_groups * (r + 1),
                 "schedule": self.schedule,
                 "schedule_turns": num_groups * (r + 1),
+                **input_meta,
             }
             if self.schedule == "parallel":
                 meta.update(

@@ -718,6 +718,15 @@ class SortSpec(JobSpec):
                 return RangePartitioner.from_sample(sample, size)
         return RangePartitioner.uniform(size)
 
+    def _input_meta(self) -> Dict[str, object]:
+        """What ``SortRun.meta`` says about the input — taken once, in
+        ``prepare`` (a ``FileSource`` without a count stats its file)."""
+        source = self.source
+        return {
+            "input_records": source.num_records,
+            "input_kind": type(source).__name__,
+        }
+
     def _sort_run(
         self,
         result: ClusterResult,
@@ -725,9 +734,6 @@ class SortSpec(JobSpec):
         meta: Dict[str, object],
     ) -> SortRun:
         """``finalize``'s shared half: the option-derived meta + the run."""
-        source = self.source
-        meta["input_records"] = source.num_records
-        meta["input_kind"] = type(source).__name__
         meta["kernel_stats"] = stats_meta(result.per_node_times)
         if self.overlap:
             meta["overlap"] = overlap_meta(result.per_node_times)
@@ -743,7 +749,7 @@ class SortSpec(JobSpec):
         )
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True)
 class TeraSortSpec(SortSpec):
     """The uncoded baseline sort (§III): serial unicast shuffle.
 
@@ -768,6 +774,7 @@ class TeraSortSpec(SortSpec):
             (``wait_factor >= 1``, ``min_wait >= 0``).
     """
 
+    _: KW_ONLY
     speculation: bool = False
     speculation_wait_factor: float = 1.5
     speculation_min_wait: float = 0.2
@@ -834,6 +841,7 @@ class TeraSortSpec(SortSpec):
         partitioner = self._partitioner(size)
         splits = UncodedPlacement(size).split_source(self.source)
         spec = self._for_workers()
+        input_meta = self._input_meta()
         spec_splits = list(splits) if self.speculation else None
         payloads: List[Any] = [
             (spec, splits[rank], partitioner, spec_splits)
@@ -844,6 +852,7 @@ class TeraSortSpec(SortSpec):
             meta: Dict[str, object] = {
                 "algorithm": "terasort",
                 "num_nodes": size,
+                **input_meta,
             }
             if self.speculation:
                 # Which ranks ran a backup copy / abandoned their own map

@@ -37,7 +37,8 @@ class ServiceRejected(RuntimeError):
 
     Attributes:
         kind: the machine-readable rejection kind from the daemon
-            (``"queue_full"``, ``"quota_exceeded"``, ...).
+            (``"queue_full"``, ``"quota_exceeded"``, or ``"invalid"``
+            with the spec's own ``validate`` message).
     """
 
     def __init__(self, kind: str, message: str) -> None:
@@ -124,7 +125,9 @@ class ServiceClient:
 
         Raises:
             ServiceRejected: admission control turned the job away
-                (``.kind`` says why — back off or shrink the request).
+                (``.kind`` says why — back off or shrink the request),
+                or the spec does not validate at the daemon's K
+                (``.kind == "invalid"``).
         """
         resp = self._request(
             (

@@ -505,6 +505,8 @@ class SortService:
                 resp = self._handle_request(req)
             except AdmissionError as exc:
                 resp = ("rejected", exc.kind, str(exc))
+            except ValueError as exc:  # submit: the spec's own validate
+                resp = ("rejected", "invalid", str(exc))
             except BaseException as exc:  # noqa: BLE001 - report, don't die
                 resp = ("error", _error_kind(exc), str(exc))
             try:

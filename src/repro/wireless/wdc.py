@@ -28,12 +28,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster import connect
+from repro.core.groups import check_coded_params
 from repro.core.mapper import hash_file
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.sorting import sort_batches
-from repro.session import CodedTeraSortSpec, Session
+from repro.session import CodedTeraSortSpec, run
 from repro.wireless.channel import AirtimeLog, WirelessChannel
 
 PROTOCOLS = ("uncoded", "d2d", "edge")
@@ -84,8 +85,7 @@ def _coded_session(
     spec: CodedTeraSortSpec, num_users: int, edge: bool, channel: WirelessChannel
 ) -> List[RecordBatch]:
     """Coded session: run the live sort, replay its multicasts on the air."""
-    with Session(connect(f"inproc://{num_users}")) as session:
-        run = session.run(spec)
+    result = run(connect(f"inproc://{num_users}"), spec)
     g = spec.group_size or num_users
 
     def turn_order(rec):
@@ -96,7 +96,7 @@ def _coded_session(
         members = sorted(n % g for n in (rec.src, *rec.dsts))
         return rec.src % g, members, rec.src // g
 
-    for rec in sorted(run.traffic.records, key=turn_order):
+    for rec in sorted(result.traffic.records, key=turn_order):
         if (rec.stage, rec.kind) != ("shuffle", "multicast"):
             continue
         src = rec.src
@@ -104,7 +104,7 @@ def _coded_session(
             channel.transmit(src, [WirelessChannel.AP], rec.payload_bytes)
             src = WirelessChannel.AP
         channel.transmit(src, rec.dsts, rec.payload_bytes)
-    return run.partitions
+    return result.partitions
 
 
 def run_wireless_sort(
@@ -138,14 +138,14 @@ def run_wireless_sort(
         )
     if group_size is not None and protocol != "d2d":
         raise ValueError("grouped sessions use the d2d protocol")
-    spec = CodedTeraSortSpec(
-        data=data, redundancy=redundancy, group_size=group_size, schedule="serial"
-    )
     if protocol == "uncoded":
-        # No session submits on this path: same (K, r) domain, same message.
-        spec.validate(num_users)
+        # No spec is submitted on this path: same (K, r) domain, same message.
+        check_coded_params(num_users, redundancy, "serial", None)
         partitions = _uncoded_relay(data, num_users, redundancy, channel)
     else:
+        spec = CodedTeraSortSpec(
+            data=data, redundancy=redundancy, group_size=group_size, schedule="serial"
+        )
         partitions = _coded_session(spec, num_users, protocol == "edge", channel)
     return WirelessSortOutcome(
         partitions=partitions,

@@ -215,6 +215,13 @@ def test_speculation_is_an_uncoded_option_on_both_subcommands(input_file):
         assert _cli_error(argv + ["--overlap"]).startswith(
             "overlap x speculation: mutually exclusive"
         )
+        # ... all of it, in `TeraSortSpec.validate`'s order: the shared
+        # field checks (budget floor, output_dir) before the matrix ...
+        assert _cli_error(argv + ["--overlap", "--memory-budget", "5"]) == (
+            f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes, got 5"
+        )
+        inline = [a for a in argv if a not in ("--input", input_file)]
+        assert _cli_error(inline + ["-n", "100"]).endswith("got RecordBatch")
         # ... then the algorithm the flag does not apply to.
         assert "--algorithm terasort only" in _cli_error(argv)
 

@@ -303,6 +303,33 @@ class TestOverlapWithFaults:
         assert [a.error is None for a in handle.attempts] == [False, True]
 
 
+class TestValidation:
+    """The rejection cells live in tests/test_option_matrix.py; the
+    valid ``--overlap`` cells run end to end here."""
+
+    def test_cli_overlap_runs(self):
+        from repro.cli import main
+
+        assert main(["sort", "-K", "4", "-n", "2000", "--overlap"]) == 0
+        assert (
+            main(
+                [
+                    "sort",
+                    "-K",
+                    "4",
+                    "-r",
+                    "2",
+                    "-n",
+                    "2000",
+                    "--schedule",
+                    "parallel",
+                    "--overlap",
+                ]
+            )
+            == 0
+        )
+
+
 class TestStageInterleaving:
     """The Comm stage listener proves the phases really overlap."""
 

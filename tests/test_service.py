@@ -346,9 +346,10 @@ def test_input_bytes_is_the_advisory_quota_estimate(tmp_path):
 
 def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
     """`repro submit` without ``--workers`` cannot know K: the daemon
-    validates against its mesh and the client exits with the spec's own
-    message (the wire half of ``tests/test_option_matrix.py``); the same
-    shared flags then run a job with options `submit` could not set."""
+    validates against its mesh and answers with a typed rejection
+    (``kind == "invalid"``) carrying the spec's own message (the wire
+    half of ``tests/test_option_matrix.py``); the same shared flags then
+    run a job with options `submit` could not set."""
     from repro.cli import main
     from repro.session import CodedTeraSortSpec
 
@@ -362,8 +363,16 @@ def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
             with SortService(cluster) as service:
                 service.start()
                 connect = ["submit", "--connect", service.control_address]
-                with pytest.raises(SystemExit) as rejected:
-                    main(connect + ["-n", "100", "-r", "2"])
+                assert main(connect + ["-n", "100", "-r", "2"]) == 3
+                assert (
+                    capsys.readouterr().err
+                    == f"rejected (invalid): {expected.value}\n"
+                )
+                with pytest.raises(ServiceRejected) as rejected:
+                    ServiceClient(service.control_address).submit(
+                        CodedTeraSortSpec(data=teragen(100), redundancy=2)
+                    )
+                assert rejected.value.kind == "invalid"
                 assert str(rejected.value) == str(expected.value)
                 rc = main(connect + [
                     "-n", "600", "--algorithm", "terasort", "--overlap",
@@ -372,6 +381,6 @@ def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
                 assert rc == 0
                 assert "600 records" in capsys.readouterr().out
                 stats = ServiceClient(service.control_address).stats()
-                assert (stats.jobs_rejected, stats.jobs_done) == (1, 1)
+                assert (stats.jobs_rejected, stats.jobs_done) == (2, 1)
         finally:
             _reap(procs)
