@@ -63,7 +63,7 @@ def bench_multicast_tree_vs_linear_real(benchmark, sink):
                 f"proc://{k}",
                 rate_bytes_per_s=rate, timeout=120, multicast_mode=mode,
             ),
-            CodedTeraSortSpec(data, redundancy=r),
+            CodedTeraSortSpec(data, redundancy=r, schedule="serial"),
         )
 
     def both():

@@ -29,6 +29,7 @@ def _loads():
                 files,
                 redundancy=r,
                 scheme="coded" if coded else "uncoded",
+                schedule="serial",
             ),
         )
         records = [x for x in run.traffic.records if x.stage == "shuffle"]

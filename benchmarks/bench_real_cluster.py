@@ -58,7 +58,7 @@ def bench_real_coded_terasort_rate_limited(benchmark):
                 timeout=120,
                 multicast_mode=MulticastMode.TREE,
             ),
-            CodedTeraSortSpec(data, redundancy=R),
+            CodedTeraSortSpec(data, redundancy=R, schedule="serial"),
         ),
         rounds=1,
         iterations=1,
@@ -89,7 +89,7 @@ def bench_real_speedup_comparison(benchmark, sink):
                 timeout=240,
                 multicast_mode=MulticastMode.TREE,
             ),
-            CodedTeraSortSpec(data, redundancy=R),
+            CodedTeraSortSpec(data, redundancy=R, schedule="serial"),
         )
         return plain, coded
 
@@ -161,7 +161,9 @@ def bench_real_tcp_cluster_speedup(benchmark, sink):
                 with Session(cluster) as session:
                     plain = session.submit(TeraSortSpec(data=data)).result()
                     coded = session.submit(
-                        CodedTeraSortSpec(data=data, redundancy=R)
+                        CodedTeraSortSpec(
+                            data=data, redundancy=R, schedule="serial"
+                        )
                     ).result()
             finally:
                 for p in procs:

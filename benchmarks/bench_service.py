@@ -52,6 +52,9 @@ _CTX = multiprocessing.get_context("fork")
 #: Mesh size and per-job subset size: two jobs fit side by side.
 NODES = 8
 JOB_WORKERS = 4
+#: The coded jobs' shuffle schedule, by name: the committed baseline
+#: (``results/baseline_service_quick.json``) was taken on the serial walk.
+SCHEDULE = "serial"
 
 
 def _spawn_workers(address: str, n: int):
@@ -77,7 +80,9 @@ def _make_specs(jobs: int, records: int) -> List:
     for i in range(jobs):
         data = teragen(records, seed=100 + i)
         if i % 2:
-            specs.append(CodedTeraSortSpec(data=data, redundancy=2))
+            specs.append(
+                CodedTeraSortSpec(data=data, redundancy=2, schedule=SCHEDULE)
+            )
         else:
             specs.append(TeraSortSpec(data=data))
     return specs
@@ -156,10 +161,14 @@ def bench(jobs: int, records: int, rate_mbps: float) -> Dict:
                 ]
                 inflight_specs = [
                     TeraSortSpec(data=data_kill[0]),
-                    CodedTeraSortSpec(data=data_kill[1], redundancy=2),
+                    CodedTeraSortSpec(
+                        data=data_kill[1], redundancy=2, schedule=SCHEDULE
+                    ),
                 ]
                 wide_data = teragen(records, seed=210)
-                wide_spec = CodedTeraSortSpec(data=wide_data, redundancy=2)
+                wide_spec = CodedTeraSortSpec(
+                    data=wide_data, redundancy=2, schedule=SCHEDULE
+                )
 
                 recovery = {}
 

@@ -15,7 +15,12 @@ real ``repro worker`` subprocesses kept under a supervisor restart loop
 
 Lanes: ``map-crash`` (worker hard-exits entering map), ``shuffle-crash``
 (worker hard-exits on a mid-shuffle send), ``straggler-x5`` (one
-worker's map paced 5x slower, speculation on).
+worker's map paced 5x slower, speculation on), and a CodedTeraSort on
+each coded shuffle engine whose rank 2 hard-exits before it has multicast
+a packet its peers are already waiting for — ``coded-shuffle-crash``
+(the default event loop: the peers learn of the death in its arrival
+wait) and ``coded-serial-shuffle-crash`` (the Fig. 9(b) turn walk, asked
+for by name).
 
 Writes a JSON artifact with per-lane wall time and attempt counts.
 
@@ -44,14 +49,25 @@ from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
 from repro.runtime.errors import WorkerFailure  # noqa: E402
 from repro.runtime.process import ProcessCluster  # noqa: E402
 from repro.runtime.tcp import TcpCluster  # noqa: E402
-from repro.session import Session, TeraSortSpec  # noqa: E402
+from repro.session import (  # noqa: E402
+    CodedTeraSortSpec,
+    Session,
+    TeraSortSpec,
+)
 from repro.testing.faults import ENV_VAR  # noqa: E402
 
-#: (lane name, fault plan, needs automatic retry to finish)
+# The coded engines multicast (no ``send`` fault point): die entering
+# Encode, which the event loop nests inside its shuffle span.
+_ENCODE_CRASH = "stage.crash,rank=2,stage=encode,job_lt=1"
+
+#: (lane name, fault plan, needs automatic retry to finish, coded
+#: schedule — ``None`` is the uncoded sort)
 LANES = [
-    ("map-crash", "stage.crash,rank=1,stage=map,job_lt=1", True),
-    ("shuffle-crash", "send.crash,rank=2,stage=shuffle,job_lt=1", True),
-    ("straggler-x5", "stage.slow,rank=1,stage=map,factor=5", False),
+    ("map-crash", "stage.crash,rank=1,stage=map,job_lt=1", True, None),
+    ("shuffle-crash", "send.crash,rank=2,stage=shuffle,job_lt=1", True, None),
+    ("straggler-x5", "stage.slow,rank=1,stage=map,factor=5", False, None),
+    ("coded-shuffle-crash", _ENCODE_CRASH, True, "parallel"),
+    ("coded-serial-shuffle-crash", _ENCODE_CRASH, True, "serial"),
 ]
 
 
@@ -94,17 +110,24 @@ class _Supervisor:
                 proc.wait()
 
 
-def run_lane(name, plan, needs_retry, source, reference, args):
+def run_lane(name, plan, needs_retry, schedule, source, reference, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
     env[ENV_VAR] = plan
-    spec = TeraSortSpec(
-        input=source,
-        speculation=not needs_retry,  # the straggler lane speculates
-        speculation_min_wait=0.2,
-    )
+    if schedule is None:
+        spec = TeraSortSpec(
+            input=source,
+            speculation=not needs_retry,  # the straggler lane speculates
+            speculation_min_wait=0.2,
+        )
+    else:
+        # Every sort of one input is the same bytes: the coded lanes are
+        # held against the uncoded fault-free reference too.
+        spec = CodedTeraSortSpec(
+            input=source, redundancy=2, schedule=schedule
+        )
     with TcpCluster(
         args.nodes, "tcp://127.0.0.1:0", timeout=args.lane_timeout,
         connect_timeout=120, heartbeat_interval=0.1, failure_timeout=30.0,
@@ -173,9 +196,9 @@ def main(argv=None) -> int:
         "records": args.records,
         "lanes": {},
     }
-    for name, plan, needs_retry in LANES:
+    for name, plan, needs_retry, schedule in LANES:
         results["lanes"][name] = run_lane(
-            name, plan, needs_retry, source, reference, args
+            name, plan, needs_retry, schedule, source, reference, args
         )
     if args.out:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -218,7 +218,11 @@ def main(argv=None) -> int:
               f"(epoch {regrown.membership_epoch})", flush=True)
 
         elastic_data = teragen(args.records, seed=67)
-        elastic_spec = CodedTeraSortSpec(data=elastic_data, redundancy=2)
+        # Serial by name: the concurrent coded job above rode the default
+        # event loop, this one keeps the Fig. 9(b) walk on the daemon path.
+        elastic_spec = CodedTeraSortSpec(
+            data=elastic_data, redundancy=2, schedule="serial"
+        )
         run = client.submit(
             elastic_spec, tenant="elastic", workers=JOB_WORKERS
         ).result(timeout=300)

@@ -27,18 +27,18 @@ and the spec fields pick three policies rather than a different program:
   ascending, sized from the spec alone — is identical on every replica
   of a subset, which is what XOR coding requires of ``I^t_S``.
 * **send gate** (:func:`~repro.runtime.program.execute_multicast_shuffle`)
-  — staged ``"serial"`` is the paper's Fig. 9(b) execution: one
-  ``(group, sender)`` turn at a time behind a cluster barrier, Encode
-  fully preceding Shuffle preceding Decode; this is the faithful
-  baseline the paper measures.  Everything else runs the one
-  non-blocking event loop
+  — by default the one non-blocking event loop
   (:func:`~repro.runtime.program.streaming_multicast_shuffle`): staged
   ``"parallel"`` — the §VI "asynchronous execution" future work — posts
   every packet in the greedily colored round order
   (:meth:`~repro.core.groups.CodingPlan.rounds_for`; no inter-round
   barrier) once Map is done; ``overlap`` lets the loop drive the map
   itself and opens a group the moment every subset it draws on is
-  mapped, under either schedule's posting order.
+  mapped, under either schedule's posting order.  Staged ``"serial"``,
+  asked for by name, is the paper's Fig. 9(b) execution: one
+  ``(group, sender)`` turn at a time behind a cluster barrier, Encode
+  fully preceding Shuffle preceding Decode — the faithful baseline the
+  paper measures, and what its tables and figures are reproduced with.
 * **merge frontier** (:class:`~repro.core.outofcore.MergeFrontier`) —
   in memory, own values and decoded groups are collected and sorted once
   at the end, staged or overlapped; under a budget they become sorted
@@ -381,10 +381,11 @@ class CodedTeraSortSpec(SortSpec):
             (``N = b * C(g, r)``, ``b >= 1``); the files of a subset are
             concatenated before encoding, as in the batched CMR scheme
             of [9].
-        schedule: ``"serial"`` (paper, Fig. 9(b) turns behind cluster
-            barriers) or ``"parallel"`` (the barrier-free event loop,
-            packets posted in conflict-free round order); byte-identical
-            output.
+        schedule: ``"parallel"`` (default: the barrier-free event loop,
+            packets posted in conflict-free round order) or ``"serial"``
+            — the paper's measured execution, Fig. 9(b) turns behind
+            cluster barriers; whatever reproduces the paper asks for it
+            by name.  Byte-identical output.
         overlap: as on :class:`~repro.core.terasort.SortSpec`; here the
             event loop also drives the map, and a multicast group is
             encoded and sent as soon as all of its contributing file
@@ -403,7 +404,7 @@ class CodedTeraSortSpec(SortSpec):
     redundancy: int = 1
     _: KW_ONLY
     batches_per_subset: int = 1
-    schedule: str = "serial"
+    schedule: str = "parallel"
     group_size: Optional[int] = None
 
     def validate(self, size: int) -> None:
@@ -438,10 +439,11 @@ class CodedTeraSortSpec(SortSpec):
         placement is built on ``g`` members and replicated: coding group
         ``j`` holds file ``F_S`` on ranks ``{j·g + m : m ∈ S}``, so every
         group stores the whole input (``r/g`` of it per node).  The
-        coding plan itself is built by every node during CodeGen (that
-        cost is part of the measured stage, as in the paper);
-        ``finalize`` takes its counts from closed forms and rebuilds it
-        only for the parallel schedule's round count.
+        coding plan itself is looked up by every node during CodeGen
+        (built on a process's first job of that ``(g, r)``, as the
+        measured stage of the paper is; memoised from then on);
+        ``finalize`` takes its counts from closed forms and reads the
+        plan only for the parallel schedule's round count.
         """
         self.validate(size)
         g = self.group_size or size
@@ -473,6 +475,10 @@ class CodedTeraSortSpec(SortSpec):
             # cluster-wide; ``schedule_turns``: one coding group's serial
             # walk.
             num_groups = binomial(g, r + 1)
+            # The wire next to the load: an application multicast leaves
+            # its sender once per receiver, so wire / load = r.
+            load = result.traffic.load_bytes("shuffle")
+            wire = result.traffic.wire_bytes("shuffle")
             meta: Dict[str, object] = {
                 "algorithm": "coded_terasort",
                 "num_nodes": size,
@@ -486,6 +492,8 @@ class CodedTeraSortSpec(SortSpec):
                 "total_multicasts": size // g * num_groups * (r + 1),
                 "schedule": self.schedule,
                 "schedule_turns": num_groups * (r + 1),
+                "wire_bytes": wire,
+                "wire_per_load": wire / load if load else 0.0,
                 **input_meta,
             }
             if self.schedule == "parallel":

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.utils.subsets import Subset, binomial, k_subsets, without
@@ -126,7 +127,8 @@ class CodingPlan:
         every coding group; relabelling puts ``groups``,
         ``groups_of_node``, the turn list and the rounds in that group's
         cluster ranks.  The identity relabelling returns ``self`` — the
-        ungrouped job pays nothing.
+        ungrouped job pays nothing; any other is a new plan, and this
+        one (shared, see :func:`build_coding_plan`) is left as it was.
         """
         if tuple(nodes) == tuple(range(self.num_nodes)):
             return self
@@ -184,8 +186,13 @@ class CodingPlan:
         return self.parallel_rounds()
 
 
+@lru_cache(maxsize=8)
 def build_coding_plan(num_nodes: int, redundancy: int) -> CodingPlan:
     """Run CodeGen: enumerate groups, memberships, and the serial schedule.
+
+    Memoised per ``(K, r)``: a process that runs job after job (standing
+    worker, driver ``finalize``, service daemon) enumerates and colours a
+    plan once.  The plan is therefore **shared: read-only** to callers.
 
     Args:
         num_nodes: ``K``.

@@ -84,7 +84,7 @@ def fig2_series(
         if measure and r <= cap:
             coded = run(
                 ThreadCluster(num_nodes, recv_timeout=120.0),
-                CodedTeraSortSpec(data=data, redundancy=r),
+                CodedTeraSortSpec(data=data, redundancy=r, schedule="serial"),
             )
             point.coded_measured = (
                 coded.traffic.load_bytes("shuffle") / total_bytes

@@ -21,13 +21,15 @@ the pipelined shuffle engine is built on:
 Non-blocking semantics: ``isend`` hands the payload to the backend's
 asynchronous sender and returns immediately; ``irecv`` and a receiving
 ``ibcast`` return a lazily-completing request that consumes frames as they
-arrive (``test`` never blocks, ``wait`` blocks for the remainder).  A
-receiving ``ibcast`` in TREE mode at an *interior* tree node forwards to
-its children from a background relay thread so the broadcast keeps flowing
-even while the local program is busy; leaf receives stay threadless.
+arrive (``test`` never blocks, ``wait`` blocks for the remainder); no
+receive starts a thread.  A receiving ``ibcast`` at an *interior* TREE
+node hands its arena view to the same asynchronous sender, for its
+children, the moment it lands; :meth:`Comm.wait_any` names the posted
+receives that have a frame, so a program can sleep until any one does.
 Requests must eventually be waited (or tested to completion): an abandoned
-receiving request strands its message, and in TREE mode an abandoned
-interior relay stalls that subtree.
+receive strands its message, and an interior one nobody drives stalls its
+subtree — never block on one receive while another posted one may be
+holding a packet its children wait for.
 
 Every user-level payload travels as a small framing header plus one or more
 chunks of at most ``chunk_bytes`` each, so a large transfer never occupies
@@ -60,9 +62,9 @@ two multicast modes can be compared byte-for-byte per link.  Relay records
 are excluded from the default load/wire summaries.
 
 Backends implement the raw primitives (``_send_raw`` / ``_recv_raw`` /
-``_poll_raw`` / ``_barrier_raw`` and the async dispatch hooks); the group
-algorithms, chunked framing, and traffic accounting live here so every
-backend behaves identically.
+``_poll_raw`` / ``wait_any`` / ``_barrier_raw`` and the async dispatch
+hooks); the group algorithms, chunked framing, and traffic accounting live
+here so every backend behaves identically.
 
 Internal tags live in namespaces disjoint from user tags *and* from each
 other (broadcast, barrier), so long runs can never alias a barrier frame
@@ -79,7 +81,7 @@ import struct
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
@@ -239,13 +241,11 @@ class _CompletedRequest(Request):
 
 
 class _FutureRequest(Request):
-    """A request completed by a background worker (async send / tree relay).
+    """A request completed by the backend's async sender thread.
 
     ``default_timeout`` bounds ``wait(None)``: send futures get the
-    backend's receive timeout (a wedged peer surfaces as an error instead
-    of an unbounded hang), while tree-relay futures pass ``None`` — their
-    packet may legitimately be a long while away, and peer failure
-    completes them with an error through the relay closure instead.
+    backend's receive timeout, so a wedged peer surfaces as an error
+    instead of an unbounded hang.
     """
 
     def __init__(self, default_timeout: Optional[float] = None) -> None:
@@ -286,51 +286,75 @@ class _RecvRequest(Request):
     arrived via the backend's non-blocking ``_poll_raw``; ``wait`` blocks
     via ``_recv_raw`` for the remainder.  Must only be driven from the
     owning program's thread (like an MPI request).
+
+    With ``children`` (a TREE interior receive) the landed arena view
+    goes to the async sender for them first; the payload is the caller's
+    at once, the relay's send request theirs to wait on.
+
+    Attributes:
+        key: what :meth:`Comm.wait_any` knows this receive by.
+        forward: the relay's send request, once landed (else ``None``).
     """
 
     def __init__(
-        self, comm: "Comm", src: int, tag: int, copy: bool = True
+        self,
+        comm: "Comm",
+        src: int,
+        tag: int,
+        copy: bool = True,
+        children: Sequence[int] = (),
+        stage: str = "",
     ) -> None:
         self._comm = comm
         self._src = src
         self._tag = tag
         self._copy = copy
+        self._children = children
+        self._stage = stage
         self._expected: Optional[int] = None  # chunk frames still to come
         self._parts: List[Buffer] = []
         self._value: Optional[ReceivedPayload] = None
         self._done = False
+        self.key = comm._mail_key(src, tag)
+        self.forward: Optional[Request] = None
 
     def _consume(self, frame: Buffer) -> None:
+        body: ReceivedPayload
         if self._expected is None:
             (nchunks,) = _FRAME_PREFIX.unpack_from(frame)
-            if nchunks == 0:
-                body = memoryview(frame)[_FRAME_PREFIX.size:]
-                if self._copy:
-                    copytrack.count_copy(len(body), "api.recv.materialize")
-                    self._value = bytes(body)
-                else:
-                    self._value = body
-                self._done = True
+            if nchunks:
+                self._expected = nchunks
                 return
-            self._expected = nchunks
-            return
-        self._parts.append(frame)
-        self._expected -= 1
-        if self._expected == 0:
+            body = memoryview(frame)[_FRAME_PREFIX.size:]
+        else:
+            self._parts.append(frame)
+            self._expected -= 1
+            if self._expected:
+                return
             total = sum(len(p) for p in self._parts)
             copytrack.count_copy(total, "api.recv.assemble_chunks")
-            if self._copy:
-                self._value = b"".join(self._parts)
+            if self._copy and not self._children:
+                body = b"".join(self._parts)
             else:
-                arena = bytearray(total)
-                view = memoryview(arena)
+                body = memoryview(bytearray(total))
                 pos = 0
                 for p in self._parts:
-                    view[pos : pos + len(p)] = p
+                    body[pos : pos + len(p)] = p
                     pos += len(p)
-                self._value = view
             self._parts = []
-            self._done = True
+        if self._children:
+            comm, view = self._comm, body
+            comm._async_dispatch_used = True
+            self.forward = comm._dispatch_send(
+                lambda: comm._forward(
+                    self._children, self._tag, view, self._stage
+                )
+            )
+        if self._copy and not isinstance(body, bytes):
+            copytrack.count_copy(len(body), "api.recv.materialize")
+            body = bytes(body)
+        self._value = body
+        self._done = True
 
     def test(self) -> bool:
         # _poll_raw raises CommError once the source is closed and no
@@ -512,11 +536,13 @@ class Comm(ABC):
 
         Must raise :class:`CommError` (after draining buffered frames) if
         the source can never deliver — that is how ``Request.test``
-        observes peer death.  Backends that cannot probe may leave the
-        default, which degrades ``Request.test`` to always-False
-        (``wait`` still works).
+        observes peer death.
         """
-        return None
+        raise NotImplementedError
+
+    def _mail_key(self, src: int, tag: int) -> Tuple[int, int]:
+        """The backend's name for frames of ``(src, tag)`` (``Request.key``)."""
+        return (src, tag)
 
     def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
         """Run a send closure asynchronously; default executes inline.
@@ -526,21 +552,6 @@ class Comm(ABC):
         destination+tag must execute in dispatch order.
         """
         return _CompletedRequest(fn())
-
-    def _spawn(self, fn: Callable[[], Optional[bytes]]) -> Request:
-        """Run ``fn`` on a fresh daemon thread (tree-relay ibcasts)."""
-        req = _FutureRequest()
-
-        def runner() -> None:
-            try:
-                req._set(fn())
-            except BaseException as exc:  # noqa: BLE001 - delivered via wait
-                req._fail(exc)
-
-        threading.Thread(
-            target=runner, daemon=True, name=f"relay-{self.rank}"
-        ).start()
-        return req
 
     def _close_async(self) -> None:
         """Stop backend async helpers; called once the node program ends."""
@@ -563,39 +574,6 @@ class Comm(ABC):
         self._send_raw(dst, tag, [_FRAME_PREFIX.pack(nchunks)])
         for piece in chunk_views(views, chunk):
             self._send_raw(dst, tag, piece)
-
-    def _recv_framed(
-        self, src: int, tag: int, timeout=BACKEND_TIMEOUT, copy: bool = True
-    ) -> ReceivedPayload:
-        """Receive one logical payload (header frame plus chunk frames).
-
-        ``copy=False`` returns a memoryview into the backend's receive
-        arena (zero-copy for unchunked payloads; chunked payloads are
-        assembled once into a fresh arena).  ``copy=True`` returns owned
-        ``bytes`` (one copy).
-        """
-        head = self._recv_raw(src, tag, timeout=timeout)
-        (nchunks,) = _FRAME_PREFIX.unpack_from(head)
-        if nchunks == 0:
-            body = memoryview(head)[_FRAME_PREFIX.size:]
-            if not copy:
-                return body
-            copytrack.count_copy(len(body), "api.recv.materialize")
-            return bytes(body)
-        chunks = [
-            self._recv_raw(src, tag, timeout=timeout) for _ in range(nchunks)
-        ]
-        total = sum(len(c) for c in chunks)
-        copytrack.count_copy(total, "api.recv.assemble_chunks")
-        if copy:
-            return b"".join(chunks)
-        arena = bytearray(total)
-        view = memoryview(arena)
-        pos = 0
-        for c in chunks:
-            view[pos : pos + len(c)] = c
-            pos += len(c)
-        return view
 
     # -- public API -------------------------------------------------------------
 
@@ -649,7 +627,7 @@ class Comm(ABC):
         self._check_peer(src)
         tag = self._user_tag(tag)
         faults.comm_op("recv", self.rank, src, self._stage, self._job_seq)
-        return self._recv_framed(src, tag, copy=copy)
+        return _RecvRequest(self, src, tag, copy).wait()
 
     def irecv(self, src: int, tag: int, copy: bool = True) -> Request:
         """Non-blocking tagged receive; ``wait()`` returns the payload.
@@ -691,12 +669,8 @@ class Comm(ABC):
             assert payload is not None
             return payload
         inner_tag = _BCAST_NS | self._user_tag(tag)
-        if self.multicast_mode is MulticastMode.TREE:
-            return self._bcast_tree(
-                group, root, inner_tag, payload, self._stage, copy=copy
-            )
-        return self._bcast_linear(
-            group, root, inner_tag, payload, self._stage, copy=copy
+        return self._bcast(
+            *self._links(group, root), inner_tag, payload, self._stage, copy
         )
 
     def ibcast(
@@ -709,49 +683,43 @@ class Comm(ABC):
     ) -> Request:
         """Non-blocking multicast; ``wait()`` returns the payload everywhere.
 
-        The root's sends run on the backend's async sender.  A LINEAR (or
-        TREE-leaf) receiver gets a threadless lazy request; a TREE interior
-        receiver relays to its children from a background thread as soon as
-        its copy arrives.  At most one in-flight broadcast may use a given
-        ``(group, tag)`` pair at a time (same as ``bcast``).
-
-        Scaling note: each in-flight TREE interior receive costs one
-        (mostly idle) relay thread until its packet arrives, so a program
-        that posts an entire shuffle's receives up front holds up to
-        ``~C(K-1, r) / (r+1)`` relay threads per node.  Fine at this
-        repo's scales (tens of threads at K <= 16); a shared relay
-        dispatcher is the upgrade path if group counts grow far beyond
-        that.
+        The root's sends run on the backend's async sender.  Every
+        receiver gets a threadless lazy request; a TREE interior one,
+        driven (``test`` / ``wait``) onto its landed packet, also hands it
+        to the async sender for its children — ``forward`` is that send,
+        to be waited like any other.  At most one in-flight broadcast may
+        use a given ``(group, tag)`` pair at a time (same as ``bcast``);
+        drive a request only from the thread that posted it.
         """
         group = self._bcast_preflight(members, root, tag, payload)
         if len(group) == 1:
             return _CompletedRequest(payload)
         inner_tag = _BCAST_NS | self._user_tag(tag)
         stage = self._stage
-        if self.rank == root:
-            self._async_dispatch_used = True
-            if self.multicast_mode is MulticastMode.TREE:
-                return self._dispatch_send(
-                    lambda: self._bcast_tree(group, root, inner_tag, payload, stage)
-                )
-            return self._dispatch_send(
-                lambda: self._bcast_linear(group, root, inner_tag, payload, stage)
-            )
-        if self.multicast_mode is MulticastMode.LINEAR:
-            return _RecvRequest(self, root, inner_tag, copy=copy)
-        parent, children = self._tree_links(group, root, self.rank)
-        assert parent is not None
-        if not children:
-            return _RecvRequest(self, parent, inner_tag, copy=copy)
-        # The relay may legitimately sit idle for many rounds before its
-        # packet is due, so its receive is exempt from the per-receive
-        # timeout (peer failure still unblocks it via channel closure).
-        return self._spawn(
-            lambda: self._bcast_tree(
-                group, root, inner_tag, None, stage, recv_timeout=None,
-                copy=copy,
-            )
+        parent, children = self._links(group, root)
+        if parent is not None:
+            return _RecvRequest(self, parent, inner_tag, copy, children, stage)
+        self._async_dispatch_used = True
+        return self._dispatch_send(
+            lambda: self._bcast(None, children, inner_tag, payload, stage)
         )
+
+    def wait_any(
+        self, keys: Collection[Tuple[int, int]], timeout=BACKEND_TIMEOUT
+    ) -> List[Tuple[int, int]]:
+        """The posted receives, by ``Request.key``, that have a frame
+        waiting (``MPI_Waitsome``'s first half).
+
+        ``keys``: an O(1)-membership collection of keys (the caller's own
+        dict will do).  Blocks until one has a frame, at most ``timeout``
+        seconds (default: the backend's receive timeout; ``None``:
+        unbounded), then :class:`CommError` — except ``timeout=0``, a poll
+        that may return nothing.  A listed request's ``test()`` then makes
+        progress (a chunked payload takes several arrivals).  A source
+        dead with a listed receive still empty raises, as ``Request.test``
+        does.  Backends implement it (see ``MailboxComm``).
+        """
+        raise NotImplementedError
 
     def barrier(self) -> None:
         """Block until every rank has reached the barrier."""
@@ -792,24 +760,17 @@ class Comm(ABC):
         if self.record_relays and self.traffic is not None:
             self.traffic.record(stage, "relay", self.rank, (dst,), nbytes)
 
-    def _bcast_linear(
-        self,
-        group: Tuple[int, ...],
-        root: int,
-        tag: int,
-        payload: Optional[BufferParts],
-        stage: str,
-        copy: bool = True,
-    ) -> BufferParts:
+    def _links(
+        self, group: Tuple[int, ...], root: int
+    ) -> Tuple[Optional[int], Sequence[int]]:
+        """This rank's parent and children in a broadcast from ``root``:
+        the binomial tree's, or (LINEAR) the star's — the root sends to
+        every member in turn."""
+        if self.multicast_mode is MulticastMode.TREE:
+            return self._tree_links(group, root, self.rank)
         if self.rank == root:
-            assert payload is not None
-            nbytes = payload_nbytes(payload)
-            for m in group:
-                if m != root:
-                    self._send_framed(m, tag, payload)
-                    self._record_hop(stage, m, nbytes)
-            return payload
-        return self._recv_framed(root, tag, copy=copy)
+            return None, [m for m in group if m != root]
+        return root, ()
 
     @staticmethod
     def _tree_links(
@@ -843,36 +804,41 @@ class Comm(ABC):
             mask >>= 1
         return parent, children
 
-    def _bcast_tree(
-        self,
-        group: Tuple[int, ...],
-        root: int,
-        tag: int,
-        payload: Optional[BufferParts],
-        stage: str,
-        recv_timeout=BACKEND_TIMEOUT,
-        copy: bool = True,
-    ) -> BufferParts:
-        """Binomial-tree broadcast (MPICH/Open MPI algorithm).
-
-        Every non-root receives exactly once, so wire bytes equal the linear
-        mode; only the critical path shortens to ``ceil(log2(g))`` rounds.
-        Interior nodes forward their received arena view to children
-        without copying, regardless of ``copy``.
-        """
-        parent, children = self._tree_links(group, root, self.rank)
-        data = payload
-        if parent is not None:
-            data = self._recv_framed(
-                parent, tag, timeout=recv_timeout, copy=copy and not children
-            )
-        assert data is not None
+    def _forward(
+        self, children: Sequence[int], tag: int, data: BufferParts, stage: str
+    ) -> None:
+        """Send ``data`` to this node's children, logging each hop."""
         nbytes = payload_nbytes(data)
         for child in children:
             self._send_framed(child, tag, data)
             self._record_hop(stage, child, nbytes)
+
+    def _bcast(
+        self,
+        parent: Optional[int],
+        children: Sequence[int],
+        tag: int,
+        payload: Optional[BufferParts],
+        stage: str,
+        copy: bool = True,
+    ) -> BufferParts:
+        """One node's blocking share of a broadcast over its :meth:`_links`.
+
+        On the binomial tree (MPICH/Open MPI algorithm) every non-root
+        receives exactly once, so wire bytes equal the linear mode; only
+        the critical path shortens to ``ceil(log2(g))`` rounds.  Interior
+        nodes forward their received arena view to children without
+        copying, regardless of ``copy``.
+        """
+        data = payload
+        if parent is not None:
+            data = _RecvRequest(
+                self, parent, tag, copy and not children
+            ).wait()
+        assert data is not None
+        self._forward(children, tag, data, stage)
         if parent is not None and copy and children:
-            copytrack.count_copy(nbytes, "api.recv.materialize")
+            copytrack.count_copy(payload_nbytes(data), "api.recv.materialize")
             return bytes(data) if not isinstance(data, bytes) else data
         return data
 

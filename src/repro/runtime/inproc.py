@@ -8,8 +8,9 @@ compute).  Real parallel timing comes from
 :class:`repro.runtime.process.ProcessCluster` and the simulator.
 
 Non-blocking primitives are cheap here: mailbox puts never block, so
-``isend`` completes inline, and ``irecv`` / ``ibcast`` receives are lazy
-mailbox pops (no helper threads; only TREE-mode interior relays spawn one).
+``isend`` completes inline — a TREE interior receive's relay included —
+and ``irecv`` / ``ibcast`` receives are lazy mailbox pops (no helper
+threads).
 """
 
 from __future__ import annotations
@@ -19,15 +20,12 @@ import threading
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.api import (
-    BACKEND_TIMEOUT,
-    Buffer,
     BufferParts,
-    Comm,
     CommError,
     DEFAULT_CHUNK_BYTES,
     MulticastMode,
 )
-from repro.runtime.mailbox import Mailbox, MailboxClosed
+from repro.runtime.mailbox import Mailbox, MailboxClosed, MailboxComm
 from repro.runtime.program import (
     ClusterResult,
     PreparedJob,
@@ -38,7 +36,7 @@ from repro.runtime.traffic import TrafficLog
 from repro.utils import copytrack
 
 
-class _ThreadComm(Comm):
+class _ThreadComm(MailboxComm):
     """Comm endpoint backed by shared-memory mailboxes."""
 
     def __init__(
@@ -62,6 +60,7 @@ class _ThreadComm(Comm):
             record_relays=record_relays,
         )
         self._mailboxes = mailboxes
+        self._mailbox = mailboxes[rank]
         self._barrier = barrier
         self._recv_timeout = recv_timeout
 
@@ -87,20 +86,6 @@ class _ThreadComm(Comm):
             payload = bytes(payload)
         try:
             self._mailboxes[dst].put(self.rank, tag, payload)
-        except MailboxClosed as exc:
-            raise CommError(str(exc)) from exc
-
-    def _recv_raw(self, src: int, tag: int, timeout=BACKEND_TIMEOUT) -> Buffer:
-        if timeout is BACKEND_TIMEOUT:
-            timeout = self._recv_timeout
-        try:
-            return self._mailboxes[self.rank].get(src, tag, timeout)
-        except (MailboxClosed, TimeoutError) as exc:
-            raise CommError(str(exc)) from exc
-
-    def _poll_raw(self, src: int, tag: int) -> Optional[bytes]:
-        try:
-            return self._mailboxes[self.rank].poll(src, tag)
         except MailboxClosed as exc:
             raise CommError(str(exc)) from exc
 

@@ -50,7 +50,6 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.runtime.api import (
-    BACKEND_TIMEOUT,
     BufferParts,
     Comm,
     CommError,
@@ -66,7 +65,7 @@ from repro.runtime.api import (
     barrier_tag,
 )
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
-from repro.runtime.mailbox import Mailbox, MailboxClosed
+from repro.runtime.mailbox import Mailbox, MailboxClosed, MailboxComm
 from repro.runtime.pool import WorkerPool
 from repro.runtime.program import (
     ClusterResult,
@@ -85,7 +84,7 @@ from repro.runtime.transport import (
 )
 
 
-class _SocketComm(Comm):
+class _SocketComm(MailboxComm):
     """Comm endpoint over a mesh of per-peer stream sockets."""
 
     def __init__(
@@ -240,32 +239,6 @@ class _SocketComm(Comm):
         except (OSError, TransportError) as exc:
             raise WorkerFailure(
                 dst, self._stage, f"send failed: {exc}"
-            ) from exc
-
-    def _recv_raw(self, src: int, tag: int, timeout=BACKEND_TIMEOUT) -> bytearray:
-        if timeout is BACKEND_TIMEOUT:
-            timeout = self._recv_timeout
-        try:
-            return self._mailbox.get(src, tag, timeout)
-        except TimeoutError as exc:
-            raise RuntimeTimeoutError(
-                f"recv from worker {src} timed out after {timeout}s in "
-                f"stage {self._stage!r}",
-                peer=src,
-                stage=self._stage,
-                seconds=timeout,
-            ) from exc
-        except MailboxClosed as exc:
-            raise WorkerFailure(
-                src, self._stage, f"peer connection lost: {exc}"
-            ) from exc
-
-    def _poll_raw(self, src: int, tag: int) -> Optional[bytes]:
-        try:
-            return self._mailbox.poll(src, tag)
-        except MailboxClosed as exc:
-            raise WorkerFailure(
-                src, self._stage, f"peer connection lost: {exc}"
             ) from exc
 
     def _begin_job_raw(self, job_seq: int) -> None:
@@ -425,57 +398,32 @@ class SubsetComm(_SocketComm):
         }
         self._mailbox = base._mailbox
 
-    def _abort_failure(self, reason: str) -> WorkerFailure:
-        return WorkerFailure(
-            -1, self._stage, f"job aborted by coordinator: {reason}"
-        )
+    def _mail_key(self, src: int, tag: int) -> Tuple[int, int]:
+        return (self.members[src], tag)
 
-    def _recv_raw(self, src: int, tag: int, timeout=BACKEND_TIMEOUT):
-        if timeout is BACKEND_TIMEOUT:
-            timeout = self._recv_timeout
-        gsrc = self.members[src]
+    def _rank_of(self, src: int) -> int:
+        return self.members.index(src)
+
+    def _ready(self, keys, timeout: Optional[float]):
+        """In ``_ABORT_POLL`` slices, the job's abort flag checked before
+        each: every receive of a subset job — blocking, polled or the
+        event loop's arrival wait — comes through here."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
             control = self.job_control
-            if control is not None:
-                reason = control.abort_reason()
-                if reason is not None:
-                    raise self._abort_failure(reason)
-            if deadline is None:
-                slice_t = self._ABORT_POLL
-            else:
-                slice_t = min(
-                    self._ABORT_POLL,
-                    max(0.0, deadline - time.monotonic()),
-                )
-            try:
-                return self._mailbox.get(gsrc, tag, slice_t)
-            except TimeoutError:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise RuntimeTimeoutError(
-                        f"recv from worker {src} timed out after {timeout}s "
-                        f"in stage {self._stage!r}",
-                        peer=src,
-                        stage=self._stage,
-                        seconds=timeout,
-                    ) from None
-            except MailboxClosed as exc:
-                raise WorkerFailure(
-                    src, self._stage, f"peer connection lost: {exc}"
-                ) from exc
-
-    def _poll_raw(self, src: int, tag: int) -> Optional[bytes]:
-        control = self.job_control
-        if control is not None:
-            reason = control.abort_reason()
+            reason = None if control is None else control.abort_reason()
             if reason is not None:
-                raise self._abort_failure(reason)
-        try:
-            return self._mailbox.poll(self.members[src], tag)
-        except MailboxClosed as exc:
-            raise WorkerFailure(
-                src, self._stage, f"peer connection lost: {exc}"
-            ) from exc
+                raise WorkerFailure(
+                    -1, self._stage, f"job aborted by coordinator: {reason}"
+                )
+            remaining = (
+                float("inf") if deadline is None else deadline - time.monotonic()
+            )
+            ready = self._mailbox.wait_any(
+                keys, max(0.0, min(self._ABORT_POLL, remaining))
+            )
+            if ready or remaining <= self._ABORT_POLL:
+                return ready
 
 
 def _purge_job_frames(mailbox: Mailbox, job_seq: int) -> int:

@@ -16,10 +16,12 @@ The coded programs' Encode / Shuffle / Decode block has two engines, and
   turn at a time behind a cluster barrier, Encode fully preceding Shuffle
   preceding Decode.
 * :func:`streaming_multicast_shuffle` — one non-blocking event loop (the
-  §VI "asynchronous execution" future work made concrete): it posts every
-  receive up front via ``ibcast``, encodes and multicasts each group as
-  soon as the send gate opens it, and decodes every group as soon as its
-  packets have arrived.  With the map already done the gate is open from
+  §VI "asynchronous execution" future work made concrete), the default:
+  it posts every receive up front via ``ibcast``, encodes and multicasts
+  each group as soon as the send gate opens it, and from then on is
+  driven by arrivals — a landed packet is relayed to this rank's tree
+  children, a complete group decoded, and the idle loop sleeps until
+  *any* receive has a frame.  With the map already done the gate is open from
   the start and the loop is the barrier-free ``schedule="parallel"``
   execution; handed a ``map_step`` and a ``ready`` predicate it also
   drives the caller's map, one window per pass, and a group opens the
@@ -49,10 +51,11 @@ from __future__ import annotations
 
 import threading
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from repro.runtime.api import BufferParts, Comm, Request, wait_all
+from repro.runtime.api import BACKEND_TIMEOUT, BufferParts, Comm, Request, wait_all
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
 from repro.utils.timer import StageTimes, Stopwatch
@@ -270,8 +273,8 @@ class JobSpec(ABC):
         names raise :class:`TypeError` — so the elastic re-planner and
         user code stop hand-copying ten-field specs::
 
-            wider = CodedTeraSortSpec(data=data, redundancy=3).with_(
-                schedule="parallel"
+            paper = CodedTeraSortSpec(data=data, redundancy=3).with_(
+                schedule="serial"
             )
         """
         bad = set(overrides) - set(type(self).__dataclass_fields__)
@@ -459,10 +462,12 @@ def streaming_multicast_shuffle(
 ) -> Dict[str, float]:
     """Run (Map /) Encode / Shuffle / Decode as one non-blocking event loop.
 
-    Every receive is posted up front (one ``ibcast`` per inbound packet).
-    Each pass of the loop then performs one map step if the caller's map
-    still has work, encodes and multicasts every group the send gate has
-    opened, and decodes every group whose packets have all landed — so
+    Every receive is posted up front (one ``ibcast`` per inbound packet;
+    none starts a thread).  Each pass of the loop then performs one map
+    step if the caller's map still has work, encodes and multicasts every
+    group the send gate has opened, drives the receives ``Comm.wait_any``
+    reports a frame for (O(1) an arrival; this is what relays a TREE
+    interior packet) and decodes every group that is complete — so
     transfers ride behind the remaining Map (and the Reduce work nested
     inside ``decode``) instead of extending the critical path.  With no
     ``map_step`` this is the §VI "asynchronous execution" of an already
@@ -515,19 +520,23 @@ def streaming_multicast_shuffle(
         return tag_base + gidx * comm.size + sender
 
     with program.stage("shuffle") as scope:
-        recv_reqs: Dict[int, Dict[int, Request]] = {g: {} for g in my_groups}
+        # Every inbound packet's receive, under the key ``wait_any`` knows
+        # it by; ``landed`` holds a group's packets until it is decoded.
+        posted: Dict[Tuple[int, int], Tuple[int, int, Request]] = {}
+        landed: Dict[int, Dict[int, bytes]] = {}
         for rnd in rounds:
             for gidx, sender in rnd:
-                group = groups[gidx]
-                if sender == rank or rank not in group:
+                if sender == rank or rank not in groups[gidx]:
                     continue
-                recv_reqs[gidx][sender] = comm.ibcast(
-                    group, sender, turn_tag(gidx, sender), copy=False
+                req = comm.ibcast(
+                    groups[gidx], sender, turn_tag(gidx, sender), copy=False
                 )
-
+                posted[req.key] = (gidx, sender, req)
+                landed[gidx] = {}
+        complete: List[int] = []  # every packet in, not yet decoded
         unsent = [g for rnd in rounds for g, sender in rnd if sender == rank]
-        send_reqs: List[Request] = []
-        undecoded = sorted(g for g in my_groups if recv_reqs[g])
+        # Own multicasts and relays, in the async sender's (FIFO) order.
+        sends: Deque[Request] = deque()
 
         def post_open() -> None:
             """Encode + multicast every group the send gate has opened."""
@@ -537,29 +546,45 @@ def streaming_multicast_shuffle(
                 unsent.remove(gidx)
                 with program.stage("encode"):
                     packet = encode(gidx)
-                send_reqs.append(
+                sends.append(
                     comm.ibcast(
                         groups[gidx], rank, turn_tag(gidx, rank), packet
                     )
                 )
 
+        def land(timeout=0) -> None:
+            """Drive each receive a frame has arrived for (which relays an
+            interior one's packet onward) and count its group down."""
+            for key in comm.wait_any(posted, timeout) if posted else ():
+                gidx, sender, req = posted[key]
+                if not req.test():
+                    continue  # chunked payload: frames still to come
+                del posted[key]
+                if req.forward is not None:
+                    sends.append(req.forward)
+                landed[gidx][sender] = req.wait()
+                if len(landed[gidx]) == len(groups[gidx]) - 1:
+                    complete.append(gidx)
+
         def sweep() -> bool:
-            """Decode every decodable group; report whether any was."""
+            """Decode every decodable group, lowest index first, relaying
+            whatever lands in between; report whether any was."""
             progressed = False
-            for gidx in list(undecoded):
-                if ready is not None and not ready(gidx):
-                    continue
-                reqs = recv_reqs[gidx]
-                if not all(req.test() for req in reqs.values()):
-                    continue
-                undecoded.remove(gidx)
+            while True:
+                land()
+                gidx = min(
+                    (g for g in complete if ready is None or ready(g)),
+                    default=None,
+                )
+                if gidx is None:
+                    return progressed
+                complete.remove(gidx)
                 with program.stage("decode"):
-                    decode(gidx, {s: req.wait() for s, req in reqs.items()})
+                    decode(gidx, landed.pop(gidx))
                 progressed = True
-            return progressed
 
         mapping = map_step is not None
-        while mapping or unsent or undecoded:
+        while mapping or unsent or landed:
             if mapping:
                 with program.stage("map"):
                     mapping = bool(map_step())
@@ -571,14 +596,14 @@ def streaming_multicast_shuffle(
                     "all-true by then)"
                 )
             # A completed send holds its encoded packet: let both go.
-            send_reqs[:] = [req for req in send_reqs if not req.test()]
-            if not sweep() and not mapping and undecoded:
-                # Nothing left to map or post and nothing has landed:
-                # block on the lowest undecoded group's packets (every
-                # rank posts all its sends before it blocks here, and
-                # sends ride the async sender, so this cannot deadlock).
-                wait_all(list(recv_reqs[undecoded[0]].values()))
-        wait_all(send_reqs)
+            while sends and sends[0].test():
+                sends.popleft()
+            if not sweep() and not mapping and landed:
+                # Nothing to map, post or decode: sleep until any posted
+                # receive has a frame — never on a chosen one, this rank
+                # may be the tree relay of what that one's sender awaits.
+                land(BACKEND_TIMEOUT)
+        wait_all(sends)
 
     span = scope.elapsed
     times = program.stopwatch.times()

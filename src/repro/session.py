@@ -25,9 +25,7 @@ are submitted through one call::
 
     with Session(ProcessCluster(8)) as session:
         base = session.submit(TeraSortSpec(data=data))
-        fast = session.submit(
-            CodedTeraSortSpec(data=data, redundancy=3, schedule="parallel")
-        )
+        fast = session.submit(CodedTeraSortSpec(data=data, redundancy=3))
         base.result().partitions  # JobHandle is a future
         fast.result().meta["schedule_rounds"]
 

@@ -16,11 +16,12 @@ class TestParser:
         args = build_parser().parse_args(["sort"])
         assert args.algorithm == "coded"
         assert args.nodes == 6 and args.redundancy == 2
-        assert args.schedule == "serial"
+        assert args.schedule == "parallel"
 
     def test_sort_schedule_choices(self):
-        args = build_parser().parse_args(["sort", "--schedule", "parallel"])
-        assert args.schedule == "parallel"
+        for schedule in ("serial", "parallel"):
+            args = build_parser().parse_args(["sort", "--schedule", schedule])
+            assert args.schedule == schedule
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--schedule", "warp"])
 

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro
+from repro import CodedTeraSortSpec, ThreadCluster
 from repro.core.groups import (
     build_coding_plan,
     group_schedule_by_group,
+    round_schedule,
     verify_plan,
 )
+from repro.kvpairs.teragen import teragen
+from repro.kvpairs.validation import validate_sorted_permutation
 from repro.utils.subsets import binomial
 
 
@@ -80,14 +87,15 @@ class TestSchedule:
 
 
 class TestVerifyPlanCatchesCorruption:
+    # build_coding_plan is memoised: corrupt a copy, never the shared plan.
     def test_duplicate_schedule_entry(self):
-        plan = build_coding_plan(4, 2)
+        plan = copy.deepcopy(build_coding_plan(4, 2))
         plan.schedule.append(plan.schedule[0])
         with pytest.raises(AssertionError):
             verify_plan(plan)
 
     def test_wrong_membership(self):
-        plan = build_coding_plan(4, 2)
+        plan = copy.deepcopy(build_coding_plan(4, 2))
         plan.groups_of_node[0].append(
             next(i for i, g in enumerate(plan.groups) if 0 not in g)
         )
@@ -95,7 +103,46 @@ class TestVerifyPlanCatchesCorruption:
             verify_plan(plan)
 
     def test_missing_group(self):
-        plan = build_coding_plan(4, 2)
+        plan = copy.deepcopy(build_coding_plan(4, 2))
         plan.groups.pop()
         with pytest.raises(AssertionError):
             verify_plan(plan)
+
+
+class TestCodeGenOncePerProcess:
+    def test_plan_is_memoised_per_k_and_r(self):
+        assert build_coding_plan(6, 3) is build_coding_plan(6, 3)
+        assert build_coding_plan(6, 3) is not build_coding_plan(6, 2)
+        with pytest.raises(ValueError):  # a rejection is not cached
+            build_coding_plan(4, 4)
+
+    def test_identity_relabelling_shares_and_any_other_copies(self):
+        plan = build_coding_plan(4, 2)
+        assert plan.on(range(4)) is plan
+        moved = plan.on(range(4, 8))
+        assert moved.groups[0] == (4, 5, 6) and plan.groups[0] == (0, 1, 2)
+        # The colouring rides along relabelled, not recomputed — and is
+        # what recomputing it on the relabelled plan would give.
+        assert moved.parallel_rounds() == round_schedule(moved)
+        assert moved.parallel_rounds() == [
+            [(idx, s + 4) for idx, s in rnd] for rnd in plan.parallel_rounds()
+        ]
+
+    def test_a_grouped_job_leaves_the_cached_plan_as_it_was(self):
+        plan = build_coding_plan(3, 1)
+        plan.parallel_rounds()
+        before = copy.deepcopy(
+            (plan.groups, plan.groups_of_node, plan.schedule,
+             plan.parallel_rounds())
+        )
+        data = teragen(900, seed=5)
+        run = repro.run(
+            ThreadCluster(6, recv_timeout=30),
+            CodedTeraSortSpec(data, 1, group_size=3),
+        )
+        validate_sorted_permutation(data, run.partitions)
+        assert build_coding_plan(3, 1) is plan
+        assert (
+            plan.groups, plan.groups_of_node, plan.schedule,
+            plan.parallel_rounds(),
+        ) == before

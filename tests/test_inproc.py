@@ -9,52 +9,71 @@ from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.program import NodeProgram
 
 
+def _get(mb, src, tag, timeout=1):
+    """A blocking selective receive: wait for the key, then pop it."""
+    if not mb.wait_any(((src, tag),), timeout):
+        raise TimeoutError(f"recv timeout waiting for (src={src}, tag={tag})")
+    return mb.pop((src, tag))
+
+
 class TestMailbox:
     def test_fifo_per_key(self):
         mb = Mailbox()
         mb.put(0, 1, b"a")
         mb.put(0, 1, b"b")
-        assert mb.get(0, 1, timeout=1) == b"a"
-        assert mb.get(0, 1, timeout=1) == b"b"
+        assert _get(mb, 0, 1) == b"a"
+        assert _get(mb, 0, 1) == b"b"
 
     def test_selective_receive(self):
         mb = Mailbox()
         mb.put(0, 2, b"two")
         mb.put(0, 1, b"one")
-        assert mb.get(0, 1, timeout=1) == b"one"
-        assert mb.get(0, 2, timeout=1) == b"two"
+        assert _get(mb, 0, 1) == b"one"
+        assert _get(mb, 0, 2) == b"two"
 
-    def test_timeout_raises(self):
+    def test_timeout_answers_nothing(self):
         mb = Mailbox()
+        assert mb.wait_any(((0, 1),), timeout=0.05) == []
         with pytest.raises(TimeoutError, match="timeout"):
-            mb.get(0, 1, timeout=0.05)
+            _get(mb, 0, 1, timeout=0.05)
 
     def test_closed_raises(self):
         mb = Mailbox()
         mb.close()
         with pytest.raises(MailboxClosed, match="closed"):
-            mb.get(0, 1, timeout=1)
+            _get(mb, 0, 1)
         with pytest.raises(MailboxClosed, match="closed"):
             mb.put(0, 1, b"x")
 
     def test_poll_is_nonblocking(self):
         mb = Mailbox()
-        assert mb.poll(0, 1) is None
+        assert mb.wait_any(((0, 1),), 0) == []
         mb.put(0, 1, b"a")
-        assert mb.poll(0, 1) == b"a"
-        assert mb.poll(0, 1) is None
+        assert mb.wait_any(((0, 1),), 0) == [(0, 1)]
+        assert mb.pop((0, 1)) == b"a"
+        assert mb.wait_any(((0, 1),), 0) == []
+
+    def test_wait_any_names_the_keys_that_arrived(self):
+        mb = Mailbox()
+        posted = {(0, 1): "a", (1, 1): "b", (2, 7): "c"}
+        mb.put(1, 1, b"x")
+        mb.put(3, 9, b"not awaited")
+        assert mb.wait_any(posted, 1) == [(1, 1)]
+        mb.put(2, 7, b"y")
+        assert sorted(mb.wait_any(posted, 1)) == [(1, 1), (2, 7)]
 
     def test_source_closure_is_selective(self):
         mb = Mailbox()
         mb.put(2, 1, b"buffered")
         mb.close_source(2, "eof")
         # Buffered frames drain before closure surfaces.
-        assert mb.get(2, 1, timeout=1) == b"buffered"
-        with pytest.raises(MailboxClosed, match="source 2"):
-            mb.get(2, 1, timeout=1)
+        assert _get(mb, 2, 1) == b"buffered"
+        with pytest.raises(MailboxClosed, match="source 2") as closed:
+            _get(mb, 2, 1)
+        assert closed.value.src == 2
         # Other sources are unaffected.
         mb.put(3, 1, b"alive")
-        assert mb.get(3, 1, timeout=1) == b"alive"
+        assert _get(mb, 3, 1) == b"alive"
 
 
 class _PingPong(NodeProgram):

@@ -176,7 +176,7 @@ JOB_FLAGS = [
     ["--input", "FILE"],
     ["--memory-budget", str(BUDGET)],
     ["--memory-budget", str(BUDGET), "--output", "DIR"],
-    ["--schedule", "parallel"],
+    ["--schedule", "serial"],
     ["--group-size", "3"],
     ["--algorithm", "terasort", "--input", "FILE", "--speculation"],
     ["--overlap"],

@@ -80,7 +80,9 @@ def reference(source):
             "terasort-k6": wide,  # the grouped cells run (K, g) = (6, 3)
             "terasort": session.run(TeraSortSpec(input=source)),
             "serial": session.run(
-                CodedTeraSortSpec(input=source, redundancy=2)
+                CodedTeraSortSpec(
+                    input=source, redundancy=2, schedule="serial"
+                )
             ),
             "parallel": session.run(
                 CodedTeraSortSpec(

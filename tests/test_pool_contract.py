@@ -41,7 +41,12 @@ from repro.runtime.inproc import ThreadCluster
 from repro.runtime.process import ProcessCluster
 from repro.runtime.tcp import TcpCluster, run_worker
 from repro.service import SortService
-from repro.session import MapReduceSpec, Session, TeraSortSpec
+from repro.session import (
+    CodedTeraSortSpec,
+    MapReduceSpec,
+    Session,
+    TeraSortSpec,
+)
 from repro.testing.faults import ENV_VAR
 
 _CTX = multiprocessing.get_context("fork")
@@ -279,6 +284,26 @@ def test_worker_death_is_typed_and_retry_is_byte_identical(name, no_plan):
         assert first.error.stage in ("init", "map", "pack", "shuffle")
         assert lane.backend in str(first.error)
         assert second.error is None
+
+
+@pytest.mark.parametrize("name", ["proc", "tcp"])
+def test_peer_death_mid_event_loop_surfaces_from_the_arrival_wait(name, no_plan):
+    data = teragen(1500, seed=66)
+    # Rank 1 dies before it has multicast anything, with its peers already
+    # asleep in the event loop on receives that include its packets: what
+    # wakes them is the mailbox closing that source under the arrival wait
+    # — a typed failure naming rank 1, long before the 60 s receive bound.
+    no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=encode,job_lt=1")
+    with open_lane(name, **LIVENESS) as lane:
+        started = time.monotonic()
+        _, error, _ = lane.run(CodedTeraSortSpec(data=data, redundancy=2))
+        elapsed = time.monotonic() - started
+        assert isinstance(error, WorkerFailure)
+        text = str(error)
+        assert "worker 1 failed in stage 'shuffle': peer connection lost" in text
+        assert "closed with a posted receive" in text
+        assert elapsed < 20.0
+        _assert_sorts(lane, data, _reference(data))
 
 
 @pytest.mark.parametrize("name", SOCKET_LANES)

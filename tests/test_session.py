@@ -329,12 +329,12 @@ class TestSpecWithAndShrink:
     def test_with_overrides_one_field_and_keeps_the_rest(self):
         data = teragen(100, seed=20)
         spec = CodedTeraSortSpec(data=data, redundancy=2)
-        wider = spec.with_(schedule="parallel")
-        assert wider.schedule == "parallel"
-        assert wider.redundancy == 2
-        assert wider.data is data
+        paper = spec.with_(schedule="serial")
+        assert paper.schedule == "serial"
+        assert paper.redundancy == 2
+        assert paper.data is data
         # The original is untouched (frozen dataclass copy).
-        assert spec.schedule == "serial"
+        assert spec.schedule == "parallel"
 
     def test_with_unknown_field_is_a_typed_error_naming_it(self):
         spec = TeraSortSpec(data=teragen(100, seed=20))
