@@ -10,6 +10,11 @@ sorts on 3-worker subsets.  Asserts:
   in-process thread cluster;
 * at least two jobs demonstrably ran at the same time on *disjoint*
   worker subsets of the one mesh;
+* a worker outlives a failed job: a job whose every map raises (its
+  input file does not exist) is reported ``failed``, kind ``error``,
+  after 1 attempt, while ``workers_live``, ``membership_epoch`` and
+  every worker process stay as they were, and the next job is again
+  byte-identical to its in-process run;
 * elasticity: SIGKILLing 2 of the 6 workers shrinks ``workers_live``,
   respawned replacements rejoin the standing mesh mid-service, and a
   post-regrowth job is again byte-identical to its in-process run;
@@ -33,12 +38,14 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.kvpairs.datasource import FileSource  # noqa: E402
 from repro.kvpairs.teragen import teragen  # noqa: E402
 from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
 from repro.runtime.inproc import ThreadCluster  # noqa: E402
@@ -70,6 +77,22 @@ def _read_addresses(daemon) -> dict:
         if len(addrs) == 2:
             return addrs
     raise RuntimeError("daemon exited before printing its addresses")
+
+
+def _status_json(env, control, *extra) -> dict:
+    """``repro status --json`` through the real CLI, parsed."""
+    status = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "status",
+            "--connect", control, "--json", *extra,
+        ],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    if status.returncode != 0:
+        raise RuntimeError(
+            f"repro status rc={status.returncode}: {status.stderr}"
+        )
+    return json.loads(status.stdout)
 
 
 def main(argv=None) -> int:
@@ -145,12 +168,15 @@ def main(argv=None) -> int:
             return 1
 
         # Byte identity vs dedicated in-process runs.
+        refs = []
         with Session(ThreadCluster(JOB_WORKERS, recv_timeout=120)) as s:
             for i, (data, spec) in enumerate(specs):
                 _, run = results[i]
                 validate_sorted_permutation(data, run.partitions)
-                ref = s.submit(spec).result(timeout=300)
-                if _partitions_bytes(run) != _partitions_bytes(ref):
+                refs.append(
+                    _partitions_bytes(s.submit(spec).result(timeout=300))
+                )
+                if _partitions_bytes(run) != refs[i]:
                     print(f"[smoke] FAIL: job {i} diverged from inproc")
                     return 1
         print(f"[smoke] {CLIENTS} concurrent jobs byte-identical with "
@@ -178,6 +204,47 @@ def main(argv=None) -> int:
             return 1
         print("[smoke] concurrent occupancy of disjoint subsets confirmed",
               flush=True)
+
+        # Program-error lane: every map of this job raises (the explicit
+        # count keeps the driver from ever opening the missing file).
+        # The job fails on its own; every worker outlives it.
+        membership = client.stats().membership_epoch
+        missing = pathlib.Path(tempfile.gettempdir()) / (
+            f"repro-smoke-missing-{os.getpid()}.bin"
+        )
+        bad = client.submit(
+            TeraSortSpec(input=FileSource(str(missing), 0, args.records)),
+            tenant="broken", workers=JOB_WORKERS,
+        )
+        if bad.exception(timeout=300) is None:
+            print("[smoke] FAIL: the job over a missing file succeeded")
+            return 1
+        doc = _status_json(env, addrs["control"], "--job", str(bad.job_id))
+        row, stats = doc["jobs"][0], doc["stats"]
+        outcome = (row["state"], row["error"] and row["error"][0],
+                   row["attempts"])
+        if outcome != ("failed", "error", 1):
+            print(f"[smoke] FAIL: program error reported as {outcome}")
+            return 1
+        exited = [w.pid for w in workers if w.poll() is not None]
+        if (
+            stats["workers_live"] != NODES
+            or stats["membership_epoch"] != membership
+            or exited
+        ):
+            print(f"[smoke] FAIL: a failed job cost workers: {stats}, "
+                  f"exited {exited}")
+            return 1
+        run = client.submit(
+            specs[0][1], tenant="after-error", workers=JOB_WORKERS
+        ).result(timeout=300)
+        if _partitions_bytes(run) != refs[0]:
+            print("[smoke] FAIL: the job after the error diverged from "
+                  "inproc")
+            return 1
+        print(f"[smoke] program error failed job {bad.job_id} only; "
+              f"{NODES} workers live at epoch {membership}, next job "
+              "byte-identical with inproc", flush=True)
 
         # Elasticity lane: SIGKILL 2 workers, respawn replacements, and
         # prove the regrown mesh sorts byte-identically again.
@@ -236,21 +303,11 @@ def main(argv=None) -> int:
               flush=True)
 
         # Stats via the CLI surface (`repro status --json`).
-        status = subprocess.run(
-            [
-                sys.executable, "-m", "repro", "status",
-                "--connect", addrs["control"], "--json",
-            ],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-        if status.returncode != 0:
-            print(f"[smoke] FAIL: repro status rc={status.returncode}: "
-                  f"{status.stderr}")
-            return 1
-        doc = json.loads(status.stdout)
-        if doc["stats"]["jobs_done"] != CLIENTS + 1:
-            print(f"[smoke] FAIL: stats report {doc['stats']['jobs_done']} "
-                  f"done, expected {CLIENTS + 1}")
+        doc = _status_json(env, addrs["control"])
+        counts = (doc["stats"]["jobs_done"], doc["stats"]["jobs_failed"])
+        if counts != (CLIENTS + 2, 1):
+            print(f"[smoke] FAIL: stats report {counts} done/failed, "
+                  f"expected {(CLIENTS + 2, 1)}")
             return 1
         if (
             doc["stats"]["workers_live"] != NODES

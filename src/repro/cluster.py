@@ -19,7 +19,7 @@ keyword arguments to the backend constructor unchanged, so anything the
 constructors accept, ``connect`` accepts::
 
     repro.connect("proc://8", rate_bytes_per_s=12.5e6)
-    repro.connect("tcp://:0", size=6, resilient_workers=True)
+    repro.connect("tcp://:0", size=6, failure_timeout=10.0)
 
 The old constructors remain importable aliases — ``connect`` is sugar,
 not a new layer: it returns the exact backend instance, with ``Session``
@@ -61,8 +61,8 @@ def connect(address: str, size: Optional[int] = None, **options: Any) -> Cluster
             not name a K); optional for the local schemes, where it must
             agree with the URL's count if both are given.
         **options: passed through to the backend constructor unchanged
-            (``rate_bytes_per_s=``, ``timeout=``,
-            ``resilient_workers=``, ...).
+            (``rate_bytes_per_s=``, ``timeout=``, ``failure_timeout=``,
+            ...).
 
     Returns:
         The backend cluster instance (``ThreadCluster`` /

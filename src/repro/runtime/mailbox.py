@@ -128,10 +128,9 @@ class Mailbox:
     def purge(self, match: "Callable[[int, int], bool]") -> int:
         """Drop every buffered frame whose ``(src, tag)`` key matches.
 
-        Long-lived endpoints that run many overlapping jobs (the sort
-        service's subset workers) reclaim a finished or aborted job's
-        undelivered frames with this — unlike the one-job-at-a-time
-        pools, they never tear the whole mailbox down between jobs.
+        Pool workers outlive a failed job and never tear the mailbox
+        down between jobs: every job start reclaims a finished or
+        aborted job's undelivered frames with this.
 
         Returns:
             The number of frames dropped.

@@ -29,17 +29,17 @@ wait + raise, i.e. the same reactor at concurrency 1, stepped on the
 caller's thread.  The sort service instead :meth:`~WorkerPool.start`\\ s
 a reactor thread and observes completions through callbacks.
 
-One internal policy bit, ``resilient``, set by who owns the pool:
+Failure is job-scoped and workers outlive it: only the job whose
+members include a failed or dead worker fails, and its survivors get
+``("ctl", seq, ("abort", reason))`` so their abort-polling receives
+unwind in ~100 ms.  The entry point decides what happens next:
 
-* ``resilient=False`` (Session pools): a failed job tears the whole
-  mesh down — a mid-shuffle mesh holds arbitrary half-delivered frames —
-  and the next job re-forms it through the transport (re-fork, or wait
-  for workers to re-join the rendezvous);
-* ``resilient=True`` (the sort service): failure is subset-scoped.  Only
-  the job whose members include the dead worker fails; its survivors
-  get ``("ctl", seq, ("abort", reason))`` so their abort-polling
-  receives unwind in ~100 ms, dead workers shrink capacity, and
-  replacement workers rejoin through the transport's listener.  Every
+* :meth:`~WorkerPool.run_job` (Session pools, ``cluster.run``) tears the
+  mesh down after a failed job and re-forms it through the transport
+  for the next (re-fork, or wait for workers to re-join the rendezvous);
+* :meth:`~WorkerPool.start` / :meth:`~WorkerPool.submit` (the sort
+  service) never re-forms: dead workers shrink capacity and
+  replacements rejoin through the transport's listener.  Every
   membership change (death *or* join) bumps the **membership epoch**;
   job frames carry the epoch they were planned under, so a job can never
   alias a recycled rank (worker side:
@@ -151,7 +151,6 @@ class WorkerPool:
             override are the pool's own state.
         name: backend name in failure messages (default: the cluster's
             class name).
-        resilient: the failure policy, see the module docstring.
         on_done: called as ``on_done(job)`` on the reactor thread, with
             no pool lock held, once per finished :class:`SubsetJob`.
         on_idle: called (same thread, no lock) whenever workers may have
@@ -174,7 +173,6 @@ class WorkerPool:
         transport,
         cluster,
         name: Optional[str] = None,
-        resilient: bool = False,
         on_done: Optional[Callable[[SubsetJob], None]] = None,
         on_idle: Optional[Callable[[], None]] = None,
         on_join: Optional[Callable[[int, int], None]] = None,
@@ -185,7 +183,6 @@ class WorkerPool:
         self.timeout = cluster.timeout
         self.failure_timeout = cluster.failure_timeout
         self.heartbeat_interval = cluster.heartbeat_interval
-        self.resilient = resilient
         self._on_done = on_done
         self._on_idle = on_idle
         self._on_join = on_join
@@ -255,8 +252,8 @@ class WorkerPool:
                 self._install(rank, chan, 0)
 
     def _teardown(self) -> None:
-        """Stop every worker and reap the transport; a later job (on a
-        non-resilient pool) re-forms the mesh from scratch."""
+        """Stop every worker and reap the transport; a later
+        :meth:`run_job` re-forms the mesh from scratch."""
         with self._lock:
             for rank, chan in list(self._chans.items()):
                 self._try_send(chan, ("stop",))
@@ -269,15 +266,14 @@ class WorkerPool:
 
     def start(self) -> None:
         """Form the mesh (blocking, bounded by the transport) and hand
-        the reactor to its own thread; with a resilient pool the
-        transport's listener joins the wait so replacements can rejoin
-        mid-flight."""
+        the reactor to its own thread; the transport's listener, if it
+        has one, joins the wait so replacements can rejoin mid-flight."""
         self._form()
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
         listener = self._transport.listener
-        if self.resilient and listener is not None:
+        if listener is not None:
             self._sel.register(listener, selectors.EVENT_READ, _JOIN)
         self._reactor = threading.Thread(
             target=self._run, daemon=True, name="pool-reactor"
@@ -395,9 +391,9 @@ class WorkerPool:
         ``submit(all members)`` + wait + raise.
 
         With no reactor thread (Session pools) the caller's thread steps
-        the reactor until the job is done.  On a non-resilient pool the
-        mesh is formed on first use, re-formed when a worker died idle,
-        and torn down after a failed job.  ``last=True`` is the one-shot
+        the reactor until the job is done.  The mesh is formed on first
+        use, re-formed when a worker died idle, and torn down after a
+        failed job.  ``last=True`` is the one-shot
         ``cluster.run`` contract: ``stop`` is queued right behind the job
         frame, so each worker exits as soon as it has reported and its
         closing mesh sockets tell still-running peers that it is gone.
@@ -412,12 +408,11 @@ class WorkerPool:
         prepared.check_size(self.size)
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        if not self.resilient:
-            if self._reactor is None and self._chans:
-                self._step(0.0)  # a worker that died idle shows as EOF
-            if len(self._chans) != self.size:
-                self._teardown()
-                self._form()
+        if self._reactor is None and self._chans:
+            self._step(0.0)  # a worker that died idle shows as EOF
+        if len(self._chans) != self.size:
+            self._teardown()
+            self._form()
         job = self.submit(range(self.size), prepared)
         if last:
             with self._lock:
@@ -429,8 +424,7 @@ class WorkerPool:
         else:
             job.done.wait()
         if job.error is not None:
-            if not self.resilient:
-                self._teardown()
+            self._teardown()
             raise job.error
         assert job.cluster_result is not None
         return job.cluster_result

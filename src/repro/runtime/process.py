@@ -161,10 +161,11 @@ class _SocketComm(MailboxComm):
     def add_peer(
         self, peer: int, sock: socket.socket, epoch: int = 0
     ) -> None:
-        """Integrate a (re)joined worker's mesh link into this endpoint.
+        """Integrate a peer's mesh link into this endpoint.
 
-        Called by the resilient worker's mesh-growth acceptor when a
-        replacement agent dials in mid-service: the new socket replaces
+        Every link of a TCP agent arrives this way — the ones it dials
+        and the ones its acceptor takes in, at mesh formation and when a
+        replacement agent joins mid-service: the new socket replaces
         any dead link at ``peer``'s rank, the rank's mailbox source is
         reopened (the old incarnation's EOF closed it), a fresh reader
         thread starts, and the link is stamped with the membership
@@ -197,28 +198,24 @@ class _SocketComm(MailboxComm):
 
     def wait_for_peers(
         self, peers: Sequence[int], timeout: float = 5.0
-    ) -> None:
-        """Block until every listed rank has a mesh link (or raise).
+    ) -> List[int]:
+        """Block until every listed rank has a mesh link, at most
+        ``timeout`` seconds; returns the ranks still missing.
 
-        A subset job can be dispatched the instant a rejoined member
-        reported ready to the coordinator, a hair before *this* worker's
-        acceptor finished integrating that member's peer link — absorb
-        the race instead of failing the job on it.
+        Links an acceptor takes in land on its own thread: at mesh
+        formation the higher ranks dial in while this one is still
+        dialing, and a subset job can be dispatched the instant a
+        rejoined member reported ready to the coordinator, a hair before
+        *this* worker integrated that member's link.
         """
         deadline = time.monotonic() + timeout
         missing = [
             g for g in peers if g != self.rank and g not in self._conns
         ]
-        while missing:
-            if time.monotonic() >= deadline:
-                raise CommError(
-                    f"subset members {missing} are not mesh peers of rank "
-                    f"{self.rank} after {timeout:.1f}s (mesh size {self.size})"
-                )
+        while missing and time.monotonic() < deadline:
             time.sleep(0.01)
-            missing = [
-                g for g in missing if g not in self._conns
-            ]
+            missing = [g for g in missing if g not in self._conns]
+        return missing
 
     # -- raw primitives ---------------------------------------------------------
 
@@ -305,31 +302,36 @@ class _SocketComm(MailboxComm):
 
 
 class SubsetComm(_SocketComm):
-    """A logical-rank view of one worker's mesh endpoint for a subset job.
+    """A logical-rank view of one worker's mesh endpoint for one job.
 
-    The sort service schedules a K'-worker job onto K' of a standing
-    mesh's K workers, overlapping it with other jobs on the disjoint
-    remainder.  Each member builds a ``SubsetComm`` over its base
-    endpoint: logical rank ``i`` maps onto global rank ``members[i]``,
-    the base's sockets, per-destination send locks, pacer, and mailbox
-    are shared (no new connections, no new reader threads — the base
-    readers keep feeding the one mailbox, keyed by *global* source), and
-    every inherited primitive — barriers, broadcast trees, the async
-    sender — operates purely in logical coordinates.  A program written
-    for a K'-node cluster therefore runs unmodified, and byte-identically
-    to a dedicated K'-worker mesh.
+    Every pool job runs on one: the sort service schedules a K'-worker
+    job onto K' of a standing mesh's K workers, overlapping it with
+    other jobs on the disjoint remainder, and a Session's full-mesh job
+    is the view whose members are every rank.  Each member builds a
+    ``SubsetComm`` over its base endpoint: logical rank ``i`` maps onto
+    global rank ``members[i]``, the base's sockets, per-destination send
+    locks, pacer, mailbox and async sender are shared (no new
+    connections, no new threads — the base readers keep feeding the one
+    mailbox, keyed by *global* source), and every inherited primitive —
+    barriers, broadcast trees, the async sender — operates purely in
+    logical coordinates.  A program written for a K'-node cluster
+    therefore runs unmodified, and byte-identically to a dedicated
+    K'-worker mesh.
 
     Isolation between overlapping jobs rests on three mechanisms:
 
     * per-job tag windows (:meth:`Comm.begin_job` with coordinator-unique
-      sequence numbers) keep concurrent jobs' frames from ever aliasing;
+      sequence numbers) keep concurrent jobs' frames from ever aliasing,
+      and beginning a job drops every buffered frame outside its windows
+      (:func:`_purge_stale_frames`);
     * per-source mailbox closure means a worker death fails only the
       jobs whose subset contains the dead rank — neighbours never see it;
     * receives poll the job's abort flag (a coordinator
       ``("ctl", seq, ("abort", reason))`` frame, see
       :meth:`~repro.runtime.program.JobControl.abort_reason`) in short
       slices, so members of a job the coordinator already failed
-      elsewhere unblock promptly instead of waiting out the timeout.
+      elsewhere — a peer's program error, a dead or silent worker —
+      unblock promptly instead of waiting out the timeout.
 
     Workers run one job at a time, so the base endpoint is never used
     concurrently with a subset built over it.
@@ -387,16 +389,33 @@ class SubsetComm(_SocketComm):
         )
         self.members = members
         self.epoch = epoch
+        #: Set once the job failed here: its sends still queued on the
+        #: base's sender are then dropped, not sent ahead of the next
+        #: job's (a peer they wait behind may be stopped for good).
+        self.failed = False
         self._base = base
-        # Share the base's lock objects (a previous subset job's sender
-        # thread may still be draining a send to the same peer socket)
-        # and its mailbox; raw receives translate logical -> global.
+        # Share the base's lock objects (the base's sender may still be
+        # draining an earlier job's send to the same peer socket) and
+        # its mailbox; raw receives translate logical -> global.
         self._send_locks = {
             i: base._send_locks[g]
             for i, g in enumerate(members)
             if g != base.rank
         }
         self._mailbox = base._mailbox
+
+    def _begin_job_raw(self, job_seq: int) -> None:
+        super()._begin_job_raw(job_seq)
+        # A worker runs one job at a time, so only the job starting now
+        # can have sent here early: anything else buffered is a finished
+        # job's late frame, and nothing will ever receive it.
+        _purge_stale_frames(self._mailbox, job_seq)
+
+    def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
+        """On the base endpoint's sender, which outlives the job."""
+        return self._base._dispatch_send(
+            lambda: None if self.failed else fn()
+        )
 
     def _mail_key(self, src: int, tag: int) -> Tuple[int, int]:
         return (self.members[src], tag)
@@ -426,27 +445,26 @@ class SubsetComm(_SocketComm):
                 return ready
 
 
-def _purge_job_frames(mailbox: Mailbox, job_seq: int) -> int:
-    """Drop buffered frames belonging to ``job_seq``'s tag windows.
+def _purge_stale_frames(mailbox: Mailbox, job_seq: int) -> int:
+    """Drop every buffered frame outside ``job_seq``'s tag windows.
 
-    A subset job that failed (or was aborted) can leave undelivered
-    frames in the shared base mailbox.  The full-mesh pools simply tear
-    the worker down after a failure, but a resilient service worker
-    lives on to serve the next job — so the dead job's frames must be
-    reclaimed.  Covers all three namespaces a job receives in: shifted
-    user tags, broadcast inner tags, and barrier rounds.
+    A failed (or aborted) job can leave undelivered frames in the
+    worker's mailbox, and a peer may still be sending it that job's
+    queued frames after it has moved on; the worker outlives the job, so
+    they must be reclaimed.  Covers all three namespaces a job receives
+    in: shifted user tags, broadcast inner tags, and barrier rounds.
     """
     window = job_seq % _JOB_TAG_WINDOWS
 
-    def match(src: int, tag: int) -> bool:
+    def stale(src: int, tag: int) -> bool:
         if tag >= _BARRIER_NS:
             epoch = (tag - _BARRIER_NS) // 64
-            return epoch // _JOB_BARRIER_EPOCH_STRIDE == window
+            return epoch // _JOB_BARRIER_EPOCH_STRIDE != window
         if tag >= _BCAST_NS:
-            return (tag - _BCAST_NS) // JOB_TAG_STRIDE == window
-        return tag // JOB_TAG_STRIDE == window
+            return (tag - _BCAST_NS) // JOB_TAG_STRIDE != window
+        return tag // JOB_TAG_STRIDE != window
 
-    return mailbox.purge(match)
+    return mailbox.purge(stale)
 
 
 def _build_mesh(
@@ -645,37 +663,28 @@ def serve_pool_jobs(
     recv_msg: Callable[[], Tuple],
     send_msg: Callable[[Tuple], None],
     heartbeat_interval: Optional[float] = None,
-    resilient: bool = False,
     drain: Optional[WorkerDrain] = None,
 ) -> None:
     """The pool worker control loop, over any coordinator transport.
 
     Each ``("job", seq, builder, payload, members, epoch)`` message
-    rebinds the comm to the job's tag window and traffic log
-    (:meth:`Comm.begin_job`), builds the node program from the shipped
-    ``(builder, payload)``, runs it, and reports the per-job result /
-    stage times / traffic back through ``send_msg``.  ``members`` lists
-    the job's global ranks; the job runs on a :class:`SubsetComm` view
-    over ``comm`` — logical ranks ``0..len(members)-1`` — leaving the
-    other workers of the mesh free to run a different job concurrently.
-    The one exception is the full-mesh job (``members`` == all ranks) on
-    a non-resilient worker, which runs on ``comm`` itself: the mesh is
-    torn down after any failure anyway, so the subset view's abort
-    polling and frame reclamation would buy nothing.
+    builds a :class:`SubsetComm` view over ``comm`` for the job's global
+    ``members`` — logical ranks ``0..len(members)-1``; a full-mesh job's
+    view names every rank — rebinds it to the job's tag window and
+    traffic log (:meth:`Comm.begin_job`), builds the node program from
+    the shipped ``(builder, payload)``, runs it, and reports the per-job
+    result / stage times / traffic back through ``send_msg``.  The other
+    workers of the mesh stay free to run a different job concurrently.
 
-    Failure policy is selected by ``resilient``:
-
-    * ``resilient=False`` (the one-job-at-a-time pools): on any job
-      failure the worker reports and *returns* (the caller exits).  Its
-      closing sockets EOF every peer's reader thread, so blocked peers
-      fail fast, and the coordinator re-forms a clean mesh for the next
-      job (a mid-shuffle mesh holds arbitrary half-delivered frames — a
-      fresh mesh beats resynchronizing).
-    * ``resilient=True`` (service workers): the worker reports the
-      failure, reclaims the dead job's buffered frames
-      (:func:`_purge_job_frames` — per-job tag windows make this exact),
-      and stays up for the next job.  The coordinator retries the failed
-      job on a fresh sequence number, so nothing ever aliases.
+    A worker outlives a failed job: it reports the failure and waits
+    for the next job or the coordinator's ``stop``.  The failed job's
+    sends still queued on ``comm``'s sender are dropped, its late frames
+    are reclaimed when the next job begins (per-job tag windows make
+    this exact), and its surviving members unwind on the coordinator's
+    abort directive, which the view's receives poll.  The coordinator
+    retries a failed job on a fresh sequence number, so nothing ever
+    aliases; whether it re-forms the mesh first is its own choice (a
+    Session does, the sort service never does).
 
     While a job runs, a heartbeat thread reports the worker's current
     stage every ``heartbeat_interval`` seconds (``None`` disables) — the
@@ -725,16 +734,14 @@ def serve_pool_jobs(
         _, job_seq, builder, payload, members, epoch = msg
         traffic = TrafficLog()
         heartbeater: Optional[_Heartbeater] = None
-        job_comm: Comm = comm
-        failed = False
+        job_comm: Optional[SubsetComm] = None
         try:
-            if resilient or list(members) != list(range(comm.size)):
-                # A malformed subset raises CommError straight into the
-                # typed handlers below — reported, never fatal here.  A
-                # member that rejoined an instant ago may still be mid-
-                # integration on this endpoint; wait briefly for its link.
-                comm.wait_for_peers(members)
-                job_comm = SubsetComm(comm, members, epoch=epoch)
+            # A member that rejoined an instant ago may still be mid-
+            # integration on this endpoint: wait briefly for its link.
+            # A malformed subset raises CommError straight into the
+            # typed report below — reported, never fatal here.
+            comm.wait_for_peers(members)
+            job_comm = SubsetComm(comm, members, epoch=epoch)
             job_comm.begin_job(job_seq, traffic)
             job_comm.job_control = JobControl(job_seq)
             reader.job_control = job_comm.job_control
@@ -758,24 +765,17 @@ def serve_pool_jobs(
                 heartbeater.stop()
                 heartbeater = None
             report(report_msg)
-        except CommError:
-            # Infrastructure: a peer died or a comm wait expired.  The
-            # survivors of one crash all land here via the EOF cascade.
-            failed = True
-            if heartbeater is not None:
-                heartbeater.stop()
-                heartbeater = None
-            try:
-                report(("comm_error", rank, job_seq, traceback.format_exc()))
-            except (OSError, ValueError, TransportError):
-                return
         except BaseException as exc:  # noqa: BLE001 - reported to coordinator
-            failed = True
+            if job_comm is not None:
+                job_comm.failed = True
             if heartbeater is not None:
                 heartbeater.stop()
                 heartbeater = None
+            # A CommError is infrastructure — a peer died, an abort
+            # landed, a comm wait expired; anything else is a program bug.
+            kind = "comm_error" if isinstance(exc, CommError) else "error"
             try:
-                report(("error", rank, job_seq, traceback.format_exc()))
+                report((kind, rank, job_seq, traceback.format_exc()))
             except (OSError, ValueError, TransportError):
                 return
             if isinstance(exc, SystemExit):
@@ -785,18 +785,10 @@ def serve_pool_jobs(
                 raise
         finally:
             reader.job_control = None
-            job_comm.job_control = None
+            if job_comm is not None:
+                job_comm.job_control = None
             if heartbeater is not None:
                 heartbeater.stop()
-            if job_comm is not comm:
-                # The subset view shares the base sockets; only its
-                # private sender thread needs tearing down.  A failed
-                # (or aborted) job may leave frames for its tag windows
-                # in the shared mailbox — reclaim them.
-                job_comm._close_async()
-                _purge_job_frames(comm._mailbox, job_seq)
-        if failed and not resilient:
-            return
         if drain is not None and drain.requested:
             return
 

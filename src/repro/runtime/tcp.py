@@ -23,38 +23,44 @@ messages that must parse across versions, pickled tuples after that)::
     coord  -> worker  WELCOME rank, size, mesh nonce, cluster config
                       (or REJECT reason: bad magic/version, duplicate rank)
     worker -> coord   LISTENING advertised host:port of its peer listener
-    coord  -> worker  ROSTER  all K advertised addresses
-    (workers dial every lower rank, accept every higher; each peer link
-     starts with a PEER_HELLO frame carrying the mesh nonce + dialer rank)
+    coord  -> worker  ROSTER  {"peers": {rank: (host, port)}, "epoch", "size"}
+    (the worker dials every peer the roster names and accepts the rest;
+     each peer link starts with a PEER_HELLO frame carrying the mesh
+     nonce, the dialer rank and the membership epoch it joined at)
     worker -> coord   READY
     coord  -> worker  ("job", seq, builder, payload, members, epoch) ...
                       |  ("stop",)
 
-Elastic rejoin (resilient pools, i.e. the sort service): the rendezvous
-listener keeps accepting after the mesh forms.  A replacement worker runs
-the same handshake; its ROSTER is a *dict* ``{"peers": {rank: (host,
-port)}, ...}`` of the live peers' standing mesh listeners (resilient
-workers keep theirs open and splice fresh links in via a join-acceptor
-thread), its WELCOME carries the membership ``epoch`` it joined at, and
-live workers learn the new size via a ``("roster", info)`` control frame.
+There is one roster shape and one way to link a mesh.  Every agent
+keeps its mesh listener open for its whole life, with a join-acceptor
+thread splicing dialed-in links into its endpoint.  At formation
+(epoch 0) the roster names the lower ranks, and the agent waits for the
+higher ones to dial in; the coordinator admits the K agents
+concurrently, so their dials run in parallel.  The rendezvous listener
+keeps accepting after the mesh forms: a replacement worker runs the same
+handshake, its roster names every live rank and the membership
+``epoch`` it joins at, and live workers learn the new size via a
+``("roster", info)`` control frame.
 
 Every step is bounded: the coordinator's accept/handshake reads and the
 worker's connect/handshake reads all time out with errors naming the
 stuck step, a version or rank conflict is rejected with a reason instead
 of a hang, and a worker that dies mid-handshake surfaces as a clean
-``RuntimeError`` on the driver.  After the mesh is up, peer death
-detection matches the process backend exactly: a dead worker's closing
-sockets EOF every peer's reader thread, the survivors' jobs fail fast,
-report, and exit, and the job's :class:`~repro.session.JobHandle` carries
-the error while the session object survives.
+``RuntimeError`` on the driver.  After the mesh is up, failure handling
+matches the process backend exactly: a dead worker's closing sockets EOF
+every peer's reader thread, a failed job's survivors unwind on the
+coordinator's abort and report, every worker outlives a failed job, and
+the job's :class:`~repro.session.JobHandle` carries the error while the
+session object survives.
 
-Failure policy is the pool's, not the transport's: under a ``Session``
-any worker error or death tears the whole mesh down (a mid-shuffle mesh
-holds arbitrary half-delivered frames).  The coordinator cannot re-fork
-remote workers, so the *next* job re-opens the rendezvous and waits
-``connect_timeout`` for K fresh (or supervisor-restarted) workers to
-join; run workers under a restart loop to get the process backend's
-transparent-restart behavior.
+Whether the mesh is re-formed after a failed job is the pool's entry
+point's choice, not the transport's: a ``Session`` tears it down (a
+mid-shuffle mesh holds arbitrary half-delivered frames) and its workers
+exit on ``stop``.  The coordinator cannot re-fork remote workers, so the
+*next* job re-opens the rendezvous and waits ``connect_timeout`` for K
+fresh (or supervisor-restarted) workers to join; run workers under a
+restart loop to get the process backend's transparent-restart behavior.
+The sort service never re-forms; replacements rejoin the standing mesh.
 
 Trust model: job dispatch pickles ``(builder, payload)`` to workers and
 results back — run this only between mutually trusted hosts on a private
@@ -72,7 +78,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
 from repro.runtime.pool import WorkerPool
@@ -110,8 +116,11 @@ __all__ = [
 #: mis-unpack the peer handshake, so the mesh requires v3 agents.  v4:
 #: every job frame carries ``members`` and ``epoch`` (the one pool sends
 #: one frame shape) and workers no longer accept the bare four-element
-#: frame a v3 Session coordinator sends.
-PROTOCOL_VERSION = 4
+#: frame a v3 Session coordinator sends.  v5: one roster shape,
+#: ``{"peers", "epoch", "size"}``, at formation as on a rejoin (a v4
+#: worker expects a list at formation), and the welcome config lost its
+#: ``resilient`` key — every agent keeps its mesh listener.
+PROTOCOL_VERSION = 5
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).
@@ -225,112 +234,40 @@ def _dial(
             time.sleep(min(0.2, max(0.0, deadline - time.monotonic())))
 
 
-def _accept_peer(
-    listener: socket.socket, nonce: int, handshake_timeout: float
-) -> Optional[Tuple[socket.socket, int, int]]:
-    """Accept one mesh dialer and validate its nonce-guarded PEER_HELLO.
-
-    Returns ``(sock, dialer rank, dialer's membership epoch)``, or
-    ``None`` after closing a stray/stale connection.  Errors of the
-    ``accept`` itself (timeout, closed listener) propagate.
-    """
-    sock, _ = listener.accept()
-    try:
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(handshake_timeout)
-        tag, payload = recv_frame(sock)
-        magic, got_nonce, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
-        if tag != _TAG_PEER or magic != _MAGIC or got_nonce != nonce:
-            raise TransportError("peer hello mismatch")
-    except (OSError, TransportError, struct.error):
-        sock.close()
-        return None
-    return sock, peer, epoch
-
-
-def _form_mesh(
-    rank: int,
-    size: int,
-    roster: List[Tuple[str, int]],
-    listener: socket.socket,
-    nonce: int,
-    handshake_timeout: float,
-) -> Dict[int, socket.socket]:
-    """Build this rank's K-1 peer links: dial lower ranks, accept higher.
-
-    Dial-then-accept needs no threads: every peer listener is already in
-    ``listen()`` before the coordinator publishes the roster, so dials
-    land in the backlog even while the target is itself still dialing.
-    The nonce (minted per pool generation) keeps a stale worker of an
-    earlier, torn-down mesh from splicing into this one.
-    """
-    peers: Dict[int, socket.socket] = {}
-    for peer in range(rank):
-        host, port = roster[peer]
-        sock = _dial(host, port, handshake_timeout)
-        sock.settimeout(handshake_timeout)
-        send_frame(
-            sock, _TAG_PEER, _PEER_HELLO.pack(_MAGIC, nonce, rank, 0)
-        )
-        peers[peer] = sock
-    listener.settimeout(handshake_timeout)
-    while len(peers) < size - 1:
-        try:
-            accepted = _accept_peer(listener, nonce, handshake_timeout)
-        except socket.timeout:
-            missing = sorted(set(range(size)) - set(peers) - {rank})
-            raise TcpClusterError(
-                f"rank {rank}: peers {missing} did not dial in within "
-                f"{handshake_timeout:.1f}s"
-            ) from None
-        if accepted is None:
-            continue  # stray/stale connection; keep waiting for peers
-        sock, peer, _epoch = accepted
-        if peer in peers or not rank < peer < size:
-            sock.close()
-            continue
-        peers[peer] = sock
-    for sock in peers.values():
-        sock.settimeout(None)
-    return peers
-
-
 def _join_mesh(
-    rank: int,
+    comm: _SocketComm,
     peer_addrs: Dict[int, Tuple[str, int]],
     nonce: int,
     epoch: int,
     handshake_timeout: float,
-) -> Dict[int, socket.socket]:
-    """Mid-flight join: dial every live peer's standing mesh listener.
+) -> None:
+    """Dial every peer the roster names and splice each link into
+    ``comm`` via :meth:`~repro.runtime.process._SocketComm.add_peer`.
 
-    Unlike :func:`_form_mesh`, a joiner dials *everyone* — resilient
-    workers keep their peer listeners open after the initial mesh forms
-    (see :func:`_serve_mesh_joins`), so no accept side is needed here.
-    The PEER_HELLO carries the membership epoch the coordinator assigned
-    this incarnation, letting peers stamp the link for the recycled-rank
-    guard in :class:`~repro.runtime.process.SubsetComm`.
+    At formation the roster names the lower ranks, on a rejoin every
+    live one; the rest dial in to :func:`_serve_mesh_joins`.  Every
+    named listener is already in ``listen()`` before the coordinator
+    publishes a roster, so dials land in the backlog even while the
+    target is itself still dialing.  The PEER_HELLO carries the mesh
+    nonce (minted per pool generation: a stale worker of an earlier,
+    torn-down mesh cannot splice into this one) and the membership epoch
+    the coordinator assigned this incarnation, letting peers stamp the
+    link for the recycled-rank guard in
+    :class:`~repro.runtime.process.SubsetComm`.
     """
-    peers: Dict[int, socket.socket] = {}
-    try:
-        for peer, (host, port) in sorted(peer_addrs.items()):
-            if peer == rank:
-                continue
-            sock = _dial(host, port, handshake_timeout)
+    for peer, (host, port) in sorted(peer_addrs.items()):
+        sock = _dial(host, port, handshake_timeout)
+        try:
             sock.settimeout(handshake_timeout)
             send_frame(
-                sock, _TAG_PEER, _PEER_HELLO.pack(_MAGIC, nonce, rank, epoch)
+                sock, _TAG_PEER,
+                _PEER_HELLO.pack(_MAGIC, nonce, comm.rank, epoch),
             )
             sock.settimeout(None)
-            peers[peer] = sock
-    except BaseException:
-        for sock in peers.values():
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
-        raise
-    return peers
+        except BaseException:
+            sock.close()
+            raise
+        comm.add_peer(peer, sock)
 
 
 def _serve_mesh_joins(
@@ -340,29 +277,36 @@ def _serve_mesh_joins(
     handshake_timeout: float,
     say,
 ) -> None:
-    """Accept replacement peers on the standing mesh listener (thread).
+    """Accept peers on the agent's mesh listener (thread, for the
+    agent's whole life).
 
-    Resilient workers run this after mesh-up: a rejoining worker dials
-    every live peer (see :func:`_join_mesh`), and this loop validates its
-    nonce-guarded PEER_HELLO and splices the fresh link into the live
-    comm via :meth:`~repro.runtime.process._SocketComm.add_peer` — the
-    epoch in the hello stamps the link so jobs planned before the join
-    refuse the recycled rank.  Exits when the listener closes.
+    At formation the higher ranks dial in here, later every replacement
+    worker (see :func:`_join_mesh`); this loop validates the dialer's
+    nonce-guarded PEER_HELLO and splices the link into the live comm via
+    :meth:`~repro.runtime.process._SocketComm.add_peer` — the epoch in
+    the hello stamps the link so jobs planned before a join refuse the
+    recycled rank.  Exits when the listener is shut down.
     """
     while True:
         try:
-            accepted = _accept_peer(listener, nonce, handshake_timeout)
+            sock, _ = listener.accept()
         except OSError:
-            return  # listener closed: worker shutting down
-        if accepted is None:
-            continue  # stray/stale dialer; keep accepting
-        sock, peer, epoch = accepted
-        if peer == comm.rank:
+            return  # listener shut down: worker exiting
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(handshake_timeout)
+            tag, payload = recv_frame(sock)
+            magic, got, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
+            stray = (tag, magic, got) != (_TAG_PEER, _MAGIC, nonce)
+            if stray or peer == comm.rank:
+                raise TransportError("peer hello mismatch")
+            sock.settimeout(None)
+        except (OSError, TransportError, struct.error):
             sock.close()
-            continue
-        sock.settimeout(None)
+            continue  # stray/stale dialer; keep accepting
         comm.add_peer(peer, sock, epoch=epoch)
-        say(f"peer {peer} rejoined the mesh (epoch {epoch})")
+        if epoch:
+            say(f"peer {peer} rejoined the mesh (epoch {epoch})")
 
 
 def run_worker(
@@ -430,7 +374,6 @@ def run_worker(
     ctrl = _dial(host, port, connect_timeout)
     listener: Optional[socket.socket] = None
     comm: Optional[_SocketComm] = None
-    peers: Dict[int, socket.socket] = {}
     try:
         ctrl.settimeout(handshake_timeout)
         send_frame(
@@ -455,48 +398,35 @@ def run_worker(
             ctrl, ("listening", (adv_host, listener.getsockname()[1]))
         )
         roster = _expect(ctrl, "roster", "waiting for the peer roster")[1]
-        my_epoch = int(cfg.get("epoch", 0))
-        resilient = bool(cfg.get("resilient", False))
-        if isinstance(roster, dict):
-            # Mid-flight join: the coordinator sent the live peers'
-            # standing listener addresses instead of the dense initial
-            # roster — dial them all (no accept side; see _join_mesh).
-            peers = _join_mesh(
-                my_rank,
-                {int(g): tuple(a) for g, a in roster["peers"].items()},
-                nonce,
-                my_epoch,
-                handshake_timeout,
-            )
-        else:
-            peers = _form_mesh(
-                my_rank, size, roster, listener, nonce, handshake_timeout
-            )
-        if not resilient:
-            listener.close()
-            listener = None
-
+        epoch = roster["epoch"]
         comm = make_socket_comm(
             my_rank,
             size,
-            peers,
+            {},
             MulticastMode(cfg["multicast_mode"]),
             cfg["rate_bytes_per_s"],
             cfg["timeout"],
             cfg["chunk_bytes"],
             cfg["record_relays"],
         )
-        if resilient:
-            # Elastic pools: keep the mesh listener open so replacement
-            # workers can splice in later; a daemon thread validates and
-            # integrates their nonce-guarded peer hellos.
-            listener.settimeout(None)
-            threading.Thread(
-                target=_serve_mesh_joins,
-                args=(listener, comm, nonce, handshake_timeout, say),
-                name=f"mesh-joins-{my_rank}",
-                daemon=True,
-            ).start()
+        threading.Thread(
+            target=_serve_mesh_joins,
+            args=(listener, comm, nonce, handshake_timeout, say),
+            name=f"mesh-joins-{my_rank}",
+            daemon=True,
+        ).start()
+        peers = {int(g): tuple(a) for g, a in roster["peers"].items()}
+        _join_mesh(comm, peers, nonce, epoch, handshake_timeout)
+        # At formation the higher ranks dial in; a rejoiner has dialed
+        # every live rank itself.
+        missing = comm.wait_for_peers(
+            peers if epoch else range(size), handshake_timeout
+        )
+        if missing:
+            raise TcpClusterError(
+                f"rank {my_rank}: peers {missing} did not dial in within "
+                f"{handshake_timeout:.1f}s"
+            )
         _send_msg(ctrl, ("ready",))
         ctrl.settimeout(None)
         bound_sends(ctrl, cfg["timeout"])
@@ -507,7 +437,6 @@ def run_worker(
             lambda: _recv_msg(ctrl),
             lambda msg: _send_msg(ctrl, msg),
             heartbeat_interval=cfg.get("heartbeat_interval", 0.5),
-            resilient=bool(cfg.get("resilient", False)),
             drain=drain,
         )
         say("drained" if drain is not None and drain.requested else "stopped")
@@ -518,13 +447,20 @@ def run_worker(
                 signal.signal(signal.SIGTERM, prev_sigterm)
             except ValueError:  # pragma: no cover
                 pass
+        if listener is not None:
+            try:
+                # Wakes the acceptor thread blocked in accept(); a bare
+                # close would leave it parked there.
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         if comm is not None:
             comm._close_async()
-        for sock in ([ctrl] + list(peers.values())) + (
-            [listener] if listener is not None else []
-        ):
+        links = list(comm._conns.values()) if comm is not None else []
+        for sock in [ctrl, listener, *links]:
             try:
-                sock.close()
+                if sock is not None:
+                    sock.close()
             except OSError:  # pragma: no cover - best-effort cleanup
                 pass
 
@@ -567,11 +503,10 @@ class TcpCluster:
         failure_timeout: a worker silent for this long mid-job is
             declared dead with a typed
             :class:`~repro.runtime.errors.WorkerFailure`.
-        resilient_workers: shipped in the welcome config — workers
-            survive a failed job (report, reclaim its frames, serve the
-            next) instead of exiting to force a clean re-rendezvous.
-            The sort service turns this on; the one-job-at-a-time pool
-            path keeps the teardown-and-rejoin policy.
+
+    Workers always outlive a failed job (report, reclaim its frames,
+    serve the next); whether the mesh is re-formed after one is up to
+    the pool's entry point (see :meth:`create_pool`).
     """
 
     def __init__(
@@ -587,7 +522,6 @@ class TcpCluster:
         handshake_timeout: float = 30.0,
         heartbeat_interval: Optional[float] = 0.5,
         failure_timeout: float = 30.0,
-        resilient_workers: bool = False,
     ) -> None:
         if size < 1:
             raise ValueError(f"cluster size must be >= 1, got {size}")
@@ -601,7 +535,6 @@ class TcpCluster:
         self.handshake_timeout = handshake_timeout
         self.heartbeat_interval = heartbeat_interval
         self.failure_timeout = failure_timeout
-        self.resilient_workers = resilient_workers
         host, port = parse_address(address)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -626,13 +559,14 @@ class TcpCluster:
 
         The first job admits K workers (handshake, roster, mesh, ready);
         every job then ships one pickled ``(builder, payload)`` per
-        worker.  Any worker error or death fails the job and tears the
-        pool down; the coordinator cannot re-fork remote workers, so the
+        worker.  Any worker error or death fails the job, and
+        :meth:`~repro.runtime.pool.WorkerPool.run_job` then stops the
+        workers; the coordinator cannot re-fork remote workers, so the
         *next* job re-opens the rendezvous and waits ``connect_timeout``
         for K fresh (or supervisor-restarted) workers to join.
         :class:`repro.session.Session` is the driver-facing API over it.
         """
-        return WorkerPool(Rendezvous(self, self.resilient_workers), self)
+        return WorkerPool(Rendezvous(self), self)
 
     def close(self) -> None:
         """Close the rendezvous listener (idempotent).  Pools already
@@ -693,19 +627,15 @@ class Rendezvous:
 
     :meth:`form` admits K workers through the rendezvous listener
     (handshake, roster, mesh, ready); :meth:`admit_join` runs the same
-    handshake for one mid-flight rejoiner, which dials the live peers'
-    standing mesh listeners instead of a fresh roster.  Both go through
-    the one HELLO routine, :meth:`_hello`.  Everything after belongs to
+    handshake for one mid-flight rejoiner.  Both go through the one
+    HELLO routine, :meth:`_hello`, and send the one roster shape,
+    :meth:`_roster`: a formation roster names the lower ranks, a
+    rejoiner's every live one.  Everything after belongs to
     :class:`~repro.runtime.pool.WorkerPool`.
-
-    ``resilient`` is shipped to workers in the welcome config (survive a
-    failed job, keep the mesh listener open for joiners); the sort
-    service turns it on for its own pool without touching the cluster.
     """
 
-    def __init__(self, cluster: TcpCluster, resilient: bool) -> None:
+    def __init__(self, cluster: TcpCluster) -> None:
         self._cluster = cluster
-        self.resilient = resilient
         #: Minted per mesh generation: keeps a stale worker of an
         #: earlier, torn-down mesh from splicing into this one.
         self.nonce = 0
@@ -716,8 +646,8 @@ class Rendezvous:
         self.listener = cluster._listener
 
     def teardown(self) -> None:
-        """Nothing to reap: remote workers exit when their control
-        connection closes, and their exits cascade through the mesh."""
+        """Nothing to reap: remote workers exit on the pool's ``stop``
+        (or when their control connection closes)."""
 
     # -- the handshake ------------------------------------------------------
 
@@ -763,12 +693,12 @@ class Rendezvous:
         conn.close()
         return None
 
-    def _welcome(self, rank: int, size: int, **extra: Any) -> Tuple:
-        """The WELCOME message for ``rank`` (plus ``extra`` config keys).
+    def _welcome(self, rank: int, size: int) -> Tuple:
+        """The WELCOME message for ``rank``.
 
         New keys ride the config dict, so older workers (which ``.get``
         with defaults) stay compatible — no PROTOCOL_VERSION bump is
-        needed for additions.  The elastic join path adds ``epoch``.
+        needed for additions.
         """
         cluster = self._cluster
         cfg: Dict[str, Any] = {
@@ -781,17 +711,23 @@ class Rendezvous:
             "chunk_bytes": cluster.chunk_bytes,
             "record_relays": cluster.record_relays,
             "heartbeat_interval": cluster.heartbeat_interval,
-            "resilient": self.resilient,
         }
-        cfg.update(extra)
         return ("welcome", cfg)
+
+    def _roster(self, peers: Sequence[int], epoch: int, size: int) -> Tuple:
+        """The ROSTER message: the mesh listeners of the ``peers`` the
+        worker must dial, the membership ``epoch`` it joins at, and the
+        mesh ``size``."""
+        addrs = {g: self.addrs[g] for g in peers}
+        return ("roster", {"peers": addrs, "epoch": epoch, "size": size})
 
     # -- initial rendezvous -------------------------------------------------
 
     def form(self, size: int) -> Dict[int, Channel]:
-        """Admit ``size`` workers: handshake each, publish the roster,
-        await readiness.  Raises :class:`TcpClusterError` naming the
-        stuck or dead rank on any timeout/EOF."""
+        """Admit ``size`` workers: handshake each, publish every rank's
+        roster (its lower ranks, epoch 0), await readiness.  Raises
+        :class:`TcpClusterError` naming the stuck or dead rank on any
+        timeout/EOF."""
         cluster = self._cluster
         listener = self.listener
         self.nonce = int.from_bytes(os.urandom(8), "little")
@@ -842,9 +778,8 @@ class Rendezvous:
                 )[1])
                 for rank in range(size)
             }
-            roster = [self.addrs[rank] for rank in range(size)]
-            for conn in ranks.values():
-                _send_msg(conn, ("roster", roster))
+            for rank, conn in ranks.items():
+                _send_msg(conn, self._roster(range(rank), 0, size))
             for rank in range(size):
                 _expect(
                     ranks[rank], "ready",
@@ -873,15 +808,12 @@ class Rendezvous:
         if reserved is None:
             return None
         rank, epoch, size, live = reserved
-        _send_msg(conn, self._welcome(rank, size, epoch=epoch))
+        _send_msg(conn, self._welcome(rank, size))
         step = f"joiner for rank {rank} died mid-handshake"
         addr = tuple(_expect(conn, "listening", step)[1])
-        # The joiner now dials every live peer's standing mesh listener;
-        # worker-side join-acceptor threads splice the links in.
-        peers = {g: self.addrs[g] for g in live}
-        _send_msg(
-            conn, ("roster", {"peers": peers, "epoch": epoch, "size": size})
-        )
+        # The joiner now dials every live peer's mesh listener; their
+        # join-acceptor threads splice the links in.
+        _send_msg(conn, self._roster(live, epoch, size))
         _expect(conn, "ready", step)
         self.addrs[rank] = addr
         return rank, epoch, Channel(conn, self._cluster.timeout)

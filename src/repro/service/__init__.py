@@ -5,14 +5,14 @@ the whole pool at a time.  This package is the long-running alternative
 the ROADMAP's "heavy traffic" north star asks for:
 
 * :mod:`repro.service.daemon` — :class:`SortService`, the ``repro
-  serve`` daemon: control port, job registry, retry policy;
+  serve`` daemon: control port, job registry, retry policy, and the one
+  :class:`~repro.runtime.pool.WorkerPool` reactor on its own thread —
+  each job runs on a per-job *subset* of the worker mesh so jobs
+  overlap, a failed job fails only its subset, and workers outlive it;
+  the mesh is never re-formed, replacements rejoin it;
 * :mod:`repro.service.scheduler` — admission control (typed
   rejections, per-tenant quotas) and priority/fair-share dispatch,
   as pure unit-testable logic;
-* :mod:`repro.service.pool` — :class:`ServicePool`, the shared
-  :class:`~repro.runtime.pool.WorkerPool` reactor owned resiliently: each
-  job runs on a per-job *subset* of the worker mesh so jobs overlap,
-  with subset-scoped failure handling and elastic membership;
 * :mod:`repro.service.client` — :class:`ServiceClient` /
   :class:`ServiceJobHandle`, the ``repro submit`` / ``repro status``
   side;
@@ -30,7 +30,6 @@ from repro.service.client import (
     ServiceRejected,
 )
 from repro.service.daemon import ServiceJob, SortService
-from repro.service.pool import ServicePool, SubsetJob
 from repro.service.scheduler import (
     AdmissionError,
     FairShareScheduler,
@@ -50,11 +49,9 @@ __all__ = [
     "ServiceClient",
     "ServiceJob",
     "ServiceJobHandle",
-    "ServicePool",
     "ServiceRejected",
     "ServiceStats",
     "SortService",
-    "SubsetJob",
     "TenantQuota",
     "TenantStats",
 ]

@@ -1,8 +1,10 @@
 """The ``repro serve`` daemon: a multi-tenant sort service on one mesh.
 
 A :class:`SortService` owns a standing :class:`~repro.runtime.tcp
-.TcpCluster` worker mesh (via :class:`~repro.service.pool.ServicePool`)
-and a TCP *control port* where many clients submit serialized
+.TcpCluster` worker mesh (the one :class:`~repro.runtime.pool.WorkerPool`
+reactor on its own thread, over the cluster's
+:class:`~repro.runtime.tcp.Rendezvous`) and a TCP *control port* where
+many clients submit serialized
 :class:`~repro.session.JobSpec` jobs concurrently.  Between the two sits
 the :class:`~repro.service.scheduler.FairShareScheduler`: admission
 control with typed rejections at submit, priority + fair-share ordering
@@ -23,8 +25,9 @@ sequence number — its frames can never alias the failed attempt's.
 
 The daemon is deliberately a thin composition: scheduling policy lives
 in ``scheduler.py`` (pure logic, unit-testable), subset execution and
-failure scoping in ``pool.py``, and the wire protocol in
-``protocol.py``.
+failure scoping in :mod:`repro.runtime.pool` — whose workers outlive a
+failed job, and which the daemon never re-forms — and the wire protocol
+in ``protocol.py``.
 """
 
 from __future__ import annotations
@@ -36,9 +39,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
+from repro.runtime.pool import SubsetJob, WorkerPool
 from repro.runtime.program import PreparedJob
-from repro.runtime.tcp import TcpCluster, parse_address
-from repro.service.pool import ServicePool, SubsetJob
+from repro.runtime.tcp import Rendezvous, TcpCluster, parse_address
 from repro.service.protocol import recv_obj, send_obj
 from repro.service.scheduler import (
     AdmissionError,
@@ -148,8 +151,10 @@ class SortService:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         self._kick = threading.Event()
-        self._pool = ServicePool(
+        self._pool = WorkerPool(
+            Rendezvous(cluster),
             cluster,
+            name="SortService",
             on_done=self._job_done,
             on_idle=self._kick.set,
             on_join=self._worker_joined,

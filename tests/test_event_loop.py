@@ -187,6 +187,26 @@ def test_proc_thread_count_is_independent_of_the_group_count(data, uncoded):
                 _assert_pinned_traffic(result.traffic, r)
 
 
+def test_proc_thread_count_is_constant_across_back_to_back_jobs():
+    # Every pool job runs on a SubsetComm view that posts through its
+    # endpoint's one sender: 50 coded jobs leave each worker with the
+    # thread count it had on the first.
+    k = 4
+    prepared = CodedTeraSortSpec(teragen(2000, seed=11), 2).prepare(k)
+    job = PreparedJob(
+        builder=_thread_sampling_program,
+        payloads=prepared.payloads,
+        finalize=lambda result: result,
+    )
+    with ProcessCluster(k, timeout=60).create_pool() as pool:
+        runs = [pool.run_job(job).results for _ in range(50)]
+    first = [p.to_bytes() for p, _ in runs[0]]
+    for results in runs:
+        assert [p.to_bytes() for p, _ in results] == first
+    peaks = {rank: {run[rank][1] for run in runs} for rank in range(k)}
+    assert all(len(seen) == 1 for seen in peaks.values()), peaks
+
+
 # -- (iii) relay liveness ----------------------------------------------------
 
 #: One group of four, every member a sender, on the binomial tree: the

@@ -4,13 +4,15 @@ Four lanes run the same assertions: ``inproc://`` (the thread pool),
 ``proc://`` and ``tcp://`` behind a :class:`Session` (the shared
 :class:`~repro.runtime.pool.WorkerPool` reactor stepped inline, over the
 fork and TCP transports), and the sort service (the same reactor on its
-own thread, resilient, jobs on a 3-worker subset of a 5-worker mesh).
+own thread, never re-forming, jobs on a 3-worker subset of a 5-worker
+mesh).
 
 The contract:
 
 * a clean job returns bytes identical to a dedicated in-process run;
 * a program error is a plain ``RuntimeError`` carrying the traceback
-  text, and is **never retried**, whatever the retry budget;
+  text, fails in seconds, and is **never retried**, whatever the retry
+  budget;
 * a worker death is a typed ``WorkerFailure(rank, stage)`` on the failed
   attempt, and the retry is byte-identical;
 * a retry storm exhausts the budget and fails only that job;
@@ -250,7 +252,13 @@ def test_program_error_is_runtime_error_never_retried(name, no_plan):
         before = lane.submit(TeraSortSpec(data=data))
         bad = lane.submit(BAD_SPEC)
         after = lane.submit(TeraSortSpec(data=data))
+        lane.outcome(before)
+        started = time.monotonic()
         _, error, attempts = lane.outcome(bad)
+        # The failing worker outlives its error: its peers, alive but
+        # blocked on it, unwind on the coordinator's abort — not at the
+        # 60 s receive timeout.
+        assert time.monotonic() - started < 5.0
         assert isinstance(error, RuntimeError)
         assert not isinstance(error, WorkerFailure)
         assert "intentional map failure" in str(error)

@@ -3,8 +3,9 @@
 Every channel here is an in-memory queue with a pipe for readiness (no
 sockets, no processes), and the transport just hands a set of them out —
 so each policy of the one driver-side reactor is pinned down
-deterministically: failure classification inside the grace window, the
-job deadline, epoch fencing, who gets speculation directives, and the
+deterministically: failure classification inside the grace window, which
+entry point re-forms the mesh after a failed job, the job deadline,
+epoch fencing, who gets speculation directives, and the
 closed-descriptor race that used to kill the reactor thread.
 """
 
@@ -16,6 +17,8 @@ import threading
 import time
 import types
 
+import pytest
+
 from repro.runtime.errors import WorkerFailure
 from repro.runtime.pool import WorkerPool
 from repro.runtime.program import PreparedJob
@@ -24,12 +27,14 @@ from repro.runtime.program import PreparedJob
 class FakeChannel:
     """A pool control channel whose worker side is the test."""
 
-    def __init__(self):
+    def __init__(self, reply=None):
         self._r, self._w = os.pipe()
         self._inbox = collections.deque()
         self.sent = []  # every frame the pool sent, in order
         self.fail_sends = False
         self.closed = False
+        #: ``reply(job frame)`` -> the worker's report, fed at dispatch.
+        self.reply = reply
 
     # -- the worker's side --------------------------------------------------
 
@@ -47,6 +52,8 @@ class FakeChannel:
         if self.closed or self.fail_sends:
             raise OSError("fake channel is down")
         self.sent.append(obj)
+        if obj[0] == "job" and self.reply is not None:
+            self.feed(self.reply(obj))
 
     def recv(self):
         if self.closed or not os.read(self._r, 1):
@@ -66,30 +73,31 @@ class FakeChannel:
 class FakeTransport:
     listener = None
 
-    def __init__(self):
+    def __init__(self, reply=None):
         self.chans = {}
+        self.forms = 0
+        self.reply = reply
 
     def form(self, size):
-        self.chans = {rank: FakeChannel() for rank in range(size)}
+        self.forms += 1
+        self.chans = {rank: FakeChannel(self.reply) for rank in range(size)}
         return dict(self.chans)
 
     def teardown(self):
         pass
 
 
-def make_pool(size, threaded=False, **config):
-    """A resilient pool over ``size`` fake channels: stepped by the test
-    itself, or (``threaded``) by its own reactor thread."""
+def make_pool(size, threaded=False, reply=None, **config):
+    """A pool over ``size`` fake channels: stepped by the test itself,
+    or (``threaded``) by its own reactor thread.  ``reply`` answers
+    every job frame at dispatch (see :class:`FakeChannel`)."""
     settings = dict(
         size=size, timeout=30.0, failure_timeout=30.0, heartbeat_interval=0.01
     )
     settings.update(config)
-    transport = FakeTransport()
+    transport = FakeTransport(reply)
     pool = WorkerPool(
-        transport,
-        types.SimpleNamespace(**settings),
-        name="FakePool",
-        resilient=True,
+        transport, types.SimpleNamespace(**settings), name="FakePool"
     )
     if threaded:
         pool.start()
@@ -99,9 +107,10 @@ def make_pool(size, threaded=False, **config):
 
 
 def prepared(k, speculation=None):
+    """A job whose payload for each member is its logical rank."""
     return PreparedJob(
         builder=None,
-        payloads=[None] * k,
+        payloads=list(range(k)),
         finalize=lambda result: result,
         speculation=speculation,
     )
@@ -131,6 +140,53 @@ def test_program_error_in_grace_window_dominates_an_earlier_infra_failure():
         assert "boom in map" in str(job.error)
         assert "peer connection lost" in str(job.error)  # nothing dropped
         assert pool.idle_workers() == [0, 1, 2]
+
+
+def test_a_failed_run_job_re_forms_the_mesh_for_the_next():
+    """``run_job`` — a Session's entry point — is the policy that
+    re-forms: it tears the mesh down after a failed job, and the next
+    ``run_job`` forms it again through the transport."""
+
+    def reply(frame):
+        _, seq, _, rank = frame[:4]
+        if seq > 0:
+            return ok(rank, seq)
+        if rank == 0:
+            return ("error", 0, seq, "Traceback: boom in map")
+        return ("comm_error", rank, seq, "job aborted by coordinator")
+
+    pool, _ = make_pool(2, reply=reply)
+    with pool:
+        with pytest.raises(RuntimeError, match="boom in map") as failed:
+            pool.run_job(prepared(2))
+        assert not isinstance(failed.value, WorkerFailure)
+        assert pool._transport.forms == 1
+        assert pool.live_workers() == 0  # torn down
+        result = pool.run_job(prepared(2))
+        assert pool._transport.forms == 2
+        assert result.results == ["result-0", "result-1"]
+
+
+def test_a_failed_submit_job_never_re_forms():
+    """``submit`` — the sort service's entry point — never re-forms:
+    a failed job leaves the mesh formed once, every channel open and no
+    ``stop`` sent, and its members are idle as soon as they report."""
+    pool, chans = make_pool(3)
+    with pool:
+        job = pool.submit([0, 1], prepared(2))
+        chans[0].feed(("error", 0, job.seq, "Traceback: boom in map"))
+        pool._step(0.0)
+        assert chans[1].ctl("abort")
+        assert pool.idle_workers() == [0, 2]
+        chans[1].feed(("comm_error", 1, job.seq, "job aborted"))
+        pool._step(0.0)
+        assert job.done.is_set()
+        assert isinstance(job.error, RuntimeError)
+        assert pool._transport.forms == 1
+        assert pool.idle_workers() == [0, 1, 2]
+        for chan in chans.values():
+            assert not chan.closed
+            assert ("stop",) not in chan.sent
 
 
 def test_deadline_expiry_aborts_survivors_and_fails_typed():

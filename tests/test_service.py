@@ -309,9 +309,8 @@ def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
                 if t.name.startswith(("service-", "pool-")) and t.is_alive()
             ]
             assert lingering == []
-            # The cluster spec came through untouched: resilience and
-            # mesh growth are the service pool's own state.
-            assert cluster.resilient_workers is False
+            # The cluster spec came through untouched: mesh growth is
+            # the service pool's own state.
             assert cluster.size == 2
         finally:
             _reap(procs)

@@ -149,7 +149,6 @@ def test_worker_joins_mid_flight_and_grows_the_mesh(no_plan):
                 # The mesh grew in the pool, not in the caller's spec.
                 assert service._pool.size == 4
                 assert cluster.size == 3
-                assert cluster.resilient_workers is False
         finally:
             _reap(procs)
 

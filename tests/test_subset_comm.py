@@ -10,7 +10,10 @@ directly:
 * logical ranks map onto arbitrary (even unsorted) global member lists;
 * an ``("abort", reason)`` control delivery unblocks a pending receive
   promptly instead of waiting out the receive timeout;
-* ``_purge_job_frames`` reclaims exactly the dead job's buffered frames;
+* beginning a job drops every buffered frame outside its tag windows
+  (``_purge_stale_frames``), including a finished job's late arrivals;
+* views send on their endpoint's one async sender, and a failed job's
+  queued sends are dropped;
 * the constructor rejects malformed subsets.
 """
 
@@ -22,11 +25,11 @@ import time
 
 import pytest
 
-from repro.runtime.api import MulticastMode
+from repro.runtime.api import JOB_TAG_STRIDE, MulticastMode
 from repro.runtime.errors import CommError, WorkerFailure
 from repro.runtime.process import (
     SubsetComm,
-    _purge_job_frames,
+    _purge_stale_frames,
     make_socket_comm,
 )
 from repro.runtime.program import JobControl
@@ -189,10 +192,17 @@ class TestAbort:
             sub._close_async()
 
 
+def _await_frame(comm, src, job_seq, tag):
+    """Block until ``comm``'s mailbox holds a frame of ``job_seq``'s
+    user ``tag`` from ``src`` — without beginning a job on ``comm``."""
+    key = (src, job_seq * JOB_TAG_STRIDE + tag)
+    assert comm._mailbox.wait_any({key}, 10.0) == [key]
+
+
 class TestPurge:
     def test_purge_reclaims_only_the_dead_jobs_frames(self, mesh):
         # Worker 1 sends rank 0 one frame in job 5's window and one in
-        # job 6's window; purging job 5 must leave job 6 intact.
+        # job 6's window; purging for job 6 must leave job 6 intact.
         sender5 = SubsetComm(mesh[1], [0, 1])
         sender5.begin_job(5, None)
         sender5.send(0, tag=4, payload=b"stale")
@@ -201,21 +211,54 @@ class TestPurge:
         sender6.send(0, tag=4, payload=b"live")
         # The marker is sent *last*: rank 0's single reader thread
         # delivers frames from rank 1 in order, so once the marker is
-        # receivable both earlier frames are already in the mailbox.
+        # buffered both earlier frames are already in the mailbox.
         sender6.send(0, tag=5, payload=b"marker")
-        try:
-            receiver = SubsetComm(mesh[0], [0, 1])
-            receiver.begin_job(6, None)
-            assert bytes(receiver.recv(1, tag=5)) == b"marker"
+        _await_frame(mesh[0], 1, 6, 5)
 
-            purged = _purge_job_frames(mesh[0]._mailbox, 5)
-            assert purged == 1
+        assert _purge_stale_frames(mesh[0]._mailbox, 6) == 1
 
-            assert bytes(receiver.recv(1, tag=4)) == b"live"
-            receiver._close_async()
-        finally:
-            sender5._close_async()
-            sender6._close_async()
+        receiver = SubsetComm(mesh[0], [0, 1])
+        receiver.begin_job(6, None)
+        assert bytes(receiver.recv(1, tag=5)) == b"marker"
+        assert bytes(receiver.recv(1, tag=4)) == b"live"
+
+    def test_a_late_frame_is_dropped_when_the_next_job_begins(self, mesh):
+        # Rank 0 ran job 5 and moved on; only then does rank 1's
+        # still-queued job-5 frame land.  Beginning job 6 must drop it
+        # and keep the job-6 frame rank 1 has already sent.
+        receiver5 = SubsetComm(mesh[0], [0, 1])
+        receiver5.begin_job(5, None)
+        late = SubsetComm(mesh[1], [0, 1])
+        late.begin_job(5, None)
+        late.send(0, tag=4, payload=b"late")
+        early = SubsetComm(mesh[1], [0, 1])
+        early.begin_job(6, None)
+        early.send(0, tag=4, payload=b"early")
+        _await_frame(mesh[0], 1, 6, 4)
+
+        receiver6 = SubsetComm(mesh[0], [0, 1])
+        receiver6.begin_job(6, None)
+        assert not receiver5.irecv(1, tag=4).test()  # job 5's is gone
+        assert bytes(receiver6.recv(1, tag=4)) == b"early"
+        assert not mesh[0]._mailbox._queues
+
+    def test_a_failed_jobs_queued_sends_are_dropped(self, mesh):
+        # The view posts on its endpoint's one sender (no thread per
+        # job); once its job failed, what it still has queued there is
+        # dropped instead of going out ahead of the next job's sends.
+        sender = SubsetComm(mesh[1], [0, 1])
+        sender.begin_job(7, None)
+        sender.failed = True
+        sender.isend(0, tag=4, payload=b"dropped").wait()
+        nxt = SubsetComm(mesh[1], [0, 1])
+        nxt.begin_job(8, None)
+        nxt.isend(0, tag=4, payload=b"sent").wait()
+        assert sender._sender_thread is None and nxt._sender_thread is None
+        assert mesh[1]._sender_thread.is_alive()
+        receiver = SubsetComm(mesh[0], [0, 1])
+        receiver.begin_job(8, None)
+        assert bytes(receiver.recv(1, tag=4)) == b"sent"
+        assert not mesh[0]._mailbox._queues
 
 
 class TestValidation:

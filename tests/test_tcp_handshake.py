@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import socket
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -61,8 +62,9 @@ class TestCoordinatorRejections:
     def test_wrong_version_rejected_with_reason(self, version):
         """A mismatched protocol version gets a reject frame, and the
         rendezvous keeps serving valid workers afterwards.  The previous
-        version matters by name: its Session coordinators send a job
-        frame without ``members, epoch`` that today's workers refuse."""
+        version matters by name: its workers expect a list-shaped roster
+        at formation, where today's coordinator sends the one
+        ``{"peers", "epoch", "size"}`` shape."""
         with TcpCluster(
             1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
         ) as cluster:
@@ -139,6 +141,37 @@ class TestCoordinatorRejections:
 
 
 class TestWorkerSideErrors:
+    def test_higher_peer_that_never_dials_in_fails_at_handshake_timeout(self):
+        """Rank 0 of a 2-mesh waits for rank 1 to dial in; a rank 1 that
+        completes the rendezvous but never dials fails rank 0 within
+        ``handshake_timeout``, naming the rank and the missing peer."""
+        with TcpCluster(
+            2, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=5
+        ) as cluster:
+            pool = cluster.create_pool()
+            with ThreadPoolExecutor(2) as pool_exec:
+                starting = pool_exec.submit(pool._form)
+                worker = pool_exec.submit(
+                    run_worker, cluster.address, rank=0, quiet=True,
+                    handshake_timeout=1.0,
+                )
+                silent = _raw_client(cluster.address, PROTOCOL_VERSION, 1)
+                assert tcp._recv_msg(silent)[0] == "welcome"
+                tcp._send_msg(silent, ("listening", ("127.0.0.1", 9)))
+                roster = tcp._recv_msg(silent)
+                assert roster[0] == "roster"
+                assert set(roster[1]["peers"]) == {0}  # rank 1 dials 0
+                started = time.monotonic()
+                with pytest.raises(
+                    TcpClusterError,
+                    match=r"rank 0: peers \[1\] did not dial in within 1\.0s",
+                ):
+                    worker.result(timeout=30)
+                assert time.monotonic() - started < 5.0
+                with pytest.raises(TcpClusterError, match="worker 0 died"):
+                    starting.result(timeout=30)
+                silent.close()
+
     def test_worker_raises_on_reject(self):
         """A rejected worker exits with the coordinator's reason."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
