@@ -625,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--failure-timeout", type=float, default=None,
                    help="declare a worker dead after this many seconds "
                         "without a heartbeat (default: the backend's "
-                        "setting; process/tcp backends only)")
+                        "setting)")
     p.set_defaults(func=_cmd_sort)
 
     p = sub.add_parser(

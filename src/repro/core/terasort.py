@@ -176,9 +176,9 @@ class TeraSortProgram(NodeProgram):
             node materializes/streams locally.
         partitioner: the shared ``K``-way range partitioner.
         spec_splits: all ranks' shard descriptors — enables speculative
-            map re-execution (any rank can re-map a straggler's shard).
-            Requires a live pool backend (a driver control channel);
-            without one the program degrades to the plain staged run.
+            map re-execution (any rank can re-map a straggler's shard),
+            directed over the pool job's control channel
+            (``comm.job_control``) on every backend.
     """
 
     STAGES = STAGES_TERASORT

@@ -7,8 +7,9 @@ communication layer for the reproduction:
 * :mod:`repro.runtime.api` — the :class:`Comm` interface (blocking send /
   recv / bcast / barrier plus non-blocking isend / irecv / ibcast with
   :class:`Request` handles) that node programs are written against;
-* :mod:`repro.runtime.inproc` — a threaded in-process backend used for
-  functional tests and byte accounting;
+* :mod:`repro.runtime.inproc` — worker threads in this process over
+  shared mailboxes (the pool's in-memory transport), used for functional
+  tests and byte accounting;
 * :mod:`repro.runtime.process` — a multiprocessing backend over an AF_UNIX
   socket mesh with optional token-bucket rate limiting (the paper throttles
   EC2 NICs to 100 Mbps with ``tc``);
@@ -16,9 +17,9 @@ communication layer for the reproduction:
   dial a rendezvous coordinator over TCP and form the same K×K mesh across
   real machines (the paper's actual EC2 deployment shape);
 * :mod:`repro.runtime.pool` — the one driver-side worker pool: a reactor
-  (dispatch, heartbeats, failure classification) over the process and
-  TCP backends' worker *transports*, shared by ``Session``, the sort
-  service and the one-shot ``cluster.run``;
+  (dispatch, heartbeats, failure classification) over every backend's
+  worker *transport*, shared by ``Session``, the sort service and the
+  one-shot ``cluster.run``;
 * :mod:`repro.runtime.traffic` — traffic accounting that counts each
   multicast payload once (the paper's communication-load convention) while
   also tracking raw wire bytes.

@@ -422,8 +422,8 @@ class Comm(ABC):
         self._job_tag_offset = 0
         self._in_session = False
         self._job_seq = 0
-        # Driver->worker mid-job control channel (speculation); installed
-        # by the pool's control loop, None on one-shot/thread backends.
+        # Driver->worker mid-job control channel (speculation, abort);
+        # installed by the pool's control loop per job, None outside one.
         self.job_control: Optional[Any] = None
 
     # -- session jobs -----------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tagged mailbox shared by the threaded and multiprocessing backends.
+"""Tagged mailboxes: every worker endpoint's inbound message store.
 
 A :class:`Mailbox` is one node's inbound message store: frames are keyed by
 ``(src, tag)`` and delivered FIFO per key.  One waiting primitive serves
@@ -10,24 +10,21 @@ every receive the runtime has:
   ``Request.test()``, every posted receive for the shuffle event loop's
   sleep between arrivals;
 * ``pop`` — take the next frame of a key ``wait_any`` reported;
-* per-source closure — when a peer's channel dies, only receives matching
-  that source fail; traffic from healthy peers keeps flowing (the
-  multiprocessing backend's per-peer reader threads close their source on
-  EOF while the rest of the mesh stays up).
-
-``close()`` (global) additionally fails *all* pending receives — used by the
-threaded backend when any node thread dies so the rest unblock promptly.
+* per-source closure — when a peer dies, only receives matching that
+  source fail; traffic from healthy peers keeps flowing (a socket
+  endpoint's per-peer reader thread closes its source on EOF, an
+  in-process worker thread closes its own in every peer's mailbox when
+  it exits).
 
 Frames are opaque buffers (``bytes`` / ``bytearray`` / ``memoryview``) and
 are handed to the consumer *by reference* — the zero-copy ``copy=False``
 receive path slices views straight off whatever the producer enqueued (a
-receive arena in the multiprocessing backend, possibly the sender's own
-memory in the threaded backend).  Consumers must treat popped frames as
-read-only.
+receive arena behind a socket, possibly the sender's own memory over a
+:class:`MailboxLink`).  Consumers must treat popped frames as read-only.
 
 :class:`MailboxComm` is the receive half of a
-:class:`~repro.runtime.api.Comm` over such a mailbox, shared by both
-backends.
+:class:`~repro.runtime.api.Comm` over such a mailbox; :class:`MailboxLink`
+is the send half of a peer link between two endpoints in one process.
 """
 
 from __future__ import annotations
@@ -37,20 +34,19 @@ import time
 from collections import deque
 from typing import Callable, Collection, Deque, Dict, List, Optional, Tuple, Union
 
-from repro.runtime.api import BACKEND_TIMEOUT, Comm
+from repro.runtime.api import BACKEND_TIMEOUT, BufferParts, Comm
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
+from repro.utils import copytrack
 
 _MailKey = Tuple[int, int]  # (src, tag)
 _Frame = Union[bytes, bytearray, memoryview]
 
 
 class MailboxClosed(Exception):
-    """Raised by ``wait_any`` when nothing awaited can ever arrive.
+    """Raised by ``wait_any`` when nothing awaited can ever arrive:
+    ``src``, the source of an awaited key, is closed."""
 
-    ``src`` is the closed source when one is to blame, else ``None``.
-    """
-
-    def __init__(self, message: str, src: Optional[int] = None) -> None:
+    def __init__(self, message: str, src: int) -> None:
         super().__init__(message)
         self.src = src
 
@@ -62,13 +58,10 @@ class Mailbox:
         self._cond = threading.Condition()
         #: A key leaves with its last frame: bounded by what is in flight.
         self._queues: Dict[_MailKey, Deque[_Frame]] = {}
-        self._closed = False
         self._closed_sources: Dict[int, str] = {}
 
     def put(self, src: int, tag: int, payload: _Frame) -> None:
         with self._cond:
-            if self._closed:
-                raise MailboxClosed("mailbox closed (peer died?)")
             self._queues.setdefault((src, tag), deque()).append(payload)
             self._cond.notify_all()
 
@@ -95,8 +88,8 @@ class Mailbox:
         key counts (pass a dict or set when many keys are awaited).
 
         Raises:
-            MailboxClosed: nothing awaited is buffered and the mailbox, or
-                the source of an awaited key, is closed.
+            MailboxClosed: nothing awaited is buffered and the source of
+                an awaited key is closed.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
@@ -107,8 +100,6 @@ class Mailbox:
                     ready = [key for key in self._queues if key in keys]
                 if ready:
                     return ready
-                if self._closed:
-                    raise MailboxClosed("mailbox closed with a receive posted")
                 if self._closed_sources:
                     for src, tag in keys:
                         if src in self._closed_sources:
@@ -160,11 +151,37 @@ class Mailbox:
             self._closed_sources.pop(src, None)
             self._cond.notify_all()
 
-    def close(self) -> None:
-        """Fail all pending and future receives."""
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+
+class MailboxLink:
+    """A peer link between two endpoints in one process: a send puts the
+    frame straight into the peer's mailbox, under this end's rank.
+
+    An immutable single part is shared by reference; a multi-part frame
+    is joined once (the copy this link pays instead of a kernel
+    crossing), and a *mutable* buffer is copied, since the caller may
+    reuse it once a blocking send returns.
+    """
+
+    __slots__ = ("mailbox", "src")
+
+    def __init__(self, mailbox: Mailbox, src: int) -> None:
+        self.mailbox = mailbox
+        self.src = src
+
+    def send(self, tag: int, payload: BufferParts) -> None:
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            parts = [p for p in payload if len(p)]
+            if len(parts) == 1:
+                payload = parts[0]
+            else:
+                payload = b"".join(parts)
+                copytrack.count_copy(len(payload), "inproc.send.join")
+        if isinstance(payload, bytearray) or (
+            isinstance(payload, memoryview) and not payload.readonly
+        ):
+            copytrack.count_copy(len(payload), "inproc.send.own")
+            payload = bytes(payload)
+        self.mailbox.put(self.src, tag, payload)
 
 
 class MailboxComm(Comm):
@@ -196,7 +213,7 @@ class MailboxComm(Comm):
             ready = self._ready(keys, timeout)
         except MailboxClosed as exc:
             raise WorkerFailure(
-                -1 if exc.src is None else self._rank_of(exc.src),
+                self._rank_of(exc.src),
                 self._stage,
                 f"peer connection lost: {exc}",
             ) from exc

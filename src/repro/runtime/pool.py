@@ -7,11 +7,13 @@ per-job :class:`~repro.runtime.monitor.JobMonitor`, heartbeats,
 speculation directives, abort, the grace window, the job deadline,
 :func:`~repro.runtime.errors.job_failure` classification and
 :func:`~repro.runtime.program.assemble_cluster_result` — lives here
-once, for every backend whose workers sit behind sockets.
+once, for every backend.
 
 A **transport** only answers how the workers come to exist and how a
 replacement arrives:
 
+* :class:`~repro.runtime.inproc.InprocMesh` starts K worker threads
+  over shared mailboxes;
 * :class:`~repro.runtime.process.ForkMesh` forks K workers over a
   ``socketpair`` mesh and hands back duplex pipes;
 * :class:`~repro.runtime.tcp.Rendezvous` admits K ``repro worker``
@@ -20,7 +22,8 @@ replacement arrives:
 
 A **control channel** is anything with ``send(obj)`` / ``recv()`` /
 ``fileno()`` / ``close()``; a :class:`multiprocessing.connection
-.Connection` already is one, TCP wraps its control socket.
+.Connection` already is one, TCP wraps its control socket, and a worker
+thread's passes objects by reference with a socket byte as doorbell.
 
 The pool runs any number of concurrent jobs on disjoint member subsets
 (:meth:`WorkerPool.submit`); :meth:`WorkerPool.run_job` — what
@@ -36,7 +39,8 @@ unwind in ~100 ms.  The entry point decides what happens next:
 
 * :meth:`~WorkerPool.run_job` (Session pools, ``cluster.run``) tears the
   mesh down after a failed job and re-forms it through the transport
-  for the next (re-fork, or wait for workers to re-join the rendezvous);
+  for the next (new threads, re-fork, or wait for workers to re-join the
+  rendezvous);
 * :meth:`~WorkerPool.start` / :meth:`~WorkerPool.submit` (the sort
   service) never re-forms: dead workers shrink capacity and
   replacements rejoin through the transport's listener.  Every
@@ -122,6 +126,7 @@ class SubsetJob:
         self.stages: List[str] = []
         self.program_errors: List[str] = []
         self.infra_failures: List[Tuple[int, str, str]] = []
+        self.deaths = 0  # members dead mid-job: infra_failures[:deaths]
         self.pending: Set[int] = set(members)  # global ranks yet to report
         self.error: Optional[BaseException] = None
         self.cluster_result: Optional[ClusterResult] = None
@@ -605,6 +610,10 @@ class WorkerPool:
             job.pending.discard(g)
             job.monitor.result(lidx)
             self._record_failure(job, lidx, cause, program_error=False)
+            # Deaths go ahead of the survivors' comm failures, which only
+            # echo them, however those reports raced the EOF.
+            job.infra_failures.insert(job.deaths, job.infra_failures.pop())
+            job.deaths += 1
             self._maybe_finish(job)
 
     def _tick(self) -> None:

@@ -47,7 +47,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.api import (
     BufferParts,
@@ -65,7 +65,7 @@ from repro.runtime.api import (
     barrier_tag,
 )
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
-from repro.runtime.mailbox import Mailbox, MailboxClosed, MailboxComm
+from repro.runtime.mailbox import Mailbox, MailboxComm, MailboxLink
 from repro.runtime.pool import WorkerPool
 from repro.runtime.program import (
     ClusterResult,
@@ -85,13 +85,16 @@ from repro.runtime.transport import (
 
 
 class _SocketComm(MailboxComm):
-    """Comm endpoint over a mesh of per-peer stream sockets."""
+    """Comm endpoint over a mesh of per-peer links, every backend's: a
+    stream socket (reader threads feed the mailbox; sends are locked,
+    paced and bounded) or a :class:`~repro.runtime.mailbox.MailboxLink`
+    (worker threads of one process; sends are puts, inline)."""
 
     def __init__(
         self,
         rank: int,
         size: int,
-        conns: Dict[int, socket.socket],
+        conns: Dict[int, Union[socket.socket, MailboxLink]],
         multicast_mode: MulticastMode,
         pacer: Optional[TokenBucket],
         recv_timeout: Optional[float],
@@ -123,6 +126,9 @@ class _SocketComm(MailboxComm):
         self._send_queue: Optional["queue.Queue"] = None
         self._sender_thread: Optional[threading.Thread] = None
         self._sender_lock = threading.Lock()
+        self._inline_sends = any(
+            isinstance(link, MailboxLink) for link in conns.values()
+        )
         self._barrier_epoch = 0
 
     # -- inbound demultiplexing -------------------------------------------------
@@ -151,10 +157,7 @@ class _SocketComm(MailboxComm):
                 if self._conns.get(peer) is sock:
                     self._mailbox.close_source(peer, str(exc))
                 return
-            try:
-                self._mailbox.put(peer, tag, payload)
-            except MailboxClosed:
-                return
+            self._mailbox.put(peer, tag, payload)
 
     # -- elastic membership -----------------------------------------------------
 
@@ -220,10 +223,15 @@ class _SocketComm(MailboxComm):
     # -- raw primitives ---------------------------------------------------------
 
     def _send_raw(self, dst: int, tag: int, payload: BufferParts) -> None:
-        """Vectored frame write: header + parts go out in one ``sendmsg``."""
+        """A put into the peer's mailbox, or a vectored frame write:
+        header + parts go out in one ``sendmsg``."""
+        link = self._conns[dst]
+        if isinstance(link, MailboxLink):
+            link.send(tag, payload)
+            return
         try:
             with self._send_locks[dst]:
-                send_frame(self._conns[dst], tag, payload, pacer=self._pacer)
+                send_frame(link, tag, payload, pacer=self._pacer)
         except socket.timeout as exc:
             # SO_SNDTIMEO expiry: the peer stopped draining (wedged or
             # dead) — typed so drivers can tell timeout from protocol bug.
@@ -266,7 +274,10 @@ class _SocketComm(MailboxComm):
     # -- async dispatch ----------------------------------------------------------
 
     def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
-        """Run a send closure on the per-worker sender thread, in order."""
+        """Run a send closure on the per-worker sender thread, in order —
+        inline over mailbox links, whose puts never block."""
+        if self._inline_sends:
+            return super()._dispatch_send(fn)
         with self._sender_lock:
             if self._send_queue is None:
                 self._send_queue = queue.Queue()
@@ -424,24 +435,28 @@ class SubsetComm(_SocketComm):
         return self.members.index(src)
 
     def _ready(self, keys, timeout: Optional[float]):
-        """In ``_ABORT_POLL`` slices, the job's abort flag checked before
-        each: every receive of a subset job — blocking, polled or the
-        event loop's arrival wait — comes through here."""
+        """In ``_ABORT_POLL`` slices, the job's abort flag checked after
+        each that came back empty: every receive of a subset job —
+        blocking, polled or the event loop's arrival wait — comes through
+        here, and a frame, or the closed source of a dead peer, wins over
+        the abort that peer's death also set off."""
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            control = self.job_control
-            reason = None if control is None else control.abort_reason()
-            if reason is not None:
-                raise WorkerFailure(
-                    -1, self._stage, f"job aborted by coordinator: {reason}"
-                )
             remaining = (
                 float("inf") if deadline is None else deadline - time.monotonic()
             )
             ready = self._mailbox.wait_any(
                 keys, max(0.0, min(self._ABORT_POLL, remaining))
             )
-            if ready or remaining <= self._ABORT_POLL:
+            if ready:
+                return ready
+            control = self.job_control
+            reason = None if control is None else control.abort_reason()
+            if reason is not None:
+                raise WorkerFailure(
+                    -1, self._stage, f"job aborted by coordinator: {reason}"
+                )
+            if remaining <= self._ABORT_POLL:
                 return ready
 
 
@@ -540,8 +555,11 @@ class _CtrlReader:
     Frames are demultiplexed by type: ``("job", ...)`` / ``("stop",)`` /
     channel-EOF land on the inbox queue the control loop pops, while
     mid-job ``("ctl", seq, payload)`` frames are delivered straight into
-    the running job's :class:`JobControl` — so the program never has to
-    stop working to receive a speculation directive.  Elastic-pool
+    the job's :class:`JobControl` — so the program never has to stop
+    working to receive a speculation directive.  That control is made
+    here, as the job frame is queued, not when the job starts: an abort
+    right behind the frame (a peer already failed the job) must not find
+    the job unstarted and be dropped.  Elastic-pool
     ``("roster", info)`` membership updates likewise bypass the inbox
     into the ``on_roster`` callback: they may arrive at any time, idle
     or mid-job, and must never end the control loop.
@@ -555,7 +573,7 @@ class _CtrlReader:
         on_roster: Optional[Callable[[Dict], None]] = None,
     ) -> None:
         self._recv_msg = recv_msg
-        self.inbox: "queue.Queue[Tuple]" = queue.Queue()
+        self.inbox: "queue.SimpleQueue[Tuple]" = queue.SimpleQueue()
         self.job_control: Optional[JobControl] = None
         self.on_roster = on_roster
         self._thread = threading.Thread(
@@ -583,26 +601,27 @@ class _CtrlReader:
                     except Exception:  # pragma: no cover - advisory frame
                         pass
                 continue
+            if msg[0] == "job":
+                self.job_control = JobControl(msg[1])
             self.inbox.put(msg)
             if msg[0] != "job":
                 return  # "stop" (or anything unknown) ends the loop
 
 
 class _Heartbeater:
-    """Emits ``("hb", rank, job_seq, stage)`` frames while a job runs."""
+    """Emits ``("hb", rank, job_seq, stage)`` frames while ``job`` is
+    set: one thread for the worker's whole life.  ``job`` is cleared
+    under ``send_lock`` with the final report, so no beat trails it."""
 
     def __init__(
         self,
         rank: int,
-        job_seq: int,
-        comm: Comm,
         send_msg: Callable[[Tuple], None],
         send_lock: threading.Lock,
         interval: float,
     ) -> None:
+        self.job: Optional[Tuple[int, Comm]] = None
         self._rank = rank
-        self._job_seq = job_seq
-        self._comm = comm
         self._send_msg = send_msg
         self._send_lock = send_lock
         self._interval = interval
@@ -614,15 +633,16 @@ class _Heartbeater:
 
     def _loop(self) -> None:
         while not self._stop.wait(self._interval):
-            beat = ("hb", self._rank, self._job_seq, self._comm.stage)
-            try:
-                with self._send_lock:
-                    self._send_msg(beat)
-            except (OSError, ValueError, TransportError):
-                return  # coordinator gone; the control loop will notice
+            with self._send_lock:
+                if self.job is None:
+                    continue
+                job_seq, comm = self.job
+                try:
+                    self._send_msg(("hb", self._rank, job_seq, comm.stage))
+                except (OSError, ValueError, TransportError):
+                    return  # coordinator gone; the control loop will notice
 
     def stop(self) -> None:
-        """Stop and join — no heartbeat may trail the final job report."""
         self._stop.set()
         self._thread.join(timeout=10.0)
 
@@ -644,7 +664,7 @@ class WorkerDrain:
 
     def __init__(self) -> None:
         self._event = threading.Event()
-        self._inbox: Optional["queue.Queue[Tuple]"] = None
+        self._inbox: Optional["queue.SimpleQueue[Tuple]"] = None
 
     @property
     def requested(self) -> bool:
@@ -686,14 +706,15 @@ def serve_pool_jobs(
     aliases; whether it re-forms the mesh first is its own choice (a
     Session does, the sort service never does).
 
-    While a job runs, a heartbeat thread reports the worker's current
-    stage every ``heartbeat_interval`` seconds (``None`` disables) — the
-    driver's liveness detector and the speculation policy both feed on
-    these.  A reader thread owns ``recv_msg`` for the whole loop, routing
-    mid-job ``("ctl", seq, payload)`` frames into the job comm's
-    :class:`JobControl`.  The heartbeater is stopped *and joined* before
-    the final ok/error report, so the report is always the channel's
-    last frame for the job.
+    While a job runs, the worker's one heartbeat thread reports its
+    current stage every ``heartbeat_interval`` seconds (``None``
+    disables) — the driver's liveness detector and the speculation
+    policy both feed on these.  A reader thread owns ``recv_msg`` for the
+    whole loop, routing mid-job ``("ctl", seq, payload)`` frames into the
+    job comm's :class:`JobControl`.  Both threads start once, with the
+    loop, never per job.  The final ok/error report clears the
+    heartbeater's job under the send lock, so the report is always the
+    channel's last frame for the job.
 
     Failures are reported typed: a :class:`CommError` (peer death, comm
     timeout — including the cascade EOFs every survivor sees when one
@@ -705,9 +726,11 @@ def serve_pool_jobs(
     message (``("stop",)``) also ends the loop, as does a
     :class:`WorkerDrain` trigger once the in-flight job (if any) has
     reported.  Shared by the forked AF_UNIX pool workers here
-    (transport: a duplex pipe) and the TCP worker agents in
+    (transport: a duplex pipe), the TCP worker agents in
     :mod:`repro.runtime.tcp` (transport: framed pickles on the
-    rendezvous connection).
+    rendezvous connection) and the worker threads of
+    :class:`~repro.runtime.inproc.InprocMesh` (transport: objects passed
+    by reference).
     """
     send_lock = threading.Lock()
 
@@ -722,75 +745,70 @@ def serve_pool_jobs(
     reader = _CtrlReader(recv_msg, on_roster=on_roster)
     if drain is not None:
         drain._inbox = reader.inbox
+    heartbeater = (
+        _Heartbeater(rank, send_msg, send_lock, heartbeat_interval)
+        if heartbeat_interval
+        else None
+    )
 
     def report(msg: Tuple) -> None:
         with send_lock:
+            if heartbeater is not None:
+                heartbeater.job = None
             send_msg(msg)
 
-    while True:
-        msg = reader.inbox.get()
-        if msg[0] != "job":
-            return  # "stop", drain sentinel, or coordinator EOF
-        _, job_seq, builder, payload, members, epoch = msg
-        traffic = TrafficLog()
-        heartbeater: Optional[_Heartbeater] = None
-        job_comm: Optional[SubsetComm] = None
-        try:
-            # A member that rejoined an instant ago may still be mid-
-            # integration on this endpoint: wait briefly for its link.
-            # A malformed subset raises CommError straight into the
-            # typed report below — reported, never fatal here.
-            comm.wait_for_peers(members)
-            job_comm = SubsetComm(comm, members, epoch=epoch)
-            job_comm.begin_job(job_seq, traffic)
-            job_comm.job_control = JobControl(job_seq)
-            reader.job_control = job_comm.job_control
-            if heartbeat_interval is not None and heartbeat_interval > 0:
-                heartbeater = _Heartbeater(
-                    rank, job_seq, job_comm, send_msg, send_lock,
-                    heartbeat_interval,
-                )
-            program = builder(job_comm, payload)
-            result = program.run()
-            report_msg = (
-                "ok",
-                rank,
-                job_seq,
-                result,
-                program.stopwatch.times(),
-                traffic.records,
-                list(program.STAGES),
-            )
-            if heartbeater is not None:
-                heartbeater.stop()
-                heartbeater = None
-            report(report_msg)
-        except BaseException as exc:  # noqa: BLE001 - reported to coordinator
-            if job_comm is not None:
-                job_comm.failed = True
-            if heartbeater is not None:
-                heartbeater.stop()
-                heartbeater = None
-            # A CommError is infrastructure — a peer died, an abort
-            # landed, a comm wait expired; anything else is a program bug.
-            kind = "comm_error" if isinstance(exc, CommError) else "error"
+    try:
+        while True:
+            msg = reader.inbox.get()
+            if msg[0] != "job":
+                return  # "stop", drain sentinel, or coordinator EOF
+            _, job_seq, builder, payload, members, epoch = msg
+            traffic = TrafficLog()
+            job_comm: Optional[SubsetComm] = None
             try:
-                report((kind, rank, job_seq, traceback.format_exc()))
-            except (OSError, ValueError, TransportError):
+                # A member that rejoined an instant ago may still be mid-
+                # integration on this endpoint: wait briefly for its link.
+                # A malformed subset raises CommError straight into the
+                # typed report below — reported, never fatal here.
+                comm.wait_for_peers(members)
+                job_comm = SubsetComm(comm, members, epoch=epoch)
+                job_comm.begin_job(job_seq, traffic)
+                job_comm.job_control = reader.job_control
+                if heartbeater is not None:
+                    heartbeater.job = (job_seq, job_comm)
+                program = builder(job_comm, payload)
+                result = program.run()
+                report((
+                    "ok",
+                    rank,
+                    job_seq,
+                    result,
+                    program.stopwatch.times(),
+                    traffic.records,
+                    list(program.STAGES),
+                ))
+            except BaseException as exc:  # noqa: BLE001 - reported to coordinator
+                if job_comm is not None:
+                    job_comm.failed = True
+                # A CommError is infrastructure — a peer died, an abort
+                # landed, a comm wait expired; anything else is a program
+                # bug.
+                kind = "comm_error" if isinstance(exc, CommError) else "error"
+                try:
+                    report((kind, rank, job_seq, traceback.format_exc()))
+                except (OSError, ValueError, TransportError):
+                    return
+                if isinstance(exc, SystemExit):
+                    # Drain escalation (second SIGTERM) or an explicit
+                    # in-program exit: the coordinator has its error
+                    # report; now really exit, with the honest nonzero
+                    # status.
+                    raise
+            if drain is not None and drain.requested:
                 return
-            if isinstance(exc, SystemExit):
-                # Drain escalation (second SIGTERM) or an explicit
-                # in-program exit: the coordinator has its error report;
-                # now really exit, with the honest nonzero status.
-                raise
-        finally:
-            reader.job_control = None
-            if job_comm is not None:
-                job_comm.job_control = None
-            if heartbeater is not None:
-                heartbeater.stop()
-        if drain is not None and drain.requested:
-            return
+    finally:
+        if heartbeater is not None:
+            heartbeater.stop()
 
 
 def _pool_worker_main(

@@ -169,9 +169,9 @@ ProgramFactory = Callable[[Comm], NodeProgram]
 class JobControl:
     """Worker-side mailbox for mid-job driver control messages.
 
-    The pool control loop installs one per job as ``comm.job_control``;
-    the worker's control-channel reader thread delivers driver payloads
-    into it while the program runs.  Two messages exist today: the
+    The worker's control-channel reader thread makes one per job frame
+    and delivers driver payloads into it; the pool control loop installs
+    it as the job's ``comm.job_control``.  Two messages exist today: the
     speculation directive ``("speculate", straggler, backup)`` (run a
     backup copy of ``straggler``'s map shard on rank ``backup``) and the
     abort directive ``("abort", reason)`` — the service coordinator's
@@ -180,9 +180,9 @@ class JobControl:
     out instead of waiting the full receive timeout).
 
     Programs poll the accessors between work windows — all methods are
-    lock-protected and non-blocking.  One-shot runs and the thread
-    backend have no control channel (``comm.job_control is None``) and
-    programs must degrade to plain execution.
+    lock-protected and non-blocking.  Every pool job has one, on every
+    backend; a comm used outside a pool job has none
+    (``comm.job_control is None``) and programs then run plain.
     """
 
     def __init__(self, job_seq: int) -> None:

@@ -37,8 +37,7 @@ Each job gets its own :class:`~repro.runtime.program.ClusterResult` —
 stage times and traffic are isolated per job id, never merged across
 jobs.  A failing job reports its error on *its* handle and the session
 survives: subsequent jobs run normally (the worker pool re-forms its
-mesh through its transport — re-fork, or TCP re-join; the thread pool
-rebuilds its per-job mailboxes).
+mesh through its transport — new threads, re-fork, or TCP re-join).
 
 For a single job, :func:`run` opens a one-job session, submits, waits
 and closes::
@@ -221,8 +220,8 @@ class Session:
             (a typed :class:`~repro.runtime.errors.WorkerFailure`: worker
             crash, silent worker past the failure timeout, comm cascade)
             is automatically re-submitted.  The pool re-forms between
-            attempts (re-fork on the process backend, worker re-join on
-            TCP) and re-runs produce byte-identical output because job
+            attempts (new threads, re-fork, or worker re-join on TCP)
+            and re-runs produce byte-identical output because job
             specs are deterministic descriptors.  Program errors — the
             job's own code raising — are never retried.  Default 0: a
             failure fails the handle, matching the pre-retry behaviour.

@@ -22,21 +22,29 @@ handlers so spill dirs leak like a real kill), ``delay`` (sleep ``secs``),
 ``slow`` (stage point only: a :class:`Pacer` that stretches the stage's
 measured work by ``factor``, applied at the program's fault checkpoints).
 
+On a worker thread (``inproc://``) a ``crash`` is that worker's death,
+``this_thread.die``, and does what a killed process does: no report (the
+pool sees the control channel close: ``WorkerFailure(rank, stage)``),
+its rank's source closed in every peer's mailbox ("peer connection
+lost"), and only that thread unwinds.
+
 Match keys: ``rank`` (worker rank), ``stage`` (stage name), ``peer``
 (send/recv only), ``job`` (exact job sequence number), ``job_lt`` (fires
 only while the job sequence is below N — lets a plan crash attempts
 0..N-1 and then let the retry succeed without editing the environment),
-``times`` (max firings per process; default 1 for ``crash``, unlimited
-otherwise).
+``times`` (max firings per worker — per process, or per worker thread;
+default 1 for ``crash``, unlimited otherwise).
 
 The plan is read from the environment on every lookup (cached on the
-string value), so forked pool workers and ``repro worker`` subprocesses
-pick it up from their inherited environment with no plumbing.
+string value, per thread), so forked pool workers and ``repro worker``
+subprocesses pick it up from their inherited environment with no
+plumbing.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
@@ -48,6 +56,23 @@ _ACTIONS = ("crash", "delay", "slow")
 
 #: Exit code used by injected crashes; chosen to look like SIGKILL (137).
 CRASH_EXIT_CODE = 137
+
+
+class _ThreadState(threading.local):
+    #: The parsed plan, keyed on its raw env string: a worker thread's
+    #: firing counts are its own, as a worker process's are.
+    cache: Tuple[Optional[str], Optional["FaultPlan"]] = (None, None)
+    #: A worker thread's death (it must raise); ``None``: exit the process.
+    die: Optional[Callable[[], None]] = None
+
+
+this_thread = _ThreadState()
+
+
+def _crash() -> None:
+    if this_thread.die is not None:
+        this_thread.die()
+    os._exit(CRASH_EXIT_CODE)
 
 
 class Pacer:
@@ -135,7 +160,7 @@ class FaultSpec:
 
 
 class FaultPlan:
-    """A parsed ``$REPRO_FAULT_PLAN``; firing state is per-process."""
+    """A parsed ``$REPRO_FAULT_PLAN``; firing state is per worker."""
 
     def __init__(self, specs: List[FaultSpec]) -> None:
         self.specs = specs
@@ -198,7 +223,7 @@ class FaultPlan:
                 continue
             spec.fired += 1
             if spec.action == "crash":
-                os._exit(CRASH_EXIT_CODE)
+                _crash()
             elif spec.action == "delay":
                 time.sleep(spec.secs)
             elif spec.action == "slow" and pacer is None:
@@ -219,25 +244,23 @@ class FaultPlan:
                 continue
             spec.fired += 1
             if spec.action == "crash":
-                os._exit(CRASH_EXIT_CODE)
+                _crash()
             elif spec.action == "delay":
                 time.sleep(spec.secs)
 
 
-# Cache keyed on the raw env string: re-parsing on change keeps the hooks
-# cheap while letting tests monkeypatch the variable between jobs.
-_cache: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
-
-
 def active_plan() -> Optional[FaultPlan]:
-    """The plan from ``$REPRO_FAULT_PLAN``, or None when unset/empty."""
-    global _cache
+    """The plan from ``$REPRO_FAULT_PLAN``, or None when unset/empty.
+
+    Cached on the raw env string: re-parsing on change keeps the hooks
+    cheap while letting tests monkeypatch the variable between jobs.
+    """
     text = os.environ.get(ENV_VAR) or None
-    cached_text, cached_plan = _cache
+    cached_text, cached_plan = this_thread.cache
     if text == cached_text:
         return cached_plan
     plan = FaultPlan.parse(text) if text else None
-    _cache = (text, plan)
+    this_thread.cache = (text, plan)
     return plan
 
 

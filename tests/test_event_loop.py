@@ -277,18 +277,13 @@ class _BarriersAndRoundTrips(NodeProgram):
             comm.send((self.rank + 1) % k, 1000 + i, b"ping-%d" % i)
             assert comm.recv((self.rank - 1) % k, 1000 + i) == b"ping-%d" % i
         comm.barrier()
-        mailbox = (
-            comm._mailboxes[self.rank]
-            if hasattr(comm, "_mailboxes")
-            else comm._mailbox
-        )
-        return len(mailbox._queues)
+        return len(comm._mailbox._queues)
 
 
 @pytest.mark.parametrize("cluster", [ThreadCluster, ProcessCluster])
 def test_mailbox_keys_leave_with_their_last_frame(cluster):
     result = cluster(4).run(_BarriersAndRoundTrips)
-    # ROUNDS tags and (on sockets) 2 * (ROUNDS + 1) barrier-round tags
-    # went through every mailbox; a faster neighbour's next frame is the
-    # most that may still be buffered.
+    # ROUNDS tags and 2 * (ROUNDS + 1) barrier-round tags went through
+    # every mailbox; a faster neighbour's next frame is the most that may
+    # still be buffered.
     assert max(result.results) <= 4

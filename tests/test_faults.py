@@ -8,12 +8,13 @@ env-string cache, and the :class:`Pacer` contract — total injected delay
 is ``(factor - 1) x work`` regardless of checkpoint granularity, and a
 ``poll`` callback preempts the remaining sleep the moment it fires.
 
-Crash actions call ``os._exit`` and are exercised end to end by the
-process/TCP integration tests in ``test_fault_tolerance*.py``.
+Crash actions are exercised end to end by ``test_pool_contract.py`` on
+every backend: a worker process exits, a worker thread dies on its own.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -118,6 +119,34 @@ class TestHooks:
         assert faults.active_plan() is plan  # cached on the string value
         monkeypatch.setenv(ENV_VAR, "")
         assert faults.active_plan() is None
+
+    def test_crash_on_a_worker_thread_is_that_threads_death(
+        self, monkeypatch
+    ):
+        # os._exit here would end the test run.  Each thread is a fresh
+        # worker: its firing counts are its own, like a process's.
+        monkeypatch.setenv(ENV_VAR, "stage.crash,rank=0")
+        outcomes = []
+
+        class Died(BaseException):
+            pass
+
+        def worker():
+            def die():
+                raise Died
+
+            faults.this_thread.die = die
+            try:
+                faults.stage_enter(0, "map", 0)
+            except Died:
+                outcomes.append("died")
+            outcomes.append(faults.stage_enter(0, "map", 1))  # times=1
+
+        for _ in range(2):
+            thread = threading.Thread(target=worker)
+            thread.start()
+            thread.join()
+        assert outcomes == ["died", None, "died", None]
 
     def test_module_hooks_are_noops_without_plan(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)

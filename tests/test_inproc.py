@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
+from repro.kvpairs.teragen import teragen
+from repro.runtime.errors import WorkerFailure
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.mailbox import Mailbox, MailboxClosed
+from repro.runtime.pool import WorkerPool
 from repro.runtime.program import NodeProgram
+from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
+from repro.testing.faults import ENV_VAR
 
 
 def _get(mb, src, tag, timeout=1):
@@ -36,14 +44,6 @@ class TestMailbox:
         assert mb.wait_any(((0, 1),), timeout=0.05) == []
         with pytest.raises(TimeoutError, match="timeout"):
             _get(mb, 0, 1, timeout=0.05)
-
-    def test_closed_raises(self):
-        mb = Mailbox()
-        mb.close()
-        with pytest.raises(MailboxClosed, match="closed"):
-            _get(mb, 0, 1)
-        with pytest.raises(MailboxClosed, match="closed"):
-            mb.put(0, 1, b"x")
 
     def test_poll_is_nonblocking(self):
         mb = Mailbox()
@@ -132,7 +132,7 @@ class TestThreadCluster:
         assert res.traffic.load_bytes() == len(b"ping") + len(b"pong-ping")
 
     def test_node_failure_propagates_with_rank(self):
-        with pytest.raises(RuntimeError, match="node 1 failed"):
+        with pytest.raises(RuntimeError, match="worker 1"):
             ThreadCluster(3, recv_timeout=10).run(_Failing)
 
     def test_failure_unblocks_peers_quickly(self):
@@ -163,3 +163,93 @@ class TestThreadCluster:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             ThreadCluster(0)
+
+
+class TestThreadPool:
+    """The thread backend is a ``WorkerPool`` transport like the others."""
+
+    def test_create_pool_is_the_worker_pool(self):
+        with ThreadCluster(4).create_pool() as pool:
+            assert isinstance(pool, WorkerPool)
+
+    def test_crash_kills_one_thread_and_the_retry_is_byte_identical(
+        self, monkeypatch
+    ):
+        # os._exit here would end the test process: on a worker thread a
+        # crash is that worker's death, seen by the pool as a closed
+        # control channel and retried like a killed process.
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        data = teragen(1500, seed=71)
+        with Session(ThreadCluster(3, recv_timeout=60)) as session:
+            reference = session.run(TeraSortSpec(data=data)).partitions
+        monkeypatch.setenv(
+            ENV_VAR, "stage.crash,rank=1,stage=shuffle,job_lt=1"
+        )
+        with Session(
+            ThreadCluster(3, recv_timeout=60), max_retries=1,
+            retry_backoff=0.05,
+        ) as session:
+            handle = session.submit(TeraSortSpec(data=data))
+            run = handle.result(timeout=60)
+        assert [p.to_bytes() for p in run.partitions] == [
+            p.to_bytes() for p in reference
+        ]
+        first, second = handle.attempts
+        assert isinstance(first.error, WorkerFailure)
+        assert first.error.rank == 1
+        assert second.error is None
+
+    def test_no_thread_starts_per_job(self, monkeypatch):
+        # The mesh, each worker's control reader and its heartbeater start
+        # once, with the pool; sends over mailbox links need no sender.
+        data = teragen(2000, seed=72)
+        specs = [TeraSortSpec(data=data), CodedTeraSortSpec(data, 2)]
+        started = []
+        start = threading.Thread.start
+
+        def recording_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        with Session(ThreadCluster(4, recv_timeout=60)) as session:
+            session.run(specs[1])  # warm-up: brings the pool up
+            monkeypatch.setattr(threading.Thread, "start", recording_start)
+            for i in range(50):
+                session.run(specs[i % 2])
+        assert started == []
+
+    def test_no_beat_trails_its_jobs_report_under_stress(self, monkeypatch):
+        # More worker threads than cores, a 1 ms beat, and a switch
+        # interval short enough to preempt between any two bytecodes:
+        # beats and reports share each channel, and a beat of a job must
+        # never reach the pool after that job's report.
+        data = teragen(2000, seed=73)
+        seen = []
+        handle = WorkerPool._handle
+
+        def recording(pool, g, msg):
+            seen.append((g, msg[0], msg[2]))
+            handle(pool, g, msg)
+
+        monkeypatch.setattr(WorkerPool, "_handle", recording)
+        cluster = ThreadCluster(4, recv_timeout=30)
+        cluster.heartbeat_interval = 0.001
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Session(cluster) as session:
+                runs = [
+                    session.run(CodedTeraSortSpec(data, 2)) for _ in range(20)
+                ]
+        finally:
+            sys.setswitchinterval(interval)
+        first = [p.to_bytes() for p in runs[0].partitions]
+        assert all([p.to_bytes() for p in r.partitions] == first for r in runs)
+        reported = set()
+        for g, kind, seq in seen:
+            if kind == "hb":
+                assert (g, seq) not in reported, (g, seq)
+            else:
+                reported.add((g, seq))
+        assert len(reported) == 4 * 20
+        assert any(kind == "hb" for _, kind, _ in seen)

@@ -42,6 +42,11 @@ class FakeChannel:
         self._inbox.append(msg)
         os.write(self._w, b"x")
 
+    def die(self):
+        """The worker is gone: EOF once the frames it sent are read."""
+        os.close(self._w)
+        self._w = None
+
     def ctl(self, kind):
         """Payloads of the ``("ctl", seq, (kind, ...))`` frames received."""
         return [m[2] for m in self.sent if m[0] == "ctl" and m[2][0] == kind]
@@ -67,7 +72,8 @@ class FakeChannel:
         if not self.closed:
             self.closed = True
             os.close(self._r)
-            os.close(self._w)
+            if self._w is not None:
+                os.close(self._w)
 
 
 class FakeTransport:
@@ -140,6 +146,27 @@ def test_program_error_in_grace_window_dominates_an_earlier_infra_failure():
         assert "boom in map" in str(job.error)
         assert "peer connection lost" in str(job.error)  # nothing dropped
         assert pool.idle_workers() == [0, 1, 2]
+
+
+def test_a_dead_member_takes_the_blame_from_its_survivors_echo():
+    # A survivor's "peer connection lost" report can reach the reactor
+    # before the dead worker's EOF does; the death is still the
+    # WorkerFailure's rank, and a second death ranks after the first.
+    pool, chans = make_pool(4)
+    with pool:
+        job = pool.submit([0, 1, 2, 3], prepared(4))
+        chans[0].feed(("comm_error", 0, job.seq, "peer connection lost"))
+        pool._step(0.0)
+        chans[1].die()
+        chans[2].die()
+        pool._step(0.0)
+        pool._step(0.0)
+        chans[3].feed(("comm_error", 3, job.seq, "peer connection lost"))
+        pool._step(0.0)
+        assert job.done.is_set()
+        assert isinstance(job.error, WorkerFailure)
+        assert [f[0] for f in job.infra_failures] == [1, 2, 0, 3]
+        assert job.error.rank == 1
 
 
 def test_a_failed_run_job_re_forms_the_mesh_for_the_next():
