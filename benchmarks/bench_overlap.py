@@ -23,12 +23,12 @@ model's error is a row to read, and a host-dependent one (0.53-0.55x on
 the CI-class VM), so gating on it hid real regressions behind a
 standing failure.
 
-Results land in a JSON gated by ``check_regression.py --kind overlap``.
+The exit code gates the 1.3x uncoded bar; ``--out`` writes the JSON.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_overlap.py --quick \
-        [--out results/overlap.json]
+        [--out overlap.json]
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ real ``repro worker`` subprocesses kept under a supervisor restart loop
 * the job **completes with byte-identical output** to a fault-free
   reference run — via the session's automatic retry for the crash lanes
   (>= 2 recorded attempts, typed :class:`WorkerFailure` cause) and via
-  speculative map re-execution for the straggler lane;
+  speculative map re-execution for the straggler lane (at least one
+  backup ran, none on the slowed rank);
 * wall time stays **bounded** (``--lane-timeout``, default 120 s — far
   below the failure-free x5-straggler time at CI scale, so a hang or a
   missed retry fails loudly).
@@ -154,6 +155,7 @@ def run_lane(name, plan, needs_retry, schedule, source, reference, args):
         raise SystemExit(f"[chaos/{name}] FAIL: took {wall:.1f}s "
                          f"(bound {args.lane_timeout}s)")
     attempts = len(handle.attempts)
+    spec_meta = run.meta.get("speculation")
     if needs_retry:
         if attempts < 2:
             raise SystemExit(f"[chaos/{name}] FAIL: expected >= 2 attempts, "
@@ -162,7 +164,13 @@ def run_lane(name, plan, needs_retry, schedule, source, reference, args):
         if not isinstance(first, WorkerFailure):
             raise SystemExit(f"[chaos/{name}] FAIL: first attempt error is "
                              f"{type(first).__name__}, not WorkerFailure")
-    spec_meta = run.meta.get("speculation")
+    else:
+        # The straggler lane: speculation must have backed up the map,
+        # and never onto rank 1, the rank the plan slows.
+        backups = (spec_meta or {}).get("backups", [])
+        if not backups or 1 in backups:
+            raise SystemExit(f"[chaos/{name}] FAIL: expected backups off "
+                             f"the slowed rank 1, speculation {spec_meta}")
     print(f"[chaos/{name}] ok: byte-identical in {wall:.1f}s, "
           f"{attempts} attempt(s)"
           + (f", speculation {spec_meta}" if spec_meta else ""), flush=True)

@@ -10,6 +10,13 @@ asserts the outputs are byte-identical with the in-process thread
 backend.  Workers must then exit 0 on session close — a worker that
 lingers or dies mid-run fails the smoke.
 
+One more coded job runs out of core: its input is the on-disk
+``FileSource`` every job sorts, its ``memory_budget`` an eighth of that
+input, and its partitions stream to part files under ``output_dir``.
+The smoke asserts each worker's peak record residency stayed within the
+budget, that the job spilled, and that the part files hold the
+in-process reference's bytes.
+
 Usage::
 
     PYTHONPATH=src python scripts/tcp_smoke.py [--nodes 6] [--records 20000]
@@ -22,11 +29,14 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.kvpairs.teragen import teragen  # noqa: E402
+from repro.core.outofcore import MIN_MEMORY_BUDGET  # noqa: E402
+from repro.kvpairs.datasource import FileSource  # noqa: E402
+from repro.kvpairs.teragen import teragen_to_file  # noqa: E402
 from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
 from repro.runtime.inproc import ThreadCluster  # noqa: E402
 from repro.runtime.tcp import TcpCluster  # noqa: E402
@@ -37,8 +47,15 @@ from repro.session import (  # noqa: E402
 )
 
 
-def _partitions_bytes(run):
-    return [p.to_bytes() for p in run.partitions]
+def _partitions(run):
+    """A run's partitions as record batches (part files read back)."""
+    return [
+        p.load() if isinstance(p, FileSource) else p for p in run.partitions
+    ]
+
+
+def _bytes(parts):
+    return [p.to_bytes() for p in parts]
 
 
 def main(argv=None) -> int:
@@ -47,13 +64,23 @@ def main(argv=None) -> int:
     parser.add_argument("--redundancy", "-r", type=int, default=2)
     parser.add_argument("--records", "-n", type=int, default=20_000)
     args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="tcp-smoke-") as workdir:
+        return _smoke(args, workdir)
+
+
+def _smoke(args, workdir: str) -> int:
     k, r = args.nodes, args.redundancy
 
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     )
-    data = teragen(args.records, seed=31)
+    path = os.path.join(workdir, "input.bin")
+    budget = max(
+        MIN_MEMORY_BUDGET, teragen_to_file(path, args.records, seed=31) // 8
+    )
+    source = FileSource(path)
+    data = source.load()
 
     with TcpCluster(
         k, "tcp://127.0.0.1:0", timeout=180, connect_timeout=120
@@ -87,8 +114,17 @@ def main(argv=None) -> int:
                 grouped = session.submit(
                     CodedTeraSortSpec(data=data, redundancy=2, group_size=3)
                 )
+                out_of_core = session.submit(
+                    CodedTeraSortSpec(
+                        input=source,
+                        redundancy=r,
+                        memory_budget=budget,
+                        output_dir=os.path.join(workdir, "out"),
+                    )
+                )
                 tcp_uncoded, tcp_coded = uncoded.result(), coded.result()
                 tcp_serial, tcp_grouped = serial.result(), grouped.result()
+                tcp_ooc = out_of_core.result()
         finally:
             rcs = []
             for proc in workers:
@@ -116,15 +152,26 @@ def main(argv=None) -> int:
         # Every sort of one input is the same bytes: the grouped job is
         # held against the uncoded reference.
         ("CodedTeraSort g=3", tcp_grouped, ref_uncoded),
+        ("CodedTeraSort out-of-core", tcp_ooc, ref_coded),
     ):
-        validate_sorted_permutation(data, run.partitions)
-        if _partitions_bytes(run) != _partitions_bytes(ref):
+        parts = _partitions(run)
+        validate_sorted_permutation(data, parts)
+        if _bytes(parts) != _bytes(ref.partitions):
             print(f"[smoke] FAIL: {label} over TCP diverged from inproc")
             return 1
         shuffle = run.traffic.load_bytes("shuffle")
         print(f"[smoke] {label}: byte-identical with inproc "
               f"({run.total_records} records, shuffle {shuffle} B)",
               flush=True)
+
+    peak = tcp_ooc.meta["oc_peak_resident_bytes"]
+    spilled = tcp_ooc.meta["oc_spilled_bytes"]
+    if not 0 < peak <= budget or spilled <= 0:
+        print(f"[smoke] FAIL: out-of-core peak {peak} B outside "
+              f"(0, budget {budget} B] or nothing spilled ({spilled} B)")
+        return 1
+    print(f"[smoke] out-of-core: peak {peak} B <= budget {budget} B, "
+          f"spilled {spilled} B", flush=True)
 
     gain = (
         ref_uncoded.traffic.load_bytes("shuffle")

@@ -27,7 +27,7 @@ descriptor stays as small as the boundary list itself.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -154,6 +154,3 @@ class RangePartitioner:
             f"RangePartitioner(K={self.num_partitions}, "
             f"boundaries={self.boundaries[:3]}...)"
         )
-
-    def to_list(self) -> List[int]:
-        return [int(b) for b in self.boundaries]

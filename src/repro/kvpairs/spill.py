@@ -517,10 +517,6 @@ class ExternalSorter:
         self._pending_bytes = 0
         self._runs: List[Run] = []
 
-    @property
-    def runs_so_far(self) -> int:
-        return len(self._runs)
-
     def add(self, batch: RecordBatch) -> None:
         if len(batch) == 0:
             return

@@ -165,10 +165,6 @@ class Resource:
         self._in_use = 0
         self._waiters: List[Event] = []
 
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
     def request(self) -> Event:
         """Returns an event that fires when the resource is granted."""
         evt = Event(self.env)

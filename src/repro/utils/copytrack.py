@@ -4,9 +4,10 @@ The data plane's performance contract is *counted in copies*: a record
 batch should be materialized once at the producer and land once in the
 receiver's arena, with every intermediate hop operating on buffer views.
 This module gives that contract a measurable witness: every library site
-that still copies payload bytes calls :func:`count_copy`, and
-``benchmarks/bench_datapath.py`` wraps its timed loops in :func:`track`
-to report copied-bytes per payload-byte for each lane.
+that still copies payload bytes calls :func:`count_copy`, and the perf
+ledger's ``runtime.transport.copies_per_byte`` row
+(``benchmarks/ledger/layers.py``) wraps its transport loop in
+:func:`track` to report copied bytes per payload byte.
 
 Accounting convention: the receive-side arena fill (``recv_into`` moving
 bytes out of the kernel) is the transfer itself and is *not* counted; any
@@ -25,11 +26,6 @@ from typing import Dict, Iterator
 _lock = threading.Lock()
 _enabled = False
 _sites: Dict[str, int] = {}
-
-
-def enabled() -> bool:
-    """True while a :func:`track` scope is active."""
-    return _enabled
 
 
 def count_copy(nbytes: int, site: str) -> None:
@@ -58,15 +54,3 @@ def track() -> Iterator[Dict[str, int]]:
         _enabled = False
         with _lock:
             counts.update(_sites)
-
-
-def snapshot() -> Dict[str, int]:
-    """Current ``site -> bytes copied`` totals."""
-    with _lock:
-        return dict(_sites)
-
-
-def total_copied() -> int:
-    """Total payload bytes copied since the current scope began."""
-    with _lock:
-        return sum(_sites.values())

@@ -19,8 +19,9 @@ wireless distributed computing [24] and its edge-facilitated variant
   the scalability headline of [24].
 
 The wireless medium serializes all traffic by nature, which is exactly
-the regime where coded shuffling shines (cf. the scheduling ablation in
-``benchmarks/bench_ablation_schedules.py``).
+the regime where coded shuffling shines (cf. the paper's serial
+Fig. 9(b) schedule, which gives the wired shuffle the same
+one-sender-at-a-time shape).
 """
 
 from repro.wireless.channel import AirtimeLog, WirelessChannel
