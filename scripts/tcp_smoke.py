@@ -15,7 +15,9 @@ One more coded job runs out of core: its input is the on-disk
 input, and its partitions stream to part files under ``output_dir``.
 The smoke asserts each worker's peak record residency stayed within the
 budget, that the job spilled, and that the part files hold the
-in-process reference's bytes.
+in-process reference's bytes.  And one Coded MapReduce job runs on the
+same agents: a coded WordCount under ``MIN_MEMORY_BUDGET``, whose outputs
+must equal the in-process run's and whose sealed values must spill.
 
 Usage::
 
@@ -34,6 +36,7 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.core.jobs import WordCountJob  # noqa: E402
 from repro.core.outofcore import MIN_MEMORY_BUDGET  # noqa: E402
 from repro.kvpairs.datasource import FileSource  # noqa: E402
 from repro.kvpairs.teragen import teragen_to_file  # noqa: E402
@@ -42,9 +45,11 @@ from repro.runtime.inproc import ThreadCluster  # noqa: E402
 from repro.runtime.tcp import TcpCluster  # noqa: E402
 from repro.session import (  # noqa: E402
     CodedTeraSortSpec,
+    MapReduceSpec,
     Session,
     TeraSortSpec,
 )
+from repro.utils.subsets import binomial  # noqa: E402
 
 
 def _partitions(run):
@@ -81,6 +86,18 @@ def _smoke(args, workdir: str) -> int:
     )
     source = FileSource(path)
     data = source.load()
+    # Distinct words: each file's value for one reducer is a few KB, so
+    # the budgeted WordCount's sealed values cannot all stay resident.
+    wordcount = MapReduceSpec(
+        job=WordCountJob(),
+        files=[
+            " ".join(f"f{i}w{j}" for j in range(2000))
+            for i in range(binomial(k, r))
+        ],
+        redundancy=r,
+        scheme="coded",
+        memory_budget=MIN_MEMORY_BUDGET,
+    )
 
     with TcpCluster(
         k, "tcp://127.0.0.1:0", timeout=180, connect_timeout=120
@@ -122,9 +139,10 @@ def _smoke(args, workdir: str) -> int:
                         output_dir=os.path.join(workdir, "out"),
                     )
                 )
+                wc = session.submit(wordcount)
                 tcp_uncoded, tcp_coded = uncoded.result(), coded.result()
                 tcp_serial, tcp_grouped = serial.result(), grouped.result()
-                tcp_ooc = out_of_core.result()
+                tcp_ooc, tcp_wc = out_of_core.result(), wc.result()
         finally:
             rcs = []
             for proc in workers:
@@ -144,6 +162,7 @@ def _smoke(args, workdir: str) -> int:
         ref_coded = session.submit(
             CodedTeraSortSpec(data=data, redundancy=r)
         ).result()
+        ref_wc = session.submit(wordcount).result()
 
     for label, run, ref in (
         ("TeraSort", tcp_uncoded, ref_uncoded),
@@ -172,6 +191,14 @@ def _smoke(args, workdir: str) -> int:
         return 1
     print(f"[smoke] out-of-core: peak {peak} B <= budget {budget} B, "
           f"spilled {spilled} B", flush=True)
+
+    wc_spilled = tcp_wc.meta["oc_spilled_bytes"]
+    if tcp_wc.outputs != ref_wc.outputs or wc_spilled <= 0:
+        print(f"[smoke] FAIL: budgeted coded WordCount diverged from inproc "
+              f"or spilled nothing ({wc_spilled} B)")
+        return 1
+    print(f"[smoke] WordCount (coded, budget {MIN_MEMORY_BUDGET} B): outputs "
+          f"identical with inproc, spilled {wc_spilled} B", flush=True)
 
     gain = (
         ref_uncoded.traffic.load_bytes("shuffle")

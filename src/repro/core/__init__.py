@@ -13,10 +13,11 @@ Layering (bottom-up):
 * :mod:`repro.core.terasort` / :mod:`repro.core.coded_terasort` — the two
   distributed sort node programs (§III, §IV), each with its job spec
   (the one declaration of every option, and the coordinator-side
-  compile);
-* :mod:`repro.core.cmr` — the general Coded MapReduce engine of §II, with
-  ready-made jobs (WordCount, Grep, SelfJoin, InvertedIndex) in
-  :mod:`repro.core.jobs`;
+  compile); the coded one is the one coded pipeline, run under a law —
+  the sort's, or a general job's;
+* :mod:`repro.core.cmr` — general Coded MapReduce (§II): the job API,
+  its law for the coded pipeline and its spec, with ready-made jobs
+  (WordCount, Grep, SelfJoin, InvertedIndex) in :mod:`repro.core.jobs`;
 * :mod:`repro.core.theory` — closed-form loads and run-time model
   (Eqs. (2)-(5), Fig. 2).
 """

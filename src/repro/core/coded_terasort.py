@@ -15,8 +15,11 @@ Six stages per node (§V-A):
 6. **Reduce** — locally sort partition ``P_rank``.
 
 :class:`CodedTeraSortProgram` walks them in **one pipeline** — sources →
-windowed map → keyed store → shuffle engine → merge frontier → sink —
-and the spec fields pick three policies rather than a different program:
+windowed map → keyed store → shuffle engine → frontier → sink — under a
+*law* that supplies its three record-specific parts: the map step, the
+keyed store and the frontier.  :class:`SortLaw` is the sort's;
+:class:`~repro.core.cmr.MapReduceLaw` runs any Coded MapReduce job on the
+same body.  For the sort, the spec fields pick three policies:
 
 * **map window** — each file whole (one ``hash_file`` call, and one map
   step of the overlapped loop), or ``OutOfCorePlan.input_window_records``
@@ -66,8 +69,20 @@ over spilled run files.
 
 from __future__ import annotations
 
+import functools
+from contextlib import nullcontext
 from dataclasses import KW_ONLY, dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from itertools import combinations
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.decoding import recover_intermediate
 from repro.core.encoding import CodedPacket, encode_packet
@@ -77,12 +92,12 @@ from repro.core.groups import (
     check_coded_params,
     parallel_schedule_meta,
 )
-from repro.core.mapper import hash_file
+from repro.core.mapper import hash_file, map_windows, record_windows
 from repro.core.outofcore import MergeFrontier, OutOfCore, out_of_core
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
 from repro.core.terasort import SortRun, SortSpec
-from repro.kvpairs.datasource import DataSource, FileSource, as_source
+from repro.kvpairs.datasource import DataSource
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import StreamStore
 from repro.runtime.api import Comm
@@ -100,20 +115,53 @@ MULTICAST_TAG_BASE = 10_000
 STAGES_CODED = ["codegen", "map", "encode", "shuffle", "decode", "reduce"]
 
 
+class SortLaw:
+    """The sort's law for the coded pipeline.
+
+    Map step: ``hash_file`` per record window.  Keyed store: a
+    :class:`~repro.kvpairs.spill.StreamStore` of raw record streams
+    (spilling under a budget).  Frontier: a
+    :class:`~repro.core.outofcore.MergeFrontier`, whose one stable sort
+    (or external merge) is the Reduce.
+    """
+
+    windows = staticmethod(record_windows)
+
+    def __init__(self, partitioner: RangePartitioner) -> None:
+        self.partitioner = partitioner
+
+    def map(self, file_id: int, window: RecordBatch) -> List[RecordBatch]:
+        return hash_file(window, self.partitioner)
+
+    def store(self, oc: Optional[OutOfCore]) -> StreamStore:
+        if oc is None:
+            return StreamStore(None, 0)
+        return StreamStore(oc.spill, oc.plan.flush_bytes, oc.meter)
+
+    def frontier(
+        self, num_slots: int, eager: bool, oc: Optional[OutOfCore]
+    ) -> MergeFrontier:
+        return MergeFrontier(num_slots, eager=eager, oc=oc)
+
+
 class CodedTeraSortProgram(NodeProgram):
-    """Per-node CodedTeraSort execution.
+    """Per-node coded pipeline: CodedTeraSort, and Coded MapReduce.
+
+    The body knows files, subsets, retention and the coding plan; the
+    ``law`` knows the records: ``windows(payload, window_records)`` and
+    ``map(file_id, window)`` (pieces by target rank), ``store(oc)``
+    (``append`` / ``seal`` / ``take`` / ``get_bytes`` per ``(S, t)``) and
+    ``frontier(num_slots, eager, oc)`` (``feed_stream`` / ``feed_decoded``
+    / ``finish``).
 
     Args:
         comm: communication endpoint.
-        spec: the job's :class:`CodedTeraSortSpec`, input stripped — the
-            program reads ``redundancy``, ``schedule``, ``overlap``,
-            ``group_size``, ``memory_budget`` and ``output_dir`` from it
-            (their meaning is documented there).
-        files: file id -> data for every file placed on this node
-            (resident batches or :class:`DataSource` descriptors the node
-            reads locally).
+        spec: the job's spec, input stripped — read for ``redundancy``,
+            ``schedule``, ``overlap``, ``group_size``, ``memory_budget``
+            and ``output_dir`` (see :class:`CodedTeraSortSpec`).
+        files: file id -> payload for every file placed on this node.
         subsets: file id -> node subset ``S`` (``rank ∈ S``).
-        partitioner: shared ``K``-way range partitioner.
+        law: the job's map step, keyed store and frontier.
     """
 
     STAGES = STAGES_CODED
@@ -121,16 +169,16 @@ class CodedTeraSortProgram(NodeProgram):
     def __init__(
         self,
         comm: Comm,
-        spec: "CodedTeraSortSpec",
-        files: Dict[int, Union[RecordBatch, DataSource]],
+        spec: Any,
+        files: Dict[int, Any],
         subsets: Dict[int, Subset],
-        partitioner: RangePartitioner,
+        law: Any,
     ) -> None:
         super().__init__(comm)
         self.spec = spec
         self.files = files
         self.subsets = subsets
-        self.partitioner = partitioner
+        self.law = law
         g = spec.group_size or self.size
         first = self.rank - self.rank % g
         #: The ``g`` ranks of this rank's coding group (all ``K`` ungrouped).
@@ -138,7 +186,7 @@ class CodedTeraSortProgram(NodeProgram):
         #: Telemetry from the event-loop engine (empty for the serial walk).
         self.shuffle_telemetry: Dict[str, float] = {}
 
-    def run(self) -> Union[RecordBatch, FileSource]:
+    def run(self) -> Any:
         with out_of_core(self, self.spec.memory_budget, "cts") as oc:
             return self._run_pipeline(oc)
 
@@ -174,9 +222,7 @@ class CodedTeraSortProgram(NodeProgram):
             remaining[subset] += 1
         return fids, subset_order, remaining, targets
 
-    def _run_pipeline(
-        self, oc: Optional[OutOfCore]
-    ) -> Union[RecordBatch, FileSource]:
+    def _run_pipeline(self, oc: Optional[OutOfCore]) -> Any:
         """Sources → windowed map → store → shuffle engine → frontier → sink.
 
         Determinism note: the store's append order is (file id ascending,
@@ -185,51 +231,23 @@ class CodedTeraSortProgram(NodeProgram):
         streams — XOR encode/decode work on mmap views of spilled
         streams exactly as on resident buffers.  Byte-identity of the
         final output follows from the frontier's slot order: own store
-        entries in store order, then decoded groups in ``my_groups``
-        order — the concatenation the plain staged run stably sorts.
+        entries in store order, then the inbound ``I^rank_S`` in lex
+        order of ``S`` (= the order of the groups ``M = S ∪ {rank}``
+        that decode them) — the concatenation the plain staged run
+        stably sorts.
         """
-        rank = self.rank
-        overlap, schedule = self.spec.overlap, self.spec.schedule
-        with self.stage("codegen"):
-            plan: CodingPlan = build_coding_plan(
-                len(self.peers), self.spec.redundancy
-            ).on(self.peers)
-            my_groups = plan.groups_of_node[rank]
-            rounds = (
-                plan.rounds_for(schedule)
-                if overlap or schedule == "parallel"
-                else None
-            )
-            # This rank's packet for group ``M`` XORs ``{I^t_{M\{t}} :
-            # t ∈ M\{rank}}`` (every such subset contains this rank), and
-            # decoding the group's inbound packets XORs local copies of
-            # the *same* subsets back out — so one monotone predicate
-            # ("all of ``needed[gidx]`` fully mapped") gates both the
-            # send and the decode of a group.
-            needed: Dict[int, List[Subset]] = {
-                gidx: [
-                    without(plan.groups[gidx], t)
-                    for t in plan.groups[gidx]
-                    if t != rank
-                ]
-                for gidx in (my_groups if overlap else ())
-            }
+        rank, law, overlap = self.rank, self.law, self.spec.overlap
+        codegen = self._codegen()
         fids, subset_order, remaining, targets = self._subset_plan()
-        sources = {fid: as_source(self.files[fid]) for fid in fids}
         # Map window: the budget's, else each file whole (one map step
         # per file is also the overlapped loop's granularity).
         window = oc.plan.input_window_records if oc is not None else None
-        store = (
-            StreamStore(oc.spill, oc.plan.flush_bytes, oc.meter)
-            if oc is not None
-            else StreamStore(None, 0)
-        )
-        slot_of_group = {
-            gidx: len(subset_order) + i for i, gidx in enumerate(my_groups)
-        }
-        frontier = MergeFrontier(
-            len(subset_order) + len(my_groups), eager=overlap, oc=oc
-        )
+        store = law.store(oc)
+        own = len(subset_order)
+        others = [p for p in self.peers if p != rank]
+        inbound = combinations(others, self.spec.redundancy)
+        slot_of = {subset: own + i for i, subset in enumerate(inbound)}
+        frontier = law.frontier(own + len(slot_of), overlap, oc)
         completed: set = set()
         own_fed = 0  # subsets whose own value has entered the frontier
 
@@ -260,90 +278,126 @@ class CodedTeraSortProgram(NodeProgram):
                 with self.stage("reduce"):
                     advance_own()
 
+        def retain(subset: Subset, pieces: Sequence[Any]) -> None:
+            # Retention rule: I^rank_S plus I^j_S for j outside S,
+            # appended in window order.
+            for target in targets[subset]:
+                store.append((subset, target), pieces[target])
+
         def map_steps() -> Iterator[bool]:
             for fid in fids:
                 subset = self.subsets[fid]
-                source = sources[fid]
-                for batch in (
-                    source.iter_batches(window) if window else [source.load()]
-                ):
-                    if oc is not None:
-                        oc.meter.charge(batch.nbytes, "map.window")
-                    parts = hash_file(batch, self.partitioner)
-                    # Retention rule: I^rank_S plus I^j_S for j outside
-                    # S, appended in window order.  hash_file's
-                    # partitions are views into one whole-window array;
-                    # under a budget the retained minority is copied out
-                    # so the discarded majority really frees when the
-                    # window ends (retaining views would pin the full
-                    # window while the meter only charges the kept
-                    # fraction).
-                    for target in targets[subset]:
-                        part = parts[target]
-                        store.append(
-                            (subset, target), part.copy() if oc else part
-                        )
-                    if oc is not None:
-                        oc.meter.discharge(batch.nbytes)
-                    self.fault_checkpoint()
-                    yield True
+                yield from map_windows(
+                    self,
+                    law.windows(self.files[fid], window),
+                    functools.partial(law.map, fid),
+                    functools.partial(retain, subset),
+                    meter=oc.meter if oc is not None else None,
+                )
                 remaining[subset] -= 1
                 if remaining[subset] == 0:
                     complete_subset(subset)
 
-        steps = map_steps()
+        views: Dict[Tuple[Subset, int], Any] = {}
 
-        views: Dict[Tuple[Subset, int], memoryview] = {}
-
-        def lookup(subset: Subset, target: int) -> memoryview:
-            # Zero-copy view of the sealed I^t_S stream (mmap if spilled);
-            # every value is looked up once to encode and again to decode.
+        def lookup(subset: Subset, target: int) -> Any:
+            # Zero-copy view of the sealed I^t_S (mmap if spilled); every
+            # value is looked up once to encode and again to decode.
             view = views.get((subset, target))
             if view is None:
                 view = views[subset, target] = store.get_bytes((subset, target))
             return view
+
+        def deliver(subset: Subset, buf: Any) -> None:
+            """``I^rank_S`` has arrived (decoded, or as sent): into the
+            frontier.  Overlapped, that is charged to Reduce (under a
+            budget the frontier sorts and merges here); staged it only
+            collects — or sorts one run — in the caller's scope."""
+            slot = slot_of[subset]
+            with self.stage("reduce") if overlap else nullcontext():
+                frontier.feed_decoded(slot, buf, tag=f"grp-{slot - own}")
+
+        steps = map_steps()
+        if not overlap:
+            with self.stage("map"):
+                for _ in steps:
+                    pass
+        self._shuffle(codegen, steps, completed, lookup, deliver)
+        with self.stage("reduce"):
+            advance_own()
+            return frontier.finish(self, self.spec.output_dir)
+
+    def _codegen(self) -> Tuple[CodingPlan, Any, Dict[int, List[Subset]]]:
+        """CodeGen: the coding plan over this rank's peers, the event
+        loop's posting order, and (overlapped) each group's subsets."""
+        rank, overlap = self.rank, self.spec.overlap
+        schedule = self.spec.schedule
+        with self.stage("codegen"):
+            plan = build_coding_plan(
+                len(self.peers), self.spec.redundancy
+            ).on(self.peers)
+            rounds = (
+                plan.rounds_for(schedule)
+                if overlap or schedule == "parallel"
+                else None
+            )
+            # This rank's packet for group ``M`` XORs ``{I^t_{M\{t}} :
+            # t ∈ M\{rank}}`` (every such subset contains this rank), and
+            # decoding the group's inbound packets XORs local copies of
+            # the *same* subsets back out — so one monotone predicate
+            # ("all of ``needed[gidx]`` fully mapped") gates both the
+            # send and the decode of a group.
+            needed: Dict[int, List[Subset]] = {
+                gidx: [
+                    without(plan.groups[gidx], t)
+                    for t in plan.groups[gidx]
+                    if t != rank
+                ]
+                for gidx in (plan.groups_of_node[rank] if overlap else ())
+            }
+        return plan, rounds, needed
+
+    def _shuffle(
+        self,
+        codegen: Tuple[CodingPlan, Any, Dict[int, List[Subset]]],
+        steps: Iterator[bool],
+        completed: set,
+        lookup: Callable[[Subset, int], Any],
+        deliver: Callable[[Subset, Any], None],
+    ) -> None:
+        """Encode / multicast / decode (Algorithms 1 and 2) under the
+        send-gate policy; overlapped, the event loop also drives
+        ``steps``, the rest of the map."""
+        rank, overlap = self.rank, self.spec.overlap
+        plan, rounds, needed = codegen
 
         def encode_for(gidx: int):
             # Gather-list wire form: the XOR arena travels as a payload
             # part next to the header, never joined into one buffer.
             return encode_packet(rank, plan.groups[gidx], lookup).to_parts()
 
-        def recover(gidx: int, raw_packets: Dict[int, bytes]) -> None:
+        def recover(gidx: int, raw_packets: Dict[int, Any]) -> None:
             """Algorithm 2 for one group, straight into the frontier.
 
             Zero-copy end to end: parsed packets keep their payloads as
-            views into the receive arenas, ``recover_intermediate``
-            decodes every segment into one preallocated output buffer,
-            and the batch wraps that buffer read-only without copying
-            (the frontier's sort copies into its own output anyway).
+            views into the receive arenas, and ``recover_intermediate``
+            decodes every segment into one preallocated output buffer.
             """
             packets = {
                 sender: CodedPacket.from_bytes(raw)
                 for sender, raw in raw_packets.items()
             }
-            batch = RecordBatch.from_buffer(
-                recover_intermediate(rank, plan.groups[gidx], packets, lookup)
+            group = plan.groups[gidx]
+            deliver(
+                without(group, rank),
+                recover_intermediate(rank, group, packets, lookup),
             )
-            tag = f"grp-{gidx}"
-            # Overlapped, feeding is charged to Reduce (under a budget
-            # the frontier sorts and merges here); staged it only
-            # collects — or sorts one run under a budget — inside the
-            # Decode scope.
-            if overlap:
-                with self.stage("reduce"):
-                    frontier.feed(slot_of_group[gidx], batch, tag=tag)
-            else:
-                frontier.feed(slot_of_group[gidx], batch, tag=tag)
 
-        if not overlap:
-            with self.stage("map"):
-                for _ in steps:
-                    pass
         _, self.shuffle_telemetry = execute_multicast_shuffle(
             self,
             plan.groups,
-            my_groups,
-            schedule,
+            plan.groups_of_node[rank],
+            self.spec.schedule,
             plan.schedule,
             rounds,
             MULTICAST_TAG_BASE,
@@ -356,14 +410,14 @@ class CodedTeraSortProgram(NodeProgram):
                 else None
             ),
         )
-        with self.stage("reduce"):
-            advance_own()
-            return frontier.finish(self, self.spec.output_dir)
 
 
 def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
     """Pool builder (module-level for pickling): payload -> node program."""
-    return CodedTeraSortProgram(comm, *payload)
+    spec, files, subsets, partitioner = payload
+    return CodedTeraSortProgram(
+        comm, spec, files, subsets, SortLaw(partitioner)
+    )
 
 
 @dataclass(frozen=True)
@@ -436,9 +490,9 @@ class CodedTeraSortSpec(SortSpec):
         for file/teragen inputs every worker streams its own splits and
         the control plane ships only descriptors (inline batches keep
         the seed's ship-by-value behavior).  With ``group_size = g`` the
-        placement is built on ``g`` members and replicated: coding group
-        ``j`` holds file ``F_S`` on ranks ``{j·g + m : m ∈ S}``, so every
-        group stores the whole input (``r/g`` of it per node).  The
+        placement is built on ``g`` members and replicated on every
+        coding group (:meth:`~repro.core.placement.CodedPlacement.assign`),
+        so every group stores the whole input (``r/g`` of it per node).  The
         coding plan itself is looked up by every node during CodeGen
         (built on a process's first job of that ``(g, r)``, as the
         measured stage of the paper is; memoised from then on);
@@ -450,23 +504,13 @@ class CodedTeraSortSpec(SortSpec):
         r = self.redundancy
         partitioner = self._partitioner(size)
         placement = CodedPlacement(g, r, self.batches_per_subset)
-        file_sources = placement.split_source(self.source)
-
-        per_node_files: List[Dict[int, DataSource]] = [{} for _ in range(size)]
-        per_node_subsets: List[Dict[int, Subset]] = [{} for _ in range(size)]
-        for file_id, file_source in enumerate(file_sources):
-            members = placement.subset_of_file(file_id)
-            for first in range(0, size, g):
-                subset = tuple(first + m for m in members)
-                for node in subset:
-                    per_node_files[node][file_id] = file_source
-                    per_node_subsets[node][file_id] = subset
-
         spec = self._for_workers()
         input_meta = self._input_meta()
         payloads: List[Any] = [
-            (spec, per_node_files[rank], per_node_subsets[rank], partitioner)
-            for rank in range(size)
+            (spec, files, subsets, partitioner)
+            for files, subsets in placement.assign(
+                placement.split_source(self.source), size
+            )
         ]
 
         def finalize(result: ClusterResult) -> SortRun:
@@ -498,9 +542,7 @@ class CodedTeraSortSpec(SortSpec):
             }
             if self.schedule == "parallel":
                 meta.update(
-                    parallel_schedule_meta(
-                        build_coding_plan(g, r), result.per_node_times
-                    )
+                    parallel_schedule_meta(g, r, result.per_node_times)
                 )
             return self._sort_run(result, partitioner, meta)
 

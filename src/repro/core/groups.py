@@ -62,15 +62,17 @@ def check_coded_params(
 
 
 def parallel_schedule_meta(
-    plan: "CodingPlan", per_node_times: Sequence[Dict[str, float]]
+    num_nodes: int, redundancy: int, per_node_times: Sequence[Dict[str, float]]
 ) -> Dict[str, object]:
-    """Driver-side metadata for a parallel-schedule run.
+    """Driver-side metadata for a parallel-schedule run of the
+    ``(num_nodes, redundancy)`` coding plan.
 
     Shared by the CodedTeraSort and CMR drivers so both report the same
     telemetry: turn/round counts, the theoretical turn-level speedup, and
     the slowest node's overlapped shuffle span (the ``shuffle_span``
     pseudo-stage the event-loop engine stamps).
     """
+    plan = build_coding_plan(num_nodes, redundancy)
     spans = [t.get("shuffle_span", 0.0) for t in per_node_times]
     return {
         "schedule_turns": len(plan.schedule),

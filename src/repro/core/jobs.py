@@ -5,7 +5,7 @@ The paper motivates coding for shuffle-bound applications beyond sorting —
 distributed computing applications whose performance is limited by data
 shuffling (e.g., Grep, SelfJoin)" (§VI) — and cites WordCount,
 RankedInvertedIndex and SelfJoin as shuffle-heavy workloads [6].  These
-jobs exercise the generic engine in :mod:`repro.core.cmr`:
+jobs run on the coded pipeline under :class:`~repro.core.cmr.MapReduceLaw`:
 
 * :class:`WordCountJob` — word frequencies, functions = hash buckets;
 * :class:`GrepJob` — pattern matching, functions = match buckets;
@@ -15,7 +15,9 @@ jobs exercise the generic engine in :mod:`repro.core.cmr`:
   (the fourth workload [6] names).
 
 All jobs emit deterministic, pickle-stable intermediate values (sorted dicts
-/ lists of primitives), as the XOR coding requires.
+/ lists of primitives), as the XOR coding requires, and cache ``Q`` in
+``num_functions``, which the worker calls before any ``map_file`` /
+``reduce``.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class WordCountJob(MapReduceJob):
         self.buckets_per_node = buckets_per_node
 
     def num_functions(self, num_nodes: int) -> int:
-        # The engine calls this once per program before mapping, so caching
-        # Q here makes it available to map_file's bucket hashing.
+        # The worker calls this once, before any map_file / reduce, so
+        # caching Q here makes it available to map_file's bucket hashing.
         self._q_cache = num_nodes * self.buckets_per_node
         return self._q_cache
 

@@ -11,18 +11,76 @@ grouping), no per-record Python work.
 ``{I^i_S : i ∉ S}`` (to be encoded for nodes outside ``S``) are kept —
 ``I^i_S`` for other ``i ∈ S`` is discarded because node ``i`` computes it
 locally.
+
+:func:`map_windows` is the one windowed map every program runs: window →
+map step → retain → checkpoint, whatever the step (``hash_file`` for the
+sorts, a job's ``map_file`` for Coded MapReduce).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+)
 
 import numpy as np
 
 from repro.core.partitioner import RangePartitioner
 from repro.kvpairs import kernels
+from repro.kvpairs.datasource import as_source
 from repro.kvpairs.records import RecordBatch
+from repro.utils.residency import ResidencyMeter
 from repro.utils.subsets import Subset
+
+
+def payload_nbytes(payload: Any) -> int:
+    """Best-effort size of one map input: its ``nbytes`` where it has
+    one, the length of raw bytes, else 0 (a job's opaque payload)."""
+    nbytes = getattr(payload, "nbytes", None)
+    if isinstance(nbytes, int):
+        return nbytes
+    return len(payload) if isinstance(payload, (bytes, bytearray)) else 0
+
+
+def record_windows(
+    data: Any, window_records: Optional[int]
+) -> Iterable[RecordBatch]:
+    """A record input as map windows of ``window_records``, or whole."""
+    source = as_source(data)
+    if window_records:
+        return source.iter_batches(window_records)
+    return [source.load()]
+
+
+def map_windows(
+    program: Any,
+    windows: Iterable[Any],
+    step: Callable[[Any], Sequence[Any]],
+    retain: Callable[[Sequence[Any]], None],
+    abandon: Optional[Callable[[], bool]] = None,
+    meter: Optional[ResidencyMeter] = None,
+) -> Iterator[bool]:
+    """The windowed map: window → ``step`` (pieces by target rank) →
+    ``retain`` → checkpoint, charging each window to ``meter``.
+
+    Yields after every window, so the caller decides what happens in
+    between (nothing staged; arrival polls or the event loop overlapped).
+    ``abandon`` is polled before every window and through an injected
+    slowdown; the generator just ends when it fires — callers re-check
+    it after exhaustion to tell abandonment from completion.
+    """
+    for window in windows:
+        if abandon is not None and abandon():
+            return
+        if meter is not None:
+            nbytes = payload_nbytes(window)
+            meter.charge(nbytes, "map.window")
+        retain(step(window))
+        if meter is not None:
+            meter.discharge(nbytes)
+        if program.fault_checkpoint(abandon):
+            return
+        yield True
 
 
 def hash_file(

@@ -62,6 +62,16 @@ from repro.utils.residency import ResidencyMeter
 MIN_MEMORY_BUDGET = 64 * RECORD_BYTES
 
 
+def check_memory_budget(memory_budget: Optional[int]) -> None:
+    """Raise :class:`ValueError` unless the budget is ``None`` or at least
+    :data:`MIN_MEMORY_BUDGET` — the one rule every spec's field obeys."""
+    if memory_budget is not None and memory_budget < MIN_MEMORY_BUDGET:
+        raise ValueError(
+            f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes, "
+            f"got {memory_budget}"
+        )
+
+
 @dataclass(frozen=True)
 class OutOfCorePlan:
     """Window/threshold sizing derived deterministically from the budget."""
@@ -74,11 +84,7 @@ class OutOfCorePlan:
 
     @classmethod
     def for_budget(cls, memory_budget: int) -> "OutOfCorePlan":
-        if memory_budget < MIN_MEMORY_BUDGET:
-            raise ValueError(
-                f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes, "
-                f"got {memory_budget}"
-            )
+        check_memory_budget(memory_budget)
         return cls(
             memory_budget=memory_budget,
             input_window_records=max(64, memory_budget // 8 // RECORD_BYTES),
@@ -280,6 +286,12 @@ class MergeFrontier:
                 oc.meter.discharge(chunk.nbytes)
                 chunk = keep_or_spill(ordered, oc, tag, owned=True)
         self._merger.feed(slot, chunk)
+
+    def feed_decoded(self, slot: int, buf, tag: str = "recv") -> None:
+        """A decoded ``I^rank_S`` — raw packed records — as ``slot``'s
+        chunk, wrapped read-only without copying (:meth:`feed` copies
+        it out under a budget; in memory the one sort copies it)."""
+        self.feed(slot, RecordBatch.from_buffer(buf), tag=tag)
 
     def feed_stream(self, slot: int, windows: Iterable[RecordBatch]) -> None:
         """All of ``slot`` as one ordered stream of unsorted windows.

@@ -20,7 +20,7 @@ when the input has more natural splits than ``C(K, r)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.kvpairs.datasource import DataSource
 from repro.kvpairs.records import RecordBatch
@@ -210,9 +210,29 @@ class CodedPlacement:
         ]
 
     def split_source(self, source: DataSource) -> List[DataSource]:
-        """Per-file descriptors in file-id order; pair with
-        :meth:`subset_of_file` to build per-node descriptor maps."""
+        """Per-file descriptors in file-id order (see :meth:`assign`)."""
         return split_source_even(source, self.num_files)
+
+    def assign(
+        self, files: Sequence[Any], size: int
+    ) -> List[Tuple[Dict[int, Any], Dict[int, Subset]]]:
+        """Each of ``size`` ranks' ``({file id: file}, {file id: subset})``.
+
+        ``files`` is in file-id order.  With ``size`` a multiple of ``K``
+        the placement is replicated on every ``K``-rank coding group:
+        group ``j`` holds file ``F_S`` on ranks ``{j·K + m : m ∈ S}``.
+        """
+        per_node: List[Tuple[Dict[int, Any], Dict[int, Subset]]] = [
+            ({}, {}) for _ in range(size)
+        ]
+        for file_id, payload in enumerate(files):
+            members = self.subset_of_file(file_id)
+            for first in range(0, size, self.num_nodes):
+                subset = tuple(first + m for m in members)
+                for node in subset:
+                    per_node[node][0][file_id] = payload
+                    per_node[node][1][file_id] = subset
+        return per_node
 
     def node_storage_bytes(self, total_bytes: int) -> float:
         """Expected bytes stored per node: ``r / K`` of the input."""

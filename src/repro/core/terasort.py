@@ -78,14 +78,14 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import KW_ONLY, dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
-from repro.core.mapper import hash_file
+from repro.core.mapper import hash_file, map_windows, record_windows
 from repro.core.outofcore import (
-    MIN_MEMORY_BUDGET,
     MergeFrontier,
     OutOfCore,
     PartitionSpiller,
+    check_memory_budget,
     out_of_core,
     residency_meta,
     stats_meta,
@@ -201,39 +201,9 @@ class TeraSortProgram(NodeProgram):
         with out_of_core(self, self.spec.memory_budget, "ts") as oc:
             return self._run_pipeline(oc)
 
-    def _map_windows(
-        self,
-        source: DataSource,
-        window_records: Optional[int],
-        retain: Callable[[int, RecordBatch], None],
-        abandon: Optional[Callable[[], bool]] = None,
-        oc: Optional[OutOfCore] = None,
-    ) -> Iterator[bool]:
-        """The windowed map: window → ``hash_file`` → ``retain`` → checkpoint.
-
-        A generator that yields after every window, so the caller decides
-        what happens between windows (nothing when staged; arrival polls
-        when overlapped).  ``abandon`` makes the map preemptible: it is
-        polled before every window and throughout an injected slowdown,
-        and the generator just ends when it fires — callers re-evaluate
-        it after exhaustion to tell abandonment from completion.
-        """
-        for window in (
-            source.iter_batches(window_records)
-            if window_records
-            else [source.load()]
-        ):
-            if abandon is not None and abandon():
-                return
-            if oc is not None:
-                oc.meter.charge(window.nbytes, "map.window")
-            for dst, part in enumerate(hash_file(window, self.partitioner)):
-                retain(dst, part)
-            if oc is not None:
-                oc.meter.discharge(window.nbytes)
-            if self.fault_checkpoint(abandon):
-                return
-            yield True
+    def _hash(self, window: RecordBatch) -> List[RecordBatch]:
+        """The map step: one window's ``K`` partitions."""
+        return hash_file(window, self.partitioner)
 
     def _run_pipeline(
         self, oc: Optional[OutOfCore]
@@ -340,13 +310,20 @@ class TeraSortProgram(NodeProgram):
         else:
             window = None
 
+        keep = spiller.add if oc is not None else emit
+
+        def retain(parts: List[RecordBatch]) -> None:
+            for dst, part in enumerate(parts):
+                keep(dst, part)
+
         def map_steps() -> Iterator[bool]:
-            yield from self._map_windows(
-                self.source,
-                window,
-                spiller.add if oc is not None else emit,
+            yield from map_windows(
+                self,
+                record_windows(self.source, window),
+                self._hash,
+                retain,
                 abandon,
-                oc,
+                oc.meter if oc is not None else None,
             )
             if oc is not None:
                 spiller.finish()  # the tails: every stream's last run
@@ -566,10 +543,16 @@ class TeraSortProgram(NodeProgram):
         t0 = time.perf_counter()
         split = self.spec_splits[shard]
         parts: List[List[Chunk]] = [[] for _ in range(self.size)]
-        for _ in self._map_windows(
-            split,
-            shard_window(len(split)),
-            lambda dst, part: parts[dst].append(part),
+
+        def retain(pieces: List[RecordBatch]) -> None:
+            for dst, piece in enumerate(pieces):
+                parts[dst].append(piece)
+
+        for _ in map_windows(
+            self,
+            record_windows(split, shard_window(len(split))),
+            self._hash,
+            retain,
             straggler_req.test,
         ):
             pass
@@ -691,14 +674,7 @@ class SortSpec(JobSpec):
             raise ValueError(
                 f"input must be a DataSource, got {type(self.input).__name__}"
             )
-        if (
-            self.memory_budget is not None
-            and self.memory_budget < MIN_MEMORY_BUDGET
-        ):
-            raise ValueError(
-                f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes, "
-                f"got {self.memory_budget}"
-            )
+        check_memory_budget(self.memory_budget)
         if self.output_dir is not None and self.memory_budget is None:
             raise ValueError(
                 "output_dir requires memory_budget (the in-memory path "

@@ -302,8 +302,8 @@ def _as_run(run: RunLike) -> Run:
 def spill_blob(spill: SpillDir, data, prefix: str = "blob") -> memoryview:
     """Write arbitrary serialized bytes to a file; return a mmap read view.
 
-    The generic-payload cousin of run files, used by the CMR engine to
-    keep pickled intermediate values out of RAM: the returned view is
+    The generic-payload cousin of run files, used by Coded MapReduce's
+    store to keep serialized intermediate values out of RAM: the view is
     mmap-backed (the mapping outlives the file descriptor) and works
     anywhere a bytes-like intermediate is accepted — the XOR encoder's
     ``lookup``, ``pickle.loads``, ``memoryview`` slicing.
@@ -751,6 +751,11 @@ class StreamStore:
             self._order.append(key)
         if len(batch) == 0:
             return
+        if self._spill is not None:
+            # Under a budget keep a copy, never a view: the window the
+            # batch views then really frees when the map moves on (the
+            # meter charges only what is kept).
+            batch = batch.copy()
         if self._meter is not None:
             self._meter.charge(batch.nbytes, f"{self._tag}.pending")
         self._pending.setdefault(key, []).append(batch)

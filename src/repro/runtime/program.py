@@ -238,8 +238,9 @@ class JobSpec(ABC):
 
     Subclasses are frozen dataclasses living next to the program they
     describe (:class:`~repro.core.terasort.TeraSortSpec`,
-    :class:`~repro.core.coded_terasort.CodedTeraSortSpec`,
-    :class:`~repro.core.cmr.MapReduceSpec`).  :meth:`validate` raises
+    :class:`~repro.core.coded_terasort.CodedTeraSortSpec`;
+    :class:`~repro.core.cmr.MapReduceSpec` next to its law for the coded
+    pipeline).  :meth:`validate` raises
     :class:`ValueError` for parameters that cannot run on a ``size``-node
     cluster — called synchronously at submission
     (:meth:`repro.session.Session.submit`, ``SortService.submit``) and
@@ -362,8 +363,8 @@ def execute_multicast_shuffle(
 ) -> Tuple[Dict[int, Any], Dict[str, float]]:
     """Run the Encode / Shuffle / Decode block under the send-gate policy.
 
-    The one place the coded programs (CodedTeraSort, Coded MapReduce)
-    pick their shuffle engine: ``"serial"`` with the map already done
+    The one place the coded pipeline (CodedTeraSort and Coded MapReduce
+    alike) picks its shuffle engine: ``"serial"`` with the map already done
     encodes every packet up front, walks :func:`serial_multicast_shuffle`,
     then decodes — the paper's stage-separated Fig. 9(b) reproduction;
     everything else hands the same ``encode`` / ``recover`` callbacks to

@@ -7,13 +7,18 @@ transparent to the application.
 
 from __future__ import annotations
 
+import collections
+import hashlib
+
 import pytest
 
 import repro
-from repro import MapReduceSpec
+from repro import MapReduceSpec, Session
 from repro.core.jobs import (
+    FixedSizeProbeJob,
     GrepJob,
     InvertedIndexJob,
+    RankedInvertedIndexJob,
     SelfJoinJob,
     WordCountJob,
     _bucket,
@@ -296,3 +301,120 @@ class TestRankedInvertedIndex:
         )
         merged = merged_outputs(run)
         assert merged["tie"] == [(0, 1), (1, 1)]
+
+
+#: 12 files: a multiple of C(K, r) for every K in {3, 4} and r in {1, 2}.
+PIN_TEXTS = TEXTS * 2
+PIN_PAIRS = [[(f"k{(i + j) % 5}", 10 * i + j) for j in range(3)] for i in range(12)]
+PIN_JOBS = {
+    "wordcount": (WordCountJob, (), PIN_TEXTS),
+    "grep": (GrepJob, (r"qu|five",), PIN_TEXTS),
+    "selfjoin": (SelfJoinJob, (), PIN_PAIRS),
+    "probe": (FixedSizeProbeJob, (), PIN_TEXTS),
+    "inverted_index": (InvertedIndexJob, (), PIN_TEXTS),
+    "ranked_inverted_index": (RankedInvertedIndexJob, (), PIN_TEXTS),
+}
+PIN_SCHEMES = {
+    "uncoded-r1": dict(scheme="uncoded", redundancy=1),
+    "uncoded-r2": dict(scheme="uncoded", redundancy=2),
+    "coded-r1": dict(scheme="coded", redundancy=1),
+    "coded-r2-serial": dict(scheme="coded", redundancy=2, schedule="serial"),
+    "coded-r2-parallel": dict(
+        scheme="coded", redundancy=2, schedule="parallel"
+    ),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
+
+
+def cmr_pin(session, job: str, scheme: str):
+    """``(traffic, outputs)`` digests of one cell: the sorted ``(stage,
+    kind, src, dsts, payload_bytes)`` multiset and ``repr(outputs)``."""
+    cls, args, files = PIN_JOBS[job]
+    run = session.run(
+        MapReduceSpec(job=cls(*args), files=files, **PIN_SCHEMES[scheme])
+    )
+    records = collections.Counter(
+        (t.stage, t.kind, t.src, t.dsts, t.payload_bytes)
+        for t in run.traffic.records
+    )
+    return _digest(sorted(records.items())), _digest(run.outputs)
+
+
+#: (K, job) -> (outputs digest, traffic digest per PIN_SCHEMES entry),
+#: taken on the engine Coded MapReduce had before it rode the sort's
+#: pipeline (its own map / serialized store / reduce).  One outputs
+#: digest per job: coding is transparent to the application.
+CMR_PINS = {
+    (3, "wordcount"): ("e06c969782936030", (
+        "097315737bdf1e79", "3a8adf787d250a9e", "4de6e43f17b4d135",
+        "97b91490ff8ea42d", "97b91490ff8ea42d",
+    )),
+    (3, "grep"): ("65654e77aadba191", (
+        "34975993cb3be3d2", "1a843fe311417027", "8eb21a43beb54a09",
+        "b0c25cb64722ada5", "b0c25cb64722ada5",
+    )),
+    (3, "selfjoin"): ("4cc27daca41dd9a5", (
+        "197fc3ce65e239ba", "2587a47050fa0f67", "ed5f86e6087efcf2",
+        "85e5998eae4f50aa", "85e5998eae4f50aa",
+    )),
+    (3, "probe"): ("44eaf019c506dab9", (
+        "9fb7fc4bc094298a", "3a548827415eea95", "fe148dcac543ffff",
+        "a60393c2dd268a5d", "a60393c2dd268a5d",
+    )),
+    (3, "inverted_index"): ("7ed104a550d108a3", (
+        "b895e9dfa5bcdc13", "bfea9fad56189374", "abb514bafc646acf",
+        "051752082e9e6b41", "051752082e9e6b41",
+    )),
+    (3, "ranked_inverted_index"): ("49f6325002910296", (
+        "097315737bdf1e79", "3a8adf787d250a9e", "4de6e43f17b4d135",
+        "97b91490ff8ea42d", "97b91490ff8ea42d",
+    )),
+    (4, "wordcount"): ("f99297612ec162cc", (
+        "c88557a4f52cbc18", "ce602455f57571f1", "81c79dc7d3e6003a",
+        "c7ab5d6fa2de98cf", "c7ab5d6fa2de98cf",
+    )),
+    (4, "grep"): ("890125609e84f455", (
+        "756791bd226e1b55", "bb32b03b458609b5", "c319f9d94994caf7",
+        "04eb4fb17a12797b", "04eb4fb17a12797b",
+    )),
+    (4, "selfjoin"): ("db1ef7ddc3e1014d", (
+        "2362bc36b32671ce", "768284d203faacf5", "4c546f8d024ea8ae",
+        "a8c13ca40a7cbea7", "a8c13ca40a7cbea7",
+    )),
+    (4, "probe"): ("ca93a81e6d8cb4c5", (
+        "8b1aa382f1443af3", "bb0d5679b8d8b34e", "ed5e97b71f1e9740",
+        "53eed06a08289689", "53eed06a08289689",
+    )),
+    (4, "inverted_index"): ("2eee2ec0c8db7799", (
+        "a5c7066565f49a48", "685d8da676156255", "cad649d58930b1a6",
+        "c021c427a44f8cb3", "c021c427a44f8cb3",
+    )),
+    (4, "ranked_inverted_index"): ("8dd49eb1cfe27e48", (
+        "c88557a4f52cbc18", "ce602455f57571f1", "81c79dc7d3e6003a",
+        "c7ab5d6fa2de98cf", "c7ab5d6fa2de98cf",
+    )),
+}
+
+
+@pytest.fixture(scope="module")
+def pin_sessions():
+    sessions = {k: Session(repro.connect(f"inproc://{k}")) for k in (3, 4)}
+    yield sessions
+    for session in sessions.values():
+        session.close()
+
+
+class TestCMRPins:
+    """Every bundled job x scheme x cluster: the same bytes on the wire
+    and the same outputs, byte for byte."""
+
+    @pytest.mark.parametrize("scheme", list(PIN_SCHEMES))
+    @pytest.mark.parametrize("job", list(PIN_JOBS))
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_pinned(self, pin_sessions, k, job, scheme):
+        outputs, traffic = CMR_PINS[k, job]
+        expected = traffic[list(PIN_SCHEMES).index(scheme)], outputs
+        assert cmr_pin(pin_sessions[k], job, scheme) == expected

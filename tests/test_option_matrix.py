@@ -1,13 +1,15 @@
 """The job-option matrix, generated: every cell validates or is rejected
 by name, with the same text on every surface.
 
-A cell is one combination of a sort spec's options at one cluster size.
+A cell is one combination of a spec's options at one cluster size.
 The oracles below restate the rules from the spec docstrings (not from
-``validate``): a valid cell must validate and compile; a rejected cell
+``validate``): a valid cell must validate and compile (a MapReduce cell
+also runs, and must give the uncoded r = 1 outputs); a rejected cell
 must raise :class:`ValueError` whose text *names the cell* — and the
 same text must come out of ``spec.validate``, ``spec.prepare``,
-``Session.submit``, ``SortService.submit``, ``repro sort`` and
-``repro submit``, because the spec is the only place it is written.
+``Session.submit``, ``SortService.submit`` and, for the sorts,
+``repro sort`` and ``repro submit``, because the spec is the only place
+it is written.
 
 Also here: the two CLI subcommands share one job-option list, so every
 flag parses on both and equal flags build equal specs.
@@ -21,6 +23,7 @@ import pytest
 
 import repro
 from repro.cli import _job_spec, build_parser, main
+from repro.core.jobs import WordCountJob
 from repro.core.outofcore import MIN_MEMORY_BUDGET
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.sorting import sort_batch
@@ -28,7 +31,12 @@ from repro.kvpairs.teragen import teragen, teragen_to_file
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.tcp import TcpCluster
 from repro.service import SortService
-from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
+from repro.session import (
+    CodedTeraSortSpec,
+    MapReduceSpec,
+    Session,
+    TeraSortSpec,
+)
 
 RECORDS = 240
 SIZES = (4, 6)
@@ -97,6 +105,63 @@ def _coded_cells():
             )
 
 
+#: 12 files are a multiple of C(K, r) for every in-range cell; 13 are not.
+CMR_TEXTS = [f"w{i % 5} x{i % 3} {'y' * (1 + i % 4)}" for i in range(13)]
+
+
+def _cmr_cells():
+    for k, scheme, r_in_range, schedule, budget, whole, real in (
+        itertools.product(
+            (3, 4), ("uncoded", "coded"), (True, False),
+            ("serial", "parallel"), (None, BUDGET, MIN_MEMORY_BUDGET - 1),
+            (True, False), (True, False),
+        )
+    ):
+        # Out of range: r = K coded (groups of r + 1 <= K), K + 1 uncoded.
+        r = 2 if r_in_range else k + (scheme == "uncoded")
+        violated = set()
+        if not real:
+            violated.add("job must be a MapReduceJob, got NoneType")
+        if budget is not None and budget < MIN_MEMORY_BUDGET:
+            violated.add(f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes")
+        if not r_in_range:
+            violated.add(f"redundancy must be in [1, {r - 1}]")
+        elif not whole:
+            violated.add("number of files (13) must be a positive multiple")
+        options = dict(
+            redundancy=r, scheme=scheme, schedule=schedule,
+            memory_budget=budget,
+        )
+        yield pytest.param(
+            k, options, whole, real, violated,
+            id=f"K{k}-{scheme}-r{r}-{schedule}-budget{budget}"
+               f"-files{12 if whole else 13}-job{real:d}",
+        )
+
+
+def _rejected_everywhere(spec, k, violated):
+    """``spec.validate``'s text names a violated rule, and ``prepare``,
+    ``Session.submit`` and ``SortService.submit`` raise that same text."""
+    with pytest.raises(ValueError) as exc_info:
+        spec.validate(k)
+    text = str(exc_info.value)
+    assert any(text.startswith(name) for name in violated), (text, violated)
+    with pytest.raises(ValueError) as exc_info:
+        spec.prepare(k)
+    assert str(exc_info.value) == text
+    with Session(ThreadCluster(k)) as session:
+        with pytest.raises(ValueError) as exc_info:
+            session.submit(spec)
+        assert str(exc_info.value) == text
+        assert session._pool is None  # nothing reached a pool
+    with TcpCluster(k, "tcp://127.0.0.1:0") as mesh:
+        with SortService(mesh) as service:  # never started: no workers
+            with pytest.raises(ValueError) as exc_info:
+                service.submit(spec)
+            assert str(exc_info.value) == text
+    return text
+
+
 def _cli_error(argv):
     with pytest.raises(SystemExit) as exc_info:
         main(argv)
@@ -114,25 +179,7 @@ def _check_cell(spec_type, k, options, on_disk, flags, violated, path):
         assert len(spec.prepare(k).payloads) == k
         return
 
-    with pytest.raises(ValueError) as exc_info:
-        spec.validate(k)
-    text = str(exc_info.value)
-    assert any(text.startswith(name) for name in violated), (text, violated)
-
-    # The same text from every surface that takes the job.
-    with pytest.raises(ValueError) as exc_info:
-        spec.prepare(k)
-    assert str(exc_info.value) == text
-    with Session(ThreadCluster(k)) as session:
-        with pytest.raises(ValueError) as exc_info:
-            session.submit(spec)
-        assert str(exc_info.value) == text
-        assert session._pool is None  # nothing reached a pool
-    with TcpCluster(k, "tcp://127.0.0.1:0") as mesh:
-        with SortService(mesh) as service:  # never started: no workers
-            with pytest.raises(ValueError) as exc_info:
-                service.submit(spec)
-            assert str(exc_info.value) == text
+    text = _rejected_everywhere(spec, k, violated)
     flags = flags + (["--input", path] if on_disk else ["-n", str(RECORDS)])
     if options["memory_budget"] is not None:
         flags += ["--memory-budget", str(options["memory_budget"])]
@@ -160,8 +207,38 @@ def test_coded_cell(k, options, on_disk, flags, violated, input_file):
     )
 
 
+@pytest.fixture(scope="module")
+def cmr_reference():
+    """Per K, the uncoded r = 1 outputs every valid MapReduce cell gives."""
+    return {
+        k: repro.run(
+            ThreadCluster(k),
+            MapReduceSpec(job=WordCountJob(), files=CMR_TEXTS[:12]),
+        ).outputs
+        for k in (3, 4)
+    }
+
+
+@pytest.mark.parametrize(
+    "k,options,whole,real,violated", list(_cmr_cells())
+)
+def test_cmr_cell(k, options, whole, real, violated, cmr_reference):
+    spec = MapReduceSpec(
+        job=WordCountJob() if real else None,
+        files=CMR_TEXTS[: 12 if whole else 13],
+        **options,
+    )
+    if violated:
+        _rejected_everywhere(spec, k, violated)
+        return
+    spec.validate(k)
+    assert repro.run(ThreadCluster(k), spec).outputs == cmr_reference[k]
+
+
 def test_matrix_has_both_kinds_of_cell():
-    for cells in (list(_terasort_cells()), list(_coded_cells())):
+    for cells in (
+        list(_terasort_cells()), list(_coded_cells()), list(_cmr_cells())
+    ):
         rejected = sum(bool(c.values[-1]) for c in cells)
         assert 0 < rejected < len(cells)
 

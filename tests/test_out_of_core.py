@@ -9,13 +9,15 @@ The acceptance criteria of the out-of-core data plane:
 * ``output_dir`` streams partitions to part files (``FileSource``
   results) that validate with the streaming validator;
 * per-job spill dirs are removed on success *and* on failure;
-* the CMR engine honors ``memory_budget`` (disk-backed store) and
-  ``DataSource`` file payloads with unchanged outputs.
+* Coded MapReduce under a budget really spills (values far past
+  ``MIN_MEMORY_BUDGET``), with ``DataSource`` payloads and unchanged
+  outputs, on threads and on processes.
 """
 
 from __future__ import annotations
 
 import glob
+import hashlib
 import os
 from typing import Any, Dict, Mapping, Sequence, Tuple
 
@@ -23,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.cmr import MapReduceJob
+from repro.core.outofcore import MIN_MEMORY_BUDGET
 from repro.kvpairs.datasource import FileSource, TeragenSource
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import spill_base_dir
@@ -202,45 +205,42 @@ class TestSpecValidation:
                 session.submit(TeraSortSpec(data=data, output_dir="/tmp/x"))
 
 
-class _RecordCountJob(MapReduceJob):
-    """Counts records per key prefix; payloads are RecordBatches."""
+class _RecordBytesJob(MapReduceJob):
+    """Per key-prefix bucket, the raw bytes of a file's records: values of
+    ~50 KB, far past ``MIN_MEMORY_BUDGET``.  Payloads are RecordBatches."""
 
-    name = "record-count"
+    name = "record-bytes"
 
     def map_file(self, file_id: int, payload: Any) -> Mapping[int, Any]:
         assert isinstance(payload, RecordBatch), type(payload)
-        prefix = payload.raw_view()[:, 0] % 4
-        return {
-            int(q): int((prefix == q).sum())
-            for q in range(4)
-        }
+        raw = payload.raw_view()
+        prefix = raw[:, 0] % 4
+        return {q: raw[prefix == q].tobytes() for q in range(4)}
 
     def reduce(self, q: int, values: Sequence[Tuple[int, Any]]) -> Any:
-        return sum(v for _, v in values)
+        blob = b"".join(value for _, value in values)
+        return len(blob), hashlib.sha256(blob).hexdigest()
 
 
 class TestCMROutOfCore:
     @pytest.mark.parametrize("scheme", ["uncoded", "coded"])
-    def test_budget_and_datasource_payloads(self, scheme):
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_budget_spills_datasource_payloads(self, backend, scheme):
         src = TeragenSource(12_000, seed=9)
         files = [src.subrange(i * 2_000, 2_000) for i in range(6)]
-        job = _RecordCountJob()
+        spec = MapReduceSpec(
+            job=_RecordBytesJob(), files=files, redundancy=2, scheme=scheme
+        )
+        cluster = (
+            ThreadCluster(4) if backend == "thread"
+            else ProcessCluster(4, timeout=120.0)
+        )
         before = _spill_dirs()
-        with Session(ThreadCluster(4)) as session:
-            plain = session.run(
-                MapReduceSpec(
-                    job=job, files=files, redundancy=2, scheme=scheme
-                )
-            )
-            budgeted = session.run(
-                MapReduceSpec(
-                    job=job,
-                    files=files,
-                    redundancy=2,
-                    scheme=scheme,
-                    memory_budget=1,  # force every blob to disk
-                )
-            )
+        with Session(cluster) as session:
+            plain = session.run(spec)
+            budgeted = session.run(spec.with_(memory_budget=MIN_MEMORY_BUDGET))
         assert plain.outputs == budgeted.outputs
-        assert sum(budgeted.outputs.values()) == 12_000
+        assert sum(n for n, _ in budgeted.outputs.values()) == src.nbytes
+        assert budgeted.meta["oc_spilled_bytes"] > 0
+        assert "oc_spilled_bytes" not in plain.meta
         assert _spill_dirs() == before
