@@ -16,6 +16,10 @@ communication layer for the reproduction:
 * :mod:`repro.runtime.tcp` — a multi-host backend: ``repro worker`` agents
   dial a rendezvous coordinator over TCP and form the same K×K mesh across
   real machines (the paper's actual EC2 deployment shape);
+* :mod:`repro.runtime.transport` — the one socket framing: the zero-copy
+  data plane's frames, and the control codec (a pickle body, NumPy arrays
+  out of band) that every socket control channel speaks — forked and TCP
+  workers' :class:`~repro.runtime.transport.Channel` and the service port;
 * :mod:`repro.runtime.pool` — the one driver-side worker pool: a reactor
   (dispatch, heartbeats, failure classification) over every backend's
   worker *transport*, shared by ``Session``, the sort service and the

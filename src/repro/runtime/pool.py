@@ -15,15 +15,16 @@ replacement arrives:
 * :class:`~repro.runtime.inproc.InprocMesh` starts K worker threads
   over shared mailboxes;
 * :class:`~repro.runtime.process.ForkMesh` forks K workers over a
-  ``socketpair`` mesh and hands back duplex pipes;
+  ``socketpair`` mesh, each behind one more ``socketpair``;
 * :class:`~repro.runtime.tcp.Rendezvous` admits K ``repro worker``
   agents through the versioned TCP handshake, and admits mid-flight
   rejoiners through the same routine.
 
 A **control channel** is anything with ``send(obj)`` / ``recv()`` /
-``fileno()`` / ``close()``; a :class:`multiprocessing.connection
-.Connection` already is one, TCP wraps its control socket, and a worker
-thread's passes objects by reference with a socket byte as doorbell.
+``fileno()`` / ``close()``.  Forked and TCP workers both sit behind a
+:class:`~repro.runtime.transport.Channel` — one socket, one framing,
+one codec, results' arrays out of band — and a worker thread's passes
+objects by reference with a socket byte as doorbell.
 
 The pool runs any number of concurrent jobs on disjoint member subsets
 (:meth:`WorkerPool.submit`); :meth:`WorkerPool.run_job` — what
@@ -80,8 +81,8 @@ from repro.runtime.traffic import TrafficLog
 __all__ = ["CHANNEL_ERRORS", "SubsetJob", "WorkerPool"]
 
 #: What a control channel raises once its peer (or the channel) is gone:
-#: EOF on a pipe, any socket/framing error (``TransportError`` is an
-#: ``OSError``), or a closed handle.
+#: EOF on a worker thread's channel, any socket/framing/codec error
+#: (``TransportError`` is an ``OSError``), or a closed handle.
 CHANNEL_ERRORS = (EOFError, OSError, ValueError)
 
 _WAKE = "wake"

@@ -5,8 +5,10 @@ Architecture (the paper's Fig. 8, coordinator + K workers):
 * the parent process is the coordinator: :class:`ForkMesh` creates a full
   mesh of ``socketpair`` channels and forks K worker processes, and the
   shared :class:`~repro.runtime.pool.WorkerPool` reactor dispatches jobs
-  and collects results, stage timings, and traffic logs over per-worker
-  control pipes (``ProcessCluster.run`` is that pool running one job);
+  and collects results, stage timings, and traffic logs over one
+  ``socketpair`` control channel per worker, in control-codec frames
+  whose arrays travel out of band (see :mod:`repro.runtime.transport`;
+  ``ProcessCluster.run`` is that pool running one job);
 * each worker runs the same :class:`~repro.runtime.program.NodeProgram` the
   threaded backend runs, over a :class:`Comm` whose point-to-point primitive
   is framed socket I/O;
@@ -47,7 +49,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.api import (
     BufferParts,
@@ -77,6 +79,7 @@ from repro.runtime.program import (
 from repro.runtime.ratelimit import TokenBucket
 from repro.runtime.traffic import TrafficLog
 from repro.runtime.transport import (
+    Channel,
     TransportError,
     bound_sends,
     recv_frame,
@@ -725,12 +728,12 @@ def serve_pool_jobs(
     :class:`TransportError` once the coordinator is gone; any non-``job``
     message (``("stop",)``) also ends the loop, as does a
     :class:`WorkerDrain` trigger once the in-flight job (if any) has
-    reported.  Shared by the forked AF_UNIX pool workers here
-    (transport: a duplex pipe), the TCP worker agents in
-    :mod:`repro.runtime.tcp` (transport: framed pickles on the
-    rendezvous connection) and the worker threads of
-    :class:`~repro.runtime.inproc.InprocMesh` (transport: objects passed
-    by reference).
+    reported.  Shared by the forked AF_UNIX pool workers here and the TCP
+    worker agents in :mod:`repro.runtime.tcp` (transport: a
+    :class:`~repro.runtime.transport.Channel` — control-codec frames on
+    a ``socketpair`` end or the rendezvous connection) and the worker
+    threads of :class:`~repro.runtime.inproc.InprocMesh` (transport:
+    objects passed by reference).
     """
     send_lock = threading.Lock()
 
@@ -816,12 +819,13 @@ def _pool_worker_main(
     size: int,
     conns: Dict[int, socket.socket],
     extra_close: List,
-    ctrl_conn,
+    ctrl_sock: socket.socket,
     cluster: "ProcessCluster",
 ) -> None:
     """Pool worker entry point (forked child): :func:`serve_pool_jobs`
-    over the duplex control pipe, after the one-time mesh/comm setup
-    from the ``cluster`` configuration inherited through the fork."""
+    over its end of the control ``socketpair``, after the one-time
+    mesh/comm setup from the ``cluster`` configuration inherited through
+    the fork."""
     from repro.kvpairs.spill import SpillDir, install_spill_cleanup_handler
 
     # Spill hygiene: a terminated pool worker must still remove its
@@ -851,20 +855,18 @@ def _pool_worker_main(
             cluster.chunk_bytes,
             cluster.record_relays,
         )
+        chan = Channel(ctrl_sock, cluster.timeout, pool_end=False)
         serve_pool_jobs(
             comm,
             rank,
-            ctrl_conn.recv,
-            ctrl_conn.send,
+            chan.recv,
+            chan.send,
             heartbeat_interval=cluster.heartbeat_interval,
         )
     finally:
         if comm is not None:
             comm._close_async()
-        try:
-            ctrl_conn.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
+        ctrl_sock.close()
         for s in conns.values():
             try:
                 s.close()
@@ -924,7 +926,7 @@ class ProcessCluster:
 
         Workers inherit ``factory`` through ``fork`` (it is parked in a
         module-level registry the children see a copy of; only its token
-        crosses the control pipe), so it may close over arbitrary
+        crosses the control channel), so it may close over arbitrary
         in-memory state without pickling.
 
         Raises:
@@ -951,7 +953,8 @@ class ProcessCluster:
 
         The pool forks the K-worker socket mesh once (lazily, on the
         first job) and runs many jobs on it: the per-job cost drops to
-        one (builder, payload) pickle per worker plus the job itself.
+        one (builder, payload) control frame per worker plus the job
+        itself.
         Any worker error, worker death, or job timeout fails that job
         and tears the workers down; the next job transparently re-forks
         a clean mesh.  :class:`repro.session.Session` is the
@@ -972,7 +975,9 @@ def _build_inherited(comm: Comm, token: int) -> NodeProgram:
 
 class ForkMesh:
     """The fork transport: K worker processes over one ``socketpair``
-    mesh, each behind a duplex pipe as its control channel.
+    mesh, each behind one more ``socketpair`` as its control
+    :class:`~repro.runtime.transport.Channel` — the framing and codec
+    TCP workers and the service port speak too.
 
     Only answers how the workers come to exist (:meth:`form`) and go
     away (:meth:`teardown`); everything after is
@@ -987,20 +992,20 @@ class ForkMesh:
         self._ctx = multiprocessing.get_context("fork")
         self.procs: List = []
 
-    def form(self, size: int) -> Dict[int, Any]:
+    def form(self, size: int) -> Dict[int, Channel]:
         """Fork ``size`` workers running :func:`_pool_worker_main`;
-        returns the parent ends of their control pipes by rank."""
+        returns the pool ends of their control channels by rank."""
         pairs = _build_mesh(size)
-        ctrl_conns: List = []
+        chans: List[Channel] = []
         procs: List = []
         try:
             for rank in range(size):
                 conns, extra_close = _mesh_endpoints(pairs, rank)
-                # Earlier workers' parent-side control ends are inherited
+                # Earlier workers' pool-side control ends are inherited
                 # too; the child drops those copies.
-                extra_close.extend(ctrl_conns)
-                parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-                extra_close.append(parent_conn)
+                extra_close.extend(chans)
+                pool_end, worker_end = socket.socketpair()
+                extra_close.append(pool_end)
                 proc = self._ctx.Process(
                     target=_pool_worker_main,
                     args=(
@@ -1008,15 +1013,15 @@ class ForkMesh:
                         size,
                         conns,
                         extra_close,
-                        child_conn,
+                        worker_end,
                         self._cluster,
                     ),
                     name=f"pool-worker-{rank}",
                     daemon=True,
                 )
                 proc.start()
-                child_conn.close()
-                ctrl_conns.append(parent_conn)
+                worker_end.close()
+                chans.append(Channel(pool_end, self._cluster.timeout))
                 procs.append(proc)
         finally:
             # The pool no longer needs the mesh fds (workers hold theirs).
@@ -1024,11 +1029,11 @@ class ForkMesh:
                 si.close()
                 sj.close()
         self.procs = procs
-        return dict(enumerate(ctrl_conns))
+        return dict(enumerate(chans))
 
     def teardown(self) -> None:
         """Reap the workers (the pool already sent ``stop`` and closed
-        their control pipes); must never hang.  Each escalation step
+        their control channels); must never hang.  Each escalation step
         gives the whole mesh one shared window, not one per worker:
         after a failed job every survivor may be wedged on a dead peer.
         """

@@ -323,7 +323,7 @@ class PreparedJob:
         builder: ``(comm, payload) -> NodeProgram`` constructing rank's
             program.  Must be a *module-level* callable — the process pool
             pickles it by reference to workers forked before the job
-            existed (closures would not survive the pipe).
+            existed (closures would not survive the control channel).
         payloads: one picklable per-rank payload, ``len(payloads) == K``.
         finalize: coordinator-side mapping from the pool's
             :class:`ClusterResult` to the driver-facing result object

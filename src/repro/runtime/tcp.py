@@ -7,8 +7,8 @@ HOST:PORT``, typically one per machine) dial a rendezvous coordinator
 over TCP, complete a versioned rank-assignment handshake
 (:class:`Rendezvous`), and form the full K×K peer mesh over plain TCP
 sockets.  From there everything is shared with the multiprocessing
-backend: :func:`~repro.runtime.transport.send_frame` framing, the
-zero-copy ``sendmsg`` / ``recv_into`` data plane of
+backend: :func:`~repro.runtime.transport.send_frame` framing and the
+control codec, the zero-copy ``sendmsg`` / ``recv_into`` data plane of
 :class:`~repro.runtime.process._SocketComm`, the
 :func:`~repro.runtime.process.serve_pool_jobs` worker loop, and the
 driver-side :class:`~repro.runtime.pool.WorkerPool` reactor — so
@@ -17,7 +17,8 @@ driver-side :class:`~repro.runtime.pool.WorkerPool` reactor — so
 
 Rendezvous protocol (all control messages are length-prefixed frames on
 the worker's coordinator connection; fixed-layout structs for the two
-messages that must parse across versions, pickled tuples after that)::
+messages that must parse across versions, control-codec frames
+(:func:`~repro.runtime.transport.send_msg`) after that)::
 
     worker -> coord   HELLO   magic, protocol version, requested rank (-1 = any)
     coord  -> worker  WELCOME rank, size, mesh nonce, cluster config
@@ -63,16 +64,18 @@ restart loop to get the process backend's transparent-restart behavior.
 The sort service never re-forms; replacements rejoin the standing mesh.
 
 Trust model: job dispatch pickles ``(builder, payload)`` to workers and
-results back — run this only between mutually trusted hosts on a private
-network, exactly like the paper's EC2 security group (pickle grants the
-coordinator arbitrary code execution on workers, which is also what lets
-``Session`` ship any prepared job unchanged).
+results back (large arrays out of band, see
+:mod:`repro.runtime.transport`) — run this only between mutually trusted
+hosts on a private network, exactly like the paper's EC2 security group
+(pickle grants the coordinator arbitrary code execution on workers,
+which is also what lets ``Session`` ship any prepared job unchanged).
+The listeners read only fixed-size hellos, capped, before a peer has
+proved the rendezvous magic and version, or the mesh nonce.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import socket
 import struct
@@ -89,15 +92,16 @@ from repro.runtime.process import (
     serve_pool_jobs,
 )
 from repro.runtime.transport import (
+    Channel,
     TransportError,
-    bound_sends,
     recv_frame,
+    recv_msg,
     send_frame,
+    send_msg,
 )
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "Channel",
     "Rendezvous",
     "TcpCluster",
     "TcpClusterError",
@@ -119,8 +123,10 @@ __all__ = [
 #: frame a v3 Session coordinator sends.  v5: one roster shape,
 #: ``{"peers", "epoch", "size"}``, at formation as on a rejoin (a v4
 #: worker expects a list at formation), and the welcome config lost its
-#: ``resilient`` key — every agent keeps its mesh listener.
-PROTOCOL_VERSION = 5
+#: ``resilient`` key — every agent keeps its mesh listener.  v6: every
+#: control message after the hello is a control-codec frame (pickle body
+#: plus out-of-band buffers), not a bare pickle.
+PROTOCOL_VERSION = 6
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).
@@ -129,11 +135,13 @@ _HELLO = struct.Struct("<8sIi")
 #: dialer joined at (0 for the initial rendezvous mesh).
 _PEER_HELLO = struct.Struct("<8sQIQ")
 
-#: Frame tags on control / peer-handshake links (one kind per link state,
-#: so a frame of the wrong tag is a protocol error, not a misroute).
+#: Frame tags on hello / peer-handshake links (one kind per link state,
+#: so a frame of the wrong tag is a protocol error, not a misroute); the
+#: control messages after the hello use the codec's ``CTRL_TAG`` (2).
 _TAG_HELLO = 1
-_TAG_CTRL = 2
 _TAG_PEER = 3
+#: Cap on a hello frame a listener reads from a dialer it does not know.
+_HELLO_LIMIT = 64
 
 
 class TcpClusterError(RuntimeError):
@@ -170,25 +178,14 @@ def parse_address(address: str) -> Tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# Control-plane framing: fixed structs for HELLO/PEER_HELLO, pickles after.
+# Control-plane framing: fixed structs for HELLO/PEER_HELLO, codec after.
 # ---------------------------------------------------------------------------
-
-
-def _send_msg(sock: socket.socket, obj: Any, tag: int = _TAG_CTRL) -> None:
-    send_frame(sock, tag, pickle.dumps(obj, pickle.HIGHEST_PROTOCOL))
-
-
-def _recv_msg(sock: socket.socket, tag: int = _TAG_CTRL) -> Any:
-    got, payload = recv_frame(sock)
-    if got != tag:
-        raise TransportError(f"expected control frame tag {tag}, got {got}")
-    return pickle.loads(bytes(payload))
 
 
 def _recv_ctrl(sock: socket.socket, step: str) -> Any:
     """Receive one control message, naming ``step`` in timeout/EOF errors."""
     try:
-        return _recv_msg(sock)
+        return recv_msg(sock)
     except (OSError, TransportError) as exc:
         raise TcpClusterError(f"{step}: {exc}") from exc
 
@@ -295,7 +292,7 @@ def _serve_mesh_joins(
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             sock.settimeout(handshake_timeout)
-            tag, payload = recv_frame(sock)
+            tag, payload = recv_frame(sock, _HELLO_LIMIT)
             magic, got, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
             stray = (tag, magic, got) != (_TAG_PEER, _MAGIC, nonce)
             if stray or peer == comm.rank:
@@ -394,9 +391,7 @@ def run_worker(
         listener.bind(("", 0))
         listener.listen(size + 4)
         adv_host = advertise or ctrl.getsockname()[0]
-        _send_msg(
-            ctrl, ("listening", (adv_host, listener.getsockname()[1]))
-        )
+        send_msg(ctrl, ("listening", (adv_host, listener.getsockname()[1])))
         roster = _expect(ctrl, "roster", "waiting for the peer roster")[1]
         epoch = roster["epoch"]
         comm = make_socket_comm(
@@ -427,15 +422,14 @@ def run_worker(
                 f"rank {my_rank}: peers {missing} did not dial in within "
                 f"{handshake_timeout:.1f}s"
             )
-        _send_msg(ctrl, ("ready",))
-        ctrl.settimeout(None)
-        bound_sends(ctrl, cfg["timeout"])
+        send_msg(ctrl, ("ready",))
+        chan = Channel(ctrl, cfg["timeout"], pool_end=False)
         say("mesh up, serving jobs")
         serve_pool_jobs(
             comm,
             my_rank,
-            lambda: _recv_msg(ctrl),
-            lambda msg: _send_msg(ctrl, msg),
+            chan.recv,
+            chan.send,
             heartbeat_interval=cfg.get("heartbeat_interval", 0.5),
             drain=drain,
         )
@@ -587,40 +581,6 @@ class TcpCluster:
         return f"TcpCluster(size={self.size}, address={self.address!r})"
 
 
-class Channel:
-    """A worker's control connection as a pool control channel
-    (``send`` / ``recv`` / ``fileno`` / ``close``): pickled tuples in
-    ``_TAG_CTRL`` frames.  Sends are bounded at the kernel
-    (:func:`~repro.runtime.transport.bound_sends`); a receive, entered
-    only once the socket is readable, is bounded too, so a worker that
-    wedges mid-frame cannot hang the reactor."""
-
-    def __init__(self, sock: socket.socket, timeout: float) -> None:
-        sock.settimeout(None)
-        bound_sends(sock, timeout)
-        self._sock = sock
-        self._recv_timeout = min(30.0, timeout)
-
-    def send(self, obj: Any) -> None:
-        _send_msg(self._sock, obj)
-
-    def recv(self) -> Any:
-        self._sock.settimeout(self._recv_timeout)
-        try:
-            return _recv_msg(self._sock)
-        finally:
-            try:
-                self._sock.settimeout(None)
-            except OSError:
-                pass  # closed under us; the caller sees the recv error
-
-    def fileno(self) -> int:
-        return self._sock.fileno()
-
-    def close(self) -> None:
-        self._sock.close()
-
-
 class Rendezvous:
     """The TCP transport: how K worker agents — and later their
     replacements — come to stand behind control channels.
@@ -665,7 +625,7 @@ class Rendezvous:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(self._cluster.handshake_timeout)
-            tag, payload = recv_frame(conn)
+            tag, payload = recv_frame(conn, _HELLO_LIMIT)
         except (OSError, TransportError):
             conn.close()
             return None
@@ -687,7 +647,7 @@ class Rendezvous:
                     return assigned
                 reason = assigned
         try:
-            _send_msg(conn, ("reject", reason))
+            send_msg(conn, ("reject", reason))
         except (OSError, TransportError):  # pragma: no cover
             pass
         conn.close()
@@ -766,7 +726,7 @@ class Rendezvous:
                 if rank is None:
                     continue
                 try:
-                    _send_msg(conn, self._welcome(rank, size))
+                    send_msg(conn, self._welcome(rank, size))
                 except (OSError, TransportError):
                     conn.close()
                     continue
@@ -779,7 +739,7 @@ class Rendezvous:
                 for rank in range(size)
             }
             for rank, conn in ranks.items():
-                _send_msg(conn, self._roster(range(rank), 0, size))
+                send_msg(conn, self._roster(range(rank), 0, size))
             for rank in range(size):
                 _expect(
                     ranks[rank], "ready",
@@ -808,12 +768,12 @@ class Rendezvous:
         if reserved is None:
             return None
         rank, epoch, size, live = reserved
-        _send_msg(conn, self._welcome(rank, size))
+        send_msg(conn, self._welcome(rank, size))
         step = f"joiner for rank {rank} died mid-handshake"
         addr = tuple(_expect(conn, "listening", step)[1])
         # The joiner now dials every live peer's mesh listener; their
         # join-acceptor threads splice the links in.
-        _send_msg(conn, self._roster(live, epoch, size))
+        send_msg(conn, self._roster(live, epoch, size))
         _expect(conn, "ready", step)
         self.addrs[rank] = addr
         return rank, epoch, Channel(conn, self._cluster.timeout)

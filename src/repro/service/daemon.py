@@ -42,7 +42,7 @@ from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.runtime.pool import SubsetJob, WorkerPool
 from repro.runtime.program import PreparedJob
 from repro.runtime.tcp import Rendezvous, TcpCluster, parse_address
-from repro.service.protocol import recv_obj, send_obj
+from repro.service.protocol import MAX_REQUEST_BYTES, recv_obj, send_obj
 from repro.service.scheduler import (
     AdmissionError,
     FairShareScheduler,
@@ -503,7 +503,7 @@ class SortService:
         try:
             conn.settimeout(self._RESULT_POLL_CAP + 30.0)
             try:
-                req = recv_obj(conn)
+                req = recv_obj(conn, MAX_REQUEST_BYTES)
             except (OSError, ConnectionError):
                 return
             try:

@@ -1,9 +1,10 @@
 """Control-port wire protocol for the sort service.
 
-One request/response pair per connection, length-prefixed frames from
-:mod:`repro.runtime.transport` carrying pickled tuples — the same
-framing the worker rendezvous uses, behind tiny helpers so the daemon
-and client cannot disagree on tags.
+One request/response pair per connection, each one control-codec frame
+(:func:`repro.runtime.transport.send_msg`) — the framing and codec the
+worker channels use, so a settled result's sorted partitions leave the
+daemon as out-of-band buffers, not inside a pickle — behind tiny helpers
+so the daemon and client cannot disagree on tags.
 
 Requests (client -> daemon)::
 
@@ -22,18 +23,20 @@ scheduler's ``replanned_k``, the attempt count).
 
 Trust model matches the worker rendezvous: submissions pickle arbitrary
 job specs, so expose the control port only to trusted clients on a
-private network.
+private network.  The daemon reads at most :data:`MAX_REQUEST_BYTES`
+of a request, and a frame that does not decode is a typed
+:class:`ServiceProtocolError`.
 """
 
 from __future__ import annotations
 
-import pickle
 import socket
-from typing import Any, Tuple
+from typing import Any, Optional
 
-from repro.runtime.transport import TransportError, recv_frame, send_frame
+from repro.runtime.transport import CodecError, recv_msg, send_msg
 
 __all__ = [
+    "MAX_REQUEST_BYTES",
     "SERVICE_PROTOCOL_VERSION",
     "ServiceProtocolError",
     "recv_obj",
@@ -43,35 +46,38 @@ __all__ = [
 
 #: Bumped on incompatible control-port changes; checked per frame.
 #: v2: settled result responses grew a third attempt-metadata element.
-SERVICE_PROTOCOL_VERSION = 2
+#: v3: frames are control-codec frames (arrays out of band), not bare
+#: pickles.
+SERVICE_PROTOCOL_VERSION = 3
 
 #: Frame tag for service control messages — distinct from the worker
 #: rendezvous tags so a client dialing the wrong port fails typed.
 _TAG_SERVICE = 17
 
+#: Largest request frame the daemon reads (an inline input rides in
+#: one); anything announcing more is refused before it is allocated.
+MAX_REQUEST_BYTES = 1 << 30
 
-class ServiceProtocolError(TransportError):
+
+class ServiceProtocolError(CodecError):
     """A malformed or mis-versioned control-port frame."""
 
 
 def send_obj(sock: socket.socket, obj: Any) -> None:
-    payload = pickle.dumps(
-        (SERVICE_PROTOCOL_VERSION, obj), pickle.HIGHEST_PROTOCOL
-    )
-    send_frame(sock, _TAG_SERVICE, payload)
+    send_msg(sock, (SERVICE_PROTOCOL_VERSION, obj), _TAG_SERVICE)
 
 
-def recv_obj(sock: socket.socket) -> Any:
-    tag, payload = recv_frame(sock)
-    if tag != _TAG_SERVICE:
-        raise ServiceProtocolError(
-            f"expected service frame tag {_TAG_SERVICE}, got {tag} "
-            "(is this really the service control port?)"
-        )
+def recv_obj(sock: socket.socket, limit: Optional[int] = None) -> Any:
     try:
-        version, obj = pickle.loads(bytes(payload))
-    except Exception as exc:  # noqa: BLE001 - wire garbage, typed below
-        raise ServiceProtocolError(f"undecodable service frame: {exc}") from exc
+        msg = recv_msg(sock, _TAG_SERVICE, limit)
+    except CodecError as exc:
+        raise ServiceProtocolError(
+            f"{exc} (is this really a v{SERVICE_PROTOCOL_VERSION} service "
+            "control port?)"
+        ) from exc
+    if not (isinstance(msg, tuple) and len(msg) == 2):
+        raise ServiceProtocolError(f"not a service message: {msg!r:.80}")
+    version, obj = msg
     if version != SERVICE_PROTOCOL_VERSION:
         raise ServiceProtocolError(
             f"service protocol mismatch: peer speaks {version}, "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -40,3 +41,19 @@ def thread_cluster_factory():
         return ThreadCluster(size, **kwargs)
 
     return make
+
+
+@pytest.fixture
+def out_of_band():
+    """Predicate: did this array arrive as an out-of-band buffer of a
+    control frame, i.e. as a view of the frame's whole receive arena
+    (head and pickle body included), not as an array of its own bytes."""
+
+    def check(arr: np.ndarray) -> bool:
+        base = arr
+        while isinstance(base, np.ndarray):
+            base = base.base
+        arena = base.obj if isinstance(base, memoryview) else base
+        return isinstance(arena, bytearray) and len(arena) > arr.nbytes
+
+    return check

@@ -17,6 +17,8 @@ The acceptance criteria for the service PR, verified against genuine
 from __future__ import annotations
 
 import multiprocessing
+import pickle
+import socket
 import threading
 import time
 
@@ -25,7 +27,8 @@ import pytest
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.runtime.tcp import TcpCluster, run_worker
+from repro.runtime.tcp import TcpCluster, parse_address, run_worker
+from repro.runtime.transport import FRAME_HEADER, send_frame
 from repro.service import (
     ServiceClient,
     ServiceRejected,
@@ -312,6 +315,47 @@ def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
             # The cluster spec came through untouched: mesh growth is
             # the service pool's own state.
             assert cluster.size == 2
+        finally:
+            _reap(procs)
+
+
+def test_hostile_control_frames_are_dropped_and_the_daemon_serves_on(
+    no_plan, out_of_band
+):
+    """The control port reads each request with a cap and the codec: a
+    frame announcing more than ``MAX_REQUEST_BYTES`` is dropped on its
+    header, a pre-codec (bare pickle) frame and random bytes are dropped
+    as undecodable — each connection closed without a reply — and the
+    next real client is served, its result's partitions out of band."""
+    data = teragen(800, seed=97)
+    with TcpCluster(
+        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    ) as cluster:
+        procs = _spawn_workers(cluster.address, 2)
+        try:
+            with SortService(cluster) as service:
+                service.start()
+                address = parse_address(service.control_address)
+                for frame in (
+                    FRAME_HEADER.pack(17, 1 << 40),
+                    None,
+                    FRAME_HEADER.pack(17, 64) + bytes(range(64)),
+                ):
+                    hostile = socket.create_connection(address, timeout=10)
+                    if frame is None:
+                        send_frame(hostile, 17, pickle.dumps((2, ("stats",))))
+                    else:
+                        hostile.sendall(frame)
+                    assert hostile.recv(1) == b""  # dropped, no reply
+                    hostile.close()
+                client = ServiceClient(service.control_address)
+                run = client.submit(
+                    TeraSortSpec(data=data), workers=2
+                ).result(timeout=60)
+                assert b"".join(p.to_bytes() for p in run.partitions) == (
+                    b"".join(_solo_partitions(TeraSortSpec(data=data), 2))
+                )
+                assert all(out_of_band(p.array) for p in run.partitions)
         finally:
             _reap(procs)
 

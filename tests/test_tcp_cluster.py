@@ -95,7 +95,7 @@ class SlowMapJob(MapReduceJob):
 
 
 @pytest.mark.parametrize("k,r", [(4, 1), (6, 2)])
-def test_tcp_session_byte_identical_to_process_cluster(k, r):
+def test_tcp_session_byte_identical_to_process_cluster(k, r, out_of_band):
     """All three job kinds: TCP == process backend, bytes and traffic."""
     data = teragen(3000, seed=21)
     corpus = _corpus(k, r)
@@ -132,6 +132,10 @@ def test_tcp_session_byte_identical_to_process_cluster(k, r):
         assert [p.to_bytes() for p in tcp_run.partitions] == [
             p.to_bytes() for p in ref_run.partitions
         ]
+        # Both backends' control channels carried the partitions out of
+        # band: each arrived as a view of its receive arena.
+        for run in (tcp_run, ref_run):
+            assert all(out_of_band(p.array) for p in run.partitions)
     assert tcp_runs[2].outputs == ref_runs[2].outputs
     for tcp_run, ref_run in zip(tcp_runs, ref_runs):
         assert _traffic_summary(tcp_run.traffic) == _traffic_summary(

@@ -29,7 +29,12 @@ from repro.runtime.tcp import (
     parse_address,
     run_worker,
 )
-from repro.runtime.transport import send_frame
+from repro.runtime.transport import (
+    FRAME_HEADER,
+    recv_msg,
+    send_frame,
+    send_msg,
+)
 
 
 def _raw_client(address: str, version: int, rank: int) -> socket.socket:
@@ -56,15 +61,14 @@ class TestParseAddress:
 
 
 class TestCoordinatorRejections:
-    @pytest.mark.parametrize(
-        "version", [PROTOCOL_VERSION + 7, PROTOCOL_VERSION - 1]
-    )
+    @pytest.mark.parametrize("version", [12, 4, PROTOCOL_VERSION - 1])
     def test_wrong_version_rejected_with_reason(self, version):
         """A mismatched protocol version gets a reject frame, and the
-        rendezvous keeps serving valid workers afterwards.  The previous
-        version matters by name: its workers expect a list-shaped roster
-        at formation, where today's coordinator sends the one
-        ``{"peers", "epoch", "size"}`` shape."""
+        rendezvous keeps serving valid workers afterwards.  Cases: a
+        future version, an older one whose workers expect a list-shaped
+        roster, and the previous one, whose workers send bare pickles
+        after the hello where today's coordinator reads control-codec
+        frames."""
         with TcpCluster(
             1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
         ) as cluster:
@@ -72,7 +76,7 @@ class TestCoordinatorRejections:
             with ThreadPoolExecutor(1) as pool_exec:
                 starting = pool_exec.submit(pool._form)
                 bad = _raw_client(cluster.address, version, -1)
-                msg = tcp._recv_msg(bad)
+                msg = recv_msg(bad)
                 bad.close()
                 assert msg[0] == "reject"
                 assert "version" in msg[1]
@@ -91,6 +95,34 @@ class TestCoordinatorRejections:
                 worker.join(timeout=15)
                 assert not worker.is_alive()
 
+    def test_oversized_hello_dropped_before_allocation(self):
+        """A dialer announcing a frame far past the hello cap is dropped
+        on the header alone — nothing of its size is allocated or read —
+        and the rendezvous keeps serving valid workers."""
+        with TcpCluster(
+            1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
+        ) as cluster:
+            pool = cluster.create_pool()
+            with ThreadPoolExecutor(1) as pool_exec:
+                starting = pool_exec.submit(pool._form)
+                hostile = socket.create_connection(
+                    parse_address(cluster.address), timeout=10.0
+                )
+                hostile.sendall(FRAME_HEADER.pack(tcp._TAG_HELLO, 1 << 62))
+                assert hostile.recv(1) == b""  # dropped: EOF, no reply
+                hostile.close()
+                worker = threading.Thread(
+                    target=run_worker,
+                    kwargs=dict(join=cluster.address, quiet=True),
+                    daemon=True,
+                )
+                worker.start()
+                starting.result(timeout=30)
+                assert len(pool._chans) == 1
+                pool.close()
+                worker.join(timeout=15)
+                assert not worker.is_alive()
+
     def test_duplicate_rank_rejected_and_midhandshake_death_detected(self):
         """Second claimant of a rank is rejected with a reason; a worker
         dying after admission surfaces as a clean coordinator error."""
@@ -101,10 +133,10 @@ class TestCoordinatorRejections:
             with ThreadPoolExecutor(1) as pool_exec:
                 starting = pool_exec.submit(pool._form)
                 first = _raw_client(cluster.address, PROTOCOL_VERSION, 0)
-                assert tcp._recv_msg(first)[0] == "welcome"
+                assert recv_msg(first)[0] == "welcome"
 
                 dup = _raw_client(cluster.address, PROTOCOL_VERSION, 0)
-                msg = tcp._recv_msg(dup)
+                msg = recv_msg(dup)
                 dup.close()
                 assert msg[0] == "reject"
                 assert "duplicate rank" in msg[1]
@@ -114,7 +146,7 @@ class TestCoordinatorRejections:
                 # and must notice the death — with a named rank, fast.
                 first.close()
                 second = _raw_client(cluster.address, PROTOCOL_VERSION, 1)
-                assert tcp._recv_msg(second)[0] == "welcome"
+                assert recv_msg(second)[0] == "welcome"
                 with pytest.raises(
                     TcpClusterError,
                     match="worker 0 died before announcing",
@@ -130,7 +162,7 @@ class TestCoordinatorRejections:
             with ThreadPoolExecutor(1) as pool_exec:
                 starting = pool_exec.submit(pool._form)
                 client = _raw_client(cluster.address, PROTOCOL_VERSION, 9)
-                msg = tcp._recv_msg(client)
+                msg = recv_msg(client)
                 client.close()
                 assert msg[0] == "reject"
                 assert "out of range" in msg[1]
@@ -156,9 +188,9 @@ class TestWorkerSideErrors:
                     handshake_timeout=1.0,
                 )
                 silent = _raw_client(cluster.address, PROTOCOL_VERSION, 1)
-                assert tcp._recv_msg(silent)[0] == "welcome"
-                tcp._send_msg(silent, ("listening", ("127.0.0.1", 9)))
-                roster = tcp._recv_msg(silent)
+                assert recv_msg(silent)[0] == "welcome"
+                send_msg(silent, ("listening", ("127.0.0.1", 9)))
+                roster = recv_msg(silent)
                 assert roster[0] == "roster"
                 assert set(roster[1]["peers"]) == {0}  # rank 1 dials 0
                 started = time.monotonic()
@@ -180,13 +212,13 @@ class TestWorkerSideErrors:
         addr = f"127.0.0.1:{listener.getsockname()[1]}"
 
         def fake_coordinator():
-            # The hello payload is a struct, not a pickle: drain it raw.
+            # The hello payload is a struct, not a codec frame: drain it raw.
             conn, _ = listener.accept()
             conn.settimeout(10.0)
             from repro.runtime.transport import recv_frame
 
             recv_frame(conn)
-            tcp._send_msg(conn, ("reject", "protocol version mismatch: nope"))
+            send_msg(conn, ("reject", "protocol version mismatch: nope"))
             conn.close()
 
         server = threading.Thread(target=fake_coordinator, daemon=True)
