@@ -4,7 +4,7 @@ The paper implements both algorithms in C++ over Open MPI (``MPI_Send``,
 ``MPI_Bcast``, ``MPI_Comm_split``).  This package provides the equivalent
 communication layer for the reproduction:
 
-* :mod:`repro.runtime.api` — the :class:`Comm` interface (blocking send /
+* :mod:`repro.runtime.api` — the :class:`Comm` communicator (blocking send /
   recv / bcast / barrier plus non-blocking isend / irecv / ibcast with
   :class:`Request` handles) that node programs are written against;
 * :mod:`repro.runtime.inproc` — worker threads in this process over

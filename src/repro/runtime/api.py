@@ -18,7 +18,7 @@ the pipelined shuffle engine is built on:
 * ``barrier`` — full synchronization, used between the serial turns of the
   Fig. 9 schedules.
 
-Non-blocking semantics: ``isend`` hands the payload to the backend's
+Non-blocking semantics: ``isend`` hands the payload to the endpoint's
 asynchronous sender and returns immediately; ``irecv`` and a receiving
 ``ibcast`` return a lazily-completing request that consumes frames as they
 arrive (``test`` never blocks, ``wait`` blocks for the remainder); no
@@ -61,31 +61,50 @@ the root's own sends) is additionally logged with kind ``"relay"``, so the
 two multicast modes can be compared byte-for-byte per link.  Relay records
 are excluded from the default load/wire summaries.
 
-Backends implement the raw primitives (``_send_raw`` / ``_recv_raw`` /
-``_poll_raw`` / ``wait_any`` / ``_barrier_raw`` and the async dispatch
-hooks); the group algorithms, chunked framing, and traffic accounting live
-here so every backend behaves identically.
+:class:`Comm` is the one communicator, concrete: a pool worker builds one
+per job over its mesh endpoint (:class:`~repro.runtime.process.MeshEndpoint`:
+peer links, one inbound mailbox, one async sender), the way the paper's
+implementation cuts ``MPI_Comm_split`` communicators from its cluster.
+The group algorithms, chunked framing, traffic accounting, logical ranks
+and typed receive failures live here, so every backend behaves
+identically.
 
 Internal tags live in namespaces disjoint from user tags *and* from each
 other (broadcast, barrier), so long runs can never alias a barrier frame
-onto a broadcast tag.  Session worker pools additionally shift each job's
-user tags (and barrier epochs) into a per-job window via :meth:`Comm.begin_job`,
-so one long-lived endpoint can run many jobs back to back without frames
-of adjacent jobs ever sharing a tag.
+onto a broadcast tag.  Every job's user tags (and barrier epochs) are
+shifted into the job's own window, so one long-lived endpoint runs many
+jobs, back to back or side by side, without frames of two jobs ever
+sharing a tag.
 """
 
 from __future__ import annotations
 
 import enum
+import socket
 import struct
 import threading
 import time
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Collection, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Collection,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from repro.runtime.errors import CommError, RuntimeTimeoutError, WorkerFailure
+from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
 from repro.utils import copytrack
+
+if TYPE_CHECKING:
+    from repro.runtime.process import MeshEndpoint
 
 #: Tags at or above this value are reserved for internal protocols
 #: (broadcast trees, barriers).  User programs must stay below it.
@@ -96,14 +115,14 @@ _BCAST_NS = 1 << 48
 #: Barrier tags: ``_BARRIER_NS + sequence`` — occupies [2^49, 2^50).
 _BARRIER_NS = 1 << 49
 
-#: Session worker pools run many jobs over one long-lived endpoint; every
-#: job is shifted into its own disjoint window of the user-tag space so a
+#: Pool workers run many jobs over one long-lived endpoint; every job is
+#: shifted into its own disjoint window of the user-tag space so a
 #: straggler frame from job ``n`` can never alias a receive of job ``n+1``.
-#: Inside a session, user tags must stay below the stride.
+#: User tags must stay below the stride.
 JOB_TAG_STRIDE = 1 << 32
 #: Number of disjoint job windows before the namespace wraps.
 _JOB_TAG_WINDOWS = RESERVED_TAG_BASE // JOB_TAG_STRIDE
-#: Barrier-epoch stride per job (bounds barriers per job inside a session).
+#: Barrier-epoch stride per job (bounds barriers per job).
 _JOB_BARRIER_EPOCH_STRIDE = 1 << 24
 
 #: Default maximum chunk size for one raw frame of a user payload.
@@ -114,7 +133,7 @@ _FRAME_PREFIX = struct.Struct("<I")
 #: Precomputed inline-payload prefix (the overwhelmingly common case).
 _PREFIX_INLINE = _FRAME_PREFIX.pack(0)
 
-#: Sentinel: use the backend's configured receive timeout.
+#: Sentinel: use the endpoint's configured receive timeout.
 BACKEND_TIMEOUT = object()
 
 #: A single payload buffer (anything exporting the buffer protocol we use).
@@ -164,10 +183,6 @@ def chunk_views(views: Sequence[memoryview], chunk: int):
         yield cur
 
 
-class CommError(RuntimeError):
-    """Raised on protocol misuse (bad ranks, reserved tags, dead peers)."""
-
-
 class MulticastMode(enum.Enum):
     """How ``bcast`` moves bytes.
 
@@ -196,8 +211,8 @@ class Request(ABC):
     for ``isend``.  ``test`` polls without blocking and reports
     completion.  Errors raised by the underlying transfer re-raise on
     ``wait`` (and on the ``test`` that observes them).  ``wait(timeout)``
-    bounds the wait (``None`` = the backend's configured receive
-    timeout); expiry raises :class:`CommError`.
+    bounds the wait (``None`` = the endpoint's configured receive
+    timeout); expiry raises :class:`RuntimeTimeoutError`.
     """
 
     @abstractmethod
@@ -241,18 +256,19 @@ class _CompletedRequest(Request):
 
 
 class _FutureRequest(Request):
-    """A request completed by the backend's async sender thread.
+    """A request completed by the endpoint's async sender thread.
 
     ``default_timeout`` bounds ``wait(None)``: send futures get the
-    backend's receive timeout, so a wedged peer surfaces as an error
+    endpoint's receive timeout, so a wedged peer surfaces as an error
     instead of an unbounded hang.
     """
 
-    def __init__(self, default_timeout: Optional[float] = None) -> None:
+    def __init__(self, default_timeout: Optional[float], stage: str) -> None:
         self._event = threading.Event()
         self._value: Optional[bytes] = None
         self._error: Optional[BaseException] = None
         self._default_timeout = default_timeout
+        self._stage = stage
 
     def _set(self, value: Optional[bytes]) -> None:
         self._value = value
@@ -266,16 +282,21 @@ class _FutureRequest(Request):
         if timeout is None:
             timeout = self._default_timeout
         if not self._event.wait(timeout):
-            raise CommError("request wait timed out")
+            raise RuntimeTimeoutError(
+                f"send posted in stage {self._stage!r} not complete after "
+                f"{timeout}s",
+                stage=self._stage,
+                seconds=timeout,
+            )
         if self._error is not None:
-            raise CommError(f"async operation failed: {self._error}") from self._error
+            raise self._error
         return self._value
 
     def test(self) -> bool:
         if not self._event.is_set():
             return False
         if self._error is not None:
-            raise CommError(f"async operation failed: {self._error}") from self._error
+            raise self._error
         return True
 
 
@@ -283,9 +304,9 @@ class _RecvRequest(Request):
     """Lazily-completing receive: consumes frames as they become available.
 
     No thread is involved: ``test`` pops whatever frames have already
-    arrived via the backend's non-blocking ``_poll_raw``; ``wait`` blocks
-    via ``_recv_raw`` for the remainder.  Must only be driven from the
-    owning program's thread (like an MPI request).
+    arrived (a zero-timeout :meth:`Comm.wait_any`); ``wait`` blocks for
+    the remainder.  Must only be driven from the owning program's thread
+    (like an MPI request).
 
     With ``children`` (a TREE interior receive) the landed arena view
     goes to the async sender for them first; the payload is the caller's
@@ -306,7 +327,6 @@ class _RecvRequest(Request):
         stage: str = "",
     ) -> None:
         self._comm = comm
-        self._src = src
         self._tag = tag
         self._copy = copy
         self._children = children
@@ -315,7 +335,7 @@ class _RecvRequest(Request):
         self._parts: List[Buffer] = []
         self._value: Optional[ReceivedPayload] = None
         self._done = False
-        self.key = comm._mail_key(src, tag)
+        self.key = (comm.members[src], tag)
         self.forward: Optional[Request] = None
 
     def _consume(self, frame: Buffer) -> None:
@@ -344,8 +364,7 @@ class _RecvRequest(Request):
             self._parts = []
         if self._children:
             comm, view = self._comm, body
-            comm._async_dispatch_used = True
-            self.forward = comm._dispatch_send(
+            self.forward = comm._post(
                 lambda: comm._forward(
                     self._children, self._tag, view, self._stage
                 )
@@ -357,35 +376,91 @@ class _RecvRequest(Request):
         self._done = True
 
     def test(self) -> bool:
-        # _poll_raw raises CommError once the source is closed and no
-        # buffered frame remains, so polling callers observe peer death.
+        # wait_any raises once the source is closed and no buffered frame
+        # remains, so polling callers observe peer death.
+        comm = self._comm
         while not self._done:
-            frame = self._comm._poll_raw(self._src, self._tag)
-            if frame is None:
+            if not comm.wait_any((self.key,), 0):
                 return False
-            self._consume(frame)
+            self._consume(comm._mailbox.pop(self.key))
         return True
 
     def wait(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        if timeout is None:
-            while not self._done:
-                self._consume(self._comm._recv_raw(self._src, self._tag))
-            return self._value
-        deadline = time.monotonic() + timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
         while not self._done:
-            remaining = max(0.0, deadline - time.monotonic())
             self._consume(
-                self._comm._recv_raw(self._src, self._tag, timeout=remaining)
+                self._comm._take(
+                    self.key,
+                    BACKEND_TIMEOUT
+                    if deadline is None
+                    else max(0.0, deadline - time.monotonic()),
+                )
             )
         return self._value
 
 
-class Comm(ABC):
-    """Per-node communication endpoint.
+def _purge_stale_frames(mailbox: Mailbox, job_seq: int) -> int:
+    """Drop every buffered frame outside ``job_seq``'s tag windows.
+
+    A failed (or aborted) job can leave undelivered frames in the
+    worker's mailbox, and a peer may still be sending it that job's
+    queued frames after it has moved on; the worker outlives the job, so
+    they must be reclaimed.  Covers all three namespaces a job receives
+    in: shifted user tags, broadcast inner tags, and barrier rounds.
+    """
+    window = job_seq % _JOB_TAG_WINDOWS
+
+    def stale(src: int, tag: int) -> bool:
+        if tag >= _BARRIER_NS:
+            epoch = (tag - _BARRIER_NS) // 64
+            return epoch // _JOB_BARRIER_EPOCH_STRIDE != window
+        if tag >= _BCAST_NS:
+            return (tag - _BCAST_NS) // JOB_TAG_STRIDE != window
+        return tag // JOB_TAG_STRIDE != window
+
+    return mailbox.purge(stale)
+
+
+class Comm:
+    """One job's communicator: what a node program is written against.
+
+    A pool worker builds one per job over its mesh endpoint, and building
+    it is the job's start.  Logical rank ``i`` is global rank
+    ``members[i]``, so a program written for a K'-node cluster runs
+    unmodified — and byte-identically to a dedicated K'-worker mesh — on
+    any K' workers of a standing mesh, beside other jobs on the rest (a
+    Session's jobs name every rank).  Isolation between jobs:
+
+    * the job's user tags and barrier epochs are shifted into the window
+      of ``job_seq`` (coordinator-unique), and every buffered frame
+      outside it — a finished or failed job's — is dropped
+      (:func:`_purge_stale_frames`);
+    * the members' links are taken from the endpoint here, once: a job
+      planned at membership ``epoch`` refuses a member whose link was
+      re-established later (a recycled rank the plan knows nothing
+      about), as a :class:`CommError` the coordinator retries on;
+    * every receive — blocking, polled or the event loop's arrival wait —
+      sleeps on the endpoint's mailbox in ``_ABORT_POLL`` slices,
+      checking ``job_control``'s abort flag (a coordinator
+      ``("ctl", seq, ("abort", reason))`` frame) after each that came
+      back empty, so the members of a job the coordinator failed
+      elsewhere unwind promptly; a frame, or the closed source of a dead
+      peer (a :class:`WorkerFailure` naming it), wins over the abort
+      that peer's death also set off;
+    * sends run inline until the first non-blocking one, then on the
+      endpoint's one async sender; once ``failed`` is set, what the job
+      still has queued there is dropped, not sent ahead of the next
+      job's (a peer it waits behind may be stopped for good).
 
     Attributes:
-        rank: this node's id in ``range(size)``.
-        size: total number of nodes (the paper's ``K``).
+        rank: this node's logical rank in ``range(size)``.
+        size: the job's node count (the paper's ``K``).
+        members: the global rank of each logical rank.
+        job_seq: the job's coordinator-unique sequence number.
+        traffic: the job's traffic log (``None``: nothing logged).
+        job_control: the coordinator's mid-job directives (speculation,
+            abort), or ``None``.
+        stage: the stage traffic is attributed to (:meth:`set_stage`).
         chunk_bytes: maximum raw-frame payload; larger user messages are
             split into chunks transparently.
         record_relays: when True, every physical broadcast hop is logged
@@ -393,170 +468,112 @@ class Comm(ABC):
             one logical multicast record.
     """
 
+    _ABORT_POLL = 0.1
+
     def __init__(
         self,
-        rank: int,
-        size: int,
-        traffic: Optional[TrafficLog] = None,
-        multicast_mode: MulticastMode = MulticastMode.LINEAR,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        record_relays: bool = False,
+        endpoint: "MeshEndpoint",
+        members: Sequence[int],
+        job_seq: int,
+        traffic: Optional[TrafficLog],
+        epoch: Optional[int] = None,
+        control: Optional[Any] = None,
     ) -> None:
-        if not 0 <= rank < size:
-            raise CommError(f"rank {rank} out of range(size={size})")
-        if chunk_bytes < 1:
-            raise CommError(f"chunk_bytes must be >= 1, got {chunk_bytes}")
-        self.rank = rank
-        self.size = size
-        self.traffic = traffic
-        self.multicast_mode = multicast_mode
-        self.chunk_bytes = chunk_bytes
-        self.record_relays = record_relays
-        self._stage = "init"
-        self._stage_listeners: List[Callable[[str, str], None]] = []
-        # Set once the async sender path has been used; from then on
-        # blocking sends route through it too, preserving per-channel FIFO
-        # with any still-queued closures.
-        self._async_dispatch_used = False
-        # Session pools shift every job into its own user-tag window.
-        self._job_tag_offset = 0
-        self._in_session = False
-        self._job_seq = 0
-        # Driver->worker mid-job control channel (speculation, abort);
-        # installed by the pool's control loop per job, None outside one.
-        self.job_control: Optional[Any] = None
-
-    # -- session jobs -----------------------------------------------------------
-
-    def begin_job(self, job_seq: int, traffic: Optional[TrafficLog]) -> None:
-        """Rebind this endpoint to job ``job_seq`` of a session worker pool.
-
-        Long-lived pool endpoints call this between jobs: it installs the
-        job's own traffic log (per-job byte isolation), resets the stage to
-        ``"init"``, and shifts all user tags into the job's reserved window
-        of :data:`JOB_TAG_STRIDE` tags — so a stale frame from an earlier
-        job (e.g. one aborted mid-shuffle) can never alias a receive of the
-        current one.  All endpoints of a cluster must begin the same job
-        sequence number before the job's program runs.
-        """
+        members = list(members)
+        me = endpoint.rank
+        if len(set(members)) != len(members):
+            raise CommError(f"duplicate ranks in job members {members}")
+        if me not in members:
+            raise CommError(f"rank {me} is not a member of {members}")
         if job_seq < 0:
             raise CommError(f"job_seq must be >= 0, got {job_seq}")
-        self.traffic = traffic
-        self._stage = "init"
-        self._in_session = True
-        self._job_seq = job_seq
-        self.job_control = None
-        self._job_tag_offset = (job_seq % _JOB_TAG_WINDOWS) * JOB_TAG_STRIDE
-        self._begin_job_raw(job_seq)
-
-    def _begin_job_raw(self, job_seq: int) -> None:
-        """Backend hook: re-namespace internal protocol state per job."""
-
-    def _user_tag(self, tag: int) -> int:
-        """Validate a user tag and shift it into the current job window."""
-        self._check_tag(tag)
-        if self._in_session and tag >= JOB_TAG_STRIDE:
-            # Enforced for every job (including job 0, whose offset is 0):
-            # a window-straddling tag would alias a neighbouring job's.
+        if endpoint.chunk_bytes < 1:
             raise CommError(
-                f"tag {tag} outside the session job window "
-                f"[0, {JOB_TAG_STRIDE})"
+                f"chunk_bytes must be >= 1, got {endpoint.chunk_bytes}"
             )
-        return tag + self._job_tag_offset
-
-    # -- stage attribution ----------------------------------------------------
+        peers = {}
+        for i, g in enumerate(members):
+            if g == me:
+                continue
+            if g not in endpoint.links:
+                raise CommError(f"member {g} is not a mesh peer of rank {me}")
+            joined = endpoint.peer_epochs[g]
+            if epoch is not None and joined > epoch:
+                raise CommError(
+                    f"member {g} rejoined at membership epoch {joined}, "
+                    f"newer than the job's planning epoch {epoch} "
+                    f"(recycled rank)"
+                )
+            peers[i] = endpoint.links[g]
+        self.rank = members.index(me)
+        self.size = len(members)
+        self.members = members
+        self.job_seq = job_seq
+        self.traffic = traffic
+        self.job_control = control
+        self.stage = "init"
+        self.failed = False
+        self.multicast_mode = endpoint.multicast_mode
+        self.chunk_bytes = endpoint.chunk_bytes
+        self.record_relays = endpoint.record_relays
+        self._endpoint = endpoint
+        self._peers = peers
+        self._mailbox = endpoint.mailbox
+        self._recv_timeout = endpoint.recv_timeout
+        window = job_seq % _JOB_TAG_WINDOWS
+        self._job_tag_offset = window * JOB_TAG_STRIDE
+        self._barrier_epoch = window * _JOB_BARRIER_EPOCH_STRIDE
+        # Set once the async sender has been used; from then on blocking
+        # sends route through it too, preserving per-channel FIFO with
+        # any still-queued closures.
+        self._async_dispatch_used = False
+        # A worker runs one job at a time, so only the job starting now
+        # can have sent here early: anything else buffered is a finished
+        # job's late frame, and nothing will ever receive it.
+        _purge_stale_frames(self._mailbox, job_seq)
 
     def set_stage(self, name: str) -> None:
         """Attribute subsequent traffic to stage ``name``."""
-        previous = self._stage
-        self._stage = name
-        if previous != name:
-            for listener in list(self._stage_listeners):
-                listener(previous, name)
+        self.stage = name
 
-    @property
-    def stage(self) -> str:
-        return self._stage
+    # -- raw frames ------------------------------------------------------------
 
-    def add_stage_listener(
-        self, listener: Callable[[str, str], None]
-    ) -> None:
-        """Register ``listener(previous, current)`` for stage changes.
+    def _user_tag(self, tag: int) -> int:
+        """Validate a user tag and shift it into the job's window."""
+        self._check_tag(tag)
+        return tag + self._job_tag_offset
 
-        Stage-progress hook: fired from :meth:`set_stage` whenever the
-        attributed stage actually changes — including entry/exit of the
-        nested stage scopes the overlapped engines open mid-loop, so a
-        listener observes the real stage interleaving (e.g. ``shuffle``
-        -> ``map`` -> ``shuffle`` transitions prove Map ran inside the
-        shuffle span).  Listeners run on the worker's own thread; they
-        must be cheap and must not raise.  ``begin_job`` resets the
-        stage directly, so listeners only see intra-job transitions.
-        """
-        self._stage_listeners.append(listener)
-
-    def remove_stage_listener(
-        self, listener: Callable[[str, str], None]
-    ) -> None:
-        """Deregister a listener; unknown listeners are ignored."""
-        try:
-            self._stage_listeners.remove(listener)
-        except ValueError:
-            pass
-
-    # -- backend primitives ----------------------------------------------------
-
-    @abstractmethod
     def _send_raw(self, dst: int, tag: int, payload: BufferParts) -> None:
-        """Deliver one raw frame to ``dst`` under ``tag`` (blocking ok).
+        """One raw frame to ``dst`` over the link the job started with."""
+        try:
+            self._peers[dst].send(tag, payload)
+        except socket.timeout as exc:
+            # SO_SNDTIMEO expiry: the peer stopped draining (wedged or
+            # dead) — typed so drivers can tell timeout from protocol bug.
+            raise RuntimeTimeoutError(
+                f"send to worker {dst} timed out in stage "
+                f"{self.stage!r}: {exc}",
+                peer=dst,
+                stage=self.stage,
+            ) from exc
+        except OSError as exc:
+            raise WorkerFailure(
+                dst, self.stage, f"send failed: {exc}"
+            ) from exc
 
-        ``payload`` is a buffer or a gather list of buffer parts forming
-        one frame; backends must treat the parts as a single atomic frame
-        (the multiprocessing backend hands them to vectored ``sendmsg``).
+    def _post(self, fn: Callable[[], Optional[bytes]]) -> Request:
+        """Run a send closure on the endpoint's one async sender, in post
+        order; dropped there once the job failed."""
+        self._async_dispatch_used = True
+        return self._endpoint.post(
+            lambda: None if self.failed else fn(), self.stage
+        )
 
-        Must be safe to call from multiple threads for *different* tags on
-        the same destination (frames of one tag are never sent from two
-        threads at once by this layer).
-        """
-
-    @abstractmethod
-    def _recv_raw(self, src: int, tag: int, timeout=BACKEND_TIMEOUT) -> Buffer:
-        """Block until a raw frame from ``src`` with ``tag`` arrives.
-
-        ``timeout``: seconds to wait, ``None`` for unbounded, or the
-        :data:`BACKEND_TIMEOUT` sentinel for the backend's configured
-        default.  Expiry raises :class:`CommError`.
-        """
-
-    @abstractmethod
-    def _barrier_raw(self) -> None:
-        """Block until all ``size`` nodes have entered the barrier."""
-
-    def _poll_raw(self, src: int, tag: int) -> Optional[bytes]:
-        """Non-blocking: pop a buffered raw frame or return None.
-
-        Must raise :class:`CommError` (after draining buffered frames) if
-        the source can never deliver — that is how ``Request.test``
-        observes peer death.
-        """
-        raise NotImplementedError
-
-    def _mail_key(self, src: int, tag: int) -> Tuple[int, int]:
-        """The backend's name for frames of ``(src, tag)`` (``Request.key``)."""
-        return (src, tag)
-
-    def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
-        """Run a send closure asynchronously; default executes inline.
-
-        Backends whose raw sends can block for long (socket backpressure)
-        override this with a sender-thread dispatch.  Closures for one
-        destination+tag must execute in dispatch order.
-        """
-        return _CompletedRequest(fn())
-
-    def _close_async(self) -> None:
-        """Stop backend async helpers; called once the node program ends."""
-
-    # -- chunked framing --------------------------------------------------------
+    def _take(self, key: Tuple[int, int], timeout=BACKEND_TIMEOUT) -> Buffer:
+        """Pop the next frame of ``key``, waiting at most ``timeout``."""
+        if not self.wait_any((key,), timeout):  # an expired deadline polls
+            raise self._expired((key,), 0)
+        return self._mailbox.pop(key)
 
     def _send_framed(self, dst: int, tag: int, payload: BufferParts) -> None:
         """Send one logical payload as a header frame plus chunk frames.
@@ -589,15 +606,13 @@ class Comm(ABC):
         """
         self._check_peer(dst)
         tag = self._user_tag(tag)
-        faults.comm_op("send", self.rank, dst, self._stage, self._job_seq)
+        faults.comm_op("send", self.rank, dst, self.stage, self.job_seq)
         if self.traffic is not None:
             self.traffic.record(
-                self._stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
+                self.stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
             )
         if self._async_dispatch_used:
-            self._dispatch_send(
-                lambda: self._send_framed(dst, tag, payload)
-            ).wait()
+            self._post(lambda: self._send_framed(dst, tag, payload)).wait()
         else:
             self._send_framed(dst, tag, payload)
 
@@ -613,10 +628,9 @@ class Comm(ABC):
         tag = self._user_tag(tag)
         if self.traffic is not None:
             self.traffic.record(
-                self._stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
+                self.stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
             )
-        self._async_dispatch_used = True
-        return self._dispatch_send(lambda: self._send_framed(dst, tag, payload))
+        return self._post(lambda: self._send_framed(dst, tag, payload))
 
     def recv(self, src: int, tag: int, copy: bool = True) -> ReceivedPayload:
         """Blocking tagged receive from a specific source.
@@ -626,7 +640,7 @@ class Comm(ABC):
         """
         self._check_peer(src)
         tag = self._user_tag(tag)
-        faults.comm_op("recv", self.rank, src, self._stage, self._job_seq)
+        faults.comm_op("recv", self.rank, src, self.stage, self.job_seq)
         return _RecvRequest(self, src, tag, copy).wait()
 
     def irecv(self, src: int, tag: int, copy: bool = True) -> Request:
@@ -670,7 +684,7 @@ class Comm(ABC):
             return payload
         inner_tag = _BCAST_NS | self._user_tag(tag)
         return self._bcast(
-            *self._links(group, root), inner_tag, payload, self._stage, copy
+            *self._links(group, root), inner_tag, payload, self.stage, copy
         )
 
     def ibcast(
@@ -683,7 +697,7 @@ class Comm(ABC):
     ) -> Request:
         """Non-blocking multicast; ``wait()`` returns the payload everywhere.
 
-        The root's sends run on the backend's async sender.  Every
+        The root's sends run on the endpoint's async sender.  Every
         receiver gets a threadless lazy request; a TREE interior one,
         driven (``test`` / ``wait``) onto its landed packet, also hands it
         to the async sender for its children — ``forward`` is that send,
@@ -695,12 +709,11 @@ class Comm(ABC):
         if len(group) == 1:
             return _CompletedRequest(payload)
         inner_tag = _BCAST_NS | self._user_tag(tag)
-        stage = self._stage
+        stage = self.stage
         parent, children = self._links(group, root)
         if parent is not None:
             return _RecvRequest(self, parent, inner_tag, copy, children, stage)
-        self._async_dispatch_used = True
-        return self._dispatch_send(
+        return self._post(
             lambda: self._bcast(None, children, inner_tag, payload, stage)
         )
 
@@ -712,18 +725,69 @@ class Comm(ABC):
 
         ``keys``: an O(1)-membership collection of keys (the caller's own
         dict will do).  Blocks until one has a frame, at most ``timeout``
-        seconds (default: the backend's receive timeout; ``None``:
-        unbounded), then :class:`CommError` — except ``timeout=0``, a poll
-        that may return nothing.  A listed request's ``test()`` then makes
-        progress (a chunked payload takes several arrivals).  A source
-        dead with a listed receive still empty raises, as ``Request.test``
-        does.  Backends implement it (see ``MailboxComm``).
+        seconds (default: the endpoint's receive timeout; ``None``:
+        unbounded), then :class:`RuntimeTimeoutError` — except
+        ``timeout=0``, a poll that may return nothing.  A listed
+        request's ``test()`` then makes progress (a chunked payload takes
+        several arrivals).  A source dead with a listed receive still
+        empty raises :class:`WorkerFailure`, as ``Request.test`` does; so
+        does the coordinator's abort.
         """
-        raise NotImplementedError
+        if timeout is BACKEND_TIMEOUT:
+            timeout = self._recv_timeout
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            remaining = (
+                float("inf") if deadline is None else deadline - time.monotonic()
+            )
+            try:
+                ready = self._mailbox.wait_any(
+                    keys, max(0.0, min(self._ABORT_POLL, remaining))
+                )
+            except MailboxClosed as exc:
+                raise WorkerFailure(
+                    self.members.index(exc.src),
+                    self.stage,
+                    f"peer connection lost: {exc}",
+                ) from exc
+            if ready:
+                return ready
+            control = self.job_control
+            reason = None if control is None else control.abort_reason()
+            if reason is not None:
+                raise WorkerFailure(
+                    -1, self.stage, f"job aborted by coordinator: {reason}"
+                )
+            if remaining <= self._ABORT_POLL:
+                break
+        if timeout == 0:
+            return ready
+        raise self._expired(keys, timeout)
+
+    def _expired(self, keys, timeout) -> RuntimeTimeoutError:
+        peer = self.members.index(next(iter(keys))[0])  # the first awaited
+        return RuntimeTimeoutError(
+            f"recv from worker {peer} timed out after {timeout}s in stage "
+            f"{self.stage!r} ({len(keys)} receive(s) posted)",
+            peer=peer,
+            stage=self.stage,
+            seconds=timeout,
+        )
 
     def barrier(self) -> None:
-        """Block until every rank has reached the barrier."""
-        self._barrier_raw()
+        """Block until every rank has reached the barrier: a
+        dissemination barrier, log2(K) rounds of shifted token passing."""
+        k = self.size
+        epoch = self._barrier_epoch
+        self._barrier_epoch += 1
+        round_idx = 0
+        dist = 1
+        while dist < k:
+            tag = _BARRIER_NS + epoch * 64 + round_idx
+            self._send_raw((self.rank + dist) % k, tag, b"")
+            self._take((self.members[(self.rank - dist) % k], tag))
+            dist <<= 1
+            round_idx += 1
 
     # -- broadcast algorithms -----------------------------------------------------
 
@@ -750,7 +814,7 @@ class Comm(ABC):
                 dsts = tuple(m for m in group if m != root)
                 if dsts:
                     self.traffic.record(
-                        self._stage, "multicast", root, dsts,
+                        self.stage, "multicast", root, dsts,
                         payload_nbytes(payload),
                     )
         return group
@@ -852,12 +916,8 @@ class Comm(ABC):
 
     @staticmethod
     def _check_tag(tag: int) -> None:
-        if not 0 <= tag < RESERVED_TAG_BASE:
+        # A window-straddling tag would alias a neighbouring job's.
+        if not 0 <= tag < JOB_TAG_STRIDE:
             raise CommError(
-                f"tag {tag} outside user range [0, {RESERVED_TAG_BASE})"
+                f"tag {tag} outside the job window [0, {JOB_TAG_STRIDE})"
             )
-
-
-def barrier_tag(round_idx: int) -> int:
-    """Internal tag for dissemination-barrier round ``round_idx``."""
-    return _BARRIER_NS + round_idx

@@ -8,16 +8,18 @@ job's inputs are deterministic descriptors, so a re-run is
 byte-identical), while a program bug raised inside a stage must fail the
 handle immediately and must never be retried.
 
-Both classes extend :class:`~repro.runtime.api.CommError` (itself a
-``RuntimeError``), so every existing ``except CommError`` /
-``except RuntimeError`` site keeps working.
+Both classes extend :class:`CommError` (itself a ``RuntimeError``,
+re-exported by :mod:`repro.runtime.api`), so every ``except CommError``
+/ ``except RuntimeError`` site catches them.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.runtime.api import CommError
+
+class CommError(RuntimeError):
+    """Raised on protocol misuse (bad ranks, reserved tags, dead peers)."""
 
 
 class WorkerFailure(CommError):

@@ -11,10 +11,12 @@ transport beside :class:`~repro.runtime.process.ForkMesh` and
 :class:`~repro.runtime.tcp.Rendezvous`, so dispatch, heartbeats,
 speculation, abort, typed :class:`~repro.runtime.errors.WorkerFailure`
 and retry are the one pool's here too.  Each worker thread runs the
-shared :func:`~repro.runtime.process.serve_pool_jobs` loop over a mesh
-endpoint whose peer links are
+shared :func:`~repro.runtime.process.serve_pool_jobs` loop over a
+:class:`~repro.runtime.process.MeshEndpoint` built with the one
+constructor every backend uses: its peer links are
 :class:`~repro.runtime.mailbox.MailboxLink` objects — a send puts the
-frame straight into the peer's mailbox by reference — behind a control
+frame straight into the peer's mailbox by reference, the mailboxes made
+here and passed in — behind a control
 channel that passes objects by reference too, so closures and results
 are never pickled.  Mailbox puts never block, so ``isend`` completes
 inline — a TREE interior receive's relay included — and no sender
@@ -34,7 +36,7 @@ from typing import Any, Dict, List, Optional
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
 from repro.runtime.mailbox import Mailbox, MailboxLink
 from repro.runtime.pool import WorkerPool
-from repro.runtime.process import _SocketComm, serve_pool_jobs
+from repro.runtime.process import MeshEndpoint, serve_pool_jobs
 from repro.runtime.program import ClusterResult, PreparedJob, ProgramFactory
 from repro.testing import faults
 
@@ -180,11 +182,9 @@ class InprocMesh:
         """Start ``size`` worker threads; returns their channels by rank."""
         cl = self._cluster
         mailboxes = [Mailbox() for _ in range(size)]
-        comms = []
-        for rank in range(size):
-            comm = _SocketComm(
+        endpoints = [
+            MeshEndpoint(
                 rank,
-                size,
                 {
                     peer: MailboxLink(mailboxes[peer], rank)
                     for peer in range(size)
@@ -195,32 +195,35 @@ class InprocMesh:
                 cl.recv_timeout,
                 cl.chunk_bytes,
                 cl.record_relays,
+                mailbox=mailboxes[rank],
             )
-            comm._mailbox = mailboxes[rank]
-            comms.append(comm)
+            for rank in range(size)
+        ]
         chans = {rank: _Channel() for rank in range(size)}
         self._threads = [
             threading.Thread(
                 target=self._serve,
-                args=(comm, chans[comm.rank]),
+                args=(endpoint, chans[endpoint.rank]),
                 daemon=True,
-                name=f"inproc-worker-{comm.rank}",
+                name=f"inproc-worker-{endpoint.rank}",
             )
-            for comm in comms
+            for endpoint in endpoints
         ]
         for thread in self._threads:
             thread.start()
         return chans
 
-    def _serve(self, comm: _SocketComm, chan: _Channel) -> None:
+    def _serve(self, endpoint: MeshEndpoint, chan: _Channel) -> None:
         """One worker thread: the pool worker loop, then what a process's
         exit tells the rest of the pool."""
 
         def leave() -> None:
             # EOF on the control channel, then on every peer link.
             chan.hang_up()
-            for link in comm._conns.values():
-                link.mailbox.close_source(comm.rank, "worker thread exited")
+            for link in endpoint.links.values():
+                link.mailbox.close_source(
+                    endpoint.rank, "worker thread exited"
+                )
 
         def die() -> None:
             leave()  # before the unwind: no report can follow
@@ -229,8 +232,7 @@ class InprocMesh:
         faults.this_thread.die = die
         try:
             serve_pool_jobs(
-                comm,
-                comm.rank,
+                endpoint,
                 chan.take,
                 chan.put,
                 heartbeat_interval=self._cluster.heartbeat_interval,

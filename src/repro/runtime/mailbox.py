@@ -22,9 +22,11 @@ receive path slices views straight off whatever the producer enqueued (a
 receive arena behind a socket, possibly the sender's own memory over a
 :class:`MailboxLink`).  Consumers must treat popped frames as read-only.
 
-:class:`MailboxComm` is the receive half of a
-:class:`~repro.runtime.api.Comm` over such a mailbox; :class:`MailboxLink`
-is the send half of a peer link between two endpoints in one process.
+A worker's mesh endpoint (:class:`~repro.runtime.process.MeshEndpoint`)
+owns one mailbox for its whole life, and every job's
+:class:`~repro.runtime.api.Comm` receives from it;
+:class:`MailboxLink` is a peer link between two endpoints in one
+process.
 """
 
 from __future__ import annotations
@@ -32,11 +34,22 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Collection, Deque, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Collection,
+    Deque,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.runtime.api import BACKEND_TIMEOUT, BufferParts, Comm
-from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.utils import copytrack
+
+if TYPE_CHECKING:
+    from repro.runtime.api import BufferParts
 
 _MailKey = Tuple[int, int]  # (src, tag)
 _Frame = Union[bytes, bytearray, memoryview]
@@ -182,56 +195,3 @@ class MailboxLink:
             copytrack.count_copy(len(payload), "inproc.send.own")
             payload = bytes(payload)
         self.mailbox.put(self.src, tag, payload)
-
-
-class MailboxComm(Comm):
-    """The receive primitives of a ``Comm`` whose inbound frames sit in a
-    :class:`Mailbox` (``self._mailbox``, bounded by ``self._recv_timeout``).
-
-    Every receive — blocking, polled, the event loop's arrival wait —
-    is one ``wait_any`` through :meth:`_ready` and surfaces the same
-    typed failures: a closed source is a :class:`WorkerFailure` naming
-    it, an expired wait a :class:`RuntimeTimeoutError`.
-    """
-
-    _mailbox: Mailbox
-    _recv_timeout: Optional[float]
-
-    def _recv_raw(self, src: int, tag: int, timeout=BACKEND_TIMEOUT) -> _Frame:
-        key = self._mail_key(src, tag)
-        self.wait_any((key,), timeout)
-        return self._mailbox.pop(key)
-
-    def _poll_raw(self, src: int, tag: int) -> Optional[_Frame]:
-        key = self._mail_key(src, tag)
-        return self._mailbox.pop(key) if self.wait_any((key,), 0) else None
-
-    def wait_any(self, keys, timeout=BACKEND_TIMEOUT):
-        if timeout is BACKEND_TIMEOUT:
-            timeout = self._recv_timeout
-        try:
-            ready = self._ready(keys, timeout)
-        except MailboxClosed as exc:
-            raise WorkerFailure(
-                self._rank_of(exc.src),
-                self._stage,
-                f"peer connection lost: {exc}",
-            ) from exc
-        if ready or timeout == 0:
-            return ready
-        peer = self._rank_of(next(iter(keys))[0])  # the first one awaited
-        raise RuntimeTimeoutError(
-            f"recv from worker {peer} timed out after {timeout}s in stage "
-            f"{self._stage!r} ({len(keys)} receive(s) posted)",
-            peer=peer,
-            stage=self._stage,
-            seconds=timeout,
-        )
-
-    def _rank_of(self, src: int) -> int:
-        """The job's rank for mailbox source ``src`` (see ``_mail_key``)."""
-        return src
-
-    def _ready(self, keys, timeout: Optional[float]) -> List[_MailKey]:
-        """How this endpoint sleeps on its mailbox (a subset job's: in slices)."""
-        return self._mailbox.wait_any(keys, timeout)

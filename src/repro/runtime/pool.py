@@ -47,8 +47,8 @@ unwind in ~100 ms.  The entry point decides what happens next:
   replacements rejoin through the transport's listener.  Every
   membership change (death *or* join) bumps the **membership epoch**;
   job frames carry the epoch they were planned under, so a job can never
-  alias a recycled rank (worker side:
-  :class:`~repro.runtime.process.SubsetComm`; driver side:
+  alias a recycled rank (worker side: the job's
+  :class:`~repro.runtime.api.Comm`; driver side:
   :meth:`JobMonitor.accepts`).
 
 Threading: exactly one thread at a time steps the reactor and owns every
@@ -112,7 +112,7 @@ class SubsetJob:
         self.members = members
         self.prepared = prepared
         #: Membership epoch the job was planned under; shipped in the
-        #: job frame and enforced both worker-side (SubsetComm) and
+        #: job frame and enforced both worker-side (the job's Comm) and
         #: driver-side (JobMonitor.accepts) so the job never aliases a
         #: rank recycled by a later rejoin.
         self.epoch = epoch
@@ -581,7 +581,7 @@ class WorkerPool:
     def _send_ctl(self, job: SubsetJob, payload: Tuple) -> None:
         """Best-effort mid-job control frame to the job's *pending*
         members: an abort unblocks their abort-polling receives (see
-        :class:`~repro.runtime.process.SubsetComm`), a speculation
+        :class:`~repro.runtime.api.Comm`), a speculation
         directive names a straggler and its backup."""
         for g in job.pending:
             chan = self._chans.get(g)
@@ -727,8 +727,9 @@ class WorkerPool:
             except OSError:  # pragma: no cover
                 pass
             return
-        # Announce to live workers (they grow comm.size if needed) with
-        # no lock held — a wedged worker must not stall membership.
+        # Announce to live workers (advisory: the link itself reaches
+        # them through the mesh) with no lock held — a wedged worker
+        # must not stall membership.
         for other in others:
             self._try_send(other, ("roster", update))
         if self._on_join is not None:

@@ -10,8 +10,8 @@ Architecture (the paper's Fig. 8, coordinator + K workers):
   whose arrays travel out of band (see :mod:`repro.runtime.transport`;
   ``ProcessCluster.run`` is that pool running one job);
 * each worker runs the same :class:`~repro.runtime.program.NodeProgram` the
-  threaded backend runs, over a :class:`Comm` whose point-to-point primitive
-  is framed socket I/O;
+  threaded backend runs, over one :class:`Comm` per job built on the
+  worker's :class:`MeshEndpoint`, whose peer links are framed socket I/O;
 * an optional sender-side token bucket throttles every worker's NIC,
   reproducing the paper's 100 Mbps ``tc`` configuration;
 * barriers are dissemination barriers over the same mesh (O(K log K) empty
@@ -23,16 +23,16 @@ framing header plus the caller's buffer parts to vectored ``sendmsg``
 ``bytearray`` arena via ``recv_into`` — receives with ``copy=False``
 return memoryview slices of that arena all the way up to the program.
 
-Each worker runs one *reader thread per peer socket* that demultiplexes
-inbound frames into a tagged mailbox.  That is what makes the non-blocking
-API deadlock-free: sockets are always drained regardless of which receives
-the program has posted or waited, so a peer's send can never stall forever
-on a full kernel buffer.  Blocking receives, lazy ``irecv`` requests, and
-barrier frames all pop from the same mailbox.  ``isend`` / root-side
-``ibcast`` closures run on a single per-worker sender thread (preserving
-per-channel FIFO order); a per-destination lock keeps frames from
-interleaving when the program thread (barriers, blocking broadcasts) sends
-concurrently with the sender thread.
+Each worker's endpoint runs one *reader thread per peer socket* that
+demultiplexes inbound frames into a tagged mailbox.  That is what makes
+the non-blocking API deadlock-free: sockets are always drained regardless
+of which receives the program has posted or waited, so a peer's send can
+never stall forever on a full kernel buffer.  Blocking receives, lazy
+``irecv`` requests, and barrier frames all pop from the same mailbox.
+``isend`` / root-side ``ibcast`` closures run on a single per-worker
+sender thread (preserving per-channel FIFO order); a per-link lock keeps
+frames from interleaving when the program thread (barriers, blocking
+broadcasts) sends concurrently with the sender thread.
 
 ``ProcessCluster.run`` workers inherit the program factory through ``fork``,
 so factories may close over arbitrary in-memory state (e.g. pre-generated
@@ -56,18 +56,12 @@ from repro.runtime.api import (
     Comm,
     CommError,
     DEFAULT_CHUNK_BYTES,
-    JOB_TAG_STRIDE,
     MulticastMode,
     Request,
-    _BARRIER_NS,
-    _BCAST_NS,
+    _CompletedRequest,
     _FutureRequest,
-    _JOB_BARRIER_EPOCH_STRIDE,
-    _JOB_TAG_WINDOWS,
-    barrier_tag,
 )
-from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
-from repro.runtime.mailbox import Mailbox, MailboxComm, MailboxLink
+from repro.runtime.mailbox import Mailbox, MailboxLink
 from repro.runtime.pool import WorkerPool
 from repro.runtime.program import (
     ClusterResult,
@@ -87,85 +81,89 @@ from repro.runtime.transport import (
 )
 
 
-class _SocketComm(MailboxComm):
-    """Comm endpoint over a mesh of per-peer links, every backend's: a
-    stream socket (reader threads feed the mailbox; sends are locked,
-    paced and bounded) or a :class:`~repro.runtime.mailbox.MailboxLink`
-    (worker threads of one process; sends are puts, inline)."""
+class SocketLink:
+    """A peer link over a stream socket: each frame is one vectored
+    write (header + parts in one ``sendmsg``), paced, under the link's
+    lock — the program thread (blocking sends, barriers) and the
+    endpoint's sender never interleave frames on it."""
+
+    __slots__ = ("sock", "pacer", "lock")
+
+    def __init__(
+        self, sock: socket.socket, pacer: Optional[TokenBucket]
+    ) -> None:
+        self.sock = sock
+        self.pacer = pacer
+        self.lock = threading.Lock()
+
+    def send(self, tag: int, payload: BufferParts) -> None:
+        with self.lock:
+            send_frame(self.sock, tag, payload, pacer=self.pacer)
+
+
+class MeshEndpoint:
+    """One worker's place in the mesh, for the worker's whole life.
+
+    Not a :class:`~repro.runtime.api.Comm`: every job builds its own
+    ``Comm`` over this endpoint (see :func:`serve_pool_jobs`), which
+    takes the links of its members and receives from the one mailbox.
+    The endpoint holds what outlives jobs:
+
+    * the peer links by global rank — a :class:`SocketLink` (forked
+      workers, TCP agents; one reader thread per socket feeds the
+      mailbox, keyed by global source) or a
+      :class:`~repro.runtime.mailbox.MailboxLink` (worker threads of one
+      process: a send is a put into the peer's mailbox, so ``mailbox`` is
+      passed in, shared with the peers' links);
+    * the membership epoch each link was born in (:meth:`add_peer`);
+    * the one async sender every job posts on (:meth:`post`).
+
+    Every backend builds it with this constructor; ``links`` holds
+    sockets or ``MailboxLink`` objects (a TCP agent starts with none and
+    adds each as it is linked).
+    """
 
     def __init__(
         self,
         rank: int,
-        size: int,
-        conns: Dict[int, Union[socket.socket, MailboxLink]],
+        links: Dict[int, Union[socket.socket, MailboxLink]],
         multicast_mode: MulticastMode,
-        pacer: Optional[TokenBucket],
+        rate_bytes_per_s: Optional[float],
         recv_timeout: Optional[float],
         chunk_bytes: int,
         record_relays: bool,
+        mailbox: Optional[Mailbox] = None,
     ) -> None:
-        super().__init__(
-            rank,
-            size,
-            traffic=TrafficLog(),
-            multicast_mode=multicast_mode,
-            chunk_bytes=chunk_bytes,
-            record_relays=record_relays,
-        )
-        self._conns = conns
-        self._pacer = pacer
-        self._recv_timeout = recv_timeout
-        self._mailbox = Mailbox()
-        self._send_locks: Dict[int, threading.Lock] = {
-            peer: threading.Lock() for peer in conns
-        }
+        self.rank = rank
+        self.multicast_mode = multicast_mode
+        self.recv_timeout = recv_timeout
+        self.chunk_bytes = chunk_bytes
+        self.record_relays = record_relays
+        self.mailbox = Mailbox() if mailbox is None else mailbox
+        self.links: Dict[int, Union[SocketLink, MailboxLink]] = {}
         #: Membership epoch at which each peer link was established; 0
-        #: for the initial mesh.  Elastic pools stamp later incarnations
-        #: (see :meth:`add_peer`), and :class:`SubsetComm` compares these
-        #: against a job's planning epoch so a job dispatched before a
-        #: rank was recycled can never talk to the replacement worker.
-        self.peer_epochs: Dict[int, int] = {peer: 0 for peer in conns}
-        self._readers: List[threading.Thread] = []
+        #: for the initial mesh.  A job compares these against its
+        #: planning epoch, so a job dispatched before a rank was recycled
+        #: can never talk to the replacement worker.
+        self.peer_epochs: Dict[int, int] = {}
+        self._pacer = (
+            None if rate_bytes_per_s is None else TokenBucket(rate_bytes_per_s)
+        )
+        # Mailbox puts never block: sends over them run inline.
+        self._inline_sends = any(
+            isinstance(link, MailboxLink) for link in links.values()
+        )
         self._send_queue: Optional["queue.Queue"] = None
         self._sender_thread: Optional[threading.Thread] = None
         self._sender_lock = threading.Lock()
-        self._inline_sends = any(
-            isinstance(link, MailboxLink) for link in conns.values()
-        )
-        self._barrier_epoch = 0
-
-    # -- inbound demultiplexing -------------------------------------------------
-
-    def _start_readers(self) -> None:
-        """Spawn one reader thread per peer socket (call in the worker)."""
-        for peer, sock in self._conns.items():
-            t = threading.Thread(
-                target=self._reader_loop,
-                args=(peer, sock),
-                daemon=True,
-                name=f"reader-{self.rank}<-{peer}",
-            )
-            t.start()
-            self._readers.append(t)
-
-    def _reader_loop(self, peer: int, sock: socket.socket) -> None:
-        while True:
-            try:
-                tag, payload = recv_frame(sock)
-            except (OSError, TransportError) as exc:
-                # Close the source only while this socket is still the
-                # peer's current link: a replacement incarnation may have
-                # been integrated (add_peer) before the old link's EOF
-                # drained, and its fresh source must stay open.
-                if self._conns.get(peer) is sock:
-                    self._mailbox.close_source(peer, str(exc))
-                return
-            self._mailbox.put(peer, tag, payload)
-
-    # -- elastic membership -----------------------------------------------------
+        for peer, link in links.items():
+            self.add_peer(peer, link)
 
     def add_peer(
-        self, peer: int, sock: socket.socket, epoch: int = 0
+        self,
+        peer: int,
+        link: Union[socket.socket, MailboxLink],
+        epoch: int = 0,
     ) -> None:
         """Integrate a peer's mesh link into this endpoint.
 
@@ -175,32 +173,49 @@ class _SocketComm(MailboxComm):
         any dead link at ``peer``'s rank, the rank's mailbox source is
         reopened (the old incarnation's EOF closed it), a fresh reader
         thread starts, and the link is stamped with the membership
-        ``epoch`` it was born in.  Safe while disjoint subset jobs run:
-        an in-flight :class:`SubsetComm` snapshots its members' sockets
-        at construction and never includes a dead rank.
+        ``epoch`` it was born in.  Safe while disjoint jobs run: a job's
+        ``Comm`` takes its members' links at construction and never
+        includes a dead rank.
         """
-        if self._recv_timeout is not None:
-            bound_sends(sock, self._recv_timeout)
-        old = self._conns.get(peer)
-        self._conns[peer] = sock
-        self._send_locks.setdefault(peer, threading.Lock())
+        sock = link if isinstance(link, socket.socket) else None
+        if sock is not None:
+            # A wedged peer must raise in the blocked sender, with a
+            # traceback naming the stuck send, while the reader threads
+            # keep blocking.
+            if self.recv_timeout is not None:
+                bound_sends(sock, self.recv_timeout)
+            link = SocketLink(sock, self._pacer)
+        old = self.links.get(peer)
+        self.links[peer] = link
         self.peer_epochs[peer] = epoch
-        if peer >= self.size:
-            self.size = peer + 1
-        self._mailbox.reopen_source(peer)
-        t = threading.Thread(
+        self.mailbox.reopen_source(peer)
+        if sock is None:
+            return
+        threading.Thread(
             target=self._reader_loop,
-            args=(peer, sock),
+            args=(peer, link),
             daemon=True,
             name=f"reader-{self.rank}<-{peer}",
-        )
-        t.start()
-        self._readers.append(t)
-        if old is not None and old is not sock:
+        ).start()
+        if old is not None:
             try:
-                old.close()
+                old.sock.close()
             except OSError:  # pragma: no cover - already dead
                 pass
+
+    def _reader_loop(self, peer: int, link: SocketLink) -> None:
+        while True:
+            try:
+                tag, payload = recv_frame(link.sock)
+            except (OSError, TransportError) as exc:
+                # Close the source only while this socket is still the
+                # peer's current link: a replacement incarnation may have
+                # been integrated (add_peer) before the old link's EOF
+                # drained, and its fresh source must stay open.
+                if self.links.get(peer) is link:
+                    self.mailbox.close_source(peer, str(exc))
+                return
+            self.mailbox.put(peer, tag, payload)
 
     def wait_for_peers(
         self, peers: Sequence[int], timeout: float = 5.0
@@ -210,77 +225,23 @@ class _SocketComm(MailboxComm):
 
         Links an acceptor takes in land on its own thread: at mesh
         formation the higher ranks dial in while this one is still
-        dialing, and a subset job can be dispatched the instant a
-        rejoined member reported ready to the coordinator, a hair before
-        *this* worker integrated that member's link.
+        dialing, and a job can be dispatched the instant a rejoined
+        member reported ready to the coordinator, a hair before *this*
+        worker integrated that member's link.
         """
         deadline = time.monotonic() + timeout
-        missing = [
-            g for g in peers if g != self.rank and g not in self._conns
-        ]
+        missing = [g for g in peers if g != self.rank and g not in self.links]
         while missing and time.monotonic() < deadline:
             time.sleep(0.01)
-            missing = [g for g in missing if g not in self._conns]
+            missing = [g for g in missing if g not in self.links]
         return missing
 
-    # -- raw primitives ---------------------------------------------------------
-
-    def _send_raw(self, dst: int, tag: int, payload: BufferParts) -> None:
-        """A put into the peer's mailbox, or a vectored frame write:
-        header + parts go out in one ``sendmsg``."""
-        link = self._conns[dst]
-        if isinstance(link, MailboxLink):
-            link.send(tag, payload)
-            return
-        try:
-            with self._send_locks[dst]:
-                send_frame(link, tag, payload, pacer=self._pacer)
-        except socket.timeout as exc:
-            # SO_SNDTIMEO expiry: the peer stopped draining (wedged or
-            # dead) — typed so drivers can tell timeout from protocol bug.
-            raise RuntimeTimeoutError(
-                f"send to worker {dst} timed out in stage "
-                f"{self._stage!r}: {exc}",
-                peer=dst,
-                stage=self._stage,
-            ) from exc
-        except (OSError, TransportError) as exc:
-            raise WorkerFailure(
-                dst, self._stage, f"send failed: {exc}"
-            ) from exc
-
-    def _begin_job_raw(self, job_seq: int) -> None:
-        # Per-job barrier-epoch base: a stale barrier frame of an earlier
-        # (e.g. aborted) job can never match a later job's rounds.
-        self._barrier_epoch = (
-            job_seq % _JOB_TAG_WINDOWS
-        ) * _JOB_BARRIER_EPOCH_STRIDE
-
-    def _barrier_raw(self) -> None:
-        """Dissemination barrier: log2(K) rounds of shifted token passing."""
-        k = self.size
-        if k == 1:
-            return
-        epoch = self._barrier_epoch
-        self._barrier_epoch += 1
-        round_idx = 0
-        dist = 1
-        while dist < k:
-            dst = (self.rank + dist) % k
-            src = (self.rank - dist) % k
-            tag = barrier_tag(epoch * 64 + round_idx)
-            self._send_raw(dst, tag, b"")
-            self._recv_raw(src, tag)
-            dist <<= 1
-            round_idx += 1
-
-    # -- async dispatch ----------------------------------------------------------
-
-    def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
-        """Run a send closure on the per-worker sender thread, in order —
-        inline over mailbox links, whose puts never block."""
+    def post(self, fn: Callable[[], Optional[bytes]], stage: str) -> Request:
+        """Run a send closure on the one sender thread, in post order —
+        inline over mailbox links, whose puts never block.  The thread
+        starts on first use and serves every later job."""
         if self._inline_sends:
-            return super()._dispatch_send(fn)
+            return _CompletedRequest(fn())
         with self._sender_lock:
             if self._send_queue is None:
                 self._send_queue = queue.Queue()
@@ -292,7 +253,7 @@ class _SocketComm(MailboxComm):
                 self._sender_thread.start()
         # A send future's plain wait() is bounded like a receive, so a
         # wedged peer (full buffer, nothing draining) surfaces as an error.
-        req = _FutureRequest(default_timeout=self._recv_timeout)
+        req = _FutureRequest(self.recv_timeout, stage)
         self._send_queue.put((fn, req))
         return req
 
@@ -308,181 +269,19 @@ class _SocketComm(MailboxComm):
             except BaseException as exc:  # noqa: BLE001 - delivered via wait
                 req._fail(exc)
 
-    def _close_async(self) -> None:
+    def close(self) -> None:
+        """Stop the sender (after what is queued) and close the socket
+        links."""
         if self._send_queue is not None:
             self._send_queue.put(None)
             assert self._sender_thread is not None
             self._sender_thread.join(timeout=10.0)
-
-
-class SubsetComm(_SocketComm):
-    """A logical-rank view of one worker's mesh endpoint for one job.
-
-    Every pool job runs on one: the sort service schedules a K'-worker
-    job onto K' of a standing mesh's K workers, overlapping it with
-    other jobs on the disjoint remainder, and a Session's full-mesh job
-    is the view whose members are every rank.  Each member builds a
-    ``SubsetComm`` over its base endpoint: logical rank ``i`` maps onto
-    global rank ``members[i]``, the base's sockets, per-destination send
-    locks, pacer, mailbox and async sender are shared (no new
-    connections, no new threads — the base readers keep feeding the one
-    mailbox, keyed by *global* source), and every inherited primitive —
-    barriers, broadcast trees, the async sender — operates purely in
-    logical coordinates.  A program written for a K'-node cluster
-    therefore runs unmodified, and byte-identically to a dedicated
-    K'-worker mesh.
-
-    Isolation between overlapping jobs rests on three mechanisms:
-
-    * per-job tag windows (:meth:`Comm.begin_job` with coordinator-unique
-      sequence numbers) keep concurrent jobs' frames from ever aliasing,
-      and beginning a job drops every buffered frame outside its windows
-      (:func:`_purge_stale_frames`);
-    * per-source mailbox closure means a worker death fails only the
-      jobs whose subset contains the dead rank — neighbours never see it;
-    * receives poll the job's abort flag (a coordinator
-      ``("ctl", seq, ("abort", reason))`` frame, see
-      :meth:`~repro.runtime.program.JobControl.abort_reason`) in short
-      slices, so members of a job the coordinator already failed
-      elsewhere — a peer's program error, a dead or silent worker —
-      unblock promptly instead of waiting out the timeout.
-
-    Workers run one job at a time, so the base endpoint is never used
-    concurrently with a subset built over it.
-    """
-
-    _ABORT_POLL = 0.1
-
-    def __init__(
-        self,
-        base: _SocketComm,
-        members: Sequence[int],
-        epoch: Optional[int] = None,
-    ) -> None:
-        members = list(members)
-        if len(set(members)) != len(members):
-            raise CommError(f"duplicate ranks in subset {members}")
-        if base.rank not in members:
-            raise CommError(
-                f"rank {base.rank} is not a member of subset {members}"
-            )
-        for g in members:
-            if g != base.rank and g not in base._conns:
-                raise CommError(
-                    f"subset member {g} is not a mesh peer of rank "
-                    f"{base.rank} (mesh size {base.size})"
-                )
-            # Membership-epoch guard: a job planned at epoch E must never
-            # talk to a peer whose link was (re)established after E — the
-            # rank was recycled by a replacement worker the job's plan
-            # knows nothing about.  Reported as a comm error, so the
-            # coordinator retries on the current membership.
-            if (
-                epoch is not None
-                and g != base.rank
-                and base.peer_epochs.get(g, 0) > epoch
-            ):
-                raise CommError(
-                    f"subset member {g} rejoined at membership epoch "
-                    f"{base.peer_epochs[g]}, newer than the job's planning "
-                    f"epoch {epoch} (recycled rank)"
-                )
-        super().__init__(
-            members.index(base.rank),
-            len(members),
-            {
-                i: base._conns[g]
-                for i, g in enumerate(members)
-                if g != base.rank
-            },
-            base.multicast_mode,
-            base._pacer,
-            base._recv_timeout,
-            base.chunk_bytes,
-            base.record_relays,
-        )
-        self.members = members
-        self.epoch = epoch
-        #: Set once the job failed here: its sends still queued on the
-        #: base's sender are then dropped, not sent ahead of the next
-        #: job's (a peer they wait behind may be stopped for good).
-        self.failed = False
-        self._base = base
-        # Share the base's lock objects (the base's sender may still be
-        # draining an earlier job's send to the same peer socket) and
-        # its mailbox; raw receives translate logical -> global.
-        self._send_locks = {
-            i: base._send_locks[g]
-            for i, g in enumerate(members)
-            if g != base.rank
-        }
-        self._mailbox = base._mailbox
-
-    def _begin_job_raw(self, job_seq: int) -> None:
-        super()._begin_job_raw(job_seq)
-        # A worker runs one job at a time, so only the job starting now
-        # can have sent here early: anything else buffered is a finished
-        # job's late frame, and nothing will ever receive it.
-        _purge_stale_frames(self._mailbox, job_seq)
-
-    def _dispatch_send(self, fn: Callable[[], Optional[bytes]]) -> Request:
-        """On the base endpoint's sender, which outlives the job."""
-        return self._base._dispatch_send(
-            lambda: None if self.failed else fn()
-        )
-
-    def _mail_key(self, src: int, tag: int) -> Tuple[int, int]:
-        return (self.members[src], tag)
-
-    def _rank_of(self, src: int) -> int:
-        return self.members.index(src)
-
-    def _ready(self, keys, timeout: Optional[float]):
-        """In ``_ABORT_POLL`` slices, the job's abort flag checked after
-        each that came back empty: every receive of a subset job —
-        blocking, polled or the event loop's arrival wait — comes through
-        here, and a frame, or the closed source of a dead peer, wins over
-        the abort that peer's death also set off."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            remaining = (
-                float("inf") if deadline is None else deadline - time.monotonic()
-            )
-            ready = self._mailbox.wait_any(
-                keys, max(0.0, min(self._ABORT_POLL, remaining))
-            )
-            if ready:
-                return ready
-            control = self.job_control
-            reason = None if control is None else control.abort_reason()
-            if reason is not None:
-                raise WorkerFailure(
-                    -1, self._stage, f"job aborted by coordinator: {reason}"
-                )
-            if remaining <= self._ABORT_POLL:
-                return ready
-
-
-def _purge_stale_frames(mailbox: Mailbox, job_seq: int) -> int:
-    """Drop every buffered frame outside ``job_seq``'s tag windows.
-
-    A failed (or aborted) job can leave undelivered frames in the
-    worker's mailbox, and a peer may still be sending it that job's
-    queued frames after it has moved on; the worker outlives the job, so
-    they must be reclaimed.  Covers all three namespaces a job receives
-    in: shifted user tags, broadcast inner tags, and barrier rounds.
-    """
-    window = job_seq % _JOB_TAG_WINDOWS
-
-    def stale(src: int, tag: int) -> bool:
-        if tag >= _BARRIER_NS:
-            epoch = (tag - _BARRIER_NS) // 64
-            return epoch // _JOB_BARRIER_EPOCH_STRIDE != window
-        if tag >= _BCAST_NS:
-            return (tag - _BCAST_NS) // JOB_TAG_STRIDE != window
-        return tag // JOB_TAG_STRIDE != window
-
-    return mailbox.purge(stale)
+        for link in self.links.values():
+            if isinstance(link, SocketLink):
+                try:
+                    link.sock.close()
+                except OSError:  # pragma: no cover - best-effort cleanup
+                    pass
 
 
 def _build_mesh(
@@ -515,43 +314,6 @@ def _mesh_endpoints(
     return conns, extra_close
 
 
-def make_socket_comm(
-    rank: int,
-    size: int,
-    conns: Dict[int, socket.socket],
-    multicast_mode: MulticastMode,
-    rate_bytes_per_s: Optional[float],
-    socket_timeout: float,
-    chunk_bytes: int,
-    record_relays: bool,
-) -> _SocketComm:
-    """Build a ready :class:`_SocketComm` over an established peer mesh.
-
-    Shared by the forked AF_UNIX workers here and the TCP worker agents in
-    :mod:`repro.runtime.tcp` — the mesh transport differs, the endpoint
-    machinery (send bounds, pacing, reader threads) is identical.
-    """
-    # A wedged peer must raise in the blocked worker, with a traceback
-    # naming the stuck send, while the reader threads keep blocking.
-    for s in conns.values():
-        bound_sends(s, socket_timeout)
-    pacer = (
-        TokenBucket(rate_bytes_per_s) if rate_bytes_per_s is not None else None
-    )
-    comm = _SocketComm(
-        rank,
-        size,
-        conns,
-        multicast_mode,
-        pacer,
-        socket_timeout,
-        chunk_bytes,
-        record_relays,
-    )
-    comm._start_readers()
-    return comm
-
-
 class _CtrlReader:
     """Owns the coordinator channel's receive side on a daemon thread.
 
@@ -563,22 +325,18 @@ class _CtrlReader:
     here, as the job frame is queued, not when the job starts: an abort
     right behind the frame (a peer already failed the job) must not find
     the job unstarted and be dropped.  Elastic-pool
-    ``("roster", info)`` membership updates likewise bypass the inbox
-    into the ``on_roster`` callback: they may arrive at any time, idle
-    or mid-job, and must never end the control loop.
+    ``("roster", info)`` membership news is dropped here: it may arrive
+    at any time, idle or mid-job, and must never end the control loop
+    (a joined peer's link arrives through
+    :meth:`MeshEndpoint.add_peer`, not this frame).
     """
 
     _EOF = ("__eof__",)
 
-    def __init__(
-        self,
-        recv_msg: Callable[[], Tuple],
-        on_roster: Optional[Callable[[Dict], None]] = None,
-    ) -> None:
+    def __init__(self, recv_msg: Callable[[], Tuple]) -> None:
         self._recv_msg = recv_msg
         self.inbox: "queue.SimpleQueue[Tuple]" = queue.SimpleQueue()
         self.job_control: Optional[JobControl] = None
-        self.on_roster = on_roster
         self._thread = threading.Thread(
             target=self._loop, daemon=True, name="pool-ctrl-reader"
         )
@@ -597,12 +355,6 @@ class _CtrlReader:
                     control.deliver(msg[2])
                 continue
             if msg[0] == "roster":
-                callback = self.on_roster
-                if callback is not None:
-                    try:
-                        callback(msg[1])
-                    except Exception:  # pragma: no cover - advisory frame
-                        pass
                 continue
             if msg[0] == "job":
                 self.job_control = JobControl(msg[1])
@@ -612,9 +364,10 @@ class _CtrlReader:
 
 
 class _Heartbeater:
-    """Emits ``("hb", rank, job_seq, stage)`` frames while ``job`` is
-    set: one thread for the worker's whole life.  ``job`` is cleared
-    under ``send_lock`` with the final report, so no beat trails it."""
+    """Emits ``("hb", rank, job_seq, stage)`` frames while ``job`` (the
+    running job's Comm) is set: one thread for the worker's whole life.
+    ``job`` is cleared under ``send_lock`` with the final report, so no
+    beat trails it."""
 
     def __init__(
         self,
@@ -623,7 +376,7 @@ class _Heartbeater:
         send_lock: threading.Lock,
         interval: float,
     ) -> None:
-        self.job: Optional[Tuple[int, Comm]] = None
+        self.job: Optional[Comm] = None
         self._rank = rank
         self._send_msg = send_msg
         self._send_lock = send_lock
@@ -637,11 +390,13 @@ class _Heartbeater:
     def _loop(self) -> None:
         while not self._stop.wait(self._interval):
             with self._send_lock:
-                if self.job is None:
+                comm = self.job
+                if comm is None:
                     continue
-                job_seq, comm = self.job
                 try:
-                    self._send_msg(("hb", self._rank, job_seq, comm.stage))
+                    self._send_msg(
+                        ("hb", self._rank, comm.job_seq, comm.stage)
+                    )
                 except (OSError, ValueError, TransportError):
                     return  # coordinator gone; the control loop will notice
 
@@ -681,8 +436,7 @@ class WorkerDrain:
 
 
 def serve_pool_jobs(
-    comm: _SocketComm,
-    rank: int,
+    endpoint: MeshEndpoint,
     recv_msg: Callable[[], Tuple],
     send_msg: Callable[[Tuple], None],
     heartbeat_interval: Optional[float] = None,
@@ -691,33 +445,34 @@ def serve_pool_jobs(
     """The pool worker control loop, over any coordinator transport.
 
     Each ``("job", seq, builder, payload, members, epoch)`` message
-    builds a :class:`SubsetComm` view over ``comm`` for the job's global
-    ``members`` — logical ranks ``0..len(members)-1``; a full-mesh job's
-    view names every rank — rebinds it to the job's tag window and
-    traffic log (:meth:`Comm.begin_job`), builds the node program from
-    the shipped ``(builder, payload)``, runs it, and reports the per-job
-    result / stage times / traffic back through ``send_msg``.  The other
-    workers of the mesh stay free to run a different job concurrently.
+    starts the job by building its :class:`~repro.runtime.api.Comm` over
+    ``endpoint`` for the job's global ``members`` — logical ranks
+    ``0..len(members)-1``; a full-mesh job names every rank — with the
+    job's tag window, traffic log and :class:`JobControl`, builds the
+    node program from the shipped ``(builder, payload)``, runs it, and
+    reports the per-job result / stage times / traffic back through
+    ``send_msg``.  The other workers of the mesh stay free to run a
+    different job concurrently.
 
     A worker outlives a failed job: it reports the failure and waits
     for the next job or the coordinator's ``stop``.  The failed job's
-    sends still queued on ``comm``'s sender are dropped, its late frames
-    are reclaimed when the next job begins (per-job tag windows make
-    this exact), and its surviving members unwind on the coordinator's
-    abort directive, which the view's receives poll.  The coordinator
-    retries a failed job on a fresh sequence number, so nothing ever
-    aliases; whether it re-forms the mesh first is its own choice (a
-    Session does, the sort service never does).
+    sends still queued on the endpoint's sender are dropped, its late
+    frames are reclaimed when the next job's ``Comm`` is built (per-job
+    tag windows make this exact), and its surviving members unwind on
+    the coordinator's abort directive, which their receives poll.  The
+    coordinator retries a failed job on a fresh sequence number, so
+    nothing ever aliases; whether it re-forms the mesh first is its own
+    choice (a Session does, the sort service never does).
 
     While a job runs, the worker's one heartbeat thread reports its
     current stage every ``heartbeat_interval`` seconds (``None``
     disables) — the driver's liveness detector and the speculation
     policy both feed on these.  A reader thread owns ``recv_msg`` for the
     whole loop, routing mid-job ``("ctl", seq, payload)`` frames into the
-    job comm's :class:`JobControl`.  Both threads start once, with the
-    loop, never per job.  The final ok/error report clears the
-    heartbeater's job under the send lock, so the report is always the
-    channel's last frame for the job.
+    job's :class:`JobControl`.  Both threads start once, with the loop,
+    never per job.  The final ok/error report clears the heartbeater's
+    job under the send lock, so the report is always the channel's last
+    frame for the job.
 
     Failures are reported typed: a :class:`CommError` (peer death, comm
     timeout — including the cascade EOFs every survivor sees when one
@@ -735,17 +490,9 @@ def serve_pool_jobs(
     threads of :class:`~repro.runtime.inproc.InprocMesh` (transport:
     objects passed by reference).
     """
+    rank = endpoint.rank
     send_lock = threading.Lock()
-
-    def on_roster(info: Dict) -> None:
-        # Membership grew: track the new mesh size so later subsets can
-        # name the joined rank.  The peer link itself arrives via the
-        # worker's mesh-growth acceptor (add_peer), not this frame.
-        new_size = info.get("size")
-        if isinstance(new_size, int) and new_size > comm.size:
-            comm.size = new_size
-
-    reader = _CtrlReader(recv_msg, on_roster=on_roster)
+    reader = _CtrlReader(recv_msg)
     if drain is not None:
         drain._inbox = reader.inbox
     heartbeater = (
@@ -767,19 +514,24 @@ def serve_pool_jobs(
                 return  # "stop", drain sentinel, or coordinator EOF
             _, job_seq, builder, payload, members, epoch = msg
             traffic = TrafficLog()
-            job_comm: Optional[SubsetComm] = None
+            comm: Optional[Comm] = None
             try:
                 # A member that rejoined an instant ago may still be mid-
                 # integration on this endpoint: wait briefly for its link.
-                # A malformed subset raises CommError straight into the
-                # typed report below — reported, never fatal here.
-                comm.wait_for_peers(members)
-                job_comm = SubsetComm(comm, members, epoch=epoch)
-                job_comm.begin_job(job_seq, traffic)
-                job_comm.job_control = reader.job_control
+                # A malformed member list raises CommError straight into
+                # the typed report below — reported, never fatal here.
+                endpoint.wait_for_peers(members)
+                comm = Comm(
+                    endpoint,
+                    members,
+                    job_seq,
+                    traffic,
+                    epoch=epoch,
+                    control=reader.job_control,
+                )
                 if heartbeater is not None:
-                    heartbeater.job = (job_seq, job_comm)
-                program = builder(job_comm, payload)
+                    heartbeater.job = comm
+                program = builder(comm, payload)
                 result = program.run()
                 report((
                     "ok",
@@ -791,8 +543,8 @@ def serve_pool_jobs(
                     list(program.STAGES),
                 ))
             except BaseException as exc:  # noqa: BLE001 - reported to coordinator
-                if job_comm is not None:
-                    job_comm.failed = True
+                if comm is not None:
+                    comm.failed = True
                 # A CommError is infrastructure — a peer died, an abort
                 # landed, a comm wait expired; anything else is a program
                 # bug.
@@ -816,7 +568,6 @@ def serve_pool_jobs(
 
 def _pool_worker_main(
     rank: int,
-    size: int,
     conns: Dict[int, socket.socket],
     extra_close: List,
     ctrl_sock: socket.socket,
@@ -824,8 +575,8 @@ def _pool_worker_main(
 ) -> None:
     """Pool worker entry point (forked child): :func:`serve_pool_jobs`
     over its end of the control ``socketpair``, after the one-time
-    mesh/comm setup from the ``cluster`` configuration inherited through
-    the fork."""
+    mesh endpoint setup from the ``cluster`` configuration inherited
+    through the fork."""
     from repro.kvpairs.spill import SpillDir, install_spill_cleanup_handler
 
     # Spill hygiene: a terminated pool worker must still remove its
@@ -843,35 +594,26 @@ def _pool_worker_main(
             obj.close()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-    comm: Optional[_SocketComm] = None
+    endpoint = MeshEndpoint(
+        rank,
+        conns,
+        cluster.multicast_mode,
+        cluster.rate_bytes_per_s,
+        cluster.timeout,
+        cluster.chunk_bytes,
+        cluster.record_relays,
+    )
     try:
-        comm = make_socket_comm(
-            rank,
-            size,
-            conns,
-            cluster.multicast_mode,
-            cluster.rate_bytes_per_s,
-            cluster.timeout,
-            cluster.chunk_bytes,
-            cluster.record_relays,
-        )
         chan = Channel(ctrl_sock, cluster.timeout, pool_end=False)
         serve_pool_jobs(
-            comm,
-            rank,
+            endpoint,
             chan.recv,
             chan.send,
             heartbeat_interval=cluster.heartbeat_interval,
         )
     finally:
-        if comm is not None:
-            comm._close_async()
+        endpoint.close()
         ctrl_sock.close()
-        for s in conns.values():
-            try:
-                s.close()
-            except OSError:
-                pass
 
 
 class ProcessCluster:
@@ -1010,7 +752,6 @@ class ForkMesh:
                     target=_pool_worker_main,
                     args=(
                         rank,
-                        size,
                         conns,
                         extra_close,
                         worker_end,

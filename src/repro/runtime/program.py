@@ -137,7 +137,7 @@ class _StageScope:
         # so injected latency is attributed to this stage); a slowdown
         # installs a pacer driven by fault_checkpoint() and stage exit.
         self._pacer = faults.stage_enter(
-            comm.rank, self._name, getattr(comm, "_job_seq", 0)
+            comm.rank, self._name, comm.job_seq
         )
         if self._pacer is not None:
             self._program._fault_pacers.append(self._pacer)

@@ -9,7 +9,7 @@ over TCP, complete a versioned rank-assignment handshake
 sockets.  From there everything is shared with the multiprocessing
 backend: :func:`~repro.runtime.transport.send_frame` framing and the
 control codec, the zero-copy ``sendmsg`` / ``recv_into`` data plane of
-:class:`~repro.runtime.process._SocketComm`, the
+:class:`~repro.runtime.process.MeshEndpoint`, the
 :func:`~repro.runtime.process.serve_pool_jobs` worker loop, and the
 driver-side :class:`~repro.runtime.pool.WorkerPool` reactor — so
 ``Session.submit()`` works unchanged and outputs are byte-identical with
@@ -85,12 +85,7 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
 from repro.runtime.pool import WorkerPool
-from repro.runtime.process import (
-    WorkerDrain,
-    _SocketComm,
-    make_socket_comm,
-    serve_pool_jobs,
-)
+from repro.runtime.process import MeshEndpoint, WorkerDrain, serve_pool_jobs
 from repro.runtime.transport import (
     Channel,
     TransportError,
@@ -113,7 +108,7 @@ __all__ = [
 #: Bumped whenever the rendezvous protocol or the job wire format changes
 #: incompatibly; coordinator and workers must match exactly.  v2: job
 #: frames may carry a fifth ``members`` element (per-job worker subsets,
-#: see :class:`~repro.runtime.process.SubsetComm`) — a v1 worker would
+#: see :class:`~repro.runtime.api.Comm`) — a v1 worker would
 #: fail to unpack them, so the sort service requires v2 agents.  v3:
 #: PEER_HELLO grew a membership-epoch field and the rendezvous accepts
 #: mid-flight rejoins (elastic service pools) — a v2 worker would
@@ -232,14 +227,14 @@ def _dial(
 
 
 def _join_mesh(
-    comm: _SocketComm,
+    endpoint: MeshEndpoint,
     peer_addrs: Dict[int, Tuple[str, int]],
     nonce: int,
     epoch: int,
     handshake_timeout: float,
 ) -> None:
     """Dial every peer the roster names and splice each link into
-    ``comm`` via :meth:`~repro.runtime.process._SocketComm.add_peer`.
+    ``endpoint`` via :meth:`~repro.runtime.process.MeshEndpoint.add_peer`.
 
     At formation the roster names the lower ranks, on a rejoin every
     live one; the rest dial in to :func:`_serve_mesh_joins`.  Every
@@ -249,8 +244,7 @@ def _join_mesh(
     nonce (minted per pool generation: a stale worker of an earlier,
     torn-down mesh cannot splice into this one) and the membership epoch
     the coordinator assigned this incarnation, letting peers stamp the
-    link for the recycled-rank guard in
-    :class:`~repro.runtime.process.SubsetComm`.
+    link for the recycled-rank guard in :class:`~repro.runtime.api.Comm`.
     """
     for peer, (host, port) in sorted(peer_addrs.items()):
         sock = _dial(host, port, handshake_timeout)
@@ -258,18 +252,18 @@ def _join_mesh(
             sock.settimeout(handshake_timeout)
             send_frame(
                 sock, _TAG_PEER,
-                _PEER_HELLO.pack(_MAGIC, nonce, comm.rank, epoch),
+                _PEER_HELLO.pack(_MAGIC, nonce, endpoint.rank, epoch),
             )
             sock.settimeout(None)
         except BaseException:
             sock.close()
             raise
-        comm.add_peer(peer, sock)
+        endpoint.add_peer(peer, sock)
 
 
 def _serve_mesh_joins(
     listener: socket.socket,
-    comm: _SocketComm,
+    endpoint: MeshEndpoint,
     nonce: int,
     handshake_timeout: float,
     say,
@@ -279,8 +273,8 @@ def _serve_mesh_joins(
 
     At formation the higher ranks dial in here, later every replacement
     worker (see :func:`_join_mesh`); this loop validates the dialer's
-    nonce-guarded PEER_HELLO and splices the link into the live comm via
-    :meth:`~repro.runtime.process._SocketComm.add_peer` — the epoch in
+    nonce-guarded PEER_HELLO and splices the link into the live endpoint
+    via :meth:`~repro.runtime.process.MeshEndpoint.add_peer` — the epoch in
     the hello stamps the link so jobs planned before a join refuse the
     recycled rank.  Exits when the listener is shut down.
     """
@@ -295,13 +289,13 @@ def _serve_mesh_joins(
             tag, payload = recv_frame(sock, _HELLO_LIMIT)
             magic, got, peer, epoch = _PEER_HELLO.unpack(bytes(payload))
             stray = (tag, magic, got) != (_TAG_PEER, _MAGIC, nonce)
-            if stray or peer == comm.rank:
+            if stray or peer == endpoint.rank:
                 raise TransportError("peer hello mismatch")
             sock.settimeout(None)
         except (OSError, TransportError, struct.error):
             sock.close()
             continue  # stray/stale dialer; keep accepting
-        comm.add_peer(peer, sock, epoch=epoch)
+        endpoint.add_peer(peer, sock, epoch=epoch)
         if epoch:
             say(f"peer {peer} rejoined the mesh (epoch {epoch})")
 
@@ -370,7 +364,7 @@ def run_worker(
 
     ctrl = _dial(host, port, connect_timeout)
     listener: Optional[socket.socket] = None
-    comm: Optional[_SocketComm] = None
+    endpoint: Optional[MeshEndpoint] = None
     try:
         ctrl.settimeout(handshake_timeout)
         send_frame(
@@ -394,9 +388,8 @@ def run_worker(
         send_msg(ctrl, ("listening", (adv_host, listener.getsockname()[1])))
         roster = _expect(ctrl, "roster", "waiting for the peer roster")[1]
         epoch = roster["epoch"]
-        comm = make_socket_comm(
+        endpoint = MeshEndpoint(
             my_rank,
-            size,
             {},
             MulticastMode(cfg["multicast_mode"]),
             cfg["rate_bytes_per_s"],
@@ -406,15 +399,15 @@ def run_worker(
         )
         threading.Thread(
             target=_serve_mesh_joins,
-            args=(listener, comm, nonce, handshake_timeout, say),
+            args=(listener, endpoint, nonce, handshake_timeout, say),
             name=f"mesh-joins-{my_rank}",
             daemon=True,
         ).start()
         peers = {int(g): tuple(a) for g, a in roster["peers"].items()}
-        _join_mesh(comm, peers, nonce, epoch, handshake_timeout)
+        _join_mesh(endpoint, peers, nonce, epoch, handshake_timeout)
         # At formation the higher ranks dial in; a rejoiner has dialed
         # every live rank itself.
-        missing = comm.wait_for_peers(
+        missing = endpoint.wait_for_peers(
             peers if epoch else range(size), handshake_timeout
         )
         if missing:
@@ -426,8 +419,7 @@ def run_worker(
         chan = Channel(ctrl, cfg["timeout"], pool_end=False)
         say("mesh up, serving jobs")
         serve_pool_jobs(
-            comm,
-            my_rank,
+            endpoint,
             chan.recv,
             chan.send,
             heartbeat_interval=cfg.get("heartbeat_interval", 0.5),
@@ -448,10 +440,9 @@ def run_worker(
                 listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        if comm is not None:
-            comm._close_async()
-        links = list(comm._conns.values()) if comm is not None else []
-        for sock in [ctrl, listener, *links]:
+        if endpoint is not None:
+            endpoint.close()
+        for sock in [ctrl, listener]:
             try:
                 if sock is not None:
                     sock.close()

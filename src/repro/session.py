@@ -8,9 +8,9 @@ benchmark campaign; this module gives the driver API the same shape.  A
 :class:`~repro.runtime.tcp.TcpCluster`) and accepts many jobs:
 on the process backend the fork + socketpair-mesh + reader-thread setup
 is paid once per session instead of once per job, with workers running a
-control loop over the existing :class:`~repro.runtime.api.Comm` (each
-job shifted into its own reserved tag window, see
-:meth:`~repro.runtime.api.Comm.begin_job`).
+control loop over their standing mesh endpoint and building one
+:class:`~repro.runtime.api.Comm` per job (each job shifted into its own
+reserved tag window).
 
 Jobs are *declarative*: a job is a validated spec dataclass —
 :class:`~repro.core.terasort.TeraSortSpec`,

@@ -26,9 +26,8 @@ from repro import CodedTeraSortSpec, MapReduceSpec, TeraSortSpec
 from repro.cli import build_parser
 from repro.core.coded_terasort import _coded_terasort_program
 from repro.kvpairs.teragen import teragen
-from repro.runtime.api import BACKEND_TIMEOUT, MulticastMode
+from repro.runtime.api import BACKEND_TIMEOUT, Comm, MulticastMode
 from repro.runtime.inproc import ThreadCluster
-from repro.runtime.mailbox import MailboxComm
 from repro.runtime.process import ProcessCluster
 from repro.runtime.program import (
     NodeProgram,
@@ -142,23 +141,19 @@ def test_inproc_tree_starts_no_relay_thread(
 
 def _thread_sampling_program(comm, payload):
     """The coded sort, returning ``(partition, peak live threads)`` as
-    seen from a stage listener — inside the loop, receives in flight."""
+    seen at every stage change — inside the loop, receives in flight."""
     program = _coded_terasort_program(comm, payload)
     peak = [threading.active_count()]
+    set_stage = comm.set_stage
 
-    def sample(previous, current):
-        peak[0] = max(peak[0], threading.active_count())
+    def sample(name):
+        if name != comm.stage:
+            peak[0] = max(peak[0], threading.active_count())
+        set_stage(name)
 
+    comm.set_stage = sample
     inner = program.run
-
-    def run():
-        comm.add_stage_listener(sample)
-        try:
-            return inner(), peak[0]
-        finally:
-            comm.remove_stage_listener(sample)
-
-    program.run = run
+    program.run = lambda: (inner(), peak[0])
     return program
 
 
@@ -188,7 +183,7 @@ def test_proc_thread_count_is_independent_of_the_group_count(data, uncoded):
 
 
 def test_proc_thread_count_is_constant_across_back_to_back_jobs():
-    # Every pool job runs on a SubsetComm view that posts through its
+    # Every pool job runs on its own Comm that posts through its
     # endpoint's one sender: 50 coded jobs leave each worker with the
     # thread count it had on the first.
     k = 4
@@ -254,12 +249,12 @@ def test_a_loop_that_drives_only_a_chosen_receive_hangs_there(monkeypatch):
     # The design the arrival wait replaces: sit on the first posted
     # receive.  With lazy relays that is a deadlock, so this is the test
     # that times out if the loop ever goes back to it.
-    wait_any = MailboxComm.wait_any
+    wait_any = Comm.wait_any
 
     def wait_on_first(self, keys, timeout=BACKEND_TIMEOUT):
         return wait_any(self, (next(iter(keys)),), timeout)
 
-    monkeypatch.setattr(MailboxComm, "wait_any", wait_on_first)
+    monkeypatch.setattr(Comm, "wait_any", wait_on_first)
     with pytest.raises(RuntimeError, match="recv from worker . timed out"):
         _ring_cluster().run(_RingShuffle)
 

@@ -278,8 +278,10 @@ def test_close_settles_a_running_job_for_its_long_polling_client(no_plan):
             assert (row["state"], row["error"][0]) == ("failed", "shutdown")
             assert service.stats().jobs_failed == 1  # counted once
         finally:
-            for p in procs:  # held in a 20 s map delay: do not wait it out
-                p.terminate()
+            # Held in a 20 s map delay: SIGTERM would start a graceful
+            # drain that finishes the job first, so do not wait it out.
+            for p in procs:
+                p.kill()
             _reap(procs)
 
 

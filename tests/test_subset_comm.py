@@ -1,20 +1,23 @@
-"""SubsetComm: logical-rank views over one shared socket mesh.
+"""One Comm per job: logical-rank communicators over one shared mesh.
 
-Builds a real K=4 socketpair mesh *in process* (four ``_SocketComm``
-endpoints with live reader threads, one per rank, driven by worker
-threads) and exercises the service runtime's isolation mechanisms
+Builds a real K=4 socketpair mesh *in process* (four ``MeshEndpoint``
+objects with live reader threads, one per rank, driven by worker
+threads) and exercises the pool runtime's isolation mechanisms
 directly:
 
-* two subset jobs on disjoint member sets run concurrently over the one
-  mesh and each sees only its own frames (per-job tag windows);
+* two jobs on disjoint member sets run concurrently over the one mesh
+  and each sees only its own frames (per-job tag windows);
 * logical ranks map onto arbitrary (even unsorted) global member lists;
 * an ``("abort", reason)`` control delivery unblocks a pending receive
   promptly instead of waiting out the receive timeout;
-* beginning a job drops every buffered frame outside its tag windows
-  (``_purge_stale_frames``), including a finished job's late arrivals;
-* views send on their endpoint's one async sender, and a failed job's
+* building a job's Comm drops every buffered frame outside its tag
+  windows (``_purge_stale_frames``), including a finished job's late
+  arrivals;
+* jobs send on their endpoint's one async sender, and a failed job's
   queued sends are dropped;
-* the constructor rejects malformed subsets.
+* a send to a dead peer fails typed, posted or blocking;
+* the constructor rejects malformed member lists;
+* a standing pool's jobs allocate no endpoint state.
 """
 
 from __future__ import annotations
@@ -25,21 +28,39 @@ import time
 
 import pytest
 
-from repro.runtime.api import JOB_TAG_STRIDE, MulticastMode
-from repro.runtime.errors import CommError, WorkerFailure
-from repro.runtime.process import (
-    SubsetComm,
+from repro import Session, TeraSortSpec
+from repro.kvpairs.teragen import teragen
+from repro.runtime.api import (
+    JOB_TAG_STRIDE,
+    Comm,
+    MulticastMode,
     _purge_stale_frames,
-    make_socket_comm,
 )
+from repro.runtime.errors import CommError, RuntimeTimeoutError, WorkerFailure
+from repro.runtime.inproc import ThreadCluster
+from repro.runtime.mailbox import Mailbox
+from repro.runtime.process import MeshEndpoint
 from repro.runtime.program import JobControl
+from repro.runtime.traffic import TrafficLog
 
 K = 4
 
 
+def _endpoint(rank, links):
+    return MeshEndpoint(
+        rank,
+        links,
+        MulticastMode.TREE,
+        rate_bytes_per_s=None,
+        recv_timeout=30.0,
+        chunk_bytes=1 << 20,
+        record_relays=False,
+    )
+
+
 @pytest.fixture()
 def mesh():
-    """Four in-process ``_SocketComm`` endpoints over a socketpair mesh."""
+    """Four in-process ``MeshEndpoint`` objects over a socketpair mesh."""
     pairs = {
         (i, j): socket.socketpair()
         for i in range(K)
@@ -49,41 +70,18 @@ def mesh():
     for (i, j), (si, sj) in pairs.items():
         conns_for[i][j] = si
         conns_for[j][i] = sj
-    comms = [
-        make_socket_comm(
-            rank=r,
-            size=K,
-            conns=conns_for[r],
-            multicast_mode=MulticastMode.TREE,
-            rate_bytes_per_s=None,
-            socket_timeout=30.0,
-            chunk_bytes=1 << 20,
-            record_relays=False,
-        )
-        for r in range(K)
-    ]
-    yield comms
-    for comm in comms:
-        comm._close_async()
-    for si, sj in pairs.values():
-        for s in (si, sj):
-            try:
-                s.close()
-            except OSError:
-                pass
+    endpoints = [_endpoint(r, conns_for[r]) for r in range(K)]
+    yield endpoints
+    for endpoint in endpoints:
+        endpoint.close()
 
 
-def _run_members(comms, members, job_seq, body, errors):
-    """One thread per subset member running ``body(subset_comm)``."""
+def _run_members(endpoints, members, job_seq, body, errors):
+    """One thread per member running ``body(comm)`` on the job's Comm."""
 
     def worker(global_rank):
         try:
-            sub = SubsetComm(comms[global_rank], members)
-            sub.begin_job(job_seq, None)
-            try:
-                body(sub)
-            finally:
-                sub._close_async()
+            body(Comm(endpoints[global_rank], members, job_seq, None))
         except BaseException as exc:  # noqa: BLE001 - surfaced to the test
             errors.append((global_rank, exc))
 
@@ -168,46 +166,38 @@ class TestConcurrentSubsets:
 
 class TestAbort:
     def test_abort_unblocks_pending_recv_promptly(self, mesh):
-        sub = SubsetComm(mesh[0], [0, 1])
-        sub.begin_job(3, None)
         control = JobControl(3)
-        sub.job_control = control
-        try:
-            start = time.monotonic()
+        sub = Comm(mesh[0], [0, 1], 3, None, control=control)
+        start = time.monotonic()
 
-            def later():
-                time.sleep(0.3)
-                control.deliver(("abort", "neighbour died"))
+        def later():
+            time.sleep(0.3)
+            control.deliver(("abort", "neighbour died"))
 
-            threading.Thread(target=later, daemon=True).start()
-            # Nobody ever sends: only the abort poll can end this recv
-            # before the 30 s backend timeout.
-            with pytest.raises(WorkerFailure) as exc_info:
-                sub.recv(1, tag=1)
-            elapsed = time.monotonic() - start
-            assert elapsed < 5.0, f"abort took {elapsed:.1f}s to land"
-            assert "neighbour died" in str(exc_info.value)
-        finally:
-            sub.job_control = None
-            sub._close_async()
+        threading.Thread(target=later, daemon=True).start()
+        # Nobody ever sends: only the abort poll can end this recv
+        # before the 30 s backend timeout.
+        with pytest.raises(WorkerFailure) as exc_info:
+            sub.recv(1, tag=1)
+        elapsed = time.monotonic() - start
+        assert elapsed < 5.0, f"abort took {elapsed:.1f}s to land"
+        assert "neighbour died" in str(exc_info.value)
 
 
-def _await_frame(comm, src, job_seq, tag):
-    """Block until ``comm``'s mailbox holds a frame of ``job_seq``'s
-    user ``tag`` from ``src`` — without beginning a job on ``comm``."""
+def _await_frame(endpoint, src, job_seq, tag):
+    """Block until ``endpoint``'s mailbox holds a frame of ``job_seq``'s
+    user ``tag`` from ``src`` — without starting a job there."""
     key = (src, job_seq * JOB_TAG_STRIDE + tag)
-    assert comm._mailbox.wait_any({key}, 10.0) == [key]
+    assert endpoint.mailbox.wait_any({key}, 10.0) == [key]
 
 
 class TestPurge:
     def test_purge_reclaims_only_the_dead_jobs_frames(self, mesh):
         # Worker 1 sends rank 0 one frame in job 5's window and one in
         # job 6's window; purging for job 6 must leave job 6 intact.
-        sender5 = SubsetComm(mesh[1], [0, 1])
-        sender5.begin_job(5, None)
+        sender5 = Comm(mesh[1], [0, 1], 5, None)
         sender5.send(0, tag=4, payload=b"stale")
-        sender6 = SubsetComm(mesh[1], [0, 1])
-        sender6.begin_job(6, None)
+        sender6 = Comm(mesh[1], [0, 1], 6, None)
         sender6.send(0, tag=4, payload=b"live")
         # The marker is sent *last*: rank 0's single reader thread
         # delivers frames from rank 1 in order, so once the marker is
@@ -215,10 +205,9 @@ class TestPurge:
         sender6.send(0, tag=5, payload=b"marker")
         _await_frame(mesh[0], 1, 6, 5)
 
-        assert _purge_stale_frames(mesh[0]._mailbox, 6) == 1
+        assert _purge_stale_frames(mesh[0].mailbox, 6) == 1
 
-        receiver = SubsetComm(mesh[0], [0, 1])
-        receiver.begin_job(6, None)
+        receiver = Comm(mesh[0], [0, 1], 6, None)
         assert bytes(receiver.recv(1, tag=5)) == b"marker"
         assert bytes(receiver.recv(1, tag=4)) == b"live"
 
@@ -226,50 +215,100 @@ class TestPurge:
         # Rank 0 ran job 5 and moved on; only then does rank 1's
         # still-queued job-5 frame land.  Beginning job 6 must drop it
         # and keep the job-6 frame rank 1 has already sent.
-        receiver5 = SubsetComm(mesh[0], [0, 1])
-        receiver5.begin_job(5, None)
-        late = SubsetComm(mesh[1], [0, 1])
-        late.begin_job(5, None)
+        receiver5 = Comm(mesh[0], [0, 1], 5, None)
+        late = Comm(mesh[1], [0, 1], 5, None)
         late.send(0, tag=4, payload=b"late")
-        early = SubsetComm(mesh[1], [0, 1])
-        early.begin_job(6, None)
+        early = Comm(mesh[1], [0, 1], 6, None)
         early.send(0, tag=4, payload=b"early")
         _await_frame(mesh[0], 1, 6, 4)
 
-        receiver6 = SubsetComm(mesh[0], [0, 1])
-        receiver6.begin_job(6, None)
+        receiver6 = Comm(mesh[0], [0, 1], 6, None)
         assert not receiver5.irecv(1, tag=4).test()  # job 5's is gone
         assert bytes(receiver6.recv(1, tag=4)) == b"early"
-        assert not mesh[0]._mailbox._queues
+        assert not mesh[0].mailbox._queues
 
     def test_a_failed_jobs_queued_sends_are_dropped(self, mesh):
-        # The view posts on its endpoint's one sender (no thread per
+        # A job posts on its endpoint's one sender (no thread per
         # job); once its job failed, what it still has queued there is
         # dropped instead of going out ahead of the next job's sends.
-        sender = SubsetComm(mesh[1], [0, 1])
-        sender.begin_job(7, None)
+        sender = Comm(mesh[1], [0, 1], 7, None)
         sender.failed = True
         sender.isend(0, tag=4, payload=b"dropped").wait()
-        nxt = SubsetComm(mesh[1], [0, 1])
-        nxt.begin_job(8, None)
+        nxt = Comm(mesh[1], [0, 1], 8, None)
         nxt.isend(0, tag=4, payload=b"sent").wait()
-        assert sender._sender_thread is None and nxt._sender_thread is None
-        assert mesh[1]._sender_thread.is_alive()
-        receiver = SubsetComm(mesh[0], [0, 1])
-        receiver.begin_job(8, None)
+        assert [t.name for t in threading.enumerate()].count("sender-1") == 1
+        receiver = Comm(mesh[0], [0, 1], 8, None)
         assert bytes(receiver.recv(1, tag=4)) == b"sent"
-        assert not mesh[0]._mailbox._queues
+        assert not mesh[0].mailbox._queues
+
+
+class TestSendFailures:
+    """A send to a dead peer is a ``WorkerFailure`` naming it, whether it
+    was posted or blocking, before or after the job's first ``isend``."""
+
+    @pytest.fixture()
+    def pair(self):
+        mine, theirs = socket.socketpair()
+        endpoint = _endpoint(0, {1: mine})
+        yield endpoint, theirs
+        theirs.close()
+        endpoint.close()
+
+    def test_posted_and_later_blocking_sends_keep_their_type(self, pair):
+        endpoint, theirs = pair
+        comm = Comm(endpoint, [0, 1], 1, None)
+        theirs.close()
+        with pytest.raises(WorkerFailure) as posted:
+            comm.isend(1, 4, b"x").wait()
+        with pytest.raises(WorkerFailure) as blocking:
+            comm.send(1, 5, b"y")
+        assert posted.value.rank == blocking.value.rank == 1
+
+    def test_an_expired_send_wait_names_its_stage_and_seconds(self, pair):
+        endpoint, theirs = pair
+        comm = Comm(endpoint, [0, 1], 1, None)
+        comm.set_stage("shuffle")
+        # Nobody drains ``theirs``: the sender blocks on a full buffer.
+        req = comm.isend(1, 4, bytes(8 << 20))
+        with pytest.raises(RuntimeTimeoutError) as expired:
+            req.wait(0.2)
+        assert (expired.value.stage, expired.value.seconds) == ("shuffle", 0.2)
+        theirs.close()  # the blocked write now fails: typed, as above
+        with pytest.raises(WorkerFailure):
+            req.wait()
 
 
 class TestValidation:
     def test_duplicate_members_rejected(self, mesh):
         with pytest.raises(CommError):
-            SubsetComm(mesh[0], [0, 0, 1])
+            Comm(mesh[0], [0, 0, 1], 1, None)
 
     def test_base_rank_must_be_member(self, mesh):
         with pytest.raises(CommError):
-            SubsetComm(mesh[0], [1, 2])
+            Comm(mesh[0], [1, 2], 1, None)
 
     def test_members_must_be_mesh_peers(self, mesh):
         with pytest.raises(CommError):
-            SubsetComm(mesh[0], [0, K + 3])
+            Comm(mesh[0], [0, K + 3], 1, None)
+
+
+def test_pool_jobs_allocate_no_endpoint_state(monkeypatch):
+    """A job's Comm is built over its worker's standing endpoint: no
+    mailbox and no traffic log of its own — one log per worker per job,
+    plus the driver's merge."""
+    spec = TeraSortSpec(data=teragen(2000, seed=5))
+    made = []
+    for cls in (Mailbox, TrafficLog):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            made.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    with Session(ThreadCluster(K, recv_timeout=30)) as session:
+        session.submit(spec).result()  # forms the mesh
+        made.clear()
+        for _ in range(10):
+            session.submit(spec).result()
+    assert (made.count("Mailbox"), made.count("TrafficLog")) == (0, 50)
