@@ -16,7 +16,7 @@ def bench_extended_grid(benchmark, sink):
         lambda: extended_grid(), rounds=1, iterations=1
     )
     best = max(points, key=lambda p: p.speedup)
-    # The best simulated speedup should approach the paper's 4.11x
+    # The best modelled speedup should approach the paper's 4.11x
     # (smaller K + moderate r is the sweet spot).
     assert 3.0 < best.speedup < 5.0, (best.num_nodes, best.redundancy, best.speedup)
     benchmark.extra_info["best"] = {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.scalable.theory import grouped_vs_full
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.utils.tables import format_table
 
 
@@ -20,8 +20,8 @@ def bench_grouped_vs_full_k20(benchmark, sink):
     """Head-to-head at the paper's K=20, r=5 configuration."""
 
     def run():
-        base = simulate_terasort(20, granularity="turn")
-        full = simulate_coded_terasort(20, 5, granularity="turn")
+        base = simulate_terasort(20)
+        full = simulate_coded_terasort(20, 5)
         grouped = simulate_coded_terasort(20, 5, group_size=10)
         return base, full, grouped
 
@@ -84,12 +84,10 @@ def bench_grouped_group_size_sweep(benchmark, sink):
     configs = [(2, 1), (4, 2), (6, 3), (8, 4), (12, 6)]
 
     def sweep():
-        base = simulate_terasort(24, granularity="turn")
+        base = simulate_terasort(24)
         points = []
         for g, r in configs:
-            rep = simulate_coded_terasort(
-                24, r, granularity="turn", group_size=g
-            )
+            rep = simulate_coded_terasort(24, r, group_size=g)
             points.append((g, r, rep))
         return base, points
 

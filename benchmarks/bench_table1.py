@@ -1,8 +1,8 @@
 """Table I: TeraSort breakdown, 12 GB, K=16, 100 Mbps.
 
-Regenerates the paper's Table I by running the discrete-event simulator at
-full scale (240 serial unicasts of 46.9 MB each).  The benchmark time is
-the simulator's own wall time; the *simulated* seconds are pushed into
+Regenerates the paper's Table I from the closed-form model at full scale
+(16 sender turns of 15 serial unicasts of 46.9 MB each).  The benchmark
+time is the model's own wall time; the *modelled* seconds are pushed into
 ``results/table1.md`` next to the paper's numbers.
 """
 
@@ -14,7 +14,7 @@ from repro.experiments.tables import table1
 
 def bench_table1_terasort_k16(benchmark, sink):
     result = benchmark.pedantic(
-        lambda: table1(granularity="transfer"), rounds=1, iterations=1
+        table1, rounds=1, iterations=1
     )
     row = result.rows[0]
     # Sanity: reproduced total within 5% of the paper's 961.25 s.

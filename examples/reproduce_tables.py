@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Reproduce the paper's Tables I-III with the calibrated EC2 simulator.
+"""Reproduce the paper's Tables I-III with the calibrated EC2 model.
 
-The discrete-event simulator executes the exact serial unicast (Fig. 9(a))
-and serial multicast (Fig. 9(b)) schedules at the paper's full scale
-(12 GB = 120 M records, 100 Mbps NICs) and prints every table cell next to
-the published value, plus the end-to-end speedups.
+Every row is a closed-form stage sum: each stage is one cost law of the
+calibrated EC2 model applied to the balanced per-node volumes, and the
+shuffle is the serial unicast (Fig. 9(a)) or serial multicast (Fig. 9(b))
+schedule's turn count times one transfer time.  It runs at the paper's
+full scale (12 GB = 120 M records, 100 Mbps NICs) in well under a second
+and prints every table cell next to the published value, plus the
+end-to-end speedups.
 
 Usage::
 
-    python examples/reproduce_tables.py [--fast] [--records N]
-
-``--fast`` uses turn-level event granularity (identical totals, far fewer
-simulated events) so the script finishes in a couple of seconds.
+    python examples/reproduce_tables.py [--records N]
 """
 
 from __future__ import annotations
@@ -24,24 +24,21 @@ from repro.experiments.tables import table1, table2, table3
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fast", action="store_true",
-                        help="turn-level simulation granularity")
     parser.add_argument("--records", "-n", type=int, default=120_000_000,
                         help="dataset size in 100-byte records")
     args = parser.parse_args()
 
-    granularity = "turn" if args.fast else "transfer"
     for builder in (table1, table2, table3):
-        result = builder(n_records=args.records, granularity=granularity)
-        print(render_table(result))
+        print(render_table(builder(n_records=args.records)))
         print()
 
-    print("Reading the tables: 'paper' columns are the published EC2")
-    print("measurements; 'measured' columns are this simulator. Absolute")
-    print("agreement comes from the documented calibration (DESIGN.md §5);")
-    print("the structural claims — speedup band, Map ~ r x baseline,")
-    print("shuffle gain slightly below r, CodeGen ~ C(K, r+1) — hold")
-    print("independently of the calibration constants.")
+    print("Reading the tables: 'paper' rows are the published EC2")
+    print("measurements; 'model' rows are the closed-form stage sums.")
+    print("Absolute agreement comes from the calibration documented on")
+    print("EC2CostModel's fields (repro/sim/costmodel.py); the structural")
+    print("claims — speedup band, Map ~ r x baseline, shuffle gain")
+    print("slightly below r, CodeGen ~ C(K, r+1) — hold independently of")
+    print("the calibration constants.")
     return 0
 
 

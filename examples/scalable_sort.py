@@ -6,7 +6,7 @@ scaling coded sorting (140.91 s of the 441.10 s total at K=20, r=5).
 This example runs the group-based construction — ``group_size=g`` on the
 one coded pipeline: coding inside groups of g nodes, dataset replicated
 across groups so all shuffles stay intra-group — both functionally (real sort on the thread
-backend, byte-accounted) and at paper scale on the simulator.
+backend, byte-accounted) and at paper scale on the closed-form model.
 
 Usage::
 
@@ -23,7 +23,7 @@ from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
 from repro.scalable.theory import grouped_comm_load, grouped_vs_full
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.utils.tables import format_table
 
 
@@ -66,13 +66,11 @@ def main() -> int:
     print(f"  CodeGen: grouped {cmp.codegen_grouped} vs full "
           f"{cmp.codegen_full} group setups ({cmp.codegen_ratio:.0f}x fewer)")
 
-    # -- paper scale, simulated ---------------------------------------------
+    # -- paper scale, modelled ----------------------------------------------
     print("\nAt the paper's Table III configuration (12 GB, K=20, 100 Mbps):")
-    base = simulate_terasort(20, granularity="turn")
-    full = simulate_coded_terasort(20, 5, granularity="turn")
-    scaled = simulate_coded_terasort(
-        20, 5, granularity="turn", group_size=10
-    )
+    base = simulate_terasort(20)
+    full = simulate_coded_terasort(20, 5)
+    scaled = simulate_coded_terasort(20, 5, group_size=10)
     rows = []
     for label, rep in (
         ("TeraSort", base),

@@ -34,7 +34,7 @@ provides:
   admission control, per-tenant quotas (:class:`TenantQuota`), and
   fair-share/priority scheduling; :class:`ServiceClient` is the thin
   submit/status side returning :class:`JobHandle`-compatible futures;
-* a discrete-event cluster simulator calibrated to the paper's EC2 testbed
+* a closed-form model of the paper's runs, calibrated to its EC2 testbed,
   that regenerates every table and figure at full 12 GB scale;
 * the closed-form theory (Eq. (2)-(5)) and an experiment harness producing
   paper-vs-measured reports.
@@ -111,7 +111,7 @@ from repro.session import (
     run,
 )
 from repro.sim.costmodel import EC2CostModel
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.stragglers.runner import straggler_comparison
 from repro.wireless.wdc import run_wireless_sort
 

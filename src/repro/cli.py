@@ -13,8 +13,8 @@ Subcommands::
                               concurrent jobs on per-job worker subsets)
     codedterasort submit    — submit one sort job to a running service
     codedterasort status    — job table + per-tenant stats of a service
-    codedterasort simulate  — one simulated run at paper scale
-    codedterasort tables    — regenerate Tables I-III
+    codedterasort simulate  — one modelled run at paper scale
+    codedterasort tables    — regenerate Tables I-III (closed-form model)
     codedterasort figures   — Fig. 2 + trend sweeps
     codedterasort report    — full reproduction report (optionally to
                               EXPERIMENTS.md)
@@ -404,16 +404,19 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+    from repro.sim.model import simulate_coded_terasort, simulate_terasort
     from repro.utils.tables import format_table
 
-    if args.algorithm == "coded":
-        rep = simulate_coded_terasort(
-            args.nodes, args.redundancy, n_records=args.records
-        )
-    else:
-        rep = simulate_terasort(args.nodes, n_records=args.records)
-    print(f"simulated {rep.algorithm}: K={rep.num_nodes}, r={rep.redundancy}, "
+    try:
+        if args.algorithm == "coded":
+            rep = simulate_coded_terasort(
+                args.nodes, args.redundancy, n_records=args.records
+            )
+        else:
+            rep = simulate_terasort(args.nodes, n_records=args.records)
+    except ValueError as err:
+        raise SystemExit(str(err))
+    print(f"modelled {rep.algorithm}: K={rep.num_nodes}, r={rep.redundancy}, "
           f"{rep.n_records} records, {rep.transfers} transfers")
     print(format_table(
         ["stage", "seconds"],
@@ -428,9 +431,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_table
     from repro.experiments.tables import table1, table2, table3
 
-    granularity = "turn" if args.fast else "transfer"
     for t in (table1, table2, table3):
-        print(render_table(t(granularity=granularity)))
+        print(render_table(t()))
     return 0
 
 
@@ -509,21 +511,22 @@ def _cmd_stragglers(args: argparse.Namespace) -> int:
 
 def _cmd_scalable(args: argparse.Namespace) -> int:
     from repro.scalable.theory import grouped_vs_full
-    from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+    from repro.sim.model import simulate_coded_terasort, simulate_terasort
     from repro.utils.tables import format_table
 
     k, g, r = args.nodes, args.group_size, args.redundancy
-    cmp = grouped_vs_full(k, g, r)
+    try:
+        cmp = grouped_vs_full(k, g, r)
+        base = simulate_terasort(k)
+        full = simulate_coded_terasort(k, r)
+        grouped = simulate_coded_terasort(k, r, group_size=g)
+    except ValueError as err:
+        raise SystemExit(str(err))
     print(f"grouped (g={g}, r={r}) vs full coded (r={cmp.full_redundancy}) "
           f"at K={k}:")
     print(f"  load {cmp.load_grouped:.3f} vs {cmp.load_full:.3f}; "
           f"CodeGen {cmp.codegen_grouped} vs {cmp.codegen_full} groups "
           f"({cmp.codegen_ratio:.0f}x fewer)\n")
-    base = simulate_terasort(k, granularity="turn")
-    full = simulate_coded_terasort(k, r, granularity="turn")
-    grouped = simulate_coded_terasort(
-        k, r, granularity="turn", group_size=g
-    )
     rows = []
     for label, rep in (
         ("TeraSort", base),
@@ -713,7 +716,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="machine-readable ServiceStats + job rows")
     p.set_defaults(func=_cmd_status)
 
-    p = sub.add_parser("simulate", help="simulate one run at paper scale")
+    p = sub.add_parser("simulate", help="model one run at paper scale")
     p.add_argument("--algorithm", choices=["terasort", "coded"], default="coded")
     p.add_argument("--nodes", "-K", type=int, default=16)
     p.add_argument("--redundancy", "-r", type=int, default=3)
@@ -721,7 +724,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("tables", help="regenerate Tables I-III")
-    p.add_argument("--fast", action="store_true")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("figures", help="regenerate Fig. 2 and trend sweeps")

@@ -10,7 +10,8 @@ In the paper this stage also creates one MPI communicator per group via
 ``MPI_Comm_split`` and its cost grows as ``C(K, r+1)`` — the scaling that
 ultimately limits ``r`` (§V-C).  Our runtime needs no communicator objects,
 but the plan construction is kept an explicit, timed stage to preserve the
-cost structure, and the simulator charges the calibrated per-group cost.
+cost structure, and the closed-form model charges the calibrated per-group
+cost.
 """
 
 from __future__ import annotations
@@ -228,19 +229,6 @@ def build_coding_plan(num_nodes: int, redundancy: int) -> CodingPlan:
         groups_of_node=groups_of_node,
         schedule=schedule,
     )
-
-
-def group_schedule_by_group(plan: CodingPlan) -> List[Tuple[int, int]]:
-    """Alternative schedule: iterate groups, then senders within a group.
-
-    Equivalent total traffic; exposed for the scheduling ablation (the paper
-    mentions exploring parallel/asynchronous shuffling as future work).
-    """
-    schedule: List[Tuple[int, int]] = []
-    for idx, group in enumerate(plan.groups):
-        for sender in group:
-            schedule.append((idx, sender))
-    return schedule
 
 
 def round_schedule(

@@ -17,8 +17,8 @@ Implements the paper's analytical results:
   ``r* = floor/ceil of sqrt(T_shuffle / T_map)`` and the resulting
   ``T* ≈ 2 sqrt(T_shuffle T_map) + T_reduce``;
 
-* exact message/byte counts for both shuffles, used by the simulator and by
-  the exact-load tests.
+* exact message/byte counts for both shuffles, which the model's transfer
+  counts and payloads are checked against, as are the exact-load tests.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def predicted_total_time(model: TimeModel, r: int, num_nodes: int) -> float:
 
     The paper's first-order model: Map inflates ``r``-fold, Shuffle deflates
     ``r``-fold, Reduce is unchanged; CodeGen and coding overheads are
-    second-order terms handled by the simulator's cost model instead.
+    second-order terms handled by the calibrated cost model instead.
     """
     _check_rk(r, num_nodes)
     return r * model.t_map + model.t_shuffle / r + model.t_reduce
@@ -108,7 +108,7 @@ def predicted_speedup(model: TimeModel, r: int, num_nodes: int) -> float:
     return model.total_uncoded / predicted_total_time(model, r, num_nodes)
 
 
-# -- exact shuffle accounting (drives the simulator and exact-load tests) ----
+# -- exact shuffle accounting (checks the model and the exact loads) ---------
 
 
 def uncoded_shuffle_messages(num_nodes: int) -> int:

@@ -2,8 +2,8 @@
 
 * :mod:`repro.experiments.configs` — the paper's published numbers and the
   experiment grid;
-* :mod:`repro.experiments.tables` — Tables I, II, III (simulated at full
-  12 GB scale) with paper-vs-measured comparison;
+* :mod:`repro.experiments.tables` — Tables I, II, III (the closed-form
+  model at full 12 GB scale) next to the paper's cells;
 * :mod:`repro.experiments.figures` — Fig. 2 load curves (theory + measured
   byte accounting), the speedup-vs-r and speedup-vs-K trend sweeps (§V-C),
   and the extended grid behind the "up to 4.11x" remark;

@@ -3,15 +3,20 @@
 * :func:`fig2_series` — Fig. 2's communication-load curves: the closed
   forms of Eq. (2) *and* loads measured by byte accounting on real
   functional runs of the engine (small scale, thread backend);
-* :func:`sweep_r` — speedup vs r at fixed K (the §V-C observation that
-  speedup rises while shuffle dominates and falls once CodeGen does);
-* :func:`sweep_k` — speedup vs K at fixed r (speedup decreases with K);
+* :func:`sweep_r` — modelled speedup vs r at fixed K (the §V-C
+  observation that speedup rises while shuffle dominates and falls once
+  CodeGen does);
+* :func:`sweep_k` — modelled speedup vs K at fixed r (speedup decreases
+  with K);
 * :func:`extended_grid` — the broader (K, r) grid behind the paper's
   "up to 4.11x" remark;
-* :func:`schedule_ablation` — serial (paper) vs parallel (future-work)
-  shuffle scheduling;
+* :func:`schedule_ablation` — serial (paper) vs round-scheduled parallel
+  (future-work) shuffles;
 * :func:`multicast_penalty_ablation` — the effect of the MPI_Bcast
   logarithmic penalty on the achieved shuffle gain.
+
+Everything but Fig. 2's measured points is the closed-form model of
+:mod:`repro.sim.model`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from repro.kvpairs.teragen import teragen
 from repro.runtime.inproc import ThreadCluster
 from repro.session import CodedTeraSortSpec, TeraSortSpec, run
 from repro.sim.costmodel import EC2CostModel
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
 
 
 @dataclass
@@ -124,15 +129,13 @@ def sweep_r(
     cost: Optional[EC2CostModel] = None,
 ) -> List[SweepPoint]:
     """Speedup vs r at fixed K (§V-C: rises, then CodeGen takes over)."""
-    base = simulate_terasort(
-        num_nodes, n_records=n_records, cost=cost, granularity="turn"
-    )
+    base = simulate_terasort(num_nodes, n_records=n_records, cost=cost)
     points = []
     for r in r_values:
         if not 1 <= r < num_nodes:
             continue
         rep = simulate_coded_terasort(
-            num_nodes, r, n_records=n_records, cost=cost, granularity="turn"
+            num_nodes, r, n_records=n_records, cost=cost
         )
         points.append(
             SweepPoint(
@@ -158,11 +161,9 @@ def sweep_k(
     for k in k_values:
         if redundancy >= k:
             continue
-        base = simulate_terasort(
-            k, n_records=n_records, cost=cost, granularity="turn"
-        )
+        base = simulate_terasort(k, n_records=n_records, cost=cost)
         rep = simulate_coded_terasort(
-            k, redundancy, n_records=n_records, cost=cost, granularity="turn"
+            k, redundancy, n_records=n_records, cost=cost
         )
         points.append(
             SweepPoint(
@@ -190,11 +191,9 @@ def extended_grid(
             continue
         if k not in base_cache:
             base_cache[k] = simulate_terasort(
-                k, n_records=n_records, cost=cost, granularity="turn"
+                k, n_records=n_records, cost=cost
             ).total_time
-        rep = simulate_coded_terasort(
-            k, r, n_records=n_records, cost=cost, granularity="turn"
-        )
+        rep = simulate_coded_terasort(k, r, n_records=n_records, cost=cost)
         points.append(
             SweepPoint(
                 num_nodes=k,
@@ -223,33 +222,30 @@ def schedule_ablation(
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
 ) -> AblationResult:
-    """Serial (paper, Fig. 9) vs parallel (§VI future work) schedules.
+    """Serial (paper, Fig. 9) vs scheduled-parallel (§VI future work).
 
-    Three variants: the paper's serial turns; naive asynchronous sending
-    (every node transmits at once, contending for NICs); and scheduled
-    parallelism over conflict-free rounds (1-factorization for unicast,
-    greedy group packing for multicast).  The rounds variant quantifies
-    the §VI "asynchronous execution" headroom — and shows that under full
-    parallelism the uncoded exchange (2 nodes per transfer) has more
-    concurrency headroom than r+1-node multicasts, so coding's win is tied
-    to the serialized-fabric regime the paper operates in.
+    Two variants: the paper's serial turns, and scheduled parallelism over
+    conflict-free rounds (1-factorization for unicast, greedy group packing
+    for multicast).  The rounds variant quantifies the §VI "asynchronous
+    execution" headroom — and shows that under full parallelism the
+    uncoded exchange (2 nodes per transfer) has more concurrency headroom
+    than r+1-node multicasts, so coding's win is tied to the
+    serialized-fabric regime the paper operates in.
     """
     out = AblationResult(
         name=f"Shuffle scheduling (K={num_nodes}, r={redundancy})"
     )
     variants = (
         ("serial", "serial (paper)"),
-        ("parallel", "parallel (naive async)"),
         ("rounds", "rounds (scheduled parallel)"),
     )
     for schedule, label in variants:
         ts = simulate_terasort(
-            num_nodes, n_records=n_records, cost=cost, schedule=schedule,
-            granularity="transfer",
+            num_nodes, n_records=n_records, cost=cost, schedule=schedule
         )
         cts = simulate_coded_terasort(
             num_nodes, redundancy, n_records=n_records, cost=cost,
-            schedule=schedule, granularity="transfer",
+            schedule=schedule,
         )
         out.rows.append(
             (f"TeraSort, {label}", ts.stage_times["shuffle"], ts.total_time)
@@ -282,11 +278,7 @@ def multicast_penalty_ablation(
             multicast_gamma=gamma
         )
         rep = simulate_coded_terasort(
-            num_nodes,
-            redundancy,
-            n_records=n_records,
-            cost=cost,
-            granularity="turn",
+            num_nodes, redundancy, n_records=n_records, cost=cost
         )
         out.rows.append((label, rep.stage_times["shuffle"], rep.total_time))
     return out

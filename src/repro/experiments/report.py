@@ -1,8 +1,9 @@
 """Report rendering: console tables and the EXPERIMENTS.md generator.
 
-Every reproduced artifact renders as a paper-vs-measured table.  The
-markdown document produced by :func:`write_experiments_md` is the checked-in
-EXPERIMENTS.md; run ``python -m repro report`` to regenerate it.
+Every reproduced artifact renders as a paper-vs-model or paper-vs-measured
+table.  The markdown document produced by :func:`write_experiments_md` is
+EXPERIMENTS.md (CI publishes it as a build artifact); run ``python -m repro
+report -o EXPERIMENTS.md`` to regenerate it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.utils.tables import format_table
 
 
 def render_table(result: TableResult, markdown: bool = False) -> str:
-    """Render one regenerated table with per-stage paper/measured pairs."""
+    """Render one regenerated table with per-stage paper/model pairs."""
     out = io.StringIO()
     out.write(f"{result.name}\n")
     for row in result.rows:
@@ -39,7 +40,7 @@ def render_table(result: TableResult, markdown: bool = False) -> str:
             [row.label, "paper"]
             + [p for _, p, _ in row.stage_pairs()]
             + [row.paper.total, paper_speedup],
-            [row.label, "measured"]
+            [row.label, "model"]
             + [m for _, _, m in row.stage_pairs()]
             + [row.measured_total, measured_speedup],
         ]
@@ -102,23 +103,20 @@ def render_all(fast: bool = False, markdown: bool = False) -> str:
     """Run every experiment and render the full reproduction report.
 
     Args:
-        fast: use coarse event granularity and theory-only Fig. 2 points
-            (used by tests; the full run takes ~1 minute).
+        fast: theory-only Fig. 2 points and shorter straggler / wireless
+            runs (used by tests; the full run measures Fig. 2 on the
+            engine and takes longer).
         markdown: pipe-table output.
     """
-    granularity = "turn" if fast else "transfer"
     out = io.StringIO()
     out.write("# Coded TeraSort — reproduction report\n\n")
     out.write(
-        "Simulated at the paper's scale (12 GB, 100 Mbps, serial shuffles) "
-        "on the calibrated EC2 cost model; loads measured from real "
+        "Tables I-III, the trends and the ablations are the closed-form "
+        "model at the paper's scale (12 GB, 100 Mbps, serial shuffles) on "
+        "the calibrated EC2 cost model; loads are measured from real "
         "functional runs of the engine.\n\n"
     )
-    for result in (
-        table1(granularity=granularity),
-        table2(granularity=granularity),
-        table3(granularity=granularity),
-    ):
+    for result in (table1(), table2(), table3()):
         out.write("## " + result.name + "\n\n")
         out.write(render_table(result, markdown=markdown))
         out.write("\n")
@@ -151,7 +149,7 @@ def render_all(fast: bool = False, markdown: bool = False) -> str:
 def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
     """The §VI future-direction reproductions (extension pillars)."""
     from repro.kvpairs.teragen import teragen
-    from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+    from repro.sim.model import simulate_coded_terasort, simulate_terasort
     from repro.stragglers.runner import (
         render_straggler_table,
         straggler_comparison,
@@ -180,11 +178,9 @@ def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
     out.write("\n")
 
     out.write("## Extension: scalable (grouped) coding (§VI, ref [24])\n\n")
-    base = simulate_terasort(20, granularity="turn")
-    full = simulate_coded_terasort(20, 5, granularity="turn")
-    grouped = simulate_coded_terasort(
-        20, 5, granularity="turn", group_size=10
-    )
+    base = simulate_terasort(20)
+    full = simulate_coded_terasort(20, 5)
+    grouped = simulate_coded_terasort(20, 5, group_size=10)
     rows = []
     for label, rep in (
         ("TeraSort", base),
@@ -242,12 +238,14 @@ def _experiments_preamble() -> str:
     return (
         "<!-- generated by `python -m repro report`; edit the generator, "
         "not this file -->\n\n"
-        "This document records paper-vs-measured results for every table "
-        "and figure in *Coded TeraSort* (Li et al., 2017).  Measured "
-        "numbers come from the discrete-event simulator at full 12 GB "
-        "scale (calibrated against Tables I-III as documented in "
-        "DESIGN.md §5) and, for communication loads, from byte-accounted "
-        "functional runs of the real engine.  Expected fidelity: stage "
+        "This document records paper-vs-reproduction results for every "
+        "table and figure in *Coded TeraSort* (Li et al., 2017).  The "
+        "table rows, trends and ablations are a model, not a measurement: "
+        "closed-form stage sums at full 12 GB scale, priced by the cost "
+        "model calibrated against Tables I-III (`EC2CostModel`'s field "
+        "docstrings in `repro/sim/costmodel.py`).  Communication loads "
+        "are measured from byte-accounted functional runs of the real "
+        "engine.  Expected fidelity: stage "
         "times within ~10% per cell, speedups within ~0.25x, and all "
         "qualitative trends (who wins, where CodeGen overtakes, load "
         "curves) exact.\n\n"

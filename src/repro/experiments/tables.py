@@ -1,8 +1,8 @@
 """Regenerating Tables I, II, and III.
 
-Each function simulates the corresponding table's rows at the paper's full
-scale (12 GB, 100 Mbps) and pairs every measured cell with the published
-value.  The returned :class:`TableResult` renders via
+Each function models the corresponding table's rows at the paper's full
+scale (12 GB, 100 Mbps; :mod:`repro.sim.model`) and pairs every modelled
+cell with the published value.  The returned :class:`TableResult` renders via
 :mod:`repro.experiments.report` and feeds the reproduction benchmarks.
 """
 
@@ -21,12 +21,12 @@ from repro.experiments.configs import (
     PaperRow,
 )
 from repro.sim.costmodel import EC2CostModel
-from repro.sim.runner import SimReport, simulate_coded_terasort, simulate_terasort
+from repro.sim.model import SimReport, simulate_coded_terasort, simulate_terasort
 
 
 @dataclass
 class RowComparison:
-    """One table row: measured breakdown next to the paper's."""
+    """One table row: the modelled breakdown next to the paper's."""
 
     paper: PaperRow
     measured: SimReport
@@ -90,23 +90,16 @@ class TableResult:
 
 
 def _simulate_row(
-    paper: PaperRow,
-    n_records: int,
-    cost: Optional[EC2CostModel],
-    granularity: str,
+    paper: PaperRow, n_records: int, cost: Optional[EC2CostModel]
 ) -> RowComparison:
     if paper.algorithm == "terasort":
         report = simulate_terasort(
-            paper.num_nodes, n_records=n_records, cost=cost, granularity=granularity
+            paper.num_nodes, n_records=n_records, cost=cost
         )
     else:
         assert paper.redundancy is not None
         report = simulate_coded_terasort(
-            paper.num_nodes,
-            paper.redundancy,
-            n_records=n_records,
-            cost=cost,
-            granularity=granularity,
+            paper.num_nodes, paper.redundancy, n_records=n_records, cost=cost
         )
     return RowComparison(paper=paper, measured=report)
 
@@ -114,43 +107,34 @@ def _simulate_row(
 def table1(
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
-    granularity: str = "transfer",
 ) -> TableResult:
     """Table I: the TeraSort breakdown at K=16 (98.4% time in shuffle)."""
     return TableResult(
         name="Table I — TeraSort, 12 GB, K=16, 100 Mbps",
         num_nodes=16,
-        rows=[_simulate_row(TABLE1_TERASORT, n_records, cost, granularity)],
+        rows=[_simulate_row(TABLE1_TERASORT, n_records, cost)],
     )
 
 
 def table2(
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
-    granularity: str = "transfer",
 ) -> TableResult:
     """Table II: TeraSort vs CodedTeraSort (r=3, 5) at K=16."""
     return TableResult(
         name="Table II — 12 GB, K=16 workers, 100 Mbps",
         num_nodes=16,
-        rows=[
-            _simulate_row(row, n_records, cost, granularity)
-            for row in TABLE2_ROWS
-        ],
+        rows=[_simulate_row(row, n_records, cost) for row in TABLE2_ROWS],
     )
 
 
 def table3(
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
-    granularity: str = "transfer",
 ) -> TableResult:
     """Table III: TeraSort vs CodedTeraSort (r=3, 5) at K=20."""
     return TableResult(
         name="Table III — 12 GB, K=20 workers, 100 Mbps",
         num_nodes=20,
-        rows=[
-            _simulate_row(row, n_records, cost, granularity)
-            for row in TABLE3_ROWS
-        ],
+        rows=[_simulate_row(row, n_records, cost) for row in TABLE3_ROWS],
     )

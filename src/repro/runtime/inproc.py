@@ -4,7 +4,8 @@ Runs one OS thread per node.  This backend exists for *functional*
 fidelity — end-to-end correctness tests, deterministic byte accounting,
 and the Fig. 1 / Fig. 2 load measurements — not wall-clock performance
 (the GIL serializes compute).  Real parallel timing comes from
-:class:`repro.runtime.process.ProcessCluster` and the simulator.
+:class:`repro.runtime.process.ProcessCluster` and the closed-form model
+(:mod:`repro.sim`).
 
 :class:`InprocMesh` is a :class:`~repro.runtime.pool.WorkerPool`
 transport beside :class:`~repro.runtime.process.ForkMesh` and

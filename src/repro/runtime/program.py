@@ -32,10 +32,10 @@ The round schedule *orders* transmissions (node-disjoint groups are posted
 adjacently, which keeps concurrent transfers largely conflict-free) but
 rounds are deliberately not synchronized at runtime: there is no
 inter-round barrier, so a fast node may run ahead — that asynchrony is the
-point.  The strictly round-synchronized execution model (a barrier after
-every round) lives in the simulator (``schedule="rounds"``) and in
-:meth:`~repro.sim.costmodel.EC2CostModel.parallel_multicast_shuffle_time`,
-which serve as its idealized upper- and lower-envelope predictions.
+point.  The strictly round-synchronized execution (a barrier after every
+round, one multicast time per round) is the closed-form model's
+``schedule="rounds"`` (:mod:`repro.sim.model`), an idealized prediction
+for it.
 
 Stage attribution inside the event loop: map, encode and decode work
 performed in the loop is still charged to the ``map`` / ``encode`` /

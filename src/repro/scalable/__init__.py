@@ -24,8 +24,8 @@ This package holds only the closed forms (:mod:`repro.scalable.theory`).
 The construction itself is not a separate program: it is the
 ``group_size`` field of :class:`repro.session.CodedTeraSortSpec` on the
 one coded pipeline in :mod:`repro.core.coded_terasort`, and the ``group_size``
-argument of :func:`repro.sim.runner.simulate_coded_terasort` /
-:class:`repro.sim.workload.CodedWorkload` in the simulator.
+argument of :func:`repro.sim.model.simulate_coded_terasort` /
+:class:`repro.sim.workload.CodedWorkload` in the closed-form model.
 """
 
 from repro.scalable.theory import (

@@ -2,12 +2,12 @@
 
 Every constant in :meth:`EC2CostModel.paper_calibrated` is fit against the
 twelve table cells of the paper (Tables I-III; 12 GB, 100 Mbps, K=16/20,
-r ∈ {3, 5}); the derivations are documented per field and summarized in
-DESIGN.md §5.  Calibration targets *structure*, not per-cell exactness: each
-cost is a physically sensible law (bytes / rate, per-group constants,
-logarithmic multicast penalty) whose coefficients are chosen once and then
-used unchanged for all simulated experiments, including the sweeps the paper
-did not publish.
+r ∈ {3, 5}); the derivations are documented per field of
+:class:`EC2CostModel`.  Calibration targets *structure*, not per-cell
+exactness: each cost is a physically sensible law (bytes / rate, per-group
+constants, logarithmic multicast penalty) whose coefficients are chosen
+once and then used unchanged for every modelled experiment
+(:mod:`repro.sim.model`), including the sweeps the paper did not publish.
 
 Conventions: rates are bytes/second or pairs/second; one KV pair is 100
 bytes; ``r`` is the redundancy (computation load); sizes passed in are
@@ -52,9 +52,6 @@ class EC2CostModel:
             7.5 M pairs -> 7.2e5).
         reduce_slowdown: relative Reduce slowdown per extra redundancy unit
             (memory pressure; §V-C).
-        round_sync_overhead: per-round synchronization cost of the
-            round-parallel shuffle (the barrier that separates two
-            conflict-free rounds; a dissemination barrier of empty frames).
     """
 
     net_rate: float = 12.5e6
@@ -74,7 +71,6 @@ class EC2CostModel:
     decode_packet_overhead: float = 2.0e-5
     reduce_rate: float = 7.2e5
     reduce_slowdown: float = 0.12
-    round_sync_overhead: float = 5.0e-4
 
     @classmethod
     def paper_calibrated(cls) -> "EC2CostModel":
@@ -103,42 +99,6 @@ class EC2CostModel:
             raise ValueError(f"receivers must be >= 1, got {receivers}")
         penalty = 1.0 + self.multicast_gamma * math.log2(receivers + 1)
         return self.multicast_setup + nbytes * penalty / self.net_rate
-
-    # -- shuffle schedules ----------------------------------------------------
-
-    def serial_multicast_shuffle_time(
-        self, turns: int, packet_bytes: float, receivers: int
-    ) -> float:
-        """Wall time of the serial Fig. 9(b) shuffle.
-
-        Every ``(group, sender)`` turn holds the fabric exclusively, so the
-        shuffle is the straight sum of its ``C(K, r+1) * (r+1)`` multicasts.
-        """
-        if turns < 0:
-            raise ValueError(f"turns must be >= 0, got {turns}")
-        return turns * self.multicast_time(packet_bytes, receivers)
-
-    def parallel_multicast_shuffle_time(
-        self, num_rounds: int, packet_bytes: float, receivers: int
-    ) -> float:
-        """Wall time of the round-*synchronized* parallel shuffle model.
-
-        Node-disjoint multicasts of a round transmit concurrently, each
-        round costing one multicast plus an inter-round barrier; with
-        greedy packing ``num_rounds`` approaches
-        ``turns / floor(K / (r+1))`` (see
-        :meth:`repro.core.groups.CodingPlan.parallel_rounds`).  The real
-        pipelined engine runs the same rounds *without* barriers, so its
-        measured wall-clock can land below this model (no sync cost) or
-        above it (NIC contention when nodes drift across rounds).
-        """
-        if num_rounds < 0:
-            raise ValueError(f"num_rounds must be >= 0, got {num_rounds}")
-        per_round = (
-            self.multicast_time(packet_bytes, receivers)
-            + self.round_sync_overhead
-        )
-        return num_rounds * per_round
 
     # -- compute stages -------------------------------------------------------
 
@@ -222,27 +182,3 @@ class EC2CostModel:
             max(compute_time, comm_time)
             + min(compute_time, comm_time) / windows
         )
-
-    def uncoded_overlap_speedup(
-        self,
-        compute_time: float,
-        serial_shuffle_time: float,
-        num_nodes: int,
-        windows: int = 16,
-    ) -> float:
-        """Predicted staged/overlap makespan ratio for the uncoded sort.
-
-        The staged baseline serializes the shuffle turn by turn (one
-        sender at a time holds the fabric), so its makespan is
-        ``compute + shuffle``; the overlapped engine streams all ``K``
-        senders concurrently, compressing the transfer span to roughly
-        ``shuffle / K`` under per-node egress pacing, and hides it
-        behind compute.
-        """
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        staged = compute_time + serial_shuffle_time
-        overlapped = self.overlapped_makespan(
-            compute_time, serial_shuffle_time / num_nodes, windows
-        )
-        return staged / overlapped if overlapped > 0 else float("inf")

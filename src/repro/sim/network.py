@@ -1,16 +1,18 @@
-"""Network model for the simulator.
+"""Event-driven network fabric: the oracle for the closed-form model.
 
 The paper's shuffles are *serial*: only one node transmits at any instant
 (Fig. 9), which we model with a single FIFO token resource covering the
-whole fabric.  The asynchronous/parallel variant the paper lists as future
-work is modelled with per-node NIC resources instead: transfers contend for
-their sender's and receivers' NICs but independent pairs proceed
-concurrently.
+whole fabric.  Scheduled parallelism (§VI future work) is modelled with
+per-node NIC resources instead: transfers contend for their sender's and
+receivers' NICs but independent pairs proceed concurrently.
 
 Transfer durations come from the cost model; each transfer is a real event
-in the DES (acquire resources, hold for the transfer time, release), so
-shuffle-stage times *emerge* from event execution rather than a closed-form
-sum — the closed forms are used by tests to validate the simulator.
+in :mod:`repro.sim.des` (acquire resources, hold for the transfer time,
+release), so a shuffle's time *emerges* from event execution.  The tables
+come from the closed forms of :mod:`repro.sim.model`; the tests replay
+each modelled shuffle on this fabric, transfer by transfer, and check the
+two agree -- which also checks that every round of a schedule is
+node-disjoint (a conflicting round would stall on a NIC).
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class NetworkModel:
     ) -> SimGenerator:
         """Process: hold the fabric for a pre-summed duration.
 
-        Used by the coarse event-granularity mode (whole sender turns as one
-        event) — total times and payload telemetry are identical to
-        per-transfer mode; only the event count changes.
+        Replays a whole sender turn as one event -- total times and payload
+        telemetry match the per-transfer processes; only the event count
+        changes.
         """
         yield from self._transfer(list(participants), duration)
         if kind == "multicast":

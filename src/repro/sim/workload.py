@@ -1,13 +1,14 @@
-"""Balanced-workload quantities for the simulator.
+"""Balanced-workload quantities for the model of the paper's runs.
 
 For TeraGen's uniform keys the partitioner is balanced in expectation, so
 every per-node / per-transfer size follows in closed form from
-``(n_records, K, r)``.  These are *exact* expectations — the simulator uses
-them as transfer sizes and compute volumes, and the functional runtime's
-measured traffic converges to the same numbers (tested).
+``(n_records, K, r)``.  These are *exact* expectations — the model
+(:mod:`repro.sim.model`) uses them as transfer sizes and compute volumes,
+and the functional runtime's measured traffic converges to the same
+numbers (tested).
 
 All byte quantities use the 100-byte record size; fractional bytes are kept
-(the simulator is continuous-time, no need to round).
+(the model is continuous-time, no need to round).
 """
 
 from __future__ import annotations
@@ -20,12 +21,22 @@ from repro.kvpairs.records import RECORD_BYTES
 from repro.utils.subsets import binomial
 
 
+def _check_size(num_nodes: int, n_records: int) -> None:
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes: must be >= 1, got {num_nodes}")
+    if n_records < 0:
+        raise ValueError(f"n_records: must be >= 0, got {n_records}")
+
+
 @dataclass(frozen=True)
 class UncodedWorkload:
     """Per-node / per-transfer quantities for TeraSort at ``K`` nodes."""
 
     num_nodes: int
     n_records: int
+
+    def __post_init__(self) -> None:
+        _check_size(self.num_nodes, self.n_records)
 
     @property
     def total_bytes(self) -> float:
@@ -80,6 +91,7 @@ class CodedWorkload:
     group_size: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _check_size(self.num_nodes, self.n_records)
         check_coded_params(
             self.num_nodes, self.redundancy, "serial", self.group_size
         )

@@ -1,7 +1,7 @@
 """Shared utilities: combinatorics, timing, and text-table formatting.
 
 These helpers are deliberately dependency-light; everything above them
-(placement, coding, simulator, experiment harness) builds on this layer.
+(placement, coding, model, experiment harness) builds on this layer.
 """
 
 from repro.utils.subsets import (

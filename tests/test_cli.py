@@ -104,3 +104,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert rc == 0
         assert "d2d" in out and "uncoded" in out
+
+
+class TestModelInputs:
+    @pytest.mark.parametrize("argv,field", [
+        (["simulate", "--algorithm", "terasort", "-K", "0"], "num_nodes"),
+        (["simulate", "--algorithm", "terasort", "-n", "-1"], "n_records"),
+        (["simulate", "-n", "-1"], "n_records"),
+        (["simulate", "-K", "16", "-r", "16"], "redundancy"),
+        (["scalable", "-K", "20", "-g", "7", "-r", "5"], "group_size"),
+    ])
+    def test_out_of_range_inputs_exit_by_name(self, argv, field):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert field in str(exc.value.code)

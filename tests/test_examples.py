@@ -41,7 +41,8 @@ def test_cmr_wordcount():
 
 
 def test_reproduce_tables_fast():
-    out = run_example("reproduce_tables.py", "--fast")
+    """The tables are closed forms: the example has no slow mode to skip."""
+    out = run_example("reproduce_tables.py")
     assert "TeraSort" in out
 
 

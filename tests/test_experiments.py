@@ -19,19 +19,19 @@ from repro.experiments.report import (
 )
 from repro.experiments.tables import table1, table2, table3
 
-SMALL = 2_000_000  # records for fast table sims in tests
+SMALL = 2_000_000  # records
 
 
 class TestTables:
     def test_table1_structure(self):
-        t = table1(n_records=SMALL, granularity="turn")
+        t = table1(n_records=SMALL)
         assert len(t.rows) == 1
         row = t.rows[0]
         assert row.label == "TeraSort"
         assert len(row.stage_pairs()) == 5
 
     def test_table2_has_three_rows(self):
-        t = table2(n_records=SMALL, granularity="turn")
+        t = table2(n_records=SMALL)
         labels = [r.label for r in t.rows]
         assert labels == ["TeraSort", "CodedTeraSort r=3", "CodedTeraSort r=5"]
 
@@ -39,36 +39,35 @@ class TestTables:
         # Full paper scale: at small inputs r=5's CodeGen legitimately
         # dominates and the speedup drops below 1 (§V-C's own trend), so
         # the >1 assertion only holds at the 120M-record operating point.
-        t = table2(granularity="turn")
+        t = table2()
         for label, paper_speedup, measured in t.speedup_pairs():
             assert measured > 1.0, label
             assert paper_speedup > 1.0
 
     def test_small_scale_codegen_dominates_r5(self):
         """§V-C trend: shrinking the input makes r=5 lose to TeraSort."""
-        t = table2(n_records=SMALL, granularity="turn")
+        t = table2(n_records=SMALL)
         speedups = {label: m for label, _, m in t.speedup_pairs()}
         assert speedups["CodedTeraSort r=5"] < 1.0
 
     def test_table3_k20(self):
-        t = table3(n_records=SMALL, granularity="turn")
+        t = table3(n_records=SMALL)
         assert t.num_nodes == 20
         assert all(r.measured.num_nodes == 20 for r in t.rows)
 
     def test_full_scale_totals_match_paper(self):
         """At 120M records the totals land within 5% of the paper."""
-        t = table2(granularity="turn")
+        t = table2()
         for row in t.rows:
             assert row.total_ratio == pytest.approx(1.0, abs=0.08), row.label
 
     def test_render_table_text(self):
-        out = render_table(table1(n_records=SMALL, granularity="turn"))
-        assert "TeraSort" in out and "paper" in out and "measured" in out
+        out = render_table(table1(n_records=SMALL))
+        assert "TeraSort" in out and "paper" in out and "model" in out
+        assert "measured" not in out
 
     def test_render_table_markdown(self):
-        out = render_table(
-            table1(n_records=SMALL, granularity="turn"), markdown=True
-        )
+        out = render_table(table1(n_records=SMALL), markdown=True)
         assert out.count("|") > 10
 
 
@@ -131,19 +130,12 @@ class TestAblations:
     def test_parallel_schedule_faster(self):
         res = schedule_ablation(num_nodes=8, redundancy=2, n_records=SMALL)
         times = dict((label, total) for label, _sh, total in res.rows)
-        assert (
-            times["CodedTeraSort, parallel (naive async)"]
-            < times["CodedTeraSort, serial (paper)"]
-        )
-        # Scheduled rounds beat naive async for both schemes.
-        assert (
-            times["CodedTeraSort, rounds (scheduled parallel)"]
-            < times["CodedTeraSort, parallel (naive async)"]
-        )
-        assert (
-            times["TeraSort, rounds (scheduled parallel)"]
-            < times["TeraSort, parallel (naive async)"]
-        )
+        # Scheduled rounds beat the paper's serial turns for both schemes.
+        for scheme in ("TeraSort", "CodedTeraSort"):
+            assert (
+                times[f"{scheme}, rounds (scheduled parallel)"]
+                < times[f"{scheme}, serial (paper)"]
+            )
 
     def test_ideal_multicast_faster(self):
         res = multicast_penalty_ablation(num_nodes=8, redundancy=3, n_records=SMALL)

@@ -12,7 +12,6 @@ import repro
 from repro import CodedTeraSortSpec, ThreadCluster
 from repro.core.groups import (
     build_coding_plan,
-    group_schedule_by_group,
     round_schedule,
     verify_plan,
 )
@@ -72,12 +71,6 @@ class TestSchedule:
             assert sender in plan.groups[gidx]
             pairs.add((gidx, sender))
         assert len(pairs) == plan.total_multicasts
-
-    def test_by_group_schedule_same_pairs(self):
-        plan = build_coding_plan(5, 2)
-        a = set(plan.schedule)
-        b = set(group_schedule_by_group(plan))
-        assert a == b
 
     def test_within_sender_lexicographic_groups(self):
         plan = build_coding_plan(5, 2)

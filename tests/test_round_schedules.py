@@ -11,7 +11,9 @@ from repro.core.groups import (
     round_schedule,
     unicast_round_schedule,
 )
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.costmodel import EC2CostModel
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
+from repro.sim.workload import UncodedWorkload
 
 
 class TestCodedRoundSchedule:
@@ -110,24 +112,26 @@ class TestUnicastRoundSchedule:
 
 class TestScheduleModesInSimulator:
     def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError):
-            simulate_terasort(4, n_records=1000, schedule="quantum")
+        for schedule in ("quantum", "parallel"):
+            with pytest.raises(ValueError, match="'serial' or 'rounds'"):
+                simulate_terasort(4, n_records=1000, schedule=schedule)
+            with pytest.raises(ValueError, match="'serial' or 'rounds'"):
+                simulate_coded_terasort(
+                    4, 2, n_records=1000, schedule=schedule
+                )
 
-    def test_rounds_requires_transfer_granularity(self):
-        with pytest.raises(ValueError):
-            simulate_terasort(
-                4, n_records=1000, schedule="rounds", granularity="turn"
-            )
-
-    def test_legacy_serial_flag_maps(self):
-        rep = simulate_terasort(4, n_records=100_000, serial=False)
-        assert rep.meta["schedule"] == "parallel"
-        rep = simulate_terasort(4, n_records=100_000, serial=True)
-        assert rep.meta["schedule"] == "serial"
-
-    def test_schedule_overrides_serial_flag(self):
-        rep = simulate_terasort(
-            4, n_records=100_000, serial=True, schedule="rounds"
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8, 9, 16, 17])
+    def test_uncoded_rounds_are_a_one_factorization(self, k):
+        """Even K: 2(K-1) half-duplex sub-rounds; odd K: 2K (one node
+        sits each matching out), every sub-round one unicast long."""
+        cost = EC2CostModel.paper_calibrated()
+        rep = simulate_terasort(k, n_records=1_000_000, schedule="rounds")
+        sub_rounds = 2 * (k - 1) if k % 2 == 0 else 2 * k
+        unicast = cost.unicast_time(
+            UncodedWorkload(num_nodes=k, n_records=1_000_000).unicast_bytes
+        )
+        assert rep.stage_times["shuffle"] == pytest.approx(
+            sub_rounds * unicast, rel=1e-12
         )
         assert rep.meta["schedule"] == "rounds"
 
@@ -135,7 +139,7 @@ class TestScheduleModesInSimulator:
         """Scheduling changes time, never bytes."""
         reps = [
             simulate_terasort(6, n_records=1_000_000, schedule=s)
-            for s in ("serial", "parallel", "rounds")
+            for s in ("serial", "rounds")
         ]
         payloads = {r.shuffle_payload_bytes for r in reps}
         assert len(payloads) == 1
@@ -143,7 +147,7 @@ class TestScheduleModesInSimulator:
     def test_coded_payload_identical_across_schedules(self):
         reps = [
             simulate_coded_terasort(6, 2, n_records=1_000_000, schedule=s)
-            for s in ("serial", "parallel", "rounds")
+            for s in ("serial", "rounds")
         ]
         payloads = {r.shuffle_payload_bytes for r in reps}
         assert len(payloads) == 1

@@ -1,4 +1,4 @@
-"""End-to-end tests for grouped CodedTeraSort (functional + simulated)."""
+"""End-to-end tests for grouped CodedTeraSort (functional + modelled)."""
 
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from repro.scalable.theory import (
     grouped_storage_fraction,
     grouped_vs_full,
 )
-from repro.sim.runner import simulate_coded_terasort, simulate_terasort
+from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.sim.workload import CodedWorkload
 
 
@@ -223,8 +223,8 @@ class TestSimulator:
     def test_beats_full_coded_at_k20_r5(self):
         """The §VI scalability claim, quantified at the paper's config."""
         grouped = simulate_coded_terasort(20, 5, group_size=10)
-        full = simulate_coded_terasort(20, 5, granularity="turn")
-        base = simulate_terasort(20, granularity="turn")
+        full = simulate_coded_terasort(20, 5)
+        base = simulate_terasort(20)
         assert grouped.total_time < full.total_time
         assert grouped.stage_times["codegen"] < 0.05 * (
             full.stage_times["codegen"]
@@ -233,37 +233,41 @@ class TestSimulator:
         assert base.total_time / grouped.total_time > 4.0
 
     def test_pinned_against_the_deleted_grouped_simulator(self):
-        rep = simulate_coded_terasort(
-            20, 5, group_size=10, granularity="turn"
-        )
+        rep = simulate_coded_terasort(20, 5, group_size=10)
         assert rep.total_time == 123.07586523953452
         assert (rep.meta["group_size"], rep.meta["node_groups"]) == (10, 2)
         assert rep.meta["num_groups"] == 210  # C(10, 6), per coding group
         assert rep.meta["total_multicasts"] == 2 * 210 * 6
         # ... and the ungrouped row it is compared with has not moved.
-        full = simulate_coded_terasort(20, 5, granularity="turn")
+        full = simulate_coded_terasort(20, 5)
         assert full.total_time == 441.6119185989754
 
     @pytest.mark.parametrize("granularity", ["transfer", "turn"])
     @pytest.mark.parametrize("k,r", [(6, 2), (8, 3)])
-    def test_group_size_k_is_the_ungrouped_simulation(self, k, r, granularity):
+    def test_group_size_k_is_the_ungrouped_simulation(
+        self, k, r, granularity, replay_coded
+    ):
         plain, whole = [
-            simulate_coded_terasort(
-                k, r, n_records=4_000_000, granularity=granularity,
-                group_size=g,
-            )
+            simulate_coded_terasort(k, r, n_records=4_000_000, group_size=g)
             for g in (None, k)
         ]
         assert whole.row() == plain.row()  # exact, not approx
         assert whole.transfers == plain.transfers
         assert whole.meta == plain.meta
+        # ... and the grouped row's shuffle is its event replay, played per
+        # transfer or per sender turn.
+        seconds, _ = replay_coded(
+            k, r, 4_000_000, "serial", group_size=k,
+            per_turn=granularity == "turn",
+        )
+        rel = 1e-12 if granularity == "turn" else 1e-9
+        assert seconds == pytest.approx(whole.stage_times["shuffle"], rel=rel)
 
-    @pytest.mark.parametrize("schedule", ["parallel", "rounds"])
+    @pytest.mark.parametrize("schedule", ["rounds"])
     def test_grouped_other_schedules(self, schedule):
-        """Every schedule mode takes ``group_size``: same transfers, same
-        payload; conflict-free rounds are never slower than serial turns
-        (the contended ``parallel`` fabric may be: arrivals never overtake
-        waiters in ``MultiLock``, across coding groups too)."""
+        """The rounds schedule takes ``group_size``: same transfers, same
+        payload, and conflict-free rounds are never slower than serial
+        turns."""
         serial = simulate_coded_terasort(8, 2, n_records=1_000_000, group_size=4)
         other = simulate_coded_terasort(
             8, 2, n_records=1_000_000, group_size=4, schedule=schedule
@@ -272,23 +276,22 @@ class TestSimulator:
             serial.shuffle_payload_bytes
         )
         assert other.transfers == serial.transfers == 24
-        if schedule == "rounds":
-            assert (
-                other.stage_times["shuffle"]
-                <= serial.stage_times["shuffle"] * (1 + 1e-9)
-            )
+        assert (
+            other.stage_times["shuffle"]
+            <= serial.stage_times["shuffle"] * (1 + 1e-9)
+        )
 
     def test_map_cost_is_the_price(self):
         """Grouped Map does K/g times more hashing per node."""
         grouped = simulate_coded_terasort(20, 5, group_size=10)
-        full = simulate_coded_terasort(20, 5, granularity="turn")
+        full = simulate_coded_terasort(20, 5)
         assert grouped.stage_times["map"] == pytest.approx(
             2 * full.stage_times["map"], rel=0.01
         )
 
 
 class TestFunctionalSimCrossCheck:
-    """The functional engine and the simulator must agree on bytes."""
+    """The functional engine and the model must agree on bytes."""
 
     def test_measured_payload_matches_workload_model(self):
         k, g, r, n = 8, 4, 2, 40_000
@@ -313,4 +316,4 @@ class TestFunctionalSimCrossCheck:
         work = CodedWorkload(k, r, 9000, g)
         assert run.traffic.message_count("shuffle") == work.total_multicasts
         sim = simulate_coded_terasort(k, r, n_records=9000, group_size=g)
-        assert sim.transfers >= work.total_multicasts  # + barrier-free holds
+        assert sim.transfers == work.total_multicasts

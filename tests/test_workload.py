@@ -1,4 +1,4 @@
-"""Tests for the balanced-workload closed forms (simulator inputs)."""
+"""Tests for the balanced-workload closed forms (the model's inputs)."""
 
 from __future__ import annotations
 
@@ -35,6 +35,13 @@ class TestUncodedWorkload:
     def test_pack_equals_unpack(self):
         assert self.W.pack_bytes_per_node == self.W.unpack_bytes_per_node
 
+    def test_invalid_sizes(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            UncodedWorkload(num_nodes=0, n_records=100)
+        with pytest.raises(ValueError, match="n_records"):
+            UncodedWorkload(num_nodes=4, n_records=-1)
+        UncodedWorkload(num_nodes=1, n_records=0)  # the empty job is fine
+
 
 class TestCodedWorkload:
     W = CodedWorkload(num_nodes=16, redundancy=3, n_records=120_000_000)
@@ -64,6 +71,12 @@ class TestCodedWorkload:
     def test_invalid_redundancy(self):
         with pytest.raises(ValueError):
             CodedWorkload(num_nodes=4, redundancy=4, n_records=100)
+
+    def test_invalid_sizes(self):
+        with pytest.raises(ValueError, match="num_nodes"):
+            CodedWorkload(num_nodes=0, redundancy=1, n_records=100)
+        with pytest.raises(ValueError, match="n_records"):
+            CodedWorkload(num_nodes=4, redundancy=2, n_records=-1)
 
     @given(st.integers(2, 24), st.data())
     def test_conservation_properties(self, k, data):
