@@ -19,12 +19,12 @@ import argparse
 
 import repro
 from repro import CodedTeraSortSpec
+from repro.experiments.figures import grouped_stages
+from repro.experiments.report import render_rows
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
 from repro.scalable.theory import grouped_comm_load, grouped_vs_full
-from repro.sim.model import simulate_coded_terasort, simulate_terasort
-from repro.utils.tables import format_table
 
 
 def main() -> int:
@@ -68,30 +68,7 @@ def main() -> int:
 
     # -- paper scale, modelled ----------------------------------------------
     print("\nAt the paper's Table III configuration (12 GB, K=20, 100 Mbps):")
-    base = simulate_terasort(20)
-    full = simulate_coded_terasort(20, 5)
-    scaled = simulate_coded_terasort(20, 5, group_size=10)
-    rows = []
-    for label, rep in (
-        ("TeraSort", base),
-        ("CodedTeraSort r=5", full),
-        ("Grouped g=10, r=5", scaled),
-    ):
-        stage = rep.stage_times
-        rows.append([
-            label,
-            stage.seconds.get("codegen", 0.0),
-            stage.seconds.get("map", 0.0),
-            stage.seconds.get("shuffle", 0.0),
-            stage.total,
-            base.total_time / rep.total_time,
-        ])
-    print(format_table(
-        ["scheme", "codegen (s)", "map (s)", "shuffle (s)", "total (s)",
-         "speedup"],
-        rows,
-        decimals=2,
-    ))
+    print(render_rows(grouped_stages()))
     print("\nGrouping collapses CodeGen and overlaps the group shuffles;")
     print("the price is doubled per-node storage and Map work (r/g vs r/K).")
     return 0

@@ -24,16 +24,11 @@ from __future__ import annotations
 
 import argparse
 
+from repro.experiments.figures import wireless_protocols
+from repro.experiments.report import render_rows
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.utils.tables import format_table
-from repro.wireless.channel import WirelessChannel
-from repro.wireless.theory import (
-    wireless_coded_load,
-    wireless_edge_load,
-    wireless_grouped_load,
-    wireless_uncoded_load,
-)
+from repro.wireless.theory import wireless_grouped_load
 from repro.wireless.wdc import run_wireless_sort
 
 
@@ -52,41 +47,15 @@ def main() -> int:
 
     print(f"{k} phones sort {args.records} score records over a "
           f"{args.rate_mbps:.0f} Mbps shared channel (r = {r})\n")
-    data = teragen(args.records, seed=0)
-
-    rows = []
-    theory = {
-        "uncoded": wireless_uncoded_load(r, k),
-        "edge": wireless_edge_load(r, k),
-        "d2d": wireless_coded_load(r, k),
-    }
-    for protocol in ("uncoded", "edge", "d2d"):
-        channel = WirelessChannel(
-            k, rate_bytes_per_s=args.rate_mbps * 125_000
-        )
-        out = run_wireless_sort(data, k, r, protocol=protocol,
-                                channel=channel)
-        validate_sorted_permutation(data, out.partitions)
-        rows.append([
-            protocol,
-            out.airtime.total_transmissions,
-            out.shuffle_load(),
-            theory[protocol],
-            out.airtime.total_airtime,
-        ])
-    print(format_table(
-        ["protocol", "transmissions", "measured load", "theory load",
-         "airtime (s)"],
-        rows,
-        decimals=4,
-    ))
-    uncoded_air = rows[0][4]
-    d2d_air = rows[2][4]
-    print(f"\nD2D coded broadcast spends {uncoded_air / d2d_air:.1f}x less "
-          f"air than the uncoded relay (theory: 2r = {2 * r}x).")
+    table = wireless_protocols(k, r, args.records, args.rate_mbps)
+    print(render_rows(table))
+    air = {row[0]: row[-1] for row in table.rows}
+    print(f"\nD2D coded broadcast spends {air['uncoded'] / air['d2d']:.1f}x "
+          f"less air than the uncoded relay (theory: 2r = {2 * r}x).")
 
     if k % 2 == 0 and r < k // 2:
         g = k // 2
+        data = teragen(args.records, seed=0)
         out = run_wireless_sort(data, k, r, group_size=g)
         validate_sorted_permutation(data, out.partitions)
         print(f"\nGrouped ([24], g={g}): load "

@@ -1,9 +1,8 @@
-"""Legacy setuptools shim.
+"""Setuptools shim with no metadata.
 
-All metadata lives in pyproject.toml; this file exists only so that
-``pip install -e .`` works in offline environments that lack the ``wheel``
-package (pip then uses the legacy ``setup.py develop`` code path instead of
-building a PEP 660 wheel).
+The package runs from the source tree (``PYTHONPATH=src``, as CI and the
+README do).  The repository declares no packaging metadata — there is no
+pyproject.toml or setup.cfg — so this ``setup()`` names no packages.
 """
 
 from setuptools import setup

@@ -138,7 +138,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     from repro.core.outofcore import MIN_MEMORY_BUDGET
     from repro.kvpairs.teragen import teragen_to_file
 
-    written = teragen_to_file(args.out, args.records, seed=args.seed)
+    try:
+        written = teragen_to_file(args.out, args.records, seed=args.seed)
+    except ValueError as err:
+        raise SystemExit(str(err))
     print(f"wrote {args.records} records ({written} bytes, seed {args.seed}) "
           f"to {args.out}")
     print(f"sort it with: repro sort --input {args.out} "
@@ -460,18 +463,18 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_theory(args: argparse.Namespace) -> int:
     from repro.core.theory import (
         TimeModel,
-        coded_comm_load,
+        load_series,
         optimal_r,
         optimal_total_time,
         predicted_total_time,
-        uncoded_comm_load,
     )
     from repro.utils.tables import format_table
 
     k = args.nodes
-    rows = []
-    for r in range(1, k + 1):
-        rows.append([r, uncoded_comm_load(r, k), coded_comm_load(r, k)])
+    try:
+        rows = load_series(k)
+    except ValueError as err:
+        raise SystemExit(str(err))
     print(format_table(["r", "L_uncoded", "L_CMR"], rows, decimals=4))
     if args.t_map is not None and args.t_shuffle is not None:
         model = TimeModel(
@@ -510,16 +513,14 @@ def _cmd_stragglers(args: argparse.Namespace) -> int:
 
 
 def _cmd_scalable(args: argparse.Namespace) -> int:
+    from repro.experiments.figures import grouped_stages
+    from repro.experiments.report import render_rows
     from repro.scalable.theory import grouped_vs_full
-    from repro.sim.model import simulate_coded_terasort, simulate_terasort
-    from repro.utils.tables import format_table
 
     k, g, r = args.nodes, args.group_size, args.redundancy
     try:
         cmp = grouped_vs_full(k, g, r)
-        base = simulate_terasort(k)
-        full = simulate_coded_terasort(k, r)
-        grouped = simulate_coded_terasort(k, r, group_size=g)
+        table = grouped_stages(k, g, r)
     except ValueError as err:
         raise SystemExit(str(err))
     print(f"grouped (g={g}, r={r}) vs full coded (r={cmp.full_redundancy}) "
@@ -527,59 +528,19 @@ def _cmd_scalable(args: argparse.Namespace) -> int:
     print(f"  load {cmp.load_grouped:.3f} vs {cmp.load_full:.3f}; "
           f"CodeGen {cmp.codegen_grouped} vs {cmp.codegen_full} groups "
           f"({cmp.codegen_ratio:.0f}x fewer)\n")
-    rows = []
-    for label, rep in (
-        ("TeraSort", base),
-        (f"CodedTeraSort r={r}", full),
-        (f"Grouped g={g}, r={r}", grouped),
-    ):
-        stage = rep.stage_times
-        rows.append([
-            label,
-            stage.seconds.get("codegen", 0.0),
-            stage.seconds.get("shuffle", 0.0),
-            stage.total,
-            base.total_time / rep.total_time,
-        ])
-    print(format_table(
-        ["scheme", "codegen (s)", "shuffle (s)", "total (s)", "speedup"],
-        rows, decimals=2,
-    ))
+    print(render_rows(table))
     return 0
 
 
 def _cmd_wireless(args: argparse.Namespace) -> int:
-    from repro.kvpairs.teragen import teragen
-    from repro.kvpairs.validation import validate_sorted_permutation
-    from repro.utils.tables import format_table
-    from repro.wireless.theory import (
-        wireless_coded_load,
-        wireless_edge_load,
-        wireless_uncoded_load,
-    )
-    from repro.wireless.wdc import run_wireless_sort
+    from repro.experiments.figures import wireless_protocols
+    from repro.experiments.report import render_rows
 
-    k, r = args.users, args.redundancy
-    data = teragen(args.records, seed=0)
-    theory = {
-        "uncoded": wireless_uncoded_load(r, k),
-        "edge": wireless_edge_load(r, k),
-        "d2d": wireless_coded_load(r, k),
-    }
-    rows = []
-    for protocol in ("uncoded", "edge", "d2d"):
-        out = run_wireless_sort(data, k, r, protocol=protocol)
-        validate_sorted_permutation(data, out.partitions)
-        rows.append([
-            protocol,
-            out.shuffle_load(),
-            theory[protocol],
-            out.airtime.total_airtime,
-        ])
-    print(format_table(
-        ["protocol", "measured load", "theory load", "airtime (s)"],
-        rows, decimals=4,
-    ))
+    try:
+        table = wireless_protocols(args.users, args.redundancy, args.records)
+    except ValueError as err:
+        raise SystemExit(str(err))
+    print(render_rows(table))
     return 0
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.utils.subsets import Subset, binomial, k_subsets, without
+from repro.utils.subsets import Subset, binomial, k_subsets
 
 #: Valid shuffle-schedule modes for the real execution engine.
 SCHEDULE_MODES = ("serial", "parallel")
@@ -110,18 +110,9 @@ class CodingPlan:
         return len(self.groups)
 
     @property
-    def packets_per_node(self) -> int:
-        """Each node encodes one packet per group it is in: ``C(K-1, r)``."""
-        return binomial(self.num_nodes - 1, self.redundancy)
-
-    @property
     def total_multicasts(self) -> int:
         """``C(K, r+1) * (r+1)`` packets cross the network in total."""
         return self.num_groups * (self.redundancy + 1)
-
-    def file_subset_for(self, group_idx: int, receiver: int) -> Subset:
-        """The file subset ``M\\{receiver}`` a receiver decodes in a group."""
-        return without(self.groups[group_idx], receiver)
 
     def on(self, nodes: Sequence[int]) -> "CodingPlan":
         """This plan with member ``m`` relabelled ``nodes[m]`` (ascending).

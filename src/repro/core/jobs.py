@@ -162,7 +162,7 @@ class FixedSizeProbeJob(MapReduceJob):
     Used to measure communication loads in whole intermediate-value units —
     this is how the Fig. 1 example's 12 / 6 / 3 counts are reproduced
     exactly (see ``tests/test_cmr_fig1.py`` and
-    ``benchmarks/bench_fig1_example.py``).
+    :func:`repro.experiments.figures.fig1_loads`).
     """
 
     name = "fixed-size-probe"

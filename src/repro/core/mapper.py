@@ -145,10 +145,3 @@ def map_node_coded(
                 retained[j] = parts[j]
         kept[file_id] = retained
     return kept
-
-
-def map_output_bytes(kept: Dict[int, Dict[int, RecordBatch]]) -> int:
-    """Total retained intermediate bytes (memory-footprint diagnostics)."""
-    return sum(
-        batch.nbytes for per_file in kept.values() for batch in per_file.values()
-    )

@@ -48,6 +48,8 @@ def coded_comm_load(r: int, num_nodes: int) -> float:
 
 def load_series(num_nodes: int) -> List[Tuple[int, float, float]]:
     """The Fig. 2 series: ``(r, L_uncoded(r), L_CMR(r))`` for r = 1..K."""
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes: must be >= 1, got {num_nodes}")
     return [
         (r, uncoded_comm_load(r, num_nodes), coded_comm_load(r, num_nodes))
         for r in range(1, num_nodes + 1)

@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Tuple
 
 #: The paper's input: 12 GB = 120 M records of 100 bytes (§V-B).
 PAPER_RECORDS = 120_000_000
-PAPER_GB = 12
 
 #: Stage column orders as printed in the paper's tables.
 UNCODED_COLUMNS = ["map", "pack", "shuffle", "unpack", "reduce"]

@@ -1,5 +1,7 @@
-"""Regenerating the paper's figures and §V-C trend observations.
+"""Regenerating the paper's figures, §V-C trends and §VI extensions.
 
+* :func:`fig1_loads` — Fig. 1's example loads (12 / 6 / 3 intermediate
+  values), measured on the engine;
 * :func:`fig2_series` — Fig. 2's communication-load curves: the closed
   forms of Eq. (2) *and* loads measured by byte accounting on real
   functional runs of the engine (small scale, thread backend);
@@ -13,10 +15,12 @@
 * :func:`schedule_ablation` — serial (paper) vs round-scheduled parallel
   (future-work) shuffles;
 * :func:`multicast_penalty_ablation` — the effect of the MPI_Bcast
-  logarithmic penalty on the achieved shuffle gain.
+  logarithmic penalty on the achieved shuffle gain;
+* :func:`grouped_stages` / :func:`wireless_protocols` — the §VI grouped
+  and wireless extension tables.
 
-Everything but Fig. 2's measured points is the closed-form model of
-:mod:`repro.sim.model`.
+Fig. 1, Fig. 2's measured points and the wireless loads are measured;
+the rest is the closed-form model of :mod:`repro.sim.model`.
 """
 
 from __future__ import annotations
@@ -24,12 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.theory import (
-    coded_comm_load,
-    coded_shuffle_bytes,
-    uncoded_comm_load,
-    uncoded_shuffle_bytes,
-)
+from repro.core.encoding import CodedPacket
+from repro.core.jobs import PROBE_UNIT, FixedSizeProbeJob
+from repro.core.theory import coded_comm_load, uncoded_comm_load
 from repro.experiments.configs import (
     EXTENDED_GRID,
     FIG2_K,
@@ -39,10 +40,62 @@ from repro.experiments.configs import (
 )
 from repro.kvpairs.records import RECORD_BYTES
 from repro.kvpairs.teragen import teragen
+from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.session import CodedTeraSortSpec, TeraSortSpec, run
+from repro.session import CodedTeraSortSpec, MapReduceSpec, TeraSortSpec, run
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
+from repro.wireless.channel import WirelessChannel
+from repro.wireless.theory import (
+    wireless_coded_load,
+    wireless_edge_load,
+    wireless_uncoded_load,
+)
+from repro.wireless.wdc import run_wireless_sort
+
+
+@dataclass
+class ResultTable:
+    """A named table: ``rows`` of cells under ``headers``."""
+
+    name: str
+    headers: Tuple[str, ...]
+    rows: List[tuple] = field(default_factory=list)
+    #: float precision when rendered.
+    decimals: int = 2
+
+
+def fig1_loads() -> ResultTable:
+    """Fig. 1: the Coded MapReduce example (K = 3, Q = 3, N = 6), measured.
+
+    :class:`FixedSizeProbeJob` values serialize to :data:`PROBE_UNIT`
+    bytes, so the shuffle payload, less each coded packet's wire header,
+    divides exactly into intermediate-value units: 12, 6 and 3.
+    """
+    out = ResultTable(
+        "Fig. 1 example — shuffle load in intermediate values",
+        ("scheme", "paper load", "measured load"),
+        decimals=1,
+    )
+    for label, scheme, r, paper in (
+        ("uncoded r=1 (Fig. 1a)", "uncoded", 1, 12),
+        ("uncoded r=2", "uncoded", 2, 6),
+        ("coded r=2 (Fig. 1b)", "coded", 2, 3),
+    ):
+        job = run(ThreadCluster(3, recv_timeout=30), MapReduceSpec(
+            FixedSizeProbeJob(), [f"file-{i}" for i in range(6)],
+            redundancy=r, scheme=scheme, schedule="serial",
+        ))
+        sent = [x.payload_bytes for x in job.traffic.records
+                if x.stage == "shuffle"]
+        header = 0 if scheme == "uncoded" else CodedPacket(
+            tuple(range(r + 1)), 0, tuple((t, 0) for t in range(1, r + 1)),
+            b"",
+        ).header_bytes
+        out.rows.append(
+            (label, paper, (sum(sent) - header * len(sent)) / PROBE_UNIT)
+        )
+    return out
 
 
 @dataclass
@@ -129,25 +182,9 @@ def sweep_r(
     cost: Optional[EC2CostModel] = None,
 ) -> List[SweepPoint]:
     """Speedup vs r at fixed K (§V-C: rises, then CodeGen takes over)."""
-    base = simulate_terasort(num_nodes, n_records=n_records, cost=cost)
-    points = []
-    for r in r_values:
-        if not 1 <= r < num_nodes:
-            continue
-        rep = simulate_coded_terasort(
-            num_nodes, r, n_records=n_records, cost=cost
-        )
-        points.append(
-            SweepPoint(
-                num_nodes=num_nodes,
-                redundancy=r,
-                terasort_total=base.total_time,
-                coded_total=rep.total_time,
-                codegen_time=rep.stage_times["codegen"],
-                shuffle_time=rep.stage_times["shuffle"],
-            )
-        )
-    return points
+    return extended_grid(
+        tuple((num_nodes, r) for r in r_values), n_records, cost
+    )
 
 
 def sweep_k(
@@ -157,25 +194,9 @@ def sweep_k(
     cost: Optional[EC2CostModel] = None,
 ) -> List[SweepPoint]:
     """Speedup vs K at fixed r (§V-C: speedup decreases with K)."""
-    points = []
-    for k in k_values:
-        if redundancy >= k:
-            continue
-        base = simulate_terasort(k, n_records=n_records, cost=cost)
-        rep = simulate_coded_terasort(
-            k, redundancy, n_records=n_records, cost=cost
-        )
-        points.append(
-            SweepPoint(
-                num_nodes=k,
-                redundancy=redundancy,
-                terasort_total=base.total_time,
-                coded_total=rep.total_time,
-                codegen_time=rep.stage_times["codegen"],
-                shuffle_time=rep.stage_times["shuffle"],
-            )
-        )
-    return points
+    return extended_grid(
+        tuple((k, redundancy) for k in k_values), n_records, cost
+    )
 
 
 def extended_grid(
@@ -183,7 +204,8 @@ def extended_grid(
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
 ) -> List[SweepPoint]:
-    """The broader (K, r) grid; the paper reports up to 4.11x on it."""
+    """Speedup over a (K, r) grid, skipping r outside [1, K); the default
+    is the broader grid the paper reports up to 4.11x on."""
     points = []
     base_cache: Dict[int, float] = {}
     for k, r in grid:
@@ -207,13 +229,8 @@ def extended_grid(
     return points
 
 
-@dataclass
-class AblationResult:
-    """Named variants -> total (and shuffle) times."""
-
-    name: str
-    rows: List[Tuple[str, float, float]] = field(default_factory=list)
-    #: rows: (variant label, shuffle seconds, total seconds)
+#: an ablation's rows: (variant label, shuffle seconds, total seconds).
+ABLATION_HEADERS = ("variant", "shuffle (s)", "total (s)")
 
 
 def schedule_ablation(
@@ -221,7 +238,7 @@ def schedule_ablation(
     redundancy: int = 3,
     n_records: int = PAPER_RECORDS,
     cost: Optional[EC2CostModel] = None,
-) -> AblationResult:
+) -> ResultTable:
     """Serial (paper, Fig. 9) vs scheduled-parallel (§VI future work).
 
     Two variants: the paper's serial turns, and scheduled parallelism over
@@ -232,8 +249,9 @@ def schedule_ablation(
     than r+1-node multicasts, so coding's win is tied to the
     serialized-fabric regime the paper operates in.
     """
-    out = AblationResult(
-        name=f"Shuffle scheduling (K={num_nodes}, r={redundancy})"
+    out = ResultTable(
+        f"Shuffle scheduling (K={num_nodes}, r={redundancy})",
+        ABLATION_HEADERS,
     )
     variants = (
         ("serial", "serial (paper)"),
@@ -264,14 +282,15 @@ def multicast_penalty_ablation(
     num_nodes: int = 16,
     redundancy: int = 3,
     n_records: int = PAPER_RECORDS,
-) -> AblationResult:
+) -> ResultTable:
     """Effect of MPI_Bcast's logarithmic penalty (§V-C observation 3).
 
     gamma = 0 is an ideal multicast (full r-fold shuffle gain); the
     calibrated gamma = 0.31 reproduces the measured sub-r gains.
     """
-    out = AblationResult(
-        name=f"Multicast penalty (K={num_nodes}, r={redundancy})"
+    out = ResultTable(
+        f"Multicast penalty (K={num_nodes}, r={redundancy})",
+        ABLATION_HEADERS,
     )
     for gamma, label in ((0.0, "ideal multicast (gamma=0)"), (0.31, "calibrated (gamma=0.31)")):
         cost = EC2CostModel.paper_calibrated().with_overrides(
@@ -281,4 +300,78 @@ def multicast_penalty_ablation(
             num_nodes, redundancy, n_records=n_records, cost=cost
         )
         out.rows.append((label, rep.stage_times["shuffle"], rep.total_time))
+    return out
+
+
+def grouped_stages(
+    num_nodes: int = 20, group_size: int = 10, redundancy: int = 5
+) -> ResultTable:
+    """§VI scalable coding at paper scale: TeraSort, plain and grouped
+    CodedTeraSort, stage by stage.
+
+    Grouping shrinks CodeGen from ``C(K, r+1)`` to ``C(g, r+1)`` per group
+    and runs the group shuffles concurrently, at ``K/g`` times the Map.
+    """
+    base = simulate_terasort(num_nodes)
+    out = ResultTable(
+        f"Grouped vs full coding (K={num_nodes}, 12 GB)",
+        ("scheme", "codegen (s)", "map (s)", "shuffle (s)", "total (s)",
+         "speedup"),
+    )
+    for label, rep in (
+        ("TeraSort", base),
+        (f"CodedTeraSort r={redundancy}",
+         simulate_coded_terasort(num_nodes, redundancy)),
+        (f"Grouped g={group_size}, r={redundancy}",
+         simulate_coded_terasort(num_nodes, redundancy, group_size=group_size)),
+    ):
+        stage = rep.stage_times
+        out.rows.append((
+            label,
+            stage.seconds.get("codegen", 0.0),
+            stage.seconds.get("map", 0.0),
+            stage.seconds.get("shuffle", 0.0),
+            stage.total,
+            base.total_time / rep.total_time,
+        ))
+    return out
+
+
+def wireless_protocols(
+    num_users: int = 6,
+    redundancy: int = 2,
+    n_records: int = 24_000,
+    rate_mbps: float = 20.0,
+) -> ResultTable:
+    """§VI wireless shuffling: one validated sort per protocol on a fresh
+    shared channel, its measured airtime load beside the closed form."""
+    if n_records < 0:
+        raise ValueError(f"n_records: must be >= 0, got {n_records}")
+    data = teragen(n_records, seed=0)
+    out = ResultTable(
+        f"Wireless shuffle (K={num_users}, r={redundancy}, "
+        f"{n_records} records, {rate_mbps:g} Mbps)",
+        ("protocol", "transmissions", "measured load", "theory load",
+         "airtime (s)"),
+        decimals=4,
+    )
+    for protocol, theory in (
+        ("uncoded", wireless_uncoded_load),
+        ("edge", wireless_edge_load),
+        ("d2d", wireless_coded_load),
+    ):
+        sort = run_wireless_sort(
+            data, num_users, redundancy, protocol=protocol,
+            channel=WirelessChannel(
+                num_users, rate_bytes_per_s=rate_mbps * 125_000
+            ),
+        )
+        validate_sorted_permutation(data, sort.partitions)
+        out.rows.append((
+            protocol,
+            sort.airtime.total_transmissions,
+            sort.shuffle_load(),
+            theory(redundancy, num_users),
+            sort.airtime.total_airtime,
+        ))
     return out

@@ -9,19 +9,24 @@ report -o EXPERIMENTS.md`` to regenerate it.
 from __future__ import annotations
 
 import io
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from repro.experiments.figures import (
-    AblationResult,
     Fig2Point,
+    ResultTable,
     SweepPoint,
+    extended_grid,
+    fig1_loads,
     fig2_series,
+    grouped_stages,
     multicast_penalty_ablation,
     schedule_ablation,
     sweep_k,
     sweep_r,
+    wireless_protocols,
 )
 from repro.experiments.tables import TableResult, table1, table2, table3
+from repro.stragglers.runner import render_straggler_table, straggler_comparison
 from repro.utils.tables import format_table
 
 
@@ -91,11 +96,10 @@ def render_sweep(
     return f"{what}\n" + format_table(headers, rows, decimals=2, markdown=markdown)
 
 
-def render_ablation(result: AblationResult, markdown: bool = False) -> str:
-    headers = ["variant", "shuffle (s)", "total (s)"]
-    rows = [[label, sh, tot] for label, sh, tot in result.rows]
+def render_rows(result: ResultTable, markdown: bool = False) -> str:
     return f"{result.name}\n" + format_table(
-        headers, rows, decimals=2, markdown=markdown
+        result.headers, result.rows, decimals=result.decimals,
+        markdown=markdown,
     )
 
 
@@ -121,48 +125,35 @@ def render_all(fast: bool = False, markdown: bool = False) -> str:
         out.write(render_table(result, markdown=markdown))
         out.write("\n")
 
+    out.write("## Fig. 1 — the Coded MapReduce example (K=3, Q=3, N=6)\n\n")
+    out.write(render_rows(fig1_loads(), markdown=markdown))
+    out.write("\n")
+
     out.write("## Fig. 2 — communication load vs computation load (K=10)\n\n")
     points = fig2_series(measure=not fast, max_measured_r=6)
     out.write(render_fig2(points, markdown=markdown))
     out.write("\n")
 
     out.write("## §V-C trends\n\n")
-    out.write(
-        render_sweep(sweep_r(), "Speedup vs r (K=16)", markdown=markdown)
-    )
-    out.write("\n")
-    out.write(
-        render_sweep(sweep_k(), "Speedup vs K (r=3)", markdown=markdown)
-    )
+    for points, what in (
+        (sweep_r(), "Speedup vs r (K=16)"),
+        (sweep_r(num_nodes=20), "Speedup vs r (K=20): rises, then CodeGen "
+         "takes over"),
+        (sweep_k(), "Speedup vs K (r=3)"),
+    ):
+        out.write(render_sweep(points, what, markdown=markdown))
+        out.write("\n")
+
+    out.write("## Extended (K, r) grid — the paper's \"up to 4.11x\"\n\n")
+    out.write(render_sweep(extended_grid(), "Speedup over K x r",
+                           markdown=markdown))
     out.write("\n")
 
     out.write("## Ablations\n\n")
-    out.write(render_ablation(schedule_ablation(), markdown=markdown))
-    out.write("\n")
-    out.write(render_ablation(multicast_penalty_ablation(), markdown=markdown))
-    out.write("\n")
+    for result in (schedule_ablation(), multicast_penalty_ablation()):
+        out.write(render_rows(result, markdown=markdown))
+        out.write("\n")
 
-    out.write(_render_extensions(fast=fast, markdown=markdown))
-    return out.getvalue()
-
-
-def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
-    """The §VI future-direction reproductions (extension pillars)."""
-    from repro.kvpairs.teragen import teragen
-    from repro.sim.model import simulate_coded_terasort, simulate_terasort
-    from repro.stragglers.runner import (
-        render_straggler_table,
-        straggler_comparison,
-    )
-    from repro.utils.tables import format_table
-    from repro.wireless.theory import (
-        wireless_coded_load,
-        wireless_edge_load,
-        wireless_uncoded_load,
-    )
-    from repro.wireless.wdc import run_wireless_sort
-
-    out = io.StringIO()
     out.write("## Extension: straggler coding (intro, ref [11])\n\n")
     out.write(
         "MDS-coded distributed gradient descent vs uncoded and "
@@ -178,47 +169,13 @@ def _render_extensions(fast: bool = False, markdown: bool = False) -> str:
     out.write("\n")
 
     out.write("## Extension: scalable (grouped) coding (§VI, ref [24])\n\n")
-    base = simulate_terasort(20)
-    full = simulate_coded_terasort(20, 5)
-    grouped = simulate_coded_terasort(20, 5, group_size=10)
-    rows = []
-    for label, rep in (
-        ("TeraSort", base),
-        ("CodedTeraSort r=5", full),
-        ("Grouped g=10, r=5", grouped),
-    ):
-        stage = rep.stage_times
-        rows.append([
-            label,
-            stage.seconds.get("codegen", 0.0),
-            stage.seconds.get("map", 0.0),
-            stage.seconds.get("shuffle", 0.0),
-            stage.total,
-            base.total_time / rep.total_time,
-        ])
-    out.write(format_table(
-        ["scheme", "codegen (s)", "map (s)", "shuffle (s)", "total (s)",
-         "speedup"],
-        rows, decimals=2, markdown=markdown,
-    ))
+    out.write(render_rows(grouped_stages(), markdown=markdown))
     out.write("\n")
 
     out.write("## Extension: wireless shuffling (§VI, refs [24][25])\n\n")
-    n = 6_000 if fast else 24_000
-    k, r = 6, 2
-    data = teragen(n, seed=0)
-    theory = {
-        "uncoded": wireless_uncoded_load(r, k),
-        "edge": wireless_edge_load(r, k),
-        "d2d": wireless_coded_load(r, k),
-    }
-    rows = []
-    for protocol in ("uncoded", "edge", "d2d"):
-        res = run_wireless_sort(data, k, r, protocol=protocol)
-        rows.append([protocol, res.shuffle_load(), theory[protocol]])
-    out.write(format_table(
-        ["protocol", "measured airtime load", "theory"],
-        rows, decimals=4, markdown=markdown,
+    out.write(render_rows(
+        wireless_protocols(n_records=6_000 if fast else 24_000),
+        markdown=markdown,
     ))
     out.write("\n")
     return out.getvalue()

@@ -3,7 +3,7 @@
 Each function models the corresponding table's rows at the paper's full
 scale (12 GB, 100 Mbps; :mod:`repro.sim.model`) and pairs every modelled
 cell with the published value.  The returned :class:`TableResult` renders via
-:mod:`repro.experiments.report` and feeds the reproduction benchmarks.
+:mod:`repro.experiments.report`; the tier-1 tests pin its rows.
 """
 
 from __future__ import annotations

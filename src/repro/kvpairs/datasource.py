@@ -190,6 +190,13 @@ class TeragenSource(DataSource):
     seed: int = 0
     start_row: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("count", "start_row"):
+            if getattr(self, name) < 0:
+                raise ValueError(
+                    f"{name}: must be >= 0, got {getattr(self, name)}"
+                )
+
     @property
     def num_records(self) -> int:
         return self.count

@@ -148,11 +148,6 @@ def unpack_batches_dict(
     return out
 
 
-def packed_size(n_records: int) -> int:
-    """Frame size for a batch of ``n_records`` (header + payload)."""
-    return HEADER_BYTES + n_records * RECORD_BYTES
-
-
 def _read_frame(
     view: memoryview, pos: int, copy: bool
 ) -> Tuple[int, RecordBatch, int]:

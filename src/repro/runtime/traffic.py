@@ -162,13 +162,3 @@ class TrafficLog:
                 out[key] = out.get(key, 0) + r.payload_bytes
         return out
 
-    def normalized_load(self, total_intermediate_bytes: int, stage: str) -> float:
-        """The paper's ``L``: stage load bytes / total intermediate bytes.
-
-        For sorting, ``total_intermediate_bytes`` is the full dataset size
-        (``Q*N`` intermediate values of the map outputs in the general
-        formulation reduce to "all bytes must reach their reducer").
-        """
-        if total_intermediate_bytes <= 0:
-            raise ValueError("total_intermediate_bytes must be positive")
-        return self.load_bytes(stage) / total_intermediate_bytes

@@ -85,15 +85,6 @@ class ServiceStats:
         }
         return d
 
-    @classmethod
-    def from_dict(cls, d: Dict[str, Any]) -> "ServiceStats":
-        d = dict(d)
-        d["tenants"] = {
-            name: TenantStats(**stats)
-            for name, stats in d.get("tenants", {}).items()
-        }
-        return cls(**d)
-
 
 class StatsRecorder:
     """Thread-safe accumulator behind :class:`ServiceStats` snapshots."""

@@ -113,8 +113,13 @@ class TestModelInputs:
         (["simulate", "-n", "-1"], "n_records"),
         (["simulate", "-K", "16", "-r", "16"], "redundancy"),
         (["scalable", "-K", "20", "-g", "7", "-r", "5"], "group_size"),
+        (["wireless", "-K", "4", "-r", "5"], "redundancy"),
+        (["wireless", "-n", "-5"], "n_records"),
+        (["theory", "-K", "0"], "num_nodes"),
+        (["gen", "--records", "-1", "--out", "{tmp}/x.bin"], "count"),
     ])
-    def test_out_of_range_inputs_exit_by_name(self, argv, field):
+    def test_out_of_range_inputs_exit_by_name(self, argv, field, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(argv)
+            main([arg.format(tmp=tmp_path) for arg in argv])
         assert field in str(exc.value.code)
+        assert not list(tmp_path.iterdir())  # nothing written

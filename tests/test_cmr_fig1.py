@@ -20,6 +20,7 @@ import repro
 from repro import MapReduceSpec
 from repro.core.jobs import PROBE_UNIT as UNIT
 from repro.core.jobs import FixedSizeProbeJob
+from repro.experiments.figures import fig1_loads
 from repro.runtime.inproc import ThreadCluster
 
 
@@ -43,6 +44,11 @@ def run(scheme_coded: bool, r: int):
 
 
 class TestFig1:
+    def test_reported_loads_are_the_papers(self):
+        assert [
+            (paper, measured) for _, paper, measured in fig1_loads().rows
+        ] == [(12, 12.0), (6, 6.0), (3, 3.0)]
+
     def test_uncoded_r1_load_is_12_units(self):
         res = run(False, 1)
         assert res.outputs == expected_outputs()

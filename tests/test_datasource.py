@@ -64,6 +64,14 @@ class TestTeragenSource:
         with pytest.raises(ValueError):
             TeragenSource(10, seed=0).subrange(5, 6)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        (dict(count=-5), "count"),
+        (dict(count=5, start_row=-1), "start_row"),
+    ])
+    def test_negative_rows_rejected_by_name(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field}: must be >= 0"):
+            TeragenSource(**kwargs)
+
 
 class TestFileSource:
     def test_gen_file_equals_teragen_source(self, tmp_path):

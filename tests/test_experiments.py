@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.configs import PAPER_RECORDS, SWEEP_K_VALUES
 from repro.experiments.figures import (
+    extended_grid,
     fig2_series,
     multicast_penalty_ablation,
     schedule_ablation,
@@ -12,8 +14,9 @@ from repro.experiments.figures import (
     sweep_r,
 )
 from repro.experiments.report import (
-    render_ablation,
+    render_all,
     render_fig2,
+    render_rows,
     render_sweep,
     render_table,
 )
@@ -88,6 +91,8 @@ class TestFig2:
                 assert p.coded_measured == pytest.approx(
                     p.coded_theory, rel=0.15, abs=0.01
                 )
+                # Headers and padding only ever add bytes.
+                assert p.coded_measured >= p.coded_theory * 0.999
 
     def test_render(self):
         out = render_fig2(fig2_series(num_nodes=6, measure=False))
@@ -105,15 +110,44 @@ class TestSweeps:
         assert speedups[1] > speedups[0]
         assert max(speedups) > speedups[-1]
 
+    @pytest.mark.parametrize("num_nodes,peaks,fall", [
+        (16, (5, 6, 7, 8), 1.0),  # Table II regime: still rising past r = 5
+        (20, (3, 4, 5, 6), 1.5),  # C(20, r+1) CodeGen takes over past r ~ 4
+    ])
+    def test_paper_scale_sweep_r_rises_then_falls(self, num_nodes, peaks, fall):
+        """§V-C: speedup rises while the shuffle dominates, then falls once
+        CodeGen does; r = 1 pays the multicast penalty for no coding gain."""
+        pts = sweep_r(num_nodes=num_nodes)
+        speedups = [p.speedup for p in pts]
+        peak = speedups.index(max(speedups))
+        assert pts[peak].redundancy in peaks
+        assert speedups[0] < 1.0
+        assert speedups[: peak + 1] == sorted(set(speedups[: peak + 1]))
+        assert speedups[peak:] == sorted(speedups[peak:], reverse=True)
+        assert speedups[-1] <= speedups[peak] / fall
+
     def test_sweep_r_codegen_monotone(self):
-        pts = sweep_r(num_nodes=12, r_values=(2, 3, 4, 5), n_records=SMALL)
-        cg = [p.codegen_time for p in pts]
-        assert cg == sorted(cg)
+        # C(K, r+1) grows over each range (C(16, r+1) peaks at r = 7).
+        for num_nodes, r_values, n_records in (
+            (12, (2, 3, 4, 5), SMALL),
+            (16, (1, 2, 3, 4, 5), PAPER_RECORDS),
+            (20, (1, 2, 3, 4, 5, 6, 7, 8), PAPER_RECORDS),
+        ):
+            pts = sweep_r(num_nodes, r_values, n_records=n_records)
+            cg = [p.codegen_time for p in pts]
+            assert cg == sorted(cg), num_nodes
 
     def test_sweep_k_speedup_decreases(self):
-        pts = sweep_k(redundancy=3, k_values=(8, 16, 24))
+        pts = sweep_k(redundancy=3)
+        assert tuple(p.num_nodes for p in pts) == SWEEP_K_VALUES
         speedups = [p.speedup for p in pts]
         assert speedups == sorted(speedups, reverse=True)
+        assert min(speedups) > 1.0  # coding still wins at K = 24
+
+    def test_extended_grid_best_in_band(self):
+        """The paper's "up to 4.11x" over its extended (K, r) grid."""
+        best = max(extended_grid(), key=lambda p: p.speedup)
+        assert 3.0 < best.speedup < 5.0
 
     def test_sweep_k_skips_invalid(self):
         pts = sweep_k(redundancy=3, k_values=(2, 8), n_records=SMALL)
@@ -143,7 +177,34 @@ class TestAblations:
         assert shuffles[0] < shuffles[1]  # gamma=0 beats gamma=0.31
 
     def test_render(self):
-        out = render_ablation(
+        out = render_rows(
             multicast_penalty_ablation(num_nodes=8, redundancy=2, n_records=SMALL)
         )
         assert "variant" in out
+
+
+class TestReport:
+    def test_sections(self):
+        """Every paper artefact and extension has its section, in order."""
+        out = render_all(fast=True)
+        headings = [
+            "## Table I",
+            "## Table II",
+            "## Table III",
+            "## Fig. 1 — the Coded MapReduce example (K=3, Q=3, N=6)",
+            "## Fig. 2 — communication load vs computation load (K=10)",
+            "## §V-C trends",
+            "Speedup vs r (K=16)",
+            "Speedup vs r (K=20)",
+            "Speedup vs K (r=3)",
+            "## Extended (K, r) grid",
+            "## Ablations",
+            "Shuffle scheduling (K=16, r=3)",
+            "Multicast penalty (K=16, r=3)",
+            "## Extension: straggler coding",
+            "## Extension: scalable (grouped) coding",
+            "## Extension: wireless shuffling",
+        ]
+        at = [out.find("\n" + h) for h in headings]
+        assert -1 not in at, [h for h, i in zip(headings, at) if i < 0]
+        assert at == sorted(at)

@@ -29,12 +29,6 @@ class TestPlanStructure:
         assert build_coding_plan(16, 3).num_groups == 1820
         assert build_coding_plan(20, 5).num_groups == 38760
 
-    def test_packets_per_node(self):
-        plan = build_coding_plan(6, 2)
-        assert plan.packets_per_node == binomial(5, 2) == 10
-        for node, idxs in plan.groups_of_node.items():
-            assert len(idxs) == 10
-
     def test_total_multicasts(self):
         plan = build_coding_plan(5, 2)
         assert plan.total_multicasts == binomial(5, 3) * 3
@@ -45,11 +39,6 @@ class TestPlanStructure:
             build_coding_plan(4, 0)
         with pytest.raises(ValueError):
             build_coding_plan(4, 4)  # no groups of size 5 exist
-
-    def test_file_subset_for(self):
-        plan = build_coding_plan(5, 2)
-        idx = plan.groups.index((0, 2, 4))
-        assert plan.file_subset_for(idx, 2) == (0, 4)
 
     @given(st.integers(2, 9), st.data())
     def test_verify_plan_property(self, k, data):

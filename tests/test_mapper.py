@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.mapper import hash_file, map_node_coded, map_output_bytes
+from repro.core.mapper import hash_file, map_node_coded
 from repro.core.partitioner import RangePartitioner
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen
@@ -84,12 +84,3 @@ class TestCodedMap:
             parts = hash_file(data, part)
             for target, batch in kept[file_id].items():
                 assert batch == parts[target]
-
-    def test_map_output_bytes(self):
-        node, files, subsets, part = self._setup()
-        kept = map_node_coded(node, files, subsets, part)
-        total = map_output_bytes(kept)
-        manual = sum(
-            b.nbytes for pf in kept.values() for b in pf.values()
-        )
-        assert total == manual

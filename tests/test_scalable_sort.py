@@ -18,8 +18,10 @@ from repro.scalable.theory import (
     grouped_storage_fraction,
     grouped_vs_full,
 )
+from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.sim.workload import CodedWorkload
+from repro.utils.subsets import binomial
 
 
 def cluster(k):
@@ -181,6 +183,9 @@ class TestTheory:
         assert cmp.storage_grouped == pytest.approx(cmp.storage_full)
         assert cmp.load_ratio >= 1.0
         assert cmp.codegen_ratio > 100
+        for k, g, r in ((16, 4, 2), (16, 8, 4), (24, 6, 3)):
+            cmp = grouped_vs_full(k, g, r)
+            assert cmp.load_grouped >= cmp.load_full, (k, g, r)
 
     def test_comparison_explicit_r(self):
         cmp = grouped_vs_full(20, 10, 5, full_redundancy=5)
@@ -280,6 +285,24 @@ class TestSimulator:
             other.stage_times["shuffle"]
             <= serial.stage_times["shuffle"] * (1 + 1e-9)
         )
+
+    def test_fixed_storage_group_sweep_k24(self):
+        """At per-node storage 1/2 (r = g/2) the concurrent group shuffles
+        take the same time for every g, so CodeGen C(g, r+1), the
+        multicast penalty and the Map all grow with g: the smallest group
+        wins.  g = K is the wall: C(24, 13) group setups alone take hours."""
+        base = simulate_terasort(24)
+        reps = [
+            simulate_coded_terasort(24, g // 2, group_size=g)
+            for g in (2, 4, 6, 8, 12)
+        ]
+        codegen = [rep.stage_times["codegen"] for rep in reps]
+        speedups = [base.total_time / rep.total_time for rep in reps]
+        assert codegen == sorted(codegen)
+        assert speedups == sorted(speedups, reverse=True)
+        assert min(speedups) > 5  # far above the paper's 2.2x
+        wall = EC2CostModel.paper_calibrated().codegen_time(binomial(24, 13))
+        assert wall > 3600
 
     def test_map_cost_is_the_price(self):
         """Grouped Map does K/g times more hashing per node."""

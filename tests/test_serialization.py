@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.serialization import (
-    HEADER_BYTES,
     SerializationError,
     pack_batch,
     pack_batches,
-    packed_size,
     unpack_batch,
     unpack_batches,
     unpack_batches_dict,
@@ -28,11 +26,6 @@ class TestSingleFrame:
     def test_empty_batch(self):
         tag, out = unpack_batch(pack_batch(RecordBatch.empty(), tag=1))
         assert tag == 1 and len(out) == 0
-
-    def test_packed_size(self, tiny_batch):
-        buf = pack_batch(tiny_batch)
-        assert len(buf) == packed_size(len(tiny_batch))
-        assert len(buf) == HEADER_BYTES + tiny_batch.nbytes
 
     def test_bad_magic(self, tiny_batch):
         buf = bytearray(pack_batch(tiny_batch))

@@ -45,12 +45,6 @@ class TestLog:
         assert log.by_sender() == {0: 10, 1: 20, 2: 40}
         assert log.by_sender("shuffle") == {0: 10, 1: 20}
 
-    def test_normalized_load(self):
-        log = self.make_log()
-        assert log.normalized_load(300, "shuffle") == pytest.approx(0.1)
-        with pytest.raises(ValueError):
-            log.normalized_load(0, "shuffle")
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             TrafficLog().record("s", "broadcastish", 0, (1,), 5)

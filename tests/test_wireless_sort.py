@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.figures import wireless_protocols
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.wireless.channel import WirelessChannel
@@ -147,6 +148,19 @@ class TestAirtimeLoads:
             == 2 * d2d.airtime.total_transmissions
         )
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
+    def test_protocol_loads_at_every_r(self, r):
+        """Each protocol near its closed form; D2D strictly wins; edge <=
+        uncoded, equal at r = 1 where both fly every value twice (headers
+        add ~0.1%)."""
+        rows = wireless_protocols(6, r, n_records=12_000).rows
+        load = {protocol: measured for protocol, _, measured, _, _ in rows}
+        theory = {protocol: closed for protocol, _, _, closed, _ in rows}
+        assert load["uncoded"] == pytest.approx(theory["uncoded"], rel=0.08)
+        assert load["d2d"] == pytest.approx(theory["d2d"], rel=0.15, abs=0.01)
+        assert load["edge"] == pytest.approx(theory["edge"], rel=0.15, abs=0.02)
+        assert load["d2d"] < load["edge"] <= load["uncoded"] * 1.01
+
     def test_uncoded_matches_theory(self):
         n = 30_000
         data = teragen(n, seed=6)
@@ -184,7 +198,7 @@ class TestAirtimeLoads:
         n = 24_000
         small = run_wireless_sort(teragen(n, seed=9), 4, 2, protocol="d2d")
         large = run_wireless_sort(teragen(n, seed=9), 12, 2, protocol="d2d")
-        assert large.shuffle_load() > small.shuffle_load()
+        assert large.shuffle_load() > small.shuffle_load() * 1.3
 
 
 class TestTheory:
