@@ -143,7 +143,8 @@ class _ReduceFrontier:
 
 class MapReduceLaw:
     """A general job's law: ``job.map_file`` as the map step (one window
-    per file, keyed by reducer), a triple store, a reduce frontier."""
+    per file, its triples keyed by reducer, only the kept targets'
+    retained), a triple store, a reduce frontier."""
 
     def __init__(self, job: MapReduceJob, num_nodes: int) -> None:
         self.job, self.num_nodes = job, num_nodes
@@ -153,8 +154,11 @@ class MapReduceLaw:
     def windows(payload: Any, window_records: Optional[int]) -> List[Any]:
         return [payload.load() if isinstance(payload, DataSource) else payload]
 
-    def map(self, file_id: int, payload: Any) -> List[List[Triple]]:
+    def map(
+        self, file_id: int, payload: Any, keep: Sequence[int]
+    ) -> List[List[Triple]]:
         pieces: List[List[Triple]] = [[] for _ in range(self.num_nodes)]
+        kept = set(keep)
         emitted = self.job.map_file(file_id, payload)
         for q in sorted(emitted):
             if not 0 <= q < self.num_functions:
@@ -162,7 +166,9 @@ class MapReduceLaw:
                     f"map emitted function id {q} outside "
                     f"[0, {self.num_functions})"
                 )
-            pieces[q % self.num_nodes].append((file_id, q, emitted[q]))
+            target = q % self.num_nodes
+            if target in kept:
+                pieces[target].append((file_id, q, emitted[q]))
         return pieces
 
     def store(self, oc: Optional[OutOfCore]) -> _TripleStore:

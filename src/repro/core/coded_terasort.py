@@ -23,7 +23,9 @@ same body.  For the sort, the spec fields pick three policies:
 
 * **map window** — each file whole (one ``hash_file`` call, and one map
   step of the overlapped loop), or ``OutOfCorePlan.input_window_records``
-  under a ``memory_budget``.  Retained values are
+  under a ``memory_budget``.  The map step gathers only the retained
+  targets, each into a buffer of its own — the one copy a retained value
+  costs before the encoder reads it — and they are
   appended per ``(subset, target)`` to one
   :class:`~repro.kvpairs.spill.StreamStore` (spilling under a budget,
   resident without) whose append order — files ascending, windows
@@ -118,9 +120,9 @@ STAGES_CODED = ["codegen", "map", "encode", "shuffle", "decode", "reduce"]
 class SortLaw:
     """The sort's law for the coded pipeline.
 
-    Map step: ``hash_file`` per record window.  Keyed store: a
-    :class:`~repro.kvpairs.spill.StreamStore` of raw record streams
-    (spilling under a budget).  Frontier: a
+    Map step: ``hash_file`` of the kept targets per record window.
+    Keyed store: a :class:`~repro.kvpairs.spill.StreamStore` of raw
+    record streams (spilling under a budget).  Frontier: a
     :class:`~repro.core.outofcore.MergeFrontier`, whose one stable sort
     (or external merge) is the Reduce.
     """
@@ -130,8 +132,10 @@ class SortLaw:
     def __init__(self, partitioner: RangePartitioner) -> None:
         self.partitioner = partitioner
 
-    def map(self, file_id: int, window: RecordBatch) -> List[RecordBatch]:
-        return hash_file(window, self.partitioner)
+    def map(
+        self, file_id: int, window: RecordBatch, keep: Sequence[int]
+    ) -> List[RecordBatch]:
+        return hash_file(window, self.partitioner, keep)
 
     def store(self, oc: Optional[OutOfCore]) -> StreamStore:
         if oc is None:
@@ -149,7 +153,8 @@ class CodedTeraSortProgram(NodeProgram):
 
     The body knows files, subsets, retention and the coding plan; the
     ``law`` knows the records: ``windows(payload, window_records)`` and
-    ``map(file_id, window)`` (pieces by target rank), ``store(oc)``
+    ``map(file_id, window, keep)`` (pieces by target rank, only ``keep``'s
+    filled), ``store(oc)``
     (``append`` / ``seal`` / ``take`` / ``get_bytes`` per ``(S, t)``) and
     ``frontier(num_slots, eager, oc)`` (``feed_stream`` / ``feed_decoded``
     / ``finish``).
@@ -267,9 +272,11 @@ class CodedTeraSortProgram(NodeProgram):
                 own_fed += 1
 
         def complete_subset(subset: Subset) -> None:
-            """A subset's last file is mapped: serialize what the coder
-            will look up — never the own-target value, which only Reduce
-            reads — and, when overlapped, start on that one right away."""
+            """A subset's last file is mapped: seal what the coder will
+            look up — never the own-target value, which only Reduce
+            reads — and, when overlapped, start on that one right away.
+            Sealing copies nothing for a one-piece value held in memory;
+            it joins several pieces, or flushes the tail under a budget."""
             completed.add(subset)
             with self.stage("encode"):
                 for target in targets[subset][1:]:
@@ -290,7 +297,7 @@ class CodedTeraSortProgram(NodeProgram):
                 yield from map_windows(
                     self,
                     law.windows(self.files[fid], window),
-                    functools.partial(law.map, fid),
+                    functools.partial(law.map, fid, keep=targets[subset]),
                     functools.partial(retain, subset),
                     meter=oc.meter if oc is not None else None,
                 )

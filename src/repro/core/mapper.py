@@ -2,15 +2,18 @@
 
 §III-A3: hashing file ``F`` under a ``K``-way partitioner produces the
 intermediate values ``{I^1_F, ..., I^K_F}`` where ``I^j_F`` holds the KV
-pairs of ``F`` whose keys fall in partition ``P_j``.  The split is done with
-one vectorized stable argsort over partition indices (a counting-sort-style
-grouping), no per-record Python work.
+pairs of ``F`` whose keys fall in partition ``P_j``.  The split is one
+vectorized stable argsort over partition indices (a counting-sort-style
+grouping), then one gather per kept partition straight from the file —
+no per-record Python work, and no grouped copy of the whole file.
 
 §IV-B adds the coded *retention rule*: after mapping file ``F_S`` on node
 ``k`` (``k ∈ S``), only ``I^k_S`` (needed by ``k`` itself) and
 ``{I^i_S : i ∉ S}`` (to be encoded for nodes outside ``S``) are kept —
 ``I^i_S`` for other ``i ∈ S`` is discarded because node ``i`` computes it
-locally.
+locally.  :func:`hash_file` takes the kept targets, so a discarded value
+is never copied and each kept one is copied exactly once, into a buffer
+of its own that pins neither the file nor the other values.
 
 :func:`map_windows` is the one windowed map every program runs: window →
 map step → retain → checkpoint, whatever the step (``hash_file`` for the
@@ -84,24 +87,35 @@ def map_windows(
 
 
 def hash_file(
-    data: RecordBatch, partitioner: RangePartitioner
+    data: RecordBatch,
+    partitioner: RangePartitioner,
+    keep: Optional[Iterable[int]] = None,
 ) -> List[RecordBatch]:
     """Split ``data`` into ``K`` per-partition intermediate values.
 
+    Each kept partition is gathered straight from ``data`` with its slice
+    of the stable grouping order: one copy per kept record, into an owned
+    buffer that shares memory with neither ``data`` nor the other pieces.
+
+    Args:
+        keep: the target partitions to materialize (all when ``None``);
+            the others come back empty and are never copied.
+
     Returns:
         ``out[j] = I^j`` — the records of ``data`` whose key falls in
-        partition ``j``; concatenating all outputs is a permutation of the
-        input.
+        partition ``j`` (empty for ``j`` not kept); with every partition
+        kept, concatenating the outputs is a permutation of the input.
     """
     k = partitioner.num_partitions
-    n = len(data)
-    if n == 0:
-        return [RecordBatch.empty() for _ in range(k)]
+    out = [RecordBatch.empty() for _ in range(k)]
+    if len(data) == 0:
+        return out
     idx = partitioner.partition_indices(data)
     order, counts = kernels.group_by_partition(idx, k)
-    grouped = data.take(order)
-    offsets = np.cumsum(counts)[:-1]
-    return grouped.split_at([int(o) for o in offsets])
+    ends = np.cumsum(counts)
+    for j in range(k) if keep is None else keep:
+        out[j] = data.take(order[ends[j] - counts[j]:ends[j]])
+    return out
 
 
 def map_node_uncoded(
@@ -137,11 +151,10 @@ def map_node_coded(
             raise ValueError(
                 f"node {node} asked to map file {file_id} of subset {subset}"
             )
-        parts = hash_file(data, partitioner)
         in_subset = set(subset)
-        retained: Dict[int, RecordBatch] = {node: parts[node]}
-        for j in range(partitioner.num_partitions):
-            if j not in in_subset:
-                retained[j] = parts[j]
-        kept[file_id] = retained
+        targets = [node] + [
+            j for j in range(partitioner.num_partitions) if j not in in_subset
+        ]
+        parts = hash_file(data, partitioner, targets)
+        kept[file_id] = {j: parts[j] for j in targets}
     return kept

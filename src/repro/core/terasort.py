@@ -396,15 +396,20 @@ class TeraSortProgram(NodeProgram):
                 feed(rank, held[rank])
                 with self.stage("pack"):
                     outgoing = {dst: _pack_chunks(held[dst]) for dst in peers}
+                held = None
                 # Fig. 9(a): one sender at a time, in rank order.  Each
                 # inbound message is consumed (a nested Unpack scope)
                 # before the next receive, so under a budget at most one
-                # receive arena is ever resident.
+                # receive arena is ever resident; each outbound one is
+                # dropped once sent, so a sent partition is freed while
+                # the rest of the shuffle runs.
                 with self.stage("shuffle"):
                     for sender in range(k):
                         if sender == rank:
                             for dst in peers:
-                                comm.send(dst, SHUFFLE_TAG, outgoing[dst])
+                                comm.send(
+                                    dst, SHUFFLE_TAG, outgoing.pop(dst)
+                                )
                         else:
                             raw = comm.recv(sender, SHUFFLE_TAG, copy=False)
                             consume(sender, raw)

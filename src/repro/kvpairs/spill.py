@@ -715,9 +715,11 @@ class StreamStore:
     read back as zero-copy mmap views of the complete per-key byte
     streams for the encoder.
 
-    With ``spill=None`` nothing is ever flushed (the in-memory sort's
-    store): :meth:`seal` serializes the key's appended pieces into one
-    owned buffer — the single copy an encoder input costs — and
+    Appended pieces are owned by the store (the map gathers each one into
+    its own buffer), so it keeps them as they are, never a copy.  With
+    ``spill=None`` nothing is ever flushed (the in-memory sort's store):
+    :meth:`seal` keeps a key's one piece as its stream and joins pieces
+    only when there are several (``batches_per_subset > 1``), and
     :meth:`take` hands a stream's pieces on without serializing them.
     """
 
@@ -742,6 +744,9 @@ class StreamStore:
         self._final = False
 
     def append(self, key: Hashable, batch: RecordBatch) -> None:
+        """Append ``batch`` to ``key``'s stream; the store keeps it as it
+        is until flushed or handed on (a view would pin what it views,
+        and the meter charges only ``batch.nbytes``)."""
         if self._final:
             raise RuntimeError("store already finalized")
         if key in self._sealed:
@@ -751,11 +756,6 @@ class StreamStore:
             self._order.append(key)
         if len(batch) == 0:
             return
-        if self._spill is not None:
-            # Under a budget keep a copy, never a view: the window the
-            # batch views then really frees when the map moves on (the
-            # meter charges only what is kept).
-            batch = batch.copy()
         if self._meter is not None:
             self._meter.charge(batch.nbytes, f"{self._tag}.pending")
         self._pending.setdefault(key, []).append(batch)
@@ -797,16 +797,19 @@ class StreamStore:
         The per-key file receives exactly the bytes the eventual global
         flush would have written (append order is preserved; flush timing
         never reorders within a key), so sealed reads are byte-identical
-        to post-:meth:`finalize` reads.  Without a spill dir the pieces
-        are joined here instead (same bytes, one owned buffer), which
-        also lets go of the map windows they were views into.
+        to post-:meth:`finalize` reads.  Without a spill dir a key's one
+        piece is its stream as it is (no copy); several pieces are
+        joined into one buffer (same bytes).
         """
         if self._final or key in self._sealed:
             return
         batches = self._pending.pop(key, [])
         if self._spill is None:
-            joined = self._sealed[key] = RecordBatch.concat(batches)
-            copytrack.count_copy(joined.nbytes, "spill.store_seal")
+            if len(batches) == 1:
+                self._sealed[key] = batches[0]
+            else:
+                joined = self._sealed[key] = RecordBatch.concat(batches)
+                copytrack.count_copy(joined.nbytes, "spill.store_seal")
             return
         if batches:
             nbytes = sum(b.nbytes for b in batches)

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.mapper import hash_file, map_node_coded
 from repro.core.partitioner import RangePartitioner
+from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.records import RecordBatch
+from repro.kvpairs.spill import write_run_file
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_permutation
 
@@ -43,6 +46,36 @@ class TestHashFile:
             got = extract_row_ids(parts[j])
             expected = extract_row_ids(b)[idx == j]
             assert (got == expected).all()
+
+    def test_kept_pieces_equal_the_full_split_and_the_rest_are_empty(self):
+        b = teragen(600, seed=8)
+        p = RangePartitioner.uniform(6)
+        full = hash_file(b, p)
+        keep = [4, 0, 5]
+        parts = hash_file(b, p, keep)
+        assert len(parts) == 6
+        for j, part in enumerate(parts):
+            if j in keep:
+                assert len(part) > 0
+                assert part.to_bytes() == full[j].to_bytes()
+            else:
+                assert len(part) == 0
+
+    @pytest.mark.parametrize("keep", [None, [2, 0]])
+    def test_pieces_own_their_memory(self, keep, tmp_path):
+        """Each piece is its own gather: it pins neither the window (an
+        mmap view of a file included) nor the other pieces."""
+        b = teragen(500, seed=9)
+        path = str(tmp_path / "input.bin")
+        write_run_file(path, [b])
+        p = RangePartitioner.uniform(4)
+        for window in (b, FileSource(path, start_record=100).load()):
+            parts = [x for x in hash_file(window, p, keep) if len(x)]
+            assert parts
+            for i, part in enumerate(parts):
+                assert not np.shares_memory(part.array, window.array)
+                for other in parts[i + 1:]:
+                    assert not np.shares_memory(part.array, other.array)
 
 
 class TestCodedMap:

@@ -11,9 +11,12 @@
   always did: message count and load bytes at (K=4, r=2, 4 000 records),
   in memory and under an 8 MiB budget, pinned from the commit before the
   pipeline was unified.
-* **No wasted serialization.**  The coded sort serializes exactly the
+* **No wasted serialization.**  The coded sort seals exactly the
   retained values a coded packet can draw on (``target != rank``); the
-  node's own partition goes to Reduce unserialized.
+  node's own partition goes to Reduce unsealed.  In memory the map's
+  gather is the only copy a retained value costs: sealing a one-piece
+  value keeps the map's buffer, and nothing is serialized or compacted
+  after the map.
 """
 
 from __future__ import annotations
@@ -171,9 +174,19 @@ def test_staged_wire_traffic_is_what_it_was(
         assert traffic.load_bytes() == pinned[lane][1], lane
 
 
-def test_only_non_own_retained_values_are_serialized(thread_cluster_factory):
+def test_only_non_own_retained_values_are_serialized(
+    thread_cluster_factory, monkeypatch
+):
     k, r = 6, 3
     data = teragen(6000, seed=5)
+    sealed = []
+    seal = spill.StreamStore.seal
+
+    def recording_seal(store, key):
+        seal(store, key)
+        sealed.append(store.get(key).nbytes)
+
+    monkeypatch.setattr(spill.StreamStore, "seal", recording_seal)
     with copytrack.track() as copied:
         with Session(thread_cluster_factory(k)) as s:
             run = s.submit(
@@ -188,8 +201,8 @@ def test_only_non_own_retained_values_are_serialized(thread_cluster_factory):
         expected += r * sum(
             parts[j].nbytes for j in range(k) if j not in subset
         )
-    serialized = sum(
-        copied.get(site, 0)
-        for site in ("records.to_bytes", "spill.store_seal")
-    )
-    assert serialized == expected > 0
+    # The stores hold exactly those values, and none of them is copied
+    # again after the map's gather.
+    assert sum(sealed) == expected > 0
+    for site in ("spill.store_seal", "records.to_bytes", "records.compact"):
+        assert copied.get(site, 0) == 0, site

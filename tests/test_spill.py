@@ -484,6 +484,23 @@ class TestStreamStoreNoSpill:
         ]
         assert list(store.take("own")) == []
 
+    def test_seal_keeps_a_single_piece_and_joins_several(self):
+        from repro.utils import copytrack
+
+        one, two = teragen(40, seed=85), teragen(60, seed=86)
+        store = StreamStore(None, 0)
+        store.append("single", one)
+        # Two files of one subset (``batches_per_subset=2``): two pieces.
+        store.append("batched", one)
+        store.append("batched", two)
+        with copytrack.track() as copied:
+            store.seal("single")
+            store.seal("batched")
+        assert store.get("single").array is one.array
+        joined = store.get("batched")
+        assert joined.to_bytes() == one.to_bytes() + two.to_bytes()
+        assert copied == {"spill.store_seal": joined.nbytes}
+
     def test_take_under_a_spill_dir_streams_the_sealed_file(self):
         data = teragen(300, seed=90)
         with SpillDir(tag="take-spill") as spill:
