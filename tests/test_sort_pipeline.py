@@ -10,7 +10,8 @@
 * **Wire invariants.**  Staged jobs put the frames on the wire that they
   always did: message count and load bytes at (K=4, r=2, 4 000 records),
   in memory and under an 8 MiB budget, pinned from the commit before the
-  pipeline was unified.
+  pipeline was unified; the uncoded sort's overlapped, 64 KiB-budgeted
+  and speculative shuffles likewise.
 * **No wasted serialization.**  The coded sort seals exactly the
   retained values a coded packet can draw on (``target != rank``); the
   node's own partition goes to Reduce unsealed.  In memory the map's
@@ -30,7 +31,7 @@ import pytest
 from repro.core.mapper import hash_file
 from repro.core.placement import CodedPlacement
 from repro.kvpairs import sorting, spill
-from repro.kvpairs.datasource import InlineSource
+from repro.kvpairs.datasource import InlineSource, TeragenSource
 from repro.kvpairs.teragen import teragen
 from repro.runtime.process import ProcessCluster
 from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
@@ -172,6 +173,40 @@ def test_staged_wire_traffic_is_what_it_was(
             traffic.load_bytes("shuffle"),
         ) == pinned[lane], lane
         assert traffic.load_bytes() == pinned[lane][1], lane
+
+
+def test_uncoded_wire_traffic_is_what_it_was(thread_cluster_factory):
+    """The uncoded sort's overlapped, budgeted and speculative shuffles
+    keep their frames: (messages, load bytes) of the shuffle stage,
+    pinned while the uncoded sort still ran a program body of its own.
+    (Spill-run counts vary under overlap, so they are not pinned.)"""
+    data = teragen(4000, seed=19)
+    budget = 64 * 1024
+    cells = {
+        "overlapped, in memory": (
+            TeraSortSpec(data=data, overlap=True), (36, 298_816)
+        ),
+        "staged, 64 KiB budget": (
+            TeraSortSpec(data=data, memory_budget=budget), (12, 299_020)
+        ),
+        "overlapped, 64 KiB budget": (
+            TeraSortSpec(data=data, memory_budget=budget, overlap=True),
+            (48, 299_068),
+        ),
+        "speculation, no straggler": (
+            TeraSortSpec(input=TeragenSource(4000, seed=19), speculation=True),
+            (12, 298_792),
+        ),
+    }
+    for cell, (spec, pinned) in cells.items():
+        with Session(thread_cluster_factory(K)) as s:
+            run = s.submit(spec).result()
+        traffic = run.traffic
+        assert (
+            traffic.message_count("shuffle"),
+            traffic.load_bytes("shuffle"),
+        ) == pinned, cell
+        assert run.total_records == len(data), cell
 
 
 def test_only_non_own_retained_values_are_serialized(
