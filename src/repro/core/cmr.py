@@ -32,7 +32,7 @@ from repro.kvpairs.spill import spill_blob
 from repro.runtime.api import Comm
 from repro.runtime.program import ClusterResult, JobSpec, PreparedJob
 from repro.runtime.traffic import TrafficLog
-from repro.utils.subsets import Subset, binomial, k_subsets
+from repro.utils.subsets import Subset, binomial
 from repro.utils.timer import StageTimes
 
 UNICAST_TAG = 2000
@@ -131,6 +131,9 @@ class _ReduceFrontier:
     def feed_decoded(self, slot: int, buf: Any, tag: str = "") -> None:
         self._triples.extend(self._job.deserialize(buf))
 
+    def map_done(self) -> None:
+        pass
+
     def finish(self, program: CodedTeraSortProgram, output_dir) -> Dict:
         per_q: Dict[int, List[Tuple[int, Any]]] = {}
         for file_id, q, value in sorted(self._triples, key=itemgetter(0)):
@@ -185,24 +188,15 @@ class UncodedCMRProgram(CodedTeraSortProgram):
 
     STAGES = ["map", "encode", "shuffle", "decode", "reduce"]
 
-    def _codegen(self) -> List[Subset]:
-        # Global: every node walks every subset, not only its own files'.
-        return list(k_subsets(self.size, self.spec.redundancy))
+    def _codegen(self) -> None:
+        """Nothing to plan: the shuffle is uncoded."""
 
-    def _shuffle(self, subsets, steps, completed, lookup, deliver) -> None:
-        rank, comm = self.rank, self.comm
-        with self.stage("shuffle"):
-            for subset in subsets:  # lex order; targets ascending
-                sender = min(subset)
-                for target in range(self.size):
-                    if target in subset:
-                        continue
-                    if rank == sender:
-                        comm.send(target, UNICAST_TAG, lookup(subset, target))
-                    elif rank == target:
-                        raw = comm.recv(sender, UNICAST_TAG, copy=False)
-                        with self.stage("decode"):
-                            deliver(subset, raw)
+    def _shuffle(self, codegen, steps, completed, store, frontier, slot_of):
+        def receive(subset: Subset, raw: Any) -> None:
+            with self.stage("decode"):
+                self._deliver(frontier, slot_of, subset, raw)
+
+        self._turn_walk(UNICAST_TAG, self._lookup(store), receive)
 
 
 def _cmr_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
@@ -229,7 +223,7 @@ class MapReduceSpec(JobSpec):
             legal) or ``"coded"`` (XOR multicast, ``r + 1 <= K``).
         schedule: the coded shuffle's, as on
             :class:`~repro.core.coded_terasort.CodedTeraSortSpec`.
-        memory_budget: as on :class:`~repro.core.terasort.SortSpec`;
+        memory_budget: as on :class:`~repro.core.coded_terasort.SortSpec`;
             sealed values that do not fit spill to disk.
     """
 

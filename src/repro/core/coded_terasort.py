@@ -19,7 +19,13 @@ windowed map → keyed store → shuffle engine → frontier → sink — under 
 *law* that supplies its three record-specific parts: the map step, the
 keyed store and the frontier.  :class:`SortLaw` is the sort's;
 :class:`~repro.core.cmr.MapReduceLaw` runs any Coded MapReduce job on the
-same body.  For the sort, the spec fields pick three policies:
+same body.  It is every program's body: the two uncoded ones override
+its shuffle — :class:`~repro.core.terasort.TeraSortProgram` (the sort at
+``r = 1``, with the map window and budgeted store it ships) and
+:class:`~repro.core.cmr.UncodedCMRProgram` both walk
+:meth:`CodedTeraSortProgram._turn_walk`.  :class:`SortSpec` and
+:class:`SortRun`, which both sorts share, live here too.  For the coded
+sort, the spec fields pick three policies:
 
 * **map window** — each file whole (one ``hash_file`` call, and one map
   step of the overlapped loop), or ``OutOfCorePlan.input_window_records``
@@ -73,7 +79,7 @@ from __future__ import annotations
 
 import functools
 from contextlib import nullcontext
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import KW_ONLY, dataclass, field
 from itertools import combinations
 from typing import (
     Any,
@@ -95,21 +101,31 @@ from repro.core.groups import (
     parallel_schedule_meta,
 )
 from repro.core.mapper import hash_file, map_windows, record_windows
-from repro.core.outofcore import MergeFrontier, OutOfCore, out_of_core
+from repro.core.outofcore import (
+    MergeFrontier,
+    OutOfCore,
+    check_memory_budget,
+    out_of_core,
+    residency_meta,
+    stats_meta,
+)
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
-from repro.core.terasort import SortRun, SortSpec
-from repro.kvpairs.datasource import DataSource
+from repro.kvpairs.datasource import DataSource, as_source
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import StreamStore
 from repro.runtime.api import Comm
 from repro.runtime.program import (
     ClusterResult,
+    JobSpec,
     NodeProgram,
     PreparedJob,
     execute_multicast_shuffle,
+    overlap_meta,
 )
-from repro.utils.subsets import Subset, binomial, without
+from repro.runtime.traffic import TrafficLog
+from repro.utils.subsets import Subset, binomial, k_subsets, without
+from repro.utils.timer import StageTimes
 
 #: Tag base for multicast shuffle; group index is added per packet.
 MULTICAST_TAG_BASE = 10_000
@@ -170,6 +186,10 @@ class CodedTeraSortProgram(NodeProgram):
     """
 
     STAGES = STAGES_CODED
+
+    #: The map's abandon predicate, polled before every window (none:
+    #: every map runs to completion).
+    _abandon: Optional[Callable[[], bool]] = None
 
     def __init__(
         self,
@@ -241,18 +261,18 @@ class CodedTeraSortProgram(NodeProgram):
         that decode them) — the concatenation the plain staged run
         stably sorts.
         """
-        rank, law, overlap = self.rank, self.law, self.spec.overlap
+        rank, overlap = self.rank, self.spec.overlap
         codegen = self._codegen()
         fids, subset_order, remaining, targets = self._subset_plan()
-        # Map window: the budget's, else each file whole (one map step
-        # per file is also the overlapped loop's granularity).
-        window = oc.plan.input_window_records if oc is not None else None
-        store = law.store(oc)
-        own = len(subset_order)
+        window = self._map_window(oc)
+        store = self._store(oc)
         others = [p for p in self.peers if p != rank]
         inbound = combinations(others, self.spec.redundancy)
-        slot_of = {subset: own + i for i, subset in enumerate(inbound)}
-        frontier = law.frontier(own + len(slot_of), overlap, oc)
+        slot_of = {
+            subset: slot
+            for slot, subset in enumerate([*subset_order, *inbound])
+        }
+        frontier = self.law.frontier(len(slot_of), overlap, oc)
         completed: set = set()
         own_fed = 0  # subsets whose own value has entered the frontier
 
@@ -272,15 +292,10 @@ class CodedTeraSortProgram(NodeProgram):
                 own_fed += 1
 
         def complete_subset(subset: Subset) -> None:
-            """A subset's last file is mapped: seal what the coder will
-            look up — never the own-target value, which only Reduce
-            reads — and, when overlapped, start on that one right away.
-            Sealing copies nothing for a one-piece value held in memory;
-            it joins several pieces, or flushes the tail under a budget."""
+            """A subset's last file is mapped: seal its values for the
+            shuffle and, when overlapped, start Reduce on the own one."""
             completed.add(subset)
-            with self.stage("encode"):
-                for target in targets[subset][1:]:
-                    store.seal((subset, target))
+            self._seal(store, [(subset, t) for t in targets[subset][1:]])
             if overlap:
                 with self.stage("reduce"):
                     advance_own()
@@ -292,47 +307,106 @@ class CodedTeraSortProgram(NodeProgram):
                 store.append((subset, target), pieces[target])
 
         def map_steps() -> Iterator[bool]:
+            meter = oc.meter if oc is not None else None
             for fid in fids:
                 subset = self.subsets[fid]
-                yield from map_windows(
-                    self,
-                    law.windows(self.files[fid], window),
-                    functools.partial(law.map, fid, keep=targets[subset]),
+                yield from self._map_file(
+                    fid,
+                    self.files[fid],
+                    targets[subset],
+                    window,
                     functools.partial(retain, subset),
-                    meter=oc.meter if oc is not None else None,
+                    self._abandon,
+                    meter,
                 )
                 remaining[subset] -= 1
                 if remaining[subset] == 0:
                     complete_subset(subset)
-
-        views: Dict[Tuple[Subset, int], Any] = {}
-
-        def lookup(subset: Subset, target: int) -> Any:
-            # Zero-copy view of the sealed I^t_S (mmap if spilled); every
-            # value is looked up once to encode and again to decode.
-            view = views.get((subset, target))
-            if view is None:
-                view = views[subset, target] = store.get_bytes((subset, target))
-            return view
-
-        def deliver(subset: Subset, buf: Any) -> None:
-            """``I^rank_S`` has arrived (decoded, or as sent): into the
-            frontier.  Overlapped, that is charged to Reduce (under a
-            budget the frontier sorts and merges here); staged it only
-            collects — or sorts one run — in the caller's scope."""
-            slot = slot_of[subset]
-            with self.stage("reduce") if overlap else nullcontext():
-                frontier.feed_decoded(slot, buf, tag=f"grp-{slot - own}")
+            frontier.map_done()
 
         steps = map_steps()
         if not overlap:
             with self.stage("map"):
                 for _ in steps:
                     pass
-        self._shuffle(codegen, steps, completed, lookup, deliver)
+        self._shuffle(codegen, steps, completed, store, frontier, slot_of)
         with self.stage("reduce"):
             advance_own()
             return frontier.finish(self, self.spec.output_dir)
+
+    # -- the policies a program at another corner overrides ----------------
+
+    def _map_window(self, oc: Optional[OutOfCore]) -> Optional[int]:
+        """The budget's window, else each file whole (one map step per
+        file is also the overlapped loop's granularity)."""
+        return oc.plan.input_window_records if oc is not None else None
+
+    def _store(self, oc: Optional[OutOfCore]) -> Any:
+        return self.law.store(oc)
+
+    def _seal(self, store: Any, keys: List[Tuple[Subset, int]]) -> None:
+        """Seal what the coder will look up: never the own-target value,
+        which only Reduce reads.  Sealing copies nothing for a one-piece
+        value held in memory; it joins several pieces, or flushes the
+        tail under a budget."""
+        with self.stage("encode"):
+            for key in keys:
+                store.seal(key)
+
+    def _map_file(
+        self, fid, payload, keep, window, retain, abandon=None, meter=None
+    ) -> Iterator[bool]:
+        """One file through the law's map step, window by window
+        (:func:`~repro.core.mapper.map_windows`); ``keep``'s pieces go to
+        ``retain``."""
+        return map_windows(
+            self,
+            self.law.windows(payload, window),
+            functools.partial(self.law.map, fid, keep=keep),
+            retain,
+            abandon,
+            meter,
+        )
+
+    def _lookup(self, store: Any) -> Callable[[Subset, int], Any]:
+        """Zero-copy views of the sealed ``I^t_S`` (mmap if spilled),
+        kept: every value is looked up once to encode, again to decode."""
+        views: Dict[Tuple[Subset, int], Any] = {}
+
+        def lookup(subset: Subset, target: int) -> Any:
+            view = views.get((subset, target))
+            if view is None:
+                view = views[subset, target] = store.get_bytes((subset, target))
+            return view
+
+        return lookup
+
+    def _deliver(self, frontier, slot_of, subset: Subset, buf: Any) -> None:
+        """``I^rank_S`` has arrived (decoded, or as sent): into the
+        frontier.  Overlapped, that is charged to Reduce (under a budget
+        the frontier sorts and merges here); staged it only collects — or
+        sorts one run — in the caller's scope."""
+        slot = slot_of[subset]
+        with self.stage("reduce") if self.spec.overlap else nullcontext():
+            frontier.feed_decoded(slot, buf, tag=f"grp-{slot}")
+
+    def _turn_walk(self, tag: int, send, receive) -> None:
+        """The designated-sender unicast walk (Fig. 1(a); Fig. 9(a) at
+        ``r = 1``).  Every node walks every ``r``-subset ``S`` in lex
+        order; ``S``'s first member unicasts ``send(S, t)`` to each
+        ``t ∉ S``, ascending, and ``t`` hands the arena view to
+        ``receive(S, raw)`` before the next turn."""
+        rank, comm = self.rank, self.comm
+        with self.stage("shuffle"):
+            for subset in k_subsets(self.size, self.spec.redundancy):
+                sender = min(subset)
+                for target in range(self.size):
+                    if target in subset:
+                        continue
+                    if rank == sender:
+                        comm.send(target, tag, send(subset, target))
+                    elif rank == target:
+                        receive(subset, comm.recv(sender, tag, copy=False))
 
     def _codegen(self) -> Tuple[CodingPlan, Any, Dict[int, List[Subset]]]:
         """CodeGen: the coding plan over this rank's peers, the event
@@ -369,14 +443,18 @@ class CodedTeraSortProgram(NodeProgram):
         codegen: Tuple[CodingPlan, Any, Dict[int, List[Subset]]],
         steps: Iterator[bool],
         completed: set,
-        lookup: Callable[[Subset, int], Any],
-        deliver: Callable[[Subset, Any], None],
+        store: Any,
+        frontier: Any,
+        slot_of: Dict[Subset, int],
     ) -> None:
         """Encode / multicast / decode (Algorithms 1 and 2) under the
-        send-gate policy; overlapped, the event loop also drives
-        ``steps``, the rest of the map."""
+        send-gate policy, from the sealed ``store`` into the
+        ``frontier``'s ``slot_of`` slots; overlapped, the event loop also
+        drives ``steps``, the rest of the map."""
         rank, overlap = self.rank, self.spec.overlap
         plan, rounds, needed = codegen
+        lookup = self._lookup(store)
+        deliver = functools.partial(self._deliver, frontier, slot_of)
 
         def encode_for(gidx: int):
             # Gather-list wire form: the XOR arena travels as a payload
@@ -419,6 +497,162 @@ class CodedTeraSortProgram(NodeProgram):
         )
 
 
+@dataclass
+class SortRun:
+    """Result of a full distributed sort run.
+
+    Attributes:
+        partitions: per-rank sorted output partitions (ascending key
+            ranges).  Resident :class:`~repro.kvpairs.records.RecordBatch`
+            objects for in-memory runs; for out-of-core runs with an
+            ``output_dir`` each entry is the worker's
+            :class:`~repro.kvpairs.datasource.FileSource` output
+            descriptor (``len()`` works on both; stream big ones with
+            ``iter_batches`` instead of ``load()``).
+        stage_times: merged per-stage breakdown (max over nodes).
+        traffic: the run's traffic log (None if backend doesn't collect one).
+        partitioner: the partitioner used (for validation / inspection).
+        meta: algorithm-specific extras (e.g. coding plan statistics).
+    """
+
+    partitions: List[RecordBatch]
+    stage_times: StageTimes
+    traffic: Optional[TrafficLog]
+    partitioner: RangePartitioner
+    meta: Dict[str, object] = field(default_factory=dict)
+
+    @property
+    def total_records(self) -> int:
+        return sum(len(p) for p in self.partitions)
+
+
+@dataclass(frozen=True)
+class SortSpec(JobSpec):
+    """What the two sort specs share: the input, the memory plane, the
+    partitioner and the overlap switch (``data`` is the one positional
+    field; everything else is keyword-only).
+
+    Attributes:
+        data: the full input batch (the coordinator's view); mutually
+            exclusive with ``input``.  Ships to the workers by value.
+        input: a :class:`~repro.kvpairs.datasource.DataSource` descriptor
+            (``FileSource`` / ``TeragenSource`` / ``InlineSource``) —
+            workers read their own splits, the control plane ships only
+            ~100-byte descriptors for file/teragen kinds.
+        memory_budget: per-worker cap (bytes) on resident record buffers,
+            at least :data:`~repro.core.outofcore.MIN_MEMORY_BUDGET`;
+            ``None`` keeps everything in memory, a value bounds the map
+            window, spills chunks as sorted runs and merges externally
+            (byte-identical output).
+        output_dir: with a budget (required), workers stream their sorted
+            partition to ``<output_dir>/part-<rank>`` (a worker-local or
+            shared path) and the run's partitions are ``FileSource``
+            results instead of resident batches.
+        sampled_partitioner: use sampled quantile splitters instead of
+            uniform ones (needed for skewed keys).
+        sample_size / sample_seed: splitter sample parameters
+            (``sample_size >= 1``).  Inline data is sampled uniformly at
+            random under ``sample_seed``; other kinds draw through the
+            source's own :meth:`~repro.kvpairs.datasource.DataSource.sample`,
+            which never materializes the dataset.
+        overlap: open the pipeline's send gate as the map goes (map ↔
+            shuffle overlap), so makespan approaches ``max(compute,
+            comm)`` instead of their sum.  In memory Reduce is still one
+            sort at the end; under a ``memory_budget`` arrivals are also
+            pre-merged while the shuffle is in flight (shuffle ↔ reduce
+            overlap).  Output stays byte-identical to the staged
+            schedule; composes with ``memory_budget``.
+    """
+
+    data: Optional[RecordBatch] = None
+    _: KW_ONLY
+    input: Optional[DataSource] = None
+    memory_budget: Optional[int] = None
+    output_dir: Optional[str] = None
+    sampled_partitioner: bool = False
+    sample_size: int = 10000
+    sample_seed: int = 7
+    overlap: bool = False
+
+    @property
+    def source(self) -> DataSource:
+        """The job's input as a descriptor, whichever field carried it."""
+        return as_source(self.input if self.input is not None else self.data)
+
+    @property
+    def input_bytes(self) -> int:
+        return self.source.nbytes
+
+    def validate(self, size: int) -> None:
+        if self.sample_size < 1:
+            raise ValueError(
+                f"sample_size must be >= 1, got {self.sample_size}"
+            )
+        if (self.data is None) == (self.input is None):
+            raise ValueError(
+                "exactly one of data= (a RecordBatch) or input= (a "
+                "DataSource) must be given"
+            )
+        if self.data is not None and not isinstance(self.data, RecordBatch):
+            raise ValueError(
+                f"data must be a RecordBatch, got {type(self.data).__name__} "
+                "(pass sources via input=)"
+            )
+        if self.input is not None and not isinstance(self.input, DataSource):
+            raise ValueError(
+                f"input must be a DataSource, got {type(self.input).__name__}"
+            )
+        check_memory_budget(self.memory_budget)
+        if self.output_dir is not None and self.memory_budget is None:
+            raise ValueError(
+                "output_dir requires memory_budget (the in-memory path "
+                "returns resident partitions)"
+            )
+
+    def _for_workers(self) -> "SortSpec":
+        """The spec as the ranks get it: every option, none of the input
+        (a payload carries its rank's split, never the job's dataset)."""
+        return self.with_(data=None, input=None)
+
+    def _partitioner(self, size: int) -> RangePartitioner:
+        """The shared ``size``-way partitioner, built once on the coordinator."""
+        if self.sampled_partitioner:
+            sample = self.source.sample(self.sample_size, seed=self.sample_seed)
+            if len(sample):
+                return RangePartitioner.from_sample(sample, size)
+        return RangePartitioner.uniform(size)
+
+    def _input_meta(self) -> Dict[str, object]:
+        """What ``SortRun.meta`` says about the input — taken once, in
+        ``prepare`` (a ``FileSource`` without a count stats its file)."""
+        source = self.source
+        return {
+            "input_records": source.num_records,
+            "input_kind": type(source).__name__,
+        }
+
+    def _sort_run(
+        self,
+        result: ClusterResult,
+        partitioner: RangePartitioner,
+        meta: Dict[str, object],
+    ) -> SortRun:
+        """``finalize``'s shared half: the option-derived meta + the run."""
+        meta["kernel_stats"] = stats_meta(result.per_node_times)
+        if self.overlap:
+            meta["overlap"] = overlap_meta(result.per_node_times)
+        if self.memory_budget is not None:
+            meta["memory_budget"] = self.memory_budget
+            meta.update(residency_meta(result.per_node_times))
+        return SortRun(
+            partitions=list(result.results),
+            stage_times=result.stage_times,
+            traffic=result.traffic,
+            partitioner=partitioner,
+            meta=meta,
+        )
+
+
 def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
     """Pool builder (module-level for pickling): payload -> node program."""
     spec, files, subsets, partitioner = payload
@@ -431,9 +665,9 @@ def _coded_terasort_program(comm: Comm, payload: Tuple) -> CodedTeraSortProgram:
 class CodedTeraSortSpec(SortSpec):
     """CodedTeraSort (§IV): coded placement + XOR multicast shuffle.
 
-    Input, memory plane and partitioner fields: see
-    :class:`~repro.core.terasort.SortSpec` (``data`` and ``redundancy``
-    are the positional fields; everything else is keyword-only).
+    Input, memory plane and partitioner fields: see :class:`SortSpec`
+    (``data`` and ``redundancy`` are the positional fields; everything
+    else is keyword-only).
 
     Attributes:
         redundancy: the computation load ``r ∈ [1, g-1]`` — each file is
@@ -447,7 +681,7 @@ class CodedTeraSortSpec(SortSpec):
             — the paper's measured execution, Fig. 9(b) turns behind
             cluster barriers; whatever reproduces the paper asks for it
             by name.  Byte-identical output.
-        overlap: as on :class:`~repro.core.terasort.SortSpec`; here the
+        overlap: as on :class:`SortSpec`; here the
             event loop also drives the map, and a multicast group is
             encoded and sent as soon as all of its contributing file
             subsets are mapped (the unit pre-merged under a budget is a

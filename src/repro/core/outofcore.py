@@ -1,37 +1,38 @@
-"""Shared plumbing for the bounded-memory (out-of-core) sort programs.
+"""Shared plumbing for the bounded-memory (out-of-core) sort pipeline.
 
-Both sort programs (:mod:`repro.core.terasort`,
-:mod:`repro.core.coded_terasort`) run the same three-part discipline when
-a ``memory_budget`` is set:
+Both sorts run the one coded pipeline
+(:class:`~repro.core.coded_terasort.CodedTeraSortProgram`; TeraSort is its
+``r = 1`` corner), and under a ``memory_budget`` it runs a three-part
+discipline:
 
-1. **chunked Map** — the input :class:`~repro.kvpairs.datasource.DataSource`
-   is consumed in bounded windows, hashed per window, and the per-partition
-   output accumulates in a budget-shared spiller;
-2. **streaming Shuffle** — per-destination data travels as an ordered
-   sequence of sorted runs (spilled runs are sent as mmap views, received
-   runs are spilled back to disk when they don't fit);
+1. **chunked Map** — the input is consumed in bounded windows, hashed per
+   window, and the retained output accumulates in a budget-shared store
+   (the coded sort's append-order :class:`~repro.kvpairs.spill.StreamStore`,
+   the uncoded sort's keyed :class:`~repro.kvpairs.spill.ExternalSorter`);
+2. **streaming Shuffle** — spilled values are sent as mmap views, and
+   arrivals are spilled back to disk when they don't fit;
 3. **streaming Reduce** — an external k-way merge of own + received runs
-   replaces the one-shot in-RAM sort, emitting output either to a part
-   file (``output_dir``) or as a materialized batch.
+   (:class:`MergeFrontier`) replaces the one-shot in-RAM sort, emitting
+   output either to a part file (``output_dir``) or as a batch.
 
 This module holds the budget arithmetic, the per-run :func:`out_of_core`
-resources, the map-side :class:`PartitionSpiller`, the keep-or-spill
-policy for received runs, output emission, and the stopwatch
-pseudo-stage export of the :class:`~repro.utils.residency.ResidencyMeter`
-readouts (how peak residency and spill volume reach the driver with zero
-extra plumbing — the same channel ``shuffle_span`` telemetry already
-rides).  It also holds :class:`MergeFrontier`, the reduce end of both
-sort pipelines with or without a budget: what happens to an arriving
-chunk is the pipeline's third policy, picked by ``memory_budget`` (and,
-under one, by ``overlap``).
+resources, :class:`MergeFrontier` (the reduce end with or without a
+budget: what happens to an arriving chunk is the pipeline's third
+policy), output emission, and the stopwatch pseudo-stage export of the
+:class:`~repro.utils.residency.ResidencyMeter` readouts (how peak
+residency and spill volume reach the driver with zero extra plumbing).
 
 Budget split rationale (fractions of ``memory_budget``):
 
-* input window ≤ 1/8 — one loaded window plus its hashed copy stay ≤ 1/4;
-* spiller / sorter flush threshold 1/2 — the stable sort of a flushing
-  chunk transiently holds chunk + sorted copy, bounding Map at ~3/4;
-* merge windows 1/4 split across the runs being merged, output chunks
-  1/8 — Reduce holds windows + one output chunk ≤ 1/2.
+* Map — an input window ≤ 1/8; the store's pending pieces up to the
+  flush threshold 1/2, plus at most one window's pieces past it: ≤ 3/4.
+* Reduce, once the map is done — arrivals are kept while everything
+  resident stays ≤ 1/2 (the rest are spilled); merge windows 1/4 split
+  across the runs being merged, output chunks 1/8.
+* Overlapped, Map and Reduce hold records at the same time, so while the
+  map runs Reduce keeps arrivals only in what Map leaves: 1/4, less a
+  pair merge's windows (1/16).  A sender's run boundaries never depend
+  on this, so the wire does not either.
 
 The split is deterministic from the budget alone, so every replica of a
 coded file chunks it identically — a requirement for byte-identical XOR
@@ -43,7 +44,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.records import RECORD_BYTES, RecordBatch
@@ -93,6 +94,14 @@ class OutOfCorePlan:
             out_records=max(64, memory_budget // 8 // RECORD_BYTES),
         )
 
+    @property
+    def reduce_while_mapping(self) -> int:
+        """What an overlapped Reduce may hold while the map runs beside
+        it: the budget less the map's ceiling — the flush threshold, the
+        loaded window and one window's overshoot past the threshold."""
+        window = self.input_window_records * RECORD_BYTES
+        return self.memory_budget - self.flush_bytes - 2 * window
+
     def merge_window_records(self, num_runs: int) -> int:
         """Per-run merge window: 1/4 of budget split across the runs."""
         per_run = self.memory_budget // 4 // max(1, num_runs)
@@ -132,91 +141,6 @@ def out_of_core(
         export_residency(program, oc.meter, memory_budget)
 
 
-class PartitionSpiller:
-    """Map-side accumulation of per-destination sorted runs.
-
-    Hashed window slices are appended per destination **in stream order**;
-    when the shared resident total passes ``flush_bytes`` every pending
-    destination chunk is stable-sorted and spilled as one run.  The run
-    lists per destination therefore satisfy the external-merge stability
-    contract: merging them (earlier run wins ties) reproduces the stable
-    sort of that destination's full stream.
-    """
-
-    def __init__(
-        self,
-        num_partitions: int,
-        spill: SpillDir,
-        flush_bytes: int,
-        meter: Optional[ResidencyMeter] = None,
-        on_run: Optional[Callable[[int, Run], None]] = None,
-    ) -> None:
-        self._spill = spill
-        self._flush_bytes = max(flush_bytes, RECORD_BYTES)
-        self._meter = meter
-        #: Streaming-overlap hook: called with ``(dst, run)`` the moment a
-        #: destination's next run is sealed (runs per dst in chunk order).
-        self._on_run = on_run
-        self._pending: List[List[RecordBatch]] = [
-            [] for _ in range(num_partitions)
-        ]
-        self._resident = 0
-        self._runs: List[List[Run]] = [[] for _ in range(num_partitions)]
-
-    def add(self, dst: int, batch: RecordBatch) -> None:
-        if len(batch) == 0:
-            return
-        if self._meter is not None:
-            self._meter.charge(batch.nbytes, "map.partition")
-        self._pending[dst].append(batch)
-        self._resident += batch.nbytes
-        if self._resident >= self._flush_bytes:
-            self._flush()
-
-    def _flush(self) -> None:
-        for dst, batches in enumerate(self._pending):
-            if not batches:
-                continue
-            chunk = sort_batches(batches)
-            path = self._spill.new_path(f"part-{dst}")
-            write_sorted_run(path, chunk)
-            run = Run.from_file(path, len(chunk))
-            self._runs[dst].append(run)
-            if self._meter is not None:
-                self._meter.spilled(chunk.nbytes)
-            self._pending[dst] = []
-            if self._on_run is not None:
-                self._on_run(dst, run)
-        if self._meter is not None:
-            self._meter.discharge(self._resident)
-        self._resident = 0
-
-    def finish(self) -> List[List[Run]]:
-        """Flush the tails; per-destination runs in chunk order."""
-        self._flush()
-        return [list(runs) for runs in self._runs]
-
-
-def keep_or_spill(
-    batch: RecordBatch, oc: OutOfCore, tag: str, owned: bool = False
-) -> Run:
-    """One sorted chunk -> a resident run if it fits, else a spilled run.
-
-    "Fits" means resident bytes stay under half the budget after keeping
-    it.  A kept batch is copied out of whatever transient buffer (receive
-    arena, decode output) it currently views — unless the caller marks it
-    ``owned`` — so keeping it never pins a larger allocation.
-    """
-    if oc.meter.resident_bytes + batch.nbytes <= oc.plan.memory_budget // 2:
-        kept = batch if owned else batch.copy()
-        oc.meter.charge(kept.nbytes, f"{tag}.resident")
-        return Run.resident(kept)
-    path = oc.spill.new_path(tag)
-    write_sorted_run(path, batch)
-    oc.meter.spilled(batch.nbytes)
-    return Run.from_file(path, len(batch))
-
-
 class MergeFrontier:
     """The reduce end of a sort pipeline: ``feed(slot, chunk)`` / ``finish()``.
 
@@ -232,7 +156,7 @@ class MergeFrontier:
       chunks on arrival would not make it cheaper.  No merge structure
       exists on this path;
     * **under a budget** — every chunk becomes a sorted run, kept
-      resident or spilled (:func:`keep_or_spill`), on an
+      resident or spilled (:meth:`_keep_or_spill`), on an
       :class:`IncrementalMerger`, and :meth:`finish` is one external
       ``merge_runs``.  Staged, the runs wait untouched; overlapped
       (``eager``), the merger pre-merges them while the shuffle is still
@@ -247,19 +171,61 @@ class MergeFrontier:
         self._chunks: Optional[List[List[RecordBatch]]] = None
         self._sorter: Optional[ExternalSorter] = None
         self._sorter_slot = 0
+        #: Overlapped, while the map runs: the bytes Reduce may still
+        #: keep resident (``None`` staged, and once :meth:`map_done`).
+        self._room: Optional[int] = None
         if oc is None:
             self._chunks = [[] for _ in range(num_slots)]
-        else:
-            self._merger = IncrementalMerger(
-                num_slots,
-                spill=oc.spill,
-                resident_limit=oc.plan.memory_budget // 8,
-                window_records=oc.plan.merge_window_records(8),
-                out_records=oc.plan.out_records,
-                meter=oc.meter,
-                eager_factor=2.0 if eager else 0,
-                tag="ov-merge",
+            return
+        plan = oc.plan
+        window = plan.merge_window_records(8)
+        self._merger = IncrementalMerger(
+            num_slots,
+            spill=oc.spill,
+            resident_limit=plan.memory_budget // 8,
+            window_records=window,
+            out_records=plan.out_records,
+            meter=oc.meter,
+            eager_factor=2.0 if eager else 0,
+            tag="ov-merge",
+        )
+        if eager:
+            # What the running map leaves, less a pair merge's windows.
+            pair = 2 * window * RECORD_BYTES
+            self._room = max(0, plan.reduce_while_mapping - pair)
+
+    def map_done(self) -> None:
+        """The map has finished: arrivals may fill half the budget."""
+        self._room = None
+
+    def _keep_or_spill(self, batch: RecordBatch, tag: str, owned: bool) -> Run:
+        """One sorted chunk -> a resident run if it fits, else a spilled run.
+
+        "Fits" means, while an overlapped map runs, that it fits the room
+        the map leaves; otherwise that resident bytes stay under half the
+        budget after keeping it.  A kept batch is copied out of whatever
+        transient buffer (receive arena, decode output) it currently
+        views — unless the caller marks it ``owned`` — so keeping it never
+        pins a larger allocation.
+        """
+        oc = self._oc
+        if self._room is None:
+            fits = (
+                oc.meter.resident_bytes + batch.nbytes
+                <= oc.plan.memory_budget // 2
             )
+        else:
+            fits = batch.nbytes <= self._room
+        if fits:
+            kept = batch if owned else batch.copy()
+            oc.meter.charge(kept.nbytes, f"{tag}.resident")
+            if self._room is not None:
+                self._room -= kept.nbytes
+            return Run.resident(kept)
+        path = oc.spill.new_path(tag)
+        write_sorted_run(path, batch)
+        oc.meter.spilled(batch.nbytes)
+        return Run.from_file(path, len(batch))
 
     def feed(
         self,
@@ -279,12 +245,12 @@ class MergeFrontier:
         oc = self._oc
         if isinstance(chunk, RecordBatch):
             if presorted:
-                chunk = keep_or_spill(chunk, oc, tag)
+                chunk = self._keep_or_spill(chunk, tag, owned=False)
             else:
                 oc.meter.charge(chunk.nbytes, f"{tag}.unsorted")
                 ordered = sort_batch(chunk)
                 oc.meter.discharge(chunk.nbytes)
-                chunk = keep_or_spill(ordered, oc, tag, owned=True)
+                chunk = self._keep_or_spill(ordered, tag, owned=True)
         self._merger.feed(slot, chunk)
 
     def feed_decoded(self, slot: int, buf, tag: str = "recv") -> None:
@@ -293,13 +259,18 @@ class MergeFrontier:
         it out under a budget; in memory the one sort copies it)."""
         self.feed(slot, RecordBatch.from_buffer(buf), tag=tag)
 
-    def feed_stream(self, slot: int, windows: Iterable[RecordBatch]) -> None:
-        """All of ``slot`` as one ordered stream of unsorted windows.
+    def feed_stream(
+        self, slot: int, windows: Iterable[Union[RecordBatch, Run]]
+    ) -> None:
+        """All of ``slot`` as one ordered stream of unsorted windows — or,
+        under a budget, of sorted runs (the uncoded sort's map-side
+        :class:`~repro.kvpairs.spill.ExternalSorter` stream), which join
+        the merge as they are.
 
         Streams must be fed in ascending slot order: under a budget one
-        external sort runs across them (its chunks may span slots — the
-        stable merge only needs their order) and its runs enter at the
-        first stream's slot.
+        external sort runs across the windows (its chunks may span slots
+        — the stable merge only needs their order) and its runs enter at
+        the first stream's slot.
         """
         if self._chunks is not None:
             self._chunks[slot].extend(windows)
@@ -313,7 +284,10 @@ class MergeFrontier:
             )
             self._sorter_slot = slot
         for window in windows:
-            self._sorter.add(window)
+            if isinstance(window, Run):
+                self._merger.feed(slot, window)
+            else:
+                self._sorter.add(window)
 
     def finish(
         self, program: NodeProgram, output_dir: Optional[str] = None

@@ -1,13 +1,13 @@
 """File placement: splitting the input and assigning files to nodes.
 
-TeraSort (§III-A1) splits the input into ``K`` disjoint files, one per node.
-CodedTeraSort (§IV-A) splits it into ``N = C(K, r)`` files indexed by
-``r``-subsets ``S`` of the node set, and stores ``F_S`` on *all* ``r`` nodes
-in ``S`` — the structured redundancy that creates the coding opportunities.
-Each node then stores ``C(K-1, r-1)`` files, and every ``r``-subset of nodes
-shares exactly one file.
+CodedTeraSort (§IV-A) splits the input into ``N = C(K, r)`` files indexed
+by ``r``-subsets ``S`` of the node set, and stores ``F_S`` on *all* ``r``
+nodes in ``S`` — the structured redundancy that creates the coding
+opportunities.  Each node then stores ``C(K-1, r-1)`` files, and every
+``r``-subset of nodes shares exactly one file.  TeraSort (§III-A1) is
+``r = 1``: ``K`` disjoint files, one per node.
 
-Both placements also do the actual data splitting: given a
+The placement also does the actual data splitting: given a
 :class:`~repro.kvpairs.records.RecordBatch` they cut it into near-equal
 contiguous files (sizes differ by at most one record, first ``n mod N``
 files get the extra record).
@@ -32,7 +32,7 @@ def split_even_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
 
     Sizes are ``ceil`` for the first ``n % parts`` ranges and ``floor``
     for the rest, so they differ by at most one record.  This is the
-    arithmetic both placements use — factored out so the driver can split
+    arithmetic the placement uses — factored out so the driver can split
     a :class:`~repro.kvpairs.datasource.DataSource` at the descriptor
     level without touching records.
     """
@@ -59,19 +59,6 @@ def split_even(batch: RecordBatch, parts: int) -> List[RecordBatch]:
     ]
 
 
-def split_source_even(source: DataSource, parts: int) -> List[DataSource]:
-    """Per-file subrange *descriptors* of an even split (no records touched).
-
-    The descriptor-level twin of :func:`split_even`: element ``f``
-    describes exactly the records ``split_even(source.load(), parts)[f]``
-    would hold.  Shared by both placements' ``split_source``.
-    """
-    return [
-        source.subrange(start, stop - start)
-        for start, stop in split_even_ranges(source.num_records, parts)
-    ]
-
-
 @dataclass(frozen=True)
 class FileAssignment:
     """One input file and the set of nodes storing it."""
@@ -79,41 +66,6 @@ class FileAssignment:
     file_id: int
     subset: Subset  # nodes storing the file (singleton for uncoded)
     data: RecordBatch
-
-
-class UncodedPlacement:
-    """TeraSort's placement: ``K`` files, file ``k`` on node ``k`` only."""
-
-    def __init__(self, num_nodes: int) -> None:
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        self.num_nodes = num_nodes
-        self.num_files = num_nodes
-        self.redundancy = 1
-
-    def subsets(self) -> List[Subset]:
-        return [(k,) for k in range(self.num_nodes)]
-
-    def files_of_node(self, node: int) -> List[int]:
-        self._check_node(node)
-        return [node]
-
-    def place(self, batch: RecordBatch) -> List[FileAssignment]:
-        """Split ``batch`` into per-node files."""
-        files = split_even(batch, self.num_files)
-        return [
-            FileAssignment(file_id=k, subset=(k,), data=files[k])
-            for k in range(self.num_files)
-        ]
-
-    def split_source(self, source: DataSource) -> List[DataSource]:
-        """Per-file descriptors matching :meth:`place` — workers read
-        their own splits."""
-        return split_source_even(source, self.num_files)
-
-    def _check_node(self, node: int) -> None:
-        if not 0 <= node < self.num_nodes:
-            raise ValueError(f"node {node} out of range({self.num_nodes})")
 
 
 class CodedPlacement:
@@ -210,8 +162,15 @@ class CodedPlacement:
         ]
 
     def split_source(self, source: DataSource) -> List[DataSource]:
-        """Per-file descriptors in file-id order (see :meth:`assign`)."""
-        return split_source_even(source, self.num_files)
+        """Per-file subrange *descriptors* in file-id order (see
+        :meth:`assign`): file ``f`` describes exactly the records
+        :meth:`place` gives it, and no record is touched."""
+        return [
+            source.subrange(start, stop - start)
+            for start, stop in split_even_ranges(
+                source.num_records, self.num_files
+            )
+        ]
 
     def assign(
         self, files: Sequence[Any], size: int
@@ -241,3 +200,11 @@ class CodedPlacement:
     def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ValueError(f"node {node} out of range({self.num_nodes})")
+
+
+class UncodedPlacement(CodedPlacement):
+    """TeraSort's placement: ``K`` files, file ``k`` on node ``k`` only —
+    the coded placement at ``r = 1``."""
+
+    def __init__(self, num_nodes: int) -> None:
+        super().__init__(num_nodes, 1)

@@ -246,7 +246,7 @@ def write_sorted_run(path: str, chunk: RecordBatch) -> None:
     """Write one sorted chunk as a run file.
 
     The one write path every sorted-run producer (``ExternalSorter``,
-    ``PartitionSpiller``, ``keep_or_spill``) shares.
+    ``MergeFrontier``) shares.
     """
     write_run_file(path, [chunk])
 
@@ -491,13 +491,16 @@ def merge_runs(
 
 
 class ExternalSorter:
-    """Budget-bounded stable external sort over a stream of batches.
+    """Budget-bounded stable external sort over streams of batches.
 
-    Feed batches **in stream order** via :meth:`add`; once pending bytes
-    reach ``chunk_bytes`` the chunk is stable-sorted and spilled as one
-    run.  :meth:`finish` flushes the tail and returns the runs in chunk
-    order — merge them with :func:`merge_runs` to get exactly the output
-    of one stable in-RAM sort of the concatenated stream.
+    Feed batches **in stream order** via :meth:`add` — or, keyed, one
+    stream per key via :meth:`append` (the uncoded sort's map-side store
+    under a budget, one stream per destination).  Once the pending bytes
+    of all streams reach ``chunk_bytes`` every pending stream is
+    stable-sorted and spilled as its next run, so merging a stream's runs
+    (earlier run wins ties) reproduces one stable in-RAM sort of it.
+    :meth:`finish` flushes the tails and returns the unkeyed stream's
+    runs in chunk order; :meth:`take` hands a keyed stream's runs on.
     """
 
     def __init__(
@@ -513,37 +516,48 @@ class ExternalSorter:
         self._chunk_bytes = chunk_bytes
         self._meter = meter
         self._tag = tag
-        self._pending: List[RecordBatch] = []
+        self._pending: Dict[Hashable, List[RecordBatch]] = {}
         self._pending_bytes = 0
-        self._runs: List[Run] = []
+        self._runs: Dict[Hashable, List[Run]] = {}
 
     def add(self, batch: RecordBatch) -> None:
+        self.append(None, batch)
+
+    def append(self, key: Hashable, batch: RecordBatch) -> None:
         if len(batch) == 0:
             return
         if self._meter is not None:
             self._meter.charge(batch.nbytes, f"{self._tag}.pending")
-        self._pending.append(batch)
+        self._pending.setdefault(key, []).append(batch)
         self._pending_bytes += batch.nbytes
         if self._pending_bytes >= self._chunk_bytes:
             self._flush()
 
     def _flush(self) -> None:
-        if not self._pending:
-            return
-        chunk = sort_batches(self._pending)
-        path = self._spill.new_path(self._tag)
-        write_sorted_run(path, chunk)
-        self._runs.append(Run.from_file(path, len(chunk)))
+        for key, batches in self._pending.items():
+            chunk = sort_batches(batches)
+            path = self._spill.new_path(self._tag)
+            write_sorted_run(path, chunk)
+            self._runs.setdefault(key, []).append(
+                Run.from_file(path, len(chunk))
+            )
+            if self._meter is not None:
+                self._meter.spilled(chunk.nbytes)
         if self._meter is not None:
-            self._meter.spilled(chunk.nbytes)
             self._meter.discharge(self._pending_bytes)
-        self._pending = []
+        self._pending = {}
         self._pending_bytes = 0
 
     def finish(self) -> List[Run]:
-        """Flush the tail chunk and return all runs in chunk order."""
+        """Flush every tail; the unkeyed stream's runs in chunk order."""
         self._flush()
-        return list(self._runs)
+        return list(self._runs.get(None, []))
+
+    def take(
+        self, key: Hashable, window_records: Optional[int] = None
+    ) -> List[Run]:
+        """``key``'s runs spilled so far, in chunk order, handed on."""
+        return self._runs.pop(key, [])
 
     def merge(
         self,

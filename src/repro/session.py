@@ -154,8 +154,9 @@ class JobHandle:
         return self._event.wait(timeout)
 
     def result(self, timeout: Optional[float] = None) -> Any:
-        """The job's result (:class:`~repro.core.terasort.SortRun` for the
-        sort specs, :class:`~repro.core.cmr.CMRRun` for MapReduce).
+        """The job's result (:class:`~repro.core.coded_terasort.SortRun`
+        for the sort specs, :class:`~repro.core.cmr.CMRRun` for
+        MapReduce).
 
         Blocks until completion; re-raises the job's error if it failed,
         and :class:`TimeoutError` if ``timeout`` expires first.

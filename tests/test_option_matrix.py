@@ -3,8 +3,10 @@ by name, with the same text on every surface.
 
 A cell is one combination of a spec's options at one cluster size.
 The oracles below restate the rules from the spec docstrings (not from
-``validate``): a valid cell must validate and compile (a MapReduce cell
-also runs, and must give the uncoded r = 1 outputs); a rejected cell
+``validate``): a valid cell must validate, compile and run on
+``ThreadCluster(K)`` — a sort cell must give the in-memory staged
+uncoded sort's bytes, a MapReduce cell the uncoded r = 1 outputs; a
+rejected cell
 must raise :class:`ValueError` whose text *names the cell* — and the
 same text must come out of ``spec.validate``, ``spec.prepare``,
 ``Session.submit``, ``SortService.submit`` and, for the sorts,
@@ -168,7 +170,21 @@ def _cli_error(argv):
     return str(exc_info.value)
 
 
-def _check_cell(spec_type, k, options, on_disk, flags, violated, path):
+def _sorted_bytes(k, spec):
+    return [p.to_bytes() for p in repro.run(ThreadCluster(k), spec).partitions]
+
+
+@pytest.fixture(scope="module")
+def sort_reference():
+    """Per K, the sorted partitions every valid sort cell gives: the
+    in-memory staged uncoded sort's."""
+    data = teragen(RECORDS, seed=0)
+    return {k: _sorted_bytes(k, TeraSortSpec(data=data)) for k in SIZES}
+
+
+def _check_cell(
+    spec_type, k, options, on_disk, flags, violated, path, reference
+):
     source = (
         dict(input=FileSource(path)) if on_disk
         else dict(data=teragen(RECORDS, seed=0))
@@ -177,6 +193,7 @@ def _check_cell(spec_type, k, options, on_disk, flags, violated, path):
     if not violated:
         spec.validate(k)
         assert len(spec.prepare(k).payloads) == k
+        assert _sorted_bytes(k, spec) == reference[k]
         return
 
     text = _rejected_everywhere(spec, k, violated)
@@ -194,16 +211,24 @@ def _check_cell(spec_type, k, options, on_disk, flags, violated, path):
 @pytest.mark.parametrize(
     "k,options,on_disk,flags,violated", list(_terasort_cells())
 )
-def test_terasort_cell(k, options, on_disk, flags, violated, input_file):
-    _check_cell(TeraSortSpec, k, options, on_disk, flags, violated, input_file)
+def test_terasort_cell(
+    k, options, on_disk, flags, violated, input_file, sort_reference
+):
+    _check_cell(
+        TeraSortSpec, k, options, on_disk, flags, violated, input_file,
+        sort_reference,
+    )
 
 
 @pytest.mark.parametrize(
     "k,options,on_disk,flags,violated", list(_coded_cells())
 )
-def test_coded_cell(k, options, on_disk, flags, violated, input_file):
+def test_coded_cell(
+    k, options, on_disk, flags, violated, input_file, sort_reference
+):
     _check_cell(
-        CodedTeraSortSpec, k, options, on_disk, flags, violated, input_file
+        CodedTeraSortSpec, k, options, on_disk, flags, violated, input_file,
+        sort_reference,
     )
 
 

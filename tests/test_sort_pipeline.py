@@ -126,6 +126,30 @@ def test_overlapped_budgeted_job_merges_on_run_files_only(
     )
 
 
+@pytest.mark.parametrize("lane", ["uncoded", "coded-parallel"])
+def test_overlapped_budgeted_job_stays_within_its_budget(
+    lane, tmp_path, thread_cluster_factory
+):
+    """Overlapped, Map and Reduce hold records at the same time: the
+    arrivals Reduce keeps while the map runs fit in what the map leaves,
+    so the peak stays within the budget on both lanes."""
+    budget = 750_000
+    source = TeragenSource(8 * budget // 100, seed=3)
+    options = dict(
+        input=source, memory_budget=budget, output_dir=str(tmp_path),
+        overlap=True,
+    )
+    spec = (
+        TeraSortSpec(**options) if lane == "uncoded"
+        else CodedTeraSortSpec(redundancy=R, schedule="parallel", **options)
+    )
+    with Session(thread_cluster_factory(K)) as s:
+        run = s.submit(spec).result()
+    assert run.total_records == len(source)
+    assert run.meta["oc_spill_runs"] > 0
+    assert run.meta["oc_peak_resident_bytes"] <= budget
+
+
 def test_merge_records_are_counted_per_program():
     """The same job reports the same ``merge_records`` on rank threads
     and rank processes, run after run: the count belongs to the program
