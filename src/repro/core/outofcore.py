@@ -176,23 +176,21 @@ class MergeFrontier:
         self._room: Optional[int] = None
         if oc is None:
             self._chunks = [[] for _ in range(num_slots)]
-            return
-        plan = oc.plan
-        window = plan.merge_window_records(8)
-        self._merger = IncrementalMerger(
-            num_slots,
-            spill=oc.spill,
-            resident_limit=plan.memory_budget // 8,
-            window_records=window,
-            out_records=plan.out_records,
-            meter=oc.meter,
-            eager_factor=2.0 if eager else 0,
-            tag="ov-merge",
-        )
-        if eager:
+        else:
+            self._merger = IncrementalMerger(
+                num_slots,
+                spill=oc.spill,
+                resident_limit=oc.plan.memory_budget // 8,
+                window_records=oc.plan.merge_window_records(8),
+                out_records=oc.plan.out_records,
+                meter=oc.meter,
+                eager_factor=2.0 if eager else 0,
+                tag="ov-merge",
+            )
+        if oc is not None and eager:
             # What the running map leaves, less a pair merge's windows.
-            pair = 2 * window * RECORD_BYTES
-            self._room = max(0, plan.reduce_while_mapping - pair)
+            pair = 2 * oc.plan.merge_window_records(8) * RECORD_BYTES
+            self._room = max(0, oc.plan.reduce_while_mapping - pair)
 
     def map_done(self) -> None:
         """The map has finished: arrivals may fill half the budget."""

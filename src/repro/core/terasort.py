@@ -162,11 +162,16 @@ class TeraSortProgram(CodedTeraSortProgram):
         """Nothing to plan: the shuffle is uncoded."""
 
     def _map_window(self, oc: Optional[OutOfCore]) -> Optional[int]:
+        # In memory, overlap and speculation act between windows (post
+        # chunks, poll arrivals and the abandon predicate).
         if oc is None and (self.spec.overlap or self.speculative):
             return shard_window(len(self.files[self.rank]))
         return super()._map_window(oc)
 
     def _store(self, oc: Optional[OutOfCore]) -> Any:
+        # Under a budget each destination's stream is kept as the sorted
+        # runs the budgeted wire carries (the receiver merges them as
+        # they are); in memory, as the map's pieces.
         if oc is None:
             return super()._store(oc)
         return ExternalSorter(oc.spill, oc.plan.flush_bytes, oc.meter, "part")
@@ -521,14 +526,19 @@ class TeraSortSpec(SortSpec):
     def prepare(self, size: int) -> PreparedJob:
         """Compile one TeraSort over ``size`` nodes into a pool-runnable job.
 
-        The shared range partitioner is built once on the coordinator,
-        and each rank's payload is the input-less spec, its file of the
-        ``r = 1`` placement — cut *at the descriptor level*, so
-        file/teragen inputs ship ~100-byte descriptors (an
-        :class:`~repro.kvpairs.datasource.InlineSource` ships its records
-        by value) — and the partitioner.  With ``speculation`` every rank
-        also gets all the splits, and the job asks the pool's driver loop
-        to watch the map stage's heartbeats.
+        Builds the shared range partitioner once on the coordinator and
+        cuts the input into the ``r = 1`` placement's files *at the
+        descriptor level*: each rank's payload is the input-less spec,
+        its ``{rank: file}`` / ``{rank: (rank,)}`` maps and the
+        partitioner, so for file/teragen inputs the control plane ships
+        ~100-byte descriptors, never record bytes (an
+        :class:`~repro.kvpairs.datasource.InlineSource` — the plain
+        ``data=`` call style — still ships its records by value, the
+        seed behavior).  ``finalize`` assembles the pool's
+        :class:`~repro.runtime.program.ClusterResult` into a
+        :class:`SortRun`.  With ``speculation`` every rank also gets all
+        the splits, and the job asks the pool's driver loop to watch the
+        map stage's heartbeats.
         """
         self.validate(size)
         partitioner = self._partitioner(size)
@@ -551,23 +561,31 @@ class TeraSortSpec(SortSpec):
             if self.speculation:
                 # Which ranks ran a backup copy / abandoned their own map
                 # (from the pseudo-stage stamps in the raw per-node times).
-                times = result.per_node_times
                 meta["speculation"] = {
-                    key: [r for r, t in enumerate(times) if stamp in t]
-                    for key, stamp in (
-                        ("backups", "spec_backup"),
-                        ("abandoned", "spec_map_abandoned"),
-                    )
+                    "backups": [
+                        r
+                        for r, t in enumerate(result.per_node_times)
+                        if "spec_backup" in t
+                    ],
+                    "abandoned": [
+                        r
+                        for r, t in enumerate(result.per_node_times)
+                        if "spec_map_abandoned" in t
+                    ],
                 }
             return self._sort_run(result, partitioner, meta)
 
-        watch = (
-            dict(
-                stage="map",
-                wait_factor=self.speculation_wait_factor,
-                min_wait=self.speculation_min_wait,
-            )
-            if self.speculation
-            else None
+        return PreparedJob(
+            builder=_terasort_program,
+            payloads=payloads,
+            finalize=finalize,
+            speculation=(
+                {
+                    "stage": "map",
+                    "wait_factor": self.speculation_wait_factor,
+                    "min_wait": self.speculation_min_wait,
+                }
+                if self.speculation
+                else None
+            ),
         )
-        return PreparedJob(_terasort_program, payloads, finalize, watch)
