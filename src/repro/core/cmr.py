@@ -7,7 +7,9 @@ what Reduce does; function ``q`` is reduced at node ``q mod K``.
 ``I^t_S`` is the ``(file id, q, value)`` triples of ``S``'s files for
 ``t``'s functions in (file id, q) order, so every replica serializes it
 byte-identically.  Schemes (Fig. 1): uncoded ``r = 1``, uncoded ``r > 1``
-(:class:`UncodedCMRProgram`), coded.
+(:class:`UncodedCMRProgram`: the body with the designated-sender walk,
+:meth:`~repro.core.coded_terasort.CodedTeraSortProgram._turn_walk`, that
+uncoded TeraSort walks too), coded (the body as it is).
 """
 
 from __future__ import annotations
