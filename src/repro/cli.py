@@ -150,7 +150,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_sort(args: argparse.Namespace) -> int:
-    from repro.kvpairs.validation import validate_sorted_permutation
     from repro.session import Session
     from repro.utils.tables import format_table
 
@@ -178,46 +177,17 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             handles = [session.submit(spec) for _ in range(args.repeat)]
             runs = [h.result() for h in handles]
             elapsed = _time.perf_counter() - t0
-            run = runs[-1]
             print(f"session: {args.repeat} jobs in {elapsed:.3f}s "
                   f"({args.repeat / elapsed:.2f} jobs/s on one worker pool)")
         else:
-            run = session.submit(spec).result()
+            runs = [session.submit(spec).result()]
     if getattr(args, "cluster", None):
         cluster.close()
-    from repro.kvpairs.records import RecordBatch
-
-    if data is not None and all(
-        isinstance(p, RecordBatch) for p in run.partitions
-    ):
-        validate_sorted_permutation(data, run.partitions)
-        verdict = "output valid"
-    else:
-        # Streaming validation — constant memory — whenever the input is
-        # on disk or the output came back as part-file descriptors
-        # (--output): global sortedness, record count, and the
-        # order-independent multiset checksum against the input.
-        from itertools import chain
-
-        from repro.kvpairs.validation import checksum_iter, validate_sorted_iter
-
-        def out_batches():
-            return chain.from_iterable(
-                _iter_partition(p) for p in run.partitions
-            )
-
-        n_out = validate_sorted_iter(out_batches())
-        if n_out != n_records:
-            raise AssertionError(
-                f"record count mismatch: input {n_records}, output {n_out}"
-            )
-        in_batches = source.iter_batches() if source is not None else [data]
-        if checksum_iter(in_batches) != checksum_iter(out_batches()):
-            raise AssertionError(
-                "output is not a permutation of the input "
-                "(checksum mismatch)"
-            )
-        verdict = "output sorted, permutation verified (streaming check)"
+    # Every run is checked, the earlier ones after the later jobs ran.
+    for run in runs:
+        verdict = _validate(run, data, source, n_records)
+    if len(runs) > 1:
+        verdict += f" (all {len(runs)} runs)"
     sched = f", schedule={args.schedule}" if args.algorithm == "coded" else ""
     print(f"sorted {n_records} records on {args.nodes} nodes "
           f"({args.algorithm}, backend={backend}{sched}) — {verdict}")
@@ -244,6 +214,40 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         print(f"shuffle payload: {shuffle} bytes "
               f"({shuffle / max(1, n_records * RECORD_BYTES):.4f} of dataset)")
     return 0
+
+
+def _validate(run, data, source, n_records: int) -> str:
+    """Check one run's output against the input; return the verdict."""
+    from repro.kvpairs.records import RecordBatch
+    from repro.kvpairs.validation import validate_sorted_permutation
+
+    if data is not None and all(
+        isinstance(p, RecordBatch) for p in run.partitions
+    ):
+        validate_sorted_permutation(data, run.partitions)
+        return "output valid"
+    # Streaming validation — constant memory — whenever the input is on
+    # disk or the output came back as part-file descriptors (--output):
+    # global sortedness, record count, and the order-independent
+    # multiset checksum against the input.
+    from itertools import chain
+
+    from repro.kvpairs.validation import checksum_iter, validate_sorted_iter
+
+    def out_batches():
+        return chain.from_iterable(_iter_partition(p) for p in run.partitions)
+
+    n_out = validate_sorted_iter(out_batches())
+    if n_out != n_records:
+        raise AssertionError(
+            f"record count mismatch: input {n_records}, output {n_out}"
+        )
+    in_batches = source.iter_batches() if source is not None else [data]
+    if checksum_iter(in_batches) != checksum_iter(out_batches()):
+        raise AssertionError(
+            "output is not a permutation of the input (checksum mismatch)"
+        )
+    return "output sorted, permutation verified (streaming check)"
 
 
 def _iter_partition(part):

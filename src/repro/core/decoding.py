@@ -16,9 +16,10 @@ Zero-copy data plane: :func:`recover_intermediate` sizes the full output
 from the packet headers up front, allocates it once, and has
 :func:`decode_segment_into` decode each sender's segment *directly into
 its slice* of that arena — there is no per-segment ``bytes`` and no final
-``b"".join``.  The arena (a fresh ``bytearray`` owned by the caller) is
-returned as-is, so downstream consumers (``RecordBatch.from_buffer``,
-``pickle.loads``) can wrap it without another copy.
+``b"".join``.  The arena (a :func:`~repro.utils.slabs.slab` buffer, the
+caller's while anything views it) is returned as-is, so downstream
+consumers (``RecordBatch.from_buffer``, ``pickle.loads``) can wrap it
+without another copy.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.encoding import (
     segment_of,
     xor_into,
 )
+from repro.utils.slabs import slab
 from repro.utils.subsets import Subset, without
 
 
@@ -112,7 +114,7 @@ def recover_intermediate(
     group: Subset,
     packets: Mapping[int, CodedPacket],
     lookup: IntermediateLookup,
-) -> bytearray:
+) -> memoryview:
     """Reassemble ``I^receiver_{M\\{receiver}}`` from a group's packets.
 
     The output buffer is preallocated from the packet headers and each
@@ -128,8 +130,9 @@ def recover_intermediate(
     Returns:
         The full serialized intermediate value of file ``M\\{k}`` destined
         to the receiver (segments concatenated in ascending sender order,
-        matching :func:`repro.core.encoding.segment_bounds`), as a freshly
-        allocated buffer the caller owns.
+        matching :func:`repro.core.encoding.segment_bounds`), in one
+        writable buffer of its own from :func:`~repro.utils.slabs.slab`,
+        which stays the caller's while anything views it.
     """
     file_subset = without(group, receiver)
     lengths = []
@@ -144,12 +147,11 @@ def recover_intermediate(
         if pkt.sender != u:
             raise CodingError(f"packet sender {pkt.sender} filed under {u}")
         lengths.append(pkt.length_for(receiver))
-    out = bytearray(sum(lengths))
-    view = memoryview(out)
+    out = slab(sum(lengths))
     pos = 0
     for u, seg_len in zip(file_subset, lengths):
         decode_segment_into(
-            receiver, packets[u], lookup, view[pos : pos + seg_len]
+            receiver, packets[u], lookup, out[pos : pos + seg_len]
         )
         pos += seg_len
     return out

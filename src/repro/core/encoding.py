@@ -41,6 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.utils import copytrack
+from repro.utils.slabs import slab
 from repro.utils.subsets import Subset, without
 
 #: Anything exporting the buffer protocol (serialized values, arena views).
@@ -263,7 +264,8 @@ def encode_packet(
         out: optional caller-provided arena the payload is XORed into (at
             least max-segment-length bytes).  The returned packet's payload
             *aliases* the arena — do not reuse it until the packet has been
-            sent.  ``None`` allocates a fresh arena per packet.
+            sent.  ``None`` takes one arena per packet from
+            :func:`~repro.utils.slabs.slab`.
 
     Returns:
         The coded packet with per-target true segment lengths; its payload
@@ -282,7 +284,7 @@ def encode_packet(
         segments.append((t, segment_of(value, file_subset, sender)))
     max_len = max((len(s) for _, s in segments), default=0)
     if out is None:
-        arena = memoryview(bytearray(max_len))
+        arena = slab(max_len)
     else:
         if len(out) < max_len:
             raise CodingError(

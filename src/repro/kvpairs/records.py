@@ -20,8 +20,9 @@ Records move as whole items.  Fancy-indexing a *structured* array —
 then value, per record); the same gather or scatter through an opaque
 100-byte item (:data:`_ITEM`) is one ``memcpy`` per record and 3-4x faster.
 :meth:`RecordBatch.take` (gather) and :meth:`RecordBatch._scattered`
-(scatter) are the two places whole records are permuted, and both go
-through that view.
+(scatter) are the two places whole records are permuted; both go
+through that view, into a buffer of the batch's own from the process's
+slab pool (:mod:`repro.utils.slabs`).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.utils import copytrack
+from repro.utils.slabs import slab
 
 #: Anything exporting the buffer protocol that a batch can wrap or emit.
 BufferLike = Union[bytes, bytearray, memoryview]
@@ -177,7 +179,9 @@ class RecordBatch:
     # -- transforms ----------------------------------------------------------
 
     def take(self, indices: np.ndarray) -> "RecordBatch":
-        """Gather the records at integer ``indices`` into a new owned batch.
+        """Gather the records at integer ``indices`` into a new batch over
+        a buffer of its own (:func:`~repro.utils.slabs.slab`, pooled at
+        1 MiB and above; it never aliases this batch).
 
         Negative indices count from the end; out-of-range ones raise
         ``IndexError``.
@@ -192,8 +196,12 @@ class RecordBatch:
                 "RecordBatch.take needs integer indices, got a boolean "
                 "mask; pass np.flatnonzero(mask)"
             )
-        taken = np.take(self._arr.view(_ITEM), indices)
-        return RecordBatch(taken.view(RECORD_DTYPE))
+        # Checked once here, so the gather runs in "clip" mode: "raise"
+        # mode with out= stages a copy of the whole output first.
+        indices = _in_bounds(indices, len(self._arr))
+        out = _items(indices.size)
+        self._arr.view(_ITEM).take(indices, out=out, mode="clip")
+        return RecordBatch(out.view(RECORD_DTYPE))
 
     @classmethod
     def _scattered(
@@ -201,17 +209,18 @@ class RecordBatch:
         total: int,
         runs: Iterable[Tuple[np.ndarray, "RecordBatch"]],
     ) -> "RecordBatch":
-        """A new ``total``-record batch with each run written at its positions.
+        """A new ``total``-record batch over a buffer of its own
+        (:func:`~repro.utils.slabs.slab`), each run written at its
+        positions.
 
         ``runs`` yields ``(positions, batch)`` pairs; together the position
         arrays must cover ``range(total)`` exactly once (merges and
         multi-part sorts do) — uncovered slots would be uninitialised.
         """
-        out = np.empty(total, dtype=RECORD_DTYPE)
-        items = out.view(_ITEM)
+        out = _items(total)
         for positions, batch in runs:
-            items[positions] = batch._arr.view(_ITEM)
-        return cls(out)
+            out[positions] = batch._arr.view(_ITEM)
+        return cls(out.view(RECORD_DTYPE))
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         return RecordBatch(self._arr[start:stop])
@@ -282,7 +291,7 @@ class RecordBatch:
         ``buf`` mutates it later, this batch sees the change.  Use it for
         decode-then-discard paths; any transform that must survive later
         buffer reuse (``sort_batch``, ``take``, ``concat``) already copies
-        into fresh memory.
+        into memory of its own.
 
         Raises:
             ValueError: if ``len(buf)`` is not a multiple of 100.
@@ -290,6 +299,23 @@ class RecordBatch:
         arr = _record_view(buf)
         arr.flags.writeable = False
         return cls(arr)
+
+
+def _items(n: int) -> np.ndarray:
+    """``n`` uninitialised records (as :data:`_ITEM`) over a :func:`slab`."""
+    return np.frombuffer(slab(n * RECORD_BYTES), dtype=_ITEM)
+
+
+def _in_bounds(indices: np.ndarray, n: int) -> np.ndarray:
+    """``indices`` into ``n`` records with negative ones counted from the
+    end; raises ``IndexError`` if any is out of range."""
+    if not indices.size:
+        return indices
+    lo, hi = int(indices.min()), int(indices.max())
+    if lo < -n or hi >= n:
+        bad = lo if lo < -n else hi
+        raise IndexError(f"index {bad} is out of bounds for {n} records")
+    return np.where(indices < 0, indices + n, indices) if lo < 0 else indices
 
 
 def _record_view(buf: BufferLike) -> np.ndarray:

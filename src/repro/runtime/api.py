@@ -50,8 +50,10 @@ The data plane is buffer-protocol end-to-end (zero-copy):
   before.  ``copy=False`` returns a zero-copy ``memoryview`` into the
   backend's receive arena; the view is *read-only by contract* — mutating
   it corrupts nothing downstream only if the caller has not shared it —
-  and it keeps the arena alive for as long as the view (or anything
-  borrowing from it, e.g. ``np.frombuffer``) is referenced.
+  and it keeps the arena (a chunked message's reassembly buffer too;
+  both come from :func:`~repro.utils.slabs.slab`) out of reuse for as
+  long as the view (or anything borrowing from it, e.g.
+  ``np.frombuffer``) is referenced.
 
 Traffic accounting distinguishes *logical* transfers (one record per
 unicast or multicast — the paper's load convention) from *physical* hops:
@@ -102,6 +104,7 @@ from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
 from repro.utils import copytrack
+from repro.utils.slabs import slab
 
 if TYPE_CHECKING:
     from repro.runtime.process import MeshEndpoint
@@ -356,7 +359,7 @@ class _RecvRequest(Request):
             if self._copy and not self._children:
                 body = b"".join(self._parts)
             else:
-                body = memoryview(bytearray(total))
+                body = slab(total)
                 pos = 0
                 for p in self._parts:
                     body[pos : pos + len(p)] = p

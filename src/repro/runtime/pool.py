@@ -77,6 +77,7 @@ from repro.runtime.program import (
     assemble_cluster_result,
 )
 from repro.runtime.traffic import TrafficLog
+from repro.utils.slabs import job_window
 
 __all__ = ["CHANNEL_ERRORS", "SubsetJob", "WorkerPool"]
 
@@ -358,6 +359,7 @@ class WorkerPool:
                     )
             seq = self._seq
             self._seq += 1
+            job_window(seq, prepared.builder)
             job = SubsetJob(
                 seq,
                 members,

@@ -19,9 +19,10 @@ Architecture (the paper's Fig. 8, coordinator + K workers):
 
 The data plane is zero-copy on both sides of every socket: sends hand the
 framing header plus the caller's buffer parts to vectored ``sendmsg``
-(no concatenation), and each inbound frame lands in one freshly-allocated
-``bytearray`` arena via ``recv_into`` — receives with ``copy=False``
-return memoryview slices of that arena all the way up to the program.
+(no concatenation), and each inbound frame lands in one arena from the
+process's slab pool (:mod:`repro.utils.slabs`) via ``recv_into`` —
+receives with ``copy=False`` return memoryview slices of that arena all
+the way up to the program.
 
 Each worker's endpoint runs one *reader thread per peer socket* that
 demultiplexes inbound frames into a tagged mailbox.  That is what makes
@@ -79,6 +80,7 @@ from repro.runtime.transport import (
     recv_frame,
     send_frame,
 )
+from repro.utils.slabs import job_window
 
 
 class SocketLink:
@@ -361,6 +363,7 @@ class _CtrlReader:
             self.inbox.put(msg)
             if msg[0] != "job":
                 return  # "stop" (or anything unknown) ends the loop
+            del msg  # the job is the control loop's now: hold none of it
 
 
 class _Heartbeater:
@@ -513,6 +516,7 @@ def serve_pool_jobs(
             if msg[0] != "job":
                 return  # "stop", drain sentinel, or coordinator EOF
             _, job_seq, builder, payload, members, epoch = msg
+            job_window(job_seq, builder)
             traffic = TrafficLog()
             comm: Optional[Comm] = None
             try:
@@ -559,6 +563,9 @@ def serve_pool_jobs(
                     # report; now really exit, with the honest nonzero
                     # status.
                     raise
+            # Reported: hold nothing of the job while waiting for the
+            # next; its buffers go back to the slab pool.
+            msg = builder = payload = comm = program = result = None
             if drain is not None and drain.requested:
                 return
     finally:

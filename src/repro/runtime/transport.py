@@ -13,8 +13,11 @@ The data plane is zero-copy in both directions:
   ``sock.sendmsg`` in one call, so the header/payload concatenation and
   any caller-side part join never happen;
 * **receives land in one arena** — :func:`recv_frame` reads the length,
-  allocates a single ``bytearray``, and fills it with ``recv_into`` on
-  memoryview slices; no parts list, no join.
+  takes one buffer of that size from the process's slab pool
+  (:func:`repro.utils.slabs.slab`: a reused anonymous ``mmap`` at 1 MiB
+  and above, so a standing process does not fault a large frame's pages
+  in again every job), and fills it with ``recv_into`` on memoryview
+  slices; no parts list, no join.
 
 Large paced payloads are still written in chunks so a sender-side
 :class:`~repro.runtime.ratelimit.TokenBucket` can pace them, reproducing
@@ -52,6 +55,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.runtime.api import Buffer, BufferParts, as_views, chunk_views
 from repro.runtime.ratelimit import TokenBucket
+from repro.utils.slabs import slab
 
 FRAME_HEADER = struct.Struct("<QQ")
 #: Write granularity; also the pacing quantum for rate-limited sends.
@@ -144,12 +148,14 @@ def _sendmsg_all(sock: socket.socket, views: List[memoryview]) -> None:
 
 def recv_frame(
     sock: socket.socket, limit: Optional[int] = None
-) -> Tuple[int, bytearray]:
+) -> Tuple[int, memoryview]:
     """Read one complete frame; raises :class:`TransportError` on EOF.
 
-    The payload lands in a single freshly-allocated ``bytearray`` arena
-    via ``recv_into`` — downstream consumers slice memoryviews off it
-    instead of copying.  A frame announcing more than ``limit`` bytes is
+    The payload lands via ``recv_into`` in one writable arena from
+    :func:`~repro.utils.slabs.slab`, returned as a ``memoryview`` of
+    exactly the frame's length — downstream consumers slice memoryviews
+    off it instead of copying, and the arena goes back to the pool once
+    nothing views it.  A frame announcing more than ``limit`` bytes is
     refused before anything is allocated for it.
     """
     header = recv_exact(sock, FRAME_HEADER.size)
@@ -158,9 +164,9 @@ def recv_frame(
         raise TransportError(
             f"{length}-byte frame over this socket's {limit}-byte limit"
         )
-    payload = bytearray(length)
+    payload = slab(length)
     if length:
-        recv_exact_into(sock, memoryview(payload))
+        recv_exact_into(sock, payload)
     return tag, payload
 
 

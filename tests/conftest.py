@@ -52,14 +52,17 @@ def thread_cluster_factory():
 def out_of_band():
     """Predicate: did this array arrive as an out-of-band buffer of a
     control frame, i.e. as a view of the frame's whole receive arena
-    (head and pickle body included), not as an array of its own bytes."""
+    (head and pickle body included; a writable buffer from
+    ``repro.utils.slabs.slab``), not as an array of its own bytes."""
 
     def check(arr: np.ndarray) -> bool:
         base = arr
         while isinstance(base, np.ndarray):
             base = base.base
-        arena = base.obj if isinstance(base, memoryview) else base
-        return isinstance(arena, bytearray) and len(arena) > arr.nbytes
+        if base is None:
+            return False
+        arena = memoryview(base.obj if isinstance(base, memoryview) else base)
+        return not arena.readonly and arena.nbytes > arr.nbytes
 
     return check
 

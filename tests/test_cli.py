@@ -51,6 +51,21 @@ class TestCommands:
         assert "output valid" in out
         assert "rounds" in out  # turns-into-rounds summary line
 
+    def test_sort_repeat_validates_every_run(self, capsys, monkeypatch):
+        from repro.kvpairs import validation
+
+        checked = []
+        check = validation.validate_sorted_permutation
+
+        def counted(data, partitions):
+            checked.append(len(partitions))
+            return check(data, partitions)
+
+        monkeypatch.setattr(validation, "validate_sorted_permutation", counted)
+        rc = main(["sort", "-K", "4", "-r", "2", "-n", "2000", "--repeat", "3"])
+        assert rc == 0 and checked == [4, 4, 4]
+        assert "output valid (all 3 runs)" in capsys.readouterr().out
+
     def test_simulate(self, capsys):
         rc = main(["simulate", "-K", "8", "-r", "3", "-n", "1000000"])
         out = capsys.readouterr().out

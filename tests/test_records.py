@@ -14,6 +14,8 @@ from repro.kvpairs.records import (
     VALUE_BYTES,
     RecordBatch,
 )
+from repro.kvpairs.teragen import teragen
+from repro.utils.slabs import SLAB_MIN
 
 
 def make_batch(keys_bytes):
@@ -150,6 +152,20 @@ class TestTransforms:
         for bad in ([n], [-n - 1], [0, n + 5]):
             with pytest.raises(IndexError):
                 tiny_batch.take(np.array(bad))
+
+    def test_take_index_edge_cases_of_a_pooled_gather(self):
+        batch = teragen(12_000, seed=4)
+        n, m = len(batch), SLAB_MIN // RECORD_BYTES + 1
+        neg = batch.take(np.arange(-m, 0))
+        assert neg == batch.take(np.arange(n - m, n))
+        mixed = np.arange(m) - m // 2
+        wrapped = np.where(mixed < 0, mixed + n, mixed)
+        assert batch.take(mixed) == batch.take(wrapped)
+        for bad in (n, -n - 1):
+            idx = np.zeros(m, dtype=np.int64)
+            idx[-1] = bad
+            with pytest.raises(IndexError):
+                batch.take(idx)
 
     def test_take_rejects_boolean_mask(self, tiny_batch):
         mask = np.zeros(len(tiny_batch), dtype=bool)

@@ -17,7 +17,8 @@ directly:
   queued sends are dropped;
 * a send to a dead peer fails typed, posted or blocking;
 * the constructor rejects malformed member lists;
-* a standing pool's jobs allocate no endpoint state.
+* a standing pool's jobs allocate no endpoint state;
+* a worker holds nothing of a job once it has reported it.
 """
 
 from __future__ import annotations
@@ -312,3 +313,60 @@ def test_pool_jobs_allocate_no_endpoint_state(monkeypatch):
         for _ in range(10):
             session.submit(spec).result()
     assert (made.count("Mailbox"), made.count("TrafficLog")) == (0, 50)
+
+
+def test_a_reported_job_is_not_kept_alive_by_its_worker():
+    """Once a worker has reported, it holds none of the job — not the
+    result, the program or the payload — while it waits for the next
+    (so their buffers go back to the slab pool, not into the next job)."""
+    import queue
+    import weakref
+
+    from repro.runtime.process import serve_pool_jobs
+    from repro.utils.timer import Stopwatch
+
+    class Obj:
+        pass
+
+    class Program:
+        STAGES = ()
+
+        def __init__(self):
+            self.stopwatch = Stopwatch()
+
+        def run(self):
+            result = Obj()
+            refs["result"] = weakref.ref(result)
+            return result
+
+    def builder(comm, payload):
+        program = Program()
+        refs["program"] = weakref.ref(program)
+        return program
+
+    refs = {}
+    payload = Obj()
+    refs["payload"] = weakref.ref(payload)
+    inbox, reports = queue.SimpleQueue(), queue.SimpleQueue()
+    endpoint = _endpoint(0, {})
+    worker = threading.Thread(
+        target=serve_pool_jobs,
+        args=(endpoint, inbox.get, lambda msg: reports.put(msg[:3])),
+        daemon=True,
+    )
+    worker.start()
+    inbox.put(("job", 7, builder, payload, [0], 0))
+    del payload
+    try:
+        assert reports.get(timeout=10) == ("ok", 0, 7)
+        deadline = time.monotonic() + 5.0
+        while any(ref() is not None for ref in refs.values()):
+            assert time.monotonic() < deadline, {
+                name: ref() for name, ref in refs.items()
+            }
+            time.sleep(0.01)
+    finally:
+        inbox.put(("stop",))
+        worker.join(timeout=10)
+        endpoint.close()
+    assert not worker.is_alive()
