@@ -30,8 +30,9 @@ class WorkerFailure(CommError):
         stage: the last stage the worker was known to be executing.
         cause: human-readable cause (EOF, heartbeat timeout, crash, ...).
 
-    This is the *retryable* failure class: :class:`~repro.session.Session`
-    re-submits a job that raised ``WorkerFailure`` (up to ``max_retries``),
+    This is the *retryable* failure class: the job queue behind
+    :class:`~repro.session.Session` and the sort service re-submits a
+    job that raised ``WorkerFailure`` (up to ``max_retries``),
     because job specs are deterministic descriptors and a re-run produces
     byte-identical output.
     """
@@ -46,10 +47,12 @@ class WorkerFailure(CommError):
 
 
 class RuntimeTimeoutError(CommError):
-    """A bounded runtime wait expired (socket op or whole-job deadline).
+    """A worker's bounded wait expired (a receive or request timeout).
 
-    Unlike :class:`WorkerFailure` this is **not** auto-retried: a job
-    that outruns its deadline would most likely outrun it again.
+    Raised inside a job's program only: as a :class:`CommError` it
+    reaches the driver as that worker's comm failure, i.e. as a
+    :class:`WorkerFailure` — which a job queue retries like any other.
+    The pool's whole-job deadline is a ``WorkerFailure(rank=-1)`` too.
 
     Attributes:
         peer: the remote rank being waited on, or ``None``.

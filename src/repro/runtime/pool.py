@@ -27,24 +27,25 @@ one codec, results' arrays out of band — and a worker thread's passes
 objects by reference with a socket byte as doorbell.
 
 The pool runs any number of concurrent jobs on disjoint member subsets
-(:meth:`WorkerPool.submit`); :meth:`WorkerPool.run_job` — what
-:class:`~repro.session.Session` calls — is ``submit(all members)`` +
-wait + raise, i.e. the same reactor at concurrency 1, stepped on the
-caller's thread.  The sort service instead :meth:`~WorkerPool.start`\\ s
-a reactor thread and observes completions through callbacks.
+(:meth:`WorkerPool.submit`) and never starts a thread to do it: whoever
+drives it steps the reactor (:meth:`WorkerPool._step`).  That is the one
+job queue's driver thread (:class:`~repro.session.JobQueue`, behind both
+:class:`~repro.session.Session` and the sort service), or the caller of
+:meth:`WorkerPool.run_job` — ``submit(all members)`` + step until done +
+raise, what ``cluster.run`` calls.
 
 Failure is job-scoped and workers outlive it: only the job whose
 members include a failed or dead worker fails, and its survivors get
 ``("ctl", seq, ("abort", reason))`` so their abort-polling receives
 unwind in ~100 ms.  The entry point decides what happens next:
 
-* :meth:`~WorkerPool.run_job` (Session pools, ``cluster.run``) tears the
-  mesh down after a failed job and re-forms it through the transport
-  for the next (new threads, re-fork, or wait for workers to re-join the
-  rendezvous);
-* :meth:`~WorkerPool.start` / :meth:`~WorkerPool.submit` (the sort
-  service) never re-forms: dead workers shrink capacity and
-  replacements rejoin through the transport's listener.  Every
+* a Session (and ``run_job``) calls :meth:`~WorkerPool.ready` before a
+  full-width job — re-forming the mesh through the transport when a
+  member is gone (new threads, re-fork, or wait for workers to re-join
+  the rendezvous) — and :meth:`~WorkerPool.teardown` after a failed one;
+* the sort service :meth:`~WorkerPool.start`\\ s the pool once and never
+  re-forms: dead workers shrink capacity and replacements rejoin
+  through the transport's listener.  Every
   membership change (death *or* join) bumps the **membership epoch**;
   job frames carry the epoch they were planned under, so a job can never
   alias a recycled rank (worker side: the job's
@@ -53,12 +54,13 @@ unwind in ~100 ms.  The entry point decides what happens next:
 
 Threading: exactly one thread at a time steps the reactor and owns every
 control-channel *receive*; sends (dispatch, aborts, directives) happen
-under the pool lock from whichever thread triggers them.  Channels live
-in one persistent selector and are always unregistered **before** they
-are closed, under the lock — a channel closed by another thread while
-the reactor is selecting can therefore never poison the wait.
-Completion callbacks fire on the reactor thread with **no pool lock
-held**, so a callback may re-enter :meth:`~WorkerPool.submit`.
+under the pool lock from whichever thread triggers them, and
+:meth:`~WorkerPool.wake` cuts a step's wait short from any thread.
+Channels live in one persistent selector and are always unregistered
+**before** they are closed, under the lock — a channel closed by another
+thread while the reactor is selecting can therefore never poison the
+wait.  A finished job sets its ``done`` event; the stepping thread
+reads it there.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import selectors
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runtime.errors import WorkerFailure, job_failure
 from repro.runtime.monitor import JobMonitor
@@ -158,13 +160,6 @@ class WorkerPool:
             override are the pool's own state.
         name: backend name in failure messages (default: the cluster's
             class name).
-        on_done: called as ``on_done(job)`` on the reactor thread, with
-            no pool lock held, once per finished :class:`SubsetJob`.
-        on_idle: called (same thread, no lock) whenever workers may have
-            become free — the daemon's scheduler kicks on it.
-        on_join: called as ``on_join(rank, epoch)`` from the join
-            thread, with no pool lock held, after a replacement worker
-            is fully integrated.
     """
 
     #: After a job's first failure, wait this long (bounded by the job
@@ -180,9 +175,6 @@ class WorkerPool:
         transport,
         cluster,
         name: Optional[str] = None,
-        on_done: Optional[Callable[[SubsetJob], None]] = None,
-        on_idle: Optional[Callable[[], None]] = None,
-        on_join: Optional[Callable[[int, int], None]] = None,
     ) -> None:
         self._transport = transport
         self.name = name or type(cluster).__name__
@@ -190,16 +182,12 @@ class WorkerPool:
         self.timeout = cluster.timeout
         self.failure_timeout = cluster.failure_timeout
         self.heartbeat_interval = cluster.heartbeat_interval
-        self._on_done = on_done
-        self._on_idle = on_idle
-        self._on_join = on_join
         self._lock = threading.RLock()
         self._sel = selectors.DefaultSelector()
         self._chans: Dict[int, Any] = {}
         self._busy: Dict[int, int] = {}  # global rank -> job seq
         self._dead: Set[int] = set()
         self._jobs: Dict[int, SubsetJob] = {}
-        self._callback_queue: List[SubsetJob] = []
         self._seq = 0
         self._closed = False
         #: Bumped on every membership change, death *and* join.
@@ -213,9 +201,10 @@ class WorkerPool:
         self._join_lock = threading.Lock()
         #: Total replacement workers integrated over the pool lifetime.
         self.workers_joined = 0
-        self._wake_r: Optional[socket.socket] = None
-        self._wake_w: Optional[socket.socket] = None
-        self._reactor: Optional[threading.Thread] = None
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)  # a full doorbell rings already
+        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
 
     # -- membership ---------------------------------------------------------
 
@@ -258,9 +247,9 @@ class WorkerPool:
             for rank, chan in chans.items():
                 self._install(rank, chan, 0)
 
-    def _teardown(self) -> None:
-        """Stop every worker and reap the transport; a later
-        :meth:`run_job` re-forms the mesh from scratch."""
+    def teardown(self) -> None:
+        """Stop every worker and reap the transport; the next
+        :meth:`ready` re-forms the mesh from scratch."""
         with self._lock:
             for rank, chan in list(self._chans.items()):
                 self._try_send(chan, ("stop",))
@@ -272,24 +261,31 @@ class WorkerPool:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Form the mesh (blocking, bounded by the transport) and hand
-        the reactor to its own thread; the transport's listener, if it
-        has one, joins the wait so replacements can rejoin mid-flight."""
+        """Form the mesh once, for good (blocking, bounded by the
+        transport): the transport's listener, if it has one, joins the
+        reactor's wait so replacements rejoin mid-flight.  The sort
+        service's entry point; it never calls :meth:`ready`."""
         self._form()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._sel.register(self._wake_r, selectors.EVENT_READ, _WAKE)
         listener = self._transport.listener
         if listener is not None:
             self._sel.register(listener, selectors.EVENT_READ, _JOIN)
-        self._reactor = threading.Thread(
-            target=self._run, daemon=True, name="pool-reactor"
-        )
-        self._reactor.start()
+
+    def ready(self) -> None:
+        """Make every member live and idle for a full-width job — the
+        entry point that re-forms (a Session, ``run_job``) calls this
+        before each job: one non-blocking step shows a worker that died
+        idle as EOF, and a mesh short of a member (or torn down after a
+        failed job) is formed afresh through the transport."""
+        if self._chans:
+            self._step(0.0)
+        if len(self._chans) != self.size:
+            self.teardown()
+            self._form()
 
     def close(self) -> None:
-        """Stop workers and the reactor (idempotent).  In-flight jobs
-        fail with a typed shutdown error via their done events."""
+        """Stop every worker and release the reactor (idempotent).
+        In-flight jobs fail with a typed shutdown error via their done
+        events."""
         with self._lock:
             if self._closed:
                 return
@@ -301,15 +297,10 @@ class WorkerPool:
                     -1, "shutdown", "worker pool closed with the job running"
                 )
                 job.done.set()
-        self._teardown()
-        self._wake()
-        reactor = self._reactor
-        if reactor is not None and reactor is not threading.current_thread():
-            reactor.join(timeout=10.0)
+        self.teardown()
         self._sel.close()
-        for sock in (self._wake_r, self._wake_w):
-            if sock is not None:
-                sock.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -341,8 +332,8 @@ class WorkerPool:
     ) -> SubsetJob:
         """Dispatch ``prepared`` onto the given idle global ranks.
 
-        Returns the job record immediately; completion is observed via
-        ``job.done`` / the ``on_done`` callback.  Raises
+        Returns the job record immediately; the thread stepping the
+        reactor sees it finish as ``job.done``.  Raises
         :class:`ValueError` if a member is busy, dead, or unknown.
         """
         members = sorted(members)
@@ -389,71 +380,56 @@ class WorkerPool:
                     dead_at_dispatch.append(g)
             for g in dead_at_dispatch:
                 self._member_died(g, "worker died at job dispatch")
-        self._wake()
         return job
 
     def run_job(
         self, prepared: PreparedJob, last: bool = False
     ) -> ClusterResult:
         """Run one prepared job on every member and gather the result:
-        ``submit(all members)`` + wait + raise.
-
-        With no reactor thread (Session pools) the caller's thread steps
-        the reactor until the job is done.  The mesh is formed on first
-        use, re-formed when a worker died idle, and torn down after a
-        failed job.  ``last=True`` is the one-shot
+        :meth:`ready` + ``submit(all members)`` + step until done +
+        raise, all on the caller's thread; a failed job tears the mesh
+        down.  ``last=True`` is the one-shot
         ``cluster.run`` contract: ``stop`` is queued right behind the job
         frame, so each worker exits as soon as it has reported and its
         closing mesh sockets tell still-running peers that it is gone.
 
         Raises:
             WorkerFailure: a worker died or went silent mid-job, or the
-                job outran the pool's ``timeout`` (infrastructure — the
-                session layer may retry).
+                job outran the pool's ``timeout`` (infrastructure — a
+                job queue may retry it).
             RuntimeError: a worker's program raised (a genuine job bug,
                 never retried); the worker's traceback text is included.
         """
         prepared.check_size(self.size)
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        if self._reactor is None and self._chans:
-            self._step(0.0)  # a worker that died idle shows as EOF
-        if len(self._chans) != self.size:
-            self._teardown()
-            self._form()
+        self.ready()
         job = self.submit(range(self.size), prepared)
         if last:
             with self._lock:
                 for chan in self._chans.values():
                     self._try_send(chan, ("stop",))
-        if self._reactor is None:
-            while not job.done.is_set():
-                self._step(self._POLL)
-        else:
-            job.done.wait()
+        while not job.done.is_set():
+            self._step(self._POLL)
         if job.error is not None:
-            self._teardown()
+            self.teardown()
             raise job.error
         assert job.cluster_result is not None
         return job.cluster_result
 
     # -- reactor ------------------------------------------------------------
 
-    def _wake(self) -> None:
-        if self._wake_w is not None:
-            try:
-                self._wake_w.send(b"x")
-            except OSError:  # pragma: no cover - closing down
-                pass
-
-    def _run(self) -> None:
-        while not self._closed:
-            self._step(self._POLL)
+    def wake(self) -> None:
+        """End the current step's wait now (any thread)."""
+        try:
+            self._wake_w.send(b"x")
+        except OSError:  # full, or closing down
+            pass
 
     def _step(self, max_wait: float) -> None:
         """One reactor turn: wait for channel traffic (no longer than
         the nearest job deadline / liveness check), deliver it, apply
-        the time-driven policies, fire callbacks."""
+        the time-driven policies."""
         with self._lock:
             jobs = list(self._jobs.values())
         now = time.monotonic()
@@ -486,7 +462,6 @@ class WorkerPool:
             else:
                 self._receive(*key.data)
         self._tick()
-        self._drain_callbacks()
 
     def _receive(self, g: int, chan: Any) -> None:
         """Read and deliver one frame from ``g``'s channel.  The channel
@@ -507,16 +482,6 @@ class WorkerPool:
         with self._lock:
             if self._chans.get(g) is chan:
                 self._handle(g, msg)
-
-    def _drain_callbacks(self) -> None:
-        with self._lock:
-            batch = self._callback_queue
-            self._callback_queue = []
-        for job in batch:
-            if self._on_done is not None:
-                self._on_done(job)
-        if self._on_idle is not None:
-            self._on_idle()
 
     def _handle(self, g: int, msg: Tuple) -> None:
         """Deliver one worker frame (lock held)."""
@@ -670,7 +635,6 @@ class WorkerPool:
                 job.results, job.times, job.traffic, job.stages
             )
         job.done.set()
-        self._callback_queue.append(job)
 
     # -- elastic rejoin -----------------------------------------------------
 
@@ -734,6 +698,4 @@ class WorkerPool:
         # must not stall membership.
         for other in others:
             self._try_send(other, ("roster", update))
-        if self._on_join is not None:
-            self._on_join(rank, epoch)
-        self._wake()  # on_idle kicks the scheduler onto the new worker
+        self.wake()  # the driver dispatches onto the new worker

@@ -544,9 +544,9 @@ class TcpCluster:
 
         The first job admits K workers (handshake, roster, mesh, ready);
         every job then ships one pickled ``(builder, payload)`` per
-        worker.  Any worker error or death fails the job, and
-        :meth:`~repro.runtime.pool.WorkerPool.run_job` then stops the
-        workers; the coordinator cannot re-fork remote workers, so the
+        worker.  Any worker error or death fails the job, and a
+        Session (or :meth:`~repro.runtime.pool.WorkerPool.run_job`) then
+        stops the workers; the coordinator cannot re-fork remote workers, so the
         *next* job re-opens the rendezvous and waits ``connect_timeout``
         for K fresh (or supervisor-restarted) workers to join.
         :class:`repro.session.Session` is the driver-facing API over it.

@@ -5,11 +5,12 @@ the whole pool at a time.  This package is the long-running alternative
 the ROADMAP's "heavy traffic" north star asks for:
 
 * :mod:`repro.service.daemon` — :class:`SortService`, the ``repro
-  serve`` daemon: control port, job registry, retry policy, and the one
-  :class:`~repro.runtime.pool.WorkerPool` reactor on its own thread —
-  each job runs on a per-job *subset* of the worker mesh so jobs
-  overlap, a failed job fails only its subset, and workers outlive it;
-  the mesh is never re-formed, replacements rejoin it;
+  serve`` daemon: control port and job registry over the one job queue
+  (:class:`~repro.session.JobQueue`, the Session's) under the
+  fair-share scheduler — each job runs on a per-job *subset* of the
+  worker mesh so jobs overlap, a failed job fails only its subset, and
+  workers outlive it; the mesh is never re-formed, replacements rejoin
+  it;
 * :mod:`repro.service.scheduler` — admission control (typed
   rejections, per-tenant quotas) and priority/fair-share dispatch,
   as pure unit-testable logic;
@@ -29,7 +30,7 @@ from repro.service.client import (
     ServiceJobHandle,
     ServiceRejected,
 )
-from repro.service.daemon import ServiceJob, SortService
+from repro.service.daemon import SortService
 from repro.service.scheduler import (
     AdmissionError,
     FairShareScheduler,
@@ -47,7 +48,6 @@ __all__ = [
     "QueuedJob",
     "QuotaExceeded",
     "ServiceClient",
-    "ServiceJob",
     "ServiceJobHandle",
     "ServiceRejected",
     "ServiceStats",

@@ -4,7 +4,7 @@
 protocol is strictly request/response), so a single client object is
 safe to share across threads — three threads can submit and wait
 concurrently with no shared socket state.  :class:`ServiceJobHandle`
-duck-types the blocking half of :class:`~repro.session.JobHandle`
+is a :class:`~repro.session.JobHandle` settled over the wire
 (``done`` / ``wait`` / ``result`` / ``exception``), so driver code
 written against a local ``Session`` ports to the service by swapping
 ``Session(...)`` for ``ServiceClient(addr)`` — both are context
@@ -23,11 +23,11 @@ import socket
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
+from repro.runtime.errors import WorkerFailure
 from repro.runtime.tcp import parse_address
 from repro.service.protocol import request
 from repro.service.stats import ServiceStats
-from repro.session import JobSpec
+from repro.session import JobHandle, JobSpec
 
 __all__ = ["ServiceClient", "ServiceJobHandle", "ServiceRejected"]
 
@@ -54,8 +54,6 @@ def _rebuild_failure(kind: str, message: str) -> BaseException:
         failure = WorkerFailure(-1, "service", message)
         failure.args = (message,)
         return failure
-    if kind == "timeout":
-        return RuntimeTimeoutError(message)
     return RuntimeError(message)
 
 
@@ -159,57 +157,30 @@ class ServiceClient:
         self._request(("shutdown",))
 
 
-class ServiceJobHandle:
-    """Future for one service job; API-compatible with the blocking half
-    of :class:`~repro.session.JobHandle`.
+class ServiceJobHandle(JobHandle):
+    """A :class:`~repro.session.JobHandle` settled over the control
+    port: :meth:`wait` long-polls the daemon, so ``done`` / ``result`` /
+    ``exception`` block, time out and raise as a Session's handle does.
 
     Attributes:
         replanned_k: once settled, the smaller worker count the
             scheduler's shrink-to-fit policy re-planned the final
             attempt onto, or ``None`` when it ran at the requested
             width.
-        attempts: once settled, how many attempts the job took.
+        attempts: once settled, how many attempts the job took (the
+            attempt records stay with the daemon).
     """
 
     def __init__(
         self, client: ServiceClient, job_id: int, spec: JobSpec
     ) -> None:
+        super().__init__(job_id, spec)
         self._client = client
-        self.job_id = job_id
-        self.spec = spec
-        self.replanned_k: Optional[int] = None
         self.attempts: Optional[int] = None
-        self._outcome: Optional[Any] = None
-        self._error: Optional[BaseException] = None
-        self._settled = False
-
-    def _poll(self, timeout: float) -> bool:
-        """One long-poll round trip; True once the job settled."""
-        if self._settled:
-            return True
-        resp = self._client._request(
-            ("result", self.job_id, timeout),
-            timeout=timeout + 60.0,
-        )
-        if resp[0] == "pending":
-            return False
-        if resp[0] == "ok":
-            self._outcome = resp[1]
-            info = resp[2] if len(resp) > 2 else {}
-            self.replanned_k = info.get("replanned_k")
-            self.attempts = info.get("attempts")
-        else:
-            assert resp[0] == "failed", resp
-            self._error = _rebuild_failure(resp[1], resp[2])
-        self._settled = True
-        return True
-
-    def done(self) -> bool:
-        return self._poll(0.0)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
+        while not self._event.is_set():
             remaining = (
                 25.0
                 if deadline is None
@@ -217,25 +188,16 @@ class ServiceJobHandle:
             )
             if remaining < 0:
                 return False
-            if self._poll(max(0.0, remaining)):
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
+            resp = self._client._request(
+                ("result", self.job_id, remaining), timeout=remaining + 60.0
+            )
+            if resp[0] == "ok":
+                info = resp[2] if len(resp) > 2 else {}
+                self.replanned_k = info.get("replanned_k")
+                self.attempts = info.get("attempts")
+                self._settle(None, resp[1])
+            elif resp[0] == "failed":
+                self._settle(_rebuild_failure(*resp[1:]), kind=resp[1])
+            elif deadline is not None and time.monotonic() >= deadline:
                 return False
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        if not self.wait(timeout):
-            raise TimeoutError(
-                f"service job {self.job_id} not done within {timeout}s"
-            )
-        if self._error is not None:
-            raise self._error
-        return self._outcome
-
-    def exception(
-        self, timeout: Optional[float] = None
-    ) -> Optional[BaseException]:
-        if not self.wait(timeout):
-            raise TimeoutError(
-                f"service job {self.job_id} not done within {timeout}s"
-            )
-        return self._error
+        return True

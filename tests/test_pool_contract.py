@@ -1,11 +1,11 @@
 """The worker-pool contract, once, for every way a job reaches workers.
 
 Four lanes run the same assertions: ``inproc://``, ``proc://`` and
-``tcp://`` behind a :class:`Session` (the shared
-:class:`~repro.runtime.pool.WorkerPool` reactor stepped inline, over the
-thread, fork and TCP transports), and the sort service (the same reactor
-on its own thread, never re-forming, jobs on a 3-worker subset of a
-5-worker mesh).
+``tcp://`` behind a :class:`Session` (the one job queue, FIFO, over the
+shared :class:`~repro.runtime.pool.WorkerPool` reactor and the thread,
+fork and TCP transports), and the sort service (the same queue under
+fair share, never re-forming, jobs on a 3-worker subset of a 5-worker
+mesh).
 
 The contract:
 
@@ -134,27 +134,19 @@ class _Lane:
 
     def __init__(self, name, submit, pool, pid_of, backend):
         self.name = name
-        self.submit = submit  # spec -> handle (JobHandle or ServiceJob)
+        self.submit = submit  # spec -> JobHandle
         self.pool = pool  # () -> the live pool object
         self.pid_of = pid_of  # rank -> worker pid
         self.backend = backend  # name the pool stamps on failures
 
     def outcome(self, handle, timeout=60.0):
         """``(result, error, attempts)`` of a finished job."""
-        if hasattr(handle, "exception"):  # Session JobHandle
-            assert handle.wait(timeout), "session job never finished"
-            try:
-                return handle.result(), None, handle.attempts
-            except RuntimeError as error:
-                assert handle.exception() is error  # both faces agree
-                return None, error, handle.attempts
-        assert handle.done.wait(timeout), "service job never finished"
-        failed = handle.state == "failed"
-        return (
-            handle.result,
-            handle.attempts[-1].error if failed else None,
-            handle.attempts,
-        )
+        assert handle.wait(timeout), "job never finished"
+        try:
+            return handle.result(), None, handle.attempts
+        except RuntimeError as error:
+            assert handle.exception() is error  # both faces agree
+            return None, error, handle.attempts
 
     def run(self, spec):
         return self.outcome(self.submit(spec))
@@ -260,7 +252,7 @@ def test_program_error_is_runtime_error_never_retried(name, no_plan):
         assert isinstance(error, RuntimeError)
         assert not isinstance(error, WorkerFailure)
         assert "intentional map failure" in str(error)
-        assert len(attempts) <= 1  # a Session records none for these
+        assert len(attempts) == 1  # the one attempt that ran
         for handle in (before, after):
             run, error, _ = lane.outcome(handle)
             assert error is None, error

@@ -16,6 +16,7 @@ import os
 import threading
 import time
 import types
+from contextlib import contextmanager
 
 import pytest
 
@@ -93,10 +94,10 @@ class FakeTransport:
         pass
 
 
-def make_pool(size, threaded=False, reply=None, **config):
-    """A pool over ``size`` fake channels: stepped by the test itself,
-    or (``threaded``) by its own reactor thread.  ``reply`` answers
-    every job frame at dispatch (see :class:`FakeChannel`)."""
+def make_pool(size, reply=None, **config):
+    """A pool over ``size`` fake channels, formed and stepped by the
+    test itself (or by :func:`stepped`).  ``reply`` answers every job
+    frame at dispatch (see :class:`FakeChannel`)."""
     settings = dict(
         size=size, timeout=30.0, failure_timeout=30.0, heartbeat_interval=0.01
     )
@@ -105,11 +106,28 @@ def make_pool(size, threaded=False, reply=None, **config):
     pool = WorkerPool(
         transport, types.SimpleNamespace(**settings), name="FakePool"
     )
-    if threaded:
-        pool.start()
-    else:
-        pool._form()
+    pool._form()
     return pool, transport.chans
+
+
+@contextmanager
+def stepped(pool):
+    """Step ``pool`` on a thread of its own until the block exits — the
+    shape of a job queue's driver, without the queue."""
+    stop = threading.Event()
+
+    def loop():
+        while not stop.is_set():
+            pool._step(pool._POLL)
+
+    thread = threading.Thread(target=loop, daemon=True, name="pool-stepper")
+    thread.start()
+    try:
+        yield thread
+    finally:
+        stop.set()
+        pool.wake()
+        thread.join(5.0)
 
 
 def prepared(k, speculation=None):
@@ -288,8 +306,8 @@ def test_dispatch_failure_from_another_thread_does_not_kill_the_reactor():
     ``select``.  The channel is unregistered before it is closed, under
     the lock, so the wait survives; the job fails typed and the pool
     runs the next one."""
-    pool, chans = make_pool(3, threaded=True)
-    with pool:
+    pool, chans = make_pool(3)
+    with pool, stepped(pool) as reactor:
         time.sleep(0.02)  # let the reactor park in select
         chans[0].fail_sends = True
         job = pool.submit([0, 1], prepared(2))
@@ -300,7 +318,7 @@ def test_dispatch_failure_from_another_thread_does_not_kill_the_reactor():
         assert isinstance(job.error, WorkerFailure)
         assert job.error.rank == 0
         assert "dispatch" in str(job.error)
-        assert pool._reactor.is_alive()
+        assert reactor.is_alive()
         assert pool.live_workers() == 2
 
         nxt = pool.submit([1, 2], prepared(2))
@@ -318,8 +336,8 @@ def test_channel_closed_behind_the_reactors_back_fails_typed_not_fatal():
     descriptor: -1`` and took the reactor thread with it).  The member
     is declared dead by liveness, naming its rank, and the next job
     runs."""
-    pool, chans = make_pool(3, threaded=True, failure_timeout=0.05)
-    with pool:
+    pool, chans = make_pool(3, failure_timeout=0.05)
+    with pool, stepped(pool) as reactor:
         job = pool.submit([1, 2], prepared(2))
         chans[1].feed(ok(1, job.seq))
         time.sleep(0.02)  # the reactor is parked in select on all three
@@ -330,7 +348,7 @@ def test_channel_closed_behind_the_reactors_back_fails_typed_not_fatal():
         assert isinstance(job.error, WorkerFailure)
         assert job.error.rank == 1  # logical rank of global member 2
         assert "heartbeat" in str(job.error)
-        assert pool._reactor.is_alive()
+        assert reactor.is_alive()
 
         nxt = pool.submit([0, 1], prepared(2))
         chans[0].feed(ok(0, nxt.seq))
