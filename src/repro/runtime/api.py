@@ -12,9 +12,11 @@ the pipelined shuffle engine is built on:
 * ``bcast`` / ``ibcast`` — application-layer multicast within an explicit
   member group (``MPI_Bcast`` / ``MPI_Ibcast`` on a communicator built by
   ``MPI_Comm_split``); supports a *linear* root-sends-to-all mode and a
-  *binomial tree* mode matching Open MPI's broadcast algorithm — the tree
-  is what gives the logarithmic multicast penalty the paper measures
-  (§V-C);
+  forwarding *tree* mode (:class:`MulticastMode`).  Under TREE,
+  ``ibcast`` runs the binomial tree of Open MPI's broadcast algorithm —
+  the logarithmic multicast penalty the paper measures (§V-C), which the
+  closed-form model keeps — and the blocking ``bcast`` a root-relative
+  chain, so the root sends one copy and each member forwards at most one;
 * ``barrier`` — full synchronization, used between the serial turns of the
   Fig. 9 schedules.
 
@@ -24,7 +26,7 @@ asynchronous sender and returns immediately; ``irecv`` and a receiving
 arrive (``test`` never blocks, ``wait`` blocks for the remainder); no
 receive starts a thread.  A receiving ``ibcast`` at an *interior* TREE
 node hands its arena view to the same asynchronous sender, for its
-children, the moment it lands; :meth:`Comm.wait_any` names the posted
+tree children, the moment it lands; :meth:`Comm.wait_any` names the posted
 receives that have a frame, so a program can sleep until any one does.
 Requests must eventually be waited (or tested to completion): an abandoned
 receive strands its message, and an interior one nobody drives stalls its
@@ -58,10 +60,11 @@ The data plane is buffer-protocol end-to-end (zero-copy):
 Traffic accounting distinguishes *logical* transfers (one record per
 unicast or multicast — the paper's load convention) from *physical* hops:
 with ``record_relays=True`` every per-link hop a broadcast takes (root to
-member in LINEAR mode; every parent-to-child edge in TREE mode, including
-the root's own sends) is additionally logged with kind ``"relay"``, so the
-two multicast modes can be compared byte-for-byte per link.  Relay records
-are excluded from the default load/wire summaries.
+member in LINEAR mode; every parent-to-child edge of the tree or chain in
+TREE mode, including the root's own sends) is additionally logged with
+kind ``"relay"``, so the two multicast modes can be compared byte-for-byte
+per link.  Relay records are excluded from the default load/wire
+summaries.
 
 :class:`Comm` is the one communicator, concrete: a pool worker builds one
 per job over its mesh endpoint (:class:`~repro.runtime.process.MeshEndpoint`:
@@ -191,8 +194,19 @@ class MulticastMode(enum.Enum):
 
     LINEAR: root unicasts to each member in turn — the naive application-
         layer multicast; wall time at the root scales with group size.
-    TREE: binomial tree as in Open MPI's ``MPI_Bcast`` — wall time scales
-        with ``log2(group size)`` rounds, the behaviour the paper observes.
+    TREE: members forward what they receive, and each non-root receives
+        exactly once, so the bytes on the wire equal LINEAR's.  The shape
+        depends on the call.  ``ibcast`` runs the binomial tree of Open
+        MPI's ``MPI_Bcast``: ``log2(group size)`` rounds on the critical
+        path, the logarithmic penalty the paper measures and the
+        closed-form model keeps.  The event loop already keeps every
+        worker's egress busy with its own packets, so there the shorter
+        critical path is what counts.  The blocking ``bcast`` (only the
+        serial Fig. 9(b) walk calls it, one multicast in flight
+        cluster-wide) runs a root-relative chain instead: the root sends
+        one copy and every other member forwards at most one, so a
+        sender's back-to-back turns do not pile ``log2`` copies onto its
+        own paced link.
     """
 
     LINEAR = "linear"
@@ -666,6 +680,12 @@ class Comm:
     ) -> BufferParts:
         """Multicast within ``members``; every member must call this.
 
+        All members of one broadcast must call ``bcast`` (not mix it with
+        :meth:`ibcast`): under TREE the two forward along different
+        shapes — this one along the root-relative chain (see
+        :class:`MulticastMode`), each member receiving from its
+        predecessor and forwarding to its successor.
+
         Args:
             members: group ranks; must contain both ``root`` and ``self.rank``
                 and hold no duplicates.  All members must pass the same group
@@ -687,7 +707,8 @@ class Comm:
             return payload
         inner_tag = _BCAST_NS | self._user_tag(tag)
         return self._bcast(
-            *self._links(group, root), inner_tag, payload, self.stage, copy
+            *self._links(group, root, self._chain_links),
+            inner_tag, payload, self.stage, copy,
         )
 
     def ibcast(
@@ -700,20 +721,23 @@ class Comm:
     ) -> Request:
         """Non-blocking multicast; ``wait()`` returns the payload everywhere.
 
-        The root's sends run on the endpoint's async sender.  Every
-        receiver gets a threadless lazy request; a TREE interior one,
-        driven (``test`` / ``wait``) onto its landed packet, also hands it
-        to the async sender for its children — ``forward`` is that send,
-        to be waited like any other.  At most one in-flight broadcast may
-        use a given ``(group, tag)`` pair at a time (same as ``bcast``);
-        drive a request only from the thread that posted it.
+        All members of one broadcast must call ``ibcast`` (not mix it
+        with :meth:`bcast`): under TREE this one forwards along the
+        binomial tree (see :class:`MulticastMode`).  The root's sends run
+        on the endpoint's async sender.  Every receiver gets a threadless
+        lazy request; a TREE interior one, driven (``test`` / ``wait``)
+        onto its landed packet, also hands it to the async sender for its
+        children — ``forward`` is that send, to be waited like any other.
+        At most one in-flight broadcast may use a given ``(group, tag)``
+        pair at a time (same as ``bcast``); drive a request only from the
+        thread that posted it.
         """
         group = self._bcast_preflight(members, root, tag, payload)
         if len(group) == 1:
             return _CompletedRequest(payload)
         inner_tag = _BCAST_NS | self._user_tag(tag)
         stage = self.stage
-        parent, children = self._links(group, root)
+        parent, children = self._links(group, root, self._tree_links)
         if parent is not None:
             return _RecvRequest(self, parent, inner_tag, copy, children, stage)
         return self._post(
@@ -828,13 +852,19 @@ class Comm:
             self.traffic.record(stage, "relay", self.rank, (dst,), nbytes)
 
     def _links(
-        self, group: Tuple[int, ...], root: int
+        self,
+        group: Tuple[int, ...],
+        root: int,
+        shape: Callable[
+            [Tuple[int, ...], int, int], Tuple[Optional[int], List[int]]
+        ],
     ) -> Tuple[Optional[int], Sequence[int]]:
         """This rank's parent and children in a broadcast from ``root``:
-        the binomial tree's, or (LINEAR) the star's — the root sends to
-        every member in turn."""
+        under TREE, ``shape``'s — the caller's, :meth:`_chain_links` for
+        the blocking ``bcast`` and :meth:`_tree_links` for ``ibcast`` —
+        or (LINEAR) the star's: the root sends to every member in turn."""
         if self.multicast_mode is MulticastMode.TREE:
-            return self._tree_links(group, root, self.rank)
+            return shape(group, root, self.rank)
         if self.rank == root:
             return None, [m for m in group if m != root]
         return root, ()
@@ -871,6 +901,24 @@ class Comm:
             mask >>= 1
         return parent, children
 
+    @staticmethod
+    def _chain_links(
+        group: Tuple[int, ...], root: int, rank: int
+    ) -> Tuple[Optional[int], List[int]]:
+        """``rank``'s predecessor and successor on the root-relative chain.
+
+        Members are renumbered relative to the root, as in
+        :meth:`_tree_links`; relative index ``i`` receives from ``i - 1``
+        and forwards to ``i + 1``.  The root has no parent, the last
+        member no child.
+        """
+        g = len(group)
+        root_idx = group.index(root)
+        rel = (group.index(rank) - root_idx) % g
+        parent = None if rel == 0 else group[(root_idx + rel - 1) % g]
+        children = [group[(root_idx + rel + 1) % g]] if rel + 1 < g else []
+        return parent, children
+
     def _forward(
         self, children: Sequence[int], tag: int, data: BufferParts, stage: str
     ) -> None:
@@ -891,11 +939,13 @@ class Comm:
     ) -> BufferParts:
         """One node's blocking share of a broadcast over its :meth:`_links`.
 
-        On the binomial tree (MPICH/Open MPI algorithm) every non-root
-        receives exactly once, so wire bytes equal the linear mode; only
-        the critical path shortens to ``ceil(log2(g))`` rounds.  Interior
-        nodes forward their received arena view to children without
-        copying, regardless of ``copy``.
+        The blocking ``bcast`` runs it on the chain (TREE) or the star
+        (LINEAR); ``ibcast``'s root runs it, on the async sender, to send
+        to its binomial-tree children.  Every non-root receives exactly
+        once under any shape, so wire bytes equal the linear mode's; the
+        shape only moves which links carry the copies.  Interior nodes
+        forward their received arena view to children without copying,
+        regardless of ``copy``.
         """
         data = payload
         if parent is not None:

@@ -34,7 +34,7 @@ class WorkerFailure(CommError):
     :class:`~repro.session.Session` and the sort service re-submits a
     job that raised ``WorkerFailure`` (up to ``max_retries``),
     because job specs are deterministic descriptors and a re-run produces
-    byte-identical output.
+    byte-identical output — except a :class:`JobDeadlineExpired`.
     """
 
     def __init__(self, rank: int, stage: str, cause: str) -> None:
@@ -46,13 +46,24 @@ class WorkerFailure(CommError):
         self.cause = cause
 
 
+class JobDeadlineExpired(WorkerFailure):
+    """The pool's whole-job deadline passed with members still pending.
+
+    ``rank`` is ``-1``: no one worker is to blame.  Every caller that
+    catches a :class:`WorkerFailure` still catches it, but the job queue
+    does not retry it: a job that outran its deadline will most likely
+    outrun it again, and each retry would cost another full timeout.
+    """
+
+
 class RuntimeTimeoutError(CommError):
     """A worker's bounded wait expired (a receive or request timeout).
 
     Raised inside a job's program only: as a :class:`CommError` it
     reaches the driver as that worker's comm failure, i.e. as a
     :class:`WorkerFailure` — which a job queue retries like any other.
-    The pool's whole-job deadline is a ``WorkerFailure(rank=-1)`` too.
+    The pool's whole-job deadline is a :class:`JobDeadlineExpired`, which
+    is not retried.
 
     Attributes:
         peer: the remote rank being waited on, or ``None``.
@@ -77,6 +88,7 @@ def job_failure(
     backend: str,
     program_errors: Sequence[str],
     infra_failures: Sequence[Tuple[int, str, str]],
+    expired: bool = False,
 ) -> RuntimeError:
     """Classify a pool job's collected failures into one exception.
 
@@ -86,8 +98,9 @@ def job_failure(
     even though the crash's EOF cascade usually adds comm failures from
     every surviving worker.  Pure infrastructure failures produce a
     :class:`WorkerFailure` attributed to the first failing rank (the
-    retryable class).  Every collected failure line is kept in the
-    message either way.
+    retryable class), or a :class:`JobDeadlineExpired` when ``expired``
+    (the first failure is the pool's deadline).  Every collected failure
+    line is kept in the message either way.
     """
     lines: List[str] = list(program_errors)
     lines += [
@@ -98,6 +111,8 @@ def job_failure(
     if program_errors or not infra_failures:
         return RuntimeError(message)
     rank, stage, cause = infra_failures[0]
-    failure = WorkerFailure(rank, stage, cause)
+    failure = (JobDeadlineExpired if expired else WorkerFailure)(
+        rank, stage, cause
+    )
     failure.args = (message,)
     return failure

@@ -131,6 +131,7 @@ class SubsetJob:
         self.program_errors: List[str] = []
         self.infra_failures: List[Tuple[int, str, str]] = []
         self.deaths = 0  # members dead mid-job: infra_failures[:deaths]
+        self.expired = False  # failed by the whole-job deadline
         self.pending: Set[int] = set(members)  # global ranks yet to report
         self.error: Optional[BaseException] = None
         self.cluster_result: Optional[ClusterResult] = None
@@ -606,6 +607,7 @@ class WorkerPool:
                     self._send_ctl(job, ("speculate", straggler, backup))
                 if job.pending and now >= job.deadline:
                     if not job.failed:
+                        job.expired = True
                         job.infra_failures.append((
                             -1,
                             "unknown",
@@ -628,7 +630,8 @@ class WorkerPool:
         # their abort/timeout report arrives and frees them in _handle.
         if job.failed:
             job.error = job_failure(
-                self.name, job.program_errors, job.infra_failures
+                self.name, job.program_errors, job.infra_failures,
+                job.expired,
             )
         else:
             job.cluster_result = assemble_cluster_result(

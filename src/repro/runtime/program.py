@@ -14,13 +14,18 @@ The coded programs' Encode / Shuffle / Decode block has two engines, and
 * :func:`serial_multicast_shuffle` — the paper's Fig. 9(b) execution, kept
   as the named reproduction the tables measure: one ``(group, sender)``
   turn at a time behind a cluster barrier, Encode fully preceding Shuffle
-  preceding Decode.
+  preceding Decode.  Its multicasts are blocking ``bcast`` calls, which
+  under TREE forward along a root-relative chain: with one multicast in
+  flight cluster-wide, the turn's root sends one copy and the members
+  forward the rest, so no link carries more than one copy a turn.
 * :func:`streaming_multicast_shuffle` — one non-blocking event loop (the
   §VI "asynchronous execution" future work made concrete), the default:
   it posts every receive up front via ``ibcast``, encodes and multicasts
   each group as soon as the send gate opens it, and from then on is
-  driven by arrivals — a landed packet is relayed to this rank's tree
-  children, a complete group decoded, and the idle loop sleeps until
+  driven by arrivals — a landed packet is relayed to this rank's
+  binomial-tree children (every worker's egress is already busy with its
+  own packets, so the tree's shorter critical path is what counts here),
+  a complete group decoded, and the idle loop sleeps until
   *any* receive has a frame.  With the map already done the gate is open from
   the start and the loop is the barrier-free ``schedule="parallel"``
   execution; handed a ``map_step`` and a ``ready`` predicate it also
@@ -428,6 +433,12 @@ def serial_multicast_shuffle(
     turn hands the fabric from turn to turn, so no two multicasts ever
     overlap — the serialized regime whose wall-clock the paper's tables
     report.  Callers wrap this in their ``shuffle`` stage.
+
+    Each turn is one blocking ``bcast``.  Under TREE it runs on the
+    root-relative chain, so the sender sends one copy and each other
+    member forwards at most one.  On a binomial tree the sender would send
+    ``ceil(log2(r + 1))`` copies a turn, and a sender's back-to-back turns
+    would pile them onto its own paced link.
 
     Returns:
         ``group_idx -> {sender: raw packet}`` for every inbound packet.

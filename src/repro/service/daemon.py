@@ -97,6 +97,8 @@ class SortService(JobQueue):
         self._jobs: Dict[int, JobHandle] = {}
         self._next_job_id = 1
         self._accept: Optional[threading.Thread] = None
+        #: Live per-request threads and their connections.
+        self._conns: Dict[threading.Thread, socket.socket] = {}
         host, port = parse_address(control)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -151,12 +153,26 @@ class SortService(JobQueue):
         with self._lock:
             for handle in self._jobs.values():
                 if not handle.done():
-                    self._stats.finished(handle.tenant, ok=False)
+                    self._stats.finished(
+                        handle.tenant, ok=False,
+                        queued=handle.state == "queued",
+                    )
                     handle._settle(
                         RuntimeError("service shut down"), kind="shutdown"
                     )
         if self._accept is not None:
             self._accept.join(timeout=10.0)
+        # Every long-poll has its answer now; a request thread still
+        # reading an idle client's request is woken by the shutdown.
+        with self._lock:
+            conns = dict(self._conns)
+        deadline = time.monotonic() + 10.0
+        for thread, conn in conns.items():
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its thread
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     # -- stats / status -----------------------------------------------------
 
@@ -270,6 +286,8 @@ class SortService(JobQueue):
                 target=self._serve_conn, args=(conn,), daemon=True,
                 name="service-conn",
             )
+            with self._lock:
+                self._conns[t] = conn
             t.start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
@@ -297,6 +315,8 @@ class SortService(JobQueue):
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
+            with self._lock:
+                self._conns.pop(threading.current_thread(), None)
         if req is not None and req and req[0] == "shutdown":
             self.close()
 

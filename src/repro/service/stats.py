@@ -121,11 +121,17 @@ class StatsRecorder:
             t.jobs_queued += 1
 
     def finished(
-        self, tenant: str, ok: bool, bytes_sorted: int = 0
+        self, tenant: str, ok: bool, bytes_sorted: int = 0,
+        queued: bool = False,
     ) -> None:
+        """A job ended: a running one, or (``queued``) one that ended
+        waiting in the queue or out a retry's backoff."""
         with self._lock:
             t = self._tenant(tenant)
-            t.jobs_running -= 1
+            if queued:
+                t.jobs_queued -= 1
+            else:
+                t.jobs_running -= 1
             if ok:
                 t.jobs_done += 1
                 t.bytes_sorted += bytes_sorted

@@ -60,7 +60,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.core.cmr import MapReduceSpec
 from repro.core.coded_terasort import CodedTeraSortSpec
 from repro.core.terasort import TeraSortSpec
-from repro.runtime.errors import WorkerFailure
+from repro.runtime.errors import JobDeadlineExpired, WorkerFailure
 from repro.runtime.pool import SubsetJob
 from repro.runtime.program import ClusterResult, JobSpec, PreparedJob
 
@@ -286,7 +286,8 @@ class JobQueue:
     :class:`~repro.runtime.errors.WorkerFailure` within ``max_retries``
     — holds the job back for :func:`retry_delay` (a not-before time the
     step's wait honours) and hands it to the policy again, or fails the
-    handle.  A program error is never retried.
+    handle.  A program error is never retried, nor is the pool's
+    whole-job deadline (:class:`~repro.runtime.errors.JobDeadlineExpired`).
 
     A subclass is the policy: :meth:`_pick` chooses the next job and its
     workers, :meth:`_readmit` takes a retry back, :meth:`_attempt_ended`
@@ -424,6 +425,7 @@ class JobQueue:
                 error = exc
         retry = (
             isinstance(error, WorkerFailure)
+            and not isinstance(error, JobDeadlineExpired)
             and len(handle.attempts) < self._max_retries
             and (
                 self._reform
@@ -471,12 +473,13 @@ class Session(JobQueue):
             carries configuration; the session owns the actual pool.
         max_retries: how many times a job that failed to *infrastructure*
             (a typed :class:`~repro.runtime.errors.WorkerFailure`: worker
-            crash, silent worker past the failure timeout, comm cascade,
-            the job deadline) is automatically re-submitted.  The pool
-            re-forms between attempts (new threads, re-fork, or worker
-            re-join on TCP) and re-runs produce byte-identical output
-            because job specs are deterministic descriptors.  Program
-            errors — the job's own code raising — are never retried.
+            crash, silent worker past the failure timeout, comm cascade)
+            is automatically re-submitted.  The pool re-forms between
+            attempts (new threads, re-fork, or worker re-join on TCP) and
+            re-runs produce byte-identical output because job specs are
+            deterministic descriptors.  Program errors — the job's own
+            code raising — and the pool's whole-job deadline are never
+            retried.
             Default 0: a failure fails the handle.
         retry_backoff: base seconds waited before re-submitting; attempt
             ``n`` waits ``retry_backoff * 2**(n-1)`` (bounded exponential

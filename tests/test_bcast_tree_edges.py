@@ -1,9 +1,11 @@
-"""Binomial-tree broadcast edge cases and per-link relay accounting.
+"""TREE broadcast edge cases, shapes and per-link relay accounting.
 
-Covers the satellite requirements: group sizes 1-8 with every member as
-root (payload equality, exactly one physical receive per non-root), and
-byte-for-byte comparison of TREE vs LINEAR multicast via ``"relay"``
-traffic records.
+Covers group sizes 1-8 with every member as root (payload equality,
+exactly one physical receive per non-root); the two TREE shapes read off
+the ``"relay"`` link records — the blocking ``bcast`` is a root-relative
+chain, ``ibcast`` the binomial tree; the serial Fig. 9(b) walk on the
+chain against LINEAR and the event loop; and byte-for-byte comparison of
+TREE vs LINEAR multicast.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.api import MulticastMode
+import repro
+from repro.core.coded_terasort import CodedTeraSortSpec
+from repro.kvpairs.teragen import teragen
+from repro.runtime.api import Comm, MulticastMode
 from repro.runtime.inproc import ThreadCluster
 from repro.runtime.program import NodeProgram
 from repro.runtime.traffic import TrafficLog
@@ -37,9 +42,23 @@ class _OneBcast(NodeProgram):
             return self.comm.bcast(self.group, self.root, 3, payload)
 
 
-def _run_one_bcast(size, group, root, payload, mode):
+class _OneIbcast(_OneBcast):
+    """The same broadcast, non-blocking; relays are waited too."""
+
+    def run(self):
+        with self.stage("talk"):
+            payload = self.payload if self.rank == self.root else None
+            req = self.comm.ibcast(self.group, self.root, 3, payload)
+            got = req.wait()
+            forward = getattr(req, "forward", None)
+            if forward is not None:
+                forward.wait()
+            return got
+
+
+def _run_one_bcast(size, group, root, payload, mode, program=_OneBcast):
     def factory(comm):
-        return _OneBcast(comm, group, root, payload)
+        return program(comm, group, root, payload)
 
     cluster = ThreadCluster(
         size, multicast_mode=mode, recv_timeout=20, record_relays=True
@@ -92,6 +111,70 @@ class TestTreeBcastEdgeCases:
         assert reached == set(group)
 
 
+def _links(traffic):
+    """The ``(src, dst)`` hops of the relay records, in any order."""
+    return sorted((rec.src, rec.dsts[0]) for rec in traffic.relay_records())
+
+
+class TestTreeShapes:
+    @pytest.mark.parametrize("size", list(range(2, 9)))
+    def test_blocking_bcast_is_a_root_relative_chain(self, size):
+        """The root sends one copy; every other member receives once,
+        from its predecessor counting up from the root."""
+        group = tuple(range(size))
+        for root in group:
+            res = _run_one_bcast(
+                size, group, root, b"chain", MulticastMode.TREE
+            )
+            links = _links(res.traffic)
+            assert [src for src, _dst in links].count(root) == 1
+            chain = [(root + i) % size for i in range(size)]
+            assert links == sorted(zip(chain, chain[1:]))
+
+    @pytest.mark.parametrize("size", list(range(2, 9)))
+    def test_ibcast_stays_binomial(self, size):
+        group = tuple(range(size))
+        for root in group:
+            res = _run_one_bcast(
+                size, group, root, b"tree", MulticastMode.TREE, _OneIbcast
+            )
+            assert all(got == b"tree" for got in res.results)
+            tree = [
+                (m, child)
+                for m in group
+                for child in Comm._tree_links(group, root, m)[1]
+            ]
+            assert _links(res.traffic) == sorted(tree)
+
+
+def test_serial_walk_on_the_chain_is_byte_identical():
+    """The Fig. 9(b) walk (the one caller of the blocking ``bcast``) on
+    the TREE chain gives LINEAR's and the event loop's partitions, over
+    the same logical and physical traffic."""
+    data = teragen(6000, seed=11)
+
+    def run(mode, schedule):
+        cluster = ThreadCluster(
+            6, multicast_mode=mode, recv_timeout=60, record_relays=True
+        )
+        return repro.run(
+            cluster, CodedTeraSortSpec(data, 3, schedule=schedule)
+        )
+
+    chain = run(MulticastMode.TREE, "serial")
+    outputs = [p.to_bytes() for p in chain.partitions]
+    for mode, schedule in (
+        (MulticastMode.LINEAR, "serial"),
+        (MulticastMode.TREE, "parallel"),
+    ):
+        other = run(mode, schedule)
+        assert [p.to_bytes() for p in other.partitions] == outputs
+        for count in ("message_count", "load_bytes", "wire_bytes",
+                      "relay_bytes"):
+            assert (getattr(other.traffic, count)()
+                    == getattr(chain.traffic, count)())
+
+
 class TestRelayAccounting:
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
     def test_tree_and_linear_match_byte_for_byte(self, size):
@@ -113,8 +196,8 @@ class TestRelayAccounting:
         tree_links = tree.link_bytes()
         assert sum(lin_links.values()) == sum(tree_links.values())
         assert all(src == 0 for src, _dst in lin_links)
-        # A binomial tree over g <= 3 members is root-sends-to-all; interior
-        # forwarding nodes appear from g = 4 on.
+        # The blocking bcast under TREE is a chain: interior forwarding
+        # nodes appear from g = 3 on (on the binomial tree, from g = 4).
         if size > 3:
             assert any(src != 0 for src, _dst in tree_links)
 

@@ -1,4 +1,4 @@
-"""Closing the one job queue while a job waits out a retry's backoff.
+"""The one job queue's retry rule, and closing it inside a backoff.
 
 Both entry points hold a retry back for ``retry_delay`` after a typed
 ``WorkerFailure``; what ``close()`` does inside that backoff is each
@@ -8,7 +8,11 @@ entry point's own promise:
   ran, and the handle holds the byte-identical result and both attempts;
 * the sort service abandons — ``close()`` settles the handle
   ``failed`` / ``shutdown`` at once, no retry reaches the closed pool,
-  and no ``pool-`` / ``service-`` thread outlives it.
+  its stats count the job failed and no longer queued, and no
+  ``pool-`` / ``service-`` thread outlives it.
+
+The pool's whole-job deadline is a ``WorkerFailure`` too, but one the
+queue never retries.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import pytest
 
 import repro
 from repro.kvpairs.teragen import teragen
-from repro.runtime.errors import WorkerFailure
+from repro.runtime.errors import JobDeadlineExpired, WorkerFailure
 from repro.runtime.inproc import ThreadCluster
+from repro.runtime.process import ProcessCluster
 from repro.runtime.tcp import TcpCluster, run_worker
 from repro.service import SortService
 from repro.session import Session, TeraSortSpec
@@ -112,7 +117,9 @@ def test_service_close_in_backoff_settles_shutdown_and_never_retries(
                 handle.result()
             time.sleep(BACKOFF)  # past the retry's not-before time
             assert len(handle.attempts) == 1  # no retry fired
-            assert service.stats().jobs_failed == 1
+            stats = service.stats()
+            assert (stats.jobs_queued, stats.jobs_running) == (0, 0)
+            assert stats.jobs_failed == 1
             lingering = [
                 t.name for t in threading.enumerate()
                 if t.name.startswith(("service-", "pool-")) and t.is_alive()
@@ -124,3 +131,16 @@ def test_service_close_in_backoff_settles_shutdown_and_never_retries(
                 if p.is_alive():
                     p.kill()
                     p.join()
+
+
+def test_a_job_past_the_pool_deadline_is_not_retried(monkeypatch):
+    # Rank 0 sleeps well past the pool's 1 s whole-job deadline.
+    monkeypatch.setenv(ENV_VAR, "stage.delay,rank=0,stage=map,secs=2.5")
+    with Session(
+        ProcessCluster(2, timeout=1.0), max_retries=2, retry_backoff=0.0
+    ) as session:
+        handle = session.submit(TeraSortSpec(data=teragen(400, seed=73)))
+        error = handle.exception(timeout=60)
+    assert isinstance(error, JobDeadlineExpired) and error.rank == -1
+    assert "timed out" in str(error)
+    assert len(handle.attempts) == 1

@@ -321,6 +321,40 @@ def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
             _reap(procs)
 
 
+def test_close_wakes_the_request_thread_of_an_idle_client(no_plan):
+    """A client that connected and never sent its request holds a
+    ``service-conn`` thread in a read bounded only by the request
+    timeout; ``close()`` wakes and joins it rather than leaving it."""
+    with TcpCluster(
+        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    ) as cluster:
+        procs = _spawn_workers(cluster.address, 2)
+        try:
+            service = SortService(cluster)
+            service.start()
+            idle = socket.create_connection(
+                parse_address(service.control_address)
+            )
+            try:
+                deadline = time.monotonic() + 10.0
+                while not any(
+                    t.name == "service-conn" for t in threading.enumerate()
+                ):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                started = time.monotonic()
+                service.close()
+                assert time.monotonic() - started < 1.0
+                assert not [
+                    t.name for t in threading.enumerate()
+                    if t.name.startswith("service-") and t.is_alive()
+                ]
+            finally:
+                idle.close()
+        finally:
+            _reap(procs)
+
+
 def test_hostile_control_frames_are_dropped_and_the_daemon_serves_on(
     no_plan, out_of_band
 ):
