@@ -394,13 +394,26 @@ class CodedTeraSortProgram(NodeProgram):
         """The designated-sender unicast walk (Fig. 1(a); Fig. 9(a) at
         ``r = 1``).  Every node walks every ``r``-subset ``S`` in lex
         order; ``S``'s first member unicasts ``send(S, t)`` to each
-        ``t ∉ S``, ascending, and ``t`` hands the arena view to
-        ``receive(S, raw)`` before the next turn."""
-        rank, comm = self.rank, self.comm
+        ``t ∉ S`` in ring order — ``(min(S) + i) % K`` for
+        ``i = 1 … K-1`` — and ``t`` hands the arena view to
+        ``receive(S, raw)`` before the next turn.
+
+        A turn starts as soon as its sender has heard from every earlier
+        sender, so the ring order puts the next sender first: at
+        ``r = 1`` rank ``k`` starts after ``k`` message times and the
+        walk's critical path is ``2(K-1)`` messages, against
+        ``K(K-1)/2 + K-1`` when each sender serves its targets
+        ascending (rank ``k`` is then rank ``k-1``'s ``k``-th target).
+        No target order does better inside this walk: every rank hears
+        from rank 0 before its own turn, so the rank that rank 0 serves
+        last cannot start before ``K-1`` message times, and then sends
+        ``K-1`` of its own."""
+        rank, comm, size = self.rank, self.comm, self.size
         with self.stage("shuffle"):
-            for subset in k_subsets(self.size, self.spec.redundancy):
+            for subset in k_subsets(size, self.spec.redundancy):
                 sender = min(subset)
-                for target in range(self.size):
+                for step in range(1, size):
+                    target = (sender + step) % size
                     if target in subset:
                         continue
                     if rank == sender:

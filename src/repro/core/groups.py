@@ -282,13 +282,17 @@ def unicast_round_schedule(num_nodes: int) -> List[List[Tuple[int, int]]]:
     """Conflict-free rounds for TeraSort's all-to-all unicast exchange.
 
     The serial schedule of Fig. 9(a) sends the ``K (K-1)`` unicasts one at
-    a time.  Under half-duplex NICs (a transfer occupies both endpoints),
-    the optimal parallel exchange follows a 1-factorization of the complete
-    graph ``K_n`` (the circle method): ``K-1`` perfect matchings for even
-    ``K`` (``K`` near-perfect ones for odd), each played in two half-duplex
-    sub-rounds — once per direction.  Every ordered pair appears exactly
-    once, and each sub-round's transfers are pairwise node-disjoint, so the
-    shuffle shortens by ``~K/2``.
+    a time — that is the closed-form model's Fig. 9(a).  The live walk
+    (:meth:`~repro.core.coded_terasort.CodedTeraSortProgram._turn_walk`)
+    starts a turn as soon as its sender has heard from every earlier
+    sender, each sender serving its targets in ring order, so turns
+    overlap there.  Under half-duplex NICs (a transfer occupies both
+    endpoints), the optimal parallel exchange follows a 1-factorization
+    of the complete graph ``K_n`` (the circle method): ``K-1`` perfect
+    matchings for even ``K`` (``K`` near-perfect ones for odd), each
+    played in two half-duplex sub-rounds — once per direction.  Every
+    ordered pair appears exactly once, and each sub-round's transfers are
+    pairwise node-disjoint, so the shuffle shortens by ``~K/2``.
 
     Returns:
         Rounds of ``(src, dst)`` pairs, pairwise node-disjoint per round.

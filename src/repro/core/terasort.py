@@ -8,7 +8,9 @@ Five stages per node, exactly as the paper's implementation (§V-A):
    so a single flow carries it;
 3. **Shuffle** — serial unicast (Fig. 9(a)): senders take turns in rank
    order; during node ``j``'s turn it unicasts ``I^k_{j}`` to every other
-   node ``k`` back-to-back;
+   node ``k`` back-to-back, in ring order ``k = j+1, …, K-1, 0, …, j-1``,
+   so the next sender is served first and starts its turn while ``j``
+   still sends;
 4. **Unpack** — deserialize the ``K-1`` received buffers;
 5. **Reduce** — locally sort partition ``P_k``.
 
@@ -449,7 +451,9 @@ def _terasort_program(comm: Comm, payload: Tuple) -> TeraSortProgram:
 
 @dataclass(frozen=True)
 class TeraSortSpec(SortSpec):
-    """The uncoded baseline sort (§III): serial unicast shuffle.
+    """The uncoded baseline sort (§III): serial unicast shuffle — the
+    Fig. 9(a) turn walk, each sender serving the others in ring order
+    from itself (``j+1, …, j-1``).
 
     Input, memory plane, partitioner and ``overlap`` fields: see
     :class:`SortSpec`.

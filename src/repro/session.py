@@ -363,9 +363,11 @@ class JobQueue:
             for seq, (job, handle) in list(self._running.items()):
                 if job.done.is_set():
                     del self._running[seq]
-                    if job.error is not None and self._reform:
-                        pool.teardown()  # the next ready() re-forms
                     self._end(handle, job.error, job.cluster_result)
+                    if job.error is not None and self._reform:
+                        # After settling (a teardown waits on a stuck
+                        # worker), before the next dispatch re-forms.
+                        pool.teardown()
             with self._lock:
                 now = time.monotonic()
                 for handle in list(self._backoff):

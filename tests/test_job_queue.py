@@ -144,3 +144,23 @@ def test_a_job_past_the_pool_deadline_is_not_retried(monkeypatch):
     assert isinstance(error, JobDeadlineExpired) and error.rank == -1
     assert "timed out" in str(error)
     assert len(handle.attempts) == 1
+
+
+def test_a_failed_attempt_settles_before_the_pool_is_torn_down(monkeypatch):
+    # Rank 0 sleeps 5 s into map on the first job only; the pool's 1 s
+    # deadline fails it.  Tearing the pool down waits for that worker, so
+    # the handle must settle first, and the next job still runs clean.
+    timeout = 1.0
+    data = teragen(400, seed=74)
+    reference = _reference(data, 2)
+    monkeypatch.setenv(ENV_VAR, "stage.delay,rank=0,stage=map,secs=5,job_lt=1")
+    with Session(ProcessCluster(2, timeout=timeout)) as session:
+        started = time.monotonic()
+        handle = session.submit(TeraSortSpec(data=data))
+        error = handle.exception(timeout=60)
+        settled = time.monotonic() - started
+        assert isinstance(error, JobDeadlineExpired)
+        assert settled < timeout + 0.5, settled
+        assert handle.attempts[0].duration < timeout + 0.5
+        rerun = session.submit(TeraSortSpec(data=data)).result(timeout=60)
+    assert [p.to_bytes() for p in rerun.partitions] == reference
