@@ -18,13 +18,13 @@ from __future__ import annotations
 import argparse
 
 import repro
-from repro import CodedTeraSortSpec
+from repro import CodedTeraSortSpec, coded_comm_load
 from repro.experiments.figures import grouped_stages
 from repro.experiments.report import render_rows
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
-from repro.scalable.theory import grouped_comm_load, grouped_vs_full
+from repro.scalable.theory import grouped_vs_full
 
 
 def main() -> int:
@@ -52,7 +52,7 @@ def main() -> int:
     print("  output valid: sorted and a permutation of the input")
     load = grouped.traffic.load_bytes("shuffle") / (args.records * 100)
     print(f"  measured shuffle load {load:.4f} vs closed form "
-          f"(1/r)(1-r/g) = {grouped_comm_load(r, g):.4f}")
+          f"(1/r)(1-r/g) = {coded_comm_load(r, g):.4f}")
     full = repro.run(ThreadCluster(k), CodedTeraSortSpec(data, redundancy=r))
     print(f"  CodeGen per group: {grouped.meta['num_groups']} "
           f"multicast groups (plain coded on K={k} would need "

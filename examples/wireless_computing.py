@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import argparse
 
+from repro.core.theory import coded_comm_load
 from repro.experiments.figures import wireless_protocols
 from repro.experiments.report import render_rows
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.wireless.theory import wireless_grouped_load
 from repro.wireless.wdc import run_wireless_sort
 
 
@@ -60,7 +60,7 @@ def main() -> int:
         validate_sorted_permutation(data, out.partitions)
         print(f"\nGrouped ([24], g={g}): load "
               f"{out.shuffle_load():.4f} vs theory "
-              f"{wireless_grouped_load(r, g):.4f} — independent of K, so "
+              f"{coded_comm_load(r, g):.4f} — independent of K, so "
               "the fleet can grow without spending more air per record.")
     return 0
 

@@ -18,8 +18,9 @@ Layering (bottom-up):
 * :mod:`repro.core.cmr` — general Coded MapReduce (§II): the job API,
   its law for the coded pipeline and its spec, with ready-made jobs
   (WordCount, Grep, SelfJoin, InvertedIndex) in :mod:`repro.core.jobs`;
-* :mod:`repro.core.theory` — closed-form loads and run-time model
-  (Eqs. (2)-(5), Fig. 2).
+* :mod:`repro.core.theory` — every closed form over ``(K, r, g, D)``:
+  the loads and run-time model (Eqs. (2)-(5), Fig. 2), one job's counts
+  and per-stage volumes, and the one ``(K, r, g)`` validator.
 """
 
 from repro.core.partitioner import RangePartitioner

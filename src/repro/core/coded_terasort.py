@@ -111,6 +111,7 @@ from repro.core.outofcore import (
 )
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
+from repro.core.theory import CodedWorkload
 from repro.kvpairs.datasource import DataSource, as_source
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import StreamStore
@@ -124,7 +125,7 @@ from repro.runtime.program import (
     overlap_meta,
 )
 from repro.runtime.traffic import TrafficLog
-from repro.utils.subsets import Subset, binomial, k_subsets, without
+from repro.utils.subsets import Subset, k_subsets, without
 from repro.utils.timer import StageTimes
 
 #: Tag base for multicast shuffle; group index is added per packet.
@@ -772,7 +773,8 @@ class CodedTeraSortSpec(SortSpec):
             # enumerates; ``total_multicasts`` / ``node_groups`` are
             # cluster-wide; ``schedule_turns``: one coding group's serial
             # walk.
-            num_groups = binomial(g, r + 1)
+            work = CodedWorkload(size, r, 0, self.group_size)
+            b = self.batches_per_subset
             # The wire next to the load: an application multicast leaves
             # its sender once per receiver, so wire / load = r.
             load = result.traffic.load_bytes("shuffle")
@@ -781,15 +783,15 @@ class CodedTeraSortSpec(SortSpec):
                 "algorithm": "coded_terasort",
                 "num_nodes": size,
                 "redundancy": r,
-                "batches_per_subset": self.batches_per_subset,
+                "batches_per_subset": b,
                 "num_files": placement.num_files,
-                "files_per_node": placement.files_per_node(),
+                "files_per_node": b * work.files_per_node,
                 "group_size": g,
-                "node_groups": size // g,
-                "num_groups": num_groups,
-                "total_multicasts": size // g * num_groups * (r + 1),
+                "node_groups": work.node_groups,
+                "num_groups": work.num_groups,
+                "total_multicasts": work.total_multicasts,
                 "schedule": self.schedule,
-                "schedule_turns": num_groups * (r + 1),
+                "schedule_turns": work.total_multicasts // work.node_groups,
                 "wire_bytes": wire,
                 "wire_per_load": wire / load if load else 0.0,
                 **input_meta,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.utils.subsets import Subset, binomial, k_subsets
+from repro.core.theory import CodedWorkload, check_params
+from repro.utils.subsets import Subset, k_subsets
 
 #: Valid shuffle-schedule modes for the real execution engine.
 SCHEDULE_MODES = ("serial", "parallel")
@@ -45,20 +46,11 @@ def check_coded_params(
 
     CodedPlacement itself allows r = K (one file everywhere), but the
     coded shuffle needs multicast groups of r+1 <= g nodes (``g = K``
-    ungrouped) and coding groups that tile the cluster; rejecting before
-    any cluster work keeps the error free of job-failure wrapping.
+    ungrouped) and coding groups that tile the cluster
+    (:func:`repro.core.theory.check_params`); rejecting before any
+    cluster work keeps the error free of job-failure wrapping.
     """
-    g = size if group_size is None else group_size
-    if group_size is not None and (g < 2 or size % g != 0):
-        raise ValueError(
-            f"group_size: must be >= 2 and divide K = {size}, got {g}"
-        )
-    if not 1 <= redundancy <= g - 1:
-        bound = "K-1" if group_size is None else "g-1"
-        raise ValueError(
-            f"redundancy must be in [1, {bound}] = [1, {g - 1}], "
-            f"got {redundancy}"
-        )
+    check_params(size, redundancy, group_size)
     check_schedule(schedule)
 
 
@@ -111,8 +103,8 @@ class CodingPlan:
 
     @property
     def total_multicasts(self) -> int:
-        """``C(K, r+1) * (r+1)`` packets cross the network in total."""
-        return self.num_groups * (self.redundancy + 1)
+        """Packets crossing the network: one per turn of the schedule."""
+        return len(self.schedule)
 
     def on(self, nodes: Sequence[int]) -> "CodingPlan":
         """This plan with member ``m`` relabelled ``nodes[m]`` (ascending).
@@ -196,11 +188,7 @@ def build_coding_plan(num_nodes: int, redundancy: int) -> CodingPlan:
     Returns:
         The complete :class:`CodingPlan`.
     """
-    if not 1 <= redundancy < num_nodes:
-        raise ValueError(
-            f"redundancy must be in [1, K-1] = [1, {num_nodes - 1}], "
-            f"got {redundancy}"
-        )
+    check_params(num_nodes, redundancy)
     groups: List[Subset] = list(k_subsets(num_nodes, redundancy + 1))
     groups_of_node: Dict[int, List[int]] = {k: [] for k in range(num_nodes)}
     for idx, group in enumerate(groups):
@@ -325,7 +313,8 @@ def verify_plan(plan: CodingPlan) -> None:
         AssertionError: if any invariant fails.
     """
     k, r = plan.num_nodes, plan.redundancy
-    if len(plan.groups) != binomial(k, r + 1):
+    work = CodedWorkload(k, r, 0)
+    if len(plan.groups) != work.num_groups:
         raise AssertionError("wrong number of multicast groups")
     seen = set()
     for group in plan.groups:
@@ -335,12 +324,12 @@ def verify_plan(plan: CodingPlan) -> None:
             raise AssertionError(f"duplicate group {group}")
         seen.add(group)
     for node, idxs in plan.groups_of_node.items():
-        if len(idxs) != binomial(k - 1, r):
+        if len(idxs) != work.groups_per_node:
             raise AssertionError(f"node {node} in wrong number of groups")
         for idx in idxs:
             if node not in plan.groups[idx]:
                 raise AssertionError(f"membership list wrong for node {node}")
-    if len(plan.schedule) != plan.total_multicasts:
+    if len(plan.schedule) != work.total_multicasts:
         raise AssertionError("schedule length != total multicasts")
     if len(set(plan.schedule)) != len(plan.schedule):
         raise AssertionError("schedule has duplicate transmissions")

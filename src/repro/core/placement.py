@@ -22,9 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.core.theory import check_params
 from repro.kvpairs.datasource import DataSource
 from repro.kvpairs.records import RecordBatch
-from repro.utils.subsets import Subset, binomial, k_subsets, subsets_containing
+from repro.utils.subsets import Subset, k_subsets, subsets_containing
 
 
 def split_even_ranges(n: int, parts: int) -> List[Tuple[int, int]]:
@@ -84,12 +85,7 @@ class CodedPlacement:
     def __init__(
         self, num_nodes: int, redundancy: int, batches_per_subset: int = 1
     ) -> None:
-        if num_nodes < 1:
-            raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-        if not 1 <= redundancy <= num_nodes:
-            raise ValueError(
-                f"redundancy must be in [1, {num_nodes}], got {redundancy}"
-            )
+        check_params(num_nodes, redundancy, multicast=False)
         if batches_per_subset < 1:
             raise ValueError(
                 f"batches_per_subset must be >= 1, got {batches_per_subset}"
@@ -143,9 +139,7 @@ class CodedPlacement:
 
     def files_per_node(self) -> int:
         """``b * C(K-1, r-1)``, the storage factor of the placement."""
-        return self.batches_per_subset * binomial(
-            self.num_nodes - 1, self.redundancy - 1
-        )
+        return len(self.files_of_node(0))
 
     # -- data splitting -----------------------------------------------------------
 

@@ -46,12 +46,7 @@ from repro.session import CodedTeraSortSpec, MapReduceSpec, TeraSortSpec, run
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
 from repro.wireless.channel import WirelessChannel
-from repro.wireless.theory import (
-    wireless_coded_load,
-    wireless_edge_load,
-    wireless_uncoded_load,
-)
-from repro.wireless.wdc import run_wireless_sort
+from repro.wireless.wdc import RELAY_FACTOR, run_wireless_sort
 
 
 @dataclass
@@ -355,11 +350,8 @@ def wireless_protocols(
          "airtime (s)"),
         decimals=4,
     )
-    for protocol, theory in (
-        ("uncoded", wireless_uncoded_load),
-        ("edge", wireless_edge_load),
-        ("d2d", wireless_coded_load),
-    ):
+    for protocol in ("uncoded", "edge", "d2d"):
+        load = uncoded_comm_load if protocol == "uncoded" else coded_comm_load
         sort = run_wireless_sort(
             data, num_users, redundancy, protocol=protocol,
             channel=WirelessChannel(
@@ -371,7 +363,7 @@ def wireless_protocols(
             protocol,
             sort.airtime.total_transmissions,
             sort.shuffle_load(),
-            theory(redundancy, num_users),
+            RELAY_FACTOR[protocol] * load(redundancy, num_users),
             sort.airtime.total_airtime,
         ))
     return out

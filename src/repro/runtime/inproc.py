@@ -32,7 +32,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
 from repro.runtime.mailbox import Mailbox, MailboxLink
@@ -241,12 +241,14 @@ class InprocMesh:
         finally:
             leave()
 
-    def teardown(self) -> None:
+    def teardown(self, busy: Sequence[int] = ()) -> None:
         """Join the worker threads (the pool already sent ``stop`` and
         closed their channels) within one shared window; a thread still
-        wedged in compute past it is abandoned — it is a daemon, and
-        its mesh is never used again."""
+        wedged in compute past it, or ``busy`` in a job that has already
+        failed, is abandoned — it is a daemon, and its mesh is never used
+        again."""
         deadline = time.monotonic() + 5.0
-        for thread in self._threads:
-            thread.join(max(0.0, deadline - time.monotonic()))
+        for rank, thread in enumerate(self._threads):
+            if rank not in busy:
+                thread.join(max(0.0, deadline - time.monotonic()))
         self._threads = []

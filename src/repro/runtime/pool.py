@@ -250,14 +250,18 @@ class WorkerPool:
 
     def teardown(self) -> None:
         """Stop every worker and reap the transport; the next
-        :meth:`ready` re-forms the mesh from scratch."""
+        :meth:`ready` re-forms the mesh from scratch.  A rank still busy
+        (with a job that was force-finished, or is lost with its control
+        channel) cannot take the ``stop``: the transport need not wait
+        for it."""
         with self._lock:
             for rank, chan in list(self._chans.items()):
                 self._try_send(chan, ("stop",))
                 self._drop(rank)
+            busy = sorted(self._busy)
             self._busy.clear()
             self._dead.clear()
-        self._transport.teardown()
+        self._transport.teardown(busy)
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -779,12 +779,16 @@ class ForkMesh:
         self.procs = procs
         return dict(enumerate(chans))
 
-    def teardown(self) -> None:
+    def teardown(self, busy: Sequence[int] = ()) -> None:
         """Reap the workers (the pool already sent ``stop`` and closed
         their control channels); must never hang.  Each escalation step
         gives the whole mesh one shared window, not one per worker:
         after a failed job every survivor may be wedged on a dead peer.
+        A ``busy`` rank gets no window before its ``terminate``: it is
+        still in a job that has already failed.
         """
+        for rank in busy:
+            self.procs[rank].terminate()
         for escalate in ("terminate", "kill", None):
             deadline = time.monotonic() + 5.0
             for proc in self.procs:

@@ -596,7 +596,7 @@ class Rendezvous:
         #: Readable when a worker is dialing the rendezvous.
         self.listener = cluster._listener
 
-    def teardown(self) -> None:
+    def teardown(self, busy: Sequence[int] = ()) -> None:
         """Nothing to reap: remote workers exit on the pool's ``stop``
         (or when their control connection closes)."""
 

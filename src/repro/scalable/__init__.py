@@ -20,22 +20,17 @@ bounded amount of communication load for an exponential CodeGen saving:
 The communication load rises from ``(1/r)(1 - r/K)`` to ``(1/r)(1 - r/g)``
 (Eq. (2) with K -> g).
 
-This package holds only the closed forms (:mod:`repro.scalable.theory`).
-The construction itself is not a separate program: it is the
-``group_size`` field of :class:`repro.session.CodedTeraSortSpec` on the
-one coded pipeline in :mod:`repro.core.coded_terasort`, and the ``group_size``
-argument of :func:`repro.sim.model.simulate_coded_terasort` /
-:class:`repro.sim.workload.CodedWorkload` in the closed-form model.
+The closed forms are :mod:`repro.core.theory`'s at ``K -> g``
+(:func:`~repro.core.theory.coded_comm_load` for the load,
+:class:`~repro.core.theory.CodedWorkload` with ``group_size`` for the
+counts and volumes); this package holds only the comparison against plain
+coding (:mod:`repro.scalable.theory`).  The construction itself is not a
+separate program: it is the ``group_size`` field of
+:class:`repro.session.CodedTeraSortSpec` on the one coded pipeline in
+:mod:`repro.core.coded_terasort`, and the ``group_size`` argument of
+:func:`repro.sim.model.simulate_coded_terasort` in the closed-form model.
 """
 
-from repro.scalable.theory import (
-    grouped_codegen_groups,
-    grouped_comm_load,
-    grouped_vs_full,
-)
+from repro.scalable.theory import grouped_vs_full
 
-__all__ = [
-    "grouped_comm_load",
-    "grouped_codegen_groups",
-    "grouped_vs_full",
-]
+__all__ = ["grouped_vs_full"]

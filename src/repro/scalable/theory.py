@@ -1,4 +1,4 @@
-"""Closed forms for the grouped (scalable) coded construction.
+"""The grouped (scalable) construction next to plain CodedTeraSort.
 
 All loads are normalized by the total input bytes ``D`` (the paper's
 convention for Eq. (2)).  With ``K`` nodes in groups of ``g`` and
@@ -13,6 +13,9 @@ per-node storage      ``r/K`` of input         ``r/g`` of input
 shuffle concurrency   1 (serial fabric)        ``G = K/g`` group shuffles
 ====================  =======================  ========================
 
+The load and the group counts are :mod:`repro.core.theory`'s at ``K -> g``
+(:func:`~repro.core.theory.coded_comm_load`,
+:class:`~repro.core.theory.CodedWorkload`); this module compares the two.
 The grouped scheme's load is higher (g < K) but its CodeGen is
 exponentially smaller and its shuffle parallelizes perfectly across
 groups — the trade the paper's "Scalable Coding" future direction asks
@@ -23,46 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.theory import coded_comm_load
-from repro.utils.subsets import binomial
-
-
-def grouped_comm_load(redundancy: int, group_size: int) -> float:
-    """Normalized shuffle load of the grouped scheme: Eq. (2) with K -> g.
-
-    Every group moves ``(1/r)(1 - r/g)`` of *its* key slice, and the
-    slices tile the input, so the total normalized load is the same
-    expression.
-    """
-    if not 1 <= redundancy < group_size:
-        raise ValueError(
-            f"need 1 <= r < g, got r={redundancy}, g={group_size}"
-        )
-    return coded_comm_load(redundancy, group_size)
-
-
-def grouped_codegen_groups(
-    num_nodes: int, group_size: int, redundancy: int
-) -> int:
-    """Total multicast groups set up cluster-wide: ``G * C(g, r+1)``."""
-    if num_nodes % group_size != 0:
-        raise ValueError(
-            f"num_nodes ({num_nodes}) not a multiple of group_size "
-            f"({group_size})"
-        )
-    if not 1 <= redundancy < group_size:
-        raise ValueError(
-            f"need 1 <= r < g, got r={redundancy}, g={group_size}"
-        )
-    return (num_nodes // group_size) * binomial(group_size, redundancy + 1)
+from repro.core.theory import CodedWorkload, check_params, coded_comm_load
 
 
 def grouped_storage_fraction(redundancy: int, group_size: int) -> float:
     """Per-node stored fraction of the input: ``r / g``."""
-    if not 1 <= redundancy < group_size:
-        raise ValueError(
-            f"need 1 <= r < g, got r={redundancy}, g={group_size}"
-        )
+    check_params(group_size, redundancy, group_size)
     return redundancy / group_size
 
 
@@ -120,6 +89,7 @@ def grouped_vs_full(
     Returns:
         The full :class:`GroupedComparison`.
     """
+    grouped = CodedWorkload(num_nodes, redundancy, 0, group_size)
     if full_redundancy is None:
         scaled = redundancy * num_nodes // group_size
         if (
@@ -134,12 +104,10 @@ def grouped_vs_full(
         group_size=group_size,
         redundancy=redundancy,
         full_redundancy=full_redundancy,
-        load_grouped=grouped_comm_load(redundancy, group_size),
+        load_grouped=coded_comm_load(redundancy, group_size),
         load_full=coded_comm_load(full_redundancy, num_nodes),
-        codegen_grouped=grouped_codegen_groups(
-            num_nodes, group_size, redundancy
-        ),
-        codegen_full=binomial(num_nodes, full_redundancy + 1),
+        codegen_grouped=grouped.node_groups * grouped.num_groups,
+        codegen_full=CodedWorkload(num_nodes, full_redundancy, 0).num_groups,
         storage_grouped=grouped_storage_fraction(redundancy, group_size),
-        storage_full=full_redundancy / num_nodes,
+        storage_full=grouped_storage_fraction(full_redundancy, num_nodes),
     )

@@ -4,9 +4,9 @@ The paper's evaluation ran on EC2 ``m3.large`` instances throttled to
 100 Mbps.  This package reproduces those experiments at full scale (12 GB,
 K = 16/20) without the cluster: every stage is one cost law
 (:mod:`repro.sim.costmodel`, calibrated against Tables I-III) applied to
-the balanced per-node volumes (:mod:`repro.sim.workload`), and the shuffle
-is the Fig. 9 schedule's turn or round count times one transfer time
-(:mod:`repro.sim.model`).
+the balanced per-node volumes (:class:`repro.core.theory.CodedWorkload`,
+TeraSort at ``r = 1``), and the shuffle is the Fig. 9 schedule's turn or
+round count times one transfer time (:mod:`repro.sim.model`).
 
 Entry points: :func:`repro.sim.model.simulate_terasort` and
 :func:`repro.sim.model.simulate_coded_terasort`.  :mod:`repro.sim.des`

@@ -3,7 +3,8 @@
 The paper executes its stages synchronously (§VI) and its shuffles one
 sender at a time (Fig. 9), so every node of a row sees the same clock:
 each stage is one :class:`~repro.sim.costmodel.EC2CostModel` law applied to
-the balanced volumes of :mod:`repro.sim.workload`, and the shuffle is the
+the balanced volumes of :class:`repro.core.theory.CodedWorkload` (TeraSort
+reads it at ``r = 1``), and the shuffle is the
 schedule's turn or round count times one transfer time.  These are the
 closed forms of Coded Distributed Computing (1604.07086, Thm. 1) and Coded
 MapReduce (1512.01625), priced with the paper's EC2 calibration.
@@ -32,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.groups import build_coding_plan, unicast_round_schedule
+from repro.core.theory import CodedWorkload
 from repro.sim.costmodel import EC2CostModel
-from repro.sim.workload import CodedWorkload, UncodedWorkload
 from repro.utils.timer import StageTimes
 
 #: The paper's workload: 12 GB = 120 M KV pairs (§V-B).
@@ -111,19 +112,19 @@ def simulate_terasort(
     """
     _check_schedule(schedule)
     cost = cost or EC2CostModel.paper_calibrated()
-    work = UncodedWorkload(num_nodes=num_nodes, n_records=n_records)
+    work = CodedWorkload(num_nodes, 1, n_records)
     k = num_nodes
-    unicast = cost.unicast_time(work.unicast_bytes)
+    unicast = cost.unicast_time(work.packet_bytes)
     if schedule == "serial":
         shuffle = (k, (k - 1) * unicast)
     else:
         rounds = len(unicast_round_schedule(k)) if k > 1 else 0
         shuffle = (rounds, unicast)
     stage_times = _clock([
-        ("map", 1, cost.map_time(work.pairs_per_node, 1)),
-        ("pack", 1, cost.pack_time(work.pack_bytes_per_node)),
+        ("map", 1, cost.map_time(work.map_pairs_per_node, 1)),
+        ("pack", 1, cost.pack_time(work.encode_serialize_bytes_per_node)),
         ("shuffle", *shuffle),
-        ("unpack", 1, cost.unpack_time(work.unpack_bytes_per_node)),
+        ("unpack", 1, cost.unpack_time(work.decode_recovered_bytes_per_node)),
         ("reduce", 1, cost.reduce_time(work.reduce_pairs_per_node, 1)),
     ])
     return SimReport(
@@ -132,8 +133,8 @@ def simulate_terasort(
         num_nodes=num_nodes,
         redundancy=1,
         n_records=n_records,
-        transfers=work.num_unicasts,
-        shuffle_payload_bytes=work.num_unicasts * work.unicast_bytes,
+        transfers=work.total_multicasts,
+        shuffle_payload_bytes=work.shuffle_payload_total,
         meta={"schedule": schedule},
     )
 

@@ -13,10 +13,12 @@ wireless distributed computing [24] and its edge-facilitated variant
   medium, with three shuffle protocols: uncoded relay through the access
   point (every intermediate value crosses the air twice), coded
   device-to-device broadcast (each coded packet crosses once and serves
-  ``r`` users), and the edge-facilitated coded relay of [25];
-* :mod:`repro.wireless.theory` — closed-form airtime loads, including
-  the grouped variant whose load is *independent of the user count* —
-  the scalability headline of [24].
+  ``r`` users), and the edge-facilitated coded relay of [25]; each
+  protocol's closed-form airtime load is its relay factor
+  (:data:`repro.wireless.wdc.RELAY_FACTOR`) times Eq. (2)'s load in
+  :mod:`repro.core.theory`, and grouped coding's is that load at
+  ``K -> g``, *independent of the user count* — the scalability
+  headline of [24].
 
 The wireless medium serializes all traffic by nature, which is exactly
 the regime where coded shuffling shines (cf. the paper's serial
@@ -25,21 +27,16 @@ one-sender-at-a-time shape).
 """
 
 from repro.wireless.channel import AirtimeLog, WirelessChannel
-from repro.wireless.theory import (
-    wireless_coded_load,
-    wireless_edge_load,
-    wireless_grouped_load,
-    wireless_uncoded_load,
+from repro.wireless.wdc import (
+    RELAY_FACTOR,
+    WirelessSortOutcome,
+    run_wireless_sort,
 )
-from repro.wireless.wdc import WirelessSortOutcome, run_wireless_sort
 
 __all__ = [
     "WirelessChannel",
     "AirtimeLog",
     "run_wireless_sort",
     "WirelessSortOutcome",
-    "wireless_uncoded_load",
-    "wireless_coded_load",
-    "wireless_edge_load",
-    "wireless_grouped_load",
+    "RELAY_FACTOR",
 ]

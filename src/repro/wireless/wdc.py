@@ -18,8 +18,13 @@ Protocols:
 * ``"edge"`` — coded packets relayed through the AP ([25]): uplink once,
   one broadcast downlink (two flights, still ``r``-fold coded gain).
 
+A protocol's closed-form airtime load is its :data:`RELAY_FACTOR` times
+Eq. (2)'s load (:mod:`repro.core.theory`): ``2 (1 - r/K)`` uncoded,
+``(1/r)(1 - r/K)`` d2d, twice that edge.
+
 ``group_size`` goes on the spec: coding stays inside groups of ``g`` users
-([24]) and the airtime load is independent of the user count.
+([24]) and the airtime load, Eq. (2)'s at ``K -> g``, is independent of
+the user count.
 """
 
 from __future__ import annotations
@@ -28,16 +33,19 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster import connect
-from repro.core.groups import check_coded_params
 from repro.core.mapper import hash_file
 from repro.core.partitioner import RangePartitioner
 from repro.core.placement import CodedPlacement
+from repro.core.theory import check_params
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.sorting import sort_batches
 from repro.session import CodedTeraSortSpec, run
 from repro.wireless.channel import AirtimeLog, WirelessChannel
 
-PROTOCOLS = ("uncoded", "d2d", "edge")
+#: Each protocol's relay factor, the flights per value on the air:
+#: relayed through the AP (up, then down), or device-to-device once.
+RELAY_FACTOR = {"uncoded": 2, "d2d": 1, "edge": 2}
+PROTOCOLS = tuple(RELAY_FACTOR)
 
 
 @dataclass
@@ -140,7 +148,7 @@ def run_wireless_sort(
         raise ValueError("grouped sessions use the d2d protocol")
     if protocol == "uncoded":
         # No spec is submitted on this path: same (K, r) domain, same message.
-        check_coded_params(num_users, redundancy, "serial", None)
+        check_params(num_users, redundancy)
         partitions = _uncoded_relay(data, num_users, redundancy, channel)
     else:
         spec = CodedTeraSortSpec(

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.core.groups import build_coding_plan, unicast_round_schedule
+from repro.core.theory import CodedWorkload
 from repro.kvpairs.teragen import teragen
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.des import Environment
 from repro.sim.network import NetworkModel
-from repro.sim.workload import CodedWorkload, UncodedWorkload
 
 # Profiles: 'ci' keeps the suite fast; heavier e2e property tests override
 # max_examples locally where the default is too slow.
@@ -76,7 +76,7 @@ def _replay_uncoded(k, n_records, schedule, per_turn=False):
     one's unicasts concurrent on per-node NICs, joined before the next.
     """
     cost = EC2CostModel.paper_calibrated()
-    nbytes = UncodedWorkload(num_nodes=k, n_records=n_records).unicast_bytes
+    nbytes = CodedWorkload(k, 1, n_records).packet_bytes
     env = Environment()
     net = NetworkModel(env, k, cost, serial=schedule == "serial")
 

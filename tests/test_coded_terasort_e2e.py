@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro import CodedTeraSortSpec, TeraSortSpec
-from repro.core.theory import coded_shuffle_bytes
+from repro.core.theory import coded_comm_load
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
 
@@ -122,7 +122,7 @@ class TestCodedAccounting:
             CodedTeraSortSpec(data, redundancy=r),
         )
         payload = run.traffic.load_bytes("shuffle")
-        ideal = coded_shuffle_bytes(n * 100, r, k)
+        ideal = coded_comm_load(r, k) * n * 100
         # Headers + size imbalance put measured a few % above the ideal.
         assert payload >= ideal
         assert (payload - ideal) / ideal < 0.10

@@ -111,7 +111,7 @@ class TestScheduleShuffleModels:
         """Grouped: each coding group's g turns run side by side, so the
         shuffle is one group's multicasts, not the cluster's."""
         from repro.sim.model import simulate_coded_terasort
-        from repro.sim.workload import CodedWorkload
+        from repro.core.theory import CodedWorkload
 
         work = CodedWorkload(12, 2, 1_000_000, group_size=4)
         rep = simulate_coded_terasort(

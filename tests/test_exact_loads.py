@@ -14,10 +14,7 @@ import pytest
 import repro
 from repro import CodedTeraSortSpec, TeraSortSpec
 from repro.core.groups import build_coding_plan
-from repro.core.theory import (
-    coded_multicast_count,
-    uncoded_shuffle_messages,
-)
+from repro.core.theory import CodedWorkload
 from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, VALUE_BYTES, RecordBatch
 from repro.kvpairs.serialization import HEADER_BYTES
 from repro.kvpairs.validation import validate_sorted_permutation
@@ -58,7 +55,7 @@ class TestUncodedExact:
         data = balanced_batch(k, k, per_cell)
         run = repro.run(ThreadCluster(k, recv_timeout=30), TeraSortSpec(data))
         validate_sorted_permutation(data, run.partitions)
-        messages = uncoded_shuffle_messages(k)
+        messages = CodedWorkload(k, 1, 0).total_multicasts
         expected = (
             messages * (per_cell * RECORD_BYTES + HEADER_BYTES)
         )
@@ -97,7 +94,7 @@ class TestCodedExact:
         records = [
             rec for rec in run.traffic.records if rec.stage == "shuffle"
         ]
-        assert len(records) == coded_multicast_count(r, k)
+        assert len(records) == CodedWorkload(k, r, 0).total_multicasts
         sizes = {rec.payload_bytes for rec in records}
         assert len(sizes) == 1, f"unequal packet sizes {sizes}"
         (size,) = sizes
@@ -121,7 +118,7 @@ class TestCodedExact:
         )
         iv_bytes = per_cell * RECORD_BYTES
         segment = iv_bytes // r
-        count = coded_multicast_count(r, k)
+        count = CodedWorkload(k, r, 0).total_multicasts
         expected_header = 4 + 2 + 4 + 4 * (r + 1) + 12 * r + 8
         assert run.traffic.load_bytes("shuffle") == count * (
             segment + expected_header

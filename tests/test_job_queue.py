@@ -148,8 +148,9 @@ def test_a_job_past_the_pool_deadline_is_not_retried(monkeypatch):
 
 def test_a_failed_attempt_settles_before_the_pool_is_torn_down(monkeypatch):
     # Rank 0 sleeps 5 s into map on the first job only; the pool's 1 s
-    # deadline fails it.  Tearing the pool down waits for that worker, so
-    # the handle must settle first, and the next job still runs clean.
+    # deadline fails it.  The handle settles before the pool is torn
+    # down, the teardown does not wait out that busy worker, and the next
+    # job still runs clean.
     timeout = 1.0
     data = teragen(400, seed=74)
     reference = _reference(data, 2)
@@ -163,4 +164,6 @@ def test_a_failed_attempt_settles_before_the_pool_is_torn_down(monkeypatch):
         assert settled < timeout + 0.5, settled
         assert handle.attempts[0].duration < timeout + 0.5
         rerun = session.submit(TeraSortSpec(data=data)).result(timeout=60)
+        rerun_done = time.monotonic() - started
+        assert rerun_done < timeout + 2.0, rerun_done
     assert [p.to_bytes() for p in rerun.partitions] == reference

@@ -90,7 +90,7 @@ class FakeTransport:
         self.chans = {rank: FakeChannel(self.reply) for rank in range(size)}
         return dict(self.chans)
 
-    def teardown(self):
+    def teardown(self, busy=()):
         pass
 
 

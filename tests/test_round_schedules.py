@@ -11,9 +11,9 @@ from repro.core.groups import (
     round_schedule,
     unicast_round_schedule,
 )
+from repro.core.theory import CodedWorkload
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
-from repro.sim.workload import UncodedWorkload
 
 
 class TestCodedRoundSchedule:
@@ -128,7 +128,7 @@ class TestScheduleModesInSimulator:
         rep = simulate_terasort(k, n_records=1_000_000, schedule="rounds")
         sub_rounds = 2 * (k - 1) if k % 2 == 0 else 2 * k
         unicast = cost.unicast_time(
-            UncodedWorkload(num_nodes=k, n_records=1_000_000).unicast_bytes
+            CodedWorkload(k, 1, 1_000_000).packet_bytes
         )
         assert rep.stage_times["shuffle"] == pytest.approx(
             sub_rounds * unicast, rel=1e-12

@@ -12,15 +12,10 @@ from repro.kvpairs.validation import validate_sorted_permutation
 from repro.runtime.inproc import ThreadCluster
 import repro
 from repro import CodedTeraSortSpec
-from repro.scalable.theory import (
-    grouped_codegen_groups,
-    grouped_comm_load,
-    grouped_storage_fraction,
-    grouped_vs_full,
-)
+from repro.core.theory import CodedWorkload, coded_comm_load
+from repro.scalable.theory import grouped_storage_fraction, grouped_vs_full
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
-from repro.sim.workload import CodedWorkload
 from repro.utils.subsets import binomial
 
 
@@ -125,7 +120,7 @@ class TestLoadAccounting:
             CodedTeraSortSpec(data, redundancy=r, group_size=g),
         )
         payload = run.traffic.load_bytes("shuffle")
-        ideal = grouped_comm_load(r, g) * n * 100
+        ideal = coded_comm_load(r, g) * n * 100  # Eq. (2) at K -> g
         assert payload >= ideal
         assert (payload - ideal) / ideal < 0.10
 
@@ -163,16 +158,19 @@ class TestLoadAccounting:
 
 class TestTheory:
     def test_load_formula(self):
-        assert grouped_comm_load(2, 4) == pytest.approx(0.25)
-        assert grouped_comm_load(5, 10) == pytest.approx(0.1)
+        """The grouped load is Eq. (2) at K -> g; a grouped job needs
+        r < g."""
+        assert coded_comm_load(2, 4) == pytest.approx(0.25)
+        assert coded_comm_load(5, 10) == pytest.approx(0.1)
         with pytest.raises(ValueError):
-            grouped_comm_load(4, 4)
+            grouped_vs_full(4, 4, 4)
 
     def test_codegen_groups(self):
-        assert grouped_codegen_groups(20, 10, 5) == 2 * 210  # 2 * C(10,6)
-        assert grouped_codegen_groups(8, 4, 2) == 2 * 4
+        # 2 * C(10,6)
+        assert grouped_vs_full(20, 10, 5).codegen_grouped == 2 * 210
+        assert grouped_vs_full(8, 4, 2).codegen_grouped == 2 * 4
         with pytest.raises(ValueError):
-            grouped_codegen_groups(10, 4, 2)
+            grouped_vs_full(10, 4, 2)
 
     def test_storage_fraction(self):
         assert grouped_storage_fraction(5, 10) == pytest.approx(0.5)
@@ -204,7 +202,7 @@ class TestSimulator:
     def test_workload_payload_matches_theory(self):
         work = CodedWorkload(20, 5, 120_000_000, 10)
         assert work.shuffle_payload_total == pytest.approx(
-            grouped_comm_load(5, 10) * work.total_bytes
+            coded_comm_load(5, 10) * work.total_bytes
         )
 
     def test_sim_payload_equals_workload(self):

@@ -5,12 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.theory import (
-    coded_multicast_count,
-    coded_shuffle_bytes,
-    uncoded_shuffle_bytes,
-    uncoded_shuffle_messages,
-)
+from repro.core.theory import CodedWorkload, coded_comm_load
 from repro.experiments.figures import (
     multicast_penalty_ablation,
     schedule_ablation,
@@ -18,7 +13,6 @@ from repro.experiments.figures import (
 from repro.experiments.tables import table1, table2, table3
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
-from repro.sim.workload import CodedWorkload
 
 SMALL = 1_000_000  # records
 
@@ -115,20 +109,20 @@ class TestTeraSortSim:
         cost = EC2CostModel.paper_calibrated()
         rep = simulate_terasort(k, n_records=SMALL, cost=cost)
         per = cost.unicast_time(SMALL * 100 / k**2)
-        expected = uncoded_shuffle_messages(k) * per
+        expected = k * (k - 1) * per
         assert rep.stage_times["shuffle"] == pytest.approx(expected, rel=1e-9)
 
     def test_payload_telemetry(self):
         k = 8
         rep = simulate_terasort(k, n_records=SMALL)
         assert rep.shuffle_payload_bytes == pytest.approx(
-            uncoded_shuffle_bytes(SMALL * 100, k)
+            SMALL * 100 * (k - 1) / k  # D (K-1)/K
         )
 
     def test_transfer_count(self):
         k = 6
         rep = simulate_terasort(k, n_records=SMALL)
-        assert rep.transfers == uncoded_shuffle_messages(k)
+        assert rep.transfers == k * (k - 1)
 
     def test_granularities_agree(self, replay_uncoded):
         """Event replays per transfer and per sender turn give the
@@ -159,13 +153,13 @@ class TestCodedSim:
         k, r = 8, 3
         rep = simulate_coded_terasort(k, r, n_records=SMALL)
         assert rep.shuffle_payload_bytes == pytest.approx(
-            coded_shuffle_bytes(SMALL * 100, r, k)
+            coded_comm_load(r, k) * SMALL * 100
         )
 
     def test_transfer_count(self):
         k, r = 7, 2
         rep = simulate_coded_terasort(k, r, n_records=SMALL)
-        assert rep.transfers == coded_multicast_count(r, k)
+        assert rep.transfers == 35 * 3  # C(7, 3) (r+1)
 
     def test_granularities_agree(self, replay_coded):
         rep = simulate_coded_terasort(8, 3, n_records=SMALL)

@@ -6,7 +6,6 @@ import pytest
 
 import repro
 from repro import TeraSortSpec
-from repro.core.theory import uncoded_shuffle_messages
 from repro.kvpairs.serialization import HEADER_BYTES
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import (
@@ -67,7 +66,7 @@ class TestTeraSortAccounting:
             thread_cluster_factory(k),
             TeraSortSpec(teragen(1200, seed=5)),
         )
-        assert run.traffic.message_count("shuffle") == uncoded_shuffle_messages(k)
+        assert run.traffic.message_count("shuffle") == k * (k - 1)
 
     def test_shuffle_load_near_theory(self, thread_cluster_factory):
         k = 6
@@ -75,7 +74,7 @@ class TestTeraSortAccounting:
         data = teragen(n, seed=6)
         run = repro.run(thread_cluster_factory(k), TeraSortSpec(data))
         payload = run.traffic.load_bytes("shuffle")
-        headers = uncoded_shuffle_messages(k) * HEADER_BYTES
+        headers = k * (k - 1) * HEADER_BYTES
         ideal = n * 100 * (k - 1) / k
         assert abs(payload - headers - ideal) / ideal < 0.02
 

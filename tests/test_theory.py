@@ -9,20 +9,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.theory import (
+    CodedWorkload,
     TimeModel,
     coded_comm_load,
-    coded_multicast_count,
-    coded_packet_bytes,
-    coded_shuffle_bytes,
     load_series,
     optimal_r,
     optimal_total_time,
     predicted_speedup,
     predicted_total_time,
     uncoded_comm_load,
-    uncoded_shuffle_bytes,
-    uncoded_shuffle_messages,
 )
+
+#: The paper's 12 GB (§V-B).
+PAPER_RECORDS = 120_000_000
 
 
 class TestLoads:
@@ -112,25 +111,29 @@ class TestTimeModel:
 
 
 class TestExactCounts:
+    """Uncoded TeraSort is the :class:`CodedWorkload` view at r = 1."""
+
     def test_uncoded_messages(self):
-        assert uncoded_shuffle_messages(16) == 240
-        assert uncoded_shuffle_messages(20) == 380
+        assert CodedWorkload(16, 1, 0).total_multicasts == 240
+        assert CodedWorkload(20, 1, 0).total_multicasts == 380
 
     def test_uncoded_bytes(self):
-        assert uncoded_shuffle_bytes(12e9, 16) == pytest.approx(11.25e9)
+        work = CodedWorkload(16, 1, PAPER_RECORDS)
+        assert work.shuffle_payload_total == pytest.approx(11.25e9)
 
     def test_multicast_counts_match_paper_scale(self):
-        assert coded_multicast_count(3, 16) == 1820 * 4
-        assert coded_multicast_count(5, 20) == 38760 * 6
+        assert CodedWorkload(16, 3, 0).total_multicasts == 1820 * 4
+        assert CodedWorkload(20, 5, 0).total_multicasts == 38760 * 6
 
     def test_packet_bytes(self):
         # K=16, r=3: D/(N K r) with N = 560.
-        assert coded_packet_bytes(12e9, 3, 16) == pytest.approx(
-            12e9 / (560 * 16 * 3)
+        assert CodedWorkload(16, 3, PAPER_RECORDS).packet_bytes == (
+            pytest.approx(12e9 / (560 * 16 * 3))
         )
 
     def test_shuffle_bytes_equals_load_times_data(self):
         for k, r in ((16, 3), (16, 5), (20, 3), (20, 5), (8, 2)):
-            assert coded_shuffle_bytes(12e9, r, k) == pytest.approx(
+            work = CodedWorkload(k, r, PAPER_RECORDS)
+            assert work.shuffle_payload_total == pytest.approx(
                 coded_comm_load(r, k) * 12e9
             )

@@ -6,17 +6,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.theory import CodedWorkload, coded_comm_load, uncoded_comm_load
 from repro.experiments.figures import wireless_protocols
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
 from repro.wireless.channel import WirelessChannel
-from repro.wireless.theory import (
-    wireless_coded_load,
-    wireless_edge_load,
-    wireless_grouped_load,
-    wireless_uncoded_load,
-)
-from repro.wireless.wdc import run_wireless_sort
+from repro.wireless.wdc import RELAY_FACTOR, run_wireless_sort
 
 
 class TestValidation:
@@ -130,7 +125,7 @@ class TestAirtimeLoads:
         n = 30_000
         data = teragen(n, seed=4)
         out = run_wireless_sort(data, 6, 2, protocol="d2d")
-        ideal = wireless_coded_load(2, 6)
+        ideal = RELAY_FACTOR["d2d"] * coded_comm_load(2, 6)
         assert out.shuffle_load() == pytest.approx(ideal, rel=0.10)
         assert out.shuffle_load() >= ideal  # headers only add
 
@@ -166,7 +161,7 @@ class TestAirtimeLoads:
         data = teragen(n, seed=6)
         out = run_wireless_sort(data, 6, 2, protocol="uncoded")
         assert out.shuffle_load() == pytest.approx(
-            wireless_uncoded_load(2, 6), rel=0.05
+            RELAY_FACTOR["uncoded"] * uncoded_comm_load(2, 6), rel=0.05
         )
 
     def test_coded_gain_is_2r(self):
@@ -186,7 +181,7 @@ class TestAirtimeLoads:
             data = teragen(n, seed=8)
             out = run_wireless_sort(data, k, 2, group_size=4)
             loads.append(out.shuffle_load())
-        ideal = wireless_grouped_load(2, 4)
+        ideal = RELAY_FACTOR["d2d"] * coded_comm_load(2, 4)  # g = 4
         for load in loads:
             assert load == pytest.approx(ideal, rel=0.10)
         # Flat within measurement noise (packet headers shrink with
@@ -202,21 +197,29 @@ class TestAirtimeLoads:
 
 
 class TestTheory:
+    """A protocol's airtime load is its relay factor times Eq. (2)'s
+    load; grouped D2D is that load at K -> g."""
+
     def test_closed_forms(self):
-        assert wireless_uncoded_load(2, 6) == pytest.approx(4 / 3)
-        assert wireless_coded_load(2, 6) == pytest.approx(1 / 3)
-        assert wireless_edge_load(2, 6) == pytest.approx(2 / 3)
-        assert wireless_grouped_load(2, 4) == pytest.approx(0.25)
+        uncoded, coded = uncoded_comm_load(2, 6), coded_comm_load(2, 6)
+        assert RELAY_FACTOR["uncoded"] * uncoded == pytest.approx(4 / 3)
+        assert RELAY_FACTOR["d2d"] * coded == pytest.approx(1 / 3)
+        assert RELAY_FACTOR["edge"] * coded == pytest.approx(2 / 3)
+        assert RELAY_FACTOR["d2d"] * coded_comm_load(2, 4) == (
+            pytest.approx(0.25)
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            wireless_uncoded_load(0, 4)
+            uncoded_comm_load(0, 4)
         with pytest.raises(ValueError):
-            wireless_coded_load(5, 4)
+            coded_comm_load(5, 4)
         with pytest.raises(ValueError):
-            wireless_grouped_load(4, 4)
+            CodedWorkload(4, 4, 0, group_size=4)  # grouped: r < g
 
     def test_grouped_equals_plain_at_g_equals_k(self):
-        assert wireless_grouped_load(2, 6) == pytest.approx(
-            wireless_coded_load(2, 6)
+        grouped = CodedWorkload(6, 2, 24_000, group_size=6)
+        plain = CodedWorkload(6, 2, 24_000)
+        assert grouped.shuffle_payload_total == pytest.approx(
+            plain.shuffle_payload_total
         )

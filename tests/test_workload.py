@@ -1,4 +1,6 @@
-"""Tests for the balanced-workload closed forms (the model's inputs)."""
+"""Tests for the balanced-workload closed forms (the model's inputs).
+
+Uncoded TeraSort is the view at ``r = 1``."""
 
 from __future__ import annotations
 
@@ -6,41 +8,40 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.theory import (
-    coded_multicast_count,
-    coded_packet_bytes,
-    coded_shuffle_bytes,
-    uncoded_shuffle_bytes,
-    uncoded_shuffle_messages,
-)
-from repro.sim.workload import CodedWorkload, UncodedWorkload
+from repro.core.theory import CodedWorkload, coded_comm_load
 from repro.utils.subsets import binomial
 
 
 class TestUncodedWorkload:
-    W = UncodedWorkload(num_nodes=16, n_records=120_000_000)
+    W = CodedWorkload(num_nodes=16, redundancy=1, n_records=120_000_000)
 
     def test_totals(self):
         assert self.W.total_bytes == 12e9
-        assert self.W.pairs_per_node == 7.5e6
+        assert self.W.map_pairs_per_node == 7.5e6
+        assert self.W.reduce_pairs_per_node == 7.5e6
 
     def test_unicast_size_and_count(self):
-        assert self.W.unicast_bytes == pytest.approx(12e9 / 256)
-        assert self.W.num_unicasts == uncoded_shuffle_messages(16)
+        assert self.W.packet_bytes == pytest.approx(12e9 / 256)
+        assert self.W.total_multicasts == 16 * 15  # K (K-1) unicasts
 
     def test_total_shuffle_volume_matches_theory(self):
-        total = self.W.unicast_bytes * self.W.num_unicasts
-        assert total == pytest.approx(uncoded_shuffle_bytes(12e9, 16))
+        total = self.W.packet_bytes * self.W.total_multicasts
+        assert total == pytest.approx(12e9 * 15 / 16)  # D (K-1)/K
+        assert self.W.shuffle_payload_total == pytest.approx(12e9 * 15 / 16)
 
     def test_pack_equals_unpack(self):
-        assert self.W.pack_bytes_per_node == self.W.unpack_bytes_per_node
+        assert (
+            self.W.encode_serialize_bytes_per_node
+            == self.W.decode_recovered_bytes_per_node
+        )
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError, match="num_nodes"):
-            UncodedWorkload(num_nodes=0, n_records=100)
+            CodedWorkload(num_nodes=0, redundancy=1, n_records=100)
         with pytest.raises(ValueError, match="n_records"):
-            UncodedWorkload(num_nodes=4, n_records=-1)
-        UncodedWorkload(num_nodes=1, n_records=0)  # the empty job is fine
+            CodedWorkload(num_nodes=4, redundancy=1, n_records=-1)
+        # The empty job is fine, and r = 1 at K = 1 too.
+        CodedWorkload(num_nodes=1, redundancy=1, n_records=0)
 
 
 class TestCodedWorkload:
@@ -53,16 +54,15 @@ class TestCodedWorkload:
         assert self.W.groups_per_node == binomial(15, 3) == 455
 
     def test_packet_bytes_matches_theory(self):
-        assert self.W.packet_bytes == pytest.approx(
-            coded_packet_bytes(12e9, 3, 16)
-        )
+        # D / (N K r) with N = C(16, 3) = 560.
+        assert self.W.packet_bytes == pytest.approx(12e9 / (560 * 16 * 3))
 
     def test_total_multicasts_matches_theory(self):
-        assert self.W.total_multicasts == coded_multicast_count(3, 16)
+        assert self.W.total_multicasts == 1820 * 4  # C(16, 4) (r+1)
 
     def test_shuffle_payload_matches_eq2(self):
         assert self.W.shuffle_payload_total == pytest.approx(
-            coded_shuffle_bytes(12e9, 3, 16)
+            coded_comm_load(3, 16) * 12e9
         )
 
     def test_map_pairs_scale_with_r(self):
@@ -92,8 +92,6 @@ class TestCodedWorkload:
         missing_files = w.num_files - w.files_per_node
         assert w.groups_per_node == missing_files
         # Shuffle payload == Eq. (2) load x dataset bytes.
-        from repro.core.theory import coded_comm_load
-
         assert w.shuffle_payload_total == pytest.approx(
             coded_comm_load(r, k) * w.total_bytes
         )
