@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro import MapReduceSpec, Session, ThreadCluster
+from repro import MapReduceSpec, Session, connect
 from repro.core.jobs import GrepJob, InvertedIndexJob, WordCountJob
 from repro.utils.subsets import binomial
 from repro.utils.tables import format_table
@@ -88,7 +88,7 @@ def main() -> int:
 
     # One standing worker pool serves all nine jobs; submissions are
     # futures, so the whole grid is queued up front and collected after.
-    with Session(ThreadCluster(k, recv_timeout=60.0)) as session:
+    with Session(connect(f"inproc://{k}", timeout=60.0)) as session:
         handles = {
             (job_name, label): session.submit(
                 MapReduceSpec(

@@ -24,7 +24,7 @@ from repro import (
     CodedTeraSortSpec,
     Session,
     TeraSortSpec,
-    ThreadCluster,
+    connect,
     teragen,
     validate_sorted_permutation,
 )
@@ -52,7 +52,7 @@ def main() -> int:
     data = teragen(args.records, seed=args.seed)
 
     # One session = one standing worker pool; both sorts are jobs on it.
-    with Session(ThreadCluster(k)) as session:
+    with Session(connect(f"inproc://{k}")) as session:
         print(f"\nSubmitting TeraSort and CodedTeraSort (r={r}) to one "
               f"K={k} session...")
         base_job = session.submit(TeraSortSpec(data=data))

@@ -19,11 +19,11 @@ import argparse
 
 import repro
 from repro import CodedTeraSortSpec, coded_comm_load
+from repro.cluster import connect
 from repro.experiments.figures import grouped_stages
 from repro.experiments.report import render_rows
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
 from repro.scalable.theory import grouped_vs_full
 
 
@@ -45,7 +45,7 @@ def main() -> int:
           f"r={r} (storage r/g = {r / g:.2f} of input per node)")
     data = teragen(args.records, seed=0)
     grouped = repro.run(
-        ThreadCluster(k),
+        connect(f"inproc://{k}"),
         CodedTeraSortSpec(data, redundancy=r, group_size=g),
     )
     validate_sorted_permutation(data, grouped.partitions)
@@ -53,7 +53,9 @@ def main() -> int:
     load = grouped.traffic.load_bytes("shuffle") / (args.records * 100)
     print(f"  measured shuffle load {load:.4f} vs closed form "
           f"(1/r)(1-r/g) = {coded_comm_load(r, g):.4f}")
-    full = repro.run(ThreadCluster(k), CodedTeraSortSpec(data, redundancy=r))
+    full = repro.run(
+        connect(f"inproc://{k}"), CodedTeraSortSpec(data, redundancy=r)
+    )
     print(f"  CodeGen per group: {grouped.meta['num_groups']} "
           f"multicast groups (plain coded on K={k} would need "
           f"{full.meta['num_groups']})")

@@ -45,11 +45,10 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cluster import connect  # noqa: E402
 from repro.kvpairs.datasource import TeragenSource  # noqa: E402
 from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
 from repro.runtime.errors import WorkerFailure  # noqa: E402
-from repro.runtime.process import ProcessCluster  # noqa: E402
-from repro.runtime.tcp import TcpCluster  # noqa: E402
 from repro.session import (  # noqa: E402
     CodedTeraSortSpec,
     Session,
@@ -129,8 +128,8 @@ def run_lane(name, plan, needs_retry, schedule, source, reference, args):
         spec = CodedTeraSortSpec(
             input=source, redundancy=2, schedule=schedule
         )
-    with TcpCluster(
-        args.nodes, "tcp://127.0.0.1:0", timeout=args.lane_timeout,
+    with connect(
+        "tcp://127.0.0.1:0", size=args.nodes, timeout=args.lane_timeout,
         connect_timeout=120, heartbeat_interval=0.1, failure_timeout=30.0,
     ) as cluster:
         print(f"[chaos/{name}] plan={plan!r} on {cluster.address}",
@@ -194,7 +193,7 @@ def main(argv=None) -> int:
     os.environ.pop(ENV_VAR, None)  # the reference and driver run fault-free
 
     source = TeragenSource(args.records, seed=61)
-    with Session(ProcessCluster(args.nodes, timeout=120)) as session:
+    with Session(connect(f"proc://{args.nodes}", timeout=120)) as session:
         ref_run = session.submit(TeraSortSpec(input=source)).result()
     reference = [p.to_bytes() for p in ref_run.partitions]
     validate_sorted_permutation(source.load(), ref_run.partitions)

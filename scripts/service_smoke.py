@@ -45,10 +45,10 @@ import time
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cluster import connect  # noqa: E402
 from repro.kvpairs.datasource import FileSource  # noqa: E402
 from repro.kvpairs.teragen import teragen  # noqa: E402
 from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
-from repro.runtime.inproc import ThreadCluster  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from repro.session import (  # noqa: E402
     CodedTeraSortSpec,
@@ -169,7 +169,7 @@ def main(argv=None) -> int:
 
         # Byte identity vs dedicated in-process runs.
         refs = []
-        with Session(ThreadCluster(JOB_WORKERS, recv_timeout=120)) as s:
+        with Session(connect(f"inproc://{JOB_WORKERS}", timeout=120)) as s:
             for i, (data, spec) in enumerate(specs):
                 _, run = results[i]
                 validate_sorted_permutation(data, run.partitions)
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
             elastic_spec, tenant="elastic", workers=JOB_WORKERS
         ).result(timeout=300)
         validate_sorted_permutation(elastic_data, run.partitions)
-        with Session(ThreadCluster(JOB_WORKERS, recv_timeout=120)) as s:
+        with Session(connect(f"inproc://{JOB_WORKERS}", timeout=120)) as s:
             ref = s.submit(elastic_spec).result(timeout=300)
         if _partitions_bytes(run) != _partitions_bytes(ref):
             print("[smoke] FAIL: post-regrowth job diverged from inproc")

@@ -36,13 +36,12 @@ import tempfile
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.cluster import connect  # noqa: E402
 from repro.core.jobs import WordCountJob  # noqa: E402
 from repro.core.outofcore import MIN_MEMORY_BUDGET  # noqa: E402
 from repro.kvpairs.datasource import FileSource  # noqa: E402
 from repro.kvpairs.teragen import teragen_to_file  # noqa: E402
 from repro.kvpairs.validation import validate_sorted_permutation  # noqa: E402
-from repro.runtime.inproc import ThreadCluster  # noqa: E402
-from repro.runtime.tcp import TcpCluster  # noqa: E402
 from repro.session import (  # noqa: E402
     CodedTeraSortSpec,
     MapReduceSpec,
@@ -99,8 +98,8 @@ def _smoke(args, workdir: str) -> int:
         memory_budget=MIN_MEMORY_BUDGET,
     )
 
-    with TcpCluster(
-        k, "tcp://127.0.0.1:0", timeout=180, connect_timeout=120
+    with connect(
+        "tcp://127.0.0.1:0", size=k, timeout=180, connect_timeout=120,
     ) as cluster:
         print(f"[smoke] rendezvous on {cluster.address}; launching {k} "
               f"`repro worker` subprocesses", flush=True)
@@ -157,7 +156,7 @@ def _smoke(args, workdir: str) -> int:
         print("[smoke] FAIL: workers did not all exit cleanly")
         return 1
 
-    with Session(ThreadCluster(k, recv_timeout=120)) as session:
+    with Session(connect(f"inproc://{k}", timeout=120)) as session:
         ref_uncoded = session.submit(TeraSortSpec(data=data)).result()
         ref_coded = session.submit(
             CodedTeraSortSpec(data=data, redundancy=r)

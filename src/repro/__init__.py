@@ -86,9 +86,6 @@ from repro.kvpairs.validation import (
 )
 from repro.runtime.api import MulticastMode
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
-from repro.runtime.tcp import TcpCluster
 from repro.service import (
     AdmissionError,
     QueueFull,
@@ -151,9 +148,6 @@ __all__ = [
     "validate_sorted_iter",
     "validate_sorted_permutation",
     "MulticastMode",
-    "ThreadCluster",
-    "ProcessCluster",
-    "TcpCluster",
     "SortService",
     "ServiceClient",
     "ServiceJobHandle",

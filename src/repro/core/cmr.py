@@ -29,6 +29,7 @@ from repro.core.outofcore import (
     residency_meta,
 )
 from repro.core.placement import CodedPlacement
+from repro.core.theory import check_params
 from repro.kvpairs.datasource import DataSource
 from repro.kvpairs.spill import spill_blob
 from repro.runtime.api import Comm
@@ -256,12 +257,7 @@ class MapReduceSpec(JobSpec):
                 f'scheme must be "coded" or "uncoded", got {self.scheme!r}'
             )
         check_schedule(self.schedule)
-        max_r = size - 1 if self.scheme == "coded" else size
-        if not 1 <= self.redundancy <= max_r:
-            raise ValueError(
-                f"redundancy must be in [1, {max_r}] for scheme="
-                f"{self.scheme!r} on K={size} nodes, got {self.redundancy}"
-            )
+        check_params(size, self.redundancy, multicast=self.scheme == "coded")
         base = binomial(size, self.redundancy)
         n = len(self.files)
         if n == 0 or n % base != 0:

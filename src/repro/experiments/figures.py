@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster import connect
 from repro.core.encoding import CodedPacket
 from repro.core.jobs import PROBE_UNIT, FixedSizeProbeJob
 from repro.core.theory import coded_comm_load, uncoded_comm_load
@@ -41,7 +42,6 @@ from repro.experiments.configs import (
 from repro.kvpairs.records import RECORD_BYTES
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
 from repro.session import CodedTeraSortSpec, MapReduceSpec, TeraSortSpec, run
 from repro.sim.costmodel import EC2CostModel
 from repro.sim.model import simulate_coded_terasort, simulate_terasort
@@ -77,7 +77,7 @@ def fig1_loads() -> ResultTable:
         ("uncoded r=2", "uncoded", 2, 6),
         ("coded r=2 (Fig. 1b)", "coded", 2, 3),
     ):
-        job = run(ThreadCluster(3, recv_timeout=30), MapReduceSpec(
+        job = run(connect("inproc://3", timeout=30), MapReduceSpec(
             FixedSizeProbeJob(), [f"file-{i}" for i in range(6)],
             redundancy=r, scheme=scheme, schedule="serial",
         ))
@@ -136,7 +136,7 @@ def fig2_series(
         cap = max_measured_r if max_measured_r is not None else num_nodes - 1
         if measure and r <= cap:
             coded = run(
-                ThreadCluster(num_nodes, recv_timeout=120.0),
+                connect(f"inproc://{num_nodes}", timeout=120.0),
                 CodedTeraSortSpec(data=data, redundancy=r, schedule="serial"),
             )
             point.coded_measured = (
@@ -144,7 +144,7 @@ def fig2_series(
             )
             if r == 1:
                 base = run(
-                    ThreadCluster(num_nodes, recv_timeout=120.0),
+                    connect(f"inproc://{num_nodes}", timeout=120.0),
                     TeraSortSpec(data=data),
                 )
                 point.uncoded_measured = (

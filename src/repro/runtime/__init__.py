@@ -7,15 +7,15 @@ communication layer for the reproduction:
 * :mod:`repro.runtime.api` — the :class:`Comm` communicator (blocking send /
   recv / bcast / barrier plus non-blocking isend / irecv / ibcast with
   :class:`Request` handles) that node programs are written against;
-* :mod:`repro.runtime.inproc` — worker threads in this process over
-  shared mailboxes (the pool's in-memory transport), used for functional
-  tests and byte accounting;
-* :mod:`repro.runtime.process` — a multiprocessing backend over an AF_UNIX
-  socket mesh with optional token-bucket rate limiting (the paper throttles
-  EC2 NICs to 100 Mbps with ``tc``);
-* :mod:`repro.runtime.tcp` — a multi-host backend: ``repro worker`` agents
-  dial a rendezvous coordinator over TCP and form the same K×K mesh across
-  real machines (the paper's actual EC2 deployment shape);
+* the pool's three worker transports, one per :func:`repro.connect`
+  scheme: :mod:`repro.runtime.inproc` (``inproc://``) — worker threads
+  in this process over shared mailboxes, used for functional tests and
+  byte accounting; :mod:`repro.runtime.process` (``proc://``) — forked
+  workers over an AF_UNIX socket mesh with optional token-bucket rate
+  limiting (the paper throttles EC2 NICs to 100 Mbps with ``tc``);
+  :mod:`repro.runtime.tcp` (``tcp://``) — ``repro worker`` agents dial a
+  rendezvous coordinator over TCP and form the same K×K mesh across real
+  machines (the paper's actual EC2 deployment shape);
 * :mod:`repro.runtime.transport` — the one socket framing: the zero-copy
   data plane's frames, and the control codec (a pickle body, NumPy arrays
   out of band) that every socket control channel speaks — forked and TCP
@@ -36,9 +36,6 @@ from repro.runtime.program import (
     NodeProgram,
     streaming_multicast_shuffle,
 )
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
-from repro.runtime.tcp import TcpCluster
 
 __all__ = [
     "Comm",
@@ -51,7 +48,4 @@ __all__ = [
     "NodeProgram",
     "ClusterResult",
     "streaming_multicast_shuffle",
-    "ThreadCluster",
-    "ProcessCluster",
-    "TcpCluster",
 ]

@@ -1,11 +1,12 @@
-"""Threaded in-process cluster backend: the pool's in-memory transport.
+"""The in-memory transport (``inproc://K``): worker threads in this
+process.
 
-Runs one OS thread per node.  This backend exists for *functional*
+Runs one OS thread per node.  This transport exists for *functional*
 fidelity — end-to-end correctness tests, deterministic byte accounting,
 and the Fig. 1 / Fig. 2 load measurements — not wall-clock performance
-(the GIL serializes compute).  Real parallel timing comes from
-:class:`repro.runtime.process.ProcessCluster` and the closed-form model
-(:mod:`repro.sim`).
+(the GIL serializes compute).  Real parallel timing comes from the fork
+transport (``proc://K``, :mod:`repro.runtime.process`) and the
+closed-form model (:mod:`repro.sim`).
 
 :class:`InprocMesh` is a :class:`~repro.runtime.pool.WorkerPool`
 transport beside :class:`~repro.runtime.process.ForkMesh` and
@@ -32,86 +33,11 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
 from repro.runtime.mailbox import Mailbox, MailboxLink
-from repro.runtime.pool import WorkerPool
 from repro.runtime.process import MeshEndpoint, serve_pool_jobs
-from repro.runtime.program import ClusterResult, PreparedJob, ProgramFactory
 from repro.testing import faults
-
-
-class ThreadCluster:
-    """A K-node cluster of threads in this process.
-
-    Args:
-        size: number of nodes (the paper's ``K``).
-        multicast_mode: linear or binomial-tree application multicast.
-        recv_timeout: per-receive timeout in seconds; ``None`` disables it.
-            Tests use a finite timeout so protocol bugs fail fast instead of
-            deadlocking the suite.  The pool's job deadline is this plus
-            30 s for compute (``None``: no deadline).
-        chunk_bytes: maximum raw-frame size for one user payload chunk.
-        record_relays: additionally log every physical broadcast hop (kind
-            ``"relay"``) to the traffic log.
-
-    The pool's liveness settings are
-    :class:`~repro.runtime.process.ProcessCluster`'s defaults.
-    """
-
-    heartbeat_interval: Optional[float] = 0.5
-    failure_timeout = 30.0
-
-    def __init__(
-        self,
-        size: int,
-        multicast_mode: MulticastMode = MulticastMode.LINEAR,
-        recv_timeout: Optional[float] = 60.0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        record_relays: bool = False,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"cluster size must be >= 1, got {size}")
-        self.size = size
-        self.multicast_mode = multicast_mode
-        self.recv_timeout = recv_timeout
-        self.chunk_bytes = chunk_bytes
-        self.record_relays = record_relays
-        #: The pool's job deadline.
-        self.timeout = (
-            float("inf") if recv_timeout is None else recv_timeout + 30.0
-        )
-
-    def run(self, factory: ProgramFactory) -> ClusterResult:
-        """Run one program instance per node; gather results, timings and
-        traffic — a one-job :class:`~repro.runtime.pool.WorkerPool`.
-        Threads share memory, so the factory closure is handed over as-is.
-
-        Raises:
-            RuntimeError: if any node program fails (a
-                :class:`~repro.runtime.errors.WorkerFailure` when a worker
-                died); the worker's traceback text is included.
-        """
-        with self.create_pool() as pool:
-            return pool.run_job(
-                PreparedJob(
-                    builder=lambda comm, _payload: factory(comm),
-                    payloads=[None] * self.size,
-                    finalize=lambda result: result,
-                ),
-                last=True,
-            )
-
-    def create_pool(self) -> WorkerPool:
-        """A persistent worker pool over this cluster configuration.
-
-        The pool starts K worker threads on the first job and runs many
-        jobs on them; a failed job tears them down and the next job
-        starts a fresh mesh.  :class:`repro.session.Session` is the
-        driver-facing API over it.
-        """
-        return WorkerPool(InprocMesh(self), self)
 
 
 class _Channel:
@@ -175,13 +101,13 @@ class InprocMesh:
 
     listener = None
 
-    def __init__(self, cluster: ThreadCluster) -> None:
+    def __init__(self, cluster) -> None:
         self._cluster = cluster
         self._threads: List[threading.Thread] = []
 
     def form(self, size: int) -> Dict[int, _Channel]:
         """Start ``size`` worker threads; returns their channels by rank."""
-        cl = self._cluster
+        settings = self._cluster.worker_settings()
         mailboxes = [Mailbox() for _ in range(size)]
         endpoints = [
             MeshEndpoint(
@@ -191,11 +117,7 @@ class InprocMesh:
                     for peer in range(size)
                     if peer != rank
                 },
-                cl.multicast_mode,
-                None,
-                cl.recv_timeout,
-                cl.chunk_bytes,
-                cl.record_relays,
+                settings,
                 mailbox=mailboxes[rank],
             )
             for rank in range(size)
@@ -232,12 +154,7 @@ class InprocMesh:
 
         faults.this_thread.die = die
         try:
-            serve_pool_jobs(
-                endpoint,
-                chan.take,
-                chan.put,
-                heartbeat_interval=self._cluster.heartbeat_interval,
-            )
+            serve_pool_jobs(endpoint, chan.take, chan.put)
         finally:
             leave()
 

@@ -159,8 +159,8 @@ class WorkerPool:
             ``heartbeat_interval``); the cluster object is never
             written to — mesh growth and a Session's ``failure_timeout``
             override are the pool's own state.
-        name: backend name in failure messages (default: the cluster's
-            class name).
+        name: what failure messages call the pool (default: the
+            cluster's ``address``).
     """
 
     #: After a job's first failure, wait this long (bounded by the job
@@ -178,7 +178,7 @@ class WorkerPool:
         name: Optional[str] = None,
     ) -> None:
         self._transport = transport
-        self.name = name or type(cluster).__name__
+        self.name = name or cluster.address
         self.size = cluster.size
         self.timeout = cluster.timeout
         self.failure_timeout = cluster.failure_timeout

@@ -1,4 +1,4 @@
-"""Multiprocessing cluster backend: real parallel execution.
+"""The fork transport (``proc://K``): real parallel execution.
 
 Architecture (the paper's Fig. 8, coordinator + K workers):
 
@@ -7,8 +7,7 @@ Architecture (the paper's Fig. 8, coordinator + K workers):
   shared :class:`~repro.runtime.pool.WorkerPool` reactor dispatches jobs
   and collects results, stage timings, and traffic logs over one
   ``socketpair`` control channel per worker, in control-codec frames
-  whose arrays travel out of band (see :mod:`repro.runtime.transport`;
-  ``ProcessCluster.run`` is that pool running one job);
+  whose arrays travel out of band (see :mod:`repro.runtime.transport`);
 * each worker runs the same :class:`~repro.runtime.program.NodeProgram` the
   threaded backend runs, over one :class:`Comm` per job built on the
   worker's :class:`MeshEndpoint`, whose peer links are framed socket I/O;
@@ -35,42 +34,32 @@ sender thread (preserving per-channel FIFO order); a per-link lock keeps
 frames from interleaving when the program thread (barriers, blocking
 broadcasts) sends concurrently with the sender thread.
 
-``ProcessCluster.run`` workers inherit the program factory through ``fork``,
-so factories may close over arbitrary in-memory state (e.g. pre-generated
-input files) without pickling.
+``repro.connect("proc://K")`` builds the cluster whose pool forks these
+workers; its ``run(factory)`` workers inherit the factory through
+``fork``.
 """
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing
-import os
 import queue
 import socket
 import threading
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runtime.api import (
     BufferParts,
     Comm,
     CommError,
-    DEFAULT_CHUNK_BYTES,
     MulticastMode,
     Request,
     _CompletedRequest,
     _FutureRequest,
 )
 from repro.runtime.mailbox import Mailbox, MailboxLink
-from repro.runtime.pool import WorkerPool
-from repro.runtime.program import (
-    ClusterResult,
-    JobControl,
-    NodeProgram,
-    PreparedJob,
-    ProgramFactory,
-)
+from repro.runtime.program import JobControl
 from repro.runtime.ratelimit import TokenBucket
 from repro.runtime.traffic import TrafficLog
 from repro.runtime.transport import (
@@ -103,6 +92,18 @@ class SocketLink:
             send_frame(self.sock, tag, payload, pacer=self.pacer)
 
 
+#: What a worker runs under: the cluster settings every transport hands
+#: its workers, by the keys the TCP welcome carries them under.
+WORKER_SETTINGS = (
+    "multicast_mode",
+    "rate_bytes_per_s",
+    "timeout",
+    "chunk_bytes",
+    "record_relays",
+    "heartbeat_interval",
+)
+
+
 class MeshEndpoint:
     """One worker's place in the mesh, for the worker's whole life.
 
@@ -122,25 +123,24 @@ class MeshEndpoint:
 
     Every backend builds it with this constructor; ``links`` holds
     sockets or ``MailboxLink`` objects (a TCP agent starts with none and
-    adds each as it is linked).
+    adds each as it is linked), and ``settings`` maps every name in
+    :data:`WORKER_SETTINGS` to the cluster's value.
     """
 
     def __init__(
         self,
         rank: int,
         links: Dict[int, Union[socket.socket, MailboxLink]],
-        multicast_mode: MulticastMode,
-        rate_bytes_per_s: Optional[float],
-        recv_timeout: Optional[float],
-        chunk_bytes: int,
-        record_relays: bool,
+        settings: Dict[str, Any],
         mailbox: Optional[Mailbox] = None,
     ) -> None:
         self.rank = rank
-        self.multicast_mode = multicast_mode
-        self.recv_timeout = recv_timeout
-        self.chunk_bytes = chunk_bytes
-        self.record_relays = record_relays
+        self.multicast_mode = MulticastMode(settings["multicast_mode"])
+        self.recv_timeout = settings["timeout"]
+        self.chunk_bytes = settings["chunk_bytes"]
+        self.record_relays = settings["record_relays"]
+        self.heartbeat_interval = settings["heartbeat_interval"]
+        rate_bytes_per_s = settings["rate_bytes_per_s"]
         self.mailbox = Mailbox() if mailbox is None else mailbox
         self.links: Dict[int, Union[SocketLink, MailboxLink]] = {}
         #: Membership epoch at which each peer link was established; 0
@@ -442,7 +442,6 @@ def serve_pool_jobs(
     endpoint: MeshEndpoint,
     recv_msg: Callable[[], Tuple],
     send_msg: Callable[[Tuple], None],
-    heartbeat_interval: Optional[float] = None,
     drain: Optional[WorkerDrain] = None,
 ) -> None:
     """The pool worker control loop, over any coordinator transport.
@@ -468,7 +467,7 @@ def serve_pool_jobs(
     choice (a Session does, the sort service never does).
 
     While a job runs, the worker's one heartbeat thread reports its
-    current stage every ``heartbeat_interval`` seconds (``None``
+    current stage every ``endpoint.heartbeat_interval`` seconds (``None``
     disables) — the driver's liveness detector and the speculation
     policy both feed on these.  A reader thread owns ``recv_msg`` for the
     whole loop, routing mid-job ``("ctl", seq, payload)`` frames into the
@@ -498,10 +497,9 @@ def serve_pool_jobs(
     reader = _CtrlReader(recv_msg)
     if drain is not None:
         drain._inbox = reader.inbox
+    interval = endpoint.heartbeat_interval
     heartbeater = (
-        _Heartbeater(rank, send_msg, send_lock, heartbeat_interval)
-        if heartbeat_interval
-        else None
+        _Heartbeater(rank, send_msg, send_lock, interval) if interval else None
     )
 
     def report(msg: Tuple) -> None:
@@ -578,12 +576,12 @@ def _pool_worker_main(
     conns: Dict[int, socket.socket],
     extra_close: List,
     ctrl_sock: socket.socket,
-    cluster: "ProcessCluster",
+    settings: Dict[str, Any],
 ) -> None:
     """Pool worker entry point (forked child): :func:`serve_pool_jobs`
     over its end of the control ``socketpair``, after the one-time
-    mesh endpoint setup from the ``cluster`` configuration inherited
-    through the fork."""
+    mesh endpoint setup from the worker ``settings`` inherited through
+    the fork."""
     from repro.kvpairs.spill import SpillDir, install_spill_cleanup_handler
 
     # Spill hygiene: a terminated pool worker must still remove its
@@ -601,125 +599,13 @@ def _pool_worker_main(
             obj.close()
         except OSError:  # pragma: no cover - best-effort cleanup
             pass
-    endpoint = MeshEndpoint(
-        rank,
-        conns,
-        cluster.multicast_mode,
-        cluster.rate_bytes_per_s,
-        cluster.timeout,
-        cluster.chunk_bytes,
-        cluster.record_relays,
-    )
+    endpoint = MeshEndpoint(rank, conns, settings)
     try:
-        chan = Channel(ctrl_sock, cluster.timeout, pool_end=False)
-        serve_pool_jobs(
-            endpoint,
-            chan.recv,
-            chan.send,
-            heartbeat_interval=cluster.heartbeat_interval,
-        )
+        chan = Channel(ctrl_sock, settings["timeout"], pool_end=False)
+        serve_pool_jobs(endpoint, chan.recv, chan.send)
     finally:
         endpoint.close()
         ctrl_sock.close()
-
-
-class ProcessCluster:
-    """K worker processes over an AF_UNIX socket mesh.
-
-    Args:
-        size: number of workers (the paper's ``K``).
-        multicast_mode: linear or binomial-tree application multicast.
-        rate_bytes_per_s: per-worker egress throttle; ``12.5e6`` reproduces
-            the paper's 100 Mbps setting. ``None`` disables pacing.
-        timeout: overall run timeout in seconds (workers are killed past it);
-            also bounds how long any single receive may wait.
-        chunk_bytes: maximum raw-frame size for one user payload chunk.
-        record_relays: additionally log every physical broadcast hop (kind
-            ``"relay"``) to the traffic log.
-        heartbeat_interval: how often pool workers report their current
-            stage to the driver (seconds); feeds failure detection and
-            map speculation.  ``None`` disables heartbeats.
-        failure_timeout: a pool worker silent for this long mid-job is
-            declared dead with a typed
-            :class:`~repro.runtime.errors.WorkerFailure` — no waiting
-            for the job timeout or the EOF cascade.
-    """
-
-    def __init__(
-        self,
-        size: int,
-        multicast_mode: MulticastMode = MulticastMode.TREE,
-        rate_bytes_per_s: Optional[float] = None,
-        timeout: float = 300.0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        record_relays: bool = False,
-        heartbeat_interval: Optional[float] = 0.5,
-        failure_timeout: float = 30.0,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"cluster size must be >= 1, got {size}")
-        if os.name != "posix":  # pragma: no cover - linux-only environment
-            raise RuntimeError("ProcessCluster requires a POSIX fork platform")
-        self.size = size
-        self.multicast_mode = multicast_mode
-        self.rate_bytes_per_s = rate_bytes_per_s
-        self.timeout = timeout
-        self.chunk_bytes = chunk_bytes
-        self.record_relays = record_relays
-        self.heartbeat_interval = heartbeat_interval
-        self.failure_timeout = failure_timeout
-
-    def run(self, factory: ProgramFactory) -> ClusterResult:
-        """Fork workers, run the program once, gather results and traffic
-        — a one-job :class:`~repro.runtime.pool.WorkerPool`.
-
-        Workers inherit ``factory`` through ``fork`` (it is parked in a
-        module-level registry the children see a copy of; only its token
-        crosses the control channel), so it may close over arbitrary
-        in-memory state without pickling.
-
-        Raises:
-            RuntimeError: if any worker fails or the run times out; the
-                worker's traceback text is included.
-        """
-        token = next(_factory_tokens)
-        _FORK_FACTORIES[token] = factory
-        try:
-            with self.create_pool() as pool:
-                return pool.run_job(
-                    PreparedJob(
-                        builder=_build_inherited,
-                        payloads=[token] * self.size,
-                        finalize=lambda result: result,
-                    ),
-                    last=True,
-                )
-        finally:
-            del _FORK_FACTORIES[token]
-
-    def create_pool(self) -> WorkerPool:
-        """A persistent worker pool over this cluster configuration.
-
-        The pool forks the K-worker socket mesh once (lazily, on the
-        first job) and runs many jobs on it: the per-job cost drops to
-        one (builder, payload) control frame per worker plus the job
-        itself.
-        Any worker error, worker death, or job timeout fails that job
-        and tears the workers down; the next job transparently re-forks
-        a clean mesh.  :class:`repro.session.Session` is the
-        driver-facing API over it.
-        """
-        return WorkerPool(ForkMesh(self), self)
-
-
-#: Program factories of in-flight :meth:`ProcessCluster.run` calls, by
-#: token; forked workers inherit the entry present at fork time.
-_FORK_FACTORIES: Dict[int, ProgramFactory] = {}
-_factory_tokens = itertools.count()
-
-
-def _build_inherited(comm: Comm, token: int) -> NodeProgram:
-    return _FORK_FACTORIES[token](comm)
 
 
 class ForkMesh:
@@ -736,7 +622,7 @@ class ForkMesh:
 
     listener = None
 
-    def __init__(self, cluster: ProcessCluster) -> None:
+    def __init__(self, cluster) -> None:
         self._cluster = cluster
         self._ctx = multiprocessing.get_context("fork")
         self.procs: List = []
@@ -745,6 +631,7 @@ class ForkMesh:
         """Fork ``size`` workers running :func:`_pool_worker_main`;
         returns the pool ends of their control channels by rank."""
         pairs = _build_mesh(size)
+        settings = self._cluster.worker_settings()
         chans: List[Channel] = []
         procs: List = []
         try:
@@ -762,7 +649,7 @@ class ForkMesh:
                         conns,
                         extra_close,
                         worker_end,
-                        self._cluster,
+                        settings,
                     ),
                     name=f"pool-worker-{rank}",
                     daemon=True,

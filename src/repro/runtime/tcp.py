@@ -1,4 +1,4 @@
-"""Multi-host TCP cluster backend: real workers on real machines.
+"""The TCP transport (``tcp://HOST:PORT``): real workers on real machines.
 
 The paper's numbers were measured on a standing EC2 cluster, not forked
 processes on one box.  This module is the TCP *transport*, closing that
@@ -13,7 +13,8 @@ control codec, the zero-copy ``sendmsg`` / ``recv_into`` data plane of
 :func:`~repro.runtime.process.serve_pool_jobs` worker loop, and the
 driver-side :class:`~repro.runtime.pool.WorkerPool` reactor — so
 ``Session.submit()`` works unchanged and outputs are byte-identical with
-:class:`~repro.runtime.process.ProcessCluster`.
+the fork transport's.  ``repro.connect("tcp://HOST:PORT", size=K)``
+builds the cluster, binding the rendezvous listener before it returns.
 
 Rendezvous protocol (all control messages are length-prefixed frames on
 the worker's coordinator connection; fixed-layout structs for the two
@@ -83,8 +84,6 @@ import threading
 import time
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.runtime.api import DEFAULT_CHUNK_BYTES, MulticastMode
-from repro.runtime.pool import WorkerPool
 from repro.runtime.process import MeshEndpoint, WorkerDrain, serve_pool_jobs
 from repro.runtime.transport import (
     Channel,
@@ -98,7 +97,6 @@ from repro.runtime.transport import (
 __all__ = [
     "PROTOCOL_VERSION",
     "Rendezvous",
-    "TcpCluster",
     "TcpClusterError",
     "TcpHandshakeError",
     "parse_address",
@@ -163,13 +161,11 @@ def parse_address(address: str) -> Tuple[str, int]:
         )
     if host.startswith("[") and host.endswith("]"):
         host = host[1:-1]
-    try:
-        port = int(port_s)
-    except ValueError:
+    if not (port_s.isascii() and port_s.isdigit()) or int(port_s) > 65535:
         raise ValueError(
             f"cluster address must be tcp://HOST:PORT, got {address!r}"
-        ) from None
-    return host, port
+        )
+    return host, int(port_s)
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +384,7 @@ def run_worker(
         send_msg(ctrl, ("listening", (adv_host, listener.getsockname()[1])))
         roster = _expect(ctrl, "roster", "waiting for the peer roster")[1]
         epoch = roster["epoch"]
-        endpoint = MeshEndpoint(
-            my_rank,
-            {},
-            MulticastMode(cfg["multicast_mode"]),
-            cfg["rate_bytes_per_s"],
-            cfg["timeout"],
-            cfg["chunk_bytes"],
-            cfg["record_relays"],
-        )
+        endpoint = MeshEndpoint(my_rank, {}, cfg)
         threading.Thread(
             target=_serve_mesh_joins,
             args=(listener, endpoint, nonce, handshake_timeout, say),
@@ -418,13 +406,7 @@ def run_worker(
         send_msg(ctrl, ("ready",))
         chan = Channel(ctrl, cfg["timeout"], pool_end=False)
         say("mesh up, serving jobs")
-        serve_pool_jobs(
-            endpoint,
-            chan.recv,
-            chan.send,
-            heartbeat_interval=cfg.get("heartbeat_interval", 0.5),
-            drain=drain,
-        )
+        serve_pool_jobs(endpoint, chan.recv, chan.send, drain=drain)
         say("drained" if drain is not None and drain.requested else "stopped")
         return 0
     finally:
@@ -451,125 +433,8 @@ def run_worker(
 
 
 # ---------------------------------------------------------------------------
-# Coordinator side: the cluster spec and its pool.
+# Coordinator side: the rendezvous.
 # ---------------------------------------------------------------------------
-
-
-class TcpCluster:
-    """K worker agents on real hosts over a TCP mesh (rendezvous owner).
-
-    Constructing the cluster binds the rendezvous listener immediately
-    (so ``address`` is known even with port 0) and keeps it open across
-    pool generations — workers may dial in before or after the driver
-    starts, and replacement workers can rejoin after a failure.
-
-    Drop-in third backend: anything that takes a
-    :class:`~repro.runtime.process.ProcessCluster` /
-    :class:`~repro.runtime.inproc.ThreadCluster` — ``Session``,
-    ``repro.run``, the CLI — accepts a ``TcpCluster`` unchanged, and outputs are byte-identical across the three.
-
-    Args:
-        size: number of workers (the paper's ``K``).
-        address: ``tcp://HOST:PORT`` (or ``HOST:PORT``) to listen on;
-            port 0 picks an ephemeral port (see :attr:`address`).
-        multicast_mode: linear or binomial-tree application multicast.
-        rate_bytes_per_s: per-worker egress throttle, shipped to workers
-            at rendezvous; ``12.5e6`` reproduces the paper's 100 Mbps.
-        timeout: per-job bound — receives on workers and result
-            collection on the coordinator both give up past it.
-        chunk_bytes: maximum raw-frame size for one user payload chunk.
-        record_relays: additionally log physical broadcast hops.
-        connect_timeout: how long a pool start waits for K workers.
-        handshake_timeout: per-step bound for rendezvous reads.
-        heartbeat_interval: how often workers report their current stage
-            on the control connection (shipped in the welcome config);
-            feeds failure detection and map speculation.  ``None``
-            disables heartbeats.
-        failure_timeout: a worker silent for this long mid-job is
-            declared dead with a typed
-            :class:`~repro.runtime.errors.WorkerFailure`.
-
-    Workers always outlive a failed job (report, reclaim its frames,
-    serve the next); whether the mesh is re-formed after one is up to
-    the pool's entry point (see :meth:`create_pool`).
-    """
-
-    def __init__(
-        self,
-        size: int,
-        address: str = "tcp://127.0.0.1:0",
-        multicast_mode: MulticastMode = MulticastMode.TREE,
-        rate_bytes_per_s: Optional[float] = None,
-        timeout: float = 300.0,
-        chunk_bytes: int = DEFAULT_CHUNK_BYTES,
-        record_relays: bool = False,
-        connect_timeout: float = 30.0,
-        handshake_timeout: float = 30.0,
-        heartbeat_interval: Optional[float] = 0.5,
-        failure_timeout: float = 30.0,
-    ) -> None:
-        if size < 1:
-            raise ValueError(f"cluster size must be >= 1, got {size}")
-        self.size = size
-        self.multicast_mode = multicast_mode
-        self.rate_bytes_per_s = rate_bytes_per_s
-        self.timeout = timeout
-        self.chunk_bytes = chunk_bytes
-        self.record_relays = record_relays
-        self.connect_timeout = connect_timeout
-        self.handshake_timeout = handshake_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.failure_timeout = failure_timeout
-        host, port = parse_address(address)
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-        except OSError as exc:
-            self._listener.close()
-            raise TcpClusterError(
-                f"cannot listen on {host}:{port}: {exc}"
-            ) from exc
-        self._listener.listen(size + 8)
-        self.host = host
-        self.port = self._listener.getsockname()[1]
-
-    @property
-    def address(self) -> str:
-        """The bound rendezvous address workers should ``--join``."""
-        return f"tcp://{self.host}:{self.port}"
-
-    def create_pool(self) -> WorkerPool:
-        """A persistent worker pool over this rendezvous.
-
-        The first job admits K workers (handshake, roster, mesh, ready);
-        every job then ships one pickled ``(builder, payload)`` per
-        worker.  Any worker error or death fails the job, and a
-        Session (or :meth:`~repro.runtime.pool.WorkerPool.run_job`) then
-        stops the workers; the coordinator cannot re-fork remote workers, so the
-        *next* job re-opens the rendezvous and waits ``connect_timeout``
-        for K fresh (or supervisor-restarted) workers to join.
-        :class:`repro.session.Session` is the driver-facing API over it.
-        """
-        return WorkerPool(Rendezvous(self), self)
-
-    def close(self) -> None:
-        """Close the rendezvous listener (idempotent).  Pools already
-        running keep their established connections; no new pool can
-        start."""
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-
-    def __enter__(self) -> "TcpCluster":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TcpCluster(size={self.size}, address={self.address!r})"
 
 
 class Rendezvous:
@@ -585,7 +450,7 @@ class Rendezvous:
     :class:`~repro.runtime.pool.WorkerPool`.
     """
 
-    def __init__(self, cluster: TcpCluster) -> None:
+    def __init__(self, cluster) -> None:
         self._cluster = cluster
         #: Minted per mesh generation: keeps a stale worker of an
         #: earlier, torn-down mesh from splicing into this one.
@@ -594,7 +459,7 @@ class Rendezvous:
         #: so they can dial the standing mesh.
         self.addrs: Dict[int, Tuple[str, int]] = {}
         #: Readable when a worker is dialing the rendezvous.
-        self.listener = cluster._listener
+        self.listener = cluster.listener
 
     def teardown(self, busy: Sequence[int] = ()) -> None:
         """Nothing to reap: remote workers exit on the pool's ``stop``
@@ -645,24 +510,11 @@ class Rendezvous:
         return None
 
     def _welcome(self, rank: int, size: int) -> Tuple:
-        """The WELCOME message for ``rank``.
-
-        New keys ride the config dict, so older workers (which ``.get``
-        with defaults) stay compatible — no PROTOCOL_VERSION bump is
-        needed for additions.
-        """
-        cluster = self._cluster
-        cfg: Dict[str, Any] = {
-            "rank": rank,
-            "size": size,
-            "nonce": self.nonce,
-            "multicast_mode": cluster.multicast_mode.value,
-            "rate_bytes_per_s": cluster.rate_bytes_per_s,
-            "timeout": cluster.timeout,
-            "chunk_bytes": cluster.chunk_bytes,
-            "record_relays": cluster.record_relays,
-            "heartbeat_interval": cluster.heartbeat_interval,
-        }
+        """The WELCOME message for ``rank``: its place in the mesh plus
+        the cluster's worker settings, keyed by
+        :data:`~repro.runtime.process.WORKER_SETTINGS`."""
+        cfg = self._cluster.worker_settings()
+        cfg.update(rank=rank, size=size, nonce=self.nonce)
         return ("welcome", cfg)
 
     def _roster(self, peers: Sequence[int], epoch: int, size: int) -> Tuple:

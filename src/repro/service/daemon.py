@@ -1,11 +1,11 @@
 """The ``repro serve`` daemon: a multi-tenant sort service on one mesh.
 
-A :class:`SortService` owns a standing :class:`~repro.runtime.tcp
-.TcpCluster` worker mesh (one :class:`~repro.runtime.pool.WorkerPool`
-over the cluster's :class:`~repro.runtime.tcp.Rendezvous`) and a TCP
-*control port* where many clients submit serialized
-:class:`~repro.session.JobSpec` jobs concurrently.  It is the one job
-queue (:class:`~repro.session.JobQueue`, whose docstring draws the job
+A :class:`SortService` owns a standing ``tcp://`` worker mesh (one
+:class:`~repro.runtime.pool.WorkerPool` over the cluster's
+:class:`~repro.runtime.tcp.Rendezvous`) and a TCP *control port* where
+many clients submit serialized :class:`~repro.session.JobSpec` jobs
+concurrently.  It is the one job queue
+(:class:`~repro.session.JobQueue`, whose docstring draws the job
 lifecycle) under the :class:`~repro.service.scheduler.FairShareScheduler`:
 admission control with typed rejections at submit, priority + fair-share
 ordering at dispatch, and per-job worker subsets so a K'=4 job and a
@@ -31,7 +31,7 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.runtime.pool import WorkerPool
-from repro.runtime.tcp import Rendezvous, TcpCluster, parse_address
+from repro.runtime.tcp import Rendezvous, parse_address
 from repro.service.protocol import MAX_REQUEST_BYTES, recv_obj, send_obj
 from repro.service.scheduler import (
     AdmissionError,
@@ -54,7 +54,8 @@ class SortService(JobQueue):
     dialed in) and starts the accept and driver threads.
 
     Args:
-        cluster: mesh spec; its ``size`` is the scheduler's capacity.
+        cluster: a ``tcp://`` :class:`~repro.cluster.Cluster`; its
+            ``size`` is the scheduler's capacity.
         control: ``tcp://HOST:PORT`` for the control port (port 0 picks
             an ephemeral one).
         max_queue_depth / default_quota / quotas: admission policy, see
@@ -73,7 +74,7 @@ class SortService(JobQueue):
 
     def __init__(
         self,
-        cluster: TcpCluster,
+        cluster,
         control: str = "tcp://127.0.0.1:0",
         max_queue_depth: int = 64,
         default_quota: Optional[TenantQuota] = None,
@@ -82,6 +83,12 @@ class SortService(JobQueue):
         retry_backoff: float = 0.1,
         shrink_to_fit: bool = False,
     ) -> None:
+        if cluster.scheme != "tcp":
+            raise ValueError(
+                "the sort service needs a tcp:// cluster, got "
+                + cluster.address
+            )
+        host, port = parse_address(control)
         super().__init__(max_retries, retry_backoff, reform=False)
         self._pool = WorkerPool(
             Rendezvous(cluster), cluster, name="SortService"
@@ -99,7 +106,6 @@ class SortService(JobQueue):
         self._accept: Optional[threading.Thread] = None
         #: Live per-request threads and their connections.
         self._conns: Dict[threading.Thread, socket.socket] = {}
-        host, port = parse_address(control)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:

@@ -2,13 +2,13 @@
 
 The paper's EC2 experiments amortize cluster setup across a whole
 benchmark campaign; this module gives the driver API the same shape.  A
-:class:`Session` owns a long-lived worker pool on any backend
-(:class:`~repro.runtime.inproc.ThreadCluster`,
-:class:`~repro.runtime.process.ProcessCluster`, or the multi-host
-:class:`~repro.runtime.tcp.TcpCluster`) and accepts many jobs:
-on the process backend the fork + socketpair-mesh + reader-thread setup
-is paid once per session instead of once per job, with workers running a
-control loop over their standing mesh endpoint and building one
+:class:`Session` owns a long-lived worker pool on the one
+:class:`~repro.cluster.Cluster` (:func:`~repro.cluster.connect`:
+``inproc://K`` threads, ``proc://K`` forked processes, or a multi-host
+``tcp://HOST:PORT`` mesh) and accepts many jobs: on ``proc://`` the
+fork + socketpair-mesh + reader-thread setup is paid once per session
+instead of once per job, with workers running a control loop over their
+standing mesh endpoint and building one
 :class:`~repro.runtime.api.Comm` per job (each job shifted into its own
 reserved tag window).
 
@@ -21,9 +21,9 @@ describes and re-exported here; the spec class docstrings are the one
 place each option's meaning, default and validity are written.  Jobs
 are submitted through one call::
 
-    from repro import Session, ProcessCluster, TeraSortSpec, CodedTeraSortSpec
+    from repro import Session, TeraSortSpec, CodedTeraSortSpec, connect
 
-    with Session(ProcessCluster(8)) as session:
+    with Session(connect("proc://8")) as session:
         base = session.submit(TeraSortSpec(data=data))
         fast = session.submit(CodedTeraSortSpec(data=data, redundancy=3))
         base.result().partitions  # JobHandle is a future
@@ -46,7 +46,7 @@ transport — new threads, re-fork, or TCP re-join).
 For a single job, :func:`run` opens a one-job session, submits, waits
 and closes::
 
-    run = repro.run(ThreadCluster(6), CodedTeraSortSpec(data=data, redundancy=2))
+    run = repro.run(connect("inproc://6"), CodedTeraSortSpec(data=data, redundancy=2))
 """
 
 from __future__ import annotations
@@ -469,8 +469,7 @@ class Session(JobQueue):
     queue with a FIFO policy, one job at a time on every worker.
 
     Args:
-        cluster: a :class:`~repro.runtime.inproc.ThreadCluster` or
-            :class:`~repro.runtime.process.ProcessCluster` (anything with
+        cluster: a :class:`~repro.cluster.Cluster` (anything with
             ``size`` and ``create_pool()``).  The cluster object only
             carries configuration; the session owns the actual pool.
         max_retries: how many times a job that failed to *infrastructure*

@@ -38,12 +38,12 @@ def tiny_batch():
 
 @pytest.fixture
 def thread_cluster_factory():
-    """Factory for thread clusters with a test-friendly recv timeout."""
-    from repro.runtime.inproc import ThreadCluster
+    """Factory for ``inproc://`` clusters with a test-friendly timeout."""
+    from repro.cluster import connect
 
     def make(size: int, **kwargs):
-        kwargs.setdefault("recv_timeout", 60.0)
-        return ThreadCluster(size, **kwargs)
+        kwargs.setdefault("timeout", 60.0)
+        return connect(f"inproc://{size}", **kwargs)
 
     return make
 

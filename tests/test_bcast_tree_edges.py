@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.cluster import connect
 from repro.core.coded_terasort import CodedTeraSortSpec
 from repro.kvpairs.teragen import teragen
 from repro.runtime.api import Comm, MulticastMode
-from repro.runtime.inproc import ThreadCluster
 from repro.runtime.program import NodeProgram
 from repro.runtime.traffic import TrafficLog
 
@@ -60,8 +60,9 @@ def _run_one_bcast(size, group, root, payload, mode, program=_OneBcast):
     def factory(comm):
         return program(comm, group, root, payload)
 
-    cluster = ThreadCluster(
-        size, multicast_mode=mode, recv_timeout=20, record_relays=True
+    cluster = connect(
+        f"inproc://{size}", multicast_mode=mode, timeout=20,
+        record_relays=True,
     )
     return cluster.run(factory)
 
@@ -154,8 +155,8 @@ def test_serial_walk_on_the_chain_is_byte_identical():
     data = teragen(6000, seed=11)
 
     def run(mode, schedule):
-        cluster = ThreadCluster(
-            6, multicast_mode=mode, recv_timeout=60, record_relays=True
+        cluster = connect(
+            "inproc://6", multicast_mode=mode, timeout=60, record_relays=True,
         )
         return repro.run(
             cluster, CodedTeraSortSpec(data, 3, schedule=schedule)
@@ -217,8 +218,8 @@ class TestRelayAccounting:
 
     def test_relay_recording_off_by_default(self):
         group = (0, 1, 2, 3)
-        cluster = ThreadCluster(
-            4, multicast_mode=MulticastMode.TREE, recv_timeout=20
+        cluster = connect(
+            "inproc://4", multicast_mode=MulticastMode.TREE, timeout=20,
         )
         res = cluster.run(lambda comm: _OneBcast(comm, group, 0, b"quiet"))
         assert res.traffic.relay_records() == []

@@ -18,10 +18,10 @@ import pytest
 
 import repro
 from repro import MapReduceSpec
+from repro.cluster import connect
 from repro.core.jobs import PROBE_UNIT as UNIT
 from repro.core.jobs import FixedSizeProbeJob
 from repro.experiments.figures import fig1_loads
-from repro.runtime.inproc import ThreadCluster
 
 
 def expected_outputs():
@@ -33,7 +33,7 @@ def expected_outputs():
 def run(scheme_coded: bool, r: int):
     files = [f"file-{i}" for i in range(6)]
     return repro.run(
-        ThreadCluster(3, recv_timeout=30),
+        connect("inproc://3", timeout=30),
         MapReduceSpec(
             FixedSizeProbeJob(),
             files,

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro import MapReduceSpec, Session
+from repro.cluster import connect
 from repro.core.jobs import (
     FixedSizeProbeJob,
     GrepJob,
@@ -23,7 +24,6 @@ from repro.core.jobs import (
     WordCountJob,
     _bucket,
 )
-from repro.runtime.inproc import ThreadCluster
 
 TEXTS = [
     "the quick brown fox jumps over the lazy dog",
@@ -71,7 +71,7 @@ class TestWordCount:
     @pytest.mark.parametrize("coded,r", [(False, 1), (False, 2), (True, 2), (True, 1)])
     def test_schemes_agree(self, coded, r):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 WordCountJob(),
                 TEXTS,
@@ -83,7 +83,7 @@ class TestWordCount:
 
     def test_multiple_buckets_per_node(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 WordCountJob(buckets_per_node=2),
                 TEXTS,
@@ -104,11 +104,11 @@ class TestWordCount:
             " ".join(f"file{i}word{j}" for j in range(400)) for i in range(6)
         ]
         base = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(WordCountJob(), texts, redundancy=2),
         )
         coded = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(WordCountJob(), texts, redundancy=2, scheme="coded"),
         )
         assert (
@@ -120,7 +120,7 @@ class TestWordCount:
         """At byte-scale payloads headers + padding can exceed the saving —
         the engine must still deliver correct outputs in that regime."""
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(WordCountJob(), TEXTS, redundancy=2, scheme="coded"),
         )
         assert merged_outputs(run) == self.expected()
@@ -133,7 +133,7 @@ class TestWordCount:
 class TestGrep:
     def test_finds_all_matches(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(GrepJob(r"qu"), TEXTS, redundancy=2, scheme="coded"),
         )
         matches = [m for v in run.outputs.values() for m in v]
@@ -144,7 +144,7 @@ class TestGrep:
 
     def test_no_matches(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 GrepJob(r"zzzzzz"),
                 TEXTS,
@@ -156,7 +156,7 @@ class TestGrep:
 
     def test_regex_anchors(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(GrepJob(r"^the"), TEXTS, redundancy=1),
         )
         matches = [m for v in run.outputs.values() for m in v]
@@ -171,7 +171,7 @@ class TestSelfJoin:
             [("k1", 3), ("k2", 20)],
         ]
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(SelfJoinJob(), files, redundancy=2, scheme="coded"),
         )
         joined = merged_outputs(run)
@@ -183,7 +183,7 @@ class TestSelfJoin:
         files = [[(f"k{i % 4}", i)] for i in range(6)]
         runs = [
             repro.run(
-                ThreadCluster(3, recv_timeout=30),
+                connect("inproc://3", timeout=30),
                 MapReduceSpec(
                     SelfJoinJob(),
                     files,
@@ -199,7 +199,7 @@ class TestSelfJoin:
 class TestInvertedIndex:
     def test_postings(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 InvertedIndexJob(),
                 TEXTS,
@@ -213,7 +213,7 @@ class TestInvertedIndex:
 
     def test_each_word_once_per_file(self):
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 InvertedIndexJob(),
                 ["dup dup dup", "dup other", "x y"],
@@ -228,7 +228,7 @@ class TestEngineValidation:
     def test_file_count_must_divide(self):
         with pytest.raises(ValueError, match="multiple"):
             repro.run(
-                ThreadCluster(3, recv_timeout=30),
+                connect("inproc://3", timeout=30),
                 MapReduceSpec(
                     WordCountJob(),
                     TEXTS[:4],
@@ -240,7 +240,7 @@ class TestEngineValidation:
     def test_zero_files_rejected(self):
         with pytest.raises(ValueError):
             repro.run(
-                ThreadCluster(3, recv_timeout=30),
+                connect("inproc://3", timeout=30),
                 MapReduceSpec(WordCountJob(), [], redundancy=1),
             )
 
@@ -263,7 +263,7 @@ class TestRankedInvertedIndex:
         from repro.core.jobs import RankedInvertedIndexJob
 
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(
                 RankedInvertedIndexJob(),
                 TEXTS,
@@ -282,7 +282,7 @@ class TestRankedInvertedIndex:
             "apple apple cherry",         # file 2: apple x2
         ]
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(RankedInvertedIndexJob(), texts, redundancy=1),
         )
         merged = merged_outputs(run)
@@ -296,7 +296,7 @@ class TestRankedInvertedIndex:
 
         texts = ["tie word", "tie word", "other text"]
         run = repro.run(
-            ThreadCluster(3, recv_timeout=30),
+            connect("inproc://3", timeout=30),
             MapReduceSpec(RankedInvertedIndexJob(), texts, redundancy=1),
         )
         merged = merged_outputs(run)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import connect
 from repro.runtime.api import CommError, MulticastMode, RESERVED_TAG_BASE
-from repro.runtime.inproc import ThreadCluster
 from repro.runtime.program import NodeProgram
 
 
@@ -36,7 +36,7 @@ class TestBcastModes:
     @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
     def test_all_members_receive(self, mode, size):
-        res = ThreadCluster(size, multicast_mode=mode, recv_timeout=20).run(
+        res = connect(f"inproc://{size}", multicast_mode=mode, timeout=20).run(
             _EchoProgram
         )
         for got in res.results:
@@ -49,7 +49,8 @@ class TestBcastModes:
         def factory(comm):
             return _EchoProgram(comm, group=group)
 
-        res = ThreadCluster(5, multicast_mode=mode, recv_timeout=20).run(factory)
+        cluster = connect("inproc://5", multicast_mode=mode, timeout=20)
+        res = cluster.run(factory)
         for rank, got in enumerate(res.results):
             if rank in group:
                 assert got == {r: f"msg-{r}".encode() for r in group}
@@ -59,7 +60,7 @@ class TestBcastModes:
     def test_modes_produce_identical_traffic_load(self):
         loads = {}
         for mode in (MulticastMode.LINEAR, MulticastMode.TREE):
-            res = ThreadCluster(6, multicast_mode=mode, recv_timeout=20).run(
+            res = connect("inproc://6", multicast_mode=mode, timeout=20).run(
                 _EchoProgram
             )
             loads[mode] = res.traffic.load_bytes()
@@ -106,7 +107,7 @@ class _ValidationProgram(NodeProgram):
 
 class TestValidation:
     def test_all_misuses_raise_commerror(self):
-        res = ThreadCluster(2, recv_timeout=10).run(_ValidationProgram)
+        res = connect("inproc://2", timeout=10).run(_ValidationProgram)
         for errs in res.results:
             assert all(e == "ok" for e in errs)
 
@@ -121,9 +122,9 @@ class _SingletonBcast(NodeProgram):
 
 class TestEdgeGroups:
     def test_singleton_group_returns_payload(self):
-        res = ThreadCluster(3, recv_timeout=10).run(_SingletonBcast)
+        res = connect("inproc://3", timeout=10).run(_SingletonBcast)
         assert all(r == b"self" for r in res.results)
 
     def test_singleton_group_logs_nothing(self):
-        res = ThreadCluster(3, recv_timeout=10).run(_SingletonBcast)
+        res = connect("inproc://3", timeout=10).run(_SingletonBcast)
         assert res.traffic.message_count() == 0

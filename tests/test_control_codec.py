@@ -23,10 +23,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import connect
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.runtime.transport import (
     FRAME_HEADER,
     Channel,
@@ -231,11 +230,11 @@ class TestBackends:
         the codec, and a job's partitions come back as views of their
         receive arenas, byte-identical with the in-process backend."""
         spec = TeraSortSpec(data=teragen(20_000, seed=11))
-        with Session(ProcessCluster(3, timeout=60)) as session:
+        with Session(connect("proc://3", timeout=60)) as session:
             run = session.submit(spec).result(timeout=60)
             chans = session._pool._chans
             assert all(isinstance(c, Channel) for c in chans.values())
-        with Session(ThreadCluster(3)) as session:
+        with Session(connect("inproc://3")) as session:
             ref = session.submit(spec).result(timeout=60)
         assert [p.to_bytes() for p in run.partitions] == [
             p.to_bytes() for p in ref.partitions

@@ -21,6 +21,7 @@ import gc
 import numpy as np
 import pytest
 
+from repro.cluster import connect
 from repro.core.decoding import (
     decode_segment,
     decode_segment_into,
@@ -44,8 +45,6 @@ from repro.kvpairs.serialization import (
 )
 from repro.kvpairs.sorting import merge_sorted, sort_batch
 from repro.kvpairs.teragen import teragen
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.runtime.program import NodeProgram
 from repro.utils import copytrack
 from repro.utils.subsets import without
@@ -249,9 +248,9 @@ def test_gather_send_recv_view_roundtrip(backend, nrecords):
         return _PartsRoundtrip(comm, nrecords, nrecords > 10_000)
 
     if backend == "thread":
-        cluster = ThreadCluster(2, recv_timeout=60.0)
+        cluster = connect("inproc://2", timeout=60.0)
     else:
-        cluster = ProcessCluster(2, timeout=60.0)
+        cluster = connect("proc://2", timeout=60.0)
     res = cluster.run(factory)
     assert res.results[0] == {"match": True}
     assert res.results[1]["tags"] == [3]
@@ -279,7 +278,7 @@ class _ArenaReuseSender(NodeProgram):
 
 
 def test_inproc_blocking_send_does_not_alias_mutable_buffer():
-    res = ThreadCluster(2, recv_timeout=30.0, chunk_bytes=8 * 1024).run(
+    res = connect("inproc://2", timeout=30.0, chunk_bytes=8 * 1024).run(
         _ArenaReuseSender
     )
     assert res.results[1] is True

@@ -197,13 +197,13 @@ class TestControlPlanePayloads:
 
     def test_file_source_sort_matches_inline(self, tmp_path):
         # Same bytes through both input paths -> identical SortRun output.
-        from repro.runtime.inproc import ThreadCluster
+        from repro.cluster import connect
 
         n = 12_000
         path = str(tmp_path / "data.bin")
         teragen_to_file(path, n, seed=3)
         data = FileSource(path).load().copy()
-        cluster = ThreadCluster(3)
+        cluster = connect("inproc://3")
 
         def run(job):
             cr = cluster.run(

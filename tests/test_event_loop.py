@@ -24,11 +24,10 @@ import pytest
 import repro
 from repro import CodedTeraSortSpec, MapReduceSpec, TeraSortSpec
 from repro.cli import build_parser
+from repro.cluster import connect
 from repro.core.coded_terasort import _coded_terasort_program
 from repro.kvpairs.teragen import teragen
 from repro.runtime.api import BACKEND_TIMEOUT, Comm, MulticastMode
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.runtime.program import (
     NodeProgram,
     PreparedJob,
@@ -53,13 +52,13 @@ def test_the_three_default_declarations_agree_on_the_event_loop():
 def test_serial_by_name_still_walks_fig_9b():
     data = teragen(1200, seed=3)
     run = repro.run(
-        ThreadCluster(4, recv_timeout=30),
+        connect("inproc://4", timeout=30),
         CodedTeraSortSpec(data, 2, schedule="serial"),
     )
     assert run.meta["schedule"] == "serial"
     assert "schedule_rounds" not in run.meta  # the event loop's stamp
     default = repro.run(
-        ThreadCluster(4, recv_timeout=30), CodedTeraSortSpec(data, 2)
+        connect("inproc://4", timeout=30), CodedTeraSortSpec(data, 2)
     )
     assert default.meta["schedule"] == "parallel"
     assert default.meta["schedule_rounds"] >= 1
@@ -78,7 +77,7 @@ K = 8
 #: r -> (sha256 prefix of the sorted (stage, kind, src, dsts, bytes)
 #: multiset, {kind: records}, {kind: payload bytes}) of the K = 8 job
 #: below with ``record_relays=True`` on the relay-thread engine (PR 23) —
-#: the same on ThreadCluster(TREE) and ProcessCluster, overlap or not.
+#: the same on inproc:// and proc:// (both TREE), overlap or not.
 PINS = {
     3: ("f7e06ad589a1ffb3", {"multicast": 280, "relay": 840},
         {"multicast": 220_841, "relay": 662_523}),
@@ -94,7 +93,7 @@ def data():
 
 @pytest.fixture(scope="module")
 def uncoded(data):
-    run = repro.run(ThreadCluster(K, recv_timeout=60), TeraSortSpec(data))
+    run = repro.run(connect(f"inproc://{K}", timeout=60), TeraSortSpec(data))
     return [p.to_bytes() for p in run.partitions]
 
 
@@ -127,9 +126,9 @@ def test_inproc_tree_starts_no_relay_thread(
 
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     run = repro.run(
-        ThreadCluster(
-            K, multicast_mode=MulticastMode.TREE, record_relays=True,
-            recv_timeout=60,
+        connect(
+            f"inproc://{K}", multicast_mode=MulticastMode.TREE,
+            record_relays=True, timeout=60,
         ),
         CodedTeraSortSpec(data, r, schedule="parallel", overlap=overlap),
     )
@@ -163,7 +162,8 @@ def test_proc_thread_count_is_independent_of_the_group_count(data, uncoded):
     # C(7, 5) * 5 = 105 receives a rank; the relay-thread engine held
     # a thread for each interior one of them).
     bound = K + 4
-    with ProcessCluster(K, record_relays=True, timeout=60).create_pool() as pool:
+    cluster = connect(f"proc://{K}", record_relays=True, timeout=60)
+    with cluster.create_pool() as pool:
         for r in (3, 5):
             for overlap in (False, True):
                 prepared = CodedTeraSortSpec(
@@ -193,7 +193,7 @@ def test_proc_thread_count_is_constant_across_back_to_back_jobs():
         payloads=prepared.payloads,
         finalize=lambda result: result,
     )
-    with ProcessCluster(k, timeout=60).create_pool() as pool:
+    with connect(f"proc://{k}", timeout=60).create_pool() as pool:
         runs = [pool.run_job(job).results for _ in range(50)]
     first = [p.to_bytes() for p, _ in runs[0]]
     for results in runs:
@@ -233,8 +233,10 @@ class _RingShuffle(NodeProgram):
         return got
 
 
-def _ring_cluster():
-    return ThreadCluster(4, multicast_mode=MulticastMode.TREE, recv_timeout=1.5)
+def _ring_cluster(timeout=1.5):
+    return connect(
+        "inproc://4", multicast_mode=MulticastMode.TREE, timeout=timeout
+    )
 
 
 def test_ranks_that_relay_for_each_other_complete():
@@ -252,11 +254,14 @@ def test_a_loop_that_drives_only_a_chosen_receive_hangs_there(monkeypatch):
     wait_any = Comm.wait_any
 
     def wait_on_first(self, keys, timeout=BACKEND_TIMEOUT):
-        return wait_any(self, (next(iter(keys)),), timeout)
+        # The receive states its 1.5 s bound itself: the cluster's timeout
+        # is also the job's deadline, which must not end the job first.
+        bound = 1.5 if timeout is BACKEND_TIMEOUT else timeout
+        return wait_any(self, (next(iter(keys)),), bound)
 
     monkeypatch.setattr(Comm, "wait_any", wait_on_first)
     with pytest.raises(RuntimeError, match="recv from worker . timed out"):
-        _ring_cluster().run(_RingShuffle)
+        _ring_cluster(timeout=30).run(_RingShuffle)
 
 
 # -- a mailbox is bounded by what is in flight -------------------------------
@@ -275,9 +280,9 @@ class _BarriersAndRoundTrips(NodeProgram):
         return len(comm._mailbox._queues)
 
 
-@pytest.mark.parametrize("cluster", [ThreadCluster, ProcessCluster])
-def test_mailbox_keys_leave_with_their_last_frame(cluster):
-    result = cluster(4).run(_BarriersAndRoundTrips)
+@pytest.mark.parametrize("scheme", ["inproc", "proc"])
+def test_mailbox_keys_leave_with_their_last_frame(scheme):
+    result = connect(f"{scheme}://4").run(_BarriersAndRoundTrips)
     # ROUNDS tags and 2 * (ROUNDS + 1) barrier-round tags went through
     # every mailbox; a faster neighbour's next frame is the most that may
     # still be buffered.

@@ -13,12 +13,12 @@ import pytest
 
 import repro
 from repro import CodedTeraSortSpec, TeraSortSpec
+from repro.cluster import connect
 from repro.core.groups import build_coding_plan
 from repro.core.theory import CodedWorkload
 from repro.kvpairs.records import KEY_BYTES, RECORD_BYTES, VALUE_BYTES, RecordBatch
 from repro.kvpairs.serialization import HEADER_BYTES
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
 from repro.utils.subsets import binomial
 
 
@@ -53,7 +53,9 @@ class TestUncodedExact:
     def test_load_exact(self):
         k, per_cell = 4, 6
         data = balanced_batch(k, k, per_cell)
-        run = repro.run(ThreadCluster(k, recv_timeout=30), TeraSortSpec(data))
+        run = repro.run(
+            connect(f"inproc://{k}", timeout=30), TeraSortSpec(data)
+        )
         validate_sorted_permutation(data, run.partitions)
         messages = CodedWorkload(k, 1, 0).total_multicasts
         expected = (
@@ -64,7 +66,9 @@ class TestUncodedExact:
     def test_per_sender_balance_exact(self):
         k, per_cell = 5, 4
         data = balanced_batch(k, k, per_cell)
-        run = repro.run(ThreadCluster(k, recv_timeout=30), TeraSortSpec(data))
+        run = repro.run(
+            connect(f"inproc://{k}", timeout=30), TeraSortSpec(data)
+        )
         per_sender = run.traffic.by_sender("shuffle")
         values = set(per_sender.values())
         assert len(values) == 1  # perfectly balanced senders
@@ -78,7 +82,7 @@ class TestCodedExact:
         per_cell = 2 * r  # divisible by r so segments are equal
         data = balanced_batch(n_files, k, per_cell)
         run = repro.run(
-            ThreadCluster(k, recv_timeout=60),
+            connect(f"inproc://{k}", timeout=60),
             CodedTeraSortSpec(data, redundancy=r),
         )
         validate_sorted_permutation(data, run.partitions)
@@ -113,7 +117,7 @@ class TestCodedExact:
         per_cell = 4
         data = balanced_batch(n_files, k, per_cell)
         run = repro.run(
-            ThreadCluster(k, recv_timeout=60),
+            connect(f"inproc://{k}", timeout=60),
             CodedTeraSortSpec(data, redundancy=r),
         )
         iv_bytes = per_cell * RECORD_BYTES
@@ -128,7 +132,7 @@ class TestCodedExact:
         k, r = 5, 2
         data = balanced_batch(binomial(k, r), k, 2 * r)
         run = repro.run(
-            ThreadCluster(k, recv_timeout=60),
+            connect(f"inproc://{k}", timeout=60),
             CodedTeraSortSpec(data, redundancy=r),
         )
         per_sender = run.traffic.by_sender("shuffle")

@@ -20,12 +20,11 @@ import threading
 
 import pytest
 
+from repro.cluster import connect
 from repro.kvpairs.datasource import TeragenSource
 from repro.kvpairs.spill import SPILL_DIR_PREFIX, SpillDir
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.session import Session, TeraSortSpec
 from repro.testing.faults import ENV_VAR
 
@@ -74,24 +73,23 @@ def _assert_straggler_backed_up(no_plan, make_cluster):
 def test_speculation_backs_up_straggler_byte_identical(no_plan):
     _assert_straggler_backed_up(
         no_plan,
-        lambda: ProcessCluster(K, timeout=120, heartbeat_interval=0.05),
+        lambda: connect(f"proc://{K}", timeout=120, heartbeat_interval=0.05),
     )
 
 
 def test_speculation_backs_up_straggler_on_worker_threads(no_plan):
-    def threads():
-        cluster = ThreadCluster(K, recv_timeout=120)
-        cluster.heartbeat_interval = 0.05  # the process lane's beat
-        return cluster
-
-    _assert_straggler_backed_up(no_plan, threads)
+    _assert_straggler_backed_up(
+        no_plan,
+        lambda: connect(f"inproc://{K}", timeout=120, heartbeat_interval=0.05),
+    )
 
 
 def test_speculation_noop_without_straggler_stays_identical(no_plan):
     """No straggler: speculation never triggers (meta shows no backups)
     and the output still matches the plain path."""
     source = TeragenSource(4000, seed=45)
-    with Session(ProcessCluster(K, timeout=60, heartbeat_interval=0.05)) as s:
+    cluster = connect(f"proc://{K}", timeout=60, heartbeat_interval=0.05)
+    with Session(cluster) as s:
         run = s.submit(
             TeraSortSpec(input=source, speculation=True)
         ).result(timeout=60)
@@ -127,7 +125,7 @@ def test_crashed_workers_spill_dir_reaped_on_next_pool_start(
     budget = 12_000  # small enough to force spilling
     no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=reduce,job_lt=1")
     with Session(
-        ProcessCluster(K, timeout=120), max_retries=1, retry_backoff=0.05
+        connect(f"proc://{K}", timeout=120), max_retries=1, retry_backoff=0.05
     ) as s:
         handle = s.submit(TeraSortSpec(data=data, memory_budget=budget))
         run = handle.result(timeout=120)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import repro
-from repro import CodedTeraSortSpec, ThreadCluster
+from repro import CodedTeraSortSpec, connect
 from repro.core.groups import (
     build_coding_plan,
     round_schedule,
@@ -119,7 +119,7 @@ class TestCodeGenOncePerProcess:
         )
         data = teragen(900, seed=5)
         run = repro.run(
-            ThreadCluster(6, recv_timeout=30),
+            connect("inproc://6", timeout=30),
             CodedTeraSortSpec(data, 1, group_size=3),
         )
         validate_sorted_permutation(data, run.partitions)

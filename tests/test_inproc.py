@@ -7,9 +7,9 @@ import threading
 
 import pytest
 
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
 from repro.runtime.errors import WorkerFailure
-from repro.runtime.inproc import ThreadCluster
 from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.pool import WorkerPool
 from repro.runtime.program import NodeProgram
@@ -117,23 +117,23 @@ class _BarrierCounter(NodeProgram):
 
 class TestThreadCluster:
     def test_ping_pong(self):
-        res = ThreadCluster(2, recv_timeout=10).run(_PingPong)
+        res = connect("inproc://2", timeout=10).run(_PingPong)
         assert res.results[0] == b"pong-ping"
         assert res.results[1] == b"ping"
 
     def test_stage_times_collected(self):
-        res = ThreadCluster(2, recv_timeout=10).run(_PingPong)
+        res = connect("inproc://2", timeout=10).run(_PingPong)
         assert res.stage_times.stages == ["play"]
         assert res.stage_times["play"] >= 0
 
     def test_traffic_collected(self):
-        res = ThreadCluster(2, recv_timeout=10).run(_PingPong)
+        res = connect("inproc://2", timeout=10).run(_PingPong)
         assert res.traffic.message_count() == 2
         assert res.traffic.load_bytes() == len(b"ping") + len(b"pong-ping")
 
     def test_node_failure_propagates_with_rank(self):
         with pytest.raises(RuntimeError, match="worker 1"):
-            ThreadCluster(3, recv_timeout=10).run(_Failing)
+            connect("inproc://3", timeout=10).run(_Failing)
 
     def test_failure_unblocks_peers_quickly(self):
         """Peers blocked on recv must not wait out the full timeout."""
@@ -141,11 +141,11 @@ class TestThreadCluster:
 
         start = time.monotonic()
         with pytest.raises(RuntimeError):
-            ThreadCluster(4, recv_timeout=60).run(_Failing)
+            connect("inproc://4", timeout=60).run(_Failing)
         assert time.monotonic() - start < 10
 
     def test_repeated_barriers(self):
-        res = ThreadCluster(4, recv_timeout=10).run(_BarrierCounter)
+        res = connect("inproc://4", timeout=10).run(_BarrierCounter)
         assert all(r == [0, 1, 2] for r in res.results)
 
     def test_single_node_cluster(self):
@@ -157,19 +157,19 @@ class TestThreadCluster:
                     self.comm.barrier()
                     return self.rank
 
-        res = ThreadCluster(1, recv_timeout=5).run(Solo)
+        res = connect("inproc://1", timeout=5).run(Solo)
         assert res.results == [0]
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            ThreadCluster(0)
+            connect("inproc://0")
 
 
 class TestThreadPool:
     """The thread backend is a ``WorkerPool`` transport like the others."""
 
     def test_create_pool_is_the_worker_pool(self):
-        with ThreadCluster(4).create_pool() as pool:
+        with connect("inproc://4").create_pool() as pool:
             assert isinstance(pool, WorkerPool)
 
     def test_crash_kills_one_thread_and_the_retry_is_byte_identical(
@@ -180,13 +180,13 @@ class TestThreadPool:
         # control channel and retried like a killed process.
         monkeypatch.delenv(ENV_VAR, raising=False)
         data = teragen(1500, seed=71)
-        with Session(ThreadCluster(3, recv_timeout=60)) as session:
+        with Session(connect("inproc://3", timeout=60)) as session:
             reference = session.run(TeraSortSpec(data=data)).partitions
         monkeypatch.setenv(
             ENV_VAR, "stage.crash,rank=1,stage=shuffle,job_lt=1"
         )
         with Session(
-            ThreadCluster(3, recv_timeout=60), max_retries=1,
+            connect("inproc://3", timeout=60), max_retries=1,
             retry_backoff=0.05,
         ) as session:
             handle = session.submit(TeraSortSpec(data=data))
@@ -211,7 +211,7 @@ class TestThreadPool:
             started.append(thread.name)
             start(thread)
 
-        with Session(ThreadCluster(4, recv_timeout=60)) as session:
+        with Session(connect("inproc://4", timeout=60)) as session:
             session.run(specs[1])  # warm-up: brings the pool up
             monkeypatch.setattr(threading.Thread, "start", recording_start)
             for i in range(50):
@@ -232,7 +232,7 @@ class TestThreadPool:
             handle(pool, g, msg)
 
         monkeypatch.setattr(WorkerPool, "_handle", recording)
-        cluster = ThreadCluster(4, recv_timeout=30)
+        cluster = connect("inproc://4", timeout=30)
         cluster.heartbeat_interval = 0.001
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

@@ -24,11 +24,10 @@ import time
 import pytest
 
 import repro
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
 from repro.runtime.errors import JobDeadlineExpired, WorkerFailure
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
-from repro.runtime.tcp import TcpCluster, run_worker
+from repro.runtime.tcp import run_worker
 from repro.service import SortService
 from repro.session import Session, TeraSortSpec
 from repro.testing.faults import ENV_VAR
@@ -41,7 +40,7 @@ BACKOFF = 1.0
 
 
 def _reference(data, k):
-    with Session(ThreadCluster(k, recv_timeout=60)) as session:
+    with Session(connect(f"inproc://{k}", timeout=60)) as session:
         run = session.submit(TeraSortSpec(data=data)).result(timeout=60)
     return [p.to_bytes() for p in run.partitions]
 
@@ -61,7 +60,7 @@ def test_session_close_in_backoff_runs_the_retry_first(monkeypatch):
     reference = _reference(data, 3)
     monkeypatch.setenv(ENV_VAR, CRASH)
     session = Session(
-        repro.connect("inproc://3", recv_timeout=60),
+        repro.connect("inproc://3", timeout=60),
         max_retries=1,
         retry_backoff=BACKOFF,
     )
@@ -96,8 +95,8 @@ def test_service_close_in_backoff_settles_shutdown_and_never_retries(
     data = teragen(1200, seed=72)
     # Three workers for a 2-wide job: after the crash two still live,
     # enough for the retry to be held rather than failed outright.
-    with TcpCluster(
-        3, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60,
+    with connect(
+        "tcp://127.0.0.1:0", size=3, timeout=60, connect_timeout=60,
         heartbeat_interval=0.1, failure_timeout=1.5,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 3)
@@ -137,7 +136,7 @@ def test_a_job_past_the_pool_deadline_is_not_retried(monkeypatch):
     # Rank 0 sleeps well past the pool's 1 s whole-job deadline.
     monkeypatch.setenv(ENV_VAR, "stage.delay,rank=0,stage=map,secs=2.5")
     with Session(
-        ProcessCluster(2, timeout=1.0), max_retries=2, retry_backoff=0.0
+        connect("proc://2", timeout=1.0), max_retries=2, retry_backoff=0.0
     ) as session:
         handle = session.submit(TeraSortSpec(data=teragen(400, seed=73)))
         error = handle.exception(timeout=60)
@@ -155,7 +154,7 @@ def test_a_failed_attempt_settles_before_the_pool_is_torn_down(monkeypatch):
     data = teragen(400, seed=74)
     reference = _reference(data, 2)
     monkeypatch.setenv(ENV_VAR, "stage.delay,rank=0,stage=map,secs=5,job_lt=1")
-    with Session(ProcessCluster(2, timeout=timeout)) as session:
+    with Session(connect("proc://2", timeout=timeout)) as session:
         started = time.monotonic()
         handle = session.submit(TeraSortSpec(data=data))
         error = handle.exception(timeout=60)

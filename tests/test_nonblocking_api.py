@@ -6,17 +6,16 @@ import random
 
 import pytest
 
+from repro.cluster import connect
 from repro.runtime.api import CommError, MulticastMode, wait_all
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.runtime.program import NodeProgram
 
 
 def _clusters(size, **kwargs):
     """Both backends with test-friendly timeouts."""
     return [
-        ThreadCluster(size, recv_timeout=30, **kwargs),
-        ProcessCluster(size, timeout=60, **kwargs),
+        connect(f"inproc://{size}", timeout=30, **kwargs),
+        connect(f"proc://{size}", timeout=60, **kwargs),
     ]
 
 
@@ -61,7 +60,7 @@ class TestNonblockingUnicast:
                     except CommError:
                         return "ok"
 
-        res = ThreadCluster(2, recv_timeout=10).run(Bad)
+        res = connect("inproc://2", timeout=10).run(Bad)
         assert res.results == ["ok", "ok"]
 
 
@@ -112,11 +111,11 @@ class TestChunkedTransfers:
                         return None
                     return self.comm.recv(0, 2)
 
-        res = ThreadCluster(2, recv_timeout=10, chunk_bytes=512).run(Big)
+        res = connect("inproc://2", timeout=10, chunk_bytes=512).run(Big)
         assert res.results[1] == payload
 
     def test_chunking_invisible_to_traffic(self):
-        cluster = ThreadCluster(2, recv_timeout=10, chunk_bytes=128)
+        cluster = connect("inproc://2", timeout=10, chunk_bytes=128)
         res = cluster.run(_ChunkedExchange)
         assert res.traffic.message_count() == len(_ChunkedExchange.PAYLOADS)
         assert res.traffic.load_bytes() == sum(
@@ -126,7 +125,7 @@ class TestChunkedTransfers:
     def test_invalid_chunk_bytes(self):
         # Comm validation runs in the node threads; the cluster wraps it.
         with pytest.raises(RuntimeError, match="chunk_bytes"):
-            ThreadCluster(2, chunk_bytes=0).run(_IPingPong)
+            connect("inproc://2", chunk_bytes=0).run(_IPingPong)
 
 
 class _ProbeProgression(NodeProgram):
@@ -184,7 +183,7 @@ class TestRequestSemantics:
                     self.comm.barrier()
                     return None
 
-        res = ThreadCluster(2, recv_timeout=60).run(Program)
+        res = connect("inproc://2", timeout=60).run(Program)
         assert res.results[0] is not None
         assert res.results[0] < 5.0  # bounded by the 0.2s argument, not 60s
 
@@ -211,7 +210,7 @@ class TestRequestSemantics:
                         time.sleep(0.01)
                     return "spun forever"
 
-        res = ProcessCluster(2, timeout=40).run(Poller)
+        res = connect("proc://2", timeout=40).run(Poller)
         assert res.results[0] == "observed death"
 
 
@@ -246,7 +245,7 @@ class TestIBcast:
     @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
     def test_matches_bcast_contract_inproc(self, mode, size):
-        res = ThreadCluster(size, multicast_mode=mode, recv_timeout=30).run(
+        res = connect(f"inproc://{size}", multicast_mode=mode, timeout=30).run(
             _IBcastAllRoots
         )
         expected = {r: f"msg-{r}".encode() for r in range(size)}
@@ -254,7 +253,7 @@ class TestIBcast:
 
     @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     def test_matches_bcast_contract_process(self, mode):
-        res = ProcessCluster(4, multicast_mode=mode, timeout=60).run(
+        res = connect("proc://4", multicast_mode=mode, timeout=60).run(
             _IBcastAllRoots
         )
         expected = {r: f"msg-{r}".encode() for r in range(4)}
@@ -267,7 +266,8 @@ class TestIBcast:
         def factory(comm):
             return _IBcastAllRoots(comm, group=group)
 
-        res = ThreadCluster(5, multicast_mode=mode, recv_timeout=30).run(factory)
+        cluster = connect("inproc://5", multicast_mode=mode, timeout=30)
+        res = cluster.run(factory)
         expected = {r: f"msg-{r}".encode() for r in group}
         for rank, got in enumerate(res.results):
             assert got == (expected if rank in group else {})
@@ -275,7 +275,7 @@ class TestIBcast:
     def test_ibcast_traffic_equals_bcast(self):
         loads = {}
         for mode in (MulticastMode.LINEAR, MulticastMode.TREE):
-            res = ThreadCluster(6, multicast_mode=mode, recv_timeout=30).run(
+            res = connect("inproc://6", multicast_mode=mode, timeout=30).run(
                 _IBcastAllRoots
             )
             loads[mode] = res.traffic.load_bytes()
@@ -291,7 +291,7 @@ class TestIBcast:
                         (self.rank,), self.rank, 1, b"self"
                     ).wait()
 
-        res = ThreadCluster(3, recv_timeout=10).run(Solo)
+        res = connect("inproc://3", timeout=10).run(Solo)
         assert all(r == b"self" for r in res.results)
 
     def test_tree_relay_outlives_recv_timeout(self):
@@ -306,14 +306,14 @@ class TestIBcast:
                 with self.stage("s"):
                     group = tuple(range(self.size))
                     if self.rank == 0:
-                        time.sleep(1.0)  # > recv_timeout below
+                        time.sleep(1.0)  # > the receive bound below
                         return self.comm.ibcast(group, 0, 1, b"late").wait()
                     req = self.comm.ibcast(group, 0, 1)  # relay spawns now
                     time.sleep(1.2)  # wait only after the payload landed
-                    return req.wait()
+                    return req.wait(0.3)
 
-        res = ThreadCluster(
-            4, multicast_mode=MulticastMode.TREE, recv_timeout=0.3
+        res = connect(
+            "inproc://4", multicast_mode=MulticastMode.TREE, timeout=30,
         ).run(LateBcast)
         assert all(r == b"late" for r in res.results)
 
@@ -332,5 +332,5 @@ class TestIBcast:
                     # Peer must not wait for a broadcast that never starts.
                     return "ok"
 
-        res = ThreadCluster(2, recv_timeout=10).run(Bad)
+        res = connect("inproc://2", timeout=10).run(Bad)
         assert res.results == ["ok", "ok"]

@@ -4,7 +4,7 @@ by name, with the same text on every surface.
 A cell is one combination of a spec's options at one cluster size.
 The oracles below restate the rules from the spec docstrings (not from
 ``validate``): a valid cell must validate, compile and run on
-``ThreadCluster(K)`` — a sort cell must give the in-memory staged
+``inproc://K`` — a sort cell must give the in-memory staged
 uncoded sort's bytes, a MapReduce cell the uncoded r = 1 outputs; a
 rejected cell
 must raise :class:`ValueError` whose text *names the cell* — and the
@@ -25,13 +25,12 @@ import pytest
 
 import repro
 from repro.cli import _job_spec, build_parser, main
+from repro.cluster import connect
 from repro.core.jobs import WordCountJob
 from repro.core.outofcore import MIN_MEMORY_BUDGET
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.sorting import sort_batch
 from repro.kvpairs.teragen import teragen, teragen_to_file
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.tcp import TcpCluster
 from repro.service import SortService
 from repro.session import (
     CodedTeraSortSpec,
@@ -127,7 +126,8 @@ def _cmr_cells():
         if budget is not None and budget < MIN_MEMORY_BUDGET:
             violated.add(f"memory_budget must be >= {MIN_MEMORY_BUDGET} bytes")
         if not r_in_range:
-            violated.add(f"redundancy must be in [1, {r - 1}]")
+            bound = "K-1" if scheme == "coded" else "K"
+            violated.add(f"redundancy must be in [1, {bound}] = [1, {r - 1}]")
         elif not whole:
             violated.add("number of files (13) must be a positive multiple")
         options = dict(
@@ -151,12 +151,12 @@ def _rejected_everywhere(spec, k, violated):
     with pytest.raises(ValueError) as exc_info:
         spec.prepare(k)
     assert str(exc_info.value) == text
-    with Session(ThreadCluster(k)) as session:
+    with Session(connect(f"inproc://{k}")) as session:
         with pytest.raises(ValueError) as exc_info:
             session.submit(spec)
         assert str(exc_info.value) == text
         assert session._pool is None  # nothing reached a pool
-    with TcpCluster(k, "tcp://127.0.0.1:0") as mesh:
+    with connect("tcp://127.0.0.1:0", size=k) as mesh:
         with SortService(mesh) as service:  # never started: no workers
             with pytest.raises(ValueError) as exc_info:
                 service.submit(spec)
@@ -171,7 +171,8 @@ def _cli_error(argv):
 
 
 def _sorted_bytes(k, spec):
-    return [p.to_bytes() for p in repro.run(ThreadCluster(k), spec).partitions]
+    run = repro.run(connect(f"inproc://{k}"), spec)
+    return [p.to_bytes() for p in run.partitions]
 
 
 @pytest.fixture(scope="module")
@@ -237,7 +238,7 @@ def cmr_reference():
     """Per K, the uncoded r = 1 outputs every valid MapReduce cell gives."""
     return {
         k: repro.run(
-            ThreadCluster(k),
+            connect(f"inproc://{k}"),
             MapReduceSpec(job=WordCountJob(), files=CMR_TEXTS[:12]),
         ).outputs
         for k in (3, 4)
@@ -257,7 +258,8 @@ def test_cmr_cell(k, options, whole, real, violated, cmr_reference):
         _rejected_everywhere(spec, k, violated)
         return
     spec.validate(k)
-    assert repro.run(ThreadCluster(k), spec).outputs == cmr_reference[k]
+    run = repro.run(connect(f"inproc://{k}"), spec)
+    assert run.outputs == cmr_reference[k]
 
 
 def test_matrix_has_both_kinds_of_cell():
@@ -338,7 +340,7 @@ def test_group_size_from_the_cli(capsys):
     grouped = _job_spec(build_parser().parse_args(argv), 4)
     assert grouped.group_size == 2
     runs = [
-        repro.run(ThreadCluster(4), spec)
+        repro.run(connect("inproc://4"), spec)
         for spec in (grouped, grouped.with_(group_size=None))
     ]
     assert (runs[0].meta["node_groups"], runs[1].meta["node_groups"]) == (2, 1)

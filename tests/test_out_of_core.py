@@ -24,14 +24,13 @@ from typing import Any, Dict, Mapping, Sequence, Tuple
 import numpy as np
 import pytest
 
+from repro.cluster import connect
 from repro.core.cmr import MapReduceJob
 from repro.core.outofcore import MIN_MEMORY_BUDGET
 from repro.kvpairs.datasource import FileSource, TeragenSource
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.spill import spill_base_dir
 from repro.kvpairs.validation import validate_sorted_iter
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.session import (
     CodedTeraSortSpec,
     MapReduceSpec,
@@ -76,9 +75,9 @@ def source():
 @pytest.fixture(scope="module")
 def reference(source):
     """In-memory runs to compare against (per algorithm/schedule)."""
-    with Session(ThreadCluster(6)) as session:
+    with Session(connect("inproc://6")) as session:
         wide = session.run(TeraSortSpec(input=source))
-    with Session(ThreadCluster(4)) as session:
+    with Session(connect("inproc://4")) as session:
         return {
             "terasort-k6": wide,  # the grouped cells run (K, g) = (6, 3)
             "terasort": session.run(TeraSortSpec(input=source)),
@@ -98,7 +97,7 @@ def reference(source):
 class TestBoundedMemorySorts:
     def test_terasort_8x_budget(self, source, reference, tmp_path):
         before = _spill_dirs()
-        with Session(ThreadCluster(4)) as session:
+        with Session(connect("inproc://4")) as session:
             run = session.run(
                 TeraSortSpec(
                     input=source,
@@ -123,7 +122,7 @@ class TestBoundedMemorySorts:
         self, source, reference, schedule, k, group_size, tmp_path
     ):
         before = _spill_dirs()
-        with Session(ThreadCluster(k)) as session:
+        with Session(connect(f"inproc://{k}")) as session:
             run = session.run(
                 CodedTeraSortSpec(
                     input=source,
@@ -144,7 +143,7 @@ class TestBoundedMemorySorts:
     def test_materialized_output_without_output_dir(self, source, reference):
         # No output_dir: partitions come back resident (and are charged,
         # so the peak may legitimately exceed tiny budgets).
-        with Session(ThreadCluster(4)) as session:
+        with Session(connect("inproc://4")) as session:
             run = session.run(
                 TeraSortSpec(input=source, memory_budget=BUDGET * 2)
             )
@@ -152,7 +151,7 @@ class TestBoundedMemorySorts:
         _assert_identical(reference["terasort"], run)
 
     def test_process_backend_byte_identity(self, source, reference, tmp_path):
-        with Session(ProcessCluster(4, timeout=120.0)) as session:
+        with Session(connect("proc://4", timeout=120.0)) as session:
             run = session.run(
                 CodedTeraSortSpec(
                     input=source,
@@ -177,7 +176,7 @@ class TestBoundedMemorySorts:
         teragen_to_file(path, 1_000, seed=0)
         bad = FileSource(path, 0, 50_000)  # claims 50k records, has 1k
         before = _spill_dirs()
-        with Session(ThreadCluster(4)) as session:
+        with Session(connect("inproc://4")) as session:
             handle = session.submit(
                 TeraSortSpec(input=bad, memory_budget=BUDGET)
             )
@@ -188,7 +187,7 @@ class TestBoundedMemorySorts:
 class TestSpecValidation:
     def test_exactly_one_input(self, source):
         data = TeragenSource(100, seed=0).load()
-        with Session(ThreadCluster(2)) as session:
+        with Session(connect("inproc://2")) as session:
             with pytest.raises(ValueError, match="exactly one"):
                 session.submit(TeraSortSpec())
             with pytest.raises(ValueError, match="exactly one"):
@@ -232,8 +231,8 @@ class TestCMROutOfCore:
             job=_RecordBytesJob(), files=files, redundancy=2, scheme=scheme
         )
         cluster = (
-            ThreadCluster(4) if backend == "thread"
-            else ProcessCluster(4, timeout=120.0)
+            connect("inproc://4") if backend == "thread"
+            else connect("proc://4", timeout=120.0)
         )
         before = _spill_dirs()
         with Session(cluster) as session:

@@ -27,10 +27,10 @@ import multiprocessing
 
 import pytest
 
+from repro.cluster import connect
 from repro.core.terasort import _terasort_program
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.process import ProcessCluster
 from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
 from repro.testing.faults import ENV_VAR
 
@@ -163,7 +163,7 @@ class TestByteIdentityProcess:
         k, r = 4, 1
         data = teragen(4000, seed=300)
         for lane in ["uncoded", "coded-serial", "coded-parallel"]:
-            with Session(ProcessCluster(k, timeout=120)) as s:
+            with Session(connect(f"proc://{k}", timeout=120)) as s:
                 staged, overlapped = [
                     s.submit(
                         _specs(data, k, r, overlap, memory_budget)[lane]
@@ -181,17 +181,17 @@ class TestByteIdentityProcess:
         self.test_overlap_matches_staged(memory_budget=8 * 1024 * 1024)
 
     def test_grouped_cells(self):
-        with Session(ProcessCluster(GROUPED_K, timeout=120)) as s:
+        with Session(connect(f"proc://{GROUPED_K}", timeout=120)) as s:
             _run_grouped_cells(s)
 
 
 @contextlib.contextmanager
 def _tcp_session(k):
     """A Session over a localhost TCP mesh of ``k`` worker processes."""
-    from repro.runtime.tcp import TcpCluster, run_worker
+    from repro.runtime.tcp import run_worker
 
-    with TcpCluster(
-        k, "tcp://127.0.0.1:0", timeout=120, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=k, timeout=120, connect_timeout=60,
     ) as cluster:
         procs = [
             _CTX.Process(
@@ -264,13 +264,14 @@ class TestOverlapWithFaults:
     def test_map_crash_retried_byte_identical(self, no_plan):
         k = 4
         data = teragen(2000, seed=500)
-        with Session(ProcessCluster(k, timeout=60)) as s:
+        with Session(connect(f"proc://{k}", timeout=60)) as s:
             reference = _bytes(
                 s.submit(TeraSortSpec(data=data)).result(timeout=60)
             )
         no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=map,job_lt=1")
         with Session(
-            ProcessCluster(k, timeout=60), max_retries=2, retry_backoff=0.05
+            connect(f"proc://{k}", timeout=60), max_retries=2,
+            retry_backoff=0.05,
         ) as s:
             handle = s.submit(TeraSortSpec(data=data, overlap=True))
             run = handle.result(timeout=60)
@@ -281,14 +282,14 @@ class TestOverlapWithFaults:
 
     def test_grouped_map_crash_retried_byte_identical(self, no_plan):
         data = _grouped_data()
-        with Session(ProcessCluster(GROUPED_K, timeout=60)) as s:
+        with Session(connect(f"proc://{GROUPED_K}", timeout=60)) as s:
             reference = _bytes(
                 s.submit(TeraSortSpec(data=data)).result(timeout=60)
             )
         # Rank 5 = member 1 of the second coding group.
         no_plan.setenv(ENV_VAR, "stage.crash,rank=5,stage=map,job_lt=1")
         with Session(
-            ProcessCluster(GROUPED_K, timeout=60),
+            connect(f"proc://{GROUPED_K}", timeout=60),
             max_retries=1,
             retry_backoff=0.05,
         ) as s:

@@ -14,12 +14,11 @@ import pytest
 
 import repro
 from repro import CodedTeraSortSpec, MapReduceSpec
+from repro.cluster import connect
 from repro.core.groups import build_coding_plan
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.runtime.program import NodeProgram, execute_multicast_shuffle
 from repro.utils.subsets import binomial
 
@@ -34,8 +33,8 @@ _WORDS = (
 
 def _make_cluster(backend: str, k: int):
     if backend == "thread":
-        return ThreadCluster(k, recv_timeout=60)
-    return ProcessCluster(k, timeout=120)
+        return connect(f"inproc://{k}", timeout=60)
+    return connect(f"proc://{k}", timeout=120)
 
 
 def _cmr_files(k: int, r: int):
@@ -88,7 +87,7 @@ class TestByteIdenticalOutputs:
         loads = {}
         for schedule in ("serial", "parallel"):
             run = repro.run(
-                ThreadCluster(6, recv_timeout=60),
+                connect("inproc://6", timeout=60),
                 CodedTeraSortSpec(data, redundancy=2, schedule=schedule),
             )
             loads[schedule] = run.traffic.load_bytes("shuffle")
@@ -99,7 +98,7 @@ class TestParallelRunMetadata:
     def test_meta_reports_rounds_and_speedup(self):
         data = teragen(2000, seed=4)
         run = repro.run(
-            ThreadCluster(6, recv_timeout=60),
+            connect("inproc://6", timeout=60),
             CodedTeraSortSpec(data, redundancy=2, schedule="parallel"),
         )
         assert run.meta["schedule"] == "parallel"
@@ -110,7 +109,7 @@ class TestParallelRunMetadata:
     def test_stage_breakdown_stays_six_stage_and_exclusive(self):
         data = teragen(3000, seed=5)
         run = repro.run(
-            ThreadCluster(4, recv_timeout=60),
+            connect("inproc://4", timeout=60),
             CodedTeraSortSpec(data, redundancy=2, schedule="parallel"),
         )
         assert run.stage_times.stages == [
@@ -126,7 +125,7 @@ class TestParallelRunMetadata:
     def test_cmr_meta_reports_schedule(self):
         files = _cmr_files(4, 1)
         run = repro.run(
-            ThreadCluster(4, recv_timeout=60),
+            connect("inproc://4", timeout=60),
             MapReduceSpec(
                 WordCountJob(),
                 files,
@@ -145,12 +144,12 @@ class TestParallelRunMetadata:
         data = teragen(100, seed=1)
         with pytest.raises(ValueError, match="schedule"):
             repro.run(
-                ThreadCluster(4),
+                connect("inproc://4"),
                 CodedTeraSortSpec(data, redundancy=2, schedule="warp"),
             )
         with pytest.raises(ValueError, match="schedule"):
             repro.run(
-                ThreadCluster(4),
+                connect("inproc://4"),
                 MapReduceSpec(
                     WordCountJob(),
                     ["a"] * 4,
@@ -237,7 +236,7 @@ class TestEventLoopEngine:
         k, steps = 4, 5
         plan = build_coding_plan(k, 2)
         gates = {g: 1 + g % steps for g in range(len(plan.groups))}
-        result = ThreadCluster(k, recv_timeout=60).run(
+        result = connect(f"inproc://{k}", timeout=60).run(
             lambda comm: _ToyShuffle(comm, 2, steps, gates)
         )
         for rank, out in enumerate(result.results):
@@ -257,7 +256,7 @@ class TestEventLoopEngine:
     def test_without_a_map_everything_decodes_and_span_is_stamped_once(self):
         k = 4
         plan = build_coding_plan(k, 1)
-        result = ThreadCluster(k, recv_timeout=60).run(_ToyShuffle)
+        result = connect(f"inproc://{k}", timeout=60).run(_ToyShuffle)
         for rank, out in enumerate(result.results):
             assert out["decoded"] == sorted(plan.groups_of_node[rank])
             assert not [e for e in out["events"] if e[0] == "map"]
@@ -274,7 +273,7 @@ class TestEventLoopEngine:
         # Thread-backend sends complete at post time, so by the time any
         # group decodes, every frame this rank has posted is gone — the
         # engine must not hold packets until its final wait_all.
-        result = ThreadCluster(3, recv_timeout=60).run(_ToyShuffle)
+        result = connect("inproc://3", timeout=60).run(_ToyShuffle)
         for out in result.results:
             assert out["released"]
             for flags in out["released"].values():

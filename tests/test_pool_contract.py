@@ -38,12 +38,11 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.cluster import connect
 from repro.core.cmr import MapReduceJob
 from repro.kvpairs.teragen import teragen
 from repro.runtime.errors import WorkerFailure
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
-from repro.runtime.tcp import TcpCluster, run_worker
+from repro.runtime.tcp import run_worker
 from repro.service import SortService
 from repro.session import (
     CodedTeraSortSpec,
@@ -161,23 +160,20 @@ class _Lane:
 @contextmanager
 def open_lane(name, max_retries=0, **liveness):
     if name in ("inproc", "proc"):
-        cluster = (
-            ThreadCluster(K, recv_timeout=60)
-            if name == "inproc"
-            else ProcessCluster(K, timeout=60, **liveness)
-        )
+        cluster = connect(f"{name}://{K}", timeout=60, **liveness)
         with Session(cluster, max_retries, retry_backoff=0.05) as session:
             yield _Lane(
                 name,
                 session.submit,
                 lambda: session._pool,
                 lambda rank: session._pool._transport.procs[rank].pid,
-                type(cluster).__name__,
+                cluster.address,
             )
         return
     mesh = K if name == "tcp" else K + 2  # the service keeps spares
-    with TcpCluster(
-        mesh, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60, **liveness
+    with connect(
+        "tcp://127.0.0.1:0", size=mesh, timeout=60, connect_timeout=60,
+        **liveness,
     ) as cluster:
         agents = _Agents(cluster.address, range(mesh), respawn=name == "tcp")
         try:
@@ -190,7 +186,7 @@ def open_lane(name, max_retries=0, **liveness):
                         session.submit,
                         lambda: session._pool,
                         lambda rank: agents.procs[rank].pid,
-                        "TcpCluster",
+                        cluster.address,
                     )
                     agents.halt()
             else:
@@ -210,7 +206,7 @@ def open_lane(name, max_retries=0, **liveness):
 
 
 def _reference(data):
-    with Session(ThreadCluster(K, recv_timeout=60)) as session:
+    with Session(connect(f"inproc://{K}", timeout=60)) as session:
         run = session.submit(TeraSortSpec(data=data)).result(timeout=60)
     return [p.to_bytes() for p in run.partitions]
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import connect
 from repro.runtime.api import MulticastMode
-from repro.runtime.process import ProcessCluster
 from repro.runtime.program import NodeProgram
 
 
@@ -54,7 +54,7 @@ class _Crasher(NodeProgram):
 
 class TestProcessCluster:
     def test_all_to_all(self):
-        res = ProcessCluster(4, timeout=60).run(_AllToAll)
+        res = connect("proc://4", timeout=60).run(_AllToAll)
         for rank, received in enumerate(res.results):
             assert set(received) == set(range(4)) - {rank}
             for sender, payload in received.items():
@@ -62,25 +62,26 @@ class TestProcessCluster:
 
     @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     def test_bcast_modes(self, mode):
-        res = ProcessCluster(4, multicast_mode=mode, timeout=60).run(_BcastRing)
+        cluster = connect("proc://4", multicast_mode=mode, timeout=60)
+        res = cluster.run(_BcastRing)
         expected = [f"from-{r}".encode() for r in range(4)]
         assert all(r == expected for r in res.results)
 
     def test_traffic_merged_from_workers(self):
-        res = ProcessCluster(3, timeout=60).run(_AllToAll)
+        res = connect("proc://3", timeout=60).run(_AllToAll)
         assert res.traffic.message_count() == 6  # 3 * 2 unicasts
 
     def test_stage_times_present(self):
-        res = ProcessCluster(2, timeout=60).run(_AllToAll)
+        res = connect("proc://2", timeout=60).run(_AllToAll)
         assert res.stage_times.stages == ["exchange"]
 
     def test_worker_failure_reported(self):
         with pytest.raises(RuntimeError, match="worker 0"):
-            ProcessCluster(2, timeout=30).run(_Crasher)
+            connect("proc://2", timeout=30).run(_Crasher)
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            ProcessCluster(0)
+            connect("proc://0")
 
     def test_rate_limited_run_is_slower(self):
         """Pacing at 2 MB/s makes a ~1.2 MB shuffle take measurable time."""
@@ -101,6 +102,6 @@ class TestProcessCluster:
                 return None
 
         start = time.monotonic()
-        ProcessCluster(3, rate_bytes_per_s=2e6, timeout=60).run(BigExchange)
+        connect("proc://3", rate_bytes_per_s=2e6, timeout=60).run(BigExchange)
         paced = time.monotonic() - start
         assert paced > 0.4  # 1.2 MB at 2 MB/s >= ~0.6 s minus burst

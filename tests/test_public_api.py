@@ -17,7 +17,7 @@ def test_version():
 def test_quickstart_surface():
     """The README quickstart, miniaturized: one session, three jobs."""
     data = repro.teragen(3000, seed=1)
-    with repro.Session(repro.ThreadCluster(4)) as session:
+    with repro.Session(repro.connect("inproc://4")) as session:
         base = session.submit(repro.TeraSortSpec(data=data))
         coded = session.submit(
             repro.CodedTeraSortSpec(data=data, redundancy=2)
@@ -44,9 +44,9 @@ def test_one_shot_run_surface():
         gone = f"run_{algorithm}"
         assert gone not in repro.__all__ and not hasattr(repro, gone)
     data = repro.teragen(2000, seed=3)
-    base = repro.run(repro.ThreadCluster(4), repro.TeraSortSpec(data))
+    base = repro.run(repro.connect("inproc://4"), repro.TeraSortSpec(data))
     coded = repro.run(
-        repro.ThreadCluster(4),
+        repro.connect("inproc://4"),
         repro.CodedTeraSortSpec(data, redundancy=2),
     )
     repro.validate_sorted_permutation(data, base.partitions)
@@ -74,7 +74,7 @@ def test_session_surface_names():
 def test_extension_entry_points():
     data = repro.teragen(2000, seed=2)
     grouped = repro.run(
-        repro.ThreadCluster(4),
+        repro.connect("inproc://4"),
         repro.CodedTeraSortSpec(data, redundancy=1, group_size=2),
     )
     repro.validate_sorted_permutation(data, grouped.partitions)

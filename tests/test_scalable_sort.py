@@ -6,10 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import connect
 from repro.kvpairs.records import RecordBatch
 from repro.kvpairs.teragen import teragen, teragen_skewed
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
 import repro
 from repro import CodedTeraSortSpec
 from repro.core.theory import CodedWorkload, coded_comm_load
@@ -20,7 +20,7 @@ from repro.utils.subsets import binomial
 
 
 def cluster(k):
-    return ThreadCluster(k, recv_timeout=60.0)
+    return connect(f"inproc://{k}", timeout=60.0)
 
 
 class TestFunctionalCorrectness:

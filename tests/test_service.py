@@ -24,10 +24,10 @@ import time
 
 import pytest
 
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.tcp import TcpCluster, parse_address, run_worker
+from repro.runtime.tcp import parse_address, run_worker
 from repro.runtime.transport import FRAME_HEADER, send_frame
 from repro.service import (
     ServiceClient,
@@ -74,7 +74,7 @@ def _reap(procs, timeout=15.0):
 
 def _solo_partitions(spec, k):
     """Reference partitions for ``spec`` on a dedicated k-worker cluster."""
-    with Session(ThreadCluster(k, recv_timeout=60.0)) as session:
+    with Session(connect(f"inproc://{k}", timeout=60.0)) as session:
         run = session.submit(spec).result(timeout=60)
     return [p.to_bytes() for p in run.partitions]
 
@@ -103,8 +103,8 @@ def test_two_jobs_overlap_on_disjoint_subsets_byte_identical(no_plan):
 
     # Hold both jobs' map stages open so their intervals provably overlap.
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=0.8,job_lt=2")
-    with TcpCluster(
-        4, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=4, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 4)
         try:
@@ -156,8 +156,8 @@ def test_worker_crash_retries_only_its_subset(no_plan):
     # Pool seq 1 is job B (dispatched second); its logical rank 1
     # crashes entering map.  The retry is a fresh pool seq, unmatched.
     no_plan.setenv(ENV_VAR, "stage.crash,rank=1,stage=map,job=1")
-    with TcpCluster(
-        6, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60,
+    with connect(
+        "tcp://127.0.0.1:0", size=6, timeout=60, connect_timeout=60,
         heartbeat_interval=0.1, failure_timeout=15.0,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 6)
@@ -195,8 +195,8 @@ def test_quota_rejection_stats_and_shutdown(no_plan):
     typed kind over the wire; stats and shutdown round-trip too."""
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=1.5,job_lt=1")
     data = teragen(800, seed=95)
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -244,8 +244,8 @@ def test_close_settles_a_running_job_for_its_long_polling_client(no_plan):
     on a record that stays ``running`` forever."""
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=20,job_lt=1")
     data = teragen(800, seed=97)
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -292,8 +292,8 @@ def test_close_on_an_idle_service_is_prompt_and_leaves_no_threads(no_plan):
     second and none of its threads — accept loop, dispatcher, pool
     reactor — survives it."""
     data = teragen(800, seed=96)
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -325,8 +325,8 @@ def test_close_wakes_the_request_thread_of_an_idle_client(no_plan):
     """A client that connected and never sent its request holds a
     ``service-conn`` thread in a read bounded only by the request
     timeout; ``close()`` wakes and joins it rather than leaving it."""
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -364,8 +364,8 @@ def test_hostile_control_frames_are_dropped_and_the_daemon_serves_on(
     as undecodable — each connection closed without a reply — and the
     next real client is served, its result's partitions out of band."""
     data = teragen(800, seed=97)
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -434,15 +434,15 @@ def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
 
     with pytest.raises(ValueError) as expected:
         CodedTeraSortSpec(data=teragen(100), redundancy=2).validate(2)
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
             with SortService(cluster) as service:
                 service.start()
-                connect = ["submit", "--connect", service.control_address]
-                assert main(connect + ["-n", "100", "-r", "2"]) == 3
+                submit = ["submit", "--connect", service.control_address]
+                assert main(submit + ["-n", "100", "-r", "2"]) == 3
                 assert (
                     capsys.readouterr().err
                     == f"rejected (invalid): {expected.value}\n"
@@ -453,7 +453,7 @@ def test_cli_submit_relays_the_daemons_validation_text(no_plan, capsys):
                     )
                 assert rejected.value.kind == "invalid"
                 assert str(rejected.value) == str(expected.value)
-                rc = main(connect + [
+                rc = main(submit + [
                     "-n", "600", "--algorithm", "terasort", "--overlap",
                     "--memory-budget", "32768",
                 ])

@@ -33,13 +33,12 @@ import time
 
 import pytest
 
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
-from repro.runtime.inproc import ThreadCluster
 from repro.runtime.tcp import (
     _MAGIC,
     _PEER_HELLO,
     _TAG_PEER,
-    TcpCluster,
     TcpHandshakeError,
     run_worker,
 )
@@ -84,7 +83,7 @@ def _reap(procs, timeout=15.0):
 
 
 def _solo_partitions(spec, k):
-    with Session(ThreadCluster(k, recv_timeout=60.0)) as session:
+    with Session(connect(f"inproc://{k}", timeout=60.0)) as session:
         run = session.submit(spec).result(timeout=60)
     return [p.to_bytes() for p in run.partitions]
 
@@ -112,8 +111,8 @@ def test_worker_joins_mid_flight_and_grows_the_mesh(no_plan):
 
     # Hold job 0's map open so the join provably overlaps it.
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=1.0,job_lt=1")
-    with TcpCluster(
-        3, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=3, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 3)
         try:
@@ -161,8 +160,8 @@ def test_sigkill_two_rejoin_recycles_ranks_and_status_json(no_plan):
     spec = TeraSortSpec(data=data)
     ref = _solo_partitions(TeraSortSpec(data=data), 4)
 
-    with TcpCluster(
-        4, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=4, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 4)
         try:
@@ -215,8 +214,8 @@ def test_duplicate_rank_and_stale_nonce_rejected(no_plan):
     data = teragen(800, seed=104)
     ref = _solo_partitions(TeraSortSpec(data=data), 2)
 
-    with TcpCluster(
-        2, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=2, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 2)
         try:
@@ -275,8 +274,8 @@ def test_shrink_to_fit_replans_while_coded_waits_for_regrowth(no_plan):
         CodedTeraSortSpec(data=data_c, redundancy=3), 4
     )
 
-    with TcpCluster(
-        4, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=4, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, 4)
         try:

@@ -15,12 +15,11 @@ import threading
 import pytest
 
 import repro
+from repro.cluster import connect
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.datasource import FileSource
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.inproc import ThreadCluster
-from repro.runtime.process import ProcessCluster
 from repro.session import (
     CodedTeraSortSpec,
     JobHandle,
@@ -37,8 +36,8 @@ R = 2
 
 def _make_cluster(backend: str, k: int = K):
     if backend == "thread":
-        return ThreadCluster(k, recv_timeout=60)
-    return ProcessCluster(k, timeout=120)
+        return connect(f"inproc://{k}", timeout=60)
+    return connect(f"proc://{k}", timeout=120)
 
 
 def _corpus(k: int, r: int):
@@ -151,7 +150,7 @@ class TestMultiJobSession:
 class TestSessionLifecycle:
     def test_submit_validates_synchronously(self):
         data = teragen(500, seed=1)
-        with Session(ThreadCluster(4, recv_timeout=30)) as session:
+        with Session(connect("inproc://4", timeout=30)) as session:
             with pytest.raises(ValueError, match="redundancy"):
                 session.submit(CodedTeraSortSpec(data=data, redundancy=9))
             # coded shuffle needs groups of r+1 <= K: r = K must be
@@ -189,7 +188,7 @@ class TestSessionLifecycle:
         options = dict(
             data=data, sampled_partitioner=True, sample_size=sample_size
         )
-        with Session(ThreadCluster(4, recv_timeout=30)) as session:
+        with Session(connect("inproc://4", timeout=30)) as session:
             for spec in (
                 TeraSortSpec(**options),
                 CodedTeraSortSpec(redundancy=2, **options),
@@ -203,7 +202,7 @@ class TestSessionLifecycle:
 
     def test_submit_after_close_raises(self):
         data = teragen(400, seed=2)
-        session = Session(ThreadCluster(3, recv_timeout=30))
+        session = Session(connect("inproc://3", timeout=30))
         handle = session.submit(TeraSortSpec(data=data))
         session.close()
         assert handle.done()
@@ -214,7 +213,7 @@ class TestSessionLifecycle:
 
     def test_close_drains_queued_jobs(self):
         data = teragen(600, seed=3)
-        session = Session(ThreadCluster(3, recv_timeout=30))
+        session = Session(connect("inproc://3", timeout=30))
         handles = [session.submit(TeraSortSpec(data=data)) for _ in range(3)]
         session.close()
         for h in handles:
@@ -230,7 +229,7 @@ class TestSessionLifecycle:
 
     def test_handle_timeouts(self):
         data = teragen(400, seed=4)
-        with Session(ThreadCluster(3, recv_timeout=30)) as session:
+        with Session(connect("inproc://3", timeout=30)) as session:
             handle = session.submit(TeraSortSpec(data=data))
             assert handle.wait(30.0)
             handle.result(timeout=1.0)  # already done: returns immediately
@@ -250,7 +249,7 @@ class TestSessionLifecycle:
 
     def test_session_run_convenience(self):
         data = teragen(500, seed=8)
-        with Session(ThreadCluster(3, recv_timeout=30)) as session:
+        with Session(connect("inproc://3", timeout=30)) as session:
             run = session.run(TeraSortSpec(data=data))
         validate_sorted_permutation(data, run.partitions)
 
@@ -277,7 +276,7 @@ def test_session_jobs_enforce_tag_window_from_job_zero():
     """Even job 0 (offset 0) must reject tags that straddle job windows."""
     from repro.runtime.program import PreparedJob
 
-    pool = ThreadCluster(2, recv_timeout=10).create_pool()
+    pool = connect("inproc://2", timeout=10).create_pool()
     try:
         prepared = PreparedJob(
             builder=_oversized_tag_builder,
@@ -296,7 +295,7 @@ class TestProcessPoolReuse:
     def test_workers_persist_across_jobs(self):
         """Same worker PIDs serve consecutive jobs (no per-job fork)."""
         data = teragen(1200, seed=9)
-        cluster = ProcessCluster(3, timeout=60)
+        cluster = connect("proc://3", timeout=60)
         with Session(cluster) as session:
             session.submit(TeraSortSpec(data=data)).result()
             pool = session._pool
@@ -310,7 +309,7 @@ class TestProcessPoolReuse:
         cluster spec reused by two sessions keeps its configured value
         and each pool gets its own."""
         data = teragen(600, seed=12)
-        cluster = ProcessCluster(2, timeout=60, failure_timeout=17.0)
+        cluster = connect("proc://2", timeout=60, failure_timeout=17.0)
         with Session(cluster, failure_timeout=3.0) as fast:
             with Session(cluster, failure_timeout=9.0) as slow:
                 fast.submit(TeraSortSpec(data=data)).result(timeout=60)
@@ -378,7 +377,7 @@ class TestOneShotRun:
         validate_sorted_permutation(data, run.partitions)
         with pytest.raises(RuntimeError, match="No such file"):
             repro.run(
-                repro.connect("inproc://3", recv_timeout=5), _failing_spec()
+                repro.connect("inproc://3", timeout=5), _failing_spec()
             )
         leaked = [t for t in set(threading.enumerate()) - before if t.is_alive()]
         for t in leaked:

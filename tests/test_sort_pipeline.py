@@ -28,12 +28,12 @@ from collections import Counter
 
 import pytest
 
+from repro.cluster import connect
 from repro.core.mapper import hash_file
 from repro.core.placement import CodedPlacement
 from repro.kvpairs import sorting, spill
 from repro.kvpairs.datasource import InlineSource, TeragenSource
 from repro.kvpairs.teragen import teragen
-from repro.runtime.process import ProcessCluster
 from repro.session import CodedTeraSortSpec, Session, TeraSortSpec
 from repro.utils import copytrack
 
@@ -154,7 +154,6 @@ def test_merge_records_are_counted_per_program():
     """The same job reports the same ``merge_records`` on rank threads
     and rank processes, run after run: the count belongs to the program
     that merged, not to the process it shares with its peers."""
-    from repro.runtime.inproc import ThreadCluster
 
     data = teragen(60_000, seed=31)
     for memory_budget in (None, 8 * 1024 * 1024):
@@ -164,8 +163,8 @@ def test_merge_records_are_counted_per_program():
         )
         counts = []
         for cluster in (
-            ThreadCluster(6, recv_timeout=60.0),
-            ProcessCluster(6, timeout=60.0),
+            connect("inproc://6", timeout=60.0),
+            connect("proc://6", timeout=60.0),
         ):
             with Session(cluster) as s:
                 for _ in range(2):

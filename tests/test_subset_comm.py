@@ -30,6 +30,7 @@ import time
 import pytest
 
 from repro import Session, TeraSortSpec
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
 from repro.runtime.api import (
     JOB_TAG_STRIDE,
@@ -38,7 +39,6 @@ from repro.runtime.api import (
     _purge_stale_frames,
 )
 from repro.runtime.errors import CommError, RuntimeTimeoutError, WorkerFailure
-from repro.runtime.inproc import ThreadCluster
 from repro.runtime.mailbox import Mailbox
 from repro.runtime.process import MeshEndpoint
 from repro.runtime.program import JobControl
@@ -51,11 +51,14 @@ def _endpoint(rank, links):
     return MeshEndpoint(
         rank,
         links,
-        MulticastMode.TREE,
-        rate_bytes_per_s=None,
-        recv_timeout=30.0,
-        chunk_bytes=1 << 20,
-        record_relays=False,
+        dict(
+            multicast_mode=MulticastMode.TREE,
+            rate_bytes_per_s=None,
+            timeout=30.0,
+            chunk_bytes=1 << 20,
+            record_relays=False,
+            heartbeat_interval=None,
+        ),
     )
 
 
@@ -307,7 +310,7 @@ def test_pool_jobs_allocate_no_endpoint_state(monkeypatch):
             _init(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, "__init__", counted)
-    with Session(ThreadCluster(K, recv_timeout=30)) as session:
+    with Session(connect(f"inproc://{K}", timeout=30)) as session:
         session.submit(spec).result()  # forms the mesh
         made.clear()
         for _ in range(10):

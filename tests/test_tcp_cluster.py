@@ -1,11 +1,10 @@
-"""Multi-host TCP backend: byte-identity with ProcessCluster + failures.
+"""The TCP transport: byte-identity with ``proc://`` + failures.
 
-The acceptance bar for the third backend: every job kind (TeraSort,
+The acceptance bar for the third transport: every job kind (TeraSort,
 CodedTeraSort, coded MapReduce), submitted through a ``Session`` over a
-localhost :class:`~repro.runtime.tcp.TcpCluster`, must produce
-byte-identical outputs and identical traffic digests to the same jobs on
-:class:`~repro.runtime.process.ProcessCluster` — at both (K, r) = (4, 1)
-and (6, 2) — and a worker killed mid-job must fail only that job's
+localhost ``tcp://`` cluster, must produce byte-identical outputs and
+identical traffic digests to the same jobs on ``proc://`` — at both
+(K, r) = (4, 1) and (6, 2) — and a worker killed mid-job must fail only that job's
 handle while the session survives (and serves again once replacement
 workers rejoin the rendezvous).
 
@@ -22,12 +21,12 @@ import time
 
 import pytest
 
+from repro.cluster import connect
 from repro.core.cmr import MapReduceJob
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.process import ProcessCluster
-from repro.runtime.tcp import TcpCluster, run_worker
+from repro.runtime.tcp import run_worker
 from repro.session import (
     CodedTeraSortSpec,
     MapReduceSpec,
@@ -115,8 +114,8 @@ def test_tcp_session_byte_identical_to_process_cluster(k, r, out_of_band):
         ]
         return [handle.result() for handle in h]
 
-    with TcpCluster(
-        k, "tcp://127.0.0.1:0", timeout=120, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=k, timeout=120, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, k)
         try:
@@ -124,7 +123,7 @@ def test_tcp_session_byte_identical_to_process_cluster(k, r, out_of_band):
                 tcp_runs = submit_all(session)
         finally:
             _reap(procs)
-    with Session(ProcessCluster(k, timeout=120)) as session:
+    with Session(connect(f"proc://{k}", timeout=120)) as session:
         ref_runs = submit_all(session)
 
     for tcp_run, ref_run in zip(tcp_runs[:2], ref_runs[:2]):
@@ -151,8 +150,8 @@ def test_killed_worker_fails_only_its_jobs_handle():
     k = 3
     data = teragen(1500, seed=22)
     files = ["x"] * binomial(k, 1)
-    with TcpCluster(
-        k, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=k, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, k)
         replacements = []
@@ -197,8 +196,8 @@ def test_workers_persist_across_jobs_and_stop_cleanly():
     """One mesh serves back-to-back jobs; close() stops workers with rc 0."""
     k = 4
     data = teragen(1200, seed=23)
-    with TcpCluster(
-        k, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=k, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, k)
         try:

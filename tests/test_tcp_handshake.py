@@ -18,12 +18,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cluster import connect
 from repro.core.terasort import TeraSortSpec
 from repro.kvpairs.teragen import teragen
 from repro.runtime import tcp
 from repro.runtime.tcp import (
     PROTOCOL_VERSION,
-    TcpCluster,
     TcpClusterError,
     TcpHandshakeError,
     parse_address,
@@ -69,8 +69,9 @@ class TestCoordinatorRejections:
         roster, and the previous one, whose workers send bare pickles
         after the hello where today's coordinator reads control-codec
         frames."""
-        with TcpCluster(
-            1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
+        with connect(
+            "tcp://127.0.0.1:0", size=1, connect_timeout=30,
+            handshake_timeout=10,
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
@@ -99,8 +100,9 @@ class TestCoordinatorRejections:
         """A dialer announcing a frame far past the hello cap is dropped
         on the header alone — nothing of its size is allocated or read —
         and the rendezvous keeps serving valid workers."""
-        with TcpCluster(
-            1, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=10
+        with connect(
+            "tcp://127.0.0.1:0", size=1, connect_timeout=30,
+            handshake_timeout=10,
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
@@ -126,8 +128,9 @@ class TestCoordinatorRejections:
     def test_duplicate_rank_rejected_and_midhandshake_death_detected(self):
         """Second claimant of a rank is rejected with a reason; a worker
         dying after admission surfaces as a clean coordinator error."""
-        with TcpCluster(
-            2, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=5
+        with connect(
+            "tcp://127.0.0.1:0", size=2, connect_timeout=30,
+            handshake_timeout=5,
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
@@ -155,8 +158,9 @@ class TestCoordinatorRejections:
                 second.close()
 
     def test_out_of_range_rank_rejected(self):
-        with TcpCluster(
-            2, "tcp://127.0.0.1:0", connect_timeout=2, handshake_timeout=5
+        with connect(
+            "tcp://127.0.0.1:0", size=2, connect_timeout=2,
+            handshake_timeout=5,
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(1) as pool_exec:
@@ -177,8 +181,9 @@ class TestWorkerSideErrors:
         """Rank 0 of a 2-mesh waits for rank 1 to dial in; a rank 1 that
         completes the rendezvous but never dials fails rank 0 within
         ``handshake_timeout``, naming the rank and the missing peer."""
-        with TcpCluster(
-            2, "tcp://127.0.0.1:0", connect_timeout=30, handshake_timeout=5
+        with connect(
+            "tcp://127.0.0.1:0", size=2, connect_timeout=30,
+            handshake_timeout=5,
         ) as cluster:
             pool = cluster.create_pool()
             with ThreadPoolExecutor(2) as pool_exec:
@@ -246,7 +251,7 @@ class TestWorkerSideErrors:
 def test_coordinator_times_out_waiting_for_workers():
     """A pool start with no workers fails with an actionable message."""
     data = teragen(200, seed=1)
-    with TcpCluster(2, "tcp://127.0.0.1:0", connect_timeout=0.4) as cluster:
+    with connect("tcp://127.0.0.1:0", size=2, connect_timeout=0.4) as cluster:
         pool = cluster.create_pool()
         with pytest.raises(
             TcpClusterError, match=r"0/2 joined.*repro worker --join"

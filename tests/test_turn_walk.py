@@ -17,9 +17,9 @@ import pytest
 
 import repro
 from repro import MapReduceSpec, TeraSortSpec
+from repro.cluster import connect
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
-from repro.runtime.inproc import ThreadCluster
 from repro.utils.subsets import k_subsets
 
 
@@ -46,7 +46,7 @@ def _ring(subset, size: int) -> List[int]:
 @pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_uncoded_sort_serves_targets_in_ring_order(size):
     run = repro.run(
-        ThreadCluster(size, recv_timeout=30),
+        connect(f"inproc://{size}", timeout=30),
         TeraSortSpec(data=teragen(120 * size, seed=size)),
     )
     assert _targets_by_sender(run.traffic) == {
@@ -58,7 +58,7 @@ def test_uncoded_cmr_turns_follow_the_ring_from_their_first_member():
     size, redundancy = 4, 2
     texts = [f"file {i} alpha beta gamma {i % 3}" for i in range(6)]
     run = repro.run(
-        ThreadCluster(size, recv_timeout=30),
+        connect(f"inproc://{size}", timeout=30),
         MapReduceSpec(
             WordCountJob(), texts, redundancy=redundancy, scheme="uncoded"
         ),

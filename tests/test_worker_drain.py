@@ -18,9 +18,10 @@ import time
 
 import pytest
 
+from repro.cluster import connect
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.tcp import TcpCluster, run_worker
+from repro.runtime.tcp import run_worker
 from repro.session import Session, TeraSortSpec
 from repro.testing.faults import ENV_VAR
 
@@ -65,8 +66,8 @@ def test_sigterm_mid_job_finishes_then_exits(no_plan):
     cleanly with code 0 ("drained"), not die with 143."""
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=1.5,job_lt=1")
     data = teragen(1500, seed=81)
-    with TcpCluster(
-        K, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=K, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, K)
         try:
@@ -88,8 +89,8 @@ def test_sigterm_mid_job_finishes_then_exits(no_plan):
 def test_sigterm_idle_worker_exits_promptly(no_plan):
     """An idle worker (no in-flight job) drains immediately on SIGTERM."""
     data = teragen(800, seed=82)
-    with TcpCluster(
-        K, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=K, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, K)
         try:
@@ -115,8 +116,8 @@ def test_second_sigterm_kills_immediately(no_plan):
     """Escalation: a second SIGTERM during a drain exits now (143)."""
     no_plan.setenv(ENV_VAR, "stage.delay,stage=map,secs=8,job_lt=1")
     data = teragen(800, seed=83)
-    with TcpCluster(
-        K, "tcp://127.0.0.1:0", timeout=60, connect_timeout=60
+    with connect(
+        "tcp://127.0.0.1:0", size=K, timeout=60, connect_timeout=60,
     ) as cluster:
         procs = _spawn_workers(cluster.address, K)
         try:
