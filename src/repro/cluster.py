@@ -29,7 +29,7 @@ import itertools
 import socket
 from typing import Any, Dict, Optional, Tuple
 
-from repro.runtime.api import DEFAULT_CHUNK_BYTES, Comm, MulticastMode
+from repro.runtime.api import Comm, MulticastMode
 from repro.runtime.inproc import InprocMesh
 from repro.runtime.pool import WorkerPool
 from repro.runtime.process import WORKER_SETTINGS, ForkMesh
@@ -57,8 +57,6 @@ SETTINGS: Dict[str, Tuple[Any, Tuple[str, ...]]] = {
     # The per-job bound: any one receive on a worker, and the pool's
     # deadline for the whole job.
     "timeout": (300.0, _ALL),
-    # Largest raw frame of one payload chunk.
-    "chunk_bytes": (DEFAULT_CHUNK_BYTES, _ALL),
     # Also log every physical broadcast hop (kind "relay").
     "record_relays": (False, _ALL),
     # How often a worker reports its stage mid-job (None: never); feeds

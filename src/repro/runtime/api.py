@@ -22,8 +22,8 @@ the pipelined shuffle engine is built on:
 
 Non-blocking semantics: ``isend`` hands the payload to the endpoint's
 asynchronous sender and returns immediately; ``irecv`` and a receiving
-``ibcast`` return a lazily-completing request that consumes frames as they
-arrive (``test`` never blocks, ``wait`` blocks for the remainder); no
+``ibcast`` return a lazily-completing request that completes when its
+frame arrives (``test`` never blocks, ``wait`` blocks for it); no
 receive starts a thread.  A receiving ``ibcast`` at an *interior* TREE
 node hands its arena view to the same asynchronous sender, for its
 tree children, the moment it lands; :meth:`Comm.wait_any` names the posted
@@ -33,28 +33,29 @@ receive strands its message, and an interior one nobody drives stalls its
 subtree — never block on one receive while another posted one may be
 holding a packet its children wait for.
 
-Every user-level payload travels as a small framing header plus one or more
-chunks of at most ``chunk_bytes`` each, so a large transfer never occupies
-a backend channel atomically and rate pacing / progress interleaving work
-at chunk granularity.  Chunking is invisible to callers and to traffic
-accounting (a message is logged once with its logical payload size).
+One frame per message; a frame is atomic on its link.  Every user-level
+payload crosses its link as exactly one raw frame, which a socket link
+writes under the link's lock and a mailbox link puts whole, and the
+receiver takes that frame as the payload.  Every peer pair has its own
+link, and the async sender runs a whole message at a time, so a large
+frame holds up only later frames to the same peer.  Rate pacing works
+inside the frame (:func:`~repro.runtime.transport.send_frame`).
 
 The data plane is buffer-protocol end-to-end (zero-copy):
 
 * **sending** — ``send`` / ``isend`` / ``bcast`` / ``ibcast`` accept either
   one buffer (``bytes`` / ``bytearray`` / ``memoryview``) or an ordered
-  *gather list* of buffer parts; the framing prefix and chunk slices are
-  prepended/cut as views, so the payload is never re-copied between the
-  caller and the backend's wire primitive (the multiprocessing backend
-  pushes the gather list straight into ``sendmsg``);
+  *gather list* of buffer parts, handed to the link as it is, so the
+  payload is never re-copied between the caller and the backend's wire
+  primitive (the multiprocessing backend pushes the gather list straight
+  into ``sendmsg``);
 * **receiving** — ``recv`` / ``irecv`` / ``bcast`` / ``ibcast`` take a
   ``copy`` flag.  ``copy=True`` (default) returns owned ``bytes`` as
   before.  ``copy=False`` returns a zero-copy ``memoryview`` into the
   backend's receive arena; the view is *read-only by contract* — mutating
   it corrupts nothing downstream only if the caller has not shared it —
-  and it keeps the arena (a chunked message's reassembly buffer too;
-  both come from :func:`~repro.utils.slabs.slab`) out of reuse for as
-  long as the view (or anything borrowing from it, e.g.
+  and it keeps the arena (from :func:`~repro.utils.slabs.slab`) out of
+  reuse for as long as the view (or anything borrowing from it, e.g.
   ``np.frombuffer``) is referenced.
 
 Traffic accounting distinguishes *logical* transfers (one record per
@@ -70,7 +71,7 @@ summaries.
 per job over its mesh endpoint (:class:`~repro.runtime.process.MeshEndpoint`:
 peer links, one inbound mailbox, one async sender), the way the paper's
 implementation cuts ``MPI_Comm_split`` communicators from its cluster.
-The group algorithms, chunked framing, traffic accounting, logical ranks
+The group algorithms, traffic accounting, logical ranks
 and typed receive failures live here, so every backend behaves
 identically.
 
@@ -86,7 +87,6 @@ from __future__ import annotations
 
 import enum
 import socket
-import struct
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -107,7 +107,6 @@ from repro.runtime.mailbox import Mailbox, MailboxClosed
 from repro.runtime.traffic import TrafficLog
 from repro.testing import faults
 from repro.utils import copytrack
-from repro.utils.slabs import slab
 
 if TYPE_CHECKING:
     from repro.runtime.process import MeshEndpoint
@@ -130,14 +129,6 @@ JOB_TAG_STRIDE = 1 << 32
 _JOB_TAG_WINDOWS = RESERVED_TAG_BASE // JOB_TAG_STRIDE
 #: Barrier-epoch stride per job (bounds barriers per job).
 _JOB_BARRIER_EPOCH_STRIDE = 1 << 24
-
-#: Default maximum chunk size for one raw frame of a user payload.
-DEFAULT_CHUNK_BYTES = 1 << 20
-
-#: Frame header: number of following chunk frames (0 = payload inline).
-_FRAME_PREFIX = struct.Struct("<I")
-#: Precomputed inline-payload prefix (the overwhelmingly common case).
-_PREFIX_INLINE = _FRAME_PREFIX.pack(0)
 
 #: Sentinel: use the endpoint's configured receive timeout.
 BACKEND_TIMEOUT = object()
@@ -164,29 +155,6 @@ def payload_nbytes(payload: BufferParts) -> int:
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     return sum(payload_nbytes(p) for p in payload)
-
-
-def chunk_views(views: Sequence[memoryview], chunk: int):
-    """Regroup ``views`` into gather lists of at most ``chunk`` bytes each.
-
-    Slices across part boundaries without copying; every yielded list but
-    the last totals exactly ``chunk`` bytes.  Shared by the API's chunked
-    framing and the socket transport's paced writes.
-    """
-    cur: List[memoryview] = []
-    cur_len = 0
-    for v in views:
-        pos = 0
-        while pos < len(v):
-            take = min(chunk - cur_len, len(v) - pos)
-            cur.append(v[pos : pos + take])
-            cur_len += take
-            pos += take
-            if cur_len == chunk:
-                yield cur
-                cur, cur_len = [], 0
-    if cur:
-        yield cur
 
 
 class MulticastMode(enum.Enum):
@@ -318,12 +286,12 @@ class _FutureRequest(Request):
 
 
 class _RecvRequest(Request):
-    """Lazily-completing receive: consumes frames as they become available.
+    """Lazily-completing receive: completes on its one frame's arrival.
 
-    No thread is involved: ``test`` pops whatever frames have already
+    No thread is involved: ``test`` pops the frame if it has already
     arrived (a zero-timeout :meth:`Comm.wait_any`); ``wait`` blocks for
-    the remainder.  Must only be driven from the owning program's thread
-    (like an MPI request).
+    it.  Must only be driven from the owning program's thread (like an
+    MPI request).
 
     With ``children`` (a TREE interior receive) the landed arena view
     goes to the async sender for them first; the payload is the caller's
@@ -348,45 +316,22 @@ class _RecvRequest(Request):
         self._copy = copy
         self._children = children
         self._stage = stage
-        self._expected: Optional[int] = None  # chunk frames still to come
-        self._parts: List[Buffer] = []
         self._value: Optional[ReceivedPayload] = None
         self._done = False
         self.key = (comm.members[src], tag)
         self.forward: Optional[Request] = None
 
-    def _consume(self, frame: Buffer) -> None:
-        body: ReceivedPayload
-        if self._expected is None:
-            (nchunks,) = _FRAME_PREFIX.unpack_from(frame)
-            if nchunks:
-                self._expected = nchunks
-                return
-            body = memoryview(frame)[_FRAME_PREFIX.size:]
-        else:
-            self._parts.append(frame)
-            self._expected -= 1
-            if self._expected:
-                return
-            total = sum(len(p) for p in self._parts)
-            copytrack.count_copy(total, "api.recv.assemble_chunks")
-            if self._copy and not self._children:
-                body = b"".join(self._parts)
-            else:
-                body = slab(total)
-                pos = 0
-                for p in self._parts:
-                    body[pos : pos + len(p)] = p
-                    pos += len(p)
-            self._parts = []
+    def _consume(self, body: Buffer) -> None:
         if self._children:
-            comm, view = self._comm, body
+            comm = self._comm
             self.forward = comm._post(
                 lambda: comm._forward(
-                    self._children, self._tag, view, self._stage
+                    self._children, self._tag, body, self._stage
                 )
             )
-        if self._copy and not isinstance(body, bytes):
+        if not self._copy:
+            body = memoryview(body)
+        elif not isinstance(body, bytes):
             copytrack.count_copy(len(body), "api.recv.materialize")
             body = bytes(body)
         self._value = body
@@ -396,21 +341,15 @@ class _RecvRequest(Request):
         # wait_any raises once the source is closed and no buffered frame
         # remains, so polling callers observe peer death.
         comm = self._comm
-        while not self._done:
-            if not comm.wait_any((self.key,), 0):
-                return False
+        if not self._done and comm.wait_any((self.key,), 0):
             self._consume(comm._mailbox.pop(self.key))
-        return True
+        return self._done
 
     def wait(self, timeout: Optional[float] = None) -> Optional[bytes]:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self._done:
+        if not self._done:
             self._consume(
                 self._comm._take(
-                    self.key,
-                    BACKEND_TIMEOUT
-                    if deadline is None
-                    else max(0.0, deadline - time.monotonic()),
+                    self.key, BACKEND_TIMEOUT if timeout is None else timeout
                 )
             )
         return self._value
@@ -478,8 +417,6 @@ class Comm:
         job_control: the coordinator's mid-job directives (speculation,
             abort), or ``None``.
         stage: the stage traffic is attributed to (:meth:`set_stage`).
-        chunk_bytes: maximum raw-frame payload; larger user messages are
-            split into chunks transparently.
         record_relays: when True, every physical broadcast hop is logged
             to the traffic log with kind ``"relay"`` in addition to the
             one logical multicast record.
@@ -504,10 +441,6 @@ class Comm:
             raise CommError(f"rank {me} is not a member of {members}")
         if job_seq < 0:
             raise CommError(f"job_seq must be >= 0, got {job_seq}")
-        if endpoint.chunk_bytes < 1:
-            raise CommError(
-                f"chunk_bytes must be >= 1, got {endpoint.chunk_bytes}"
-            )
         peers = {}
         for i, g in enumerate(members):
             if g == me:
@@ -531,7 +464,6 @@ class Comm:
         self.stage = "init"
         self.failed = False
         self.multicast_mode = endpoint.multicast_mode
-        self.chunk_bytes = endpoint.chunk_bytes
         self.record_relays = endpoint.record_relays
         self._endpoint = endpoint
         self._peers = peers
@@ -561,9 +493,10 @@ class Comm:
         return tag + self._job_tag_offset
 
     def _send_raw(self, dst: int, tag: int, payload: BufferParts) -> None:
-        """One raw frame to ``dst`` over the link the job started with."""
+        """``payload`` as one frame to ``dst``, over the link the job
+        started with; its parts go to the link as views, never copied."""
         try:
-            self._peers[dst].send(tag, payload)
+            self._peers[dst].send(tag, as_views(payload))
         except socket.timeout as exc:
             # SO_SNDTIMEO expiry: the peer stopped draining (wedged or
             # dead) — typed so drivers can tell timeout from protocol bug.
@@ -592,23 +525,6 @@ class Comm:
             raise self._expired((key,), 0)
         return self._mailbox.pop(key)
 
-    def _send_framed(self, dst: int, tag: int, payload: BufferParts) -> None:
-        """Send one logical payload as a header frame plus chunk frames.
-
-        The framing prefix travels as an extra gather-list part and chunks
-        are memoryview slices, so the payload bytes are never copied here.
-        """
-        views = as_views(payload)
-        total = sum(len(v) for v in views)
-        if total <= self.chunk_bytes:
-            self._send_raw(dst, tag, [_PREFIX_INLINE, *views])
-            return
-        chunk = self.chunk_bytes
-        nchunks = (total + chunk - 1) // chunk
-        self._send_raw(dst, tag, [_FRAME_PREFIX.pack(nchunks)])
-        for piece in chunk_views(views, chunk):
-            self._send_raw(dst, tag, piece)
-
     # -- public API -------------------------------------------------------------
 
     def send(self, dst: int, tag: int, payload: BufferParts) -> None:
@@ -629,9 +545,9 @@ class Comm:
                 self.stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
             )
         if self._async_dispatch_used:
-            self._post(lambda: self._send_framed(dst, tag, payload)).wait()
+            self._post(lambda: self._send_raw(dst, tag, payload)).wait()
         else:
-            self._send_framed(dst, tag, payload)
+            self._send_raw(dst, tag, payload)
 
     def isend(self, dst: int, tag: int, payload: BufferParts) -> Request:
         """Non-blocking tagged unicast; returns a waitable :class:`Request`.
@@ -647,7 +563,7 @@ class Comm:
             self.traffic.record(
                 self.stage, "unicast", self.rank, (dst,), payload_nbytes(payload)
             )
-        return self._post(lambda: self._send_framed(dst, tag, payload))
+        return self._post(lambda: self._send_raw(dst, tag, payload))
 
     def recv(self, src: int, tag: int, copy: bool = True) -> ReceivedPayload:
         """Blocking tagged receive from a specific source.
@@ -755,10 +671,9 @@ class Comm:
         seconds (default: the endpoint's receive timeout; ``None``:
         unbounded), then :class:`RuntimeTimeoutError` — except
         ``timeout=0``, a poll that may return nothing.  A listed
-        request's ``test()`` then makes progress (a chunked payload takes
-        several arrivals).  A source dead with a listed receive still
-        empty raises :class:`WorkerFailure`, as ``Request.test`` does; so
-        does the coordinator's abort.
+        request's ``test()`` then completes it.  A source dead with a
+        listed receive still empty raises :class:`WorkerFailure`, as
+        ``Request.test`` does; so does the coordinator's abort.
         """
         if timeout is BACKEND_TIMEOUT:
             timeout = self._recv_timeout
@@ -925,7 +840,7 @@ class Comm:
         """Send ``data`` to this node's children, logging each hop."""
         nbytes = payload_nbytes(data)
         for child in children:
-            self._send_framed(child, tag, data)
+            self._send_raw(child, tag, data)
             self._record_hop(stage, child, nbytes)
 
     def _bcast(

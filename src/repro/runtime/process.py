@@ -98,7 +98,6 @@ WORKER_SETTINGS = (
     "multicast_mode",
     "rate_bytes_per_s",
     "timeout",
-    "chunk_bytes",
     "record_relays",
     "heartbeat_interval",
 )
@@ -137,7 +136,6 @@ class MeshEndpoint:
         self.rank = rank
         self.multicast_mode = MulticastMode(settings["multicast_mode"])
         self.recv_timeout = settings["timeout"]
-        self.chunk_bytes = settings["chunk_bytes"]
         self.record_relays = settings["record_relays"]
         self.heartbeat_interval = settings["heartbeat_interval"]
         rate_bytes_per_s = settings["rate_bytes_per_s"]

@@ -569,8 +569,7 @@ def streaming_multicast_shuffle(
             interior one's packet onward) and count its group down."""
             for key in comm.wait_any(posted, timeout) if posted else ():
                 gidx, sender, req = posted[key]
-                if not req.test():
-                    continue  # chunked payload: frames still to come
+                req.test()  # its one frame is there: this lands it
                 del posted[key]
                 if req.forward is not None:
                     sends.append(req.forward)

@@ -118,8 +118,10 @@ __all__ = [
 #: worker expects a list at formation), and the welcome config lost its
 #: ``resilient`` key — every agent keeps its mesh listener.  v6: every
 #: control message after the hello is a control-codec frame (pickle body
-#: plus out-of-band buffers), not a bare pickle.
-PROTOCOL_VERSION = 6
+#: plus out-of-band buffers), not a bare pickle.  v7: a mesh frame is one
+#: whole message with no count prefix, and the welcome config lost the
+#: key that capped a frame's size.
+PROTOCOL_VERSION = 7
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).

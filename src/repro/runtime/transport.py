@@ -19,9 +19,10 @@ The data plane is zero-copy in both directions:
   in again every job), and fills it with ``recv_into`` on memoryview
   slices; no parts list, no join.
 
-Large paced payloads are still written in chunks so a sender-side
-:class:`~repro.runtime.ratelimit.TokenBucket` can pace them, reproducing
-the paper's 100 Mbps ``tc`` throttling in userspace.
+A paced frame is written in :data:`CHUNK_BYTES` pieces, each charged to
+the sender's :class:`~repro.runtime.ratelimit.TokenBucket` before it
+goes out, reproducing the paper's 100 Mbps ``tc`` throttling in
+userspace; the frame stays one frame on the stream.
 
 Control messages (job dispatch, results, heartbeats, the rendezvous and
 service requests) are one *codec* frame each (:func:`encode_msg` /
@@ -51,9 +52,9 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.runtime.api import Buffer, BufferParts, as_views, chunk_views
+from repro.runtime.api import Buffer, BufferParts, as_views
 from repro.runtime.ratelimit import TokenBucket
 from repro.utils.slabs import slab
 
@@ -131,6 +132,28 @@ def send_frame(
         _sendmsg_all(sock, chunk)
 
 
+def chunk_views(views: Sequence[memoryview], chunk: int):
+    """Regroup ``views`` into gather lists of at most ``chunk`` bytes each.
+
+    Slices across part boundaries without copying; every yielded list but
+    the last totals exactly ``chunk`` bytes.
+    """
+    cur: List[memoryview] = []
+    cur_len = 0
+    for v in views:
+        pos = 0
+        while pos < len(v):
+            take = min(chunk - cur_len, len(v) - pos)
+            cur.append(v[pos : pos + take])
+            cur_len += take
+            pos += take
+            if cur_len == chunk:
+                yield cur
+                cur, cur_len = [], 0
+    if cur:
+        yield cur
+
+
 def _sendmsg_all(sock: socket.socket, views: List[memoryview]) -> None:
     """Vectored ``sendall``: push every view out, resuming partial writes."""
     pending = [v for v in views if len(v)]
@@ -156,7 +179,9 @@ def recv_frame(
     exactly the frame's length — downstream consumers slice memoryviews
     off it instead of copying, and the arena goes back to the pool once
     nothing views it.  A frame announcing more than ``limit`` bytes is
-    refused before anything is allocated for it.
+    refused before anything is allocated for it, and one whose arena
+    cannot be allocated raises :class:`TransportError` too: a frame's
+    length is its whole message's, so a bad length fails here.
     """
     header = recv_exact(sock, FRAME_HEADER.size)
     tag, length = FRAME_HEADER.unpack(header)
@@ -164,7 +189,12 @@ def recv_frame(
         raise TransportError(
             f"{length}-byte frame over this socket's {limit}-byte limit"
         )
-    payload = slab(length)
+    try:
+        payload = slab(length)
+    except (OverflowError, MemoryError, OSError) as exc:
+        raise TransportError(
+            f"cannot allocate a {length}-byte frame: {exc}"
+        ) from exc
     if length:
         recv_exact_into(sock, payload)
     return tag, payload

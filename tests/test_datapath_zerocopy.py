@@ -8,8 +8,8 @@ Covers the contracts the zero-copy shuffle relies on:
   and lifetime rules (views keep the parent buffer alive; transforms that
   must survive later buffer mutation copy);
 * gather-list (vectored) sends and ``copy=False`` receives are
-  byte-identical to the owned-bytes path on both backends, chunked and
-  unchunked;
+  byte-identical to the owned-bytes path on both backends, for payloads
+  below and above 1 MiB;
 * ``CodedPacket`` parts wire form and arena-based encode/decode;
 * ``merge_sorted`` is a stable k-way merge equal to sorting the concat.
 """
@@ -213,10 +213,9 @@ class _PartsRoundtrip(NodeProgram):
 
     STAGES = ["xfer"]
 
-    def __init__(self, comm, nrecords, chunked):
+    def __init__(self, comm, nrecords):
         super().__init__(comm)
         self.nrecords = nrecords
-        self.chunked = chunked
 
     def run(self):
         with self.stage("xfer"):
@@ -237,15 +236,15 @@ class _PartsRoundtrip(NodeProgram):
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
-@pytest.mark.parametrize("nrecords", [40, 30_000])  # unchunked / chunked
+@pytest.mark.parametrize("nrecords", [40, 30_000])
 def test_gather_send_recv_view_roundtrip(backend, nrecords):
-    """Vectored parts send + copy=False receive, across chunking regimes.
+    """Vectored parts send + copy=False receive, small and large.
 
-    30k records (~3 MB) exceed the 1 MiB default chunk size, exercising
-    the chunked framing; 40 records stay inline.
+    30k records (~3 MB) are one frame in a pooled slab arena; 40 records
+    land in a plain buffer.
     """
     def factory(comm):
-        return _PartsRoundtrip(comm, nrecords, nrecords > 10_000)
+        return _PartsRoundtrip(comm, nrecords)
 
     if backend == "thread":
         cluster = connect("inproc://2", timeout=60.0)
@@ -264,7 +263,7 @@ class _ArenaReuseSender(NodeProgram):
     STAGES = ["xfer"]
 
     def run(self):
-        n = 50_000  # > chunk_bytes below, so chunk frames are single views
+        n = 50_000
         with self.stage("xfer"):
             if self.rank == 0:
                 arena = bytearray(b"A" * n)
@@ -278,9 +277,7 @@ class _ArenaReuseSender(NodeProgram):
 
 
 def test_inproc_blocking_send_does_not_alias_mutable_buffer():
-    res = connect("inproc://2", timeout=30.0, chunk_bytes=8 * 1024).run(
-        _ArenaReuseSender
-    )
+    res = connect("inproc://2", timeout=30.0).run(_ArenaReuseSender)
     assert res.results[1] is True
 
 

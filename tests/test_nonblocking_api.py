@@ -1,14 +1,20 @@
-"""Tests for the non-blocking Comm API: isend/irecv/ibcast + chunking."""
+"""Tests for the non-blocking Comm API: isend/irecv/ibcast, and one
+frame per message on every transport."""
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import random
 
+import numpy as np
 import pytest
 
 from repro.cluster import connect
 from repro.runtime.api import CommError, MulticastMode, wait_all
-from repro.runtime.program import NodeProgram
+from repro.runtime.program import NodeProgram, PreparedJob
+from repro.runtime.tcp import run_worker
+from repro.utils import copytrack
 
 
 def _clusters(size, **kwargs):
@@ -64,7 +70,11 @@ class TestNonblockingUnicast:
         assert res.results == ["ok", "ok"]
 
 
-class _ChunkedExchange(NodeProgram):
+#: Larger than the 1 MiB frames the runtime once cut a message into.
+_BIG = 3 << 19
+
+
+class _MixedExchange(NodeProgram):
     """Mixed small/large messages on one tag: order and bytes must hold."""
 
     STAGES = ["x"]
@@ -73,7 +83,7 @@ class _ChunkedExchange(NodeProgram):
         b"tiny",
         bytes(random.Random(1).randbytes(10_000)),
         b"",
-        bytes(random.Random(2).randbytes(4097)),
+        bytes(random.Random(2).randbytes(_BIG)),
         b"mid" * 100,
     ]
 
@@ -90,42 +100,144 @@ class _ChunkedExchange(NodeProgram):
             return wait_all(reqs)
 
 
-class TestChunkedTransfers:
+#: What ``_OneFrame`` moves, by how: each above the old frame size.
+_ONE_FRAME_PAYLOADS = {
+    how: random.Random(seed).randbytes(_BIG)
+    for seed, how in enumerate(("isend", "send", "ibcast"), start=4)
+}
+
+
+def _first_frame(comm, key):
+    """The length of the first frame buffered under ``key``, once one is."""
+    comm.wait_any((key,), 30)
+    return len(comm._mailbox._queues[key][0])
+
+
+def _addr(buf):
+    return np.frombuffer(buf, np.uint8).ctypes.data
+
+
+def _landed(how, first, got):
+    """How one receive of ``_ONE_FRAME_PAYLOADS[how]`` arrived."""
+    return how, {
+        "equal": bytes(got) == _ONE_FRAME_PAYLOADS[how],
+        "first_frame": first,
+        # The payload is the frame: a view from its arena's first byte.
+        "arena_view": isinstance(got, memoryview)
+        and _addr(got) == _addr(got.obj),
+    }
+
+
+class _OneFrame(NodeProgram):
+    """Four ranks: 0 -> 1 by ``isend`` / ``irecv``, 1 -> 0 by blocking
+    ``send`` / ``recv``, and an ``ibcast`` from 0 over all four, which
+    rank 2 (the binomial tree's interior member) relays to 3.  Every
+    receive is ``copy=False``; each reports its first frame's length
+    before taking it, and ``track`` counts this process's copies."""
+
+    STAGES = ["x"]
+
+    def __init__(self, comm, track):
+        super().__init__(comm)
+        self.track = track
+
+    def run(self):
+        comm, rank, landed = self.comm, self.rank, []
+        scope = copytrack.track() if self.track else contextlib.nullcontext({})
+        with self.stage("x"), scope as copies:
+            if rank == 0:
+                comm.isend(1, 1, _ONE_FRAME_PAYLOADS["isend"]).wait()
+                first = _first_frame(comm, (comm.members[1], comm._user_tag(2)))
+                got = comm.recv(1, 2, copy=False)
+                landed.append(_landed("send", first, got))
+            elif rank == 1:
+                req = comm.irecv(0, 1, copy=False)
+                first = _first_frame(comm, req.key)
+                landed.append(_landed("isend", first, req.wait()))
+                comm.send(0, 2, _ONE_FRAME_PAYLOADS["send"])
+            payload = _ONE_FRAME_PAYLOADS["ibcast"] if rank == 0 else None
+            req = comm.ibcast(range(4), 0, 3, payload, copy=False)
+            if rank:
+                first = _first_frame(comm, req.key)
+                landed.append(_landed("ibcast", first, req.wait()))
+                if req.forward is not None:
+                    req.forward.wait()
+            else:
+                req.wait()
+        return landed, sorted(s for s in copies if s.startswith("api.recv."))
+
+
+def _one_frame_program(comm, track):
+    return _OneFrame(comm, track)
+
+
+def _run_one_frame(scheme):
+    """``_OneFrame`` on a 4-worker ``scheme`` cluster, and the receive
+    sites copytrack saw wherever the workers share the test's process."""
+    url = "tcp://127.0.0.1:0" if scheme == "tcp" else f"{scheme}://4"
+    track = scheme != "inproc"
+    job = PreparedJob(
+        builder=_one_frame_program, payloads=[track] * 4, finalize=lambda r: r
+    )
+    agents = []
+    with connect(url, size=4, timeout=60) as cluster:
+        if scheme == "tcp":
+            ctx = multiprocessing.get_context("fork")
+            agents = [
+                ctx.Process(
+                    target=run_worker,
+                    kwargs=dict(join=cluster.address, quiet=True),
+                    daemon=True,
+                )
+                for _ in range(4)
+            ]
+            for agent in agents:
+                agent.start()
+        try:
+            with copytrack.track() as copies, cluster.create_pool() as pool:
+                res = pool.run_job(job, last=True)
+        finally:
+            for agent in agents:
+                agent.join(15.0)
+                if agent.is_alive():  # pragma: no cover - defensive
+                    agent.kill()
+                    agent.join()
+    here = sorted(s for s in copies if s.startswith("api.recv."))
+    return res, here
+
+
+class TestOneFrameTransfers:
+    """A message is one frame on every transport, however large."""
+
     @pytest.mark.parametrize("cluster_idx", [0, 1])
-    def test_roundtrip_across_chunk_boundary(self, cluster_idx):
-        """chunk_bytes=1024 forces multi-frame transfers for big payloads."""
-        cluster = _clusters(2, chunk_bytes=1024)[cluster_idx]
-        res = cluster.run(_ChunkedExchange)
-        assert res.results[1] == _ChunkedExchange.PAYLOADS
-
-    def test_blocking_send_recv_also_chunked(self):
-        payload = random.Random(3).randbytes(50_000)
-
-        class Big(NodeProgram):
-            STAGES = ["x"]
-
-            def run(self):
-                with self.stage("x"):
-                    if self.rank == 0:
-                        self.comm.send(1, 2, payload)
-                        return None
-                    return self.comm.recv(0, 2)
-
-        res = connect("inproc://2", timeout=10, chunk_bytes=512).run(Big)
-        assert res.results[1] == payload
-
-    def test_chunking_invisible_to_traffic(self):
-        cluster = connect("inproc://2", timeout=10, chunk_bytes=128)
-        res = cluster.run(_ChunkedExchange)
-        assert res.traffic.message_count() == len(_ChunkedExchange.PAYLOADS)
+    def test_mixed_sizes_roundtrip(self, cluster_idx):
+        res = _clusters(2)[cluster_idx].run(_MixedExchange)
+        assert res.results[1] == _MixedExchange.PAYLOADS
+        assert res.traffic.message_count() == len(_MixedExchange.PAYLOADS)
         assert res.traffic.load_bytes() == sum(
-            len(p) for p in _ChunkedExchange.PAYLOADS
+            len(p) for p in _MixedExchange.PAYLOADS
         )
 
-    def test_invalid_chunk_bytes(self):
-        # Comm validation runs in the node threads; the cluster wraps it.
-        with pytest.raises(RuntimeError, match="chunk_bytes"):
-            connect("inproc://2", chunk_bytes=0).run(_IPingPong)
+    @pytest.mark.parametrize("scheme", ["inproc", "proc", "tcp"])
+    def test_large_payload_is_one_frame(self, scheme):
+        res, here = _run_one_frame(scheme)
+        whole = {"equal": True, "first_frame": _BIG, "arena_view": True}
+        # Rank 2 relays the ibcast: rank 3 gets it as one frame too.
+        assert [landed for landed, _ in res.results] == [
+            [("send", whole)],
+            [("isend", whole), ("ibcast", whole)],
+            [("ibcast", whole)],
+            [("ibcast", whole)],
+        ]
+        assert here == [] and all(sites == [] for _, sites in res.results)
+        assert res.traffic.message_count() == len(_ONE_FRAME_PAYLOADS)
+        assert res.traffic.load_bytes() == sum(
+            len(p) for p in _ONE_FRAME_PAYLOADS.values()
+        )
+
+    def test_chunk_bytes_is_no_setting(self):
+        with pytest.raises(TypeError, match="chunk_bytes"):
+            connect("inproc://2", chunk_bytes=0)
 
 
 class _ProbeProgression(NodeProgram):

@@ -55,7 +55,6 @@ def _endpoint(rank, links):
             multicast_mode=MulticastMode.TREE,
             rate_bytes_per_s=None,
             timeout=30.0,
-            chunk_bytes=1 << 20,
             record_relays=False,
             heartbeat_interval=None,
         ),

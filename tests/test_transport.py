@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import socket
+import struct
 import threading
+import time
 
 import pytest
 
+from repro.runtime.api import MulticastMode
+from repro.runtime.mailbox import MailboxClosed
+from repro.runtime.process import MeshEndpoint
 from repro.runtime.ratelimit import TokenBucket
 from repro.runtime.transport import (
+    FRAME_HEADER,
     TransportError,
     recv_exact,
     recv_frame,
@@ -70,8 +76,6 @@ class TestFraming:
 
     def test_eof_mid_payload(self, sock_pair):
         a, b = sock_pair
-        import struct
-
         a.sendall(struct.pack("<QQ", 1, 100) + b"short")
         a.close()
         with pytest.raises(TransportError, match="closed"):
@@ -80,6 +84,40 @@ class TestFraming:
     def test_recv_exact_zero(self, sock_pair):
         _, b = sock_pair
         assert recv_exact(b, 0) == b""
+
+    @pytest.mark.parametrize("length", [2**64 - 1, 2**63])
+    def test_unallocatable_length_is_a_transport_error(self, sock_pair, length):
+        a, b = sock_pair
+        a.sendall(FRAME_HEADER.pack(7, length))
+        with pytest.raises(TransportError, match=f"{length}-byte frame"):
+            recv_frame(b)
+
+
+def test_a_reader_closes_its_source_on_an_unallocatable_frame():
+    """A frame the reader cannot allocate closes the peer's mailbox
+    source with the reason, so a receive from it fails at once."""
+    mine, theirs = socket.socketpair()
+    endpoint = MeshEndpoint(
+        0,
+        {1: mine},
+        dict(
+            multicast_mode=MulticastMode.TREE,
+            rate_bytes_per_s=None,
+            timeout=5.0,
+            record_relays=False,
+            heartbeat_interval=None,
+        ),
+    )
+    try:
+        length = 2**64 - 1
+        theirs.sendall(FRAME_HEADER.pack(7, length))
+        started = time.monotonic()
+        with pytest.raises(MailboxClosed, match=str(length)):
+            endpoint.mailbox.wait_any([(1, 7)], 2.0)
+        assert time.monotonic() - started < 1.0
+    finally:
+        endpoint.close()
+        theirs.close()
 
 
 class TestPacedSend:
