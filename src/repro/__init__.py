@@ -84,7 +84,6 @@ from repro.kvpairs.validation import (
     validate_sorted_iter,
     validate_sorted_permutation,
 )
-from repro.runtime.api import MulticastMode
 from repro.runtime.errors import RuntimeTimeoutError, WorkerFailure
 from repro.service import (
     AdmissionError,
@@ -147,7 +146,6 @@ __all__ = [
     "teragen_to_file",
     "validate_sorted_iter",
     "validate_sorted_permutation",
-    "MulticastMode",
     "SortService",
     "ServiceClient",
     "ServiceJobHandle",

@@ -29,7 +29,7 @@ import itertools
 import socket
 from typing import Any, Dict, Optional, Tuple
 
-from repro.runtime.api import Comm, MulticastMode
+from repro.runtime.api import Comm
 from repro.runtime.inproc import InprocMesh
 from repro.runtime.pool import WorkerPool
 from repro.runtime.process import WORKER_SETTINGS, ForkMesh
@@ -49,8 +49,6 @@ _ALL = tuple(_TRANSPORTS)
 
 #: Every cluster setting: name -> (default, the schemes that honour it).
 SETTINGS: Dict[str, Tuple[Any, Tuple[str, ...]]] = {
-    # Linear or binomial-tree application multicast.
-    "multicast_mode": (MulticastMode.TREE, _ALL),
     # Per-worker egress throttle (12.5e6 is the paper's 100 Mbps; None:
     # unpaced).  Mailbox links between worker threads never pace.
     "rate_bytes_per_s": (None, ("proc", "tcp")),
@@ -141,9 +139,7 @@ class Cluster:
     def worker_settings(self) -> Dict[str, Any]:
         """What every worker runs under, by the keys the TCP welcome
         carries (:data:`~repro.runtime.process.WORKER_SETTINGS`)."""
-        settings = {name: getattr(self, name) for name in WORKER_SETTINGS}
-        settings["multicast_mode"] = self.multicast_mode.value
-        return settings
+        return {name: getattr(self, name) for name in WORKER_SETTINGS}
 
     def create_pool(self) -> WorkerPool:
         """A standing worker pool over this cluster.

@@ -37,8 +37,8 @@ sort, the spec fields pick three policies:
   resident without) whose append order — files ascending, windows
   ascending, sized from the spec alone — is identical on every replica
   of a subset, which is what XOR coding requires of ``I^t_S``.
-* **send gate** (:func:`~repro.runtime.program.execute_multicast_shuffle`)
-  — by default the one non-blocking event loop
+* **send gate** (:meth:`CodedTeraSortProgram._shuffle`) — by default the
+  one non-blocking event loop
   (:func:`~repro.runtime.program.streaming_multicast_shuffle`): staged
   ``"parallel"`` — the §VI "asynchronous execution" future work — posts
   every packet in the greedily colored round order
@@ -121,8 +121,9 @@ from repro.runtime.program import (
     JobSpec,
     NodeProgram,
     PreparedJob,
-    execute_multicast_shuffle,
     overlap_meta,
+    serial_multicast_shuffle,
+    streaming_multicast_shuffle,
 )
 from repro.runtime.traffic import TrafficLog
 from repro.utils.subsets import Subset, k_subsets, without
@@ -209,8 +210,6 @@ class CodedTeraSortProgram(NodeProgram):
         first = self.rank - self.rank % g
         #: The ``g`` ranks of this rank's coding group (all ``K`` ungrouped).
         self.peers: Tuple[int, ...] = tuple(range(first, first + g))
-        #: Telemetry from the event-loop engine (empty for the serial walk).
-        self.shuffle_telemetry: Dict[str, float] = {}
 
     def run(self) -> Any:
         with out_of_core(self, self.spec.memory_budget, "cts") as oc:
@@ -463,8 +462,10 @@ class CodedTeraSortProgram(NodeProgram):
     ) -> None:
         """Encode / multicast / decode (Algorithms 1 and 2) under the
         send-gate policy, from the sealed ``store`` into the
-        ``frontier``'s ``slot_of`` slots; overlapped, the event loop also
-        drives ``steps``, the rest of the map."""
+        ``frontier``'s ``slot_of`` slots.  Staged ``"serial"`` encodes
+        every packet, walks the Fig. 9(b) turns, then decodes, each step
+        its own stage; anything else is the one event loop, which,
+        overlapped, also drives ``steps``, the rest of the map."""
         rank, overlap = self.rank, self.spec.overlap
         plan, rounds, needed = codegen
         lookup = self._lookup(store)
@@ -492,12 +493,23 @@ class CodedTeraSortProgram(NodeProgram):
                 recover_intermediate(rank, group, packets, lookup),
             )
 
-        _, self.shuffle_telemetry = execute_multicast_shuffle(
+        my_groups = plan.groups_of_node[rank]
+        if self.spec.schedule == "serial" and not overlap:
+            with self.stage("encode"):
+                packets_out = {gidx: encode_for(gidx) for gidx in my_groups}
+            with self.stage("shuffle"):
+                received = serial_multicast_shuffle(
+                    self, plan.groups, my_groups, plan.schedule,
+                    MULTICAST_TAG_BASE, packets_out,
+                )
+            with self.stage("decode"):
+                for gidx in my_groups:
+                    recover(gidx, received[gidx])
+            return
+        streaming_multicast_shuffle(
             self,
             plan.groups,
-            plan.groups_of_node[rank],
-            self.spec.schedule,
-            plan.schedule,
+            my_groups,
             rounds,
             MULTICAST_TAG_BASE,
             encode_for,

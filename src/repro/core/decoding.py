@@ -24,10 +24,9 @@ without another copy.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Mapping
 
 from repro.core.encoding import (
-    BufferLike,
     CodedPacket,
     CodingError,
     IntermediateLookup,
@@ -90,25 +89,6 @@ def decode_segment_into(
         xor_into(out, seg)
 
 
-def decode_segment(
-    receiver: int, packet: CodedPacket, lookup: IntermediateLookup
-) -> bytearray:
-    """Recover ``I^receiver_{M\\{receiver}, sender}`` from one packet.
-
-    Convenience wrapper over :func:`decode_segment_into` returning an
-    owned buffer with the true-length (unpadded) segment.
-    """
-    if receiver == packet.sender:
-        raise CodingError("a node cannot decode its own packet")
-    if receiver not in packet.group:
-        raise CodingError(
-            f"receiver {receiver} not in group {packet.group}"
-        )
-    out = bytearray(packet.length_for(receiver))
-    decode_segment_into(receiver, packet, lookup, memoryview(out))
-    return out
-
-
 def recover_intermediate(
     receiver: int,
     group: Subset,
@@ -156,21 +136,3 @@ def recover_intermediate(
         pos += seg_len
     return out
 
-
-def decode_all_groups(
-    receiver: int,
-    packets_by_group: Mapping[Subset, Mapping[int, CodedPacket]],
-    lookup: IntermediateLookup,
-) -> Dict[Subset, BufferLike]:
-    """Run Algorithm 2 over every group the receiver belongs to.
-
-    Returns:
-        file subset ``S = M\\{receiver}`` -> serialized ``I^receiver_S``,
-        i.e. exactly the intermediate values ``{I^k_S : k ∉ S}`` the node
-        was missing after the Map stage.
-    """
-    out: Dict[Subset, BufferLike] = {}
-    for group, packets in packets_by_group.items():
-        file_subset = without(group, receiver)
-        out[file_subset] = recover_intermediate(receiver, group, packets, lookup)
-    return out

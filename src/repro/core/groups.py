@@ -307,7 +307,7 @@ def unicast_round_schedule(num_nodes: int) -> List[List[Tuple[int, int]]]:
 
 
 def verify_plan(plan: CodingPlan) -> None:
-    """Structural invariants of a coding plan (used by tests and CLI).
+    """Structural invariants of a coding plan (only tests call it).
 
     Raises:
         AssertionError: if any invariant fails.

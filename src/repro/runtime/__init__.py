@@ -29,7 +29,7 @@ communication layer for the reproduction:
   also tracking raw wire bytes.
 """
 
-from repro.runtime.api import Comm, CommError, MulticastMode, Request, wait_all
+from repro.runtime.api import Comm, CommError, Request, wait_all
 from repro.runtime.traffic import TrafficLog, TrafficRecord
 from repro.runtime.program import (
     ClusterResult,
@@ -40,7 +40,6 @@ from repro.runtime.program import (
 __all__ = [
     "Comm",
     "CommError",
-    "MulticastMode",
     "Request",
     "wait_all",
     "TrafficLog",

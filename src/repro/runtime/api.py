@@ -11,12 +11,12 @@ the pipelined shuffle engine is built on:
   (``MPI_Waitall``);
 * ``bcast`` / ``ibcast`` — application-layer multicast within an explicit
   member group (``MPI_Bcast`` / ``MPI_Ibcast`` on a communicator built by
-  ``MPI_Comm_split``); supports a *linear* root-sends-to-all mode and a
-  forwarding *tree* mode (:class:`MulticastMode`).  Under TREE,
-  ``ibcast`` runs the binomial tree of Open MPI's broadcast algorithm —
-  the logarithmic multicast penalty the paper measures (§V-C), which the
-  closed-form model keeps — and the blocking ``bcast`` a root-relative
-  chain, so the root sends one copy and each member forwards at most one;
+  ``MPI_Comm_split``).  Members forward what they receive, and each
+  non-root receives exactly once.  ``ibcast`` runs the binomial tree of
+  Open MPI's broadcast algorithm — the logarithmic multicast penalty the
+  paper measures (§V-C), which the closed-form model keeps — and the
+  blocking ``bcast`` a root-relative chain, so the root sends one copy
+  and each member forwards at most one;
 * ``barrier`` — full synchronization, used between the serial turns of the
   Fig. 9 schedules.
 
@@ -24,7 +24,7 @@ Non-blocking semantics: ``isend`` hands the payload to the endpoint's
 asynchronous sender and returns immediately; ``irecv`` and a receiving
 ``ibcast`` return a lazily-completing request that completes when its
 frame arrives (``test`` never blocks, ``wait`` blocks for it); no
-receive starts a thread.  A receiving ``ibcast`` at an *interior* TREE
+receive starts a thread.  A receiving ``ibcast`` at an *interior* tree
 node hands its arena view to the same asynchronous sender, for its
 tree children, the moment it lands; :meth:`Comm.wait_any` names the posted
 receives that have a frame, so a program can sleep until any one does.
@@ -60,12 +60,11 @@ The data plane is buffer-protocol end-to-end (zero-copy):
 
 Traffic accounting distinguishes *logical* transfers (one record per
 unicast or multicast — the paper's load convention) from *physical* hops:
-with ``record_relays=True`` every per-link hop a broadcast takes (root to
-member in LINEAR mode; every parent-to-child edge of the tree or chain in
-TREE mode, including the root's own sends) is additionally logged with
-kind ``"relay"``, so the two multicast modes can be compared byte-for-byte
-per link.  Relay records are excluded from the default load/wire
-summaries.
+with ``record_relays=True`` every per-link hop a broadcast takes (every
+parent-to-child edge of the tree or chain, including the root's own
+sends) is additionally logged with kind ``"relay"``, so the two
+broadcast shapes can be compared byte-for-byte per link.  Relay records
+are excluded from the default load/wire summaries.
 
 :class:`Comm` is the one communicator, concrete: a pool worker builds one
 per job over its mesh endpoint (:class:`~repro.runtime.process.MeshEndpoint`:
@@ -85,7 +84,6 @@ sharing a tag.
 
 from __future__ import annotations
 
-import enum
 import socket
 import threading
 import time
@@ -155,30 +153,6 @@ def payload_nbytes(payload: BufferParts) -> int:
     if isinstance(payload, (bytes, bytearray)):
         return len(payload)
     return sum(payload_nbytes(p) for p in payload)
-
-
-class MulticastMode(enum.Enum):
-    """How ``bcast`` moves bytes.
-
-    LINEAR: root unicasts to each member in turn — the naive application-
-        layer multicast; wall time at the root scales with group size.
-    TREE: members forward what they receive, and each non-root receives
-        exactly once, so the bytes on the wire equal LINEAR's.  The shape
-        depends on the call.  ``ibcast`` runs the binomial tree of Open
-        MPI's ``MPI_Bcast``: ``log2(group size)`` rounds on the critical
-        path, the logarithmic penalty the paper measures and the
-        closed-form model keeps.  The event loop already keeps every
-        worker's egress busy with its own packets, so there the shorter
-        critical path is what counts.  The blocking ``bcast`` (only the
-        serial Fig. 9(b) walk calls it, one multicast in flight
-        cluster-wide) runs a root-relative chain instead: the root sends
-        one copy and every other member forwards at most one, so a
-        sender's back-to-back turns do not pile ``log2`` copies onto its
-        own paced link.
-    """
-
-    LINEAR = "linear"
-    TREE = "tree"
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +267,7 @@ class _RecvRequest(Request):
     it.  Must only be driven from the owning program's thread (like an
     MPI request).
 
-    With ``children`` (a TREE interior receive) the landed arena view
+    With ``children`` (an interior ``ibcast`` receive) the landed arena view
     goes to the async sender for them first; the payload is the caller's
     at once, the relay's send request theirs to wait on.
 
@@ -463,7 +437,6 @@ class Comm:
         self.job_control = control
         self.stage = "init"
         self.failed = False
-        self.multicast_mode = endpoint.multicast_mode
         self.record_relays = endpoint.record_relays
         self._endpoint = endpoint
         self._peers = peers
@@ -597,10 +570,12 @@ class Comm:
         """Multicast within ``members``; every member must call this.
 
         All members of one broadcast must call ``bcast`` (not mix it with
-        :meth:`ibcast`): under TREE the two forward along different
-        shapes — this one along the root-relative chain (see
-        :class:`MulticastMode`), each member receiving from its
-        predecessor and forwarding to its successor.
+        :meth:`ibcast`): the two forward along different shapes — this
+        one along the root-relative chain (:meth:`_chain_links`), each
+        member receiving from its predecessor and forwarding to its
+        successor.  Only the serial Fig. 9(b) walk calls it, one
+        multicast in flight cluster-wide, so a sender's back-to-back
+        turns do not pile ``log2`` copies onto its own paced link.
 
         Args:
             members: group ranks; must contain both ``root`` and ``self.rank``
@@ -623,7 +598,7 @@ class Comm:
             return payload
         inner_tag = _BCAST_NS | self._user_tag(tag)
         return self._bcast(
-            *self._links(group, root, self._chain_links),
+            *self._chain_links(group, root, self.rank),
             inner_tag, payload, self.stage, copy,
         )
 
@@ -638,10 +613,11 @@ class Comm:
         """Non-blocking multicast; ``wait()`` returns the payload everywhere.
 
         All members of one broadcast must call ``ibcast`` (not mix it
-        with :meth:`bcast`): under TREE this one forwards along the
-        binomial tree (see :class:`MulticastMode`).  The root's sends run
-        on the endpoint's async sender.  Every receiver gets a threadless
-        lazy request; a TREE interior one, driven (``test`` / ``wait``)
+        with :meth:`bcast`): this one forwards along the binomial tree
+        of Open MPI's ``MPI_Bcast`` (:meth:`_tree_links`), ``log2(group
+        size)`` rounds on the critical path.  The root's sends run on
+        the endpoint's async sender.  Every receiver gets a threadless
+        lazy request; an interior one, driven (``test`` / ``wait``)
         onto its landed packet, also hands it to the async sender for its
         children — ``forward`` is that send, to be waited like any other.
         At most one in-flight broadcast may use a given ``(group, tag)``
@@ -653,7 +629,7 @@ class Comm:
             return _CompletedRequest(payload)
         inner_tag = _BCAST_NS | self._user_tag(tag)
         stage = self.stage
-        parent, children = self._links(group, root, self._tree_links)
+        parent, children = self._tree_links(group, root, self.rank)
         if parent is not None:
             return _RecvRequest(self, parent, inner_tag, copy, children, stage)
         return self._post(
@@ -766,24 +742,6 @@ class Comm:
         if self.record_relays and self.traffic is not None:
             self.traffic.record(stage, "relay", self.rank, (dst,), nbytes)
 
-    def _links(
-        self,
-        group: Tuple[int, ...],
-        root: int,
-        shape: Callable[
-            [Tuple[int, ...], int, int], Tuple[Optional[int], List[int]]
-        ],
-    ) -> Tuple[Optional[int], Sequence[int]]:
-        """This rank's parent and children in a broadcast from ``root``:
-        under TREE, ``shape``'s — the caller's, :meth:`_chain_links` for
-        the blocking ``bcast`` and :meth:`_tree_links` for ``ibcast`` —
-        or (LINEAR) the star's: the root sends to every member in turn."""
-        if self.multicast_mode is MulticastMode.TREE:
-            return shape(group, root, self.rank)
-        if self.rank == root:
-            return None, [m for m in group if m != root]
-        return root, ()
-
     @staticmethod
     def _tree_links(
         group: Tuple[int, ...], root: int, rank: int
@@ -852,13 +810,14 @@ class Comm:
         stage: str,
         copy: bool = True,
     ) -> BufferParts:
-        """One node's blocking share of a broadcast over its :meth:`_links`.
+        """One node's blocking share of a broadcast, given its parent and
+        children in the broadcast's shape.
 
-        The blocking ``bcast`` runs it on the chain (TREE) or the star
-        (LINEAR); ``ibcast``'s root runs it, on the async sender, to send
-        to its binomial-tree children.  Every non-root receives exactly
-        once under any shape, so wire bytes equal the linear mode's; the
-        shape only moves which links carry the copies.  Interior nodes
+        The blocking ``bcast`` runs it on the chain; ``ibcast``'s root
+        runs it, on the async sender, to send to its binomial-tree
+        children.  Every non-root receives exactly once under either
+        shape, so wire bytes are the same; the shape only moves which
+        links carry the copies.  Interior nodes
         forward their received arena view to children without copying,
         regardless of ``copy``.
         """

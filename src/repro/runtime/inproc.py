@@ -21,7 +21,7 @@ frame straight into the peer's mailbox by reference, the mailboxes made
 here and passed in — behind a control
 channel that passes objects by reference too, so closures and results
 are never pickled.  Mailbox puts never block, so ``isend`` completes
-inline — a TREE interior receive's relay included — and no sender
+inline — an interior ``ibcast`` receive's relay included — and no sender
 thread starts.  An injected ``crash`` kills only its worker thread (see
 :mod:`repro.testing.faults`).
 """

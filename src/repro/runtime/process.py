@@ -53,7 +53,6 @@ from repro.runtime.api import (
     BufferParts,
     Comm,
     CommError,
-    MulticastMode,
     Request,
     _CompletedRequest,
     _FutureRequest,
@@ -95,7 +94,6 @@ class SocketLink:
 #: What a worker runs under: the cluster settings every transport hands
 #: its workers, by the keys the TCP welcome carries them under.
 WORKER_SETTINGS = (
-    "multicast_mode",
     "rate_bytes_per_s",
     "timeout",
     "record_relays",
@@ -134,7 +132,6 @@ class MeshEndpoint:
         mailbox: Optional[Mailbox] = None,
     ) -> None:
         self.rank = rank
-        self.multicast_mode = MulticastMode(settings["multicast_mode"])
         self.recv_timeout = settings["timeout"]
         self.record_relays = settings["record_relays"]
         self.heartbeat_interval = settings["heartbeat_interval"]

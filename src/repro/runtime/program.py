@@ -8,15 +8,15 @@ accounting) and the multiprocessing backend (real parallel execution) —
 mirroring how the paper's single MPI program runs on any cluster size.
 
 The coded programs' Encode / Shuffle / Decode block has two engines, and
-:func:`execute_multicast_shuffle` picks between them (the pipeline's
-*send gate* policy):
+the coded body (``CodedTeraSortProgram._shuffle``) picks between them (the
+pipeline's *send gate* policy):
 
 * :func:`serial_multicast_shuffle` — the paper's Fig. 9(b) execution, kept
   as the named reproduction the tables measure: one ``(group, sender)``
   turn at a time behind a cluster barrier, Encode fully preceding Shuffle
   preceding Decode.  Its multicasts are blocking ``bcast`` calls, which
-  under TREE forward along a root-relative chain: with one multicast in
-  flight cluster-wide, the turn's root sends one copy and the members
+  forward along a root-relative chain: with one multicast in flight
+  cluster-wide, the turn's root sends one copy and the members
   forward the rest, so no link carries more than one copy a turn.
 * :func:`streaming_multicast_shuffle` — one non-blocking event loop (the
   §VI "asynchronous execution" future work made concrete), the default:
@@ -47,9 +47,9 @@ performed in the loop is still charged to the ``map`` / ``encode`` /
 ``decode`` stages (compute attribution), and the ``shuffle`` stage is
 charged the *remaining* span — communication plus waiting.  The per-stage
 numbers therefore stay exclusive (they sum to wall-clock time, like the
-serial tables), while the engine additionally reports the full loop span
-so the gain stays visible (``span`` = exclusive shuffle time plus the
-work performed inside the loop).
+serial tables).  The Encode / Shuffle / Decode span — exclusive shuffle
+time plus the encode and decode work performed inside the loop — is
+stamped as the ``shuffle_span`` pseudo-stage, so the gain stays visible.
 """
 
 from __future__ import annotations
@@ -353,72 +353,6 @@ class PreparedJob:
             )
 
 
-def execute_multicast_shuffle(
-    program: NodeProgram,
-    groups: Sequence[Sequence[int]],
-    my_groups: Sequence[int],
-    schedule: str,
-    turns: Sequence[Tuple[int, int]],
-    rounds: Optional[Sequence[Sequence[Tuple[int, int]]]],
-    tag_base: int,
-    encode: Callable[[int], BufferParts],
-    recover: Callable[[int, Dict[int, bytes]], Any],
-    map_step: Optional[Callable[[], bool]] = None,
-    ready: Optional[Callable[[int], bool]] = None,
-) -> Tuple[Dict[int, Any], Dict[str, float]]:
-    """Run the Encode / Shuffle / Decode block under the send-gate policy.
-
-    The one place the coded pipeline (CodedTeraSort and Coded MapReduce
-    alike) picks its shuffle engine: ``"serial"`` with the map already done
-    encodes every packet up front, walks :func:`serial_multicast_shuffle`,
-    then decodes — the paper's stage-separated Fig. 9(b) reproduction;
-    everything else hands the same ``encode`` / ``recover`` callbacks to
-    :func:`streaming_multicast_shuffle`, the one event loop.
-
-    Args:
-        schedule: ``"serial"`` or ``"parallel"`` (validated by callers).
-        turns: the serial Fig. 9(b) turn list (``CodingPlan.schedule``).
-        rounds: the event loop's posting order
-            (``CodingPlan.rounds_for(schedule)``); required unless the
-            serial walk runs.
-        encode / recover: packet producer / group consumer, charged to the
-            ``encode`` / ``decode`` stages by both paths.  ``encode`` may
-            return one buffer or a gather list of buffer parts (sent
-            zero-copy); ``recover`` receives raw packets as zero-copy
-            arena views and must not retain them past the call.
-        map_step / ready: streaming overlap — the caller's map still has
-            work, see :func:`streaming_multicast_shuffle`.  Absent: the
-            map is done and every group may be sent.
-
-    Returns:
-        ``(decoded, telemetry)``: ``group_idx -> recover(...)`` result for
-        every group of this rank, plus the event loop's span telemetry
-        (empty dict for the serial walk).
-    """
-    decoded: Dict[int, Any] = {}
-    if schedule == "serial" and map_step is None:
-        with program.stage("encode"):
-            packets_out = {gidx: encode(gidx) for gidx in my_groups}
-        with program.stage("shuffle"):
-            received = serial_multicast_shuffle(
-                program, groups, my_groups, turns, tag_base, packets_out
-            )
-        with program.stage("decode"):
-            for gidx in my_groups:
-                decoded[gidx] = recover(gidx, received[gidx])
-        return decoded, {}
-    assert rounds is not None
-
-    def consume(gidx: int, payloads: Dict[int, bytes]) -> None:
-        decoded[gidx] = recover(gidx, payloads)
-
-    telemetry = streaming_multicast_shuffle(
-        program, groups, my_groups, rounds, tag_base, encode, consume,
-        map_step, ready,
-    )
-    return decoded, telemetry
-
-
 def serial_multicast_shuffle(
     program: NodeProgram,
     groups: Sequence[Sequence[int]],
@@ -434,9 +368,9 @@ def serial_multicast_shuffle(
     overlap — the serialized regime whose wall-clock the paper's tables
     report.  Callers wrap this in their ``shuffle`` stage.
 
-    Each turn is one blocking ``bcast``.  Under TREE it runs on the
-    root-relative chain, so the sender sends one copy and each other
-    member forwards at most one.  On a binomial tree the sender would send
+    Each turn is one blocking ``bcast``.  It runs on the root-relative
+    chain, so the sender sends one copy and each other member forwards at
+    most one.  On a binomial tree the sender would send
     ``ceil(log2(r + 1))`` copies a turn, and a sender's back-to-back turns
     would pile them onto its own paced link.
 
@@ -471,15 +405,15 @@ def streaming_multicast_shuffle(
     decode: Callable[[int, Dict[int, bytes]], None],
     map_step: Optional[Callable[[], bool]] = None,
     ready: Optional[Callable[[int], bool]] = None,
-) -> Dict[str, float]:
+) -> None:
     """Run (Map /) Encode / Shuffle / Decode as one non-blocking event loop.
 
     Every receive is posted up front (one ``ibcast`` per inbound packet;
     none starts a thread).  Each pass of the loop then performs one map
     step if the caller's map still has work, encodes and multicasts every
     group the send gate has opened, drives the receives ``Comm.wait_any``
-    reports a frame for (O(1) an arrival; this is what relays a TREE
-    interior packet) and decodes every group that is complete — so
+    reports a frame for (O(1) an arrival; this is what relays an interior
+    tree packet) and decodes every group that is complete — so
     transfers ride behind the remaining Map (and the Reduce work nested
     inside ``decode``) instead of extending the critical path.  With no
     ``map_step`` this is the §VI "asynchronous execution" of an already
@@ -516,17 +450,14 @@ def streaming_multicast_shuffle(
             copies of the other senders' subsets back out).  Must be
             monotone and all-``True`` after ``map_step`` is exhausted.
 
-    Returns:
-        Span telemetry ``{"span", "encode_overlapped",
-        "decode_overlapped"}`` plus ``"map_overlapped"`` when there was a
-        ``map_step``: ``span`` covers the whole loop (map included), the
-        ``*_overlapped`` entries are the nested stage seconds spent
-        inside it.  The stopwatch's ``shuffle`` entry receives ``span``
-        minus that nested work, so per-stage times stay exclusive.
+    The stopwatch's ``shuffle`` entry receives the loop's span minus the
+    nested map / encode / decode work, so per-stage times stay exclusive;
+    the span minus the map work is stamped as ``shuffle_span``, and with a
+    ``map_step`` the loop's overlap stamps (:func:`export_overlap`) too.
     """
     comm = program.comm
     rank = program.rank
-    before = program.stopwatch.times()
+    map_before = program.stopwatch.times().get("map", 0.0)
 
     def turn_tag(gidx: int, sender: int) -> int:
         return tag_base + gidx * comm.size + sender
@@ -616,25 +547,13 @@ def streaming_multicast_shuffle(
                 land(BACKEND_TIMEOUT)
         wait_all(sends)
 
-    span = scope.elapsed
-    times = program.stopwatch.times()
-
-    def in_loop(stage: str) -> float:
-        return times.get(stage, 0.0) - before.get(stage, 0.0)
-
+    mapped = program.stopwatch.times().get("map", 0.0) - map_before
     # Pseudo-stage (not in STAGES): the Encode/Shuffle/Decode span — the
     # loop span with any map work peeled off — reaches the driver without
     # touching the merged stage table.
-    program.stopwatch.add("shuffle_span", max(0.0, span - in_loop("map")))
-    telemetry = {
-        "span": span,
-        "encode_overlapped": in_loop("encode"),
-        "decode_overlapped": in_loop("decode"),
-    }
+    program.stopwatch.add("shuffle_span", max(0.0, scope.elapsed - mapped))
     if map_step is not None:
         export_overlap(program, scope)
-        telemetry["map_overlapped"] = in_loop("map")
-    return telemetry
 
 
 # ---------------------------------------------------------------------------

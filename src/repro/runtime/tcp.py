@@ -120,8 +120,10 @@ __all__ = [
 #: control message after the hello is a control-codec frame (pickle body
 #: plus out-of-band buffers), not a bare pickle.  v7: a mesh frame is one
 #: whole message with no count prefix, and the welcome config lost the
-#: key that capped a frame's size.
-PROTOCOL_VERSION = 7
+#: key that capped a frame's size.  v8: the welcome config lost the key
+#: that chose between a star and the forwarding broadcast shapes — the
+#: shapes are fixed (``bcast`` a chain, ``ibcast`` a binomial tree).
+PROTOCOL_VERSION = 8
 
 _MAGIC = b"CODEDTS1"
 #: HELLO: magic, protocol version, requested rank (-1 = assign any).

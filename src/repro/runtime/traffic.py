@@ -4,7 +4,7 @@ The paper defines the communication load ``L`` as the total amount of
 intermediate data *exchanged*, where a multicast packet counts **once** no
 matter how many nodes it serves — that is exactly the quantity coding
 reduces.  The wire, in contrast, carries an application-layer multicast as
-``(group size - 1)`` unicasts (whether linear or tree-shaped: every non-root
+``(group size - 1)`` unicasts (chain- or tree-shaped: every non-root
 member receives the payload exactly once).
 
 :class:`TrafficLog` therefore tracks both quantities per record:
@@ -16,13 +16,14 @@ Records carry the stage name active when they were emitted, so per-stage
 summaries (e.g. "Shuffle only") can be extracted.
 
 A third record kind, ``"relay"``, logs one *physical hop* of an
-application-layer multicast (root-to-member in LINEAR mode, every
-parent-to-child tree edge in TREE mode) when a backend is created with
-``record_relays=True``.  Relay records are supplementary detail: they are
-excluded from the logical load/wire/message summaries (the one multicast
-record already accounts for them) and surfaced through
-:meth:`TrafficLog.relay_bytes` / :meth:`TrafficLog.link_bytes`, which let
-tree and linear multicast be compared byte-for-byte per link.
+application-layer multicast (every parent-to-child edge of the
+broadcast's tree or chain, the root's own sends included) when a backend
+is created with ``record_relays=True``.  Relay records are supplementary
+detail: they are excluded from the logical load/wire/message summaries
+(the one multicast record already accounts for them) and surfaced
+through :meth:`TrafficLog.relay_bytes` / :meth:`TrafficLog.link_bytes`,
+which let the binomial tree (``ibcast``) and the chain (``bcast``) be
+compared byte-for-byte per link.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ class TrafficLog:
         """``(src, dst) -> physical bytes`` over relay hops.
 
         With ``record_relays=True`` this is the per-link traffic matrix of
-        the application-layer multicast, letting LINEAR and TREE modes be
-        compared byte-for-byte (totals match the logical ``wire_bytes``;
-        the *distribution* over links differs).
+        the application-layer multicast, letting the tree (``ibcast``)
+        and the chain (``bcast``) be compared byte-for-byte (totals match
+        the logical ``wire_bytes``; the *distribution* over links
+        differs).
         """
         out: Dict[Tuple[int, int], int] = {}
         for r in self.relay_records(stage):

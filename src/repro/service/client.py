@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.runtime.errors import WorkerFailure
 from repro.runtime.tcp import parse_address
-from repro.service.protocol import request
+from repro.service.protocol import ServiceProtocolError, request
 from repro.service.stats import ServiceStats
 from repro.session import JobHandle, JobSpec
 
@@ -55,6 +55,17 @@ def _rebuild_failure(kind: str, message: str) -> BaseException:
         failure.args = (message,)
         return failure
     return RuntimeError(message)
+
+
+def _ok(resp: Any, what: str) -> Any:
+    """The payload of the daemon's ``("ok", payload)`` reply to ``what``;
+    any other reply is a :class:`ServiceProtocolError` naming its kind."""
+    kind = resp[0] if isinstance(resp, tuple) and resp else resp
+    if kind != "ok":
+        raise ServiceProtocolError(
+            f"the daemon answered {what!r} with {kind!r:.80}, not 'ok'"
+        )
+    return resp[1]
 
 
 class ServiceClient:
@@ -136,21 +147,16 @@ class ServiceClient:
         )
         if resp[0] == "rejected":
             raise ServiceRejected(resp[1], resp[2])
-        assert resp[0] == "ok", resp
-        return ServiceJobHandle(self, resp[1], spec)
+        return ServiceJobHandle(self, _ok(resp, "submit"), spec)
 
     def status(
         self, job_id: Optional[int] = None
     ) -> List[Dict[str, Any]]:
         """Status rows for one job (or all), as plain dicts."""
-        resp = self._request(("status", job_id))
-        assert resp[0] == "ok", resp
-        return resp[1]
+        return _ok(self._request(("status", job_id)), "status")
 
     def stats(self) -> ServiceStats:
-        resp = self._request(("stats",))
-        assert resp[0] == "ok", resp
-        return resp[1]
+        return _ok(self._request(("stats",)), "stats")
 
     def shutdown(self) -> None:
         """Ask the daemon to shut down (it responds, then closes)."""
@@ -198,6 +204,8 @@ class ServiceJobHandle(JobHandle):
                 self._settle(None, resp[1])
             elif resp[0] == "failed":
                 self._settle(_rebuild_failure(*resp[1:]), kind=resp[1])
+            elif resp[0] != "pending":
+                _ok(resp, "result")  # neither settled nor pending: raises
             elif deadline is not None and time.monotonic() >= deadline:
                 return False
         return True

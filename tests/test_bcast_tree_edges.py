@@ -1,11 +1,11 @@
-"""TREE broadcast edge cases, shapes and per-link relay accounting.
+"""Broadcast edge cases, shapes and per-link relay accounting.
 
 Covers group sizes 1-8 with every member as root (payload equality,
-exactly one physical receive per non-root); the two TREE shapes read off
-the ``"relay"`` link records — the blocking ``bcast`` is a root-relative
-chain, ``ibcast`` the binomial tree; the serial Fig. 9(b) walk on the
-chain against LINEAR and the event loop; and byte-for-byte comparison of
-TREE vs LINEAR multicast.
+exactly one physical receive per non-root); the two broadcast shapes read
+off the ``"relay"`` link records — the blocking ``bcast`` is a
+root-relative chain, ``ibcast`` the binomial tree; the serial Fig. 9(b)
+walk on the chain against the event loop and the uncoded sort; and
+byte-for-byte comparison of the chain against the tree.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 import repro
 from repro.cluster import connect
 from repro.core.coded_terasort import CodedTeraSortSpec
+from repro.core.terasort import TeraSortSpec
 from repro.kvpairs.teragen import teragen
-from repro.runtime.api import Comm, MulticastMode
+from repro.runtime.api import Comm
 from repro.runtime.program import NodeProgram
 from repro.runtime.traffic import TrafficLog
 
@@ -56,14 +57,11 @@ class _OneIbcast(_OneBcast):
             return got
 
 
-def _run_one_bcast(size, group, root, payload, mode, program=_OneBcast):
+def _run_one_bcast(size, group, root, payload, program=_OneBcast):
     def factory(comm):
         return program(comm, group, root, payload)
 
-    cluster = connect(
-        f"inproc://{size}", multicast_mode=mode, timeout=20,
-        record_relays=True,
-    )
+    cluster = connect(f"inproc://{size}", timeout=20, record_relays=True)
     return cluster.run(factory)
 
 
@@ -75,9 +73,7 @@ class TestTreeBcastEdgeCases:
         group = tuple(range(size))
         for root in group:
             payload = f"tree-{size}-{root}".encode()
-            res = _run_one_bcast(
-                size, group, root, payload, MulticastMode.TREE
-            )
+            res = _run_one_bcast(size, group, root, payload)
             assert all(r == payload for r in res.results)
             # Exactly one physical delivery per non-root member.
             receives = {}
@@ -100,7 +96,7 @@ class TestTreeBcastEdgeCases:
         group = tuple(sorted(members))
         root = data.draw(st.sampled_from(group))
         payload = bytes(data.draw(st.binary(min_size=0, max_size=64)))
-        res = _run_one_bcast(size, group, root, payload, MulticastMode.TREE)
+        res = _run_one_bcast(size, group, root, payload)
         for rank, got in enumerate(res.results):
             assert got == (payload if rank in group else None)
         relays = res.traffic.relay_records()
@@ -124,9 +120,7 @@ class TestTreeShapes:
         from its predecessor counting up from the root."""
         group = tuple(range(size))
         for root in group:
-            res = _run_one_bcast(
-                size, group, root, b"chain", MulticastMode.TREE
-            )
+            res = _run_one_bcast(size, group, root, b"chain")
             links = _links(res.traffic)
             assert [src for src, _dst in links].count(root) == 1
             chain = [(root + i) % size for i in range(size)]
@@ -136,9 +130,7 @@ class TestTreeShapes:
     def test_ibcast_stays_binomial(self, size):
         group = tuple(range(size))
         for root in group:
-            res = _run_one_bcast(
-                size, group, root, b"tree", MulticastMode.TREE, _OneIbcast
-            )
+            res = _run_one_bcast(size, group, root, b"tree", _OneIbcast)
             assert all(got == b"tree" for got in res.results)
             tree = [
                 (m, child)
@@ -150,57 +142,60 @@ class TestTreeShapes:
 
 def test_serial_walk_on_the_chain_is_byte_identical():
     """The Fig. 9(b) walk (the one caller of the blocking ``bcast``) on
-    the TREE chain gives LINEAR's and the event loop's partitions, over
-    the same logical and physical traffic."""
+    the chain gives the event loop's partitions, over the same logical
+    and physical traffic, and both give the in-memory staged uncoded
+    sort's partitions."""
     data = teragen(6000, seed=11)
 
-    def run(mode, schedule):
-        cluster = connect(
-            "inproc://6", multicast_mode=mode, timeout=60, record_relays=True,
-        )
-        return repro.run(
-            cluster, CodedTeraSortSpec(data, 3, schedule=schedule)
-        )
+    def run(spec):
+        cluster = connect("inproc://6", timeout=60, record_relays=True)
+        run = repro.run(cluster, spec)
+        return run, [p.to_bytes() for p in run.partitions]
 
-    chain = run(MulticastMode.TREE, "serial")
-    outputs = [p.to_bytes() for p in chain.partitions]
-    for mode, schedule in (
-        (MulticastMode.LINEAR, "serial"),
-        (MulticastMode.TREE, "parallel"),
-    ):
-        other = run(mode, schedule)
-        assert [p.to_bytes() for p in other.partitions] == outputs
-        for count in ("message_count", "load_bytes", "wire_bytes",
-                      "relay_bytes"):
-            assert (getattr(other.traffic, count)()
-                    == getattr(chain.traffic, count)())
+    _, reference = run(TeraSortSpec(data))
+    chain, outputs = run(CodedTeraSortSpec(data, 3, schedule="serial"))
+    tree, tree_outputs = run(CodedTeraSortSpec(data, 3, schedule="parallel"))
+    assert outputs == reference
+    assert tree_outputs == reference
+    for count in ("message_count", "load_bytes", "wire_bytes",
+                  "relay_bytes"):
+        assert (getattr(tree.traffic, count)()
+                == getattr(chain.traffic, count)())
 
 
 class TestRelayAccounting:
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_tree_and_linear_match_byte_for_byte(self, size):
-        """Same total physical bytes; same logical record; different links."""
+    def test_chain_and_tree_match_byte_for_byte(self, size):
+        """The chain (``bcast``) and the binomial tree (``ibcast``): same
+        total physical bytes; same logical record; different links."""
         group = tuple(range(size))
         payload = b"z" * 997
-        logs = {}
-        for mode in (MulticastMode.LINEAR, MulticastMode.TREE):
-            res = _run_one_bcast(size, group, 0, payload, mode)
-            logs[mode] = res.traffic
-        lin, tree = logs[MulticastMode.LINEAR], logs[MulticastMode.TREE]
+        runs = [
+            _run_one_bcast(size, group, 0, payload, program)
+            for program in (_OneBcast, _OneIbcast)
+        ]
+        chain, tree = (res.traffic for res in runs)
+        for res in runs:
+            assert all(got == payload for got in res.results)
+            # One physical receive per non-root member.
+            assert sorted(
+                rec.dsts[0] for rec in res.traffic.relay_records()
+            ) == list(group[1:])
         # Logical accounting identical (one multicast, counted once).
-        assert lin.load_bytes() == tree.load_bytes() == len(payload)
-        assert lin.wire_bytes() == tree.wire_bytes() == len(payload) * (size - 1)
+        assert chain.load_bytes() == tree.load_bytes() == len(payload)
+        wire = len(payload) * (size - 1)
+        assert chain.wire_bytes() == tree.wire_bytes() == wire
         # Physical totals identical: every non-root receives exactly once.
-        assert lin.relay_bytes() == tree.relay_bytes() == lin.wire_bytes()
-        # Per-link distributions differ once the tree has interior nodes.
-        lin_links = lin.link_bytes()
+        assert chain.relay_bytes() == tree.relay_bytes() == wire
+        chain_links = chain.link_bytes()
         tree_links = tree.link_bytes()
-        assert sum(lin_links.values()) == sum(tree_links.values())
-        assert all(src == 0 for src, _dst in lin_links)
-        # The blocking bcast under TREE is a chain: interior forwarding
-        # nodes appear from g = 3 on (on the binomial tree, from g = 4).
+        assert sum(chain_links.values()) == sum(tree_links.values())
+        # The chain forwards from g = 3 on, the tree from g = 4; from
+        # g = 4 the two use different links.
+        if size > 2:
+            assert any(src != 0 for src, _dst in chain_links)
         if size > 3:
-            assert any(src != 0 for src, _dst in tree_links)
+            assert chain_links != tree_links
 
     def test_relays_excluded_from_logical_summaries(self):
         log = TrafficLog()
@@ -218,9 +213,7 @@ class TestRelayAccounting:
 
     def test_relay_recording_off_by_default(self):
         group = (0, 1, 2, 3)
-        cluster = connect(
-            "inproc://4", multicast_mode=MulticastMode.TREE, timeout=20,
-        )
+        cluster = connect("inproc://4", timeout=20)
         res = cluster.run(lambda comm: _OneBcast(comm, group, 0, b"quiet"))
         assert res.traffic.relay_records() == []
         assert res.traffic.message_count() == 1

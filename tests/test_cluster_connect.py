@@ -18,7 +18,6 @@ import pytest
 
 import repro
 from repro.cluster import SETTINGS, connect
-from repro.runtime.api import MulticastMode
 from repro.runtime.errors import JobDeadlineExpired
 from repro.runtime.program import NodeProgram, PreparedJob
 from repro.runtime.tcp import run_worker
@@ -106,7 +105,6 @@ class TestOneSetOfSettings:
         with connect(url, size=2) as cluster:
             for name, (default, _) in SETTINGS.items():
                 assert getattr(cluster, name) == default, name
-            assert cluster.multicast_mode is MulticastMode.TREE
 
     @pytest.mark.parametrize("url, setting", [
         ("inproc://2", "rate_bytes_per_s"),
@@ -124,6 +122,14 @@ class TestOneSetOfSettings:
     def test_a_keyword_that_is_no_setting_is_a_type_error(self):
         with pytest.raises(TypeError, match="recv_timeout"):
             connect("inproc://2", recv_timeout=5.0)
+
+    def test_the_broadcast_shape_is_no_setting(self):
+        """``bcast`` is a chain and ``ibcast`` a binomial tree on every
+        cluster; the keyword that used to choose a star is refused like
+        any unknown setting."""
+        assert "multicast_mode" not in SETTINGS
+        with pytest.raises(TypeError, match="multicast_mode"):
+            connect("inproc://2", multicast_mode="tree")
 
     def test_run_on_tcp_is_rejected_by_name(self):
         with connect("tcp://127.0.0.1:0", size=2) as cluster:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import connect
-from repro.runtime.api import CommError, MulticastMode, RESERVED_TAG_BASE
+from repro.runtime.api import CommError, RESERVED_TAG_BASE
 from repro.runtime.program import NodeProgram
 
 
@@ -32,24 +32,37 @@ class _EchoProgram(NodeProgram):
         return out
 
 
+class _IEchoProgram(_EchoProgram):
+    """The same broadcasts through ``ibcast``, all posted, then waited."""
+
+    def run(self):
+        with self.stage("talk"):
+            reqs = {
+                root: self.comm.ibcast(
+                    self.group, root, tag=root,
+                    payload=(
+                        f"msg-{root}".encode() if self.rank == root else None
+                    ),
+                )
+                for root in self.group
+            }
+            return {root: req.wait() for root, req in reqs.items()}
+
+
 class TestBcastModes:
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_all_members_receive(self, mode, size):
-        res = connect(f"inproc://{size}", multicast_mode=mode, timeout=20).run(
-            _EchoProgram
-        )
+    def test_all_members_receive(self, size):
+        res = connect(f"inproc://{size}", timeout=20).run(_EchoProgram)
         for got in res.results:
             assert got == {r: f"msg-{r}".encode() for r in range(size)}
 
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
-    def test_subgroup_bcast(self, mode):
+    def test_subgroup_bcast(self):
         group = (0, 2, 3)
 
         def factory(comm):
             return _EchoProgram(comm, group=group)
 
-        cluster = connect("inproc://5", multicast_mode=mode, timeout=20)
+        cluster = connect("inproc://5", timeout=20)
         res = cluster.run(factory)
         for rank, got in enumerate(res.results):
             if rank in group:
@@ -58,13 +71,17 @@ class TestBcastModes:
                 assert got == {}
 
     def test_modes_produce_identical_traffic_load(self):
-        loads = {}
-        for mode in (MulticastMode.LINEAR, MulticastMode.TREE):
-            res = connect("inproc://6", multicast_mode=mode, timeout=20).run(
-                _EchoProgram
-            )
-            loads[mode] = res.traffic.load_bytes()
-        assert loads[MulticastMode.LINEAR] == loads[MulticastMode.TREE]
+        """The chain (``bcast``) and the tree (``ibcast``) log the same
+        traffic: each root's payload once, and once per receiver."""
+        size = 6
+        payloads = sum(len(f"msg-{r}".encode()) for r in range(size))
+        for program in (_EchoProgram, _IEchoProgram):
+            res = connect(f"inproc://{size}", timeout=20).run(program)
+            for got in res.results:
+                assert got == {r: f"msg-{r}".encode() for r in range(size)}
+            assert res.traffic.message_count() == size
+            assert res.traffic.load_bytes() == payloads
+            assert res.traffic.wire_bytes() == payloads * (size - 1)
 
 
 class _ValidationProgram(NodeProgram):

@@ -22,11 +22,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import connect
-from repro.core.decoding import (
-    decode_segment,
-    decode_segment_into,
-    recover_intermediate,
-)
+from repro.core.decoding import decode_segment_into, recover_intermediate
 from repro.core.encoding import (
     CodedPacket,
     CodingError,
@@ -205,7 +201,9 @@ class TestPacketZeroCopy:
             decode_segment_into(1, pkt, lookup, memoryview(bytearray(want + 1)))
         good = bytearray(want)
         decode_segment_into(1, pkt, lookup, memoryview(good))
-        assert good == decode_segment(1, pkt, lookup)
+        # Receiver 1's segment of I^1_{(0,2)}, the one sender 0 holds.
+        subset = without(group, 1)
+        assert good == segment_of(store[(subset, 1)], subset, 0)
 
 
 class _PartsRoundtrip(NodeProgram):

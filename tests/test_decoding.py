@@ -11,11 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decoding import (
-    decode_all_groups,
-    decode_segment,
-    recover_intermediate,
-)
+from repro.core.decoding import decode_segment_into, recover_intermediate
 from repro.core.encoding import CodedPacket, CodingError, encode_packet
 from repro.utils.subsets import k_subsets, without
 
@@ -134,7 +130,12 @@ class TestDecodeAllGroups:
                 for u in group
                 if u != receiver
             }
-        decoded = decode_all_groups(receiver, packets_by_group, lookup)
+        decoded = {
+            without(group, receiver): recover_intermediate(
+                receiver, group, packets, lookup
+            )
+            for group, packets in packets_by_group.items()
+        }
         expected_subsets = {
             s for s in k_subsets(k, r) if receiver not in s
         }
@@ -153,13 +154,16 @@ class TestErrorPaths:
 
     def test_decode_own_packet_rejected(self):
         group, _, lookup, packets = self._packets()
-        with pytest.raises(CodingError):
-            decode_segment(0, packets[0], lookup)
+        # The packet addresses no segment to its sender (nor to a node
+        # outside the group), so no slice size exists; the check comes
+        # before the slice is looked at.
+        with pytest.raises(CodingError, match="own packet"):
+            decode_segment_into(0, packets[0], lookup, memoryview(bytearray()))
 
     def test_receiver_outside_group_rejected(self):
         group, _, lookup, packets = self._packets()
-        with pytest.raises(CodingError):
-            decode_segment(7, packets[0], lookup)
+        with pytest.raises(CodingError, match="not in group"):
+            decode_segment_into(7, packets[0], lookup, memoryview(bytearray()))
 
     def test_missing_packet_detected(self):
         group, _, lookup, packets = self._packets()
@@ -190,5 +194,6 @@ class TestErrorPaths:
         key = (without(group, 1), 1)
         bad_store[key] = store[key] + b"extra"
         bad_lookup = lambda s, t: bad_store[(s, t)]  # noqa: E731
+        out = bytearray(packets[2].length_for(0))
         with pytest.raises(CodingError, match="length mismatch"):
-            decode_segment(0, packets[2], bad_lookup)
+            decode_segment_into(0, packets[2], bad_lookup, memoryview(out))

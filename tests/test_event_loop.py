@@ -27,7 +27,7 @@ from repro.cli import build_parser
 from repro.cluster import connect
 from repro.core.coded_terasort import _coded_terasort_program
 from repro.kvpairs.teragen import teragen
-from repro.runtime.api import BACKEND_TIMEOUT, Comm, MulticastMode
+from repro.runtime.api import BACKEND_TIMEOUT, Comm
 from repro.runtime.program import (
     NodeProgram,
     PreparedJob,
@@ -127,8 +127,7 @@ def test_inproc_tree_starts_no_relay_thread(
     monkeypatch.setattr(threading.Thread, "start", recording_start)
     run = repro.run(
         connect(
-            f"inproc://{K}", multicast_mode=MulticastMode.TREE,
-            record_relays=True, timeout=60,
+            f"inproc://{K}", record_relays=True, timeout=60,
         ),
         CodedTeraSortSpec(data, r, schedule="parallel", overlap=overlap),
     )
@@ -234,9 +233,7 @@ class _RingShuffle(NodeProgram):
 
 
 def _ring_cluster(timeout=1.5):
-    return connect(
-        "inproc://4", multicast_mode=MulticastMode.TREE, timeout=timeout
-    )
+    return connect("inproc://4", timeout=timeout)
 
 
 def test_ranks_that_relay_for_each_other_complete():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import connect
-from repro.runtime.api import CommError, MulticastMode, wait_all
+from repro.runtime.api import CommError, wait_all
 from repro.runtime.program import NodeProgram, PreparedJob
 from repro.runtime.tcp import run_worker
 from repro.utils import copytrack
@@ -353,45 +353,66 @@ class _IBcastAllRoots(NodeProgram):
         return out
 
 
+class _BcastAllRoots(_IBcastAllRoots):
+    """The same broadcasts through the blocking ``bcast``, root by root."""
+
+    def run(self):
+        with self.stage("talk"):
+            if self.rank not in self.group:
+                return {}
+            return {
+                root: self.comm.bcast(
+                    self.group, root, tag=root,
+                    payload=(
+                        f"msg-{root}".encode() if self.rank == root else None
+                    ),
+                )
+                for root in self.group
+            }
+
+
 class TestIBcast:
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_matches_bcast_contract_inproc(self, mode, size):
-        res = connect(f"inproc://{size}", multicast_mode=mode, timeout=30).run(
-            _IBcastAllRoots
-        )
+    def test_matches_bcast_contract_inproc(self, size):
+        res = connect(f"inproc://{size}", timeout=30).run(_IBcastAllRoots)
         expected = {r: f"msg-{r}".encode() for r in range(size)}
         assert all(got == expected for got in res.results)
 
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
-    def test_matches_bcast_contract_process(self, mode):
-        res = connect("proc://4", multicast_mode=mode, timeout=60).run(
-            _IBcastAllRoots
-        )
+    def test_matches_bcast_contract_process(self):
+        res = connect("proc://4", timeout=60).run(_IBcastAllRoots)
         expected = {r: f"msg-{r}".encode() for r in range(4)}
         assert all(got == expected for got in res.results)
 
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
-    def test_subgroup_ibcast(self, mode):
+    def test_subgroup_ibcast(self):
         group = (0, 2, 3)
 
         def factory(comm):
             return _IBcastAllRoots(comm, group=group)
 
-        cluster = connect("inproc://5", multicast_mode=mode, timeout=30)
+        cluster = connect("inproc://5", timeout=30)
         res = cluster.run(factory)
         expected = {r: f"msg-{r}".encode() for r in group}
         for rank, got in enumerate(res.results):
             assert got == (expected if rank in group else {})
 
     def test_ibcast_traffic_equals_bcast(self):
-        loads = {}
-        for mode in (MulticastMode.LINEAR, MulticastMode.TREE):
-            res = connect("inproc://6", multicast_mode=mode, timeout=30).run(
-                _IBcastAllRoots
+        """Each root's payload counted once in the load and once per
+        receiver on the wire, whichever call moved it."""
+        size = 6
+        payloads = sum(len(f"msg-{r}".encode()) for r in range(size))
+        counts = {}
+        for program in (_IBcastAllRoots, _BcastAllRoots):
+            res = connect(f"inproc://{size}", timeout=30).run(program)
+            traffic = res.traffic
+            counts[program] = (
+                traffic.message_count(),
+                traffic.load_bytes(),
+                traffic.wire_bytes(),
             )
-            loads[mode] = res.traffic.load_bytes()
-        assert loads[MulticastMode.LINEAR] == loads[MulticastMode.TREE]
+        assert counts[_IBcastAllRoots] == counts[_BcastAllRoots]
+        assert counts[_BcastAllRoots] == (
+            size, payloads, payloads * (size - 1)
+        )
 
     def test_singleton_group(self):
         class Solo(NodeProgram):
@@ -424,9 +445,7 @@ class TestIBcast:
                     time.sleep(1.2)  # wait only after the payload landed
                     return req.wait(0.3)
 
-        res = connect(
-            "inproc://4", multicast_mode=MulticastMode.TREE, timeout=30,
-        ).run(LateBcast)
+        res = connect("inproc://4", timeout=30).run(LateBcast)
         assert all(r == b"late" for r in res.results)
 
     def test_root_without_payload_raises_at_post(self):

@@ -19,7 +19,7 @@ from repro.core.groups import build_coding_plan
 from repro.core.jobs import WordCountJob
 from repro.kvpairs.teragen import teragen
 from repro.kvpairs.validation import validate_sorted_permutation
-from repro.runtime.program import NodeProgram, execute_multicast_shuffle
+from repro.runtime.program import NodeProgram, streaming_multicast_shuffle
 from repro.utils.subsets import binomial
 
 GRID = [(4, 1), (6, 2), (8, 3)]
@@ -178,7 +178,7 @@ class _ToyShuffle(NodeProgram):
         self.gates = gates or {}
 
     def run(self):
-        events, frames, released = [], [], {}
+        events, frames, released, decoded = [], [], {}, []
         mapped = 0
 
         def map_step():
@@ -201,14 +201,13 @@ class _ToyShuffle(NodeProgram):
                 assert bytes(raw) == bytes([gidx]) + bytes([sender]) * 64
             # Which of the frames posted so far have been let go of?
             released[gidx] = [ref() is None for ref in frames]
+            decoded.append(gidx)
 
         streaming = self.map_steps > 0
-        decoded, telemetry = execute_multicast_shuffle(
+        streaming_multicast_shuffle(
             self,
             self.plan.groups,
             self.plan.groups_of_node[self.rank],
-            "parallel",
-            self.plan.schedule,
             self.plan.rounds_for("parallel"),
             30_000,
             encode,
@@ -223,7 +222,6 @@ class _ToyShuffle(NodeProgram):
         return {
             "events": events,
             "decoded": sorted(decoded),
-            "telemetry": telemetry,
             "released": released,
             "times": self.stopwatch.times(),
         }
@@ -248,10 +246,11 @@ class TestEventLoopEngine:
                     assert mapped >= gates[what], (rank, kind, what)
             assert mapped == steps
             assert out["decoded"] == sorted(plan.groups_of_node[rank])
-            assert set(out["telemetry"]) == {
-                "span", "map_overlapped", "encode_overlapped",
-                "decode_overlapped",
-            }
+            # The map ran inside the loop: it is charged its own stage,
+            # and the loop stamps its overlap span.
+            assert {"map", "shuffle_span", "overlap_span"} <= set(
+                out["times"]
+            )
 
     def test_without_a_map_everything_decodes_and_span_is_stamped_once(self):
         k = 4
@@ -260,14 +259,15 @@ class TestEventLoopEngine:
         for rank, out in enumerate(result.results):
             assert out["decoded"] == sorted(plan.groups_of_node[rank])
             assert not [e for e in out["events"] if e[0] == "map"]
-            assert set(out["telemetry"]) == {
-                "span", "encode_overlapped", "decode_overlapped",
-            }
-            # Stamped by the engine alone: not once more by its caller.
-            assert out["times"]["shuffle_span"] == pytest.approx(
-                out["telemetry"]["span"]
+            times = out["times"]
+            assert "map" not in times
+            # Attribution is exclusive, so the loop's one span is the
+            # shuffle time plus the encode and decode work inside it —
+            # stamped by the engine alone, not once more by its caller.
+            assert times["shuffle_span"] == pytest.approx(
+                times["shuffle"] + times["encode"] + times["decode"]
             )
-            assert "overlap_span" not in out["times"]
+            assert "overlap_span" not in times
 
     def test_completed_sends_release_their_frames_inside_the_loop(self):
         # Thread-backend sends complete at post time, so by the time any

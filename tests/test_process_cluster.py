@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import connect
-from repro.runtime.api import MulticastMode
 from repro.runtime.program import NodeProgram
 
 
@@ -60,9 +59,8 @@ class TestProcessCluster:
             for sender, payload in received.items():
                 assert payload == f"{sender}->{rank}".encode()
 
-    @pytest.mark.parametrize("mode", [MulticastMode.LINEAR, MulticastMode.TREE])
-    def test_bcast_modes(self, mode):
-        cluster = connect("proc://4", multicast_mode=mode, timeout=60)
+    def test_bcast_modes(self):
+        cluster = connect("proc://4", timeout=60)
         res = cluster.run(_BcastRing)
         expected = [f"from-{r}".encode() for r in range(4)]
         assert all(r == expected for r in res.results)

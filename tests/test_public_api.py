@@ -56,6 +56,16 @@ def test_one_shot_run_surface():
     )
 
 
+def test_multicast_mode_is_gone():
+    """The broadcast shapes are fixed, so the enum that chose one is no
+    longer exported from either package."""
+    import repro.runtime
+
+    assert "MulticastMode" not in repro.__all__
+    for module in (repro, repro.runtime):
+        assert not hasattr(module, "MulticastMode"), module.__name__
+
+
 def test_session_surface_names():
     """Every advertised session-API name resolves and is exported."""
     for name in (

@@ -31,10 +31,12 @@ from repro.runtime.tcp import parse_address, run_worker
 from repro.runtime.transport import FRAME_HEADER, send_frame
 from repro.service import (
     ServiceClient,
+    ServiceJobHandle,
     ServiceRejected,
     SortService,
     TenantQuota,
 )
+from repro.service.protocol import ServiceProtocolError, recv_obj, send_obj
 from repro.session import Session, TeraSortSpec
 from repro.testing.faults import ENV_VAR
 
@@ -394,6 +396,40 @@ def test_hostile_control_frames_are_dropped_and_the_daemon_serves_on(
                 assert all(out_of_band(p.array) for p in run.partitions)
         finally:
             _reap(procs)
+
+
+def test_a_reply_that_is_not_ok_is_a_typed_protocol_error():
+    """A control port that answers ``("bogus", "x")`` makes ``submit``,
+    ``status``, ``stats`` and a handle's ``wait`` raise
+    ``ServiceProtocolError`` naming the reply kind — a checked reply, not
+    an ``assert`` that ``python -O`` strips, and not a long-poll that
+    re-asks as fast as the port answers."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_port():
+        for _ in range(4):
+            conn, _ = listener.accept()
+            with conn:
+                recv_obj(conn)
+                send_obj(conn, ("bogus", "x"))
+
+    server = threading.Thread(target=fake_port, daemon=True)
+    server.start()
+    host, port = listener.getsockname()
+    client = ServiceClient(f"tcp://{host}:{port}", connect_timeout=10)
+    try:
+        for call in (
+            lambda: client.submit(TeraSortSpec(data=teragen(10, seed=1))),
+            lambda: client.status(),
+            client.stats,
+            lambda: ServiceJobHandle(client, 1, None).wait(5),
+        ):
+            with pytest.raises(ServiceProtocolError, match="'bogus'"):
+                call()
+        server.join(10)
+        assert not server.is_alive()
+    finally:
+        listener.close()
 
 
 def test_input_bytes_is_the_advisory_quota_estimate(tmp_path):

@@ -35,7 +35,6 @@ from repro.kvpairs.teragen import teragen
 from repro.runtime.api import (
     JOB_TAG_STRIDE,
     Comm,
-    MulticastMode,
     _purge_stale_frames,
 )
 from repro.runtime.errors import CommError, RuntimeTimeoutError, WorkerFailure
@@ -52,7 +51,6 @@ def _endpoint(rank, links):
         rank,
         links,
         dict(
-            multicast_mode=MulticastMode.TREE,
             rate_bytes_per_s=None,
             timeout=30.0,
             record_relays=False,

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from repro.runtime.api import MulticastMode
 from repro.runtime.mailbox import MailboxClosed
 from repro.runtime.process import MeshEndpoint
 from repro.runtime.ratelimit import TokenBucket
@@ -101,7 +100,6 @@ def test_a_reader_closes_its_source_on_an_unallocatable_frame():
         0,
         {1: mine},
         dict(
-            multicast_mode=MulticastMode.TREE,
             rate_bytes_per_s=None,
             timeout=5.0,
             record_relays=False,
