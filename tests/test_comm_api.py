@@ -37,6 +37,8 @@ class _IEchoProgram(_EchoProgram):
 
     def run(self):
         with self.stage("talk"):
+            if self.rank not in self.group:
+                return {}
             reqs = {
                 root: self.comm.ibcast(
                     self.group, root, tag=root,
@@ -49,18 +51,27 @@ class _IEchoProgram(_EchoProgram):
             return {root: req.wait() for root, req in reqs.items()}
 
 
+#: The two live broadcast shapes: ``bcast`` forwards along the
+#: root-relative chain, ``ibcast`` along the binomial tree.
+_SHAPES = pytest.mark.parametrize(
+    "program", [_EchoProgram, _IEchoProgram], ids=["chain", "tree"]
+)
+
+
 class TestBcastModes:
+    @_SHAPES
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_all_members_receive(self, size):
-        res = connect(f"inproc://{size}", timeout=20).run(_EchoProgram)
+    def test_all_members_receive(self, program, size):
+        res = connect(f"inproc://{size}", timeout=20).run(program)
         for got in res.results:
             assert got == {r: f"msg-{r}".encode() for r in range(size)}
 
-    def test_subgroup_bcast(self):
+    @_SHAPES
+    def test_subgroup_bcast(self, program):
         group = (0, 2, 3)
 
         def factory(comm):
-            return _EchoProgram(comm, group=group)
+            return program(comm, group=group)
 
         cluster = connect("inproc://5", timeout=20)
         res = cluster.run(factory)

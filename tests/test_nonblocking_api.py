@@ -371,23 +371,33 @@ class _BcastAllRoots(_IBcastAllRoots):
             }
 
 
+#: The same contract on the tree (``ibcast``, all posted before any wait)
+#: and on the chain (blocking ``bcast``), the reference it must match.
+_CALLS = pytest.mark.parametrize(
+    "program", [_IBcastAllRoots, _BcastAllRoots], ids=["ibcast", "bcast"]
+)
+
+
 class TestIBcast:
+    @_CALLS
     @pytest.mark.parametrize("size", [2, 3, 5, 8])
-    def test_matches_bcast_contract_inproc(self, size):
-        res = connect(f"inproc://{size}", timeout=30).run(_IBcastAllRoots)
+    def test_matches_bcast_contract_inproc(self, program, size):
+        res = connect(f"inproc://{size}", timeout=30).run(program)
         expected = {r: f"msg-{r}".encode() for r in range(size)}
         assert all(got == expected for got in res.results)
 
-    def test_matches_bcast_contract_process(self):
-        res = connect("proc://4", timeout=60).run(_IBcastAllRoots)
+    @_CALLS
+    def test_matches_bcast_contract_process(self, program):
+        res = connect("proc://4", timeout=60).run(program)
         expected = {r: f"msg-{r}".encode() for r in range(4)}
         assert all(got == expected for got in res.results)
 
-    def test_subgroup_ibcast(self):
+    @_CALLS
+    def test_subgroup_ibcast(self, program):
         group = (0, 2, 3)
 
         def factory(comm):
-            return _IBcastAllRoots(comm, group=group)
+            return program(comm, group=group)
 
         cluster = connect("inproc://5", timeout=30)
         res = cluster.run(factory)

@@ -41,6 +41,20 @@ class _BcastRing(NodeProgram):
         return seen
 
 
+class _IBcastRing(_BcastRing):
+    """The same broadcasts through ``ibcast``, each waited before the next."""
+
+    def run(self):
+        with self.stage("ring"):
+            seen = []
+            for root in range(self.size):
+                payload = f"from-{root}".encode() if self.rank == root else None
+                seen.append(self.comm.ibcast(
+                    tuple(range(self.size)), root, 30 + root, payload
+                ).wait())
+        return seen
+
+
 class _Crasher(NodeProgram):
     STAGES = ["boom"]
 
@@ -59,9 +73,12 @@ class TestProcessCluster:
             for sender, payload in received.items():
                 assert payload == f"{sender}->{rank}".encode()
 
-    def test_bcast_modes(self):
+    @pytest.mark.parametrize(
+        "program", [_BcastRing, _IBcastRing], ids=["chain", "tree"]
+    )
+    def test_bcast_modes(self, program):
         cluster = connect("proc://4", timeout=60)
-        res = cluster.run(_BcastRing)
+        res = cluster.run(program)
         expected = [f"from-{r}".encode() for r in range(4)]
         assert all(r == expected for r in res.results)
 
